@@ -315,12 +315,20 @@ def rref(matrix: ExactMatrix) -> tuple[ExactMatrix, tuple[int, ...]]:
 def nullspace(matrix: ExactMatrix) -> tuple[Vector, ...]:
     """Canonical nullspace basis: one vector per free column, free entry 1."""
     red, pivots = rref(matrix)
+    return _free_column_basis(red, pivots, matrix.cols)
+
+
+def _free_column_basis(
+    red: ExactMatrix, pivots: Sequence[int], ncols: int
+) -> tuple[Vector, ...]:
+    """Nullspace basis of the first ``ncols`` columns of a reduced matrix:
+    one vector per free column, free entry 1."""
     pivot_set = set(pivots)
     basis = []
-    for f in range(matrix.cols):
+    for f in range(ncols):
         if f in pivot_set:
             continue
-        v = [ZERO] * matrix.cols
+        v = [ZERO] * ncols
         v[f] = ONE
         for r, p in enumerate(pivots):
             v[p] = -red.entries[r][f]
@@ -352,17 +360,7 @@ def solve_affine(
     x = [ZERO] * ncols
     for r, p in enumerate(pivots):
         x[p] = red.entries[r][ncols]
-    pivot_set = set(pivots)
-    basis = []
-    for f in range(ncols):
-        if f in pivot_set:
-            continue
-        v = [ZERO] * ncols
-        v[f] = ONE
-        for r, p in enumerate(pivots):
-            v[p] = -red.entries[r][f]
-        basis.append(tuple(v))
-    return AffineSolution(tuple(x), tuple(basis))
+    return AffineSolution(tuple(x), _free_column_basis(red, pivots, ncols))
 
 
 def determinant(matrix: ExactMatrix) -> GaussianRational:
