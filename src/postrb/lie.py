@@ -4,6 +4,11 @@ A ``LieAlgebra`` stores the full 3-index table c[i][j][k] with
 [e_i, e_j] = sum_k c[i][j][k] e_k; antisymmetry is enforced at construction,
 the Jacobi identity is a checkable property.  Subspaces are kept in reduced
 row echelon form so equality and membership are plain entry comparisons.
+
+Every product given by such a table (the bracket, a post-Lie product, the
+induced product [R(x), y]) is evaluated by the single evaluator in this
+module: ``bilinear`` for one product x.y and ``left_columns`` for the
+products x.e_j against every basis vector.
 """
 
 from __future__ import annotations
@@ -29,6 +34,46 @@ from .scalars import (
 )
 
 StructureTable = tuple[tuple[Vector, ...], ...]
+
+
+def bilinear(
+    table: StructureTable, x: Sequence[ScalarLike], y: Sequence[ScalarLike]
+) -> Vector:
+    """The product x.y = sum_{i,j} x_i y_j table[i][j]."""
+    n = len(table)
+    u, v = vector(x), vector(y)
+    out = [ZERO] * n
+    for i in range(n):
+        if not u[i]:
+            continue
+        for j in range(n):
+            if not v[j]:
+                continue
+            c = u[i] * v[j]
+            row = table[i][j]
+            for k in range(n):
+                if row[k]:
+                    out[k] = out[k] + c * row[k]
+    return tuple(out)
+
+
+def left_columns(table: StructureTable, x: Sequence[ScalarLike]) -> tuple[Vector, ...]:
+    """The products x.e_j for j = 0, ..., n-1: the columns of y -> x.y."""
+    n = len(table)
+    v = vector(x)
+    if len(v) != n:
+        raise ValueError("vector has wrong length")
+    cols = []
+    for j in range(n):
+        col = [ZERO] * n
+        for i in range(n):
+            if v[i]:
+                row = table[i][j]
+                for k in range(n):
+                    if row[k]:
+                        col[k] = col[k] + v[i] * row[k]
+        cols.append(tuple(col))
+    return tuple(cols)
 
 
 @dataclass(frozen=True)
@@ -91,25 +136,8 @@ class LieAlgebra:
         z = zero_vector(dim)
         return LieAlgebra(tuple(tuple(z for _ in range(dim)) for _ in range(dim)))
 
-    def basis_bracket(self, i: int, j: int) -> Vector:
-        return self.sc[i][j]
-
     def bracket(self, x: Sequence[ScalarLike], y: Sequence[ScalarLike]) -> Vector:
-        n = self.dim
-        u, v = vector(x), vector(y)
-        out = [ZERO] * n
-        for i in range(n):
-            if not u[i]:
-                continue
-            for j in range(n):
-                if not v[j]:
-                    continue
-                c = u[i] * v[j]
-                row = self.sc[i][j]
-                for k in range(n):
-                    if row[k]:
-                        out[k] = out[k] + c * row[k]
-        return tuple(out)
+        return bilinear(self.sc, x, y)
 
 
 @dataclass(frozen=True)
@@ -238,21 +266,7 @@ def check_jacobi(algebra: LieAlgebra) -> bool:
 
 def ad_matrix(algebra: LieAlgebra, x: Sequence[ScalarLike]) -> ExactMatrix:
     """Matrix of y -> [x, y] in the algebra basis (columns are images)."""
-    n = algebra.dim
-    v = vector(x)
-    if len(v) != n:
-        raise ValueError("vector has wrong length")
-    cols = []
-    for j in range(n):
-        col = [ZERO] * n
-        for i in range(n):
-            if v[i]:
-                row = algebra.sc[i][j]
-                for k in range(n):
-                    if row[k]:
-                        col[k] = col[k] + v[i] * row[k]
-        cols.append(tuple(col))
-    return ExactMatrix.from_columns(cols)
+    return ExactMatrix.from_columns(left_columns(algebra.sc, x))
 
 
 def center(algebra: LieAlgebra) -> Subspace:

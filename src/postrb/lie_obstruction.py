@@ -14,11 +14,12 @@ from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
 
 from .errors import NontrivialObstructionError, NotInnerError
-from .lie import LieAlgebra, Subspace, center, check_jacobi
+from .lie import LieAlgebra, Subspace, bilinear, center, check_jacobi
 from .postlie import (
     LinearMap,
     PostLieAlgebra,
     check_rota_baxter,
+    coefficient_matrix,
     from_rota_baxter,
     innerness_witness,
     is_witness,
@@ -29,9 +30,11 @@ from .scalars import (
     ScalarLike,
     Vector,
     ZERO,
+    hstack,
     is_zero_vector,
     nullspace,
     solve_affine,
+    unit_vector,
     vec_add,
     vec_scale,
     vector,
@@ -85,14 +88,7 @@ class LieTwoCochain:
         return self.values[i][j]
 
     def evaluate(self, x: Sequence[ScalarLike], y: Sequence[ScalarLike]) -> Vector:
-        u, v = vector(x), vector(y)
-        out = zero_vector(self.ambient)
-        for i in range(self.ambient):
-            for j in range(i + 1, self.ambient):
-                c = u[i] * v[j] - u[j] * v[i]
-                if c:
-                    out = vec_add(out, vec_scale(c, self.values[i][j]))
-        return out
+        return bilinear(self.values, x, y)
 
     def is_zero(self) -> bool:
         return all(
@@ -136,7 +132,7 @@ def verify_lie_2cocycle(cochain: LieTwoCochain, sub: LieAlgebra) -> bool:
     n = sub.dim
     if cochain.ambient != n:
         raise ValueError("cochain and algebra dimensions differ")
-    units = [tuple(1 if q == k else 0 for q in range(n)) for k in range(n)]
+    units = [unit_vector(n, k) for k in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
@@ -237,18 +233,7 @@ def pullback_algebra(p: PostLieAlgebra) -> LieAlgebra:
         raise NotInnerError("pullback requires an inner post-Lie algebra")
     sub = sub_adjacent(p)
     z = center(p.base)
-    rows = []
-    for k in range(n):
-        for j in range(n):
-            row = [ZERO] * (2 * n)
-            for i in range(n):
-                if p.tc[i][j][k]:
-                    row[i] = row[i] + p.tc[i][j][k]
-            for c in range(n):
-                if p.base.sc[c][j][k]:
-                    row[n + c] = row[n + c] - p.base.sc[c][j][k]
-            rows.append(row)
-    constraint = ExactMatrix.from_rows(rows, width=2 * n)
+    constraint = hstack(coefficient_matrix(p.tc), -coefficient_matrix(p.base.sc))
     basis = Subspace.from_spanning(2 * n, nullspace(constraint))
     if basis.dim != n + z.dim:
         raise AssertionError("pullback dimension differs from dim + dim center")

@@ -1,7 +1,10 @@
 """Post-Lie algebras: axioms, sub-adjacent bracket, Rota-Baxter constructions.
 
-The extra product is stored like a second structure-constant table:
-t[i][j][k] with e_i > e_j = sum_k t[i][j][k] e_k.
+The extra product is the same table type as the bracket, evaluated by
+``lie.bilinear``: t[i][j][k] with e_i > e_j = sum_k t[i][j][k] e_k.  The
+product [R(x), y] induced by an operator R, the sub-adjacent bracket and the
+coefficient matrix of a table are built here once and shared by the axiom
+checks, the Rota-Baxter check, the witness solve and the tower.
 """
 
 from __future__ import annotations
@@ -10,13 +13,13 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .errors import NotRotaBaxterError
-from .lie import LieAlgebra, StructureTable, check_jacobi
+from .lie import LieAlgebra, StructureTable, bilinear, check_jacobi, left_columns
 from .scalars import (
     ExactMatrix,
     ScalarLike,
     Vector,
-    ZERO,
     solve_affine,
+    unit_vector,
     vec_add,
     vec_sub,
     vector,
@@ -113,29 +116,8 @@ class PostLieAlgebra:
             base, tuple(tuple(tuple(r) for r in row) for row in table)
         )
 
-    def basis_triangle(self, i: int, j: int) -> Vector:
-        return self.tc[i][j]
-
     def triangle(self, x: Sequence[ScalarLike], y: Sequence[ScalarLike]) -> Vector:
-        n = self.dim
-        u, v = vector(x), vector(y)
-        out = [ZERO] * n
-        for i in range(n):
-            if not u[i]:
-                continue
-            for j in range(n):
-                if not v[j]:
-                    continue
-                c = u[i] * v[j]
-                row = self.tc[i][j]
-                for k in range(n):
-                    if row[k]:
-                        out[k] = out[k] + c * row[k]
-        return tuple(out)
-
-    def left_multiplication(self, i: int) -> ExactMatrix:
-        """Matrix of y -> e_i > y (columns are images)."""
-        return ExactMatrix.from_columns([self.tc[i][j] for j in range(self.dim)])
+        return bilinear(self.tc, x, y)
 
 
 @dataclass(frozen=True)
@@ -156,91 +138,102 @@ def check_postlie_axioms(p: PostLieAlgebra) -> PostLieReport:
     base = p.base
     derivation_bad = []
     weighted_bad = []
-    units = [tuple(1 if q == k else 0 for q in range(n)) for k in range(n)]
+    units = [unit_vector(n, k) for k in range(n)]
+    subs = sub_adjacent_table(base.sc, p.tc)
     for i in range(n):
         for j in range(n):
+            products = left_columns(base.sc, p.tc[i][j])
             for k in range(n):
                 lhs = p.triangle(units[i], base.sc[j][k])
-                rhs = vec_add(
-                    base.bracket(p.tc[i][j], units[k]),
-                    base.bracket(units[j], p.tc[i][k]),
-                )
+                rhs = vec_add(products[k], base.bracket(units[j], p.tc[i][k]))
                 if lhs != rhs:
                     derivation_bad.append((i, j, k))
     for i in range(n):
         for j in range(n):
-            sub = vec_add(base.sc[i][j], vec_sub(p.tc[i][j], p.tc[j][i]))
+            products = left_columns(p.tc, subs[i][j])
             for k in range(n):
-                lhs = p.triangle(sub, units[k])
                 rhs = vec_sub(
                     p.triangle(units[i], p.tc[j][k]),
                     p.triangle(units[j], p.tc[i][k]),
                 )
-                if lhs != rhs:
+                if products[k] != rhs:
                     weighted_bad.append((i, j, k))
     return PostLieReport(tuple(derivation_bad), tuple(weighted_bad))
 
 
-def sub_adjacent(p: PostLieAlgebra) -> LieAlgebra:
-    """The bracket x>y - y>x + [x,y]; valid input yields a Lie algebra."""
-    n = p.dim
-    table = tuple(
-        tuple(
-            vec_add(vec_sub(p.tc[i][j], p.tc[j][i]), p.base.sc[i][j])
-            for j in range(n)
-        )
+def sub_adjacent_table(sc: StructureTable, tc: StructureTable) -> StructureTable:
+    """The table of x>y - y>x + [x,y] for the bracket table sc and product table tc.
+
+    For the induced product x > y = [Rx, y] this is the bracket
+    [Rx,y] + [x,Ry] + [x,y] of the Rota-Baxter identity and of the tower.
+    """
+    n = len(sc)
+    return tuple(
+        tuple(vec_add(vec_sub(tc[i][j], tc[j][i]), sc[i][j]) for j in range(n))
         for i in range(n)
     )
-    result = LieAlgebra(table)
+
+
+def sub_adjacent(p: PostLieAlgebra) -> LieAlgebra:
+    """The bracket x>y - y>x + [x,y]; valid input yields a Lie algebra."""
+    result = LieAlgebra(sub_adjacent_table(p.base.sc, p.tc))
     if not check_jacobi(result):
         raise ValueError("sub-adjacent bracket fails Jacobi: input is not post-Lie")
     return result
 
 
-def check_rota_baxter(algebra: LieAlgebra, operator: LinearMap) -> bool:
-    """Weight-1 identity [Rx,Ry] = R([Rx,y] + [x,Ry] + [x,y]) on basis pairs."""
-    n = algebra.dim
-    if operator.dim != n:
-        raise ValueError("operator dimension does not match the algebra")
-    # Both sides are bilinear and antisymmetric, so pairs i < j suffice.
+def induced_table(algebra: LieAlgebra, operator: LinearMap) -> StructureTable:
+    """The table of x > y = [R(x), y]: row i holds the products [R(e_i), e_j]."""
+    return tuple(
+        left_columns(algebra.sc, operator.column(i)) for i in range(algebra.dim)
+    )
+
+
+def is_homomorphism(
+    mapping: LinearMap, upper_table: StructureTable, lower: LieAlgebra
+) -> bool:
+    """True when [f(e_i), f(e_j)] = f(upper_table[i][j]) in ``lower`` for i < j.
+
+    Both sides are bilinear and antisymmetric, so pairs i < j suffice.
+    """
+    n = len(upper_table)
     for i in range(n):
-        ri = operator.column(i)
         for j in range(i + 1, n):
-            rj = operator.column(j)
-            lhs = algebra.bracket(ri, rj)
-            inner = vec_add(
-                vec_add(
-                    algebra.bracket(ri, tuple(1 if q == j else 0 for q in range(n))),
-                    algebra.bracket(tuple(1 if q == i else 0 for q in range(n)), rj),
-                ),
-                algebra.sc[i][j],
-            )
-            if lhs != operator.apply(inner):
+            lhs = lower.bracket(mapping.column(i), mapping.column(j))
+            if lhs != mapping.apply(upper_table[i][j]):
                 return False
     return True
+
+
+def check_rota_baxter(algebra: LieAlgebra, operator: LinearMap) -> bool:
+    """Weight-1 identity [Rx,Ry] = R([Rx,y] + [x,Ry] + [x,y]) on basis pairs.
+
+    That is, R is a homomorphism from the sub-adjacent bracket of the
+    induced product to the algebra.
+    """
+    if operator.dim != algebra.dim:
+        raise ValueError("operator dimension does not match the algebra")
+    sub = sub_adjacent_table(algebra.sc, induced_table(algebra, operator))
+    return is_homomorphism(operator, sub, algebra)
 
 
 def from_rota_baxter(algebra: LieAlgebra, operator: LinearMap) -> PostLieAlgebra:
     """The induced product x > y = [R(x), y]; rejects non-Rota-Baxter input."""
     if not check_rota_baxter(algebra, operator):
         raise NotRotaBaxterError("operator fails the weight-1 Rota-Baxter identity")
-    n = algebra.dim
-    units = [tuple(1 if q == k else 0 for q in range(n)) for k in range(n)]
-    table = tuple(
-        tuple(algebra.bracket(operator.column(i), units[j]) for j in range(n))
-        for i in range(n)
+    return PostLieAlgebra(algebra, induced_table(algebra, operator))
+
+
+def coefficient_matrix(table: StructureTable) -> ExactMatrix:
+    """Matrix of x -> the n x n matrix of y -> x.y, flattened row-major.
+
+    Row k*n + j, column c holds table[c][j][k], the e_k-coefficient of e_c.e_j.
+    """
+    n = len(table)
+    rows = tuple(
+        tuple(table[c][j][k] for c in range(n)) for k in range(n) for j in range(n)
     )
-    return PostLieAlgebra(algebra, table)
-
-
-def _ad_coefficient_matrix(algebra: LieAlgebra) -> ExactMatrix:
-    """Matrix of y -> vec(ad_y) with row-major flattening of the n x n image."""
-    n = algebra.dim
-    rows = []
-    for k in range(n):
-        for j in range(n):
-            rows.append(tuple(algebra.sc[c][j][k] for c in range(n)))
-    return ExactMatrix(tuple(rows), n)
+    return ExactMatrix(rows, n)
 
 
 def innerness_witness(p: PostLieAlgebra) -> LinearMap | None:
@@ -250,34 +243,20 @@ def innerness_witness(p: PostLieAlgebra) -> LinearMap | None:
     zero, so the witness is deterministic.  Returns None when some left
     multiplication is not an inner derivation.
     """
-    n = p.dim
-    system = _ad_coefficient_matrix(p.base)
+    system = coefficient_matrix(p.base.sc)
+    targets = coefficient_matrix(p.tc)
     columns = []
-    for i in range(n):
-        target = p.left_multiplication(i)
-        flat = tuple(x for row in target.entries for x in row)
-        solution = solve_affine(system, flat)
+    for i in range(p.dim):
+        solution = solve_affine(system, targets.column(i))
         if solution is None:
             return None
         columns.append(solution.particular)
     witness = LinearMap.from_columns(columns)
-    for i in range(n):
-        for j in range(n):
-            unit = tuple(1 if q == j else 0 for q in range(n))
-            if p.base.bracket(witness.column(i), unit) != p.tc[i][j]:
-                raise AssertionError("witness solve failed to reproduce the product")
+    if not is_witness(p, witness):
+        raise AssertionError("witness solve failed to reproduce the product")
     return witness
 
 
 def is_witness(p: PostLieAlgebra, candidate: LinearMap) -> bool:
     """True when [candidate(x), y] equals x > y on all basis pairs."""
-    n = p.dim
-    if candidate.dim != n:
-        return False
-    for i in range(n):
-        col = candidate.column(i)
-        for j in range(n):
-            unit = tuple(1 if q == j else 0 for q in range(n))
-            if p.base.bracket(col, unit) != p.tc[i][j]:
-                return False
-    return True
+    return candidate.dim == p.dim and induced_table(p.base, candidate) == p.tc

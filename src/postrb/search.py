@@ -28,10 +28,11 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Sequence
 
-from .lie import LieAlgebra, ad_matrix, center
+from .lie import LieAlgebra, center, left_columns
 from .lie_obstruction import coboundary_solve, obstruction_cocycle
 from .postlie import LinearMap, PostLieAlgebra, sub_adjacent
 from .scalars import (
+    ExactMatrix,
     GaussianRational,
     ScalarLike,
     Vector,
@@ -100,15 +101,6 @@ def _center_complement(algebra: LieAlgebra) -> list[int]:
     return [k for k in range(algebra.dim) if k not in pivots]
 
 
-_AdRows = tuple[Vector, ...]
-
-
-def _ad_rows(algebra: LieAlgebra, column: Vector) -> _AdRows:
-    """The products [column, e_j] for j = 0, ..., n-1."""
-    ad = ad_matrix(algebra, column)
-    return tuple(ad.column(j) for j in range(algebra.dim))
-
-
 def _add_scaled(acc: list[GaussianRational], s: GaussianRational, row: Vector) -> None:
     """acc += s * row in place, skipping the zero entries of row."""
     for q, x in enumerate(row):
@@ -117,7 +109,7 @@ def _add_scaled(acc: list[GaussianRational], s: GaussianRational, row: Vector) -
 
 
 def _pair_sides(
-    algebra: LieAlgebra, ads: Sequence[_AdRows], i: int, j: int, a: int, b: int
+    algebra: LieAlgebra, ads: Sequence[Sequence[Vector]], i: int, j: int, a: int, b: int
 ) -> tuple[tuple, tuple]:
     """What the (i, j) weighted associativity needs from idx[i] = a, idx[j] = b.
 
@@ -150,7 +142,7 @@ def _pair_sides(
 
 def _associativity_from_ads(
     algebra: LieAlgebra,
-    ads: Sequence[_AdRows],
+    ads: Sequence[Sequence[Vector]],
     idx: tuple[int, ...],
     cache: dict[tuple[int, int], tuple],
 ) -> bool:
@@ -193,7 +185,7 @@ def scan_algebra(
         for value, slot in zip(choice, complement):
             col[slot] = value
         grid.append(tuple(col))
-    ads = [_ad_rows(algebra, col) for col in grid]
+    ads = [left_columns(algebra.sc, col) for col in grid]
     cache: dict[tuple[int, int], tuple] = {}
     candidates = 0
     valid = 0
@@ -205,7 +197,8 @@ def scan_algebra(
         if not _associativity_from_ads(algebra, ads, idx, cache):
             continue
         valid += 1
-        witness = LinearMap.from_columns([grid[c] for c in idx])
+        # Rows given with an explicit width, so n = 0 yields the empty map.
+        witness = LinearMap(ExactMatrix.from_rows(zip(*(grid[c] for c in idx)), width=n))
         post = PostLieAlgebra(algebra, tuple(ads[c] for c in idx))
         cochain = obstruction_cocycle(post, witness)
         if coboundary_solve(cochain, sub_adjacent(post)) is None:

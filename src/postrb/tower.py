@@ -19,8 +19,14 @@ from .lie import (
     invariant_fingerprint,
     killing_semisimple,
 )
-from .postlie import LinearMap, check_rota_baxter
-from .scalars import ExactMatrix, vec_add
+from .postlie import (
+    LinearMap,
+    check_rota_baxter,
+    induced_table,
+    is_homomorphism,
+    sub_adjacent_table,
+)
+from .scalars import ExactMatrix
 
 
 @dataclass(frozen=True)
@@ -55,37 +61,11 @@ class TowerReport:
 
 
 def next_bracket(algebra: LieAlgebra, operator: LinearMap) -> LieAlgebra:
-    """One tower step, assembled directly from [Rx,y] + [x,Ry] + [x,y]."""
+    """One tower step: [Rx,y] + [x,Ry] + [x,y], the sub-adjacent bracket of
+    the induced product [Rx, y]."""
     if not check_rota_baxter(algebra, operator):
         raise NotRotaBaxterError("operator fails the Rota-Baxter identity on this level")
-    n = algebra.dim
-    units = [tuple(1 if q == k else 0 for q in range(n)) for k in range(n)]
-    table = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            value = vec_add(
-                vec_add(
-                    algebra.bracket(operator.column(i), units[j]),
-                    algebra.bracket(units[i], operator.column(j)),
-                ),
-                algebra.sc[i][j],
-            )
-            row.append(value)
-        table.append(tuple(row))
-    return LieAlgebra(tuple(table))
-
-
-def _is_homomorphism(
-    mapping: LinearMap, upper: LieAlgebra, lower: LieAlgebra
-) -> bool:
-    n = upper.dim
-    for i in range(n):
-        for j in range(i + 1, n):
-            lhs = lower.bracket(mapping.column(i), mapping.column(j))
-            if lhs != mapping.apply(upper.sc[i][j]):
-                return False
-    return True
+    return LieAlgebra(sub_adjacent_table(algebra.sc, induced_table(algebra, operator)))
 
 
 def build_tower(algebra: LieAlgebra, operator: LinearMap, depth: int) -> LieTower:
@@ -99,11 +79,11 @@ def build_tower(algebra: LieAlgebra, operator: LinearMap, depth: int) -> LieTowe
         nxt = next_bracket(current, operator)
         if not check_jacobi(nxt):
             raise AssertionError(f"level {step + 1} fails Jacobi")
-        if not _is_homomorphism(operator, nxt, current):
+        if not is_homomorphism(operator, nxt.sc, current):
             raise AssertionError(
                 f"operator is not a homomorphism from level {step + 1} to {step}"
             )
-        if not _is_homomorphism(shifted, nxt, current):
+        if not is_homomorphism(shifted, nxt.sc, current):
             raise AssertionError(
                 f"operator+id is not a homomorphism from level {step + 1} to {step}"
             )

@@ -9,7 +9,9 @@ reproducible.
 
 import random
 
-from postrb.lie import center
+import pytest
+
+from postrb.lie import center, change_basis
 from postrb.lie_obstruction import (
     construct_rb_from_obstruction,
     obstruction_cocycle,
@@ -19,12 +21,21 @@ from postrb.lie_obstruction import (
 from postrb.postlie import (
     LinearMap,
     check_postlie_axioms,
+    check_rota_baxter,
     from_rota_baxter,
     innerness_witness,
     is_witness,
     sub_adjacent,
 )
-from postrb.scalars import is_zero_vector, unit_vector, vec_add, vec_scale, zero_vector
+from postrb.scalars import (
+    ExactMatrix,
+    gaussian,
+    is_zero_vector,
+    unit_vector,
+    vec_add,
+    vec_scale,
+    zero_vector,
+)
 from postrb.tower import next_bracket
 
 from conftest import random_rb_instance
@@ -82,6 +93,105 @@ class TestRbInducedStructures:
             assert witness is not None
             cochain = obstruction_cocycle(post, witness)
             assert verify_lie_2cocycle(cochain, sub_adjacent(post))
+
+
+def _oracle_is_witness(post, candidate):
+    """[candidate(e_i), e_j] = e_i > e_j on every pair, one bracket per pair."""
+    n = post.dim
+    return all(
+        post.base.bracket(candidate.column(i), unit_vector(n, j)) == post.tc[i][j]
+        for i in range(n)
+        for j in range(n)
+    )
+
+
+def _oracle_next_entry(algebra, operator, i, j):
+    """[Re_i, e_j] + [e_i, Re_j] + [e_i, e_j], bracket by bracket."""
+    n = algebra.dim
+    return vec_add(
+        vec_add(
+            algebra.bracket(operator.column(i), unit_vector(n, j)),
+            algebra.bracket(unit_vector(n, i), operator.column(j)),
+        ),
+        algebra.sc[i][j],
+    )
+
+
+def _oracle_next(algebra, operator):
+    n = algebra.dim
+    return tuple(
+        tuple(_oracle_next_entry(algebra, operator, i, j) for j in range(n))
+        for i in range(n)
+    )
+
+
+def _oracle_rota_baxter(algebra, operator):
+    """[Re_i, Re_j] = R([Re_i, e_j] + [e_i, Re_j] + [e_i, e_j]) for i < j."""
+    n = algebra.dim
+    return all(
+        algebra.bracket(operator.column(i), operator.column(j))
+        == operator.apply(_oracle_next_entry(algebra, operator, i, j))
+        for i in range(n)
+        for j in range(i + 1, n)
+    )
+
+
+def _gaussian_unimodular(n):
+    """i * (unit lower) @ (unit upper) with Gaussian-integer entries; det i^n."""
+    lower = [
+        [1 if r == c else gaussian(1, 1) if r == c + 1 else 0 for c in range(n)]
+        for r in range(n)
+    ]
+    upper = [
+        [1 if r == c else gaussian(0, 1) if c == r + 1 else 0 for c in range(n)]
+        for r in range(n)
+    ]
+    product = ExactMatrix.from_rows(lower) @ ExactMatrix.from_rows(upper)
+    return product.scale(gaussian(0, 1))
+
+
+def _elementary(n, a, b):
+    return LinearMap.from_rows(
+        [[1 if (r, c) == (a, b) else 0 for c in range(n)] for r in range(n)]
+    )
+
+
+class TestRotaBaxterOracle:
+    """The table-based checks against the bracket-by-bracket formulas, on the
+    seeded instances and on every R + E_ab, in the given basis and after a
+    Gaussian-integer change of basis."""
+
+    @pytest.mark.parametrize("complex_basis", [False, True])
+    def test_checks_match_bracket_formulas(self, complex_basis):
+        verdicts = {True: 0, False: 0}
+        witnesses = {True: 0, False: 0}
+        for algebra, operator in INSTANCES:
+            n = algebra.dim
+            if complex_basis:
+                transform = _gaussian_unimodular(n)
+                algebra = change_basis(algebra, transform)
+                operator = LinearMap(transform.inverse() @ operator.matrix @ transform)
+            assert _oracle_rota_baxter(algebra, operator)
+            assert check_rota_baxter(algebra, operator)
+            post = from_rota_baxter(algebra, operator)
+            assert _oracle_is_witness(post, operator)
+            assert is_witness(post, operator)
+            assert next_bracket(algebra, operator).sc == _oracle_next(algebra, operator)
+            for a in range(n):
+                for b in range(n):
+                    shifted = operator + _elementary(n, a, b)
+                    verdict = _oracle_rota_baxter(algebra, shifted)
+                    verdicts[verdict] += 1
+                    assert check_rota_baxter(algebra, shifted) == verdict
+                    if verdict:
+                        assert next_bracket(algebra, shifted).sc == _oracle_next(
+                            algebra, shifted
+                        )
+                    witness = _oracle_is_witness(post, shifted)
+                    witnesses[witness] += 1
+                    assert is_witness(post, shifted) == witness
+        # Both verdicts occur, so neither comparison is vacuous.
+        assert min(verdicts.values()) > 0 and min(witnesses.values()) > 0
 
 
 class TestSectionIndependence:

@@ -8,7 +8,7 @@ import pytest
 from postrb.lie import LieAlgebra, center, change_basis
 from postrb.postlie import PostLieAlgebra, check_postlie_axioms
 from postrb.scalars import I, ExactMatrix, unit_vector
-from postrb.search import default_catalog, scan_algebra
+from postrb.search import ScanSummary, default_catalog, scan_algebra
 
 from conftest import make_heisenberg
 
@@ -62,6 +62,12 @@ class TestScan:
         summary = scan_algebra("affine-2", algebra)
         assert summary.valid_post_lie > 0
         assert summary.nontrivial_class == 0  # zero center leaves no room
+
+    def test_zero_dimensional_algebra(self):
+        # The empty witness is the one candidate: its product is zero, it is
+        # post-Lie, and its obstruction class is trivial.
+        summary = scan_algebra("z", LieAlgebra.abelian(0))
+        assert summary == ScanSummary(1, 1, 1, 0, ())
 
     def test_catalog_names_unique(self):
         names = [name for name, _ in default_catalog()]
