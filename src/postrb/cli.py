@@ -209,6 +209,17 @@ def _cmd_obstruction(args) -> tuple[Report, int]:
     return report, EXIT_OK
 
 
+def _usage_checked(function, *args):
+    """Call ``function``; a ValueError other than a failed Rota-Baxter
+    identity refuses a flag value (--depth, --cap) and becomes exit 2."""
+    try:
+        return function(*args)
+    except NotRotaBaxterError:
+        raise
+    except ValueError as exc:
+        raise ParseError(1, str(exc)) from None
+
+
 def _cmd_tower(args) -> tuple[Report, int]:
     doc = _read_document(args.input)
     _require_kind(doc, "rb-lie")
@@ -219,7 +230,7 @@ def _cmd_tower(args) -> tuple[Report, int]:
     if not check_rota_baxter(doc.lie_algebra, operator):
         raise _AxiomFailure("map fails the Rota-Baxter identity")
     depth = args.depth if args.depth is not None else doc.lie_algebra.dim
-    t = build_tower(doc.lie_algebra, operator, depth)
+    t = _usage_checked(build_tower, doc.lie_algebra, operator, depth)
     info = tower_report(t)
     report.add("levels", True, f"{len(t.levels)} levels pass Jacobi")
     report.add(
@@ -315,10 +326,8 @@ def _cmd_group_tower(args) -> tuple[Report, int]:
     doc = _read_document(args.input)
     _require_kind(doc, "rb-group")
     operator = doc.group_maps[OPERATOR_MAP]
-    if not check_rb_group(doc.group, operator):
-        raise _AxiomFailure("map fails the group Rota-Baxter identity")
     depth = args.depth if args.depth is not None else 3
-    levels, steps = group_tower_certificates(doc.group, operator, depth)
+    levels, steps = _usage_checked(group_tower_certificates, doc.group, operator, depth)
     report = Report([], {})
     report.add("levels", True, f"{len(levels)} levels pass the group axioms")
     report.add(
@@ -339,10 +348,7 @@ def _cmd_group_tower(args) -> tuple[Report, int]:
 def _cmd_enumerate_rb(args) -> tuple[Report, int]:
     doc = _read_document(args.input)
     _require_kind(doc, "group")
-    try:
-        operators = enumerate_rb_operators(doc.group, cap=args.cap)
-    except ValueError as exc:
-        raise ParseError(1, str(exc)) from None
+    operators = _usage_checked(enumerate_rb_operators, doc.group, args.cap)
     report = Report([], {})
     report.add("enumeration", True, f"{len(operators)} Rota-Baxter operators")
     report.data["count"] = str(len(operators))

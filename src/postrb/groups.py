@@ -7,6 +7,7 @@ results are deterministic in the input element order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 from typing import Iterable, Sequence
 
 from .scalars import IntMatrix, smith_normal_form
@@ -252,46 +253,17 @@ def abelian_decomposition(
     keep = [k for k, x in enumerate(diag) if x > 1]
     factors = tuple(diag[k] for k in keep)
 
-    coords: dict[int, tuple[int, ...]] = {}
-    for g in elements:
-        col = [u.entries[r][index[g]] for r in range(m)]
-        coords[g] = tuple(col[k] % diag[k] for k in keep)
-
-    u_inverse = u.to_exact().inverse()
-    elements_by_coords: dict[tuple[int, ...], int] = {}
-    order_bound = m
-
-    def power(base: int, exponent: int) -> int:
-        exponent %= order_bound
-        acc = group.identity
-        for _ in range(exponent):
-            acc = group.mul(acc, base)
-        return acc
-
-    def combos(position: int, current: tuple[int, ...]) -> None:
-        if position == len(keep):
-            lifted = [0] * m
-            for slot, k in enumerate(keep):
-                lifted[k] = current[slot]
-            exponents = u_inverse.apply(lifted)
-            acc = group.identity
-            for idx, exp in enumerate(exponents):
-                if exp.im or exp.re.denominator != 1:
-                    raise AssertionError("unimodular inverse produced a non-integer")
-                acc = group.mul(acc, power(elements[idx], int(exp.re)))
-            elements_by_coords[current] = acc
-            return
-        for value in range(factors[position]):
-            combos(position + 1, current + (value,))
-
-    combos(0, ())
-
-    total = 1
-    for dfac in factors:
-        total *= dfac
-    if total != m or len(elements_by_coords) != m:
-        raise AssertionError("invariant factors do not multiply to the subgroup order")
-    for g in elements:
-        if elements_by_coords[coords[g]] != g:
-            raise AssertionError("coordinate round-trip failed")
+    coords = {
+        g: tuple(u.entries[k][index[g]] % diag[k] for k in keep) for g in elements
+    }
+    elements_by_coords = {c: g for g, c in coords.items()}
+    if prod(factors) != m or len(elements_by_coords) != m:
+        raise AssertionError("coordinates are not a bijection onto the invariant factors")
+    for a in elements:
+        for b in elements:
+            added = tuple(
+                (x + y) % dfac for x, y, dfac in zip(coords[a], coords[b], factors)
+            )
+            if coords[group.mul(a, b)] != added:
+                raise AssertionError("coordinates are not additive")
     return AbelianDecomposition(elements, factors, coords, elements_by_coords)

@@ -39,7 +39,8 @@ class LinearMap:
 
     @staticmethod
     def from_columns(cols: Sequence[Sequence[ScalarLike]]) -> "LinearMap":
-        return LinearMap(ExactMatrix.from_columns(cols))
+        # No columns means the map on the zero space.
+        return LinearMap(ExactMatrix.from_columns(cols)) if cols else LinearMap.zero(0)
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[ScalarLike]]) -> "LinearMap":
@@ -184,6 +185,8 @@ def sub_adjacent(p: PostLieAlgebra) -> LieAlgebra:
 
 def induced_table(algebra: LieAlgebra, operator: LinearMap) -> StructureTable:
     """The table of x > y = [R(x), y]: row i holds the products [R(e_i), e_j]."""
+    if operator.dim != algebra.dim:
+        raise ValueError("operator dimension does not match the algebra")
     return tuple(
         left_columns(algebra.sc, operator.column(i)) for i in range(algebra.dim)
     )
@@ -211,17 +214,16 @@ def check_rota_baxter(algebra: LieAlgebra, operator: LinearMap) -> bool:
     That is, R is a homomorphism from the sub-adjacent bracket of the
     induced product to the algebra.
     """
-    if operator.dim != algebra.dim:
-        raise ValueError("operator dimension does not match the algebra")
     sub = sub_adjacent_table(algebra.sc, induced_table(algebra, operator))
     return is_homomorphism(operator, sub, algebra)
 
 
 def from_rota_baxter(algebra: LieAlgebra, operator: LinearMap) -> PostLieAlgebra:
     """The induced product x > y = [R(x), y]; rejects non-Rota-Baxter input."""
-    if not check_rota_baxter(algebra, operator):
+    table = induced_table(algebra, operator)
+    if not is_homomorphism(operator, sub_adjacent_table(algebra.sc, table), algebra):
         raise NotRotaBaxterError("operator fails the weight-1 Rota-Baxter identity")
-    return PostLieAlgebra(algebra, induced_table(algebra, operator))
+    return PostLieAlgebra(algebra, table)
 
 
 def coefficient_matrix(table: StructureTable) -> ExactMatrix:

@@ -18,8 +18,9 @@ sub > e_k for the columns i and j depend on (idx[i], idx[j]) only.  They are
 computed once and reused while that pair of indices stays fixed, which
 ``product`` order repeats, so a candidate pays only for the terms of the
 other columns m.  The cache holds the last index pair of each column pair,
-O(n^2) entries.  Only a candidate that passes gets its ``PostLieAlgebra`` and
-witness built, and goes through every check of the obstruction pipeline.
+O(n^2) entries.  Only a candidate that passes gets its ``PostLieAlgebra``,
+witness and sub-adjacent algebra built, once each, and goes through the
+Jacobi check of that algebra and the coboundary solve.
 """
 
 from __future__ import annotations
@@ -29,10 +30,9 @@ from itertools import product
 from typing import Sequence
 
 from .lie import LieAlgebra, center, left_columns
-from .lie_obstruction import coboundary_solve, obstruction_cocycle
+from .lie_obstruction import _defect, coboundary_solve
 from .postlie import LinearMap, PostLieAlgebra, sub_adjacent
 from .scalars import (
-    ExactMatrix,
     GaussianRational,
     ScalarLike,
     Vector,
@@ -197,11 +197,12 @@ def scan_algebra(
         if not _associativity_from_ads(algebra, ads, idx, cache):
             continue
         valid += 1
-        # Rows given with an explicit width, so n = 0 yields the empty map.
-        witness = LinearMap(ExactMatrix.from_rows(zip(*(grid[c] for c in idx)), width=n))
+        # The triangle table is the induced table of these columns, so the
+        # witness holds by construction and needs no check.
+        witness = LinearMap.from_columns([grid[c] for c in idx])
         post = PostLieAlgebra(algebra, tuple(ads[c] for c in idx))
-        cochain = obstruction_cocycle(post, witness)
-        if coboundary_solve(cochain, sub_adjacent(post)) is None:
+        sub = sub_adjacent(post)
+        if coboundary_solve(_defect(post, witness, sub), sub) is None:
             nontrivial += 1
             if len(examples) < max_examples:
                 examples.append(ScanFinding(name, witness, trivial_class=False))

@@ -322,6 +322,16 @@ class TestCli:
         assert code == 0
         assert "levels" in out
 
+    @pytest.mark.parametrize(
+        "command,sample", [("tower", "sl2.rb"), ("group-tower", "s3_inverse.rbgrp")]
+    )
+    def test_negative_depth_is_a_usage_error(self, command, sample, capsys):
+        code = main([command, "--input", str(SAMPLES / sample), "--depth", "-1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: line 1: tower depth must be nonnegative\n"
+
     def test_check_group(self, capsys):
         assert main(["check-group", "--input", str(SAMPLES / "s3.grp")]) == 0
 

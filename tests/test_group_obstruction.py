@@ -5,9 +5,11 @@ identity; it is the independent route against the congruence solver.
 """
 
 from itertools import product
+from pathlib import Path
 
 import pytest
 
+from postrb.documents import parse_document
 from postrb.errors import NontrivialObstructionError, NotRotaBaxterError
 from postrb.groups import (
     FiniteGroup,
@@ -35,6 +37,8 @@ from postrb.postgroup import (
     innerness_witness_group,
     sub_adjacent_group,
 )
+
+SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
 
 def trivial_postgroup(group: FiniteGroup) -> PostGroup:
@@ -214,6 +218,23 @@ class TestReconstruction:
         pg = from_rb_group(s3, GroupMap(s3.inverse))
         result = construct_rb_from_obstruction_group(pg)
         assert result.operator == GroupMap(s3.inverse)
+
+    def test_builds_the_sub_adjacent_group_once(self, monkeypatch):
+        from postrb import group_obstruction
+
+        calls = []
+
+        def counted(pg):
+            calls.append(pg)
+            return sub_adjacent_group(pg)
+
+        monkeypatch.setattr(group_obstruction, "sub_adjacent_group", counted)
+        doc = parse_document(
+            (SAMPLES / "s3_conjugation.postgrp").read_text(encoding="utf-8")
+        )
+        result = construct_rb_from_obstruction_group(doc.post_group)
+        assert check_rb_group(doc.group, result.operator)
+        assert len(calls) == 1
 
     def test_full_d4_roundtrip(self, d4):
         for op in enumerate_rb_operators(d4):

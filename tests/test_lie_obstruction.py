@@ -9,8 +9,11 @@ correction sends e2 to b*e3, and the reconstructed operator has columns
 nontrivial class.
 """
 
+from pathlib import Path
+
 import pytest
 
+from postrb.documents import parse_document
 from postrb.errors import NontrivialObstructionError, NotInnerError
 from postrb.lie import LieAlgebra, center, check_jacobi, is_complete
 from postrb.lie_obstruction import (
@@ -40,6 +43,8 @@ from conftest import (
     sl2_triangle_table,
     solvable_witness,
 )
+
+SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
 
 def solvable_postlie(alpha=0, beta=1, gamma=0):
@@ -218,6 +223,21 @@ class TestReconstruction:
         p = PostLieAlgebra(sl2, sl2_triangle_table())
         result = construct_rb_from_obstruction(p)
         assert result.correction == LinearMap.zero(3)
+
+    def test_builds_the_sub_adjacent_algebra_once(self, monkeypatch):
+        from postrb import lie_obstruction
+
+        calls = []
+
+        def counted(p):
+            calls.append(p)
+            return sub_adjacent(p)
+
+        monkeypatch.setattr(lie_obstruction, "sub_adjacent", counted)
+        doc = parse_document((SAMPLES / "sl2.post").read_text(encoding="utf-8"))
+        result = construct_rb_from_obstruction(doc.post_lie)
+        assert result.operator == make_sl2_operator()
+        assert len(calls) == 1
 
     def test_roundtrip_from_rb(self, solvable):
         op = solvable_witness(alpha=1, beta=0, gamma=2)

@@ -138,6 +138,10 @@ class TestInnernessWitness:
         w = innerness_witness(zero_product(LieAlgebra.abelian(2)))
         assert w == LinearMap.zero(2)
 
+    def test_zero_dimensional_algebra(self):
+        w = innerness_witness(PostLieAlgebra(LieAlgebra.abelian(0), ()))
+        assert w == LinearMap.zero(0)
+
     def test_sl2_witness_unique_equals_operator(self, sl2):
         p = PostLieAlgebra(sl2, sl2_triangle_table())
         w = innerness_witness(p)
