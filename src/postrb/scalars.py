@@ -1,10 +1,13 @@
 """Exact scalars and dense exact linear algebra.
 
-Everything in this library is computed over the Gaussian rationals: pairs of
-``fractions.Fraction``.  There is no floating point anywhere, so results are
-exact and runs are bit-for-bit reproducible.  Integer matrices (used for the
-congruence solves over finite abelian groups) get a Smith normal form with
-unimodular transforms.
+Everything in this library is computed over the Gaussian rationals Q(i).
+Each part of a ``GaussianRational`` is an ``int`` when its value is integral
+and a reduced ``fractions.Fraction`` (denominator > 1) otherwise, so the
+integral entries that dominate real workloads cost plain ``int``
+arithmetic.  There is no floating point anywhere: float arguments are
+rejected, results are exact and runs are bit-for-bit reproducible.  Integer
+matrices (used for the congruence solves over finite abelian groups) get a
+Smith normal form with unimodular transforms.
 """
 
 from __future__ import annotations
@@ -12,76 +15,149 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from numbers import Rational
 from typing import Iterable, NamedTuple, Sequence, Union
 
 ScalarLike = Union["GaussianRational", Fraction, int]
+Component = Union[int, Fraction]
+RationalLike = Union[Fraction, int, str]
 
 
-@dataclass(frozen=True)
+def _canonical(x: Fraction) -> Component:
+    """``x`` as an ``int`` when integral, else unchanged."""
+    return x.numerator if x.denominator == 1 else x
+
+
+def _component(x: object) -> Component:
+    """Coerce a constructor argument (a rational or a literal string)."""
+    if not isinstance(x, (Rational, str)):
+        raise TypeError(f"cannot interpret {x!r} as an exact rational")
+    return _canonical(Fraction(x))
+
+
+def _quotient(n: Component, d: Component) -> Component:
+    """n / d in canonical form; ``/`` on two ints would give a float."""
+    if n.__class__ is int and d.__class__ is int:
+        q, r = divmod(n, d)
+        return Fraction(n, d) if r else q
+    return _canonical(n / d)
+
+
 class GaussianRational:
-    """An element a + b*i of Q(i), both parts reduced fractions."""
+    """An element re + im*i of Q(i).
 
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
+    Immutable.  ``re`` and ``im`` are canonical: an ``int`` exactly when the
+    value is integral, otherwise a reduced ``Fraction``.  Equality and hashing
+    follow the pair ``(re, im)``; a ``GaussianRational`` never equals an
+    ``int`` or a ``Fraction``.
+    """
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "re", Fraction(self.re))
-        object.__setattr__(self, "im", Fraction(self.im))
+    __slots__ = ("re", "im")
+
+    def __init__(self, re: RationalLike = 0, im: RationalLike = 0) -> None:
+        _set_re(self, _component(re))
+        _set_im(self, _component(im))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    # Pickling and copying rebuild through the constructor: the default
+    # protocol restores slots with setattr, which is refused above.
+    def __reduce__(self):
+        return (GaussianRational, (self.re, self.im))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not GaussianRational:
+            return NotImplemented
+        return self.re == other.re and self.im == other.im
+
+    def __hash__(self) -> int:
+        return hash((self.re, self.im))
 
     @staticmethod
     def of(value: ScalarLike) -> "GaussianRational":
-        if isinstance(value, GaussianRational):
+        if value.__class__ is GaussianRational:
             return value
+        if value.__class__ is int:
+            return _make(value, 0)
         if isinstance(value, (int, Fraction)):
-            return GaussianRational(Fraction(value))
+            return _make(_canonical(Fraction(value)), 0)
         raise TypeError(f"cannot interpret {value!r} as a Gaussian rational")
 
     def __add__(self, other: ScalarLike) -> "GaussianRational":
-        o = GaussianRational.of(other)
-        return GaussianRational(self.re + o.re, self.im + o.im)
+        if other.__class__ is not GaussianRational:
+            other = GaussianRational.of(other)
+        re = self.re + other.re
+        im = self.im + other.im
+        if re.__class__ is not int:
+            re = _canonical(re)
+        if im.__class__ is not int:
+            im = _canonical(im)
+        return _make(re, im)
 
     __radd__ = __add__
 
     def __sub__(self, other: ScalarLike) -> "GaussianRational":
-        o = GaussianRational.of(other)
-        return GaussianRational(self.re - o.re, self.im - o.im)
+        if other.__class__ is not GaussianRational:
+            other = GaussianRational.of(other)
+        re = self.re - other.re
+        im = self.im - other.im
+        if re.__class__ is not int:
+            re = _canonical(re)
+        if im.__class__ is not int:
+            im = _canonical(im)
+        return _make(re, im)
 
     def __rsub__(self, other: ScalarLike) -> "GaussianRational":
         return GaussianRational.of(other) - self
 
     def __mul__(self, other: ScalarLike) -> "GaussianRational":
-        o = GaussianRational.of(other)
-        return GaussianRational(
-            self.re * o.re - self.im * o.im,
-            self.re * o.im + self.im * o.re,
-        )
+        if other.__class__ is not GaussianRational:
+            other = GaussianRational.of(other)
+        a, b, c, d = self.re, self.im, other.re, other.im
+        if not b and not d:
+            re = a * c
+            return _make(re if re.__class__ is int else _canonical(re), 0)
+        re = a * c - b * d
+        im = a * d + b * c
+        if re.__class__ is not int:
+            re = _canonical(re)
+        if im.__class__ is not int:
+            im = _canonical(im)
+        return _make(re, im)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: ScalarLike) -> "GaussianRational":
-        o = GaussianRational.of(other)
-        norm = o.re * o.re + o.im * o.im
-        if not norm:
-            raise ZeroDivisionError("division by zero in Q(i)")
-        return GaussianRational(
-            (self.re * o.re + self.im * o.im) / norm,
-            (self.im * o.re - self.re * o.im) / norm,
-        )
+        if other.__class__ is not GaussianRational:
+            other = GaussianRational.of(other)
+        a, b, c, d = self.re, self.im, other.re, other.im
+        if not d:
+            if not c:
+                raise ZeroDivisionError("division by zero in Q(i)")
+            if not b:
+                return _make(_quotient(a, c), 0)
+            return _make(_quotient(a, c), _quotient(b, c))
+        norm = c * c + d * d
+        return _make(_quotient(a * c + b * d, norm), _quotient(b * c - a * d, norm))
 
     def __rtruediv__(self, other: ScalarLike) -> "GaussianRational":
         return GaussianRational.of(other) / self
 
     def __neg__(self) -> "GaussianRational":
-        return GaussianRational(-self.re, -self.im)
+        return _make(-self.re, -self.im)
 
     def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.im)
+        return True if self.re or self.im else False
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return _make(self.re, -self.im)
 
     def inverse(self) -> "GaussianRational":
-        return GaussianRational(Fraction(1)) / self
+        return ONE / self
 
     def __str__(self) -> str:
         if not self.im:
@@ -94,7 +170,21 @@ class GaussianRational:
     __repr__ = __str__
 
 
-def _imag_str(im: Fraction) -> str:
+_set_re = GaussianRational.re.__set__
+_set_im = GaussianRational.im.__set__
+
+
+def _make(
+    re: Component, im: Component, _new=object.__new__, _cls=GaussianRational
+) -> GaussianRational:
+    """The raw constructor: ``re`` and ``im`` must already be canonical."""
+    z = _new(_cls)
+    _set_re(z, re)
+    _set_im(z, im)
+    return z
+
+
+def _imag_str(im: Component) -> str:
     if im == 1:
         return "i"
     if im == -1:
@@ -102,13 +192,13 @@ def _imag_str(im: Fraction) -> str:
     return f"{im}*i"
 
 
-ZERO = GaussianRational()
-ONE = GaussianRational(Fraction(1))
-I = GaussianRational(Fraction(0), Fraction(1))
+ZERO = _make(0, 0)
+ONE = _make(1, 0)
+I = _make(0, 1)
 
 
-def gaussian(re: ScalarLike = 0, im: ScalarLike = 0) -> GaussianRational:
-    return GaussianRational(Fraction(re), Fraction(im))
+def gaussian(re: RationalLike = 0, im: RationalLike = 0) -> GaussianRational:
+    return GaussianRational(re, im)
 
 
 Vector = tuple[GaussianRational, ...]

@@ -24,6 +24,7 @@ from .lie import (
 )
 from .postlie import (
     LinearMap,
+    check_rota_baxter,
     induced_table,
     is_homomorphism,
     sub_adjacent_table,
@@ -72,9 +73,16 @@ def next_bracket(algebra: LieAlgebra, operator: LinearMap) -> LieAlgebra:
 
 
 def build_tower(algebra: LieAlgebra, operator: LinearMap, depth: int) -> LieTower:
-    """Build depth+1 levels, hard-checking Jacobi and the homomorphism laws."""
+    """Build depth+1 levels, hard-checking Jacobi and the homomorphism laws.
+
+    Raises ``NotRotaBaxterError`` when the operator fails the identity on
+    level 0, at every nonnegative depth.
+    """
     if depth < 0:
         raise ValueError("tower depth must be nonnegative")
+    # With depth >= 1 the first next_bracket checks level 0.
+    if depth == 0 and not check_rota_baxter(algebra, operator):
+        raise NotRotaBaxterError("operator fails the Rota-Baxter identity")
     levels = [algebra]
     shifted = operator.plus_identity()
     for step in range(depth):

@@ -5,6 +5,8 @@ and a seeded generator of random Rota-Baxter instances for property suites.
 from __future__ import annotations
 
 import random
+import shutil
+import tempfile
 from fractions import Fraction
 
 import pytest
@@ -14,6 +16,16 @@ from postrb.lie import LieAlgebra, center, change_basis
 from postrb.postlie import LinearMap, check_rota_baxter
 from postrb.scalars import ExactMatrix, gaussian
 from postrb import sub_adjacent, from_rota_baxter
+
+
+def pytest_configure(config):
+    # Even with database=None, Hypothesis caches the constants it reads from
+    # local source files under its home directory, ./.hypothesis by default.
+    from hypothesis.configuration import set_hypothesis_home_dir
+
+    home = tempfile.mkdtemp(prefix="postrb-hypothesis-")
+    set_hypothesis_home_dir(home)
+    config.add_cleanup(lambda: shutil.rmtree(home, ignore_errors=True))
 
 
 def make_sl2() -> LieAlgebra:

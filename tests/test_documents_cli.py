@@ -284,6 +284,38 @@ class TestCli:
         )
         assert main(["tower", "--input", str(doc)]) == 3
 
+    @pytest.mark.parametrize("depth", ["0", "1", "2"])
+    def test_tower_non_rb_operator_message(self, tmp_path, capsys, depth):
+        doc = tmp_path / "bad.rb"
+        doc.write_text(
+            "kind rb-lie\ndim 3\n[1,2] = e3\n[2,3] = e1\n[3,1] = e2\n"
+            "map operator\nrow 1 0 0\nrow 0 1 0\nrow 0 0 1\n"
+        )
+        code = main(["tower", "--input", str(doc), "--depth", depth])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == "error: map fails the Rota-Baxter identity\n"
+
+    def test_tower_checks_the_operator_on_level_zero_once(self, monkeypatch, capsys):
+        # The first tower step is the level-0 Rota-Baxter check; the handler
+        # adds none of its own.
+        from postrb import postlie, tower
+
+        path = SAMPLES / "sl2.rb"
+        operator = parse_document(path.read_text()).linear_maps["operator"]
+        seen = []
+        original = postlie.is_homomorphism
+
+        def counted(mapping, upper_table, lower):
+            seen.append(mapping == operator)
+            return original(mapping, upper_table, lower)
+
+        monkeypatch.setattr(postlie, "is_homomorphism", counted)
+        monkeypatch.setattr(tower, "is_homomorphism", counted)
+        assert main(["tower", "--input", str(path), "--depth", "1"]) == 0
+        assert seen.count(True) == 1
+
     def test_seed_flag_accepted_after_subcommand(self, capsys):
         code = main(
             ["check-group", "--input", str(SAMPLES / "s3.grp"), "--seed", "7"]
@@ -408,6 +440,53 @@ class TestCli:
             ]
         )
         assert code == 3
+
+    def test_diff_cocycle_checks_each_group_operator_at_most_twice(
+        self, monkeypatch, capsys
+    ):
+        from collections import Counter
+
+        from postrb import cli, group_obstruction, postgroup
+
+        calls = Counter()
+        original = postgroup.check_rb_group
+
+        def counted(group, operator):
+            calls[operator.images] += 1
+            return original(group, operator)
+
+        for module in (cli, group_obstruction, postgroup):
+            monkeypatch.setattr(module, "check_rb_group", counted)
+        code = main(
+            [
+                "diff-cocycle",
+                "--a",
+                str(SAMPLES / "s3_inverse.rbgrp"),
+                "--b",
+                str(SAMPLES / "s3_trivial.rbgrp"),
+            ]
+        )
+        assert code == 3
+        assert "products differ" in capsys.readouterr().out
+        assert len(calls) == 2
+        assert max(calls.values()) <= 2
+
+    def test_diff_cocycle_lie_different_products(self, tmp_path, capsys, solvable):
+        from postrb.documents import render_rb_lie_document
+        from postrb.postlie import LinearMap
+
+        a = tmp_path / "a.rb"
+        b = tmp_path / "b.rb"
+        a.write_text(
+            render_rb_lie_document(
+                solvable, LinearMap.from_columns([[1, 0, 0], [0, -1, 0], [0, 0, 0]])
+            )
+        )
+        b.write_text(render_rb_lie_document(solvable, LinearMap.zero(3)))
+        code = main(["diff-cocycle", "--a", str(a), "--b", str(b)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == "FAIL same-product: products differ at e1>e2: e2 vs 0\n"
 
     def test_diff_cocycle_lie(self, tmp_path, capsys, solvable):
         from postrb.documents import render_rb_lie_document

@@ -1,0 +1,160 @@
+"""Property tests of the Gaussian rationals Q(i).
+
+Every operation is compared with a reference written here on plain
+``(Fraction, Fraction)`` pairs, and every result is checked for the
+canonical-component rule: a part is an ``int`` exactly when it is integral,
+otherwise a reduced ``Fraction``.  Runs are derandomized and keep no example
+database, so the suite is deterministic; ``conftest.py`` keeps Hypothesis's
+on-disk cache out of the working tree.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from postrb.documents import parse_scalar
+from postrb.scalars import ONE, ZERO, GaussianRational, gaussian
+
+DETERMINISTIC = settings(database=None, derandomize=True)
+
+small_ints = st.integers(min_value=-12, max_value=12)
+small_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+rationals = st.one_of(small_ints, small_fractions)
+values = st.builds(gaussian, rationals, rationals)
+nonzero_values = values.filter(bool)
+
+
+def pair(x: GaussianRational) -> tuple[Fraction, Fraction]:
+    return Fraction(x.re), Fraction(x.im)
+
+
+def ref_add(p, q):
+    return p[0] + q[0], p[1] + q[1]
+
+
+def ref_sub(p, q):
+    return p[0] - q[0], p[1] - q[1]
+
+
+def ref_mul(p, q):
+    return p[0] * q[0] - p[1] * q[1], p[0] * q[1] + p[1] * q[0]
+
+
+def ref_div(p, q):
+    norm = q[0] * q[0] + q[1] * q[1]
+    return (
+        (p[0] * q[0] + p[1] * q[1]) / norm,
+        (p[1] * q[0] - p[0] * q[1]) / norm,
+    )
+
+
+def assert_canonical(x: GaussianRational) -> None:
+    for part in (x.re, x.im):
+        assert type(part) in (int, Fraction)
+        assert (type(part) is int) == (part.denominator == 1)
+
+
+def assert_matches(x: GaussianRational, expected: tuple[Fraction, Fraction]) -> None:
+    assert_canonical(x)
+    assert pair(x) == expected
+    built = gaussian(*expected)
+    assert x == built
+    assert hash(x) == hash(built) == hash((x.re, x.im))
+
+
+@DETERMINISTIC
+@given(values, values)
+def test_ring_operations_match_reference(a, b):
+    pa, pb = pair(a), pair(b)
+    assert_matches(a + b, ref_add(pa, pb))
+    assert_matches(a - b, ref_sub(pa, pb))
+    assert_matches(a * b, ref_mul(pa, pb))
+    assert_matches(-a, ref_sub((Fraction(0), Fraction(0)), pa))
+
+
+@DETERMINISTIC
+@given(values, nonzero_values)
+def test_division_and_inverse_match_reference(a, b):
+    pa, pb = pair(a), pair(b)
+    assert_matches(a / b, ref_div(pa, pb))
+    assert_matches(b.inverse(), ref_div((Fraction(1), Fraction(0)), pb))
+    assert_matches(a.conjugate(), (pa[0], -pa[1]))
+
+
+@DETERMINISTIC
+@given(values, rationals)
+def test_mixed_operands_match_reference(a, r):
+    pa, pr = pair(a), (Fraction(r), Fraction(0))
+    assert_matches(a + r, ref_add(pa, pr))
+    assert_matches(r + a, ref_add(pr, pa))
+    assert_matches(a - r, ref_sub(pa, pr))
+    assert_matches(r - a, ref_sub(pr, pa))
+    assert_matches(a * r, ref_mul(pa, pr))
+    assert_matches(r * a, ref_mul(pr, pa))
+    if r:
+        assert_matches(a / r, ref_div(pa, pr))
+    if a:
+        assert_matches(r / a, ref_div(pr, pa))
+
+
+@DETERMINISTIC
+@given(values, values, values)
+def test_field_axioms(a, b, c):
+    assert a + b == b + a
+    assert a * b == b * a
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert a + ZERO == a
+    assert a * ONE == a
+    assert a + (-a) == ZERO
+    assert a - b == a + (-b)
+    if a:
+        assert a * a.inverse() == ONE
+        assert (b / a) * a == b
+
+
+@DETERMINISTIC
+@given(rationals, rationals)
+def test_constructor_is_canonical(re, im):
+    x = gaussian(re, im)
+    assert_canonical(x)
+    assert pair(x) == (Fraction(re), Fraction(im))
+    assert GaussianRational(re, im) == x
+    assert gaussian(str(Fraction(re)), str(Fraction(im))) == x
+
+
+@DETERMINISTIC
+@given(rationals)
+def test_never_equal_to_a_number(r):
+    x = gaussian(r)
+    assert x != r
+    assert x != Fraction(r)
+    assert r != x
+    assert GaussianRational.of(r) == x
+
+
+@DETERMINISTIC
+@given(values)
+def test_str_roundtrips_through_the_parser(x):
+    assert parse_scalar(str(x)) == x
+    assert repr(x) == str(x)
+
+
+@DETERMINISTIC
+@given(values)
+def test_values_are_immutable(x):
+    assert not hasattr(x, "__dict__")
+    for name in ("re", "im", "other"):
+        with pytest.raises(AttributeError):
+            setattr(x, name, 1)
+    with pytest.raises(AttributeError):
+        del x.re
+
+
+def test_halves_sum_to_an_int():
+    half = gaussian(Fraction(1, 2), Fraction(-1, 2))
+    total = half + half
+    assert type(total.re) is int and type(total.im) is int
+    assert total == gaussian(1, -1)

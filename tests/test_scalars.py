@@ -6,12 +6,14 @@ properties (exact transform identity, unimodularity, divisibility chain).
 """
 
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
 from postrb.scalars import (
     ExactMatrix,
+    GaussianRational,
     I,
     IntMatrix,
     ONE,
@@ -44,6 +46,28 @@ class TestGaussianRational:
     def test_zero_division_rejected(self):
         with pytest.raises(ZeroDivisionError):
             ONE / ZERO
+
+    @pytest.mark.parametrize("value", [0.1, 0.5, 2.0, 1j, complex(2, 0), Decimal("0.5")])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            gaussian,
+            lambda v: gaussian(1, v),
+            GaussianRational,
+            lambda v: GaussianRational(0, v),
+            GaussianRational.of,
+            lambda v: ONE + v,
+            lambda v: v * ONE,
+        ],
+    )
+    def test_floating_point_rejected(self, build, value):
+        with pytest.raises(TypeError):
+            build(value)
+
+    def test_exact_arguments_accepted(self):
+        assert gaussian("1/2") == gaussian(Fraction(1, 2))
+        assert GaussianRational.of(3) == GaussianRational(3, 0)
+        assert GaussianRational.of(Fraction(6, 3)).re.__class__ is int
 
     def test_string_forms(self):
         assert str(gaussian(0)) == "0"

@@ -81,6 +81,11 @@ class TestBuildTower:
         with pytest.raises(ValueError):
             build_tower(sl2, LinearMap.zero(3), -1)
 
+    @pytest.mark.parametrize("depth", [0, 1, 2])
+    def test_rejects_non_rb_at_every_depth(self, sl2, depth):
+        with pytest.raises(NotRotaBaxterError):
+            build_tower(sl2, LinearMap.identity(3), depth)
+
 
 class TestTowerReport:
     def test_constant_tower_fingerprints(self, sl2):
