@@ -7,6 +7,7 @@ Exit codes key the failure taxonomy: 0 all-pass, 2 parse/usage error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -453,7 +454,9 @@ _COMMANDS = {
 }
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every request."""
     parser = argparse.ArgumentParser(
         prog="postrb",
         description="Exact decision procedures for post-Lie algebras, post-groups "
@@ -500,7 +503,11 @@ def main(argv: list[str] | None = None) -> int:
                 default=8**8,
                 help="refuse when |G|^|G| exceeds this bound",
             )
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
     if args.seed is not None:
         random.seed(args.seed)
     handler = _COMMANDS[args.command][0]

@@ -28,7 +28,7 @@ from .postgroup import (
     innerness_witness_group,
     sub_adjacent_group,
 )
-from .scalars import IntMatrix, solve_linear_congruences
+from .scalars import IntMatrix, _solve_smith, smith_normal_form
 
 CompositionTable = tuple[tuple[int, ...], ...]
 
@@ -140,13 +140,54 @@ def verify_group_2cocycle(
     return True
 
 
+def generating_set(composition: CompositionTable, identity: int) -> tuple[int, ...]:
+    """Greedy generators of the group with Cayley table ``composition``.
+
+    Scans the elements in index order and keeps each one that lies outside
+    the subgroup generated by those kept so far.  Each kept element at least
+    doubles that subgroup, whose order divides n, so at most log2 n are kept.
+    """
+    generators: list[int] = []
+    reached = {identity}
+    for a in range(len(composition)):
+        if a in reached:
+            continue
+        generators.append(a)
+        frontier = list(reached)
+        while frontier:
+            x = frontier.pop()
+            for s in generators:
+                y = composition[x][s]
+                if y not in reached:
+                    reached.add(y)
+                    frontier.append(y)
+    return tuple(generators)
+
+
 def coboundary_solve_group(
     cocycle: GroupTwoCocycle, composition: CompositionTable
 ) -> GroupMap | None:
     """Find central z with z(e) = e and w(a,b) = z(a) z(b) z(a o b)^-1.
 
-    One linear congruence system per invariant factor of the center, solved
-    by Smith normal form; returns None exactly when the class is nonzero.
+    Returns None exactly when the class is nonzero.  ``cocycle`` must satisfy
+    the cocycle identity for ``composition`` (``verify_group_2cocycle``); on
+    any other cochain the result is None or a ValueError.
+
+    Only the pairs (a, s) with a != e and s in a generating set S of the
+    group (``generating_set``) become congruence rows, (n-1)|S| of them
+    rather than (n-1)^2.  That is enough: write the center additively and
+    put f = w - dz, a normalized 2-cocycle.  If f(a, s) = 0 for every a and
+    every s in S, the cocycle identity
+    f(b, c) + f(a, b o c) = f(a, b) + f(a o b, c) at c = s gives
+    f(a, b o s) = f(a, b).  Every element is a product of generators and
+    f(a, e) = 0, so f vanishes everywhere.
+
+    The system has one Smith normal form, shared by the invariant factors
+    of the center: each factor's coordinate of w is one right-hand side.
+    The canonical z is the Smith-form solution of this system with its free
+    coordinates set to zero.  When Hom(G o, Z(G)) != 0 other solutions exist
+    and differ from it by a homomorphism.  The result is substituted back
+    into all n^2 pairs before it is returned.
     """
     g = cocycle.value_group
     n = cocycle.order
@@ -161,24 +202,24 @@ def coboundary_solve_group(
 
     unknowns = [a for a in range(n) if a != e]
     slot = {a: k for k, a in enumerate(unknowns)}
+    generators = generating_set(composition, e)
     rows = []
     rhs_coords = []
     for a in unknowns:
-        for b in unknowns:
+        for s in generators:
             row = [0] * len(unknowns)
             row[slot[a]] += 1
-            row[slot[b]] += 1
-            ab = composition[a][b]
-            if ab != e:
-                row[slot[ab]] -= 1
+            row[slot[s]] += 1
+            a_s = composition[a][s]
+            if a_s != e:
+                row[slot[a_s]] -= 1
             rows.append(row)
-            rhs_coords.append(cocycle.center.to_coords(cocycle.values[a][b]))
-    system = IntMatrix.from_rows(rows, width=len(unknowns))
+            rhs_coords.append(cocycle.center.to_coords(cocycle.values[a][s]))
+    snf = smith_normal_form(IntMatrix.from_rows(rows, width=len(unknowns)))
 
     per_factor: list[list[int]] = []
     for k, modulus in enumerate(factors):
-        rhs = [coords[k] for coords in rhs_coords]
-        solution = solve_linear_congruences(system, rhs, modulus)
+        solution = _solve_smith(snf, [coords[k] for coords in rhs_coords], modulus)
         if solution is None:
             return None
         per_factor.append(solution)
@@ -193,6 +234,8 @@ def coboundary_solve_group(
         for b in range(n):
             expected = mul(mul(result(a), result(b)), g.inv(result(composition[a][b])))
             if cocycle.values[a][b] != expected:
+                if not verify_group_2cocycle(cocycle, composition):
+                    raise ValueError("cochain is not a 2-cocycle for this composition")
                 raise AssertionError("congruence solution failed substitution")
     return result
 

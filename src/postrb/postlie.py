@@ -10,7 +10,7 @@ checks, the Rota-Baxter check, the witness solve and the tower.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .errors import NotRotaBaxterError
 from .lie import LieAlgebra, StructureTable, bilinear, check_jacobi, left_columns
@@ -170,9 +170,15 @@ def sub_adjacent_table(sc: StructureTable, tc: StructureTable) -> StructureTable
     """
     n = len(sc)
     return tuple(
-        tuple(vec_add(vec_sub(tc[i][j], tc[j][i]), sc[i][j]) for j in range(n))
-        for i in range(n)
+        tuple(_sub_adjacent_entry(sc, tc, i, j) for j in range(n)) for i in range(n)
     )
+
+
+def _sub_adjacent_entry(
+    sc: StructureTable, tc: Sequence[Sequence[Vector]], i: int, j: int
+) -> Vector:
+    """Entry (i, j) of ``sub_adjacent_table(sc, tc)``; reads rows i and j of tc."""
+    return vec_add(vec_sub(tc[i][j], tc[j][i]), sc[i][j])
 
 
 def sub_adjacent(p: PostLieAlgebra) -> LieAlgebra:
@@ -199,11 +205,22 @@ def is_homomorphism(
 
     Both sides are bilinear and antisymmetric, so pairs i < j suffice.
     """
-    n = len(upper_table)
-    for i in range(n):
-        for j in range(i + 1, n):
+    return _homomorphic_on_pairs(mapping, lambda i, j: upper_table[i][j], lower)
+
+
+def _homomorphic_on_pairs(
+    mapping: LinearMap, entry: Callable[[int, int], Vector], lower: LieAlgebra
+) -> bool:
+    """True when [f(e_i), f(e_j)] = f(entry(i, j)) in ``lower`` for all i < j.
+
+    Pairs come column by column, (0, j), ..., (j-1, j), and the first
+    mismatch stops the scan, so ``entry`` may build what column j needs
+    just before its first pair.
+    """
+    for j in range(mapping.dim):
+        for i in range(j):
             lhs = lower.bracket(mapping.column(i), mapping.column(j))
-            if lhs != mapping.apply(upper_table[i][j]):
+            if lhs != mapping.apply(entry(i, j)):
                 return False
     return True
 
@@ -212,10 +229,21 @@ def check_rota_baxter(algebra: LieAlgebra, operator: LinearMap) -> bool:
     """Weight-1 identity [Rx,Ry] = R([Rx,y] + [x,Ry] + [x,y]) on basis pairs.
 
     That is, R is a homomorphism from the sub-adjacent bracket of the
-    induced product to the algebra.
+    induced product to the algebra.  Row j of the induced table is built
+    just before the pairs (i, j), i < j, are compared, so an operator that
+    fails stops at its first bad pair.
     """
-    sub = sub_adjacent_table(algebra.sc, induced_table(algebra, operator))
-    return is_homomorphism(operator, sub, algebra)
+    if operator.dim != algebra.dim:
+        raise ValueError("operator dimension does not match the algebra")
+    sc = algebra.sc
+    rows: list[tuple[Vector, ...]] = []
+
+    def entry(i: int, j: int) -> Vector:
+        while len(rows) <= j:
+            rows.append(left_columns(sc, operator.column(len(rows))))
+        return _sub_adjacent_entry(sc, rows, i, j)
+
+    return _homomorphic_on_pairs(operator, entry, algebra)
 
 
 def from_rota_baxter(algebra: LieAlgebra, operator: LinearMap) -> PostLieAlgebra:

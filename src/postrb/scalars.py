@@ -660,6 +660,35 @@ def smith_normal_form(matrix: IntMatrix) -> SmithDecomposition:
     )
 
 
+def _solve_smith(
+    snf: SmithDecomposition, rhs: Sequence[int], modulus: int
+) -> list[int] | None:
+    """Solve matrix @ x == rhs (mod modulus) from the Smith form of matrix.
+
+    Solves the scalar congruences d_i w_i == (u @ rhs)_i on the diagonal,
+    free components zero, and returns v @ w reduced mod ``modulus``, or None
+    when some scalar congruence has no solution.  One decomposition serves
+    any number of right-hand sides and moduli.
+    """
+    u, d, v = snf
+    s = u.apply(rhs)
+    diag = d.diagonal()
+    w = [0] * d.cols
+    for i in range(d.rows):
+        di = diag[i] if i < len(diag) else 0
+        si = s[i] % modulus
+        if di == 0:
+            if si:
+                return None
+            continue
+        g = gcd(di, modulus)
+        if si % g:
+            return None
+        m2 = modulus // g
+        w[i] = ((si // g) * pow(di // g, -1, m2)) % m2
+    return [xi % modulus for xi in v.apply(w)]
+
+
 def solve_linear_congruences(
     coeffs: IntMatrix, rhs: Sequence[int], modulus: int
 ) -> list[int] | None:
@@ -672,21 +701,4 @@ def solve_linear_congruences(
         raise ValueError("modulus must be positive")
     if len(rhs) != coeffs.rows:
         raise ValueError("right-hand side length does not match row count")
-    u, d, v = smith_normal_form(coeffs)
-    s = u.apply([int(x) for x in rhs])
-    ncols = coeffs.cols
-    w = [0] * ncols
-    for i in range(coeffs.rows):
-        di = d.entries[i][i] if i < min(coeffs.rows, ncols) else 0
-        si = s[i] % modulus
-        if di == 0:
-            if si:
-                return None
-            continue
-        g = gcd(di, modulus)
-        if si % g:
-            return None
-        m2 = modulus // g
-        w[i] = ((si // g) * pow(di // g, -1, m2)) % m2
-    x = v.apply(w)
-    return [xi % modulus for xi in x]
+    return _solve_smith(smith_normal_form(coeffs), [int(x) for x in rhs], modulus)

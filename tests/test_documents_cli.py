@@ -364,6 +364,29 @@ class TestCli:
         assert captured.out == ""
         assert captured.err == "error: line 1: tower depth must be nonnegative\n"
 
+    def test_parser_is_built_once(self, monkeypatch, capsys):
+        import argparse
+
+        from postrb import cli
+
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(parser, *args, **kwargs):
+            built.append(parser)
+            init(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        cli._parser.cache_clear()
+        argv = ["check-group", "--input", str(SAMPLES / "s3.grp")]
+        assert main(argv) == 0
+        once = len(built)
+        assert main(argv) == 0
+        with pytest.raises(SystemExit) as usage:
+            main(["bogus"])
+        assert usage.value.code == 2
+        assert len(built) == once > 0
+
     def test_check_group(self, capsys):
         assert main(["check-group", "--input", str(SAMPLES / "s3.grp")]) == 0
 

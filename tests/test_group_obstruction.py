@@ -4,7 +4,9 @@ The exhaustive coboundary oracle scans all center-valued maps fixing the
 identity; it is the independent route against the congruence solver.
 """
 
+import random
 from itertools import product
+from math import log2
 from pathlib import Path
 
 import pytest
@@ -17,11 +19,13 @@ from postrb.groups import (
     abelian_decomposition,
     center_group,
     check_group,
+    cyclic_group,
 )
 from postrb.group_obstruction import (
     GroupTwoCocycle,
     coboundary_solve_group,
     construct_rb_from_obstruction_group,
+    generating_set,
     group_tower,
     group_tower_certificates,
     obstruction_cocycle_group,
@@ -37,6 +41,7 @@ from postrb.postgroup import (
     innerness_witness_group,
     sub_adjacent_group,
 )
+from postrb.scalars import IntMatrix, solve_linear_congruences
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
@@ -78,6 +83,87 @@ def make_cocycle(group, values):
     elements = center_group(group)
     decomp = abelian_decomposition(group, elements)
     return GroupTwoCocycle(group, tuple(tuple(r) for r in values), elements, decomp)
+
+
+def full_system_solvable(cocycle: GroupTwoCocycle, composition) -> bool:
+    """Reference verdict from every pair: one congruence row per (a, b) with
+    a, b != e, (n-1)^2 rows, solved for each invariant factor."""
+    g = cocycle.value_group
+    e = g.identity
+    factors = cocycle.center.invariant_factors
+    if not factors:
+        return all(v == e for row in cocycle.values for v in row)
+    unknowns = [a for a in range(g.order) if a != e]
+    slot = {a: k for k, a in enumerate(unknowns)}
+    rows, coords = [], []
+    for a in unknowns:
+        for b in unknowns:
+            row = [0] * len(unknowns)
+            row[slot[a]] += 1
+            row[slot[b]] += 1
+            if composition[a][b] != e:
+                row[slot[composition[a][b]]] -= 1
+            rows.append(row)
+            coords.append(cocycle.center.to_coords(cocycle.values[a][b]))
+    system = IntMatrix.from_rows(rows, width=len(unknowns))
+    return all(
+        solve_linear_congruences(system, [c[k] for c in coords], modulus) is not None
+        for k, modulus in enumerate(factors)
+    )
+
+
+def assert_generates(composition, identity, generators):
+    n = len(composition)
+    assert len(generators) <= int(log2(n))
+    reached = {identity}
+    frontier = [identity]
+    while frontier:
+        x = frontier.pop()
+        for s in generators:
+            if composition[x][s] not in reached:
+                reached.add(composition[x][s])
+                frontier.append(composition[x][s])
+    assert reached == set(range(n))
+
+
+def solve_checked(cocycle: GroupTwoCocycle, composition) -> GroupMap | None:
+    """``coboundary_solve_group``, with its verdict checked against the
+    full system and its generating set checked to generate."""
+    assert verify_group_2cocycle(cocycle, composition)
+    e = cocycle.value_group.identity
+    assert_generates(composition, e, generating_set(composition, e))
+    solved = coboundary_solve_group(cocycle, composition)
+    assert (solved is not None) == full_system_solvable(cocycle, composition)
+    return solved
+
+
+def klein_four() -> FiniteGroup:
+    """Z/2 x Z/2 with (a1, a2) at index 2 a1 + a2."""
+    return FiniteGroup.from_table(
+        [[a ^ b for b in range(4)] for a in range(4)]
+    )
+
+
+# beta(a, b) = (a1 b2, 0) on V4: bilinear, so a 2-cocycle, and not symmetric,
+# so no coboundary (on an abelian group every coboundary is symmetric).
+V4_BETA = [[2 if a & 2 and b & 1 else 0 for b in range(4)] for a in range(4)]
+
+
+def coboundary_values(group: FiniteGroup, z, composition):
+    """dz(a, b) = z(a) z(b) z(a o b)^-1 for central values z."""
+    n = group.order
+    return [
+        [group.mul(group.mul(z[a], z[b]), group.inv(z[composition[a][b]])) for b in range(n)]
+        for a in range(n)
+    ]
+
+
+def random_central_map(rng: random.Random, group: FiniteGroup) -> list[int]:
+    center = center_group(group)
+    return [
+        group.identity if a == group.identity else rng.choice(center)
+        for a in range(group.order)
+    ]
 
 
 class TestCocycleComputation:
@@ -138,6 +224,17 @@ class TestCoboundarySolve:
         assert coboundary_solve_group(cocycle, z2.table) is None
         assert exhaustive_coboundary_oracle(cocycle, z2.table) is None
 
+    def test_non_cocycle_is_rejected(self, z4):
+        # The generator rows of Z/4 read only w(a, 1); a value off them that
+        # breaks the cocycle identity is caught by the substitution check.
+        assert generating_set(z4.table, z4.identity) == (1,)
+        values = [[0] * 4 for _ in range(4)]
+        values[2][2] = 2
+        cochain = make_cocycle(z4, values)
+        assert not verify_group_2cocycle(cochain, z4.table)
+        with pytest.raises(ValueError, match="not a 2-cocycle"):
+            coboundary_solve_group(cochain, z4.table)
+
     def test_solver_matches_oracle_on_d4(self, d4):
         for op in enumerate_rb_operators(d4)[:12]:
             pg = from_rb_group(d4, op)
@@ -150,36 +247,23 @@ class TestCoboundarySolve:
 
     def test_solver_matches_oracle_on_klein_four(self):
         # Two invariant factors at once: center of V4 is V4 itself, so the
-        # congruence solve runs one system per Z/2 factor.
-        import random
-
-        table = [
-            [(a1 ^ b1) * 2 + (a2 ^ b2) for b1, b2 in [(0, 0), (0, 1), (1, 0), (1, 1)]]
-            for a1, a2 in [(0, 0), (0, 1), (1, 0), (1, 1)]
-        ]
-        v4 = FiniteGroup.from_table(table)
-        elements = center_group(v4)
-        decomp = abelian_decomposition(v4, elements)
-        assert decomp.invariant_factors == (2, 2)
+        # congruence solve serves one right-hand side per Z/2 factor.  The
+        # cocycles are dz and dz + beta for random z.
+        v4 = klein_four()
+        assert abelian_decomposition(v4, center_group(v4)).invariant_factors == (2, 2)
         rng = random.Random(47)
-        checked_solvable = checked_obstructed = 0
-        while checked_solvable < 4 or checked_obstructed < 4:
-            values = [[0] * 4 for _ in range(4)]
-            for a in range(1, 4):
-                for b in range(1, 4):
-                    values[a][b] = rng.randrange(4)
-            cocycle = GroupTwoCocycle(
-                v4, tuple(tuple(r) for r in values), elements, decomp
-            )
-            if not verify_group_2cocycle(cocycle, v4.table):
-                continue
-            solved = coboundary_solve_group(cocycle, v4.table)
-            oracle = exhaustive_coboundary_oracle(cocycle, v4.table)
-            assert (solved is None) == (oracle is None)
-            if solved is None:
-                checked_obstructed += 1
-            else:
-                checked_solvable += 1
+        verdicts = {True: 0, False: 0}
+        for _ in range(5):
+            dz = coboundary_values(v4, random_central_map(rng, v4), v4.table)
+            shifted = [[v4.mul(x, y) for x, y in zip(r, s)] for r, s in zip(dz, V4_BETA)]
+            for values, solvable in ((dz, True), (shifted, False)):
+                cocycle = make_cocycle(v4, values)
+                assert verify_group_2cocycle(cocycle, v4.table)
+                solved = coboundary_solve_group(cocycle, v4.table)
+                oracle = exhaustive_coboundary_oracle(cocycle, v4.table)
+                assert (solved is not None) == (oracle is not None) == solvable
+                verdicts[solvable] += 1
+        assert verdicts[True] >= 4 and verdicts[False] >= 4
 
     def test_solver_matches_oracle_on_random_z4_cocycles(self, z4):
         # All center-valued normalized tables over Z/4, filtered to actual
@@ -207,6 +291,37 @@ class TestCoboundarySolve:
             solved = coboundary_solve_group(cocycle, z4.table)
             oracle = exhaustive_coboundary_oracle(cocycle, z4.table)
             assert (solved is None) == (oracle is None)
+
+
+class TestGeneratingSetSystem:
+    """The (n-1)|S| generator rows against the full (n-1)^2 system."""
+
+    @pytest.mark.parametrize("name", ["s3", "d4", "z2", "z4"])
+    def test_group_fixtures(self, name, request):
+        group = request.getfixturevalue(name)
+        for op in enumerate_rb_operators(group):
+            pg = from_rb_group(group, op)
+            cocycle = obstruction_cocycle_group(pg, innerness_witness_group(pg))
+            sub = sub_adjacent_group(pg)
+            assert solve_checked(cocycle, sub.table) is not None
+
+    @pytest.mark.parametrize("name", ["z4", "v4", "q8"])
+    def test_random_coboundaries_with_homomorphisms(self, name):
+        # On the trivial post-group G o = G; for these groups
+        # Hom(G, Z(G)) != 0, so the solution is not unique.
+        from conftest import make_q8
+
+        group = {"z4": lambda: cyclic_group(4), "v4": klein_four, "q8": make_q8}[name]()
+        rng = random.Random(3)
+        for _ in range(6):
+            z = random_central_map(rng, group)
+            cocycle = make_cocycle(group, coboundary_values(group, z, group.table))
+            assert solve_checked(cocycle, group.table) is not None
+
+    def test_obstructed_cocycles(self, z2):
+        assert solve_checked(make_cocycle(z2, [[0, 0], [0, 1]]), z2.table) is None
+        v4 = klein_four()
+        assert solve_checked(make_cocycle(v4, V4_BETA), v4.table) is None
 
 
 class TestReconstruction:
@@ -407,7 +522,7 @@ class TestInnerCensus:
             cocycle = obstruction_cocycle_group(pg, w)
             sub = sub_adjacent_group(pg)
             assert verify_group_2cocycle(cocycle, sub.table)
-            solved = coboundary_solve_group(cocycle, sub.table)
+            solved = solve_checked(cocycle, sub.table)
             oracle = exhaustive_coboundary_oracle(cocycle, sub.table)
             assert (solved is None) == (oracle is None)
             if solved is None:

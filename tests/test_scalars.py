@@ -10,6 +10,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from postrb.scalars import (
     ExactMatrix,
@@ -214,6 +215,64 @@ def _check_smith(matrix: IntMatrix) -> IntMatrix:
     # zeros trail the nonzero diagonal entries
     assert all(x == 0 for x in diag[len(nonzero):])
     return d
+
+
+@st.composite
+def integer_matrices(draw, max_rows=5, max_cols=5):
+    """Small integer matrices, empty ones included, with some rows and
+    columns set to zero.  Entries are zero half the time, so sparse and
+    diagonal shapes, whose divisibility chain needs repair, are common."""
+    rows = draw(st.integers(0, max_rows))
+    cols = draw(st.integers(0, max_cols))
+    entry = st.one_of(st.just(0), st.integers(-9, 9))
+    entries = draw(
+        st.lists(
+            st.lists(entry, min_size=cols, max_size=cols),
+            min_size=rows,
+            max_size=rows,
+        )
+    )
+    zero_rows = draw(st.sets(st.integers(0, max(rows - 1, 0))))
+    zero_cols = draw(st.sets(st.integers(0, max(cols - 1, 0))))
+    return IntMatrix.from_rows(
+        [
+            [0 if r in zero_rows or c in zero_cols else x for c, x in enumerate(row)]
+            for r, row in enumerate(entries)
+        ],
+        width=cols,
+    )
+
+
+DETERMINISTIC = settings(database=None, derandomize=True)
+
+
+class TestSmithProperties:
+    @DETERMINISTIC
+    @given(integer_matrices())
+    def test_defining_properties(self, matrix):
+        _check_smith(matrix)
+
+    @DETERMINISTIC
+    @given(
+        integer_matrices(max_rows=4, max_cols=3),
+        st.integers(1, 6),
+        st.lists(st.integers(0, 5), min_size=4, max_size=4),
+    )
+    def test_congruence_solution_matches_exhaustion(self, matrix, modulus, values):
+        from itertools import product
+
+        rhs = [x % modulus for x in values[: matrix.rows]]
+
+        def solves(xs):
+            image = matrix.apply(list(xs))
+            return all((a - b) % modulus == 0 for a, b in zip(image, rhs))
+
+        got = solve_linear_congruences(matrix, rhs, modulus)
+        if got is None:
+            assert not any(solves(xs) for xs in product(range(modulus), repeat=matrix.cols))
+        else:
+            assert all(0 <= x < modulus for x in got)
+            assert solves(got)
 
 
 class TestSmithNormalForm:
