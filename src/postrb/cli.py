@@ -20,6 +20,8 @@ from .documents import (
     AlgebraDocument,
     parse_document,
     render_combination,
+    render_group_map_rows,
+    render_map_rows,
 )
 from .errors import (
     NontrivialObstructionError,
@@ -35,7 +37,12 @@ from .group_obstruction import (
 )
 from .lie import jacobi_violations
 from .lie_obstruction import construct_rb_from_obstruction, rb_difference_cocycle
-from .postgroup import check_postgroup_axioms, check_rb_group, enumerate_rb_operators
+from .postgroup import (
+    check_postgroup_axioms,
+    check_rb_group,
+    enumerate_rb_operators,
+    induced_triangle,
+)
 from .postlie import check_postlie_axioms, check_rota_baxter, induced_table
 from .tower import build_tower, tower_report
 
@@ -88,14 +95,6 @@ class Report:
             else:
                 lines.append(f"{key}: {value}")
         return "\n".join(lines)
-
-
-def _linear_map_lines(mp) -> list[str]:
-    return ["row " + " ".join(str(x) for x in row) for row in mp.matrix.entries]
-
-
-def _group_map_lines(mp) -> list[str]:
-    return [f"{a} -> {b}" for a, b in enumerate(mp.images)]
 
 
 def _read_document(path: str, *, validate_group_axioms: bool = True) -> AlgebraDocument:
@@ -181,7 +180,7 @@ def _cmd_innerness(args) -> tuple[Report, int]:
         report.add("inner", False, "some left multiplication is not an inner derivation")
         return report, EXIT_NOT_INNER
     report.add("inner", True, "every left multiplication is an inner derivation")
-    report.data["witness"] = _linear_map_lines(witness)
+    report.data["witness"] = render_map_rows(witness)
     return report, EXIT_OK
 
 
@@ -203,10 +202,10 @@ def _cmd_obstruction(args) -> tuple[Report, int]:
                 cocycle_lines.append(
                     f"kappa(e{i + 1},e{j + 1}) = {render_combination(value)}"
                 )
-    report.data["witness"] = _linear_map_lines(result.witness)
+    report.data["witness"] = render_map_rows(result.witness)
     report.data["cocycle"] = cocycle_lines or ["0"]
-    report.data["correction"] = _linear_map_lines(result.correction)
-    report.data["operator"] = _linear_map_lines(result.operator)
+    report.data["correction"] = render_map_rows(result.correction)
+    report.data["operator"] = render_map_rows(result.operator)
     return report, EXIT_OK
 
 
@@ -318,9 +317,9 @@ def _cmd_group_obstruction(args) -> tuple[Report, int]:
         if result.cocycle.values[a][b] != g.identity
     ]
     report.data["cocycle"] = nontrivial or ["identity"]
-    report.data["witness"] = _group_map_lines(result.witness)
-    report.data["correction"] = _group_map_lines(result.correction)
-    report.data["operator"] = _group_map_lines(result.operator)
+    report.data["witness"] = render_group_map_rows(result.witness)
+    report.data["correction"] = render_group_map_rows(result.correction)
+    report.data["operator"] = render_group_map_rows(result.operator)
     return report, EXIT_OK
 
 
@@ -376,13 +375,13 @@ def _first_product_difference_lie(algebra, first, second) -> str:
 
 
 def _first_product_difference_group(group, first, second) -> str:
-    # a > b = B(a) b B(a)^-1, read off the conjugation action unchecked.
+    # Both operators were checked by the caller; read the products unchecked.
+    t1 = induced_triangle(group, first)
+    t2 = induced_triangle(group, second)
     for a in range(group.order):
         for b in range(group.order):
-            p1 = group.conjugate(first(a), b)
-            p2 = group.conjugate(second(a), b)
-            if p1 != p2:
-                return f"products differ at {a}>{b}: {p1} vs {p2}"
+            if t1[a][b] != t2[a][b]:
+                return f"products differ at {a}>{b}: {t1[a][b]} vs {t2[a][b]}"
     return "operators induce different products"
 
 
@@ -408,7 +407,7 @@ def _cmd_diff_cocycle(args) -> tuple[Report, int]:
             return report, EXIT_AXIOM
         report.add("same-product", True, "operators induce the same product")
         report.add("difference", True, "central 1-cocycle verified")
-        report.data["difference"] = _linear_map_lines(diff)
+        report.data["difference"] = render_map_rows(diff)
         return report, EXIT_OK
     if doc_a.kind == "rb-group" and doc_b.kind == "rb-group":
         if doc_a.group.table != doc_b.group.table:
@@ -428,7 +427,7 @@ def _cmd_diff_cocycle(args) -> tuple[Report, int]:
             return report, EXIT_AXIOM
         report.add("same-product", True, "operators induce the same product")
         report.add("difference", True, "central 1-cocycle verified")
-        report.data["difference"] = _group_map_lines(diff)
+        report.data["difference"] = render_group_map_rows(diff)
         return report, EXIT_OK
     raise ParseError(1, "diff-cocycle needs two rb-lie or two rb-group documents")
 

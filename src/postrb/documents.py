@@ -302,6 +302,13 @@ def _parse_group_side(
     triangle_rows: list[list[int]] | None = None
     group_maps: dict[str, GroupMap] = {}
 
+    def closure() -> FiniteGroup:
+        """The group the 'gen' lines read so far generate, closed once."""
+        nonlocal group
+        if group is None:
+            group = expand_permutation_generators(degree, generators)
+        return group
+
     while lines.peek() is not None:
         no, text = lines.take()
         if text == "table":
@@ -319,6 +326,7 @@ def _parse_group_side(
             if sorted(perm) != list(range(degree)):
                 raise ParseError(no, f"generator is not a permutation of 0..{degree - 1}")
             generators.append(perm)
+            group = None
         elif text.startswith("names"):
             names = tuple(text.split()[1:])
         elif text == "triangle":
@@ -326,18 +334,13 @@ def _parse_group_side(
                 raise ParseError(no, f"triangle table not allowed in kind {kind!r}")
             if order is None and not generators:
                 raise ParseError(no, "triangle table must follow the group data")
-            size = order if order is not None else None
-            if size is None:
-                group_local = expand_permutation_generators(degree, generators)
-                size = group_local.order
+            size = order if order is not None else closure().order
             triangle_rows = _parse_table_rows(lines, size, size, "triangle table")
         elif m := _MAP_RE.match(text):
             name = m.group(1)
             if name in group_maps:
                 raise ParseError(no, f"duplicate map {name!r}")
-            size = order
-            if size is None:
-                size = expand_permutation_generators(degree, generators).order
+            size = order if order is not None else closure().order
             images = [-1] * size
             for _ in range(size):
                 nxt = lines.peek()
@@ -361,7 +364,7 @@ def _parse_group_side(
     if degree is not None:
         if not generators:
             raise ParseError(lines.last_line, "generator form needs 'gen' lines")
-        group = expand_permutation_generators(degree, generators)
+        group = closure()
         if names is not None:
             if len(names) != group.order:
                 raise ParseError(lines.last_line, "names length does not match order")
@@ -458,11 +461,14 @@ def expand_permutation_generators(
 # --- renderers -------------------------------------------------------------
 
 
-def _render_map_rows(mp: LinearMap) -> list[str]:
-    lines = []
-    for row in mp.matrix.entries:
-        lines.append("row " + " ".join(str(x) for x in row))
-    return lines
+def render_map_rows(mp: LinearMap) -> list[str]:
+    """The 'row ...' lines of a linear map, as documents and reports print it."""
+    return ["row " + " ".join(str(x) for x in row) for row in mp.matrix.entries]
+
+
+def render_group_map_rows(mp: GroupMap) -> list[str]:
+    """The 'a -> b' lines of a group map, as documents and reports print it."""
+    return [f"{a} -> {b}" for a, b in enumerate(mp.images)]
 
 
 def _render_lie_body(algebra: LieAlgebra) -> list[str]:
@@ -492,14 +498,14 @@ def render_postlie_document(
                 lines.append(f"{i + 1}>{j + 1} = {render_combination(value)}")
     if witness is not None:
         lines.append(f"map {WITNESS_MAP}")
-        lines.extend(_render_map_rows(witness))
+        lines.extend(render_map_rows(witness))
     return "\n".join(lines) + "\n"
 
 
 def render_rb_lie_document(algebra: LieAlgebra, operator: LinearMap) -> str:
     lines = ["kind rb-lie", *_render_lie_body(algebra)]
     lines.append(f"map {OPERATOR_MAP}")
-    lines.extend(_render_map_rows(operator))
+    lines.extend(render_map_rows(operator))
     return "\n".join(lines) + "\n"
 
 
@@ -526,6 +532,5 @@ def render_postgroup_document(pg: PostGroup) -> str:
 def render_rb_group_document(group: FiniteGroup, operator: GroupMap) -> str:
     lines = ["kind rb-group", *_render_group_body(group)]
     lines.append(f"map {OPERATOR_MAP}")
-    for a, b in enumerate(operator.images):
-        lines.append(f"{a} -> {b}")
+    lines.extend(render_group_map_rows(operator))
     return "\n".join(lines) + "\n"

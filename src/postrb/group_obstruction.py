@@ -18,15 +18,17 @@ from .groups import (
     GroupMap,
     abelian_decomposition,
     center_group,
+    conjugation_rows,
     group_violations,
     is_group_homomorphism,
 )
 from .postgroup import (
     PostGroup,
-    check_rb_group,
     from_rb_group,
+    induced_triangle,
     innerness_witness_group,
     sub_adjacent_group,
+    sub_adjacent_table,
 )
 from .scalars import IntMatrix, _solve_smith, smith_normal_form
 
@@ -81,16 +83,6 @@ def _center_decomposition(group: FiniteGroup) -> tuple[tuple[int, ...], AbelianD
     return elements, abelian_decomposition(group, elements)
 
 
-def _induces(pg: PostGroup, mapping: GroupMap) -> bool:
-    """True when a > b = F(a) b F(a)^-1 on all pairs, for F = ``mapping``."""
-    g = pg.base
-    return all(
-        g.conjugate(mapping(a), b) == pg.triangle[a][b]
-        for a in range(g.order)
-        for b in range(g.order)
-    )
-
-
 def obstruction_cocycle_group(pg: PostGroup, witness: GroupMap) -> GroupTwoCocycle:
     """The defect table of a normalized witness; rejects invalid witnesses."""
     return _defect_group(pg, witness, sub_adjacent_group(pg))
@@ -106,7 +98,7 @@ def _defect_group(
         raise ValueError("witness size does not match the group order")
     if witness(g.identity) != g.identity:
         raise ValueError("witness is not normalized at the identity")
-    if not _induces(pg, witness):
+    if induced_triangle(g, witness) != pg.triangle:
         raise ValueError("supplied map is not an innerness witness")
     values = []
     for a in range(n):
@@ -268,10 +260,11 @@ def construct_rb_from_obstruction_group(
     operator = GroupMap(
         tuple(g.mul(witness(a), correction(a)) for a in range(g.order))
     )
-    if not check_rb_group(g, operator):
-        raise AssertionError("reconstructed map fails the group Rota-Baxter identity")
-    if not _induces(pg, operator):
+    if induced_triangle(g, operator) != pg.triangle:
         raise AssertionError("reconstructed operator does not reproduce the product")
+    # The operator induces pg's product, so its sub-adjacent table is sub's.
+    if not is_group_homomorphism(operator, sub.table, g):
+        raise AssertionError("reconstructed map fails the group Rota-Baxter identity")
     return GroupRbReconstruction(operator, witness, cocycle, correction)
 
 
@@ -284,10 +277,8 @@ def pullback_group(pg: PostGroup) -> FiniteGroup:
     n = g.order
     sub = sub_adjacent_group(pg)
     conj_index: dict[tuple[int, ...], list[int]] = {}
-    for c in range(n):
-        conj_index.setdefault(
-            tuple(g.conjugate(c, b) for b in range(n)), []
-        ).append(c)
+    for c, row in enumerate(conjugation_rows(g)):
+        conj_index.setdefault(row, []).append(c)
     members: list[tuple[int, int]] = []
     for a in range(n):
         matches = conj_index.get(tuple(pg.triangle[a]))
@@ -333,12 +324,12 @@ def rb_difference_cocycle_group(
     images = tuple(group.mul(group.inv(first(a)), second(a)) for a in range(n))
     if any(z not in central for z in images):
         raise AssertionError("difference of equal-product operators must be central")
-    sub = sub_adjacent_group(pg1)
-    for a in range(n):
-        for b in range(n):
-            if images[sub.mul(a, b)] != group.mul(images[a], images[b]):
-                raise AssertionError("difference is not multiplicative on the sub-adjacent group")
-    return GroupMap(images)
+    difference = GroupMap(images)
+    if not is_group_homomorphism(
+        difference, sub_adjacent_table(group, pg1.triangle), group
+    ):
+        raise AssertionError("difference is not multiplicative on the sub-adjacent group")
+    return difference
 
 
 @dataclass(frozen=True)
@@ -355,14 +346,6 @@ class GroupTowerStep:
     operator_is_homomorphism: bool
     tilde_is_homomorphism: bool
     literal_tilde_is_homomorphism: bool
-
-
-def _descend_table(level: FiniteGroup, operator: GroupMap) -> tuple[tuple[int, ...], ...]:
-    n = level.order
-    return tuple(
-        tuple(level.mul(a, level.conjugate(operator(a), b)) for b in range(n))
-        for a in range(n)
-    )
 
 
 def group_tower(
@@ -383,22 +366,24 @@ def group_tower_certificates(
 ) -> tuple[list[FiniteGroup], list[GroupTowerStep]]:
     if depth < 0:
         raise ValueError("tower depth must be nonnegative")
-    rb_ok = check_rb_group(group, operator)
+    # The Rota-Baxter test of a level builds the table of the next level.
+    table = sub_adjacent_table(group, induced_triangle(group, operator))
+    rb_ok = is_group_homomorphism(operator, table, group)
     if not rb_ok:
         raise NotRotaBaxterError("map fails the group Rota-Baxter identity")
     levels = [group]
     steps: list[GroupTowerStep] = []
     for i in range(depth):
         current = levels[-1]
-        table = _descend_table(current, operator)
         nxt = FiniteGroup.from_table(table, names=group.names)
         problems = group_violations(nxt, limit=1)
         if problems:
             raise AssertionError(f"tower level {i + 1} is not a group: {problems[0]}")
-        # On the descended table, B is a homomorphism to the level below
-        # exactly when it is Rota-Baxter on that level, as checked last pass.
+        # On the next table, B is a homomorphism to the level below exactly
+        # when it is Rota-Baxter on that level, as tested last pass.
         op_hom = rb_ok
-        rb_ok = check_rb_group(nxt, operator)
+        table = sub_adjacent_table(nxt, induced_triangle(nxt, operator))
+        rb_ok = is_group_homomorphism(operator, table, nxt)
         if not rb_ok:
             raise AssertionError(f"operator is not Rota-Baxter on level {i + 1}")
         tilde = GroupMap(

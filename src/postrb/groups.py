@@ -163,17 +163,26 @@ def center_group(group: FiniteGroup) -> tuple[int, ...]:
     )
 
 
+def conjugation_rows(group: FiniteGroup) -> tuple[tuple[int, ...], ...]:
+    """Row c holds c b c^-1 for each b: the table of every Ad_c at once."""
+    n = group.order
+    return tuple(tuple(group.conjugate(c, b) for b in range(n)) for c in range(n))
+
+
 def inner_automorphism(group: FiniteGroup, c: int) -> GroupMap:
-    return GroupMap(tuple(group.conjugate(c, b) for b in range(group.order)))
+    return GroupMap(conjugation_rows(group)[c])
 
 
 def is_group_homomorphism(
     mapping: GroupMap, source_table: Sequence[Sequence[int]], target: FiniteGroup
 ) -> bool:
-    n = len(source_table)
-    for a in range(n):
-        for b in range(n):
-            if mapping(source_table[a][b]) != target.mul(mapping(a), mapping(b)):
+    """True when f(source_table[a][b]) = f(a) f(b) in ``target`` on all pairs."""
+    images = mapping.images
+    table = target.table
+    for a, row in enumerate(source_table):
+        image_row = table[images[a]]
+        for b, ab in enumerate(row):
+            if images[ab] != image_row[images[b]]:
                 return False
     return True
 

@@ -14,7 +14,7 @@ products x.e_j against every basis vector.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .scalars import (
     ExactMatrix,
@@ -176,23 +176,14 @@ class Subspace:
     def dim(self) -> int:
         return len(self.basis)
 
-    def reduce(self, vec: Sequence[ScalarLike]) -> Vector:
-        v = list(vector(vec))
-        if len(v) != self.ambient_dim:
-            raise ValueError("vector has wrong length")
-        for row, p in zip(self.basis, self.pivots):
-            c = v[p]
-            if c:
-                for k in range(self.ambient_dim):
-                    v[k] = v[k] - c * row[k]
-        return tuple(v)
-
     def contains(self, vec: Sequence[ScalarLike]) -> bool:
-        return is_zero_vector(self.reduce(vec))
+        return self.coordinates_of(vec) is not None
 
     def coordinates_of(self, vec: Sequence[ScalarLike]) -> Vector | None:
         """Coefficients against the canonical basis, or None if outside."""
         v = list(vector(vec))
+        if len(v) != self.ambient_dim:
+            raise ValueError("vector has wrong length")
         coords = []
         for row, p in zip(self.basis, self.pivots):
             c = v[p]
@@ -241,23 +232,27 @@ class Fingerprint:
     derivation_dim: int
 
 
-def jacobi_violations(algebra: LieAlgebra) -> tuple[tuple[int, int, int], ...]:
-    """Basis triples i<j<k where the cyclic Jacobi sum is nonzero."""
-    n = algebra.dim
-    bad = []
+def _cyclic_failures(
+    sc: StructureTable, product: Callable[[Vector, Vector], Vector]
+) -> Iterator[tuple[int, int, int]]:
+    """Basis triples i<j<k, in order, where the cyclic sum
+    product([e_i,e_j], e_k) + product([e_j,e_k], e_i) + product([e_k,e_i], e_j)
+    is nonzero for the bracket table ``sc``."""
+    n = len(sc)
+    units = [unit_vector(n, k) for k in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
-                total = algebra.bracket(algebra.sc[i][j], unit_vector(n, k))
-                total = vec_add(
-                    total, algebra.bracket(algebra.sc[j][k], unit_vector(n, i))
-                )
-                total = vec_add(
-                    total, algebra.bracket(algebra.sc[k][i], unit_vector(n, j))
-                )
+                total = product(sc[i][j], units[k])
+                total = vec_add(total, product(sc[j][k], units[i]))
+                total = vec_add(total, product(sc[k][i], units[j]))
                 if not is_zero_vector(total):
-                    bad.append((i, j, k))
-    return tuple(bad)
+                    yield (i, j, k)
+
+
+def jacobi_violations(algebra: LieAlgebra) -> tuple[tuple[int, int, int], ...]:
+    """Basis triples i<j<k where the cyclic Jacobi sum is nonzero."""
+    return tuple(_cyclic_failures(algebra.sc, algebra.bracket))
 
 
 def check_jacobi(algebra: LieAlgebra) -> bool:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
 
 from .errors import NontrivialObstructionError, NotInnerError
-from .lie import LieAlgebra, Subspace, bilinear, center, check_jacobi
+from .lie import LieAlgebra, Subspace, _cyclic_failures, bilinear, center, check_jacobi
 from .postlie import (
     LinearMap,
     PostLieAlgebra,
@@ -34,7 +34,6 @@ from .scalars import (
     is_zero_vector,
     nullspace,
     solve_affine,
-    unit_vector,
     vec_add,
     vec_scale,
     vector,
@@ -132,19 +131,9 @@ def _defect(p: PostLieAlgebra, witness: LinearMap, sub: LieAlgebra) -> LieTwoCoc
 
 def verify_lie_2cocycle(cochain: LieTwoCochain, sub: LieAlgebra) -> bool:
     """Cyclic cocycle identity over the sub-adjacent bracket on basis triples."""
-    n = sub.dim
-    if cochain.ambient != n:
+    if cochain.ambient != sub.dim:
         raise ValueError("cochain and algebra dimensions differ")
-    units = [unit_vector(n, k) for k in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                total = cochain.evaluate(sub.sc[i][j], units[k])
-                total = vec_add(total, cochain.evaluate(sub.sc[j][k], units[i]))
-                total = vec_add(total, cochain.evaluate(sub.sc[k][i], units[j]))
-                if not is_zero_vector(total):
-                    return False
-    return True
+    return next(_cyclic_failures(sub.sc, cochain.evaluate), None) is None
 
 
 def coboundary_solve(cochain: LieTwoCochain, sub: LieAlgebra) -> LinearMap | None:

@@ -1,5 +1,9 @@
 """Post-groups on finite groups, and Rota-Baxter operators on groups.
 
+The induced product a > b = B(a) b B(a)^-1 (conjugation rows indexed by B)
+and the sub-adjacent table a o b = a (a > b) are built here once and shared:
+B is Rota-Baxter exactly when it is a homomorphism (G, o) -> G.
+
 The enumeration of all Rota-Baxter maps does an incremental depth-first
 search: whenever B(a) and B(b) are known, the defining identity forces
 B(a * B(a) b B(a)^-1) = B(a)B(b), which is propagated to a fixpoint before
@@ -12,7 +16,13 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import NotRotaBaxterError
-from .groups import FiniteGroup, GroupMap, group_violations
+from .groups import (
+    FiniteGroup,
+    GroupMap,
+    conjugation_rows,
+    group_violations,
+    is_group_homomorphism,
+)
 
 
 @dataclass(frozen=True)
@@ -70,9 +80,10 @@ def check_postgroup_axioms(pg: PostGroup) -> PostGroupReport:
             for c in range(n):
                 if row[g.mul(b, c)] != g.mul(row[b], row[c]):
                     distrib.append((a, b, c))
+    sub = sub_adjacent_table(g, pg.triangle)
     for a in range(n):
         for b in range(n):
-            left = g.mul(a, pg.triangle[a][b])
+            left = sub[a][b]
             for c in range(n):
                 if pg.triangle[left][c] != pg.triangle[a][pg.triangle[b][c]]:
                     weighted.append((a, b, c))
@@ -82,10 +93,7 @@ def check_postgroup_axioms(pg: PostGroup) -> PostGroupReport:
 def sub_adjacent_group(pg: PostGroup) -> FiniteGroup:
     """The group a o b = a (a > b); valid input always yields a group."""
     g = pg.base
-    n = g.order
-    table = tuple(
-        tuple(g.mul(a, pg.triangle[a][b]) for b in range(n)) for a in range(n)
-    )
+    table = sub_adjacent_table(g, pg.triangle)
     result = FiniteGroup.from_table(table, names=g.names)
     problems = group_violations(result, limit=1)
     if problems:
@@ -93,28 +101,34 @@ def sub_adjacent_group(pg: PostGroup) -> FiniteGroup:
     return result
 
 
-def check_rb_group(group: FiniteGroup, operator: GroupMap) -> bool:
-    """B(a) B(b) = B(a * B(a) b B(a)^-1) on all pairs."""
-    n = group.order
-    if operator.size != n:
+def induced_triangle(group: FiniteGroup, operator: GroupMap) -> tuple[tuple[int, ...], ...]:
+    """The table of a > b = B(a) b B(a)^-1: row a is the conjugation row of B(a)."""
+    if operator.size != group.order:
         raise ValueError("operator size does not match the group order")
-    for a in range(n):
-        ba = operator(a)
-        for b in range(n):
-            twisted = group.mul(a, group.conjugate(ba, b))
-            if group.mul(ba, operator(b)) != operator(twisted):
-                return False
-    return True
+    rows = conjugation_rows(group)
+    return tuple(rows[image] for image in operator.images)
+
+
+def sub_adjacent_table(
+    group: FiniteGroup, triangle: Sequence[Sequence[int]]
+) -> tuple[tuple[int, ...], ...]:
+    """The table of a o b = a (a > b) for the product table ``triangle``."""
+    table = group.table
+    return tuple(tuple(table[a][x] for x in row) for a, row in enumerate(triangle))
+
+
+def check_rb_group(group: FiniteGroup, operator: GroupMap) -> bool:
+    """B(a) B(b) = B(a * B(a) b B(a)^-1) on all pairs: B is a homomorphism
+    from the sub-adjacent table of its induced product to the group."""
+    table = sub_adjacent_table(group, induced_triangle(group, operator))
+    return is_group_homomorphism(operator, table, group)
 
 
 def from_rb_group(group: FiniteGroup, operator: GroupMap) -> PostGroup:
     """The induced product a > b = B(a) b B(a)^-1; rejects non-Rota-Baxter maps."""
-    if not check_rb_group(group, operator):
+    triangle = induced_triangle(group, operator)
+    if not is_group_homomorphism(operator, sub_adjacent_table(group, triangle), group):
         raise NotRotaBaxterError("map fails the group Rota-Baxter identity")
-    n = group.order
-    triangle = tuple(
-        tuple(group.conjugate(operator(a), b) for b in range(n)) for a in range(n)
-    )
     return PostGroup(group, triangle)
 
 
@@ -125,14 +139,12 @@ def innerness_witness_group(pg: PostGroup) -> GroupMap | None:
     multiplication is not conjugation by anything.
     """
     g = pg.base
-    n = g.order
     by_conjugation: dict[tuple[int, ...], int] = {}
-    for c in range(n):
-        key = tuple(g.conjugate(c, b) for b in range(n))
-        by_conjugation.setdefault(key, c)
+    for c, row in enumerate(conjugation_rows(g)):
+        by_conjugation.setdefault(row, c)
     raw = []
-    for a in range(n):
-        c = by_conjugation.get(tuple(pg.triangle[a]))
+    for row in pg.triangle:
+        c = by_conjugation.get(tuple(row))
         if c is None:
             return None
         raw.append(c)
@@ -155,7 +167,7 @@ def enumerate_rb_operators(group: FiniteGroup, cap: int = 8**8) -> list[GroupMap
             f"search space {n}^{n} exceeds the cap {cap}; raise it explicitly"
         )
     mul = group.mul
-    conj = [[group.conjugate(c, b) for b in range(n)] for c in range(n)]
+    conj = conjugation_rows(group)
     images: list[int | None] = [None] * n
     results: list[GroupMap] = []
 

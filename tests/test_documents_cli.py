@@ -218,6 +218,38 @@ class TestGeneratorExpansion:
         doc = parse_document(text)
         assert doc.group.order == 6
 
+    def test_generator_document_is_closed_once(self, monkeypatch):
+        # The triangle, the map and the group all need the closure.
+        from postrb import documents
+
+        calls = []
+        original = documents.expand_permutation_generators
+
+        def counted(degree, generators, cap=4096):
+            calls.append(tuple(generators))
+            return original(degree, generators, cap)
+
+        monkeypatch.setattr(documents, "expand_permutation_generators", counted)
+        rows = "".join(" ".join(str(b) for b in range(6)) + "\n" for _ in range(6))
+        arrows = "".join(f"{a} -> 0\n" for a in range(6))
+        text = (
+            "kind postgroup\ngenerators 3\ngen 1 0 2\ngen 1 2 0\n"
+            f"triangle\n{rows}map witness\n{arrows}"
+        )
+        doc = parse_document(text)
+        assert doc.post_group.order == 6
+        assert doc.group_maps["witness"] == GroupMap.constant(6, 0)
+        assert calls == [((1, 0, 2), (1, 2, 0))]
+
+    def test_gen_line_after_a_map_closes_again(self):
+        # The map is sized by the transposition alone, the group by both.
+        text = (
+            "kind rb-group\ngenerators 3\ngen 1 0 2\n"
+            "map operator\n0 -> 0\n1 -> 0\ngen 1 2 0\n"
+        )
+        with pytest.raises(ParseError, match="wrong size"):
+            parse_document(text)
+
 
 class TestReadmeExample:
     def test_quick_start_snippet(self):
@@ -469,17 +501,18 @@ class TestCli:
     ):
         from collections import Counter
 
-        from postrb import cli, group_obstruction, postgroup
+        from postrb import group_obstruction, postgroup
 
+        # Every Rota-Baxter test is a homomorphism test of the operator.
         calls = Counter()
-        original = postgroup.check_rb_group
+        original = postgroup.is_group_homomorphism
 
-        def counted(group, operator):
-            calls[operator.images] += 1
-            return original(group, operator)
+        def counted(mapping, source_table, target):
+            calls[mapping.images] += 1
+            return original(mapping, source_table, target)
 
-        for module in (cli, group_obstruction, postgroup):
-            monkeypatch.setattr(module, "check_rb_group", counted)
+        for module in (group_obstruction, postgroup):
+            monkeypatch.setattr(module, "is_group_homomorphism", counted)
         code = main(
             [
                 "diff-cocycle",

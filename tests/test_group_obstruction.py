@@ -149,6 +149,11 @@ def klein_four() -> FiniteGroup:
 V4_BETA = [[2 if a & 2 and b & 1 else 0 for b in range(4)] for a in range(4)]
 
 
+# carry(a, b) = 1 when a + b wraps past 4 on Z/4: the cocycle of the
+# extension Z/16 of Z/4 by Z/4, not a coboundary.
+Z4_CARRY = [[1 if a + b >= 4 else 0 for b in range(4)] for a in range(4)]
+
+
 def coboundary_values(group: FiniteGroup, z, composition):
     """dz(a, b) = z(a) z(b) z(a o b)^-1 for central values z."""
     n = group.order
@@ -266,31 +271,21 @@ class TestCoboundarySolve:
         assert verdicts[True] >= 4 and verdicts[False] >= 4
 
     def test_solver_matches_oracle_on_random_z4_cocycles(self, z4):
-        # All center-valued normalized tables over Z/4, filtered to actual
-        # cocycles, small enough to enumerate a corner of.
-        import random
-
+        # One invariant factor of order 4.  The cocycles are dz and dz + carry
+        # for random z; the carry class generates H^2(Z/4, Z/4) = Z/4.
         rng = random.Random(31)
-        elements = center_group(z4)
-        decomp = abelian_decomposition(z4, elements)
-        checked = 0
-        while checked < 8:
-            values = [[0] * 4 for _ in range(4)]
-            for a in range(1, 4):
-                for b in range(1, 4):
-                    values[a][b] = rng.randrange(4)
-            try:
-                cocycle = GroupTwoCocycle(
-                    z4, tuple(tuple(r) for r in values), elements, decomp
-                )
-            except ValueError:
-                continue
-            if not verify_group_2cocycle(cocycle, z4.table):
-                continue
-            checked += 1
-            solved = coboundary_solve_group(cocycle, z4.table)
-            oracle = exhaustive_coboundary_oracle(cocycle, z4.table)
-            assert (solved is None) == (oracle is None)
+        verdicts = {True: 0, False: 0}
+        for _ in range(4):
+            dz = coboundary_values(z4, random_central_map(rng, z4), z4.table)
+            shifted = [[z4.mul(x, y) for x, y in zip(r, s)] for r, s in zip(dz, Z4_CARRY)]
+            for values, solvable in ((dz, True), (shifted, False)):
+                cocycle = make_cocycle(z4, values)
+                assert verify_group_2cocycle(cocycle, z4.table)
+                solved = coboundary_solve_group(cocycle, z4.table)
+                oracle = exhaustive_coboundary_oracle(cocycle, z4.table)
+                assert (solved is not None) == (oracle is not None) == solvable
+                verdicts[solvable] += 1
+        assert verdicts == {True: 4, False: 4}
 
 
 class TestGeneratingSetSystem:

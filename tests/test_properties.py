@@ -237,3 +237,97 @@ class TestGroupProperties:
                         assert op(sub.mul(a, b)) == group.mul(op(a), op(b))
                     for c in z:
                         assert pg.triangle[a][c] == c
+
+
+# The inline group-side formulas the table layer replaced, kept verbatim as
+# references: the twisted Rota-Baxter loop, the tower's descended table, the
+# witness test and the multiplicativity loop of the difference cocycle.
+
+
+def _oracle_check_rb_group(group, operator):
+    n = group.order
+    for a in range(n):
+        ba = operator(a)
+        for b in range(n):
+            twisted = group.mul(a, group.conjugate(ba, b))
+            if group.mul(ba, operator(b)) != operator(twisted):
+                return False
+    return True
+
+
+def _oracle_descend_table(level, operator):
+    n = level.order
+    return tuple(
+        tuple(level.mul(a, level.conjugate(operator(a), b)) for b in range(n))
+        for a in range(n)
+    )
+
+
+def _oracle_induces(pg, mapping):
+    g = pg.base
+    return all(
+        g.conjugate(mapping(a), b) == pg.triangle[a][b]
+        for a in range(g.order)
+        for b in range(g.order)
+    )
+
+
+def _oracle_multiplicative(group, images, sub):
+    n = group.order
+    for a in range(n):
+        for b in range(n):
+            if images[sub.mul(a, b)] != group.mul(images[a], images[b]):
+                return False
+    return True
+
+
+class TestGroupTableOracle:
+    """The group-side table layer against the inline formulas, on every
+    enumerated operator of four groups and on each with one image shifted."""
+
+    def test_table_layer_matches_inline_formulas(self, s3, d4, z2, z4):
+        from postrb.groups import GroupMap, is_group_homomorphism
+        from postrb.group_obstruction import rb_difference_cocycle_group
+        from postrb.postgroup import (
+            check_rb_group,
+            enumerate_rb_operators,
+            from_rb_group,
+            induced_triangle,
+            sub_adjacent_group,
+            sub_adjacent_table,
+        )
+
+        counts = {
+            kind: {True: 0, False: 0}
+            for kind in ("rota-baxter", "induces", "multiplicative")
+        }
+        for group in (s3, d4, z2, z4):
+            n = group.order
+            first_with_product = {}
+            for op in enumerate_rb_operators(group):
+                pg = from_rb_group(group, op)
+                sub = sub_adjacent_group(pg)
+                first = first_with_product.setdefault(pg.triangle, op)
+                diff = rb_difference_cocycle_group(group, first, op)
+                assert diff is not None
+                assert _oracle_multiplicative(group, diff.images, sub)
+                for a in range(-1, n):
+                    images = list(op.images)
+                    if a >= 0:
+                        images[a] = (images[a] + 1) % n
+                    candidate = GroupMap(tuple(images))
+                    triangle = induced_triangle(group, candidate)
+                    table = sub_adjacent_table(group, triangle)
+                    assert table == _oracle_descend_table(group, candidate)
+                    verdict = _oracle_check_rb_group(group, candidate)
+                    assert check_rb_group(group, candidate) == verdict
+                    counts["rota-baxter"][verdict] += 1
+                    verdict = _oracle_induces(pg, candidate)
+                    assert (triangle == pg.triangle) == verdict
+                    counts["induces"][verdict] += 1
+                    verdict = _oracle_multiplicative(group, images, sub)
+                    pg_table = sub_adjacent_table(group, pg.triangle)
+                    assert is_group_homomorphism(candidate, pg_table, group) == verdict
+                    counts["multiplicative"][verdict] += 1
+        # Both verdicts occur, so no comparison is vacuous.
+        assert all(min(c.values()) > 0 for c in counts.values()), counts
