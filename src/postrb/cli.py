@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import random
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -464,18 +463,12 @@ def _parser() -> argparse.ArgumentParser:
 
     def add_common(target, suppress: bool) -> None:
         # Registered on the main parser and again on every subparser so the
-        # flags are accepted on either side of the subcommand.
+        # flag is accepted on either side of the subcommand.
         target.add_argument(
             "--format",
             choices=("text", "machine"),
             default=argparse.SUPPRESS if suppress else "text",
             help="output format",
-        )
-        target.add_argument(
-            "--seed",
-            type=int,
-            default=argparse.SUPPRESS if suppress else None,
-            help="seed for randomized property harnesses (core paths are deterministic)",
         )
 
     add_common(parser, suppress=False)
@@ -505,28 +498,26 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The failures a handler may raise and their exit codes; none of these
+# classes derives from another, so at most one matches.
+_EXIT_CODES = {
+    ParseError: EXIT_PARSE,
+    FileNotFoundError: EXIT_PARSE,
+    _AxiomFailure: EXIT_AXIOM,
+    NotRotaBaxterError: EXIT_AXIOM,
+    NotInnerError: EXIT_NOT_INNER,
+    NontrivialObstructionError: EXIT_NONTRIVIAL,
+}
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
-    if args.seed is not None:
-        random.seed(args.seed)
     handler = _COMMANDS[args.command][0]
     try:
         report, code = handler(args)
-    except ParseError as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (_AxiomFailure, NotRotaBaxterError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_AXIOM
-    except NotInnerError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOT_INNER
-    except NontrivialObstructionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NONTRIVIAL
+        return next(v for kind, v in _EXIT_CODES.items() if isinstance(exc, kind))
     print(report.render(args.format, args.command))
     return code
 

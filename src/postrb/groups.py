@@ -96,9 +96,16 @@ class FiniteGroup:
 
 @dataclass(frozen=True)
 class GroupMap:
-    """A total map on element indices (not assumed to be a homomorphism)."""
+    """A total map from element indices to element indices of the same group
+    (not assumed to be a homomorphism)."""
 
     images: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        n = len(self.images)
+        for image in self.images:
+            if not 0 <= image < n:
+                raise ValueError(f"image {image} outside the elements 0..{n - 1}")
 
     def __call__(self, a: int) -> int:
         return self.images[a]

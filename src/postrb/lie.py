@@ -8,7 +8,9 @@ row echelon form so equality and membership are plain entry comparisons.
 Every product given by such a table (the bracket, a post-Lie product, the
 induced product [R(x), y]) is evaluated by the single evaluator in this
 module: ``bilinear`` for one product x.y and ``left_columns`` for the
-products x.e_j against every basis vector.
+products x.e_j against every basis vector.  The linear map x -> (y -> x.y)
+has one matrix, ``coefficient_matrix``, behind the center, the inner
+derivations and the innerness-witness solve.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .scalars import (
     ExactMatrix,
-    GaussianRational,
     ScalarLike,
     Vector,
     ZERO,
@@ -29,7 +30,6 @@ from .scalars import (
     vec_add,
     vec_scale,
     vector,
-    vstack,
     zero_vector,
 )
 
@@ -264,25 +264,22 @@ def ad_matrix(algebra: LieAlgebra, x: Sequence[ScalarLike]) -> ExactMatrix:
     return ExactMatrix.from_columns(left_columns(algebra.sc, x))
 
 
-def center(algebra: LieAlgebra) -> Subspace:
-    """Nullspace of the stacked adjoint matrices of the basis vectors."""
-    n = algebra.dim
-    if n == 0:
-        return Subspace.zero(0)
-    stacked = ad_matrix(algebra, unit_vector(n, 0))
-    for i in range(1, n):
-        stacked = vstack(stacked, ad_matrix(algebra, unit_vector(n, i)))
-    return Subspace.from_spanning(n, nullspace(stacked))
+def coefficient_matrix(table: StructureTable) -> ExactMatrix:
+    """Matrix of x -> the n x n matrix of y -> x.y, flattened row-major.
 
-
-def _vec_matrix(matrix: ExactMatrix) -> Vector:
-    """Row-major flattening; index (r, c) -> r*cols + c."""
-    return tuple(x for row in matrix.entries for x in row)
-
-
-def _matrix_from_vec(flat: Sequence[GaussianRational], n: int) -> ExactMatrix:
-    rows = tuple(tuple(flat[r * n + c] for c in range(n)) for r in range(n))
+    Row k*n + j, column c holds table[c][j][k], the e_k-coefficient of
+    e_c.e_j, so for a bracket table column c is ad e_c flattened row-major.
+    """
+    n = len(table)
+    rows = tuple(
+        tuple(table[c][j][k] for c in range(n)) for k in range(n) for j in range(n)
+    )
     return ExactMatrix(rows, n)
+
+
+def center(algebra: LieAlgebra) -> Subspace:
+    """The x with [x, e_j] = 0 for every j: the nullspace of the coefficient matrix."""
+    return Subspace.from_spanning(algebra.dim, nullspace(coefficient_matrix(algebra.sc)))
 
 
 def derivations(algebra: LieAlgebra) -> Subspace:
@@ -313,23 +310,28 @@ def derivations(algebra: LieAlgebra) -> Subspace:
 
 
 def inner_derivations(algebra: LieAlgebra) -> Subspace:
+    """The span of the ad e_i, flattened row-major in K^(n^2)."""
     n = algebra.dim
-    return Subspace.from_spanning(
-        n * n,
-        [_vec_matrix(ad_matrix(algebra, unit_vector(n, i))) for i in range(n)],
-    )
+    adjoints = coefficient_matrix(algebra.sc)
+    return Subspace.from_spanning(n * n, [adjoints.column(i) for i in range(n)])
 
 
 def killing_semisimple(algebra: LieAlgebra) -> tuple[ExactMatrix, bool]:
-    """Killing form K(x,y) = tr(ad x ad y) on the basis and nondegeneracy."""
+    """Killing form K(x,y) = tr(ad x ad y) on the basis and nondegeneracy.
+
+    Read off the table: K(e_i, e_j) = sum_{k,l} c_il^k c_jk^l.
+    """
+    sc = algebra.sc
     n = algebra.dim
-    ads = [ad_matrix(algebra, unit_vector(n, i)) for i in range(n)]
+    pairs = [(k, l) for k in range(n) for l in range(n)]
     rows = []
     for i in range(n):
         row = []
         for j in range(n):
-            prod = ads[i] @ ads[j]
-            row.append(sum((prod.entries[k][k] for k in range(n)), ZERO))
+            row.append(sum(
+                (sc[i][l][k] * sc[j][k][l] for k, l in pairs if sc[i][l][k] and sc[j][k][l]),
+                ZERO,
+            ))
         rows.append(tuple(row))
     form = ExactMatrix(tuple(rows), n)
     return form, form.rank() == n

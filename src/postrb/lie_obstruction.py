@@ -14,11 +14,18 @@ from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
 
 from .errors import NontrivialObstructionError, NotInnerError
-from .lie import LieAlgebra, Subspace, _cyclic_failures, bilinear, center, check_jacobi
+from .lie import (
+    LieAlgebra,
+    Subspace,
+    _cyclic_failures,
+    bilinear,
+    center,
+    check_jacobi,
+    coefficient_matrix,
+)
 from .postlie import (
     LinearMap,
     PostLieAlgebra,
-    coefficient_matrix,
     from_rota_baxter,
     innerness_witness,
     is_homomorphism,
@@ -29,11 +36,10 @@ from .scalars import (
     ExactMatrix,
     ScalarLike,
     Vector,
-    ZERO,
+    _solve_columns,
     hstack,
     is_zero_vector,
     nullspace,
-    solve_affine,
     vec_add,
     vec_scale,
     vector,
@@ -140,17 +146,15 @@ def coboundary_solve(cochain: LieTwoCochain, sub: LieAlgebra) -> LinearMap | Non
     """Find t into the center with cochain(x,y) = -t([x,y]_sub), or None.
 
     The unknowns are the coordinates of t against the center basis, so the
-    result maps into the center by construction; free variables are zero.
+    result maps into the center by construction.  Coordinate m of t solves
+    one system whose rows are -[e_i, e_j]_sub, i < j, against coordinate m
+    of the cochain; all r of them are solved by one elimination with free
+    variables zero.
     """
     n = sub.dim
     if cochain.ambient != n:
         raise ValueError("cochain and algebra dimensions differ")
     z = cochain.center_basis
-    r = z.dim
-    if r == 0:
-        if cochain.is_zero():
-            return LinearMap.zero(n)
-        return None
     rows = []
     rhs = []
     for i in range(n):
@@ -158,25 +162,18 @@ def coboundary_solve(cochain: LieTwoCochain, sub: LieAlgebra) -> LinearMap | Non
             coords = z.coordinates_of(cochain.value(i, j))
             if coords is None:
                 raise ValueError("cochain value escapes the center basis")
-            bracket = sub.sc[i][j]
-            for m in range(r):
-                row = [ZERO] * (r * n)
-                for l in range(n):
-                    if bracket[l]:
-                        row[m * n + l] = -bracket[l]
-                rows.append(row)
-                rhs.append(coords[m])
-    system = ExactMatrix.from_rows(rows, width=r * n) if rows else ExactMatrix.zeros(0, r * n)
-    solution = solve_affine(system, rhs)
-    if solution is None:
+            rows.append(tuple(-x for x in sub.sc[i][j]))
+            rhs.append(coords)
+    solved = _solve_columns(ExactMatrix(tuple(rows), n), ExactMatrix(tuple(rhs), z.dim))
+    if solved is None:
         return None
-    flat = solution.particular
+    coordinates = solved[0]
     columns = []
     for l in range(n):
         col = zero_vector(n)
-        for m in range(r):
-            if flat[m * n + l]:
-                col = vec_add(col, vec_scale(flat[m * n + l], z.basis[m]))
+        for m, t in enumerate(coordinates):
+            if t[l]:
+                col = vec_add(col, vec_scale(t[l], z.basis[m]))
         columns.append(col)
     return LinearMap.from_columns(columns)
 

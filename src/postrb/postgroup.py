@@ -200,7 +200,9 @@ def enumerate_rb_operators(group: FiniteGroup, cap: int = 8**8) -> list[GroupMap
         free = next((a for a in range(n) if images[a] is None), None)
         if free is None:
             candidate = GroupMap(tuple(images))  # type: ignore[arg-type]
-            if not check_rb_group(group, candidate):
+            # check_rb_group, on the conjugation rows already at hand.
+            table = sub_adjacent_table(group, tuple(conj[b] for b in candidate.images))
+            if not is_group_homomorphism(candidate, table, group):
                 raise AssertionError("propagation admitted a non-Rota-Baxter map")
             results.append(candidate)
             return

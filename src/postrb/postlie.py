@@ -2,9 +2,9 @@
 
 The extra product is the same table type as the bracket, evaluated by
 ``lie.bilinear``: t[i][j][k] with e_i > e_j = sum_k t[i][j][k] e_k.  The
-product [R(x), y] induced by an operator R, the sub-adjacent bracket and the
-coefficient matrix of a table are built here once and shared by the axiom
-checks, the Rota-Baxter check, the witness solve and the tower.
+product [R(x), y] induced by an operator R and the sub-adjacent bracket are
+built here once and shared by the axiom checks, the Rota-Baxter check, the
+witness solve and the tower.
 """
 
 from __future__ import annotations
@@ -13,12 +13,19 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 from .errors import NotRotaBaxterError
-from .lie import LieAlgebra, StructureTable, bilinear, check_jacobi, left_columns
+from .lie import (
+    LieAlgebra,
+    StructureTable,
+    bilinear,
+    check_jacobi,
+    coefficient_matrix,
+    left_columns,
+)
 from .scalars import (
     ExactMatrix,
     ScalarLike,
     Vector,
-    solve_affine,
+    _solve_columns,
     unit_vector,
     vec_add,
     vec_sub,
@@ -254,34 +261,18 @@ def from_rota_baxter(algebra: LieAlgebra, operator: LinearMap) -> PostLieAlgebra
     return PostLieAlgebra(algebra, table)
 
 
-def coefficient_matrix(table: StructureTable) -> ExactMatrix:
-    """Matrix of x -> the n x n matrix of y -> x.y, flattened row-major.
-
-    Row k*n + j, column c holds table[c][j][k], the e_k-coefficient of e_c.e_j.
-    """
-    n = len(table)
-    rows = tuple(
-        tuple(table[c][j][k] for c in range(n)) for k in range(n) for j in range(n)
-    )
-    return ExactMatrix(rows, n)
-
-
 def innerness_witness(p: PostLieAlgebra) -> LinearMap | None:
     """Canonical witness with ad_{w(e_i)} equal to the left multiplication by e_i.
 
-    Solves one linear system per basis vector with free variables set to
-    zero, so the witness is deterministic.  Returns None when some left
-    multiplication is not an inner derivation.
+    Column i of w solves C(sc) w_i = column i of C(tc), where C is the
+    coefficient matrix; all n columns are solved by one elimination with
+    free variables set to zero, so the witness is deterministic.  Returns
+    None when some left multiplication is not an inner derivation.
     """
-    system = coefficient_matrix(p.base.sc)
-    targets = coefficient_matrix(p.tc)
-    columns = []
-    for i in range(p.dim):
-        solution = solve_affine(system, targets.column(i))
-        if solution is None:
-            return None
-        columns.append(solution.particular)
-    witness = LinearMap.from_columns(columns)
+    solved = _solve_columns(coefficient_matrix(p.base.sc), coefficient_matrix(p.tc))
+    if solved is None:
+        return None
+    witness = LinearMap.from_columns(solved[0])
     if not is_witness(p, witness):
         raise AssertionError("witness solve failed to reproduce the product")
     return witness

@@ -368,12 +368,6 @@ def hstack(left: ExactMatrix, right: ExactMatrix) -> ExactMatrix:
     return ExactMatrix(rows, left.cols + right.cols)
 
 
-def vstack(top: ExactMatrix, bottom: ExactMatrix) -> ExactMatrix:
-    if top.cols != bottom.cols:
-        raise ValueError("column count mismatch in vstack")
-    return ExactMatrix(top.entries + bottom.entries, top.cols)
-
-
 def rref(matrix: ExactMatrix) -> tuple[ExactMatrix, tuple[int, ...]]:
     """Reduced row echelon form and the pivot column indices."""
     rows = [list(r) for r in matrix.entries]
@@ -442,15 +436,35 @@ def solve_affine(
     b = vector(rhs)
     if len(b) != matrix.rows:
         raise ValueError("right-hand side length does not match row count")
-    ncols = matrix.cols
-    aug = hstack(matrix, ExactMatrix.from_rows([[x] for x in b], width=1))
-    red, pivots = rref(aug)
-    if pivots and pivots[-1] == ncols:
+    solved = _solve_columns(matrix, ExactMatrix(tuple((x,) for x in b), 1))
+    if solved is None:
         return None
-    x = [ZERO] * ncols
-    for r, p in enumerate(pivots):
-        x[p] = red.entries[r][ncols]
-    return AffineSolution(tuple(x), _free_column_basis(red, pivots, ncols))
+    (x,), basis = solved
+    return AffineSolution(x, basis)
+
+
+def _solve_columns(
+    matrix: ExactMatrix, rhs: ExactMatrix
+) -> tuple[tuple[Vector, ...], tuple[Vector, ...]] | None:
+    """Solve matrix @ X = rhs with one ``rref`` of [matrix | rhs].
+
+    Returns the canonical solution of each column of ``rhs`` (free variables
+    set to zero) and the canonical nullspace basis of ``matrix``, or None
+    when some column is inconsistent.  Each solution is the one a separate
+    solve of its column gives: the rref of a row space is unique.
+    """
+    ncols = matrix.cols
+    red, pivots = rref(hstack(matrix, rhs))
+    # A pivot right of the matrix is a row 0 = 1 for that column.
+    if pivots and pivots[-1] >= ncols:
+        return None
+    solutions = []
+    for c in range(ncols, ncols + rhs.cols):
+        x = [ZERO] * ncols
+        for r, p in enumerate(pivots):
+            x[p] = red.entries[r][c]
+        solutions.append(tuple(x))
+    return tuple(solutions), _free_column_basis(red, pivots, ncols)
 
 
 def determinant(matrix: ExactMatrix) -> GaussianRational:

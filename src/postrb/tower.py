@@ -14,14 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotRotaBaxterError
-from .lie import (
-    Fingerprint,
-    LieAlgebra,
-    Subspace,
-    check_jacobi,
-    invariant_fingerprint,
-    killing_semisimple,
-)
+from .lie import Fingerprint, LieAlgebra, check_jacobi, invariant_fingerprint
 from .postlie import (
     LinearMap,
     check_rota_baxter,
@@ -29,7 +22,7 @@ from .postlie import (
     is_homomorphism,
     sub_adjacent_table,
 )
-from .scalars import ExactMatrix
+from .scalars import ExactMatrix, hstack
 
 
 @dataclass(frozen=True)
@@ -107,12 +100,6 @@ def _power_ranks(matrix: ExactMatrix, depth: int) -> tuple[int, ...]:
     return tuple(ranks)
 
 
-def _image_subspace(matrix: ExactMatrix) -> Subspace:
-    return Subspace.from_spanning(
-        matrix.rows, [matrix.column(j) for j in range(matrix.cols)]
-    )
-
-
 def tower_report(t: LieTower) -> TowerReport:
     """Per-level invariants plus step certificates.
 
@@ -123,7 +110,7 @@ def tower_report(t: LieTower) -> TowerReport:
     """
     n = t.levels[0].dim
     fingerprints = tuple(invariant_fingerprint(level) for level in t.levels)
-    semisimple = tuple(killing_semisimple(level)[1] for level in t.levels)
+    semisimple = tuple(f.killing_rank == f.dim for f in fingerprints)
     depth = t.depth
     op = t.operator.matrix
     shifted = t.operator.plus_identity().matrix
@@ -131,7 +118,8 @@ def tower_report(t: LieTower) -> TowerReport:
     shifted_ranks = _power_ranks(shifted, depth)
     steps: tuple[StepCertificate, ...] = ()
     if depth:
-        span = _image_subspace(op).plus(_image_subspace(shifted)).dim == n
+        # im R + im(R+id) is the column space of [R | R+id].
+        span = hstack(op, shifted).rank() == n
         # ker R and ker(R+id) meet trivially iff stacking both kills nothing.
         stacked = ExactMatrix(op.entries + shifted.entries, n)
         kernels_ok = stacked.rank() == n

@@ -348,11 +348,15 @@ class TestCli:
         assert main(["tower", "--input", str(path), "--depth", "1"]) == 0
         assert seen.count(True) == 1
 
-    def test_seed_flag_accepted_after_subcommand(self, capsys):
-        code = main(
-            ["check-group", "--input", str(SAMPLES / "s3.grp"), "--seed", "7"]
-        )
-        assert code == 0
+    def test_seed_flag_is_refused(self, capsys):
+        # No code path draws a random number, so there is no seed to set.
+        for argv in (
+            ["check-group", "--input", str(SAMPLES / "s3.grp"), "--seed", "7"],
+            ["--seed", "7", "check-group", "--input", str(SAMPLES / "s3.grp")],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
 
     def test_obstruction_sl2(self, capsys):
         code = main(["obstruction", "--input", str(SAMPLES / "sl2.post")])

@@ -87,6 +87,23 @@ class TestInnerAutomorphism:
             assert kernel == center_group(group)
 
 
+class TestGroupMap:
+    def test_images_must_be_elements(self):
+        from postrb.postgroup import check_rb_group
+
+        # An image past the last element used to raise IndexError inside
+        # the check, and a negative one to index from the end of the table.
+        for images in ((0, 5, 2, 3), (0, -1, 2, 3)):
+            with pytest.raises(ValueError, match="outside the elements 0..3"):
+                check_rb_group(cyclic_group(4), GroupMap(images))
+            with pytest.raises(ValueError):
+                GroupMap.of(images)
+
+    def test_every_element_is_a_valid_image(self):
+        assert GroupMap((3, 0, 1, 2)).images == (3, 0, 1, 2)
+        assert GroupMap(()).size == 0
+
+
 class TestAbelianDecomposition:
     def test_trivial_subgroup(self, s3):
         decomp = abelian_decomposition(s3, [s3.identity])

@@ -22,7 +22,6 @@ from postrb.lie import (
     is_complete,
     jacobi_violations,
     killing_semisimple,
-    _vec_matrix,
 )
 from postrb.scalars import ExactMatrix, unit_vector, vector
 
@@ -110,7 +109,8 @@ class TestDerivations:
     def test_solvable_contains_ad(self, solvable):
         der = derivations(solvable)
         for i in range(3):
-            assert der.contains(_vec_matrix(ad_matrix(solvable, unit_vector(3, i))))
+            ad = ad_matrix(solvable, unit_vector(3, i))
+            assert der.contains([x for row in ad.entries for x in row])
 
     def test_inner_contained_in_derivations(self, sl2, solvable, heisenberg):
         for algebra in (sl2, solvable, heisenberg):

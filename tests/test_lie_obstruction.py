@@ -239,6 +239,29 @@ class TestReconstruction:
         assert result.operator == make_sl2_operator()
         assert len(calls) == 1
 
+    def test_each_linear_system_is_one_elimination(self, monkeypatch):
+        from postrb import scalars
+
+        calls = []
+        rref = scalars.rref
+
+        def counted(matrix):
+            calls.append(matrix)
+            return rref(matrix)
+
+        doc = parse_document((SAMPLES / "sl2.post").read_text(encoding="utf-8"))
+        p = doc.post_lie
+        sub = sub_adjacent(p)
+        monkeypatch.setattr(scalars, "rref", counted)
+        witness = innerness_witness(p)
+        assert witness is not None
+        assert len(calls) == 1
+        monkeypatch.setattr(scalars, "rref", rref)
+        cochain = obstruction_cocycle(p, witness)
+        monkeypatch.setattr(scalars, "rref", counted)
+        assert coboundary_solve(cochain, sub) == LinearMap.zero(3)
+        assert len(calls) == 2
+
     def test_roundtrip_from_rb(self, solvable):
         op = solvable_witness(alpha=1, beta=0, gamma=2)
         p = from_rota_baxter(solvable, op)

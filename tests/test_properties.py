@@ -8,11 +8,25 @@ reproducible.
 """
 
 import random
+from functools import reduce
+from pathlib import Path
 
 import pytest
 
-from postrb.lie import center, change_basis
+from postrb.documents import parse_document
+from postrb.lie import (
+    LieAlgebra,
+    Subspace,
+    ad_matrix,
+    bilinear,
+    center,
+    change_basis,
+    inner_derivations,
+    killing_semisimple,
+)
 from postrb.lie_obstruction import (
+    LieTwoCochain,
+    coboundary_solve,
     construct_rb_from_obstruction,
     obstruction_cocycle,
     rb_difference_cocycle,
@@ -20,23 +34,29 @@ from postrb.lie_obstruction import (
 )
 from postrb.postlie import (
     LinearMap,
+    PostLieAlgebra,
     check_postlie_axioms,
     check_rota_baxter,
     from_rota_baxter,
+    induced_table,
     innerness_witness,
     is_witness,
     sub_adjacent,
 )
 from postrb.scalars import (
+    ZERO,
     ExactMatrix,
     gaussian,
     is_zero_vector,
+    nullspace,
+    solve_affine,
     unit_vector,
     vec_add,
     vec_scale,
     zero_vector,
 )
-from postrb.tower import next_bracket
+from postrb.search import default_catalog, scan_algebra
+from postrb.tower import build_tower, next_bracket, tower_report
 
 from conftest import random_rb_instance
 
@@ -47,6 +67,7 @@ def make_instances(count: int, seed: int):
 
 
 INSTANCES = make_instances(120, seed=2024)
+SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
 
 class TestRbInducedStructures:
@@ -331,3 +352,271 @@ class TestGroupTableOracle:
                     counts["multiplicative"][verdict] += 1
         # Both verdicts occur, so no comparison is vacuous.
         assert all(min(c.values()) > 0 for c in counts.values()), counts
+
+
+# The formulations that one coefficient matrix and one elimination per
+# system replaced, kept as references: the center as the nullspace of the
+# stacked ad matrices, the inner derivations from flattened ad matrices,
+# the witness solved column by column, the coboundary as one block-diagonal
+# (r*C(n,2)) x (r*n) system, the Killing form as traces of matrix products
+# and the tower's span certificate as a sum of image subspaces.
+
+
+def _flat(matrix):
+    return tuple(x for row in matrix.entries for x in row)
+
+
+def _oracle_adjoints(algebra):
+    n = algebra.dim
+    return [ad_matrix(algebra, unit_vector(n, i)) for i in range(n)]
+
+
+def _oracle_center(algebra):
+    n = algebra.dim
+    rows = tuple(row for ad in _oracle_adjoints(algebra) for row in ad.entries)
+    return Subspace.from_spanning(n, nullspace(ExactMatrix(rows, n)))
+
+
+def _oracle_inner_derivations(algebra):
+    n = algebra.dim
+    return Subspace.from_spanning(n * n, [_flat(ad) for ad in _oracle_adjoints(algebra)])
+
+
+def _oracle_witness(post):
+    n = post.dim
+    system = ExactMatrix.from_columns([_flat(ad) for ad in _oracle_adjoints(post.base)])
+    columns = []
+    for i in range(n):
+        target = [post.tc[i][j][k] for k in range(n) for j in range(n)]
+        solution = solve_affine(system, target)
+        if solution is None:
+            return None
+        columns.append(solution.particular)
+    return LinearMap.from_columns(columns)
+
+
+def _oracle_coboundary(cochain, sub):
+    n = sub.dim
+    z = cochain.center_basis
+    r = z.dim
+    if r == 0:
+        return LinearMap.zero(n) if cochain.is_zero() else None
+    rows = []
+    rhs = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            coords = z.coordinates_of(cochain.value(i, j))
+            bracket = sub.sc[i][j]
+            for m in range(r):
+                row = [0] * (r * n)
+                for l in range(n):
+                    row[m * n + l] = -bracket[l]
+                rows.append(row)
+                rhs.append(coords[m])
+    system = ExactMatrix.from_rows(rows, width=r * n)
+    solution = solve_affine(system, rhs)
+    if solution is None:
+        return None
+    flat = solution.particular
+    columns = []
+    for l in range(n):
+        col = zero_vector(n)
+        for m in range(r):
+            col = vec_add(col, vec_scale(flat[m * n + l], z.basis[m]))
+        columns.append(col)
+    return LinearMap.from_columns(columns)
+
+
+def _oracle_killing(algebra):
+    n = algebra.dim
+    ads = _oracle_adjoints(algebra)
+    form = ExactMatrix.from_rows(
+        [
+            [sum(((ads[i] @ ads[j]).entries[k][k] for k in range(n)), ZERO) for j in range(n)]
+            for i in range(n)
+        ],
+        width=n,
+    )
+    return form, form.rank() == n
+
+
+def _oracle_images_span(operator):
+    def image(matrix):
+        return Subspace.from_spanning(
+            matrix.rows, [matrix.column(j) for j in range(matrix.cols)]
+        )
+
+    op = operator.matrix
+    return image(op).plus(image(operator.plus_identity().matrix)).dim == op.rows
+
+
+def _seeded_basis(rng, n, complex_entries):
+    """A unit lower times a unit upper triangular matrix, seeded; det 1."""
+
+    def entry():
+        if complex_entries:
+            return gaussian(rng.randint(-1, 1), rng.randint(-1, 1))
+        return rng.randint(-2, 2)
+
+    lower = [[1 if r == c else entry() if r > c else 0 for c in range(n)] for r in range(n)]
+    upper = [[1 if r == c else entry() if c > r else 0 for c in range(n)] for r in range(n)]
+    return ExactMatrix.from_rows(lower, width=n) @ ExactMatrix.from_rows(upper, width=n)
+
+
+def _transport(table, transform, inverse):
+    """The table of a bilinear product in the basis given by the columns of
+    ``transform``."""
+    n = len(table)
+    columns = [transform.column(i) for i in range(n)]
+    return tuple(
+        tuple(inverse.apply(bilinear(table, columns[i], columns[j])) for j in range(n))
+        for i in range(n)
+    )
+
+
+def _heisenberg_plus_line():
+    """[e1,e2] = e3 on K^4: the center span{e3, e4} has dimension 2."""
+    return LieAlgebra.from_brackets(4, {(0, 1): [0, 0, 1, 0]})
+
+
+def _linear_system_cases():
+    """Lie algebras, post-Lie algebras and Rota-Baxter pairs from the
+    catalog, the samples and a few seeded instances, in the given basis."""
+    samples = {
+        name: parse_document((SAMPLES / name).read_text(encoding="utf-8"))
+        for name in ("sl2.lie", "sl2.post", "sl2.rb", "solvable_beta1.post")
+    }
+    algebras = [algebra for _, algebra in default_catalog()]
+    algebras += [samples["sl2.lie"].lie_algebra, _heisenberg_plus_line()]
+    pairs = [
+        (algebra, operator)
+        for algebra in algebras
+        for operator in (LinearMap.zero(algebra.dim), -LinearMap.identity(algebra.dim))
+    ]
+    rb = samples["sl2.rb"]
+    pairs.append((rb.lie_algebra, rb.linear_maps["operator"]))
+    pairs += INSTANCES[:16]
+    posts = [samples["sl2.post"].post_lie, samples["solvable_beta1.post"].post_lie]
+    posts += [from_rota_baxter(algebra, operator) for algebra, operator in pairs]
+    heisenberg = dict(default_catalog())["heisenberg"]
+    scan = scan_algebra("heisenberg", heisenberg, max_examples=4)
+    for finding in scan.nontrivial_examples:
+        posts.append(PostLieAlgebra(heisenberg, induced_table(heisenberg, finding.witness)))
+    # The pre-Lie product e1 > e1 = e1 on the abelian line: its left
+    # multiplication is not an inner derivation.
+    posts.append(PostLieAlgebra(LieAlgebra.abelian(1), (((gaussian(1),),),)))
+    return algebras, pairs, posts
+
+
+class TestLinearSystemOracle:
+    """Center, inner derivations, witness, coboundary, Killing form and the
+    span certificate against the formulations they replaced, in the given
+    basis, a seeded real basis and a seeded Gaussian basis."""
+
+    @pytest.mark.parametrize("basis", ["given", "real", "gaussian"])
+    def test_solves_match_replaced_formulations(self, basis):
+        rng = random.Random(31)
+        algebras, pairs, posts = _linear_system_cases()
+
+        def transform(n):
+            if basis == "given":
+                return None
+            matrix = _seeded_basis(rng, n, complex_entries=basis == "gaussian")
+            return matrix, matrix.inverse()
+
+        def move_algebra(algebra, t):
+            return algebra if t is None else change_basis(algebra, t[0])
+
+        def move_map(operator, t):
+            return operator if t is None else LinearMap(t[1] @ operator.matrix @ t[0])
+
+        moved_algebras = [move_algebra(a, transform(a.dim)) for a in algebras]
+        moved_pairs = []
+        for algebra, operator in pairs:
+            t = transform(algebra.dim)
+            moved_pairs.append((move_algebra(algebra, t), move_map(operator, t)))
+        moved_posts = []
+        for post in posts:
+            t = transform(post.dim)
+            base = move_algebra(post.base, t)
+            moved_posts.append(
+                post if t is None else PostLieAlgebra(base, _transport(post.tc, *t))
+            )
+
+        centers = set()
+        for algebra in moved_algebras + [post.base for post in moved_posts]:
+            assert center(algebra) == _oracle_center(algebra)
+            assert inner_derivations(algebra) == _oracle_inner_derivations(algebra)
+            assert killing_semisimple(algebra) == _oracle_killing(algebra)
+            centers.add(center(algebra).dim)
+        assert max(centers) >= 2
+
+        assert check_postlie_axioms(moved_posts[-1]).ok
+        inner = {True: 0, False: 0}
+        solvable = {True: 0, False: 0}
+        ranks = set()
+
+        def compare_coboundary(cochain, sub):
+            correction = coboundary_solve(cochain, sub)
+            assert correction == _oracle_coboundary(cochain, sub)
+            solvable[correction is not None] += 1
+            ranks.add(cochain.center_basis.dim)
+            return correction
+
+        for post in moved_posts:
+            witness = innerness_witness(post)
+            assert witness == _oracle_witness(post)
+            inner[witness is not None] += 1
+            if witness is not None:
+                compare_coboundary(obstruction_cocycle(post, witness), sub_adjacent(post))
+
+        # Cochains drawn directly: coboundaries -t([x, y]) of a seeded t and
+        # seeded alternating cochains, valued in the center of the algebra
+        # and in the whole space (r = n).
+        for algebra in moved_algebras:
+            n = algebra.dim
+            for z in (center(algebra), Subspace.full(n)):
+                if z.dim == 0:
+                    continue
+
+                def central():
+                    return reduce(
+                        vec_add,
+                        (vec_scale(rng.randint(-2, 2), b) for b in z.basis),
+                        zero_vector(n),
+                    )
+
+                t = LinearMap.from_columns([central() for _ in range(n)])
+                coboundary = {
+                    (i, j): tuple(-x for x in t.apply(algebra.sc[i][j]))
+                    for i in range(n)
+                    for j in range(i + 1, n)
+                }
+                drawn = {(i, j): central() for i in range(n) for j in range(i + 1, n)}
+                for values in (coboundary, drawn):
+                    cochain = LieTwoCochain.from_pairs(n, z, values)
+                    compare_coboundary(cochain, algebra)
+
+        # An obstructed Heisenberg cocycle: [e1, e3] = 0 while the cochain
+        # is e3 there, and on (e1, e2, e3) the cyclic sum is zero.
+        heisenberg = dict(default_catalog())["heisenberg"]
+        cocycle = LieTwoCochain.from_pairs(3, center(heisenberg), {(0, 2): [0, 0, 1]})
+        t = transform(3)
+        if t is not None:
+            heisenberg = change_basis(heisenberg, t[0])
+            cocycle = LieTwoCochain(3, center(heisenberg), _transport(cocycle.values, *t))
+        assert verify_lie_2cocycle(cocycle, heisenberg)
+        assert compare_coboundary(cocycle, heisenberg) is None
+
+        # The tower: its semisimple flags and its span certificate.
+        for algebra, operator in moved_pairs:
+            tower = build_tower(algebra, operator, 2)
+            report = tower_report(tower)
+            assert report.semisimple == tuple(
+                _oracle_killing(level)[1] for level in tower.levels
+            )
+            span = _oracle_images_span(operator)
+            assert all(step.images_span == span for step in report.steps)
+
+        assert min(inner.values()) > 0 and min(solvable.values()) > 0
+        assert max(ranks) >= 2
