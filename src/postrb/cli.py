@@ -327,7 +327,9 @@ def _cmd_group_tower(args) -> tuple[Report, int]:
     _require_kind(doc, "rb-group")
     operator = doc.group_maps[OPERATOR_MAP]
     depth = args.depth if args.depth is not None else 3
-    levels, steps = _usage_checked(group_tower_certificates, doc.group, operator, depth)
+    levels, literal_flags = _usage_checked(
+        group_tower_certificates, doc.group, operator, depth
+    )
     report = Report([], {})
     report.add("levels", True, f"{len(levels)} levels pass the group axioms")
     report.add(
@@ -338,9 +340,7 @@ def _cmd_group_tower(args) -> tuple[Report, int]:
         True,
         "operator and level-indexed tilde map are homomorphisms level-to-level",
     )
-    report.data["literal-tilde-homomorphism"] = [
-        str(step.literal_tilde_is_homomorphism) for step in steps
-    ]
+    report.data["literal-tilde-homomorphism"] = [str(flag) for flag in literal_flags]
     report.data["orders"] = [str(level.order) for level in levels]
     return report, EXIT_OK
 

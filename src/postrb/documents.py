@@ -76,7 +76,7 @@ def _split_terms(text: str, line: int) -> list[str]:
                 raise ParseError(line, "unbalanced parentheses")
         if ch in "+-" and depth == 0 and current.strip():
             terms.append(current.strip())
-            current = ch if ch == "-" else ""
+            current = ch
             continue
         current += ch
     if depth:
@@ -296,6 +296,8 @@ def _parse_group_side(
             degree = int(text.split()[1])
         except (IndexError, ValueError):
             raise ParseError(no, "expected 'generators d' with integer d") from None
+        if degree <= 0:
+            raise ParseError(no, "degree must be positive")
     else:
         raise ParseError(no, "expected 'order n' or 'generators d'")
 

@@ -332,22 +332,6 @@ def rb_difference_cocycle_group(
     return difference
 
 
-@dataclass(frozen=True)
-class GroupTowerStep:
-    """Certificates for one tower step level -> level-1.
-
-    ``literal_tilde_is_homomorphism`` tracks the variant where a is combined
-    with B(a) by the ground product instead of the level-below product; it is
-    reported but never required.
-    """
-
-    level: int
-    operator_is_rb: bool
-    operator_is_homomorphism: bool
-    tilde_is_homomorphism: bool
-    literal_tilde_is_homomorphism: bool
-
-
 def group_tower(
     group: FiniteGroup, operator: GroupMap, depth: int
 ) -> list[FiniteGroup]:
@@ -363,49 +347,42 @@ def group_tower(
 
 def group_tower_certificates(
     group: FiniteGroup, operator: GroupMap, depth: int
-) -> tuple[list[FiniteGroup], list[GroupTowerStep]]:
+) -> tuple[list[FiniteGroup], tuple[bool, ...]]:
+    """The levels of ``group_tower`` and one flag per step level -> level-1.
+
+    Every hard check of ``group_tower`` raises on failure, so what is left
+    to report is the flag that may vary: whether the literal tilde map
+    a -> a * B(a), combined by the ground product instead of the level-below
+    product, is a homomorphism one level down.  It is reported but never
+    required.
+    """
     if depth < 0:
         raise ValueError("tower depth must be nonnegative")
-    # The Rota-Baxter test of a level builds the table of the next level.
+    # The Rota-Baxter test of a level builds the table of the next level;
+    # on it, B is a homomorphism to the level below exactly when it is
+    # Rota-Baxter on that level.
     table = sub_adjacent_table(group, induced_triangle(group, operator))
-    rb_ok = is_group_homomorphism(operator, table, group)
-    if not rb_ok:
+    if not is_group_homomorphism(operator, table, group):
         raise NotRotaBaxterError("map fails the group Rota-Baxter identity")
+    literal = GroupMap(tuple(group.mul(a, operator(a)) for a in range(group.order)))
     levels = [group]
-    steps: list[GroupTowerStep] = []
+    literal_flags: list[bool] = []
     for i in range(depth):
         current = levels[-1]
         nxt = FiniteGroup.from_table(table, names=group.names)
         problems = group_violations(nxt, limit=1)
         if problems:
             raise AssertionError(f"tower level {i + 1} is not a group: {problems[0]}")
-        # On the next table, B is a homomorphism to the level below exactly
-        # when it is Rota-Baxter on that level, as tested last pass.
-        op_hom = rb_ok
         table = sub_adjacent_table(nxt, induced_triangle(nxt, operator))
-        rb_ok = is_group_homomorphism(operator, table, nxt)
-        if not rb_ok:
+        if not is_group_homomorphism(operator, table, nxt):
             raise AssertionError(f"operator is not Rota-Baxter on level {i + 1}")
         tilde = GroupMap(
             tuple(current.mul(a, operator(a)) for a in range(current.order))
         )
-        tilde_ok = is_group_homomorphism(tilde, nxt.table, current)
-        if not tilde_ok:
+        if not is_group_homomorphism(tilde, nxt.table, current):
             raise AssertionError(
                 f"tilde map is not a homomorphism from level {i + 1} to {i}"
             )
-        literal = GroupMap(
-            tuple(group.mul(a, operator(a)) for a in range(group.order))
-        )
-        literal_ok = is_group_homomorphism(literal, nxt.table, current)
-        steps.append(
-            GroupTowerStep(
-                level=i + 1,
-                operator_is_rb=rb_ok,
-                operator_is_homomorphism=op_hom,
-                tilde_is_homomorphism=tilde_ok,
-                literal_tilde_is_homomorphism=literal_ok,
-            )
-        )
+        literal_flags.append(is_group_homomorphism(literal, nxt.table, current))
         levels.append(nxt)
-    return levels, steps
+    return levels, tuple(literal_flags)

@@ -316,11 +316,9 @@ def inner_derivations(algebra: LieAlgebra) -> Subspace:
     return Subspace.from_spanning(n * n, [adjoints.column(i) for i in range(n)])
 
 
-def killing_semisimple(algebra: LieAlgebra) -> tuple[ExactMatrix, bool]:
-    """Killing form K(x,y) = tr(ad x ad y) on the basis and nondegeneracy.
-
-    Read off the table: K(e_i, e_j) = sum_{k,l} c_il^k c_jk^l.
-    """
+def _killing_form(algebra: LieAlgebra) -> ExactMatrix:
+    """Killing form K(x,y) = tr(ad x ad y) on the basis, read off the table:
+    K(e_i, e_j) = sum_{k,l} c_il^k c_jk^l."""
     sc = algebra.sc
     n = algebra.dim
     pairs = [(k, l) for k in range(n) for l in range(n)]
@@ -333,8 +331,13 @@ def killing_semisimple(algebra: LieAlgebra) -> tuple[ExactMatrix, bool]:
                 ZERO,
             ))
         rows.append(tuple(row))
-    form = ExactMatrix(tuple(rows), n)
-    return form, form.rank() == n
+    return ExactMatrix(tuple(rows), n)
+
+
+def killing_semisimple(algebra: LieAlgebra) -> tuple[ExactMatrix, bool]:
+    """Killing form on the basis and whether it is nondegenerate."""
+    form = _killing_form(algebra)
+    return form, form.rank() == algebra.dim
 
 
 def is_complete(algebra: LieAlgebra) -> bool:
@@ -370,11 +373,10 @@ def _series_dims(algebra: LieAlgebra, lower_central: bool) -> tuple[int, ...]:
 
 
 def invariant_fingerprint(algebra: LieAlgebra) -> Fingerprint:
-    form, _ = killing_semisimple(algebra)
     return Fingerprint(
         dim=algebra.dim,
         center_dim=center(algebra).dim,
-        killing_rank=form.rank(),
+        killing_rank=_killing_form(algebra).rank(),
         derived_dims=_series_dims(algebra, lower_central=False),
         lower_central_dims=_series_dims(algebra, lower_central=True),
         derivation_dim=derivations(algebra).dim,

@@ -80,9 +80,6 @@ class LinearMap:
     def __neg__(self) -> "LinearMap":
         return LinearMap(-self.matrix)
 
-    def compose(self, other: "LinearMap") -> "LinearMap":
-        return LinearMap(self.matrix @ other.matrix)
-
     def plus_identity(self) -> "LinearMap":
         return LinearMap(self.matrix + ExactMatrix.identity(self.dim))
 

@@ -287,15 +287,8 @@ class ExactMatrix:
     def cols(self) -> int:
         return self.width
 
-    def row(self, i: int) -> Vector:
-        return self.entries[i]
-
     def column(self, j: int) -> Vector:
         return tuple(r[j] for r in self.entries)
-
-    def transpose(self) -> "ExactMatrix":
-        rows = tuple(self.column(j) for j in range(self.cols))
-        return ExactMatrix(rows, self.rows)
 
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -519,10 +512,6 @@ class IntMatrix:
         return IntMatrix(
             tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)), n
         )
-
-    @staticmethod
-    def zeros(rows: int, cols: int) -> "IntMatrix":
-        return IntMatrix(((0,) * cols,) * rows, cols)
 
     @property
     def rows(self) -> int:

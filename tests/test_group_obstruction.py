@@ -553,24 +553,31 @@ class TestGroupTower:
 
     def test_d4_towers_valid(self, d4):
         for op in enumerate_rb_operators(d4)[:6]:
-            levels, steps = group_tower_certificates(d4, op, 3)
+            # Returning at all means the operator is Rota-Baxter on every
+            # level and it and the tilde map are homomorphisms one level down.
+            levels, _ = group_tower_certificates(d4, op, 3)
             assert len(levels) == 4
             for level in levels:
                 assert check_group(level)
-            for step in steps:
-                assert step.operator_is_rb
-                assert step.operator_is_homomorphism
-                assert step.tilde_is_homomorphism
+
+    def test_one_literal_flag_per_step(self, d4, s3):
+        for group in (d4, s3):
+            for op in enumerate_rb_operators(group):
+                levels, flags = group_tower_certificates(group, op, 3)
+                assert len(levels) == 4
+                assert isinstance(flags, tuple) and len(flags) == 3
+                assert all(isinstance(flag, bool) for flag in flags)
 
     def test_literal_tilde_reading_coincides(self, d4):
         # The two readings of the tilde map are the same function: by
         # induction a o_j B(a) = a o_{j-1} (B(a) o_{j-1} B(a) o_{j-1}
         # B(a)^-1) = a o_{j-1} B(a), down to a * B(a).  So the reported
-        # literal flag can never disagree with the required one.
+        # literal flag can never disagree with the required tilde check,
+        # which holds on every step returned.
         for op in enumerate_rb_operators(d4):
-            levels, steps = group_tower_certificates(d4, op, 3)
-            for level, step in zip(levels[:-1], steps):
-                assert step.literal_tilde_is_homomorphism == step.tilde_is_homomorphism
+            levels, flags = group_tower_certificates(d4, op, 3)
+            for level, flag in zip(levels[:-1], flags):
+                assert flag is True
                 for a in range(8):
                     assert level.mul(a, op(a)) == d4.mul(a, op(a))
 

@@ -1,4 +1,4 @@
-"""Bracket tower construction and certificates.
+"""Bracket tower construction and reports.
 
 The level-1 bracket of the (sl2, P) tower is solvable (see the sub-adjacent
 test for the hand computation), so that tower exercises the hypothesis-failed
@@ -101,8 +101,9 @@ class TestTowerReport:
         report = tower_report(t)
         assert report.fingerprints_equal
         assert all(report.semisimple)
-        assert all(step.shifted_invertible is False for step in report.steps)
-        assert all(step.operator_invertible for step in report.steps)
+        # -id is invertible at every step and -id + id = 0 is not.
+        assert report.operator_power_ranks[0] == 3
+        assert report.shifted_power_ranks[0] == 0
 
     def test_sl2_paper_operator_report(self, sl2):
         t = build_tower(sl2, make_sl2_operator(), 3)
@@ -110,11 +111,36 @@ class TestTowerReport:
         assert report.semisimple[0] is True
         assert report.semisimple[1] is False  # level 1 is solvable
         assert not report.fingerprints_equal
-        for step in report.steps:
-            assert step.images_span
-            assert step.kernels_independent
-            assert not step.operator_invertible
-            assert not step.shifted_invertible
+        # Neither P nor P+id is invertible, so no step has an explicit
+        # isomorphism certificate.
+        assert report.operator_power_ranks[0] < 3
+        assert report.shifted_power_ranks[0] < 3
+
+    def test_report_ranks_each_killing_form_once(self, sl2, monkeypatch):
+        # Every rref of the report is one of its fingerprints' or a rank of
+        # a power of P or P+id: one Killing-form rank per level and nothing
+        # for properties that hold for every linear map.
+        from postrb import lie, scalars
+
+        calls = []
+        rref = scalars.rref
+
+        def counted(matrix):
+            calls.append(matrix)
+            return rref(matrix)
+
+        t = build_tower(sl2, make_sl2_operator(), 3)
+        forms = [killing_semisimple(level)[0] for level in t.levels]
+        monkeypatch.setattr(scalars, "rref", counted)
+        monkeypatch.setattr(lie, "rref", counted)
+        for level in t.levels:
+            invariant_fingerprint(level)
+        fingerprint_calls = len(calls)
+        calls.clear()
+        tower_report(t)
+        assert len(calls) == fingerprint_calls + 2 * t.depth
+        for form in forms:
+            assert sum(matrix == form for matrix in calls) == forms.count(form)
 
     def test_power_ranks_shape(self, sl2):
         t = build_tower(sl2, make_sl2_operator(), 3)
