@@ -21,7 +21,6 @@ from .group_obstruction import (
     GroupTwoCocycle,
     coboundary_solve_group,
     construct_rb_from_obstruction_group,
-    group_tower,
     group_tower_certificates,
     obstruction_cocycle_group,
     pullback_group,

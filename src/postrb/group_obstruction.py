@@ -46,14 +46,13 @@ class GroupTwoCocycle:
 
     value_group: FiniteGroup
     values: tuple[tuple[int, ...], ...]
-    center_elements: tuple[int, ...]
     center: AbelianDecomposition
 
     def __post_init__(self) -> None:
         n = self.value_group.order
         if len(self.values) != n or any(len(r) != n for r in self.values):
             raise ValueError("cocycle table shape does not match the group")
-        central = set(self.center_elements)
+        central = set(self.center.elements)
         e = self.value_group.identity
         for a in range(n):
             for b in range(n):
@@ -76,11 +75,6 @@ class GroupRbReconstruction(NamedTuple):
     witness: GroupMap
     cocycle: GroupTwoCocycle
     correction: GroupMap
-
-
-def _center_decomposition(group: FiniteGroup) -> tuple[tuple[int, ...], AbelianDecomposition]:
-    elements = center_group(group)
-    return elements, abelian_decomposition(group, elements)
 
 
 def obstruction_cocycle_group(pg: PostGroup, witness: GroupMap) -> GroupTwoCocycle:
@@ -108,8 +102,7 @@ def _defect_group(
             fb_inv = g.inv(witness(b))
             row.append(g.mul(g.mul(fb_inv, fa_inv), witness(sub.mul(a, b))))
         values.append(tuple(row))
-    elements, decomp = _center_decomposition(g)
-    return GroupTwoCocycle(g, tuple(values), elements, decomp)
+    return GroupTwoCocycle(g, tuple(values), abelian_decomposition(g, center_group(g)))
 
 
 def verify_group_2cocycle(
@@ -332,29 +325,15 @@ def rb_difference_cocycle_group(
     return difference
 
 
-def group_tower(
+def group_tower_certificates(
     group: FiniteGroup, operator: GroupMap, depth: int
 ) -> list[FiniteGroup]:
     """The iterated sub-adjacent groups a o' b = a o (B(a) o b o B(a)^-1).
 
     Hard checks at every level: group axioms, the Rota-Baxter identity for
     the fixed operator, and that the operator and the tilde map
-    a -> a o_(i-1) B(a) are homomorphisms one level down.
-    """
-    levels, _ = group_tower_certificates(group, operator, depth)
-    return levels
-
-
-def group_tower_certificates(
-    group: FiniteGroup, operator: GroupMap, depth: int
-) -> tuple[list[FiniteGroup], tuple[bool, ...]]:
-    """The levels of ``group_tower`` and one flag per step level -> level-1.
-
-    Every hard check of ``group_tower`` raises on failure, so what is left
-    to report is the flag that may vary: whether the literal tilde map
-    a -> a * B(a), combined by the ground product instead of the level-below
-    product, is a homomorphism one level down.  It is reported but never
-    required.
+    a -> a o_(i-1) B(a) are homomorphisms one level down.  Each raises on
+    failure, so returning the levels is the certificate.
     """
     if depth < 0:
         raise ValueError("tower depth must be nonnegative")
@@ -364,9 +343,7 @@ def group_tower_certificates(
     table = sub_adjacent_table(group, induced_triangle(group, operator))
     if not is_group_homomorphism(operator, table, group):
         raise NotRotaBaxterError("map fails the group Rota-Baxter identity")
-    literal = GroupMap(tuple(group.mul(a, operator(a)) for a in range(group.order)))
     levels = [group]
-    literal_flags: list[bool] = []
     for i in range(depth):
         current = levels[-1]
         nxt = FiniteGroup.from_table(table, names=group.names)
@@ -383,6 +360,5 @@ def group_tower_certificates(
             raise AssertionError(
                 f"tilde map is not a homomorphism from level {i + 1} to {i}"
             )
-        literal_flags.append(is_group_homomorphism(literal, nxt.table, current))
         levels.append(nxt)
-    return levels, tuple(literal_flags)
+    return levels

@@ -3,24 +3,24 @@
 Every inner product has the shape x > y = [w(x), y] for a linear w, and two
 such w induce the same product exactly when they differ by a map into the
 center.  The scan therefore enumerates w with columns in a complement of the
-center over a small coefficient grid, keeps those where the weighted
-associativity holds (the derivation identity is automatic for this shape),
-and classifies each structure by the coboundary solve.  Findings are
-reported, not asserted: this is an exploration harness.
+center over a small coefficient grid, keeps the post-Lie ones and classifies
+each by the coboundary solve.  Findings are reported, not asserted: this is
+an exploration harness.
 
-The product is linear in w, so no candidate rebuilds it.  Each of the G grid
-columns c gets its ad table once, ads[c][j] = [c, e_j], and a candidate is an
-index tuple idx in product(range(G), repeat=n): its triangle table is
-(ads[idx[0]], ..., ads[idx[n-1]]).  For a pair i < j the weighted
-associativity is read straight off those rows.  Its sub-adjacent bracket
-sub = [e_i, e_j] + e_i > e_j - e_j > e_i, the commutator side and the terms of
-sub > e_k for the columns i and j depend on (idx[i], idx[j]) only.  They are
-computed once and reused while that pair of indices stays fixed, which
-``product`` order repeats, so a candidate pays only for the terms of the
-other columns m.  The cache holds the last index pair of each column pair,
-O(n^2) entries.  Only a candidate that passes gets its ``PostLieAlgebra``,
-witness and sub-adjacent algebra built, once each, and goes through the
-Jacobi check of that algebra and the coboundary solve.
+By Jacobi, which the bracket is checked for first, such a product satisfies
+the derivation identity, and the weighted associativity exactly when the
+obstruction defect kappa_ij = [w_i, w_j] - w(sub_ij) is central for i < j,
+with sub_ij = [e_i, e_j] + [w_i, e_j] - [w_j, e_i].  v is central iff
+v_q = sum_r v_{p_r} z_r[q] off the pivots p_r of the center rows z_r.  The
+complement is spanned by the coordinates off those pivots, so every grid
+column vanishes on them, and only the part [w_i, w_j] - sub_ij[i] w_i -
+sub_ij[j] w_j needs that correction.  It depends on (idx[i], idx[j]) only:
+each grid column c gets its ad table ads[c][k] = [c, e_k] once, a candidate
+is an index tuple idx, and the corrected part of a column pair is cached
+while its index pair stays fixed, which ``product`` order repeats.  A
+candidate pays only for the terms sub_ij[m] w_m of the other columns and
+stops at the first nonzero coordinate.  Only a valid candidate gets its
+``PostLieAlgebra``, witness and sub-adjacent algebra built, once each.
 """
 
 from __future__ import annotations
@@ -29,11 +29,10 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Sequence
 
-from .lie import LieAlgebra, center, left_columns
+from .lie import LieAlgebra, center, jacobi_violations, left_columns
 from .lie_obstruction import _defect, coboundary_solve
 from .postlie import LinearMap, PostLieAlgebra, sub_adjacent
 from .scalars import (
-    GaussianRational,
     ScalarLike,
     Vector,
     ZERO,
@@ -95,62 +94,61 @@ def default_catalog() -> list[tuple[str, LieAlgebra]]:
     ]
 
 
-def _center_complement(algebra: LieAlgebra) -> list[int]:
-    """Indices of standard basis vectors spanning a complement of the center."""
-    pivots = set(center(algebra).pivots)
-    return [k for k in range(algebra.dim) if k not in pivots]
-
-
-def _add_scaled(acc: list[GaussianRational], s: GaussianRational, row: Vector) -> None:
-    """acc += s * row in place, skipping the zero entries of row."""
-    for q, x in enumerate(row):
-        if x:
-            acc[q] = acc[q] + s * x if acc[q] else s * x
-
-
-def _pair_sides(
-    algebra: LieAlgebra, ads: Sequence[Sequence[Vector]], i: int, j: int, a: int, b: int
+def _pair_part(
+    algebra: LieAlgebra,
+    grid: Sequence[Vector],
+    ads: Sequence[Sequence[Vector]],
+    off: Sequence[tuple[int, tuple]],
+    i: int,
+    j: int,
+    a: int,
+    b: int,
 ) -> tuple[tuple, tuple]:
-    """What the (i, j) weighted associativity needs from idx[i] = a, idx[j] = b.
+    """What the defect at (i, j) needs from idx[i] = a, idx[j] = b.
 
-    With sub = [e_i, e_j] + e_i > e_j - e_j > e_i the identity reads, for
-    each k, sub > e_k + e_j > (e_i > e_k) = e_i > (e_j > e_k).  Returns the
-    nonzero coefficients sub[m] of the other columns m, and per k the
-    left-hand side without those columns' terms together with the right-hand
-    side.
+    With sub = [e_i, e_j] + [w_i, e_j] - [w_j, e_i] the defect is
+    [w_i, w_j] - sum_m sub[m] w_m.  Returns the nonzero sub[m] of the other
+    columns m, and per (q, terms) in ``off`` the coordinate q of the part
+    [w_i, w_j] - sub[i] w_i - sub[j] w_j less sum part[p] c over (p, c) in
+    terms: zero on every q exactly when that part is central.
     """
     n = algebra.dim
-    ta, tb = ads[a], ads[b]
-    sub = vec_sub(vec_add(algebra.sc[i][j], ta[j]), tb[i])
-    others = tuple((m, sub[m]) for m in range(n) if m not in (i, j) and sub[m])
-    sides = []
+    wa, wb, ta = grid[a], grid[b], ads[a]
+    sub = vec_sub(vec_add(algebra.sc[i][j], ta[j]), ads[b][i])
+    part = [ZERO] * n
     for k in range(n):
-        lhs = [ZERO] * n
-        rhs = [ZERO] * n
-        if sub[i]:
-            _add_scaled(lhs, sub[i], ta[k])
-        if sub[j]:
-            _add_scaled(lhs, sub[j], tb[k])
-        for m in range(n):
-            if ta[k][m]:
-                _add_scaled(lhs, ta[k][m], tb[m])
-            if tb[k][m]:
-                _add_scaled(rhs, tb[k][m], ta[m])
-        sides.append((lhs, rhs))
-    return others, tuple(sides)
+        if wb[k]:
+            for q, x in enumerate(ta[k]):
+                if x:
+                    part[q] = part[q] + wb[k] * x
+    for s, w in ((sub[i], wa), (sub[j], wb)):
+        if s:
+            for q, x in enumerate(w):
+                if x:
+                    part[q] = part[q] - s * x
+    corrected = []
+    for q, terms in off:
+        value = part[q]
+        for p, c in terms:
+            if part[p]:
+                value = value - part[p] * c
+        corrected.append((q, value))
+    others = tuple((m, sub[m]) for m in range(n) if m not in (i, j) and sub[m])
+    return others, tuple(corrected)
 
 
-def _associativity_from_ads(
+def _defect_is_central(
     algebra: LieAlgebra,
+    grid: Sequence[Vector],
     ads: Sequence[Sequence[Vector]],
+    off: Sequence[tuple[int, tuple]],
     idx: tuple[int, ...],
     cache: dict[tuple[int, int], tuple],
 ) -> bool:
-    """The weighted associativity of the product with triangle table
-    (ads[c] for c in idx), with early exit; the derivation identity holds
-    automatically for products of the shape [w(x), y].
+    """Whether every defect value of the witness (grid[c] for c in idx) is
+    central, with early exit.
 
-    ``cache`` keeps, per pair i < j, the sides of the last (idx[i], idx[j]).
+    ``cache`` keeps, per pair i < j, the part of the last (idx[i], idx[j]).
     """
     n = len(idx)
     for i in range(n):
@@ -158,14 +156,15 @@ def _associativity_from_ads(
             key = (idx[i], idx[j])
             hit = cache.get((i, j))
             if hit is None or hit[0] != key:
-                hit = (key, *_pair_sides(algebra, ads, i, j, *key))
+                hit = (key, *_pair_part(algebra, grid, ads, off, i, j, *key))
                 cache[(i, j)] = hit
-            _, others, sides = hit
-            for k, (lhs, rhs) in enumerate(sides):
-                acc = list(lhs)
+            _, others, corrected = hit
+            for q, value in corrected:
                 for m, s in others:
-                    _add_scaled(acc, s, ads[idx[m]][k])
-                if acc != rhs:
+                    x = grid[idx[m]][q]
+                    if x:
+                        value = value - s * x
+                if value:
                     return False
     return True
 
@@ -176,13 +175,29 @@ def scan_algebra(
     coefficients: Sequence[ScalarLike] = (-1, 0, 1),
     max_examples: int = 3,
 ) -> ScanSummary:
-    """Scan one algebra; inner products are parametrized by the witness grid."""
+    """Scan one algebra; inner products are parametrized by the witness grid.
+
+    Raises ``ValueError`` naming the first basis triple where the bracket
+    fails Jacobi, before any candidate is built.
+    """
+    bad = jacobi_violations(algebra)
+    if bad:
+        raise ValueError(
+            f"bracket fails Jacobi at basis triple {tuple(x + 1 for x in bad[0])}:"
+            " input is not a Lie algebra"
+        )
     n = algebra.dim
-    complement = _center_complement(algebra)
+    z = center(algebra)
+    # Per coordinate q off the pivots p_r, the nonzero z_r[q] of the center rows.
+    off = [
+        (q, tuple((p, row[q]) for row, p in zip(z.basis, z.pivots) if row[q]))
+        for q in range(n)
+        if q not in z.pivots
+    ]
     grid = []
-    for choice in product(vector(coefficients), repeat=len(complement)):
+    for choice in product(vector(coefficients), repeat=len(off)):
         col = list(zero_vector(n))
-        for value, slot in zip(choice, complement):
+        for value, (slot, _) in zip(choice, off):
             col[slot] = value
         grid.append(tuple(col))
     ads = [left_columns(algebra.sc, col) for col in grid]
@@ -194,7 +209,7 @@ def scan_algebra(
     examples: list[ScanFinding] = []
     for idx in product(range(len(grid)), repeat=n):
         candidates += 1
-        if not _associativity_from_ads(algebra, ads, idx, cache):
+        if not _defect_is_central(algebra, grid, ads, off, idx, cache):
             continue
         valid += 1
         # The triangle table is the induced table of these columns, so the

@@ -209,9 +209,8 @@ def test_criterion_4_group_roundtrip_desk_scale():
 def test_criterion_5_negative_cohomology_control():
     start = time.perf_counter()
     z2 = cyclic_group(2)
-    elements = center_group(z2)
-    decomp = abelian_decomposition(z2, elements)
-    cocycle = GroupTwoCocycle(z2, ((0, 0), (0, 1)), elements, decomp)
+    decomp = abelian_decomposition(z2, center_group(z2))
+    cocycle = GroupTwoCocycle(z2, ((0, 0), (0, 1)), decomp)
     is_cocycle = verify_group_2cocycle(cocycle, z2.table)
     solver_says_no = coboundary_solve_group(cocycle, z2.table) is None
 

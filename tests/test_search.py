@@ -7,7 +7,7 @@ import pytest
 
 from postrb.lie import LieAlgebra, center, change_basis
 from postrb.postlie import PostLieAlgebra, check_postlie_axioms
-from postrb.scalars import I, ExactMatrix, unit_vector
+from postrb.scalars import I, ExactMatrix, unit_vector, vector
 from postrb.search import ScanSummary, default_catalog, scan_algebra
 
 from conftest import make_heisenberg
@@ -15,10 +15,17 @@ from conftest import make_heisenberg
 
 def _oracle_valid_count(algebra: LieAlgebra, coefficients) -> int:
     """Grid witnesses whose product, built from ``bracket`` one basis pair at
-    a time, passes every post-Lie axiom.  Every column of the grid is a
-    witness column, so this needs an algebra with zero center."""
+    a time, passes every post-Lie axiom.  The grid is the scan's: columns
+    with entries in ``coefficients`` on the coordinates off the pivots of the
+    center's canonical basis and zero on them."""
     n = algebra.dim
-    columns = list(product(coefficients, repeat=n))
+    off = [k for k in range(n) if k not in center(algebra).pivots]
+    columns = []
+    for choice in product(coefficients, repeat=len(off)):
+        column = [0] * n
+        for k, value in zip(off, choice):
+            column[k] = value
+        columns.append(column)
     count = 0
     for witness in product(columns, repeat=n):
         products = {
@@ -69,6 +76,17 @@ class TestScan:
         summary = scan_algebra("z", LieAlgebra.abelian(0))
         assert summary == ScanSummary(1, 1, 1, 0, ())
 
+    @pytest.mark.parametrize("coefficients", [(1, -1), (-1, 0, 1)])
+    def test_rejects_bracket_failing_jacobi(self, coefficients):
+        # Antisymmetric, but the cyclic Jacobi sum of (e1, e2, e3) is nonzero.
+        # Products [w(x), y] on it can pass the centrality test without being
+        # post-Lie, so the scan refuses before building any candidate.
+        algebra = LieAlgebra.from_brackets(
+            3, {(0, 1): [0, -1, -1], (0, 2): [-1, -1, -1], (1, 2): [0, -1, 0]}
+        )
+        with pytest.raises(ValueError, match=r"Jacobi at basis triple \(1, 2, 3\)"):
+            scan_algebra("not-lie", algebra, coefficients)
+
     def test_catalog_names_unique(self):
         names = [name for name, _ in default_catalog()]
         assert len(names) == len(set(names))
@@ -103,6 +121,24 @@ class TestScan:
             summary.valid_post_lie,
             summary.nontrivial_class,
         ) == counts
+
+    @pytest.mark.parametrize(
+        "name, counts", [("heisenberg", (729, 49, 4)), ("affine-3", (729, 64, 0))]
+    )
+    def test_counts_match_oracle_with_skew_center(self, name, counts):
+        # In the basis f1 = e1, f2 = e2, f3 = -e1 + e2 + e3 the center e3 is
+        # the row (1, -1, 1), not a coordinate subspace, so a defect is
+        # central only after the correction by the pivot coordinate.
+        basis = ExactMatrix.from_rows([[1, 0, -1], [0, 1, 1], [0, 0, 1]])
+        algebra = change_basis(dict(default_catalog())[name], basis)
+        assert center(algebra).basis == (tuple(vector([1, -1, 1])),)
+        summary = scan_algebra(name, algebra)
+        assert (
+            summary.candidates,
+            summary.valid_post_lie,
+            summary.nontrivial_class,
+        ) == counts
+        assert summary.valid_post_lie == _oracle_valid_count(algebra, (-1, 0, 1))
 
     def test_heisenberg_examples_keep_enumeration_order(self):
         summary = scan_algebra("heisenberg", make_heisenberg())
