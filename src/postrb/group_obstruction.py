@@ -9,6 +9,7 @@ congruences over the invariant factors of the center.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import getitem, itemgetter
 from typing import NamedTuple
 
 from .errors import NontrivialObstructionError, NotInnerError, NotRotaBaxterError
@@ -19,8 +20,11 @@ from .groups import (
     abelian_decomposition,
     center_group,
     conjugation_rows,
+    generating_set,
     group_violations,
     is_group_homomorphism,
+    is_group_table,
+    table_identity,
 )
 from .postgroup import (
     PostGroup,
@@ -108,10 +112,63 @@ def _defect_group(
 def verify_group_2cocycle(
     cocycle: GroupTwoCocycle, composition: CompositionTable
 ) -> bool:
-    """w(b,c) w(a, b o c) = w(a,b) w(a o b, c) over all triples."""
+    """w(b,c) w(a, b o c) = w(a,b) w(a o b, c) over all triples.
+
+    When ``composition`` is a group (``is_group_table``, with the identity
+    read from the table) and the values lie in a group where they commute,
+    only c in S = ``generating_set(composition, e)`` is tested, n^2 |S|
+    steps instead of n^3.  Write the values additively and let dw(a,b,c) be
+    w(b,c) + w(a, b o c) - w(a,b) - w(a o b, c).  Every cochain satisfies
+    ddw = 0:
+    dw(a,b,c o d) = dw(b,c,d) - dw(a o b,c,d) + dw(a,b o c,d) + dw(a,b,c).
+    So if dw vanishes at c and at d for all a, b, it vanishes at c o d; the
+    c tested are closed under o, and in a finite group the products of
+    generators are all elements.  Any other input is scanned over all
+    triples.
+    """
     n = cocycle.order
     if len(composition) != n:
         raise ValueError("composition table order mismatch")
+    value_group = cocycle.value_group
+    product = value_group.table
+    values = {x for row in cocycle.values for x in row}
+    e = table_identity(composition)
+    if (
+        e is not None
+        and is_group_table(composition, e)
+        and is_group_table(product, value_group.identity)
+        and all(product[x][y] == product[y][x] for x in values for y in values)
+    ):
+        generators = generating_set(composition, e)
+        return _cocycle_identity_holds_at(cocycle, composition, generators)
+    return _cocycle_identity_scan(cocycle, composition)
+
+
+def _cocycle_identity_holds_at(
+    cocycle: GroupTwoCocycle, composition: CompositionTable, generators: tuple[int, ...]
+) -> bool:
+    """The cocycle identity at every a, b and every c in ``generators``."""
+    value_row = cocycle.value_group.table.__getitem__
+    w = cocycle.values
+    row_getters = [itemgetter(*row) for row in composition]
+    for c in generators:
+        w_c = tuple(row[c] for row in w)  # w(b, c) for every b
+        w_c_rows = list(map(value_row, w_c))
+        at_composed_c = itemgetter(*(row[c] for row in composition))  # b -> b o c
+        # Row a of each side: b -> w(b,c) w(a, b o c) and b -> w(a,b) w(a o b, c).
+        for w_a, get in zip(w, row_getters):
+            if list(map(getitem, w_c_rows, at_composed_c(w_a))) != list(
+                map(getitem, map(value_row, w_a), get(w_c))
+            ):
+                return False
+    return True
+
+
+def _cocycle_identity_scan(
+    cocycle: GroupTwoCocycle, composition: CompositionTable
+) -> bool:
+    """The cocycle identity over all n^3 triples."""
+    n = cocycle.order
     mul = cocycle.value_group.mul
     w = cocycle.values
     for a in range(n):
@@ -123,30 +180,6 @@ def verify_group_2cocycle(
                 if lhs != rhs:
                     return False
     return True
-
-
-def generating_set(composition: CompositionTable, identity: int) -> tuple[int, ...]:
-    """Greedy generators of the group with Cayley table ``composition``.
-
-    Scans the elements in index order and keeps each one that lies outside
-    the subgroup generated by those kept so far.  Each kept element at least
-    doubles that subgroup, whose order divides n, so at most log2 n are kept.
-    """
-    generators: list[int] = []
-    reached = {identity}
-    for a in range(len(composition)):
-        if a in reached:
-            continue
-        generators.append(a)
-        frontier = list(reached)
-        while frontier:
-            x = frontier.pop()
-            for s in generators:
-                y = composition[x][s]
-                if y not in reached:
-                    reached.add(y)
-                    frontier.append(y)
-    return tuple(generators)
 
 
 def coboundary_solve_group(

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import prod
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .scalars import IntMatrix, smith_normal_form
@@ -63,13 +64,7 @@ class FiniteGroup:
         """
         cooked = tuple(tuple(int(x) for x in row) for row in table)
         n = len(cooked)
-        identity = None
-        for e in range(n):
-            if all(cooked[e][b] == b for b in range(n)) and all(
-                cooked[a][e] == a for a in range(n)
-            ):
-                identity = e
-                break
+        identity = table_identity(cooked)
         if identity is None:
             if strict:
                 raise ValueError("table has no identity element")
@@ -130,8 +125,93 @@ class GroupMap:
         return sorted(self.images) == list(range(len(self.images)))
 
 
+def table_identity(table: Sequence[Sequence[int]]) -> int | None:
+    """The first element whose row and column in ``table`` are the identity map."""
+    n = len(table)
+    for e in range(n):
+        if all(table[e][b] == b for b in range(n)) and all(
+            table[a][e] == a for a in range(n)
+        ):
+            return e
+    return None
+
+
+def generating_set(
+    composition: Sequence[Sequence[int]], identity: int
+) -> tuple[int, ...]:
+    """Greedy generators of the group with Cayley table ``composition``.
+
+    Scans the elements in index order and keeps each one that lies outside
+    the subgroup generated by those kept so far.  Each kept element at least
+    doubles that subgroup, whose order divides n, so at most log2 n are kept.
+    """
+    generators: list[int] = []
+    reached = {identity}
+    for a in range(len(composition)):
+        if a in reached:
+            continue
+        generators.append(a)
+        frontier = list(reached)
+        while frontier:
+            x = frontier.pop()
+            for s in generators:
+                y = composition[x][s]
+                if y not in reached:
+                    reached.add(y)
+                    frontier.append(y)
+    return tuple(generators)
+
+
+def is_group_table(table: Sequence[Sequence[int]], identity: int) -> bool:
+    """True when ``table`` is a group with identity ``identity``, in n^2 |S| steps.
+
+    Checks that ``identity`` is a two-sided identity, then associativity by
+    Light's test (Clifford-Preston, The Algebraic Theory of Semigroups I,
+    1961, 1.2): (x s) y = x (s y) for s in S = ``generating_set(table,
+    identity)`` and all x, y.  The elements s passing it contain the
+    identity and are closed under the product: for passing s, t,
+    (x (s t)) y = ((x s) t) y = (x s)(t y) = x (s (t y)) = x ((s t) y).  The
+    greedy closure reaches every element as a product ((e s1) s2)... of
+    generators, so all of them pass.  An associative table with an identity
+    in every row is a monoid where every element has a right inverse, which
+    is a group.
+    """
+    rows = [tuple(row) for row in table]
+    elements = tuple(range(len(rows)))
+    if tuple(map(itemgetter(identity), rows)) != elements or (
+        rows and rows[identity] != elements
+    ):
+        return False
+    for s in generating_set(rows, identity):
+        # Row x of each side: y -> x (s y) and y -> (x s) y.
+        if list(map(itemgetter(*rows[s]), rows)) != [rows[row[s]] for row in rows]:
+            return False
+    return all(identity in row for row in rows)
+
+
 def group_violations(group: FiniteGroup, limit: int = 10) -> tuple[str, ...]:
-    """Human-readable axiom violations, at most ``limit`` of them."""
+    """Human-readable axiom violations, at most ``limit`` of them.
+
+    A group is recognized in n^2 |S| steps by Light's associativity test
+    (Clifford-Preston, The Algebraic Theory of Semigroups I, 1961, 1.2; see
+    ``is_group_table``): the s with (x s) y = x (s y) for all x, y contain
+    the identity and are closed under the product, so testing s in a
+    generating set S proves associativity.  It returns ``()``.  Any other
+    table is scanned over all triples, so the violations reported and their
+    order are those of the full scan.
+    """
+    e = group.identity
+    table = group.table
+    if is_group_table(table, e) and all(
+        table[a][b] == e for a, b in enumerate(group.inverse)
+    ):
+        return ()
+    return _group_violations_scan(group, limit)
+
+
+def _group_violations_scan(group: FiniteGroup, limit: int) -> tuple[str, ...]:
+    """Every identity and inverse failure, then the associativity triples in
+    lexicographic order until ``limit`` violations are collected."""
     n = group.order
     out: list[str] = []
     e = group.identity

@@ -13,6 +13,7 @@ branching.  That prunes |G|^|G| down to a tiny tree at desk scale.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Sequence
 
 from .errors import NotRotaBaxterError
@@ -20,8 +21,10 @@ from .groups import (
     FiniteGroup,
     GroupMap,
     conjugation_rows,
+    generating_set,
     group_violations,
     is_group_homomorphism,
+    is_group_table,
 )
 
 
@@ -66,16 +69,66 @@ class PostGroupReport:
 
 def check_postgroup_axioms(pg: PostGroup) -> PostGroupReport:
     """Each left multiplication must be a group automorphism and the
-    weighted associativity (a(a>b)) > c = a > (b>c) must hold."""
+    weighted associativity (a(a>b)) > c = a > (b>c) must hold.
+
+    On a group base both conditions need only c in a generating set S of the
+    base (Bai-Guo-Sheng-Tang, Post-groups, (Lie-)Butcher groups and the
+    Yang-Baxter equation, Math. Ann. 2023, where the axioms are endomorphism
+    conditions), n^2 |S| steps instead of n^3:
+
+    * for each a, the c with L_a(b c) = L_a(b) L_a(c) for all b are closed
+      under the product: L_a(b c d) = L_a(b c) L_a(d) = L_a(b) L_a(c) L_a(d);
+    * once every L_a is an endomorphism, so are L_(a o b) and L_a L_b, and
+      the c on which two endomorphisms agree are closed under the product.
+
+    In a finite group the products of generators are all elements.  When
+    both tests pass, the report lists only the non-bijective rows; on a
+    failure or a base that is not a group, both identities are scanned over
+    all triples and every failing triple is reported in lexicographic order.
+    """
     g = pg.base
     n = g.order
-    non_bijective = []
+    non_bijective = tuple(
+        a for a, row in enumerate(pg.triangle) if sorted(row) != list(range(n))
+    )
+    if is_group_table(g.table, g.identity) and _axioms_hold_on_generators(pg):
+        return PostGroupReport(non_bijective, (), ())
+    return PostGroupReport(non_bijective, *_postgroup_failures(pg))
+
+
+def _axioms_hold_on_generators(pg: PostGroup) -> bool:
+    """Both post-group identities at every c in a generating set of the base."""
+    g = pg.base
+    triangle = pg.triangle
+    columns = tuple(zip(*g.table))  # columns[c][b] = b c
+    row_getters = [itemgetter(*row) for row in triangle]
+    generators = generating_set(g.table, g.identity)
+    for c in generators:
+        # Row a of each side: b -> L_a(b c) and b -> L_a(b) L_a(c).
+        left = list(map(itemgetter(*columns[c]), triangle))
+        right = [get(columns[row[c]]) for get, row in zip(row_getters, triangle)]
+        if left != right:
+            return False
+    sub_getters = [itemgetter(*row) for row in sub_adjacent_table(g, triangle)]
+    for c in generators:
+        column = tuple(row[c] for row in triangle)  # b > c for every b
+        # Row a of each side: b -> (a o b) > c and b -> a > (b > c).
+        left = [get(column) for get in sub_getters]
+        if left != list(map(itemgetter(*column), triangle)):
+            return False
+    return True
+
+
+def _postgroup_failures(
+    pg: PostGroup,
+) -> tuple[tuple[tuple[int, int, int], ...], tuple[tuple[int, int, int], ...]]:
+    """Every failing triple of the automorphism and the weighted identity."""
+    g = pg.base
+    n = g.order
     distrib = []
     weighted = []
     for a in range(n):
         row = pg.triangle[a]
-        if sorted(row) != list(range(n)):
-            non_bijective.append(a)
         for b in range(n):
             for c in range(n):
                 if row[g.mul(b, c)] != g.mul(row[b], row[c]):
@@ -87,7 +140,7 @@ def check_postgroup_axioms(pg: PostGroup) -> PostGroupReport:
             for c in range(n):
                 if pg.triangle[left][c] != pg.triangle[a][pg.triangle[b][c]]:
                     weighted.append((a, b, c))
-    return PostGroupReport(tuple(non_bijective), tuple(distrib), tuple(weighted))
+    return tuple(distrib), tuple(weighted)
 
 
 def sub_adjacent_group(pg: PostGroup) -> FiniteGroup:
@@ -166,31 +219,35 @@ def enumerate_rb_operators(group: FiniteGroup, cap: int = 8**8) -> list[GroupMap
         raise ValueError(
             f"search space {n}^{n} exceeds the cap {cap}; raise it explicitly"
         )
-    mul = group.mul
+    table = group.table
     conj = conjugation_rows(group)
     images: list[int | None] = [None] * n
+    assigned: list[int] = []  # the elements with an image, in assignment order
     results: list[GroupMap] = []
 
-    def propagate(seed: int, trail: list[int]) -> bool:
-        """Close the partial map under the defining identity; False on clash."""
+    def propagate(seed: int) -> bool:
+        """Close the partial map under the defining identity; False on clash.
+
+        The closure is the least fixpoint of the forcing rule, so a clash is
+        reached in every order of propagation or in none.
+        """
         queue = [seed]
         while queue:
             x = queue.pop()
             bx = images[x]
             assert bx is not None
-            known = [y for y in range(n) if images[y] is not None]
-            for y in known:
-                for a, b in ((x, y), (y, x)):
-                    ba = images[a]
-                    bb = images[b]
-                    if ba is None or bb is None:
-                        continue
-                    target = mul(a, conj[ba][b])
-                    value = mul(ba, bb)
+            row_x, conj_bx, row_bx = table[x], conj[bx], table[bx]
+            for k in range(len(assigned)):
+                y = assigned[k]
+                by = images[y]
+                for target, value in (
+                    (row_x[conj_bx[y]], row_bx[by]),
+                    (table[y][conj[by][x]], table[by][bx]),
+                ):
                     seen = images[target]
                     if seen is None:
                         images[target] = value
-                        trail.append(target)
+                        assigned.append(target)
                         queue.append(target)
                     elif seen != value:
                         return False
@@ -201,18 +258,20 @@ def enumerate_rb_operators(group: FiniteGroup, cap: int = 8**8) -> list[GroupMap
         if free is None:
             candidate = GroupMap(tuple(images))  # type: ignore[arg-type]
             # check_rb_group, on the conjugation rows already at hand.
-            table = sub_adjacent_table(group, tuple(conj[b] for b in candidate.images))
-            if not is_group_homomorphism(candidate, table, group):
+            sub_table = sub_adjacent_table(group, tuple(conj[b] for b in candidate.images))
+            if not is_group_homomorphism(candidate, sub_table, group):
                 raise AssertionError("propagation admitted a non-Rota-Baxter map")
             results.append(candidate)
             return
+        depth = len(assigned)
         for value in range(n):
-            trail = [free]
             images[free] = value
-            if propagate(free, trail):
+            assigned.append(free)
+            if propagate(free):
                 extend()
-            for touched in trail:
+            for touched in assigned[depth:]:
                 images[touched] = None
+            del assigned[depth:]
 
     extend()
     return results

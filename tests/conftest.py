@@ -8,11 +8,13 @@ import random
 import shutil
 import tempfile
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from postrb.groups import FiniteGroup, cyclic_group
 from postrb.lie import LieAlgebra, center, change_basis
+from postrb.postgroup import PostGroup
 from postrb.postlie import LinearMap, check_rota_baxter
 from postrb.scalars import ExactMatrix, gaussian
 from postrb import sub_adjacent, from_rota_baxter
@@ -151,6 +153,41 @@ def make_q8() -> FiniteGroup:
     return FiniteGroup.from_table(
         [[mul(a, b) for b in range(8)] for a in range(8)]
     )
+
+
+def inner_postgroups(group: FiniteGroup) -> list[PostGroup]:
+    """All inner post-group structures: one conjugator representative per
+    inner automorphism and element, filtered by the weighted associativity
+    with early exit (the automorphism axiom holds for conjugations)."""
+    n = group.order
+    reps = []
+    seen = set()
+    for c in range(n):
+        key = tuple(group.conjugate(c, b) for b in range(n))
+        if key not in seen:
+            seen.add(key)
+            reps.append(c)
+    conj = {c: tuple(group.conjugate(c, b) for b in range(n)) for c in reps}
+    valid = []
+    for images in product(reps, repeat=n):
+        tri = [conj[images[a]] for a in range(n)]
+        ok = True
+        for a in range(n):
+            ta = tri[a]
+            for b in range(n):
+                tl = tri[group.mul(a, ta[b])]
+                tb = tri[b]
+                for c in range(n):
+                    if tl[c] != ta[tb[c]]:
+                        ok = False
+                        break
+                if not ok:
+                    break
+            if not ok:
+                break
+        if ok:
+            valid.append(PostGroup(group, tuple(tri)))
+    return valid
 
 
 @pytest.fixture

@@ -20,12 +20,12 @@ from postrb.groups import (
     center_group,
     check_group,
     cyclic_group,
+    generating_set,
 )
 from postrb.group_obstruction import (
     GroupTwoCocycle,
     coboundary_solve_group,
     construct_rb_from_obstruction_group,
-    generating_set,
     group_tower_certificates,
     obstruction_cocycle_group,
     pullback_group,
@@ -41,6 +41,8 @@ from postrb.postgroup import (
     sub_adjacent_group,
 )
 from postrb.scalars import IntMatrix, solve_linear_congruences
+
+from conftest import inner_postgroups
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
@@ -468,45 +470,10 @@ class TestDifferenceCocycle:
         assert diff is None
 
 
-def _scan_inner_postgroups(group):
-    """All inner post-group structures: one conjugator representative per
-    inner automorphism and element, filtered by the weighted associativity
-    with early exit (the automorphism axiom holds for conjugations)."""
-    n = group.order
-    reps = []
-    seen = set()
-    for c in range(n):
-        key = tuple(group.conjugate(c, b) for b in range(n))
-        if key not in seen:
-            seen.add(key)
-            reps.append(c)
-    conj = {c: tuple(group.conjugate(c, b) for b in range(n)) for c in reps}
-    valid = []
-    for images in product(reps, repeat=n):
-        tri = [conj[images[a]] for a in range(n)]
-        ok = True
-        for a in range(n):
-            ta = tri[a]
-            for b in range(n):
-                tl = tri[group.mul(a, ta[b])]
-                tb = tri[b]
-                for c in range(n):
-                    if tl[c] != ta[tb[c]]:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if ok:
-            valid.append(PostGroup(group, tuple(tri)))
-    return valid
-
-
 class TestInnerCensus:
     def _classify(self, group):
         trivial = nontrivial = 0
-        for pg in _scan_inner_postgroups(group):
+        for pg in inner_postgroups(group):
             from postrb.postgroup import check_postgroup_axioms
 
             assert check_postgroup_axioms(pg).ok
