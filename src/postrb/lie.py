@@ -7,8 +7,9 @@ row echelon form so equality and membership are plain entry comparisons.
 
 Every product given by such a table (the bracket, a post-Lie product, the
 induced product [R(x), y]) is evaluated by the single evaluator in this
-module: ``bilinear`` for one product x.y and ``left_columns`` for the
-products x.e_j against every basis vector.  The linear map x -> (y -> x.y)
+module: ``bilinear`` for one product x.y, ``left_columns`` for the
+products x.e_j against every basis vector and ``row_combination`` for the
+product e_i.v of a basis vector with any v.  The linear map x -> (y -> x.y)
 has one matrix, ``coefficient_matrix``, behind the center, the inner
 derivations and the innerness-witness solve.
 """
@@ -74,6 +75,18 @@ def left_columns(table: StructureTable, x: Sequence[ScalarLike]) -> tuple[Vector
                         col[k] = col[k] + v[i] * row[k]
         cols.append(tuple(col))
     return tuple(cols)
+
+
+def row_combination(table: StructureTable, i: int, v: Vector) -> Vector:
+    """The product e_i.v = sum_m v_m table[i][m], a combination of row i."""
+    row = table[i]
+    out = [ZERO] * len(row)
+    for m, c in enumerate(v):
+        if c:
+            for k, x in enumerate(row[m]):
+                if x:
+                    out[k] = out[k] + c * x
+    return tuple(out)
 
 
 @dataclass(frozen=True)

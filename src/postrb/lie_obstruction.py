@@ -118,11 +118,14 @@ def obstruction_cocycle(p: PostLieAlgebra, witness: LinearMap) -> LieTwoCochain:
     """
     if not is_witness(p, witness):
         raise ValueError("supplied map is not an innerness witness for this product")
-    return _defect(p, witness, sub_adjacent(p))
+    return _defect(p, witness, sub_adjacent(p), center(p.base))
 
 
-def _defect(p: PostLieAlgebra, witness: LinearMap, sub: LieAlgebra) -> LieTwoCochain:
-    """``obstruction_cocycle`` for a known witness, on the sub-adjacent algebra ``sub``."""
+def _defect(
+    p: PostLieAlgebra, witness: LinearMap, sub: LieAlgebra, z: Subspace
+) -> LieTwoCochain:
+    """``obstruction_cocycle`` for a known witness, on the sub-adjacent
+    algebra ``sub``, with values in the center ``z`` of ``p.base``."""
     n = p.dim
     pairs = {}
     for i in range(n):
@@ -132,7 +135,7 @@ def _defect(p: PostLieAlgebra, witness: LinearMap, sub: LieAlgebra) -> LieTwoCoc
                 tuple(-x for x in witness.apply(sub.sc[i][j])),
             )
             pairs[(i, j)] = value
-    return LieTwoCochain.from_pairs(n, center(p.base), pairs)
+    return LieTwoCochain.from_pairs(n, z, pairs)
 
 
 def verify_lie_2cocycle(cochain: LieTwoCochain, sub: LieAlgebra) -> bool:
@@ -195,7 +198,7 @@ def construct_rb_from_obstruction(
     elif not is_witness(p, witness):
         raise ValueError("supplied map is not an innerness witness for this product")
     sub = sub_adjacent(p)
-    cochain = _defect(p, witness, sub)
+    cochain = _defect(p, witness, sub, center(p.base))
     if not verify_lie_2cocycle(cochain, sub):
         raise AssertionError("defect of a valid witness must be a 2-cocycle")
     correction = coboundary_solve(cochain, sub)

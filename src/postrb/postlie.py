@@ -20,13 +20,13 @@ from .lie import (
     check_jacobi,
     coefficient_matrix,
     left_columns,
+    row_combination,
 )
 from .scalars import (
     ExactMatrix,
     ScalarLike,
     Vector,
     _solve_columns,
-    unit_vector,
     vec_add,
     vec_sub,
     vector,
@@ -138,32 +138,52 @@ class PostLieReport:
 
 
 def check_postlie_axioms(p: PostLieAlgebra) -> PostLieReport:
-    """Check x>[y,z] = [x>y,z]+[y,x>z] and the weighted associativity."""
+    """Check x>[y,z] = [x>y,z]+[y,x>z] and the weighted associativity.
+
+    The failures are the basis triples (i, j, k), in lexicographic order,
+    where the derivation identity
+        D(i,j,k):  e_i > [e_j,e_k] = [e_i > e_j, e_k] + [e_j, e_i > e_k]
+    or the weighted identity
+        W(i,j,k):  [e_i,e_j]_sub > e_k = e_i > (e_j > e_k) - e_j > (e_i > e_k)
+    fails, [x,y]_sub = x>y - y>x + [x,y] being the sub-adjacent bracket.
+    Each identity is antisymmetric in one pair of indices, so half of the
+    triples decide it.  ``LieAlgebra`` enforces an antisymmetric bracket
+    table, so both sides of D change sign when j and k are swapped: D(i,j,k)
+    fails exactly when D(i,k,j) does.  ``sub_adjacent_table`` is
+    antisymmetric too, so both sides of W change sign when i and j are
+    swapped.  On the diagonal both sides of each identity are zero.  So D is
+    checked for j < k and W for i < j, and each failing triple is reported
+    together with its mirror.
+
+    [e_j, v] and e_i > v are combinations of row j of the bracket table and
+    row i of the product table (``row_combination``), and [e_i>e_j, e_k] is
+    -[e_k, e_i>e_j].
+    """
     n = p.dim
-    base = p.base
+    sc, tc = p.base.sc, p.tc
     derivation_bad = []
-    weighted_bad = []
-    units = [unit_vector(n, k) for k in range(n)]
-    subs = sub_adjacent_table(base.sc, p.tc)
     for i in range(n):
+        tci = tc[i]
         for j in range(n):
-            products = left_columns(base.sc, p.tc[i][j])
-            for k in range(n):
-                lhs = p.triangle(units[i], base.sc[j][k])
-                rhs = vec_add(products[k], base.bracket(units[j], p.tc[i][k]))
+            for k in range(j + 1, n):
+                lhs = row_combination(tc, i, sc[j][k])
+                rhs = vec_sub(
+                    row_combination(sc, j, tci[k]), row_combination(sc, k, tci[j])
+                )
                 if lhs != rhs:
-                    derivation_bad.append((i, j, k))
+                    derivation_bad += [(i, j, k), (i, k, j)]
+    weighted_bad = []
+    subs = sub_adjacent_table(sc, tc)
     for i in range(n):
-        for j in range(n):
-            products = left_columns(p.tc, subs[i][j])
+        for j in range(i + 1, n):
+            products = left_columns(tc, subs[i][j])
             for k in range(n):
                 rhs = vec_sub(
-                    p.triangle(units[i], p.tc[j][k]),
-                    p.triangle(units[j], p.tc[i][k]),
+                    row_combination(tc, i, tc[j][k]), row_combination(tc, j, tc[i][k])
                 )
                 if products[k] != rhs:
-                    weighted_bad.append((i, j, k))
-    return PostLieReport(tuple(derivation_bad), tuple(weighted_bad))
+                    weighted_bad += [(i, j, k), (j, i, k)]
+    return PostLieReport(tuple(sorted(derivation_bad)), tuple(sorted(weighted_bad)))
 
 
 def sub_adjacent_table(sc: StructureTable, tc: StructureTable) -> StructureTable:

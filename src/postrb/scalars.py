@@ -1,13 +1,17 @@
-"""Exact scalars and dense exact linear algebra.
+"""Exact scalars and exact linear algebra.
 
 Everything in this library is computed over the Gaussian rationals Q(i).
 Each part of a ``GaussianRational`` is an ``int`` when its value is integral
 and a reduced ``fractions.Fraction`` (denominator > 1) otherwise, so the
 integral entries that dominate real workloads cost plain ``int``
 arithmetic.  There is no floating point anywhere: float arguments are
-rejected, results are exact and runs are bit-for-bit reproducible.  Integer
-matrices (used for the congruence solves over finite abelian groups) get a
-Smith normal form with unimodular transforms.
+rejected, results are exact and runs are bit-for-bit reproducible.
+
+An ``ExactMatrix`` is a dense immutable tuple of rows, but elimination
+(``rref``, and through it every solve, rank, inverse and subspace) works on
+sparse rows that hold only their nonzero columns.  Integer matrices (used
+for the congruence solves over finite abelian groups) get a Smith normal
+form with unimodular transforms.
 """
 
 from __future__ import annotations
@@ -205,6 +209,14 @@ Vector = tuple[GaussianRational, ...]
 
 
 def vector(values: Iterable[ScalarLike]) -> Vector:
+    """``values`` as a tuple of ``GaussianRational``; a tuple that already
+    is one is returned unchanged."""
+    if values.__class__ is tuple:
+        for v in values:
+            if v.__class__ is not GaussianRational:
+                break
+        else:
+            return values
     return tuple(GaussianRational.of(v) for v in values)
 
 
@@ -362,31 +374,64 @@ def hstack(left: ExactMatrix, right: ExactMatrix) -> ExactMatrix:
 
 
 def rref(matrix: ExactMatrix) -> tuple[ExactMatrix, tuple[int, ...]]:
-    """Reduced row echelon form and the pivot column indices."""
-    rows = [list(r) for r in matrix.entries]
-    nrows, ncols = matrix.rows, matrix.cols
+    """Reduced row echelon form and the pivot column indices.
+
+    Each working row is a dict of its nonzero entries by column.  The pivot
+    row is scaled only when its pivot is not 1, elimination visits only the
+    pivot row's nonzero entries, and an entry that cancels is deleted.  The
+    arithmetic on the nonzero entries is that of the dense elimination, so
+    the result is the same exact matrix.
+    """
+    ncols = matrix.cols
+    rows = [{c: x for c, x in enumerate(r) if x} for r in matrix.entries]
+    nrows = len(rows)
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
+        if r == nrows:
+            break
         pivot_row = None
         for i in range(r, nrows):
-            if rows[i][c]:
+            if c in rows[i]:
                 pivot_row = i
                 break
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = rows[r][c].inverse()
-        rows[r] = [x * inv for x in rows[r]]
+        prow = rows[r]
+        x = prow[c]
+        if x != ONE:
+            inv = x.inverse()
+            prow = rows[r] = {k: v * inv for k, v in prow.items()}
+        # The pivot column of every other row becomes zero: pop it, and
+        # eliminate over the remaining entries of the pivot row.
+        others = [(k, v) for k, v in prow.items() if k != c]
         for i in range(nrows):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+            if i == r:
+                continue
+            row = rows[i]
+            f = row.pop(c, None)
+            if f is None:
+                continue
+            for k, b in others:
+                a = row.get(k)
+                if a is None:
+                    row[k] = -(f * b)
+                else:
+                    a = a - f * b
+                    if a:
+                        row[k] = a
+                    else:
+                        del row[k]
         pivots.append(c)
         r += 1
-        if r == nrows:
-            break
-    return ExactMatrix(tuple(tuple(row) for row in rows), ncols), tuple(pivots)
+    dense = []
+    for row in rows:
+        out = [ZERO] * ncols
+        for k, v in row.items():
+            out[k] = v
+        dense.append(tuple(out))
+    return ExactMatrix(tuple(dense), ncols), tuple(pivots)
 
 
 def nullspace(matrix: ExactMatrix) -> tuple[Vector, ...]:

@@ -217,7 +217,7 @@ def scan_algebra(
         witness = LinearMap.from_columns([grid[c] for c in idx])
         post = PostLieAlgebra(algebra, tuple(ads[c] for c in idx))
         sub = sub_adjacent(post)
-        if coboundary_solve(_defect(post, witness, sub), sub) is None:
+        if coboundary_solve(_defect(post, witness, sub, z), sub) is None:
             nontrivial += 1
             if len(examples) < max_examples:
                 examples.append(ScanFinding(name, witness, trivial_class=False))

@@ -1,12 +1,15 @@
 """Post-Lie axioms, sub-adjacent bracket, Rota-Baxter constructions, witnesses."""
 
+from itertools import product
+
 import pytest
 
 from postrb.errors import NotRotaBaxterError
-from postrb.lie import LieAlgebra, center, check_jacobi
+from postrb.lie import LieAlgebra, center, change_basis, check_jacobi
 from postrb.postlie import (
     LinearMap,
     PostLieAlgebra,
+    PostLieReport,
     check_postlie_axioms,
     check_rota_baxter,
     from_rota_baxter,
@@ -14,9 +17,11 @@ from postrb.postlie import (
     is_witness,
     sub_adjacent,
 )
-from postrb.scalars import gaussian, is_zero_vector, vector
+from postrb.scalars import ExactMatrix, ONE, ZERO, gaussian, is_zero_vector, vector
 
 from conftest import (
+    make_heisenberg,
+    make_solvable,
     make_sl2,
     make_sl2_operator,
     sl2_triangle_table,
@@ -55,6 +60,125 @@ class TestAxioms:
         for algebra, op in cases:
             p = from_rota_baxter(algebra, op)
             assert check_postlie_axioms(p).ok
+
+
+def _product(table, x, y):
+    """sum_{i,j} x_i y_j table[i][j], written out for the reference."""
+    n = len(table)
+    out = [ZERO] * n
+    for i in range(n):
+        for j in range(n):
+            if x[i] and y[j]:
+                for k in range(n):
+                    out[k] = out[k] + x[i] * y[j] * table[i][j][k]
+    return tuple(out)
+
+
+def _plus(*vectors):
+    return tuple(sum(parts, ZERO) for parts in zip(*vectors))
+
+
+def _minus(v):
+    return tuple(-x for x in v)
+
+
+def reference_report(p: PostLieAlgebra) -> PostLieReport:
+    """Both axioms on every basis triple (i, j, k), in lexicographic order."""
+    n = p.dim
+    sc, tc = p.base.sc, p.tc
+    units = [tuple(ONE if q == k else ZERO for q in range(n)) for k in range(n)]
+
+    def tri(x, y):
+        return _product(tc, x, y)
+
+    def br(x, y):
+        return _product(sc, x, y)
+
+    derivation, weighted = [], []
+    for i, j, k in product(range(n), repeat=3):
+        ei, ej, ek = units[i], units[j], units[k]
+        # e_i > [e_j, e_k] = [e_i > e_j, e_k] + [e_j, e_i > e_k]
+        lhs = tri(ei, br(ej, ek))
+        rhs = _plus(br(tri(ei, ej), ek), br(ej, tri(ei, ek)))
+        if lhs != rhs:
+            derivation.append((i, j, k))
+        # (e_i > e_j - e_j > e_i + [e_i, e_j]) > e_k
+        #     = e_i > (e_j > e_k) - e_j > (e_i > e_k)
+        sub = _plus(tri(ei, ej), _minus(tri(ej, ei)), br(ei, ej))
+        lhs = tri(sub, ek)
+        rhs = _plus(tri(ei, tri(ej, ek)), _minus(tri(ej, tri(ei, ek))))
+        if lhs != rhs:
+            weighted.append((i, j, k))
+    return PostLieReport(tuple(derivation), tuple(weighted))
+
+
+def _perturbed(p: PostLieAlgebra, i, j, k, delta) -> PostLieAlgebra:
+    table = [[list(v) for v in row] for row in p.tc]
+    table[i][j][k] = table[i][j][k] + delta
+    return PostLieAlgebra.from_table(p.base, table)
+
+
+def _complex_basis_case() -> PostLieAlgebra:
+    """The paper's sl2 operator moved to the Gaussian basis with columns
+    (1, i, 0), (0, 1, 1+i), (i, 0, 1)."""
+    transform = ExactMatrix.from_columns(
+        [[1, gaussian(0, 1), 0], [0, 1, gaussian(1, 1)], [gaussian(0, 1), 0, 1]]
+    )
+    algebra = change_basis(make_sl2(), transform)
+    operator = LinearMap(transform.inverse() @ make_sl2_operator().matrix @ transform)
+    return from_rota_baxter(algebra, operator)
+
+
+PERTURBATION_BASES = {
+    "sl2": lambda: PostLieAlgebra(make_sl2(), sl2_triangle_table()),
+    "solvable": lambda: from_rota_baxter(
+        make_solvable(), solvable_witness(alpha=1, beta=0, gamma=2)
+    ),
+}
+
+
+class TestAxiomReportMatchesReference:
+    """``check_postlie_axioms`` reports exactly the failing triples of the
+    n^3 reference, in the same order."""
+
+    @pytest.mark.parametrize("name", sorted(PERTURBATION_BASES))
+    @pytest.mark.parametrize("delta", [gaussian(1), gaussian(-2, 1)])
+    def test_one_entry_perturbations(self, name, delta):
+        p = PERTURBATION_BASES[name]()
+        assert check_postlie_axioms(p) == reference_report(p)
+        failing = 0
+        for i, j, k in product(range(3), repeat=3):
+            q = _perturbed(p, i, j, k, delta)
+            report = check_postlie_axioms(q)
+            assert report == reference_report(q), (i, j, k)
+            failing += not report.ok
+        assert failing > 20
+
+    def test_complex_basis(self):
+        p = _complex_basis_case()
+        assert check_postlie_axioms(p).ok
+        assert reference_report(p).ok
+        for i, j, k in product(range(3), repeat=3):
+            q = _perturbed(p, i, j, k, gaussian(0, 1))
+            assert check_postlie_axioms(q) == reference_report(q), (i, j, k)
+
+    def test_only_derivation_identity_fails(self):
+        p = PostLieAlgebra.from_products(
+            make_heisenberg(), {(0, 2): [0, 0, -1], (1, 1): [1, 1, 0]}
+        )
+        report = check_postlie_axioms(p)
+        assert report == reference_report(p)
+        assert report.derivation_failures == ((0, 0, 1), (0, 1, 0), (1, 0, 1), (1, 1, 0))
+        assert report.weighted_failures == ()
+
+    def test_only_weighted_identity_fails(self):
+        p = PostLieAlgebra.from_products(
+            make_heisenberg(), {(0, 1): [-1, 0, 1], (1, 0): [0, -1, 0]}
+        )
+        report = check_postlie_axioms(p)
+        assert report == reference_report(p)
+        assert report.derivation_failures == ()
+        assert report.weighted_failures == ((0, 1, 0), (0, 1, 1), (1, 0, 0), (1, 0, 1))
 
 
 class TestSubAdjacent:

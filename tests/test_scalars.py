@@ -132,6 +132,136 @@ class TestRref:
         assert red == ExactMatrix.identity(2)
 
 
+def dense_rref(matrix):
+    """The dense elimination that ``rref`` replaced, kept as its oracle."""
+    rows = [list(r) for r in matrix.entries]
+    nrows, ncols = matrix.rows, matrix.cols
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = None
+        for i in range(r, nrows):
+            if rows[i][c]:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = rows[r][c].inverse()
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return ExactMatrix(tuple(tuple(row) for row in rows), ncols), tuple(pivots)
+
+
+def _assert_rref_matches_oracle(matrix):
+    red, pivots = rref(matrix)
+    assert (red, pivots) == dense_rref(matrix)
+    assert red.width == matrix.width and red.rows == matrix.rows
+    assert all(x.__class__ is GaussianRational for row in red.entries for x in row)
+
+
+GAUSSIAN_ENTRIES = [
+    gaussian(1),
+    gaussian(-1),
+    gaussian(2),
+    gaussian(0, 1),
+    gaussian(3, -2),
+    gaussian(Fraction(1, 2)),
+    gaussian(Fraction(-2, 3), Fraction(1, 5)),
+    gaussian(0, Fraction(-3, 4)),
+]
+
+
+def _seeded_matrix(rng, rows, cols, density):
+    return ExactMatrix(
+        tuple(
+            tuple(
+                rng.choice(GAUSSIAN_ENTRIES) if rng.random() < density else ZERO
+                for _ in range(cols)
+            )
+            for _ in range(rows)
+        ),
+        cols,
+    )
+
+
+@st.composite
+def gaussian_matrices(draw, max_rows=6, max_cols=7):
+    """Small matrices over Q(i), empty ones included; entries are zero half
+    the time, and some rows are copies of combinations of others so that
+    rank-deficient shapes are common."""
+    rows = draw(st.integers(0, max_rows))
+    cols = draw(st.integers(0, max_cols))
+    entry = st.one_of(st.just(ZERO), st.sampled_from(GAUSSIAN_ENTRIES))
+    entries = draw(
+        st.lists(
+            st.lists(entry, min_size=cols, max_size=cols),
+            min_size=rows,
+            max_size=rows,
+        )
+    )
+    if rows >= 2 and draw(st.booleans()):
+        a, b = entries[0], entries[1]
+        s = draw(st.sampled_from(GAUSSIAN_ENTRIES))
+        entries[-1] = [x + s * y for x, y in zip(a, b)]
+    return ExactMatrix(tuple(tuple(r) for r in entries), cols)
+
+
+class TestRrefOracle:
+    """``rref`` gives exactly the dense elimination's matrix and pivots."""
+
+    @settings(database=None, derandomize=True, max_examples=200)
+    @given(gaussian_matrices())
+    def test_hypothesis_matrices(self, matrix):
+        _assert_rref_matches_oracle(matrix)
+
+    @pytest.mark.parametrize("density", [0.15, 0.4, 1.0])
+    def test_seeded_matrices(self, density):
+        rng = random.Random(2024)
+        for _ in range(30):
+            rows, cols = rng.randint(1, 12), rng.randint(1, 12)
+            _assert_rref_matches_oracle(_seeded_matrix(rng, rows, cols, density))
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            ExactMatrix((), 4),
+            ExactMatrix((), 0),
+            ExactMatrix(((), (), ()), 0),
+            ExactMatrix.zeros(3, 5),
+            ExactMatrix.from_rows([[0, 2, 0, I, 1, 0, 3], [0, 4, 1, 0, 0, 0, 0]]),
+            ExactMatrix.from_rows([[2], [I], [0], [3], [gaussian(1, 1)]]),
+            ExactMatrix.from_rows([[1, 2, 3], [2, 4, 6], [I, 2 * I, 3 * I], [0, 0, 0]]),
+            ExactMatrix.from_rows([[0, 0, 5], [0, 3, 1], [2, 1, 0]]),
+            ExactMatrix.from_rows([[gaussian(1, 1), 2, I], [I, gaussian(0, -2), 1]]),
+            ExactMatrix.from_rows(
+                [[gaussian(Fraction(2, 3), 1), 0, 1], [0, gaussian(0, Fraction(1, 2)), 1]]
+            ),
+        ],
+        ids=[
+            "zero-rows",
+            "zero-rows-no-columns",
+            "no-columns",
+            "all-zero",
+            "wide",
+            "tall",
+            "rank-deficient",
+            "non-unit-pivots",
+            "complex-pivots",
+            "fractional-complex-pivots",
+        ],
+    )
+    def test_edge_shapes(self, matrix):
+        _assert_rref_matches_oracle(matrix)
+
+
 class TestSolveAffine:
     def test_identity_system(self):
         sol = solve_affine(ExactMatrix.identity(2), [ONE, I])
