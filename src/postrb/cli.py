@@ -42,7 +42,7 @@ from .postgroup import (
     enumerate_rb_operators,
     induced_triangle,
 )
-from .postlie import check_postlie_axioms, check_rota_baxter, induced_table
+from .postlie import check_postlie_axioms, check_rota_baxter, induced_table, is_witness
 from .tower import build_tower, tower_report
 
 EXIT_OK = 0
@@ -187,6 +187,8 @@ def _cmd_obstruction(args) -> tuple[Report, int]:
     doc = _validated_postlie(args)
     report = Report([], {})
     witness = doc.linear_maps.get(WITNESS_MAP)
+    if witness is not None and not is_witness(doc.post_lie, witness):
+        raise _AxiomFailure("map witness does not induce the product")
     result = construct_rb_from_obstruction(doc.post_lie, witness=witness)
     report.add("inner", True, "witness found")
     report.add("cocycle", True, "defect verified as a 2-cocycle on the sub-adjacent algebra")
@@ -499,7 +501,8 @@ def _parser() -> argparse.ArgumentParser:
 # classes derives from another, so at most one matches.
 _EXIT_CODES = {
     ParseError: EXIT_PARSE,
-    FileNotFoundError: EXIT_PARSE,
+    OSError: EXIT_PARSE,
+    UnicodeDecodeError: EXIT_PARSE,
     _AxiomFailure: EXIT_AXIOM,
     NotRotaBaxterError: EXIT_AXIOM,
     NotInnerError: EXIT_NOT_INNER,

@@ -172,15 +172,22 @@ class _Lines:
         return self.rows[-1][0] if self.rows else 0
 
 
+def _header_integer(no: int, text: str, letter: str) -> int:
+    """The integer of a header line 'keyword n' that has exactly two tokens."""
+    keyword, *values = text.split()
+    try:
+        (value,) = values
+        return int(value)
+    except ValueError:
+        raise ParseError(no, f"expected '{keyword} {letter}' with integer {letter}") from None
+
+
 def _parse_lie_side(lines: _Lines, kind: str) -> AlgebraDocument:
     row = lines.peek()
-    if row is None or not row[1].startswith("dim"):
+    if row is None or row[1].split()[0] != "dim":
         raise ParseError(row[0] if row else lines.last_line, "expected 'dim n'")
     no, text = lines.take()
-    try:
-        dim = int(text.split()[1])
-    except (IndexError, ValueError):
-        raise ParseError(no, "expected 'dim n' with integer n") from None
+    dim = _header_integer(no, text, "n")
     if dim <= 0:
         raise ParseError(no, "dimension must be positive")
 
@@ -219,7 +226,7 @@ def _parse_lie_side(lines: _Lines, kind: str) -> AlgebraDocument:
             rows = []
             for _ in range(dim):
                 nxt = lines.peek()
-                if nxt is None or not nxt[1].startswith("row"):
+                if nxt is None or nxt[1].split()[0] != "row":
                     raise ParseError(
                         nxt[0] if nxt else lines.last_line,
                         f"map {name!r} needs {dim} 'row' lines",
@@ -284,18 +291,13 @@ def _parse_group_side(
     names: tuple[str, ...] | None = None
     degree: int | None = None
 
-    if text.startswith("order"):
-        try:
-            order = int(text.split()[1])
-        except (IndexError, ValueError):
-            raise ParseError(no, "expected 'order n' with integer n") from None
+    keyword = text.split()[0]
+    if keyword == "order":
+        order = _header_integer(no, text, "n")
         if order <= 0:
             raise ParseError(no, "order must be positive")
-    elif text.startswith("generators"):
-        try:
-            degree = int(text.split()[1])
-        except (IndexError, ValueError):
-            raise ParseError(no, "expected 'generators d' with integer d") from None
+    elif keyword == "generators":
+        degree = _header_integer(no, text, "d")
         if degree <= 0:
             raise ParseError(no, "degree must be positive")
     else:
@@ -329,7 +331,7 @@ def _parse_group_side(
                 raise ParseError(no, f"generator is not a permutation of 0..{degree - 1}")
             generators.append(perm)
             group = None
-        elif text.startswith("names"):
+        elif text.split()[0] == "names":
             names = tuple(text.split()[1:])
         elif text == "triangle":
             if kind != "postgroup":

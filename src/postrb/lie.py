@@ -298,6 +298,12 @@ def center(algebra: LieAlgebra) -> Subspace:
 def derivations(algebra: LieAlgebra) -> Subspace:
     """Solution space of D[x,y] = [Dx,y] + [x,Dy], flattened row-major in K^(n^2)."""
     n = algebra.dim
+    return Subspace.from_spanning(n * n, nullspace(_derivation_system(algebra)))
+
+
+def _derivation_system(algebra: LieAlgebra) -> ExactMatrix:
+    """The equations of ``derivations``: one row per i < j and component k."""
+    n = algebra.dim
     rows = []
     for i in range(n):
         for j in range(i + 1, n):
@@ -315,11 +321,8 @@ def derivations(algebra: LieAlgebra) -> Subspace:
                 for p in range(n):
                     if algebra.sc[i][p][k]:
                         row[p * n + j] = row[p * n + j] - algebra.sc[i][p][k]
-                rows.append(row)
-    if not rows:
-        return Subspace.full(n * n)
-    system = ExactMatrix.from_rows(rows, width=n * n)
-    return Subspace.from_spanning(n * n, nullspace(system))
+                rows.append(tuple(row))
+    return ExactMatrix(tuple(rows), n * n)
 
 
 def inner_derivations(algebra: LieAlgebra) -> Subspace:
@@ -354,10 +357,14 @@ def killing_semisimple(algebra: LieAlgebra) -> tuple[ExactMatrix, bool]:
 
 
 def is_complete(algebra: LieAlgebra) -> bool:
-    """Zero center and every derivation inner."""
-    if center(algebra).dim != 0:
-        return False
-    return derivations(algebra).dim == inner_derivations(algebra).dim
+    """Zero center and every derivation inner.
+
+    The coefficient matrix has rank n - dim center, and its columns ad e_c
+    span the inner derivations, so both are read off that one rank.
+    """
+    n = algebra.dim
+    inner = coefficient_matrix(algebra.sc).rank()
+    return inner == n and n * n - _derivation_system(algebra).rank() == inner
 
 
 def _bracket_subspace(algebra: LieAlgebra, a: Subspace, b: Subspace) -> Subspace:
@@ -386,13 +393,16 @@ def _series_dims(algebra: LieAlgebra, lower_central: bool) -> tuple[int, ...]:
 
 
 def invariant_fingerprint(algebra: LieAlgebra) -> Fingerprint:
+    """The dimensions of the center and of the derivations are read off as
+    n - rank and n^2 - rank of their defining systems."""
+    n = algebra.dim
     return Fingerprint(
-        dim=algebra.dim,
-        center_dim=center(algebra).dim,
+        dim=n,
+        center_dim=n - coefficient_matrix(algebra.sc).rank(),
         killing_rank=_killing_form(algebra).rank(),
         derived_dims=_series_dims(algebra, lower_central=False),
         lower_central_dims=_series_dims(algebra, lower_central=True),
-        derivation_dim=derivations(algebra).dim,
+        derivation_dim=n * n - _derivation_system(algebra).rank(),
     )
 
 

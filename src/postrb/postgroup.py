@@ -13,13 +13,15 @@ branching.  That prunes |G|^|G| down to a tiny tree at desk scale.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from operator import itemgetter
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import NotRotaBaxterError
 from .groups import (
     FiniteGroup,
     GroupMap,
+    _differing_entries,
     conjugation_rows,
     generating_set,
     group_violations,
@@ -83,64 +85,57 @@ def check_postgroup_axioms(pg: PostGroup) -> PostGroupReport:
 
     In a finite group the products of generators are all elements.  When
     both tests pass, the report lists only the non-bijective rows; on a
-    failure or a base that is not a group, both identities are scanned over
-    all triples and every failing triple is reported in lexicographic order.
+    failure or a base that is not a group, both identities are tested at
+    every c and every failing triple is reported in lexicographic order.
     """
     g = pg.base
     n = g.order
     non_bijective = tuple(
         a for a, row in enumerate(pg.triangle) if sorted(row) != list(range(n))
     )
-    if is_group_table(g.table, g.identity) and _axioms_hold_on_generators(pg):
-        return PostGroupReport(non_bijective, (), ())
-    return PostGroupReport(non_bijective, *_postgroup_failures(pg))
+    if is_group_table(g.table, g.identity):
+        generators = generating_set(g.table, g.identity)
+        failures = chain(
+            _automorphism_failures(pg, generators), _weighted_failures(pg, generators)
+        )
+        if next(failures, None) is None:
+            return PostGroupReport(non_bijective, (), ())
+    elements = range(n)
+    return PostGroupReport(
+        non_bijective,
+        tuple(sorted(_automorphism_failures(pg, elements))),
+        tuple(sorted(_weighted_failures(pg, elements))),
+    )
 
 
-def _axioms_hold_on_generators(pg: PostGroup) -> bool:
-    """Both post-group identities at every c in a generating set of the base."""
-    g = pg.base
+def _automorphism_failures(
+    pg: PostGroup, tested: Iterable[int]
+) -> Iterator[tuple[int, int, int]]:
+    """The triples (a, b, c), c in ``tested``, with L_a(b c) != L_a(b) L_a(c)."""
     triangle = pg.triangle
-    columns = tuple(zip(*g.table))  # columns[c][b] = b c
+    columns = tuple(zip(*pg.base.table))  # columns[c][b] = b c
     row_getters = [itemgetter(*row) for row in triangle]
-    generators = generating_set(g.table, g.identity)
-    for c in generators:
+    for c in tested:
         # Row a of each side: b -> L_a(b c) and b -> L_a(b) L_a(c).
         left = list(map(itemgetter(*columns[c]), triangle))
         right = [get(columns[row[c]]) for get, row in zip(row_getters, triangle)]
         if left != right:
-            return False
-    sub_getters = [itemgetter(*row) for row in sub_adjacent_table(g, triangle)]
-    for c in generators:
+            yield from ((a, b, c) for a, b in _differing_entries(left, right))
+
+
+def _weighted_failures(
+    pg: PostGroup, tested: Iterable[int]
+) -> Iterator[tuple[int, int, int]]:
+    """The triples (a, b, c), c in ``tested``, with (a o b) > c != a > (b > c)."""
+    triangle = pg.triangle
+    sub_getters = [itemgetter(*row) for row in sub_adjacent_table(pg.base, triangle)]
+    for c in tested:
         column = tuple(row[c] for row in triangle)  # b > c for every b
         # Row a of each side: b -> (a o b) > c and b -> a > (b > c).
         left = [get(column) for get in sub_getters]
-        if left != list(map(itemgetter(*column), triangle)):
-            return False
-    return True
-
-
-def _postgroup_failures(
-    pg: PostGroup,
-) -> tuple[tuple[tuple[int, int, int], ...], tuple[tuple[int, int, int], ...]]:
-    """Every failing triple of the automorphism and the weighted identity."""
-    g = pg.base
-    n = g.order
-    distrib = []
-    weighted = []
-    for a in range(n):
-        row = pg.triangle[a]
-        for b in range(n):
-            for c in range(n):
-                if row[g.mul(b, c)] != g.mul(row[b], row[c]):
-                    distrib.append((a, b, c))
-    sub = sub_adjacent_table(g, pg.triangle)
-    for a in range(n):
-        for b in range(n):
-            left = sub[a][b]
-            for c in range(n):
-                if pg.triangle[left][c] != pg.triangle[a][pg.triangle[b][c]]:
-                    weighted.append((a, b, c))
-    return tuple(distrib), tuple(weighted)
+        right = list(map(itemgetter(*column), triangle))
+        if left != right:
+            yield from ((a, b, c) for a, b in _differing_entries(left, right))
 
 
 def sub_adjacent_group(pg: PostGroup) -> FiniteGroup:
@@ -167,7 +162,7 @@ def sub_adjacent_table(
 ) -> tuple[tuple[int, ...], ...]:
     """The table of a o b = a (a > b) for the product table ``triangle``."""
     table = group.table
-    return tuple(tuple(table[a][x] for x in row) for a, row in enumerate(triangle))
+    return tuple(tuple(map(table[a].__getitem__, row)) for a, row in enumerate(triangle))
 
 
 def check_rb_group(group: FiniteGroup, operator: GroupMap) -> bool:

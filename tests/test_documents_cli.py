@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from postrb import cli
 from postrb.cli import main
 from postrb.documents import (
     expand_permutation_generators,
@@ -216,6 +217,24 @@ class TestParseErrors:
             parse_document(text)
         assert err.value.line == 2
 
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            ("kind lie\ndimension 2 7\n", 2, "expected 'dim n'"),
+            ("kind lie\ndim 2 7\n", 2, "expected 'dim n' with integer n"),
+            ("kind group\norders 2 9\n", 2, "expected 'order n' or 'generators d'"),
+            ("kind group\norder 2 9\n", 2, "expected 'order n' with integer n"),
+            ("kind group\ngenerators 3 1\n", 2, "expected 'generators d' with integer d"),
+            ("kind rb-lie\ndim 1\nmap operator\nrows 0\n", 4, "needs 1 'row' lines"),
+            ("kind rb-lie\ndim 1\nmap operator\nrowdy 0\n", 4, "needs 1 'row' lines"),
+            ("kind group\norder 1\ntable\n0\nnamesake a\n", 5, "unexpected line"),
+        ],
+    )
+    def test_header_keywords_match_exactly(self, text, line, message):
+        with pytest.raises(ParseError, match=message) as err:
+            parse_document(text)
+        assert err.value.line == line
+
 
 class TestGeneratorExpansion:
     def test_transposition(self):
@@ -312,6 +331,20 @@ class TestCli:
     def test_missing_file(self):
         assert main(["check-lie", "--input", "no-such-file.lie"]) == 2
 
+    def test_unreadable_input_exit_code(self, tmp_path, capsys):
+        binary = tmp_path / "latin1.lie"
+        binary.write_bytes(b"kind lie\ndim 1 # caf\xe9\n")
+        for path in (tmp_path, binary):
+            assert main(["check-lie", "--input", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ")
+            assert err.count("\n") == 1
+
+    def test_exit_code_classes_are_disjoint(self):
+        kinds = list(cli._EXIT_CODES)
+        for kind in kinds:
+            assert not any(issubclass(kind, other) for other in kinds if other is not kind)
+
     def test_check_postlie(self, capsys):
         code = main(["check-postlie", "--input", str(SAMPLES / "sl2.post")])
         assert code == 0
@@ -392,6 +425,15 @@ class TestCli:
         out = capsys.readouterr().out
         assert code == 0
         assert "kappa(e1,e2) = -e3" in out
+
+    def test_obstruction_refuses_a_wrong_witness(self, tmp_path, capsys):
+        text = (SAMPLES / "sl2.post").read_text()
+        doc = tmp_path / "wrong_witness.post"
+        doc.write_text(text.replace("row 1 0 0", "row 2 0 0"))
+        assert main(["obstruction", "--input", str(doc)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: map witness does not induce the product\n"
 
     def test_obstruction_not_inner_exit(self, tmp_path, capsys):
         doc = tmp_path / "notinner.post"

@@ -1,13 +1,14 @@
 """The group-side table checks that test a generating set, against triple loops.
 
 ``group_violations``, ``check_postgroup_axioms`` and ``verify_group_2cocycle``
-decide a valid input from the elements of a generating set and rescan every
-triple only to report a failure.  The oracles here are independent
-brute-force loops over all n^3 triples; they never call the library's own
-full scans.
+decide a valid input by testing each identity at the elements of a
+generating set, and run the same test at every element only to report a
+failure.  The oracles here are independent brute-force loops over all n^3
+triples.
 """
 
 import random
+import time
 from itertools import islice, product
 from pathlib import Path
 
@@ -351,17 +352,31 @@ class TestVerifyCocycle:
 
 
 class TestQuickPathOnValidInput:
-    """Valid inputs are decided on a generating set: the full scans only
-    ever run to report a failure."""
+    """Valid inputs are decided on a generating set: a kernel is handed every
+    element only to report a failure."""
 
     @pytest.fixture
-    def no_full_scans(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("a full scan ran on a valid input")
+    def full_sets(self, monkeypatch):
+        """The kernels' calls whose tested elements are all elements, by name."""
+        full = []
 
-        monkeypatch.setattr(groups, "_group_violations_scan", refuse)
-        monkeypatch.setattr(postgroup, "_postgroup_failures", refuse)
-        monkeypatch.setattr(group_obstruction, "_cocycle_identity_scan", refuse)
+        def spy(module, name, position, order):
+            kernel = getattr(module, name)
+
+            def wrapper(*args):
+                args = list(args)
+                args[position] = tested = tuple(args[position])
+                if tested == tuple(range(order(args[0]))):
+                    full.append(name)
+                return kernel(*args)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        spy(groups, "_associativity_failures", 1, len)
+        spy(postgroup, "_automorphism_failures", 1, lambda pg: pg.order)
+        spy(postgroup, "_weighted_failures", 1, lambda pg: pg.order)
+        spy(group_obstruction, "_cocycle_identity_holds_at", 2, lambda w: w.order)
+        return full
 
     @pytest.mark.parametrize(
         "command, sample",
@@ -374,11 +389,12 @@ class TestQuickPathOnValidInput:
             ("enumerate-rb", "s3.grp"),
         ],
     )
-    def test_samples(self, no_full_scans, capsys, command, sample):
+    def test_samples(self, full_sets, capsys, command, sample):
         assert main([command, "--input", str(SAMPLES / sample)]) == 0
         capsys.readouterr()
+        assert full_sets == []
 
-    def test_census_pipeline(self, no_full_scans, census):
+    def test_census_pipeline(self, full_sets, census):
         obstructed = 0
         for pg in census:
             assert check_postgroup_axioms(pg).ok
@@ -387,11 +403,25 @@ class TestQuickPathOnValidInput:
             except NontrivialObstructionError:
                 obstructed += 1
         assert obstructed == 4 + 14
+        assert full_sets == []
 
-    def test_failures_reach_the_full_scans(self, no_full_scans, d4, census):
-        with pytest.raises(AssertionError, match="full scan"):
-            group_violations(swapped(d4, random.Random(1)))
-        with pytest.raises(AssertionError, match="full scan"):
-            check_postgroup_axioms(perturbed(census[0], random.Random(1)))
-        with pytest.raises(AssertionError, match="full scan"):
-            verify_group_2cocycle(make_cocycle(cyclic_group(5), [[0] * 5] * 5), LOOP5)
+    def test_failures_reach_every_element(self, full_sets, d4, census):
+        group_violations(swapped(d4, random.Random(1)))
+        assert set(full_sets) == {"_associativity_failures"}
+        full_sets.clear()
+        check_postgroup_axioms(perturbed(census[0], random.Random(1)))
+        assert set(full_sets) == {"_automorphism_failures", "_weighted_failures"}
+        full_sets.clear()
+        verify_group_2cocycle(make_cocycle(cyclic_group(5), [[0] * 5] * 5), LOOP5)
+        assert full_sets == ["_cocycle_identity_holds_at"]
+
+
+def test_first_violation_of_a_large_loop_is_found_lazily():
+    # LOOP5 x Z40 (order 200) first fails at (40,40,80); the report stops
+    # there instead of testing all 200^3 triples.
+    loop = direct_product(FiniteGroup.from_table(LOOP5), cyclic_group(40))
+    start = time.perf_counter()
+    problems = group_violations(loop, limit=1)
+    elapsed = time.perf_counter() - start
+    assert problems == ("associativity fails at triple (40,40,80)",)
+    assert elapsed < 0.5
