@@ -25,18 +25,20 @@ KINDS = ("lie", "postlie", "group", "postgroup", "rb-lie", "rb-group")
 OPERATOR_MAP = "operator"
 WITNESS_MAP = "witness"
 
-_RATIONAL = r"\d+(?:/\d+)?"
+# ASCII digits only: ``\d`` would also match the digits of other scripts.
+_RATIONAL = r"[0-9]+(?:/[0-9]+)?"
 _SCALAR_RE = re.compile(
     rf"^(?P<sign>[+-])?"
     rf"(?:(?P<imag_only>(?:{_RATIONAL}\*)?i)"
     rf"|(?P<re>{_RATIONAL})"
     rf"(?:(?P<isign>[+-])(?P<im>(?:{_RATIONAL}\*)?i))?)$"
 )
-_BRACKET_RE = re.compile(r"^\[(\d+),(\d+)\]\s*=\s*(.+)$")
-_TRIANGLE_RE = re.compile(r"^(\d+)>(\d+)\s*=\s*(.+)$")
+_BRACKET_RE = re.compile(r"^\[([0-9]+),([0-9]+)\]\s*=\s*(.+)$")
+_TRIANGLE_RE = re.compile(r"^([0-9]+)>([0-9]+)\s*=\s*(.+)$")
 _MAP_RE = re.compile(r"^map\s+([A-Za-z_][A-Za-z0-9_-]*)$")
-_ARROW_RE = re.compile(r"^(\d+)\s*->\s*(\d+)$")
-_TERM_RE = re.compile(r"^(?:(?P<coef>.+)\*)?e(?P<idx>\d+)$")
+_ARROW_RE = re.compile(r"^([0-9]+)\s*->\s*([0-9]+)$")
+_TERM_RE = re.compile(r"^(?:(?P<coef>.+)\*)?e(?P<idx>[0-9]+)$")
+_INTEGERS_RE = re.compile(r"-?[0-9]+(?: -?[0-9]+)*")
 
 
 def parse_scalar(token: str, line: int = 0) -> GaussianRational:
@@ -172,12 +174,20 @@ class _Lines:
         return self.rows[-1][0] if self.rows else 0
 
 
+def _integers(tokens: Sequence[str]) -> list[int]:
+    """Whitespace-free tokens read as an optional '-' and ASCII digits each;
+    ValueError otherwise.  One match per line is cheaper than one per token."""
+    if not _INTEGERS_RE.fullmatch(" ".join(tokens)):
+        raise ValueError(f"not integers: {tokens!r}")
+    return list(map(int, tokens))
+
+
 def _header_integer(no: int, text: str, letter: str) -> int:
     """The integer of a header line 'keyword n' that has exactly two tokens."""
     keyword, *values = text.split()
     try:
-        (value,) = values
-        return int(value)
+        (value,) = _integers(values)
+        return value
     except ValueError:
         raise ParseError(no, f"expected '{keyword} {letter}' with integer {letter}") from None
 
@@ -265,7 +275,7 @@ def _parse_table_rows(lines: _Lines, count: int, width: int, what: str) -> list[
         no, text = lines.take()
         tokens = text.split()
         try:
-            row = [int(t) for t in tokens]
+            row = _integers(tokens)
         except ValueError:
             raise ParseError(no, f"non-integer entry in {what} row") from None
         if len(row) != width:
@@ -324,7 +334,7 @@ def _parse_group_side(
                 raise ParseError(no, "'gen' requires a 'generators d' header")
             tokens = text.split()[1:]
             try:
-                perm = tuple(int(t) for t in tokens)
+                perm = tuple(_integers(tokens))
             except ValueError:
                 raise ParseError(no, "non-integer entry in generator") from None
             if sorted(perm) != list(range(degree)):

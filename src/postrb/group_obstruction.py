@@ -19,12 +19,8 @@ from .groups import (
     GroupMap,
     abelian_decomposition,
     center_group,
-    conjugation_rows,
-    generating_set,
     group_violations,
     is_group_homomorphism,
-    is_group_table,
-    table_identity,
 )
 from .postgroup import (
     PostGroup,
@@ -36,16 +32,14 @@ from .postgroup import (
 )
 from .scalars import IntMatrix, _solve_smith, smith_normal_form
 
-CompositionTable = tuple[tuple[int, ...], ...]
-
 
 @dataclass(frozen=True)
 class GroupTwoCocycle:
     """A normalized 2-cochain on element indices with central values.
 
-    ``value_group`` supplies the multiplication for the values; the
-    composition law of the domain group is passed to the verification and
-    solving operations separately.
+    ``value_group`` supplies the multiplication for the values; the domain
+    group (the sub-adjacent group) is passed to the verification and solving
+    operations separately.
     """
 
     value_group: FiniteGroup
@@ -109,44 +103,40 @@ def _defect_group(
     return GroupTwoCocycle(g, tuple(values), abelian_decomposition(g, center_group(g)))
 
 
-def verify_group_2cocycle(
-    cocycle: GroupTwoCocycle, composition: CompositionTable
-) -> bool:
-    """w(b,c) w(a, b o c) = w(a,b) w(a o b, c) over all triples.
+def verify_group_2cocycle(cocycle: GroupTwoCocycle, domain: FiniteGroup) -> bool:
+    """w(b,c) w(a, b o c) = w(a,b) w(a o b, c) over all triples, where o is
+    the product of ``domain``.
 
-    When ``composition`` is a group (``is_group_table``, with the identity
-    read from the table) and the values lie in a group where they commute,
-    only c in S = ``generating_set(composition, e)`` is tested, n^2 |S|
-    steps instead of n^3.  Write the values additively and let dw(a,b,c) be
-    w(b,c) + w(a, b o c) - w(a,b) - w(a o b, c).  Every cochain satisfies
-    ddw = 0:
+    When ``domain`` is a group (``FiniteGroup.is_group``) and the values lie
+    in a group where they commute, only c in S = ``domain.generators`` is
+    tested, n^2 |S| steps instead of n^3.  Write the values additively and
+    let dw(a,b,c) be w(b,c) + w(a, b o c) - w(a,b) - w(a o b, c).  Every
+    cochain satisfies ddw = 0:
     dw(a,b,c o d) = dw(b,c,d) - dw(a o b,c,d) + dw(a,b o c,d) + dw(a,b,c).
     So if dw vanishes at c and at d for all a, b, it vanishes at c o d; the
     c tested are closed under o, and in a finite group the products of
     generators are all elements.  Any other input is tested at every c.
     """
-    n = cocycle.order
-    if len(composition) != n:
-        raise ValueError("composition table order mismatch")
+    if domain.order != cocycle.order:
+        raise ValueError("domain group order mismatch")
     value_group = cocycle.value_group
     product = value_group.table
     values = {x for row in cocycle.values for x in row}
-    e = table_identity(composition)
-    tested = range(n)
+    tested = range(domain.order)
     if (
-        e is not None
-        and is_group_table(composition, e)
-        and is_group_table(product, value_group.identity)
+        domain.is_group
+        and value_group.is_group
         and all(product[x][y] == product[y][x] for x in values for y in values)
     ):
-        tested = generating_set(composition, e)
-    return _cocycle_identity_holds_at(cocycle, composition, tested)
+        tested = domain.generators
+    return _cocycle_identity_holds_at(cocycle, domain, tested)
 
 
 def _cocycle_identity_holds_at(
-    cocycle: GroupTwoCocycle, composition: CompositionTable, tested: Iterable[int]
+    cocycle: GroupTwoCocycle, domain: FiniteGroup, tested: Iterable[int]
 ) -> bool:
     """The cocycle identity at every a, b and every c in ``tested``."""
+    composition = domain.table
     value_row = cocycle.value_group.table.__getitem__
     w = cocycle.values
     row_getters = [itemgetter(*row) for row in composition]
@@ -164,16 +154,17 @@ def _cocycle_identity_holds_at(
 
 
 def coboundary_solve_group(
-    cocycle: GroupTwoCocycle, composition: CompositionTable
+    cocycle: GroupTwoCocycle, domain: FiniteGroup
 ) -> GroupMap | None:
-    """Find central z with z(e) = e and w(a,b) = z(a) z(b) z(a o b)^-1.
+    """Find central z with z(e) = e and w(a,b) = z(a) z(b) z(a o b)^-1, where
+    o is the product of ``domain``.
 
     Returns None exactly when the class is nonzero.  ``cocycle`` must satisfy
-    the cocycle identity for ``composition`` (``verify_group_2cocycle``); on
-    any other cochain the result is None or a ValueError.
+    the cocycle identity for ``domain`` (``verify_group_2cocycle``); on any
+    other cochain the result is None or a ValueError.
 
     Only the pairs (a, s) with a != e and s in a generating set S of the
-    group (``generating_set``) become congruence rows, (n-1)|S| of them
+    group (``domain.generators``) become congruence rows, (n-1)|S| of them
     rather than (n-1)^2.  That is enough: write the center additively and
     put f = w - dz, a normalized 2-cocycle.  If f(a, s) = 0 for every a and
     every s in S, the cocycle identity
@@ -201,11 +192,11 @@ def coboundary_solve_group(
 
     unknowns = [a for a in range(n) if a != e]
     slot = {a: k for k, a in enumerate(unknowns)}
-    generators = generating_set(composition, e)
+    composition = domain.table
     rows = []
     rhs_coords = []
     for a in unknowns:
-        for s in generators:
+        for s in domain.generators:
             row = [0] * len(unknowns)
             row[slot[a]] += 1
             row[slot[s]] += 1
@@ -233,8 +224,8 @@ def coboundary_solve_group(
         for b in range(n):
             expected = mul(mul(result(a), result(b)), g.inv(result(composition[a][b])))
             if cocycle.values[a][b] != expected:
-                if not verify_group_2cocycle(cocycle, composition):
-                    raise ValueError("cochain is not a 2-cocycle for this composition")
+                if not verify_group_2cocycle(cocycle, domain):
+                    raise ValueError("cochain is not a 2-cocycle for this domain group")
                 raise AssertionError("congruence solution failed substitution")
     return result
 
@@ -256,9 +247,9 @@ def construct_rb_from_obstruction_group(
             )
     sub = sub_adjacent_group(pg)
     cocycle = _defect_group(pg, witness, sub)
-    if not verify_group_2cocycle(cocycle, sub.table):
+    if not verify_group_2cocycle(cocycle, sub):
         raise AssertionError("defect of a valid witness must be a 2-cocycle")
-    correction = coboundary_solve_group(cocycle, sub.table)
+    correction = coboundary_solve_group(cocycle, sub)
     if correction is None:
         raise NontrivialObstructionError(
             "obstruction class is nonzero: no Rota-Baxter operator induces this product"
@@ -284,7 +275,7 @@ def pullback_group(pg: PostGroup) -> FiniteGroup:
     n = g.order
     sub = sub_adjacent_group(pg)
     conj_index: dict[tuple[int, ...], list[int]] = {}
-    for c, row in enumerate(conjugation_rows(g)):
+    for c, row in enumerate(g.conjugation):
         conj_index.setdefault(row, []).append(c)
     members: list[tuple[int, int]] = []
     for a in range(n):

@@ -7,6 +7,7 @@ results are deterministic in the input element order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, islice
 from math import prod
 from operator import itemgetter
@@ -17,6 +18,10 @@ from .scalars import IntMatrix, smith_normal_form
 
 @dataclass(frozen=True)
 class FiniteGroup:
+    """A Cayley table.  ``generators``, ``conjugation`` and ``is_group`` are
+    derived from it on first use and kept; equality, hash and repr are those
+    of the fields."""
+
     table: tuple[tuple[int, ...], ...]
     identity: int
     inverse: tuple[int, ...]
@@ -51,6 +56,43 @@ class FiniteGroup:
     def name_of(self, a: int) -> str:
         return self.names[a] if self.names is not None else str(a)
 
+    @cached_property
+    def generators(self) -> tuple[int, ...]:
+        """``generating_set`` of the table from ``identity``."""
+        return generating_set(self.table, self.identity)
+
+    @cached_property
+    def conjugation(self) -> tuple[tuple[int, ...], ...]:
+        """Row c holds c b c^-1 for each b: the table of every Ad_c at once."""
+        columns = tuple(zip(*self.table))  # columns[d][x] = x d
+        pairs = zip(self.table, self.inverse)
+        return tuple(tuple(map(columns[d].__getitem__, row)) for row, d in pairs)
+
+    @cached_property
+    def is_group(self) -> bool:
+        """True when the table is a group with identity ``identity``, in
+        n^2 |S| steps.
+
+        Checks that ``identity`` is a two-sided identity, then associativity
+        by Light's test (Clifford-Preston, The Algebraic Theory of Semigroups
+        I, 1961, 1.2): (x s) y = x (s y) for s in S = ``generators`` and all
+        x, y.  The elements s passing it contain the identity and are closed
+        under the product: for passing s, t,
+        (x (s t)) y = ((x s) t) y = (x s)(t y) = x (s (t y)) = x ((s t) y).
+        The greedy closure reaches every element as a product ((e s1) s2)...
+        of generators, so all of them pass.  An associative table with an
+        identity in every row is a monoid where every element has a right
+        inverse, which is a group.  ``inverse`` is not read.
+        """
+        rows, e = self.table, self.identity
+        elements = tuple(range(len(rows)))
+        if tuple(map(itemgetter(e), rows)) != elements or (
+            rows and rows[e] != elements
+        ):
+            return False
+        failures = _associativity_failures(rows, self.generators, elements)
+        return next(failures, None) is None and all(e in row for row in rows)
+
     @staticmethod
     def from_table(
         table: Sequence[Sequence[int]],
@@ -59,14 +101,17 @@ class FiniteGroup:
     ) -> "FiniteGroup":
         """Build from a Cayley table, deriving identity and inverses.
 
-        With ``strict=False`` a missing identity or inverse falls back to
-        element 0 / the element itself so that the axiom checker can report
-        the violation instead of construction failing.
+        The identity is the first element whose row and column are the
+        identity map.  With ``strict=False`` a missing identity or inverse
+        falls back to element 0 / the element itself so that the axiom
+        checker can report the violation instead of construction failing.
         """
         cooked = tuple(tuple(int(x) for x in row) for row in table)
         n = len(cooked)
-        identity = table_identity(cooked)
-        if identity is None:
+        for identity in range(n):
+            if all(cooked[identity][b] == b == cooked[b][identity] for b in range(n)):
+                break
+        else:
             if strict:
                 raise ValueError("table has no identity element")
             identity = 0
@@ -126,17 +171,6 @@ class GroupMap:
         return sorted(self.images) == list(range(len(self.images)))
 
 
-def table_identity(table: Sequence[Sequence[int]]) -> int | None:
-    """The first element whose row and column in ``table`` are the identity map."""
-    n = len(table)
-    for e in range(n):
-        if all(table[e][b] == b for b in range(n)) and all(
-            table[a][e] == a for a in range(n)
-        ):
-            return e
-    return None
-
-
 def generating_set(
     composition: Sequence[Sequence[int]], identity: int
 ) -> tuple[int, ...]:
@@ -161,32 +195,6 @@ def generating_set(
                     reached.add(y)
                     frontier.append(y)
     return tuple(generators)
-
-
-def is_group_table(table: Sequence[Sequence[int]], identity: int) -> bool:
-    """True when ``table`` is a group with identity ``identity``, in n^2 |S| steps.
-
-    Checks that ``identity`` is a two-sided identity, then associativity by
-    Light's test (Clifford-Preston, The Algebraic Theory of Semigroups I,
-    1961, 1.2): (x s) y = x (s y) for s in S = ``generating_set(table,
-    identity)`` and all x, y.  The elements s passing it contain the
-    identity and are closed under the product: for passing s, t,
-    (x (s t)) y = ((x s) t) y = (x s)(t y) = x (s (t y)) = x ((s t) y).  The
-    greedy closure reaches every element as a product ((e s1) s2)... of
-    generators, so all of them pass.  An associative table with an identity
-    in every row is a monoid where every element has a right inverse, which
-    is a group.
-    """
-    rows = [tuple(row) for row in table]
-    elements = tuple(range(len(rows)))
-    if tuple(map(itemgetter(identity), rows)) != elements or (
-        rows and rows[identity] != elements
-    ):
-        return False
-    generators = generating_set(rows, identity)
-    if next(_associativity_failures(rows, generators, elements), None) is not None:
-        return False
-    return all(identity in row for row in rows)
 
 
 def _associativity_failures(
@@ -224,17 +232,16 @@ def group_violations(group: FiniteGroup, limit: int = 10) -> tuple[str, ...]:
 
     A group is recognized in n^2 |S| steps by Light's associativity test
     (Clifford-Preston, The Algebraic Theory of Semigroups I, 1961, 1.2; see
-    ``is_group_table``): the s with (x s) y = x (s y) for all x, y contain
-    the identity and are closed under the product, so testing s in a
-    generating set S proves associativity.  It returns ``()``.  On any other
-    table it lists every identity and inverse failure, then the failing
-    triples in lexicographic order until ``limit`` violations are collected:
-    the same test at every s, run for one first element at a time.
+    ``FiniteGroup.is_group``): the s with (x s) y = x (s y) for all x, y
+    contain the identity and are closed under the product, so testing s in
+    a generating set S proves associativity.  It returns ``()``.  On any
+    other table it lists every identity and inverse failure, then the
+    failing triples in lexicographic order until ``limit`` violations are
+    collected: the same test at every s, run for one first element at a
+    time.
     """
     n, table, e = group.order, group.table, group.identity
-    if is_group_table(table, e) and all(
-        table[a][b] == e for a, b in enumerate(group.inverse)
-    ):
+    if group.is_group and all(table[a][b] == e for a, b in enumerate(group.inverse)):
         return ()
     out = [
         f"identity fails at element {b}"
@@ -270,15 +277,8 @@ def center_group(group: FiniteGroup) -> tuple[int, ...]:
     )
 
 
-def conjugation_rows(group: FiniteGroup) -> tuple[tuple[int, ...], ...]:
-    """Row c holds c b c^-1 for each b: the table of every Ad_c at once."""
-    columns = tuple(zip(*group.table))  # columns[d][x] = x d
-    pairs = zip(group.table, group.inverse)
-    return tuple(tuple(map(columns[d].__getitem__, row)) for row, d in pairs)
-
-
 def inner_automorphism(group: FiniteGroup, c: int) -> GroupMap:
-    return GroupMap(conjugation_rows(group)[c])
+    return GroupMap(group.conjugation[c])
 
 
 def is_group_homomorphism(

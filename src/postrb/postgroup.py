@@ -22,11 +22,8 @@ from .groups import (
     FiniteGroup,
     GroupMap,
     _differing_entries,
-    conjugation_rows,
-    generating_set,
     group_violations,
     is_group_homomorphism,
-    is_group_table,
 )
 
 
@@ -47,9 +44,6 @@ class PostGroup:
     @property
     def order(self) -> int:
         return self.base.order
-
-    def op(self, a: int, b: int) -> int:
-        return self.triangle[a][b]
 
     @staticmethod
     def from_table(base: FiniteGroup, table: Sequence[Sequence[int]]) -> "PostGroup":
@@ -93,8 +87,8 @@ def check_postgroup_axioms(pg: PostGroup) -> PostGroupReport:
     non_bijective = tuple(
         a for a, row in enumerate(pg.triangle) if sorted(row) != list(range(n))
     )
-    if is_group_table(g.table, g.identity):
-        generators = generating_set(g.table, g.identity)
+    if g.is_group:
+        generators = g.generators
         failures = chain(
             _automorphism_failures(pg, generators), _weighted_failures(pg, generators)
         )
@@ -153,7 +147,7 @@ def induced_triangle(group: FiniteGroup, operator: GroupMap) -> tuple[tuple[int,
     """The table of a > b = B(a) b B(a)^-1: row a is the conjugation row of B(a)."""
     if operator.size != group.order:
         raise ValueError("operator size does not match the group order")
-    rows = conjugation_rows(group)
+    rows = group.conjugation
     return tuple(rows[image] for image in operator.images)
 
 
@@ -188,7 +182,7 @@ def innerness_witness_group(pg: PostGroup) -> GroupMap | None:
     """
     g = pg.base
     by_conjugation: dict[tuple[int, ...], int] = {}
-    for c, row in enumerate(conjugation_rows(g)):
+    for c, row in enumerate(g.conjugation):
         by_conjugation.setdefault(row, c)
     raw = []
     for row in pg.triangle:
@@ -215,7 +209,7 @@ def enumerate_rb_operators(group: FiniteGroup, cap: int = 8**8) -> list[GroupMap
             f"search space {n}^{n} exceeds the cap {cap}; raise it explicitly"
         )
     table = group.table
-    conj = conjugation_rows(group)
+    conj = group.conjugation
     images: list[int | None] = [None] * n
     assigned: list[int] = []  # the elements with an image, in assignment order
     results: list[GroupMap] = []
@@ -252,9 +246,7 @@ def enumerate_rb_operators(group: FiniteGroup, cap: int = 8**8) -> list[GroupMap
         free = next((a for a in range(n) if images[a] is None), None)
         if free is None:
             candidate = GroupMap(tuple(images))  # type: ignore[arg-type]
-            # check_rb_group, on the conjugation rows already at hand.
-            sub_table = sub_adjacent_table(group, tuple(conj[b] for b in candidate.images))
-            if not is_group_homomorphism(candidate, sub_table, group):
+            if not check_rb_group(group, candidate):
                 raise AssertionError("propagation admitted a non-Rota-Baxter map")
             results.append(candidate)
             return

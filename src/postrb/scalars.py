@@ -701,10 +701,11 @@ def smith_normal_form(matrix: IntMatrix) -> SmithDecomposition:
         col_add(violation, violation + 1, 1)
         rank = diagonalize()
 
+    # The entries are ints already: no ``from_rows`` coercion.
     return SmithDecomposition(
-        IntMatrix.from_rows(u, width=m),
-        IntMatrix.from_rows(d, width=n),
-        IntMatrix.from_rows(v, width=n),
+        IntMatrix(tuple(map(tuple, u)), m),
+        IntMatrix(tuple(map(tuple, d)), n),
+        IntMatrix(tuple(map(tuple, v)), n),
     )
 
 

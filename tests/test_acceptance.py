@@ -179,7 +179,7 @@ def _roundtrip_all_operators(group) -> int:
         assert witness is not None
         cocycle = obstruction_cocycle_group(pg, witness)
         sub = sub_adjacent_group(pg)
-        assert verify_group_2cocycle(cocycle, sub.table)
+        assert verify_group_2cocycle(cocycle, sub)
         result = construct_rb_from_obstruction_group(pg)
         assert from_rb_group(group, result.operator).triangle == pg.triangle
         assert rb_difference_cocycle_group(group, op, result.operator) is not None
@@ -211,8 +211,8 @@ def test_criterion_5_negative_cohomology_control():
     z2 = cyclic_group(2)
     decomp = abelian_decomposition(z2, center_group(z2))
     cocycle = GroupTwoCocycle(z2, ((0, 0), (0, 1)), decomp)
-    is_cocycle = verify_group_2cocycle(cocycle, z2.table)
-    solver_says_no = coboundary_solve_group(cocycle, z2.table) is None
+    is_cocycle = verify_group_2cocycle(cocycle, z2)
+    solver_says_no = coboundary_solve_group(cocycle, z2) is None
 
     # Exhaustive oracle: both candidate maps z with z(e) = e.
     oracle_says_no = True

@@ -235,6 +235,47 @@ class TestParseErrors:
             parse_document(text)
         assert err.value.line == line
 
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            ("kind lie\ndim 1_0\n", 2, "expected 'dim n' with integer n"),
+            ("kind group\norder +1\ntable\n0\n", 2, "expected 'order n' with integer n"),
+            ("kind group\norder 2\ntable\n0 1\n1 0_0\n", 5, "non-integer entry"),
+            ("kind lie\ndim ٣\n", 2, "expected 'dim n' with integer n"),
+            ("kind lie\ndim 3\n[١,2] = e3\n", 3, "unexpected line"),
+            ("kind lie\ndim 3\n[1,2] = e٣\n", 3, "bad term"),
+            ("kind lie\ndim 3\n[1,2] = ١/2*e3\n", 3, "bad scalar literal"),
+            ("kind group\ngenerators 2\ngen ١ 0\n", 3, "non-integer entry in generator"),
+            (
+                "kind rb-group\norder 1\ntable\n0\nmap operator\n٠ -> 0\n",
+                6,
+                "needs 1 'a -> b' lines",
+            ),
+            ("kind group\ngenerators -4\ngen 0 1 2 3\n", 2, "degree must be positive"),
+            ("kind group\norder 2\ntable\n0 1\n1 -1\n", 5, "entry -1 out of range"),
+        ],
+        ids=[
+            "underscore-header",
+            "plus-header",
+            "underscore-entry",
+            "arabic-indic-header",
+            "arabic-indic-bracket",
+            "arabic-indic-basis-index",
+            "arabic-indic-scalar",
+            "arabic-indic-gen",
+            "arabic-indic-arrow",
+            "negative-degree",
+            "negative-entry",
+        ],
+    )
+    def test_integers_are_ascii_digits_only(self, tmp_path, text, line, message):
+        with pytest.raises(ParseError, match=message) as err:
+            parse_document(text)
+        assert err.value.line == line
+        path = tmp_path / "doc.txt"
+        path.write_text(text, encoding="utf-8")
+        assert main(["check-group", "--input", str(path)]) == 2
+
 
 class TestGeneratorExpansion:
     def test_transposition(self):

@@ -20,7 +20,6 @@ from postrb.groups import (
     center_group,
     check_group,
     cyclic_group,
-    generating_set,
 )
 from postrb.group_obstruction import (
     GroupTwoCocycle,
@@ -126,14 +125,13 @@ def assert_generates(composition, identity, generators):
     assert reached == set(range(n))
 
 
-def solve_checked(cocycle: GroupTwoCocycle, composition) -> GroupMap | None:
+def solve_checked(cocycle: GroupTwoCocycle, domain: FiniteGroup) -> GroupMap | None:
     """``coboundary_solve_group``, with its verdict checked against the
     full system and its generating set checked to generate."""
-    assert verify_group_2cocycle(cocycle, composition)
-    e = cocycle.value_group.identity
-    assert_generates(composition, e, generating_set(composition, e))
-    solved = coboundary_solve_group(cocycle, composition)
-    assert (solved is not None) == full_system_solvable(cocycle, composition)
+    assert verify_group_2cocycle(cocycle, domain)
+    assert_generates(domain.table, domain.identity, domain.generators)
+    solved = coboundary_solve_group(cocycle, domain)
+    assert (solved is not None) == full_system_solvable(cocycle, domain.table)
     return solved
 
 
@@ -192,8 +190,8 @@ class TestCocycleComputation:
             w = innerness_witness_group(pg)
             cocycle = obstruction_cocycle_group(pg, w)
             sub = sub_adjacent_group(pg)
-            assert verify_group_2cocycle(cocycle, sub.table)
-            assert coboundary_solve_group(cocycle, sub.table) is not None
+            assert verify_group_2cocycle(cocycle, sub)
+            assert coboundary_solve_group(cocycle, sub) is not None
 
     def test_invalid_witness_rejected(self, s3):
         pg = trivial_postgroup(s3)
@@ -216,7 +214,7 @@ class TestVerify2Cocycle:
         b = next(x for x in range(8) if x not in (d4.identity, a))
         values[a][b] = d4.mul(values[a][b], nontrivial_center)
         perturbed = make_cocycle(d4, values)
-        assert not verify_group_2cocycle(perturbed, sub.table)
+        assert not verify_group_2cocycle(perturbed, sub)
 
 
 class TestCoboundarySolve:
@@ -225,20 +223,20 @@ class TestCoboundarySolve:
         # w(1,1) = 1, all other values identity.
         values = [[0, 0], [0, 1]]
         cocycle = make_cocycle(z2, values)
-        assert verify_group_2cocycle(cocycle, z2.table)
-        assert coboundary_solve_group(cocycle, z2.table) is None
+        assert verify_group_2cocycle(cocycle, z2)
+        assert coboundary_solve_group(cocycle, z2) is None
         assert exhaustive_coboundary_oracle(cocycle, z2.table) is None
 
     def test_non_cocycle_is_rejected(self, z4):
         # The generator rows of Z/4 read only w(a, 1); a value off them that
         # breaks the cocycle identity is caught by the substitution check.
-        assert generating_set(z4.table, z4.identity) == (1,)
+        assert z4.generators == (1,)
         values = [[0] * 4 for _ in range(4)]
         values[2][2] = 2
         cochain = make_cocycle(z4, values)
-        assert not verify_group_2cocycle(cochain, z4.table)
+        assert not verify_group_2cocycle(cochain, z4)
         with pytest.raises(ValueError, match="not a 2-cocycle"):
-            coboundary_solve_group(cochain, z4.table)
+            coboundary_solve_group(cochain, z4)
 
     def test_solver_matches_oracle_on_d4(self, d4):
         for op in enumerate_rb_operators(d4)[:12]:
@@ -246,7 +244,7 @@ class TestCoboundarySolve:
             w = innerness_witness_group(pg)
             cocycle = obstruction_cocycle_group(pg, w)
             sub = sub_adjacent_group(pg)
-            solved = coboundary_solve_group(cocycle, sub.table)
+            solved = coboundary_solve_group(cocycle, sub)
             oracle = exhaustive_coboundary_oracle(cocycle, sub.table)
             assert (solved is None) == (oracle is None)
 
@@ -263,8 +261,8 @@ class TestCoboundarySolve:
             shifted = [[v4.mul(x, y) for x, y in zip(r, s)] for r, s in zip(dz, V4_BETA)]
             for values, solvable in ((dz, True), (shifted, False)):
                 cocycle = make_cocycle(v4, values)
-                assert verify_group_2cocycle(cocycle, v4.table)
-                solved = coboundary_solve_group(cocycle, v4.table)
+                assert verify_group_2cocycle(cocycle, v4)
+                solved = coboundary_solve_group(cocycle, v4)
                 oracle = exhaustive_coboundary_oracle(cocycle, v4.table)
                 assert (solved is not None) == (oracle is not None) == solvable
                 verdicts[solvable] += 1
@@ -280,8 +278,8 @@ class TestCoboundarySolve:
             shifted = [[z4.mul(x, y) for x, y in zip(r, s)] for r, s in zip(dz, Z4_CARRY)]
             for values, solvable in ((dz, True), (shifted, False)):
                 cocycle = make_cocycle(z4, values)
-                assert verify_group_2cocycle(cocycle, z4.table)
-                solved = coboundary_solve_group(cocycle, z4.table)
+                assert verify_group_2cocycle(cocycle, z4)
+                solved = coboundary_solve_group(cocycle, z4)
                 oracle = exhaustive_coboundary_oracle(cocycle, z4.table)
                 assert (solved is not None) == (oracle is not None) == solvable
                 verdicts[solvable] += 1
@@ -298,7 +296,7 @@ class TestGeneratingSetSystem:
             pg = from_rb_group(group, op)
             cocycle = obstruction_cocycle_group(pg, innerness_witness_group(pg))
             sub = sub_adjacent_group(pg)
-            assert solve_checked(cocycle, sub.table) is not None
+            assert solve_checked(cocycle, sub) is not None
 
     @pytest.mark.parametrize("name", ["z4", "v4", "q8"])
     def test_random_coboundaries_with_homomorphisms(self, name):
@@ -311,12 +309,12 @@ class TestGeneratingSetSystem:
         for _ in range(6):
             z = random_central_map(rng, group)
             cocycle = make_cocycle(group, coboundary_values(group, z, group.table))
-            assert solve_checked(cocycle, group.table) is not None
+            assert solve_checked(cocycle, group) is not None
 
     def test_obstructed_cocycles(self, z2):
-        assert solve_checked(make_cocycle(z2, [[0, 0], [0, 1]]), z2.table) is None
+        assert solve_checked(make_cocycle(z2, [[0, 0], [0, 1]]), z2) is None
         v4 = klein_four()
-        assert solve_checked(make_cocycle(v4, V4_BETA), v4.table) is None
+        assert solve_checked(make_cocycle(v4, V4_BETA), v4) is None
 
 
 class TestReconstruction:
@@ -346,6 +344,53 @@ class TestReconstruction:
         assert check_rb_group(doc.group, result.operator)
         assert len(calls) == 1
 
+    @pytest.mark.parametrize(
+        "command, generating_sets, light_tests, conjugation_tables",
+        [("group-obstruction", 2, 2, 1), ("check-postgroup", 1, 1, 0)],
+    )
+    def test_derives_each_groups_data_once(
+        self, monkeypatch, capsys, command, generating_sets, light_tests,
+        conjugation_tables,
+    ):
+        # One base group and, for the obstruction, one sub-adjacent group:
+        # each finds its generators, runs Light's test and builds its
+        # conjugation table at most once.
+        from collections import Counter
+        from functools import cached_property
+
+        from postrb import group_obstruction, groups, postgroup
+        from postrb.cli import main
+
+        calls = Counter()
+
+        def counted(name, function):
+            def wrapper(*args):
+                calls[name] += 1
+                return function(*args)
+
+            return wrapper
+
+        generating_set = counted("generating_set", groups.generating_set)
+        for module in (groups, postgroup, group_obstruction):
+            if hasattr(module, "generating_set"):
+                monkeypatch.setattr(module, "generating_set", generating_set)
+        light = counted("light", groups._associativity_failures)
+        monkeypatch.setattr(groups, "_associativity_failures", light)
+        conjugation = cached_property(
+            counted("conjugation", groups.FiniteGroup.conjugation.func)
+        )
+        conjugation.__set_name__(groups.FiniteGroup, "conjugation")
+        monkeypatch.setattr(groups.FiniteGroup, "conjugation", conjugation)
+
+        sample = SAMPLES / "s3_conjugation.postgrp"
+        assert main([command, "--input", str(sample)]) == 0
+        capsys.readouterr()
+        assert calls == Counter(
+            generating_set=generating_sets,
+            light=light_tests,
+            conjugation=conjugation_tables,
+        )
+
     def test_full_d4_roundtrip(self, d4):
         for op in enumerate_rb_operators(d4):
             pg = from_rb_group(d4, op)
@@ -371,7 +416,7 @@ class TestReconstruction:
         assert w is not None
         cocycle = obstruction_cocycle_group(pg, w)
         sub = sub_adjacent_group(pg)
-        assert verify_group_2cocycle(cocycle, sub.table)
+        assert verify_group_2cocycle(cocycle, sub)
         assert exhaustive_coboundary_oracle(cocycle, sub.table) is None
         with pytest.raises(NontrivialObstructionError):
             construct_rb_from_obstruction_group(pg)
@@ -397,8 +442,8 @@ class TestWitnessIndependence:
             for a in range(8)
         ]
         ratio = make_cocycle(d4, ratio_values)
-        assert verify_group_2cocycle(ratio, sub.table)
-        assert coboundary_solve_group(ratio, sub.table) is not None
+        assert verify_group_2cocycle(ratio, sub)
+        assert coboundary_solve_group(ratio, sub) is not None
 
 
 class TestPullback:
@@ -481,8 +526,8 @@ class TestInnerCensus:
             assert w is not None
             cocycle = obstruction_cocycle_group(pg, w)
             sub = sub_adjacent_group(pg)
-            assert verify_group_2cocycle(cocycle, sub.table)
-            solved = solve_checked(cocycle, sub.table)
+            assert verify_group_2cocycle(cocycle, sub)
+            solved = solve_checked(cocycle, sub)
             oracle = exhaustive_coboundary_oracle(cocycle, sub.table)
             assert (solved is None) == (oracle is None)
             if solved is None:

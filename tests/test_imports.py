@@ -1,7 +1,9 @@
-"""Every module of the library uses each name it imports.
+"""Every module of the library uses each name it imports, and every
+module-level private name is used somewhere in the library.
 
 No linter ships with the toolchain, so this stdlib ``ast`` scan stands in
-for one.  ``__init__.py`` is skipped: its imports are the package exports.
+for one.  ``__init__.py`` is skipped by the import check: its imports are
+the package exports.
 """
 
 import ast
@@ -63,3 +65,42 @@ def test_no_unused_imports(path):
         if name not in used
     )
     assert not unused, f"{path.name} imports names it never uses: {', '.join(unused)}"
+
+
+def _private_definitions(tree: ast.Module):
+    """(name, line) of each module-level private function, class or variable."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        yield name.id, node.lineno
+
+
+def _references(tree: ast.Module) -> set[str]:
+    """Names read, attributes read and names imported anywhere in ``tree``."""
+    found = {
+        n.id
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)
+    }
+    found.update(n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            found.update(alias.name for alias in node.names)
+    return found
+
+
+def test_no_orphaned_private_names():
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in SRC.glob("*.py")}
+    referenced = set().union(*map(_references, trees.values()))
+    orphans = sorted(
+        f"{module}:{line} {name}"
+        for module, tree in trees.items()
+        for name, line in _private_definitions(tree)
+        if name.startswith("_") and not name.startswith("__") and name not in referenced
+    )
+    assert not orphans, f"private names used nowhere in the library: {', '.join(orphans)}"
