@@ -9,6 +9,7 @@ congruences over the invariant factors of the center.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 from operator import getitem, itemgetter
 from typing import Iterable, NamedTuple
 
@@ -30,7 +31,7 @@ from .postgroup import (
     sub_adjacent_group,
     sub_adjacent_table,
 )
-from .scalars import IntMatrix, _solve_smith, smith_normal_form
+from .scalars import IntMatrix, _solve_diagonal, smith_normal_form
 
 
 @dataclass(frozen=True)
@@ -92,15 +93,17 @@ def _defect_group(
         raise ValueError("witness is not normalized at the identity")
     if induced_triangle(g, witness) != pg.triangle:
         raise ValueError("supplied map is not an innerness witness")
+    table, images = g.table, witness.images
+    inverses = [g.inverse[x] for x in images]  # F(b)^-1, once per b
+    columns = tuple(zip(*table))  # columns[y][x] = x y
     values = []
-    for a in range(n):
-        row = []
-        fa_inv = g.inv(witness(a))
-        for b in range(n):
-            fb_inv = g.inv(witness(b))
-            row.append(g.mul(g.mul(fb_inv, fa_inv), witness(sub.mul(a, b))))
-        values.append(tuple(row))
-    return GroupTwoCocycle(g, tuple(values), abelian_decomposition(g, center_group(g)))
+    for fa_inv, sub_row in zip(inverses, sub.table):
+        # Row a: b -> (F(b)^-1 F(a)^-1) F(a o b).
+        left_rows = map(table.__getitem__, map(columns[fa_inv].__getitem__, inverses))
+        values.append(tuple(map(getitem, left_rows, map(images.__getitem__, sub_row))))
+    return GroupTwoCocycle(
+        g, tuple(values), abelian_decomposition(g, center_group(g))
+    )
 
 
 def verify_group_2cocycle(cocycle: GroupTwoCocycle, domain: FiniteGroup) -> bool:
@@ -157,32 +160,49 @@ def coboundary_solve_group(
     cocycle: GroupTwoCocycle, domain: FiniteGroup
 ) -> GroupMap | None:
     """Find central z with z(e) = e and w(a,b) = z(a) z(b) z(a o b)^-1, where
-    o is the product of ``domain``.
+    o is the product of ``domain``; the canonical such z, defined below.
 
     Returns None exactly when the class is nonzero.  ``cocycle`` must satisfy
     the cocycle identity for ``domain`` (``verify_group_2cocycle``); on any
     other cochain the result is None or a ValueError.
 
-    Only the pairs (a, s) with a != e and s in a generating set S of the
-    group (``domain.generators``) become congruence rows, (n-1)|S| of them
-    rather than (n-1)^2.  That is enough: write the center additively and
-    put f = w - dz, a normalized 2-cocycle.  If f(a, s) = 0 for every a and
-    every s in S, the cocycle identity
-    f(b, c) + f(a, b o c) = f(a, b) + f(a o b, c) at c = s gives
-    f(a, b o s) = f(a, b).  Every element is a product of generators and
-    f(a, e) = 0, so f vanishes everywhere.
+    Write the center additively, so the equations read
+    z(a o b) = z(a) + z(b) - w(a,b).  Only the pairs (a, s) with s in a
+    generating set S of the group (``domain.generators``) are needed: put
+    f = w - dz, a normalized 2-cocycle.  If f(a, s) = 0 for every a and every
+    s in S, the cocycle identity f(b, c) + f(a, b o c) = f(a, b) + f(a o b, c)
+    at c = s gives f(a, b o s) = f(a, b).  Every element is a product of
+    generators and f(a, e) = 0, so f vanishes everywhere.
 
-    The system has one Smith normal form, shared by the invariant factors
-    of the center: each factor's coordinate of w is one right-hand side.
-    The canonical z is the Smith-form solution of this system with its free
-    coordinates set to zero.  When Hom(G o, Z(G)) != 0 other solutions exist
-    and differ from it by a homomorphism.  The result is substituted back
-    into all n^2 pairs before it is returned.
+    The pairs (a, s) are the edges a -> a o s of the Cayley graph of S.  A
+    breadth-first tree from e solves its own edges: along them
+    z(a o s) = z(a) + x_s - w(a, s), so z(a) = k_a . x + c_a, where x holds
+    the unknowns x_s = z(s), k_a counts the generators on the tree path to a
+    and c_a sums the cocycle values along it.  Each of the n |S| - n + 1
+    edges off the tree, b = a o s, leaves one congruence with |S| columns,
+    (k_a + e_s - k_b) . x = c_b - c_a + w(a, s).  A zero row, or a row that
+    repeats an earlier one up to sign, is decided by its right-hand side
+    alone; the distinct rows take one Smith normal form, shared by the
+    invariant factors of the center (each factor's coordinates are one
+    right-hand side).
+
+    The solutions form a coset of Hom(G o, Z(G)), so z is not unique when
+    that group is nonzero.  The canonical z has the lexicographically least
+    image tuple (z(0), ..., z(n-1)) by element index.  It is found element by
+    element in index order: the homomorphisms that still fit the values
+    chosen so far take, at a, the values of a subgroup of the center, read
+    per invariant factor off the kernel of the diagonal system.  z(a) is the
+    least element of its coset of that subgroup; when the subgroup is
+    nontrivial, the row k_a with that value joins the system and a small
+    Smith normal form rediagonalizes it.  The walk stops when no
+    homomorphism is left.  The result is substituted back into all n^2
+    pairs before it is returned.
     """
     g = cocycle.value_group
     n = cocycle.order
     e = g.identity
-    factors = cocycle.center.invariant_factors
+    center = cocycle.center
+    factors = center.invariant_factors
     if not factors:
         if all(
             cocycle.values[a][b] == e for a in range(n) for b in range(n)
@@ -190,44 +210,138 @@ def coboundary_solve_group(
             return GroupMap.constant(n, e)
         return None
 
-    unknowns = [a for a in range(n) if a != e]
-    slot = {a: k for k, a in enumerate(unknowns)}
     composition = domain.table
-    rows = []
-    rhs_coords = []
-    for a in unknowns:
-        for s in domain.generators:
-            row = [0] * len(unknowns)
-            row[slot[a]] += 1
-            row[slot[s]] += 1
-            a_s = composition[a][s]
-            if a_s != e:
-                row[slot[a_s]] -= 1
-            rows.append(row)
-            rhs_coords.append(cocycle.center.to_coords(cocycle.values[a][s]))
-    snf = smith_normal_form(IntMatrix.from_rows(rows, width=len(unknowns)))
+    generators = domain.generators
+    width = len(generators)
+    coords = center.coords
+    paths: list[tuple[int, ...] | None] = [None] * n  # k_a
+    sums = [(0,) * len(factors)] * n  # c_a, reduced per factor
+    paths[e] = (0,) * width
+    rows: dict[tuple[int, ...], tuple[int, ...]] = {}
+    reached = [e]
+    for a in reached:  # grows while it is walked: breadth first
+        k_a, c_a = paths[a], sums[a]
+        for j, s in enumerate(generators):
+            # z(a o s) read through the edge (a, s): k_via . x + c_via.
+            b = composition[a][s]
+            k_via = k_a[:j] + (k_a[j] + 1,) + k_a[j + 1 :]
+            w_as = coords[cocycle.values[a][s]]
+            c_via = tuple((x - y) % d for x, y, d in zip(c_a, w_as, factors))
+            k_b = paths[b]
+            if k_b is None:
+                paths[b], sums[b] = k_via, c_via
+                reached.append(b)
+                continue
+            row = tuple(p - q for p, q in zip(k_via, k_b))
+            rhs = tuple((x - y) % d for x, y, d in zip(sums[b], c_via, factors))
+            if next((p for p in row if p), 0) < 0:
+                row = tuple(-p for p in row)
+                rhs = tuple(-x % d for x, d in zip(rhs, factors))
+            if not any(row):
+                if any(rhs):
+                    return None
+            elif rows.setdefault(row, rhs) != rhs:
+                return None
 
-    per_factor: list[list[int]] = []
-    for k, modulus in enumerate(factors):
-        solution = _solve_smith(snf, [coords[k] for coords in rhs_coords], modulus)
-        if solution is None:
-            return None
-        per_factor.append(solution)
-
-    images = [e] * n
-    for a in unknowns:
-        coords = tuple(per_factor[k][slot[a]] for k in range(len(factors)))
-        images[a] = cocycle.center.from_coords(coords)
-    result = GroupMap(tuple(images))
-    mul = g.mul
+    system = _diagonalize(
+        list(rows),
+        [[rhs[k] for rhs in rows.values()] for k in range(len(factors))],
+        factors,
+        IntMatrix.identity(width),
+    )
+    if system is None:
+        return None
     for a in range(n):
-        for b in range(n):
-            expected = mul(mul(result(a), result(b)), g.inv(result(composition[a][b])))
-            if cocycle.values[a][b] != expected:
+        diagonal, shifted, least, transform = system
+        if all(gcd(di, d) == 1 for d in factors for di in diagonal):
+            break  # no homomorphism is left
+        k_a = transform.transpose().apply(paths[a])  # k_a in the unknowns y
+        cosets = []  # per factor: z(a) is ``residue`` mod ``step``
+        for d, y, c_a in zip(factors, least, sums[a]):
+            value = c_a + sum(p * y_i for p, y_i in zip(k_a, y))
+            # The homomorphisms left take the multiples of ``step`` at a.
+            step = d
+            for p, di in zip(k_a, diagonal):
+                step = gcd(step, p * (d // gcd(di, d)))
+            cosets.append((step, value % step))
+        if all(step == d for (step, _), d in zip(cosets, factors)):
+            continue
+        chosen = min(
+            z
+            for z in center.elements
+            if all(c % step == r for c, (step, r) in zip(coords[z], cosets))
+        )
+        diagonal_rows = [
+            tuple(di if i == j else 0 for j in range(width))
+            for i, di in enumerate(diagonal)
+        ]
+        system = _diagonalize(
+            diagonal_rows + [tuple(k_a)],
+            [s + [c - c_a] for s, c, c_a in zip(shifted, coords[chosen], sums[a])],
+            factors,
+            transform,
+        )
+        if system is None:
+            raise AssertionError("least coset element does not fit the system")
+
+    solutions = [system.transform.apply(y) for y in system.least]
+    images = [
+        center.from_coords(
+            tuple(
+                c + sum(p * x for p, x in zip(k_a, solution))
+                for c, solution in zip(c_a, solutions)
+            )
+        )
+        for k_a, c_a in zip(paths, sums)
+    ]
+    result = GroupMap(tuple(images))
+    table, inverse = g.table, g.inverse
+    for row, w_row, z_a in zip(composition, cocycle.values, images):
+        z_a_row = table[z_a]
+        for z_b, z_ab, w_ab in zip(images, map(images.__getitem__, row), w_row):
+            if w_ab != table[z_a_row[z_b]][inverse[z_ab]]:
                 if not verify_group_2cocycle(cocycle, domain):
                     raise ValueError("cochain is not a 2-cocycle for this domain group")
                 raise AssertionError("congruence solution failed substitution")
     return result
+
+
+class _DiagonalSystem(NamedTuple):
+    """The congruences d_i y_i = s_i (mod each invariant factor), one list
+    s per factor, in unknowns y with x = transform @ y, and each factor's
+    least solution y."""
+
+    diagonal: tuple[int, ...]
+    shifted: list[list[int]]
+    least: list[list[int]]
+    transform: IntMatrix
+
+
+def _diagonalize(
+    rows: list[tuple[int, ...]],
+    rhs: list[list[int]],
+    factors: tuple[int, ...],
+    transform: IntMatrix,
+) -> _DiagonalSystem | None:
+    """The congruences rows @ y = rhs[k] (mod factors[k]) in unknowns y,
+    where x = transform @ y, as an equivalent diagonal system, or None when
+    some factor has no solution.
+
+    One Smith normal form u @ rows @ v = d serves every factor: the new
+    unknowns are v^-1 @ y, and the right-hand sides become u @ rhs[k].
+    """
+    width = transform.cols
+    u, d, v = smith_normal_form(IntMatrix.from_rows(rows, width=width))
+    diagonal = d.diagonal() + (0,) * (width - min(d.rows, width))
+    shifted, least = [], []
+    for column, modulus in zip(rhs, factors):
+        s = u.apply(column) + [0] * (width - len(column))
+        y = _solve_diagonal(diagonal, s, modulus)
+        if y is None:
+            return None
+        shifted.append(s[:width])
+        least.append(y)
+    return _DiagonalSystem(diagonal, shifted, least, transform @ v)
 
 
 def construct_rb_from_obstruction_group(

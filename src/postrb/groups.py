@@ -331,37 +331,46 @@ def abelian_decomposition(
 ) -> AbelianDecomposition:
     """Decompose an abelian subgroup given by element indices.
 
-    Presents the subgroup by one generator per element with all product
-    relations and reads the invariant factors off the Smith normal form of
-    the relation matrix.
+    Presents the subgroup by one generator e_a per element and the relations
+    e_a + e_s - e_(a s) for a in the subgroup and s in its greedy generating
+    set S (``generating_set``), |S| <= log2 m of them per element, and reads
+    the invariant factors off the Smith normal form of the relation matrix.
+    These relations span all of e_a + e_b - e_(a b): the one at b = e is
+    e_e, and for b = c s
+    e_a + e_b - e_(a b) = (e_a + e_c - e_(a c)) + (e_(a c) + e_s - e_(a b))
+    - (e_c + e_s - e_b),
+    so induction along products of generators reaches every b.
     """
     elements = tuple(dict.fromkeys(int(x) for x in subset))
     m = len(elements)
     index = {g: k for k, g in enumerate(elements)}
     if group.identity not in index:
         raise ValueError("subset does not contain the identity")
+    local = []  # the subgroup's Cayley table on positions in ``elements``
     for a in elements:
         if group.inverse[a] not in index:
             raise ValueError("subset is not closed under inverses")
+        row = group.table[a]
         for b in elements:
-            if group.mul(a, b) not in index:
+            if row[b] not in index:
                 raise ValueError("subset is not closed under the product")
-            if group.mul(a, b) != group.mul(b, a):
+            if row[b] != group.table[b][a]:
                 raise ValueError("subset is not abelian")
+        local.append(tuple(index[row[b]] for b in elements))
 
     if m == 1:
         e = elements[0]
         return AbelianDecomposition((e,), (), {e: ()}, {(): e})
 
-    # Relations e_a + e_b - e_{ab} = 0 as columns; subgroup = Z^m / column span.
+    # Relations e_a + e_s - e_(a s) = 0 as columns; subgroup = Z^m / column span.
     relations = []
-    for a in elements:
-        for b in elements:
-            row = [0] * m
-            row[index[a]] += 1
-            row[index[b]] += 1
-            row[index[group.mul(a, b)]] -= 1
-            relations.append(row)
+    for s in generating_set(local, index[group.identity]):
+        for a, row in enumerate(local):
+            relation = [0] * m
+            relation[a] += 1
+            relation[s] += 1
+            relation[row[s]] -= 1
+            relations.append(relation)
     presentation = IntMatrix.from_rows(relations, width=m).transpose()
     u, d, _ = smith_normal_form(presentation)
     diag = list(d.diagonal()) + [0] * (m - min(d.rows, d.cols))
@@ -381,6 +390,6 @@ def abelian_decomposition(
             added = tuple(
                 (x + y) % dfac for x, y, dfac in zip(coords[a], coords[b], factors)
             )
-            if coords[group.mul(a, b)] != added:
+            if coords[group.table[a][b]] != added:
                 raise AssertionError("coordinates are not additive")
     return AbelianDecomposition(elements, factors, coords, elements_by_coords)

@@ -709,33 +709,26 @@ def smith_normal_form(matrix: IntMatrix) -> SmithDecomposition:
     )
 
 
-def _solve_smith(
-    snf: SmithDecomposition, rhs: Sequence[int], modulus: int
+def _solve_diagonal(
+    diagonal: Sequence[int], shifted: Sequence[int], modulus: int
 ) -> list[int] | None:
-    """Solve matrix @ x == rhs (mod modulus) from the Smith form of matrix.
+    """The least y with d_i y_i = s_i (mod modulus) for every i, or None.
 
-    Solves the scalar congruences d_i w_i == (u @ rhs)_i on the diagonal,
-    free components zero, and returns v @ w reduced mod ``modulus``, or None
-    when some scalar congruence has no solution.  One decomposition serves
-    any number of right-hand sides and moduli.
+    ``diagonal`` holds d_i and ``shifted`` holds s_i; the entries of
+    ``shifted`` past the end of ``diagonal`` stand for rows with d_i = 0.
+    Each y_i is the least solution of its congruence, which exists exactly
+    when gcd(d_i, modulus) divides s_i; y has one entry per d_i.
     """
-    u, d, v = snf
-    s = u.apply(rhs)
-    diag = d.diagonal()
-    w = [0] * d.cols
-    for i in range(d.rows):
-        di = diag[i] if i < len(diag) else 0
-        si = s[i] % modulus
-        if di == 0:
-            if si:
-                return None
-            continue
+    y = []
+    for i, si in enumerate(shifted):
+        di = diagonal[i] if i < len(diagonal) else 0
         g = gcd(di, modulus)
         if si % g:
             return None
-        m2 = modulus // g
-        w[i] = ((si // g) * pow(di // g, -1, m2)) % m2
-    return [xi % modulus for xi in v.apply(w)]
+        if i < len(diagonal):
+            m = modulus // g
+            y.append((si // g) * pow(di // g, -1, m) % m if m > 1 else 0)
+    return y
 
 
 def solve_linear_congruences(
@@ -743,11 +736,17 @@ def solve_linear_congruences(
 ) -> list[int] | None:
     """Solve coeffs @ x == rhs (mod modulus); canonical solution or None.
 
-    Diagonalizes by Smith normal form, solves the scalar congruences on the
-    diagonal (free components zero) and transforms back.
+    Diagonalizes by Smith normal form u @ coeffs @ v = d, solves the scalar
+    congruences d_i w_i == (u @ rhs)_i on the diagonal (free components
+    zero) and returns v @ w reduced mod ``modulus``.
     """
     if modulus <= 0:
         raise ValueError("modulus must be positive")
     if len(rhs) != coeffs.rows:
         raise ValueError("right-hand side length does not match row count")
-    return _solve_smith(smith_normal_form(coeffs), [int(x) for x in rhs], modulus)
+    u, d, v = smith_normal_form(coeffs)
+    w = _solve_diagonal(d.diagonal(), u.apply([int(x) for x in rhs]), modulus)
+    if w is None:
+        return None
+    w += [0] * (coeffs.cols - len(w))
+    return [xi % modulus for xi in v.apply(w)]

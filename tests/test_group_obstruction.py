@@ -1,7 +1,8 @@
 """Group obstruction pipeline, pullback, difference cocycles and the tower.
 
 The exhaustive coboundary oracle scans all center-valued maps fixing the
-identity; it is the independent route against the congruence solver.
+identity, and the least-solution search finds the least such map by depth
+first; they are the independent routes against the congruence solver.
 """
 
 import random
@@ -20,6 +21,7 @@ from postrb.groups import (
     center_group,
     check_group,
     cyclic_group,
+    is_group_homomorphism,
 )
 from postrb.group_obstruction import (
     GroupTwoCocycle,
@@ -77,6 +79,66 @@ def exhaustive_coboundary_oracle(
         if ok:
             return GroupMap(tuple(z))
     return None
+
+
+def least_coboundary_oracle(
+    cocycle: GroupTwoCocycle, composition
+) -> GroupMap | None:
+    """The center-valued z with z(e) = e and w = dz whose image tuple is
+    lexicographically least, by a depth-first search that assigns z(0),
+    z(1), ... in index order, tries the central values in increasing order
+    and backtracks when a pair with all three slots assigned fails."""
+    g = cocycle.value_group
+    n, e = g.order, g.identity
+    candidates = sorted(cocycle.center.elements)
+    z: list[int | None] = [None] * n
+    z[e] = e
+    order = [a for a in range(n) if a != e]
+
+    def fits(a: int) -> bool:
+        for x in range(n):
+            for y in range(n):
+                xy = composition[x][y]
+                if a in (x, y, xy) and None not in (z[x], z[y], z[xy]):
+                    if cocycle.values[x][y] != g.mul(g.mul(z[x], z[y]), g.inv(z[xy])):
+                        return False
+        return True
+
+    def search(i: int) -> bool:
+        if i == len(order):
+            return True
+        for value in candidates:
+            z[order[i]] = value
+            if fits(order[i]) and search(i + 1):
+                return True
+        z[order[i]] = None
+        return False
+
+    return GroupMap(tuple(z)) if search(0) else None
+
+
+def relabel_values(values, perm):
+    """A table of element values with element a renamed perm[a]."""
+    n = len(values)
+    moved = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            moved[perm[a]][perm[b]] = perm[values[a][b]]
+    return moved
+
+
+def relabel_group(group: FiniteGroup, perm) -> FiniteGroup:
+    return FiniteGroup.from_table(relabel_values(group.table, perm))
+
+
+def seeded_relabellings(n: int, seed: int, count: int = 3):
+    rng = random.Random(seed)
+    perms = []
+    for _ in range(count):
+        perm = list(range(n))
+        rng.shuffle(perm)
+        perms.append(perm)
+    return perms
 
 
 def make_cocycle(group, values):
@@ -287,7 +349,7 @@ class TestCoboundarySolve:
 
 
 class TestGeneratingSetSystem:
-    """The (n-1)|S| generator rows against the full (n-1)^2 system."""
+    """The tree system on a generating set against the full (n-1)^2 system."""
 
     @pytest.mark.parametrize("name", ["s3", "d4", "z2", "z4"])
     def test_group_fixtures(self, name, request):
@@ -315,6 +377,171 @@ class TestGeneratingSetSystem:
         assert solve_checked(make_cocycle(z2, [[0, 0], [0, 1]]), z2) is None
         v4 = klein_four()
         assert solve_checked(make_cocycle(v4, V4_BETA), v4) is None
+
+
+def elementary_abelian_8() -> FiniteGroup:
+    """(Z/2)^3 with (a1, a2, a3) at index 4 a1 + 2 a2 + a3."""
+    return FiniteGroup.from_table([[a ^ b for b in range(8)] for a in range(8)])
+
+
+# Bilinear and not symmetric on (Z/2)^3, so no coboundary, as V4_BETA.
+E8_BETA = [[4 if a & 2 and b & 1 else 0 for b in range(8)] for a in range(8)]
+
+# The carry cocycle of the extension Z/36 of Z/6 by Z/6, as Z4_CARRY.
+Z6_CARRY = [[1 if a + b >= 6 else 0 for b in range(6)] for a in range(6)]
+
+ABELIAN = {
+    "z4": (lambda: cyclic_group(4), Z4_CARRY),
+    "v4": (klein_four, V4_BETA),
+    "z2^3": (elementary_abelian_8, E8_BETA),
+    "z6": (lambda: cyclic_group(6), Z6_CARRY),
+}
+
+
+@pytest.fixture(scope="module")
+def censuses():
+    from conftest import make_d4, make_q8
+
+    return {"d4": inner_postgroups(make_d4()), "q8": inner_postgroups(make_q8())}
+
+
+def relabelled_corrections_differ(
+    cocycle: GroupTwoCocycle, domain: FiniteGroup, perms
+) -> int:
+    """Check the canonical correction against the least one found by search,
+    in the given labelling and after each relabelling in ``perms``, and that
+    the transported correction stays in its coset.  Returns the number of
+    relabellings whose canonical correction is not the transported one."""
+    solved = solve_checked(cocycle, domain)
+    assert solved == least_coboundary_oracle(cocycle, domain.table)
+    differ = 0
+    for perm in perms:
+        group = relabel_group(cocycle.value_group, perm)
+        moved = make_cocycle(group, relabel_values(cocycle.values, perm))
+        moved_domain = relabel_group(domain, perm)
+        canonical = solve_checked(moved, moved_domain)
+        assert canonical == least_coboundary_oracle(moved, moved_domain.table)
+        if solved is None:
+            assert canonical is None
+            continue
+        transported = [0] * group.order
+        for a in range(group.order):
+            transported[perm[a]] = perm[solved(a)]
+        # Both solve the same equations, so they differ by a homomorphism
+        # from the relabelled domain into the center.
+        difference = GroupMap(
+            tuple(group.mul(canonical(x), group.inv(t)) for x, t in enumerate(transported))
+        )
+        assert set(difference.images) <= set(center_group(group))
+        assert is_group_homomorphism(difference, moved_domain.table, group)
+        differ += canonical.images != tuple(transported)
+    return differ
+
+
+class TestCanonicalCorrection:
+    """The correction is the least solution by image tuple in every labelling."""
+
+    @pytest.mark.parametrize("name", list(ABELIAN))
+    def test_least_on_abelian_groups(self, name):
+        # On the trivial post-group G o = G and Hom(G, Z(G)) = Hom(G, G) != 0.
+        make, nontrivial = ABELIAN[name]
+        group = make()
+        rng = random.Random(5)
+        perms = seeded_relabellings(group.order, seed=17)
+        differ = 0
+        for _ in range(3):
+            dz = coboundary_values(group, random_central_map(rng, group), group.table)
+            differ += relabelled_corrections_differ(make_cocycle(group, dz), group, perms)
+        shifted = [[group.mul(x, y) for x, y in zip(r, c)] for r, c in zip(dz, nontrivial)]
+        cocycle = make_cocycle(group, shifted)
+        assert relabelled_corrections_differ(cocycle, group, perms) == 0
+        assert coboundary_solve_group(cocycle, group) is None
+        assert differ > 0
+
+    @pytest.mark.parametrize("name, solvable", [("d4", 12), ("q8", 2)])
+    def test_least_on_census(self, name, solvable, censuses):
+        perms = seeded_relabellings(8, seed=23)
+        solved = differ = 0
+        for pg in censuses[name]:
+            cocycle = obstruction_cocycle_group(pg, innerness_witness_group(pg))
+            sub = sub_adjacent_group(pg)
+            differ += relabelled_corrections_differ(cocycle, sub, perms)
+            solved += coboundary_solve_group(cocycle, sub) is not None
+        assert solved == solvable
+        assert differ > 0
+
+    def test_every_bilinear_cocycle_on_klein_four(self):
+        # A bilinear map V4 x V4 -> V4 is a 2-cocycle, and 4 of the 256 are
+        # coboundaries.  The others are refused in both ways: by the tree
+        # rows alone (a zero row, or a repeated row with another right-hand
+        # side) and by the Smith normal form.  Each is checked against the
+        # search in the given labelling and in one relabelling.
+        v4 = klein_four()
+        perms = seeded_relabellings(4, seed=29, count=1)
+        verdicts = {True: 0, False: 0}
+        for images in product(range(4), repeat=4):
+            m = dict(zip(product((0, 1), repeat=2), images))
+            values = [[0] * 4 for _ in range(4)]
+            for a, b in product(range(4), repeat=2):
+                for (i, j), image in m.items():
+                    if a >> i & 1 and b >> j & 1:
+                        values[a][b] ^= image
+            cocycle = make_cocycle(v4, values)
+            relabelled_corrections_differ(cocycle, v4, perms)
+            verdicts[coboundary_solve_group(cocycle, v4) is not None] += 1
+        assert verdicts == {True: 4, False: 252}
+
+    @pytest.mark.parametrize(
+        "make, beta", [(klein_four, V4_BETA), (elementary_abelian_8, E8_BETA)]
+    )
+    def test_tree_rows_decide_without_smith_form(self, monkeypatch, make, beta):
+        # On an abelian group some edges off the tree close walks with as
+        # many steps along each generator forwards as backwards: zero rows,
+        # and rows that repeat.  Summed around such a commutator walk, a
+        # nonsymmetric bilinear cocycle is nonzero, so the class is refused
+        # by a zero row or a repeat with another right-hand side, before any
+        # Smith normal form.
+        from postrb import group_obstruction
+
+        def refused(matrix):
+            raise AssertionError("the tree rows should decide the class")
+
+        monkeypatch.setattr(group_obstruction, "smith_normal_form", refused)
+        group = make()
+        assert coboundary_solve_group(make_cocycle(group, beta), group) is None
+
+    def test_smith_forms_have_at_most_s_columns(self, monkeypatch, capsys, censuses):
+        # Every Smith normal form of the coboundary solve works on the |S|
+        # unknowns z(s), s in the sub-adjacent group's generating set S.
+        from postrb import group_obstruction
+        from postrb.cli import main
+        from postrb.scalars import smith_normal_form
+
+        widths = []
+
+        def counted(matrix):
+            widths.append(matrix.cols)
+            return smith_normal_form(matrix)
+
+        monkeypatch.setattr(group_obstruction, "smith_normal_form", counted)
+        for sample in sorted(SAMPLES.glob("*.postgrp")):
+            doc = parse_document(sample.read_text(encoding="utf-8"))
+            widths.clear()
+            assert main(["group-obstruction", "--input", str(sample)]) == 0
+            capsys.readouterr()
+            sub = sub_adjacent_group(doc.post_group)
+            assert max(widths, default=0) <= len(sub.generators)
+        calls = 0
+        for pgs in censuses.values():
+            for pg in pgs:
+                widths.clear()
+                try:
+                    construct_rb_from_obstruction_group(pg)
+                except NontrivialObstructionError:
+                    pass
+                assert max(widths, default=0) <= len(sub_adjacent_group(pg).generators)
+                calls += len(widths)
+        assert calls > 0
 
 
 class TestReconstruction:

@@ -1,5 +1,9 @@
 """Finite group core: axioms, center, inner automorphisms, abelian coordinates."""
 
+import random
+from itertools import product
+from math import log2
+
 import pytest
 
 from postrb.groups import (
@@ -12,6 +16,34 @@ from postrb.groups import (
     group_violations,
     inner_automorphism,
 )
+from postrb.scalars import IntMatrix, smith_normal_form
+
+
+def abelian_product(moduli, seed):
+    """Z/m1 x Z/m2 x ... with its elements in a seeded order."""
+    elements = list(product(*(range(m) for m in moduli)))
+    random.Random(seed).shuffle(elements)
+    index = {x: k for k, x in enumerate(elements)}
+    return FiniteGroup.from_table(
+        [
+            [index[tuple((p + q) % m for p, q, m in zip(x, y, moduli))] for y in elements]
+            for x in elements
+        ]
+    )
+
+
+def full_presentation_factors(group):
+    """Invariant factors from all |G|^2 relations e_a + e_b - e_(a b)."""
+    n = group.order
+    relations = []
+    for a, b in product(range(n), repeat=2):
+        row = [0] * n
+        row[a] += 1
+        row[b] += 1
+        row[group.mul(a, b)] -= 1
+        relations.append(row)
+    d = smith_normal_form(IntMatrix.from_rows(relations, width=n)).d.diagonal()
+    return tuple(x for x in d if x > 1)
 
 
 class TestCheckGroup:
@@ -150,6 +182,31 @@ class TestAbelianDecomposition:
                     )
                 )
                 assert decomp.to_coords(d4.mul(a, b)) == expected
+
+    @pytest.mark.parametrize(
+        "moduli", [(2, 4), (2, 2, 2), (3, 6), (12,), (2, 6), (4, 4)]
+    )
+    def test_generator_relations_match_the_full_presentation(self, moduli, monkeypatch):
+        # The relations (a, s), s in the greedy generating set, give the
+        # invariant factors of all |Z|^2 relations, from at most
+        # |Z| log2 |Z| columns.  Each moduli tuple is already d1 | d2 | ...
+        from postrb import groups
+
+        shapes = []
+
+        def counted(matrix):
+            shapes.append((matrix.rows, matrix.cols))
+            return smith_normal_form(matrix)
+
+        for seed in range(3):
+            group = abelian_product(moduli, seed)
+            expected = full_presentation_factors(group)
+            monkeypatch.setattr(groups, "smith_normal_form", counted)
+            decomp = abelian_decomposition(group, range(group.order))
+            monkeypatch.undo()
+            assert decomp.invariant_factors == expected == moduli
+            m = group.order
+            assert shapes[-1][0] == m and shapes[-1][1] <= m * int(log2(m))
 
     def test_rejects_nonabelian(self, s3):
         with pytest.raises(ValueError):
