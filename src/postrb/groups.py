@@ -106,22 +106,24 @@ class FiniteGroup:
         falls back to element 0 / the element itself so that the axiom
         checker can report the violation instead of construction failing.
         """
-        cooked = tuple(tuple(int(x) for x in row) for row in table)
-        n = len(cooked)
-        for identity in range(n):
-            if all(cooked[identity][b] == b == cooked[b][identity] for b in range(n)):
+        cooked = tuple(tuple(map(int, row)) for row in table)
+        elements = tuple(range(len(cooked)))
+        for identity, row in enumerate(cooked):
+            if row == elements and tuple(map(itemgetter(identity), cooked)) == elements:
                 break
         else:
             if strict:
                 raise ValueError("table has no identity element")
             identity = 0
         inverse = []
-        for a in range(n):
-            inv = None
-            for b in range(n):
-                if cooked[a][b] == identity and cooked[b][a] == identity:
-                    inv = b
-                    break
+        for a, row in enumerate(cooked):
+            # The first b with a b = e is the answer when also b a = e;
+            # otherwise scan for the first two-sided inverse.
+            inv = row.index(identity) if identity in row else None
+            if inv is None or cooked[inv][a] != identity:
+                inv = next(
+                    (b for b in elements if row[b] == identity == cooked[b][a]), None
+                )
             if inv is None:
                 if strict:
                     raise ValueError(f"element {a} has no inverse")

@@ -4,16 +4,21 @@ The induced product a > b = B(a) b B(a)^-1 (conjugation rows indexed by B)
 and the sub-adjacent table a o b = a (a > b) are built here once and shared:
 B is Rota-Baxter exactly when it is a homomorphism (G, o) -> G.
 
-The enumeration of all Rota-Baxter maps does an incremental depth-first
-search: whenever B(a) and B(b) are known, the defining identity forces
-B(a * B(a) b B(a)^-1) = B(a)B(b), which is propagated to a fixpoint before
-branching.  That prunes |G|^|G| down to a tiny tree at desk scale.
+Equivalently, B is Rota-Baxter exactly when its graph
+H_B = {h_x = (B(x), x B(x))} is a subgroup of G x G (Guo-Lang-Sheng, Adv.
+Math. 387, 2021; Bardakov-Gubarev, J. Algebra 596, 2022): h_x h_y is
+(B(x) B(y), x B(x) y B(y)), which is h_(x o y) exactly when
+B(x o y) = B(x) B(y).  The enumeration of all Rota-Baxter maps searches
+depth first and, at each branch, closes the partial map on the chosen
+generators Dimino-style, n |T| products for |T| <= log2 n generators; each
+leaf is verified on the same generators in n |T| steps (see
+``enumerate_rb_operators`` and ``check_rb_group_on_generators``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
@@ -196,69 +201,177 @@ def innerness_witness_group(pg: PostGroup) -> GroupMap | None:
     return GroupMap(tuple(g.mul(c, shift) for c in raw))
 
 
+def check_rb_group_on_generators(
+    group: FiniteGroup, operator: GroupMap, generators: Sequence[int]
+) -> bool:
+    """The Rota-Baxter identity from the image tuple, in n |T| steps for the
+    generator list T = ``generators``.
+
+    Walks the right o-products x o t = x B(x) t B(x)^-1, t in T, from the
+    identity, checks B(x o t) = B(x) B(t) at every step, and accepts when
+    B(e) = e and the walk reaches every element.
+
+    Soundness, in G x G with H = {h_x = (B(x), x B(x))}: the check at
+    (x, t) says h_x h_t = h_(x o t), since both are
+    (B(x) B(t), x B(x) t B(t)).  Let Y = {y : H h_y is in H}.
+    * Y is closed under o: for y, z in Y, h_y h_z lies in H, say h_w, and
+      comparing coordinates gives B(w) = B(y) B(z) and then w = y o z; so
+      H h_(y o z) = (H h_y) h_z is in H h_z, inside H.  This uses only the
+      associativity of G x G and nothing about B.
+    * e is in Y, as h_e = (e, e) when B(e) = e.
+    * T is in Y once the walk reaches every x: then h_x h_t is in H for all
+      x and each t in T.
+    So every element the walk reaches lies in Y; reaching all of them gives
+    H H in H, which is B(y o z) = B(y) B(z) for all y, z.  Conversely, for
+    a Rota-Baxter B the walk is the closure of e under o-products with T in
+    the group (G, o), so it passes whenever T generates (G, o).
+    """
+    n = group.order
+    if operator.size != n:
+        raise ValueError("operator size does not match the group order")
+    if not all(0 <= t < n for t in generators):
+        raise ValueError(f"generator outside the elements 0..{n - 1}")
+    table, conj, e = group.table, group.conjugation, group.identity
+    images = operator.images
+    if images[e] != e:
+        return False
+    steps = [(t, images[t]) for t in generators]
+    reached = [False] * n
+    reached[e] = True
+    walk = [e]
+    for x in walk:  # grows while it is read
+        bx = images[x]
+        row_x, conj_bx, row_bx = table[x], conj[bx], table[bx]
+        for t, bt in steps:
+            y = row_x[conj_bx[t]]
+            if images[y] != row_bx[bt]:
+                return False
+            if not reached[y]:
+                reached[y] = True
+                walk.append(y)
+    return len(walk) == n
+
+
+def tilde_operator(group: FiniteGroup, operator: GroupMap) -> GroupMap:
+    """B~(a) = a^-1 B(a^-1), Rota-Baxter of weight 1 whenever B is
+    (Guo-Lang-Sheng 2021); B~~ = B."""
+    table, images = group.table, operator.images
+    return GroupMap(tuple(table[b][images[b]] for b in group.inverse))
+
+
+def assert_tilde_closed(group: FiniteGroup, operators: Iterable[GroupMap]) -> None:
+    """Raise AssertionError unless B -> B~ maps the set of operators into
+    itself: a complete enumeration is closed, so a gap means operators were
+    dropped, which no per-operator check can see."""
+    found = {op.images for op in operators}
+    for images in found:
+        tilde = tilde_operator(group, GroupMap(images)).images
+        if tilde not in found:
+            raise AssertionError(
+                f"enumeration is not closed under B -> B~: {tilde} is missing"
+            )
+
+
 def enumerate_rb_operators(group: FiniteGroup, cap: int = 8**8) -> list[GroupMap]:
-    """All Rota-Baxter maps on the group, in deterministic search order.
+    """All Rota-Baxter maps on the group, in lexicographic order of their
+    image tuples.  The table must be a group (``check_group``; the CLI
+    checks it on parsing): the pruning, the leaf check and the B -> B~
+    self-check all rest on the group axioms.
 
     Refuses when the raw search space |G|^|G| exceeds ``cap``; the actual
     search is incremental with constraint propagation, so the bound is a
     guard, not a cost estimate.
+
+    The search keeps a partial map K whose graph {h_x = (B(x), x B(x))} is a
+    subgroup of G x G, starting from B(e) = e (forced: x = y = e gives
+    B(e)^2 = B(e)).  At each node it branches on the smallest free element t
+    and each value B(t) in turn, and appends t to the generator list T.  The
+    forcing rule B(x o y) = B(x) B(y) is multiplication in G x G
+    (h_x h_y = h_(x o y); see ``check_rb_group_on_generators``), so the map
+    that a branch forces is the subgroup generated by the graph of T.  It is
+    closed Dimino-style: every old element times the new generator, then
+    every newly forced element times every generator in T.  The result
+    contains e and is closed under right products with T, so it is the
+    whole subgroup; a clash (one x forced to two values) means that subgroup
+    is no graph, and prunes.  Propagating over all pairs reaches the same
+    subgroup, so the results and their order are those of the pairwise
+    fixpoint.
+
+    The old elements times t give x o t = x B(x) t B(x)^-1, which does not
+    depend on B(t), with values B(x) B(t); so this coset is computed once
+    per node.  When it meets K or repeats an element, every value of B(t)
+    clashes and the node is dropped: a consistent x o t = y in K would give
+    h_t = h_x^-1 h_y in the graph of K, so t in K; and x o t = x' o t with
+    B(x) B(t) = B(x') B(t) forces B(x) = B(x') and then x = x'.  So each
+    successful branch at least doubles |K|, |T| <= log2 n, and T at a leaf
+    is the greedy generating set (``generating_set``) of the sub-adjacent
+    group of the operator.
+
+    Branching on the smallest free element in ascending value order yields
+    the leaves in lexicographic order.  Each leaf is verified from its image
+    tuple on T (``check_rb_group_on_generators``), and the finished set is
+    checked to be closed under B -> B~ (``assert_tilde_closed``).
     """
     n = group.order
     if n**n > cap:
         raise ValueError(
             f"search space {n}^{n} exceeds the cap {cap}; raise it explicitly"
         )
+    if n == 0:  # an empty table (only non-strict construction builds one)
+        return [GroupMap(())]
     table = group.table
     conj = group.conjugation
+    e = group.identity
     images: list[int | None] = [None] * n
-    assigned: list[int] = []  # the elements with an image, in assignment order
+    images[e] = e
+    assigned: list[int] = [e]  # the elements with an image, in assignment order
+    generators: list[int] = []  # T: the elements chosen at branch points
     results: list[GroupMap] = []
 
-    def propagate(seed: int) -> bool:
-        """Close the partial map under the defining identity; False on clash.
-
-        The closure is the least fixpoint of the forcing rule, so a clash is
-        reached in every order of propagation or in none.
-        """
-        queue = [seed]
-        while queue:
-            x = queue.pop()
+    def close(depth: int) -> bool:
+        """Multiply every element assigned from ``depth`` on by every
+        generator in T, reading them while they are appended; False on a
+        clash."""
+        steps = [(s, images[s]) for s in generators]
+        for x in islice(assigned, depth, None):
             bx = images[x]
-            assert bx is not None
             row_x, conj_bx, row_bx = table[x], conj[bx], table[bx]
-            for k in range(len(assigned)):
-                y = assigned[k]
-                by = images[y]
-                for target, value in (
-                    (row_x[conj_bx[y]], row_bx[by]),
-                    (table[y][conj[by][x]], table[by][bx]),
-                ):
-                    seen = images[target]
-                    if seen is None:
-                        images[target] = value
-                        assigned.append(target)
-                        queue.append(target)
-                    elif seen != value:
-                        return False
+            for s, bs in steps:
+                target = row_x[conj_bx[s]]
+                seen = images[target]
+                if seen is None:
+                    images[target] = row_bx[bs]
+                    assigned.append(target)
+                elif seen != row_bx[bs]:
+                    return False
         return True
 
-    def extend() -> None:
-        free = next((a for a in range(n) if images[a] is None), None)
+    def extend(start: int) -> None:
+        free = next((a for a in range(start, n) if images[a] is None), None)
         if free is None:
             candidate = GroupMap(tuple(images))  # type: ignore[arg-type]
-            if not check_rb_group(group, candidate):
+            if not check_rb_group_on_generators(group, candidate, generators):
                 raise AssertionError("propagation admitted a non-Rota-Baxter map")
             results.append(candidate)
             return
         depth = len(assigned)
+        # x o t for the old x, whatever B(t) is; B(x o t) = B(x) B(t) below.
+        coset = [table[x][conj[images[x]][free]] for x in assigned]
+        if len(set(coset)) < depth or any(images[y] is not None for y in coset):
+            return
+        old_images = [images[x] for x in assigned]
+        generators.append(free)
         for value in range(n):
-            images[free] = value
-            assigned.append(free)
-            if propagate(free):
-                extend()
+            for y, bx in zip(coset, old_images):
+                images[y] = table[bx][value]
+            assigned.extend(coset)
+            if close(depth):
+                extend(free + 1)
             for touched in assigned[depth:]:
                 images[touched] = None
             del assigned[depth:]
+        generators.pop()
 
-    extend()
+    extend(0)
+    assert_tilde_closed(group, results)
     return results

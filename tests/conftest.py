@@ -155,6 +155,30 @@ def make_q8() -> FiniteGroup:
     )
 
 
+def relabel_values(values, perm):
+    """A table of element values with element a renamed perm[a]."""
+    n = len(values)
+    moved = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            moved[perm[a]][perm[b]] = perm[values[a][b]]
+    return moved
+
+
+def relabel_group(group: FiniteGroup, perm) -> FiniteGroup:
+    return FiniteGroup.from_table(relabel_values(group.table, perm))
+
+
+def seeded_relabellings(n: int, seed: int, count: int = 3):
+    rng = random.Random(seed)
+    perms = []
+    for _ in range(count):
+        perm = list(range(n))
+        rng.shuffle(perm)
+        perms.append(perm)
+    return perms
+
+
 def inner_postgroups(group: FiniteGroup) -> list[PostGroup]:
     """All inner post-group structures: one conjugator representative per
     inner automorphism and element, filtered by the weighted associativity

@@ -43,7 +43,7 @@ from postrb.postgroup import (
 )
 from postrb.scalars import IntMatrix, solve_linear_congruences
 
-from conftest import inner_postgroups
+from conftest import inner_postgroups, relabel_group, relabel_values, seeded_relabellings
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
@@ -115,30 +115,6 @@ def least_coboundary_oracle(
         return False
 
     return GroupMap(tuple(z)) if search(0) else None
-
-
-def relabel_values(values, perm):
-    """A table of element values with element a renamed perm[a]."""
-    n = len(values)
-    moved = [[0] * n for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            moved[perm[a]][perm[b]] = perm[values[a][b]]
-    return moved
-
-
-def relabel_group(group: FiniteGroup, perm) -> FiniteGroup:
-    return FiniteGroup.from_table(relabel_values(group.table, perm))
-
-
-def seeded_relabellings(n: int, seed: int, count: int = 3):
-    rng = random.Random(seed)
-    perms = []
-    for _ in range(count):
-        perm = list(range(n))
-        rng.shuffle(perm)
-        perms.append(perm)
-    return perms
 
 
 def make_cocycle(group, values):

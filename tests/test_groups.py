@@ -68,6 +68,69 @@ class TestCheckGroup:
             FiniteGroup.from_table([[1, 0], [1, 0]])
 
 
+def scanned_identity_and_inverses(table):
+    """The first element whose row and column are the identity map, and
+    per element the first two-sided inverse, by exhaustive scan; 0 and the
+    element itself where none exists."""
+    n = len(table)
+    identity = next(
+        (
+            e
+            for e in range(n)
+            if all(table[e][b] == b == table[b][e] for b in range(n))
+        ),
+        0,
+    )
+    inverse = tuple(
+        next(
+            (b for b in range(n) if table[a][b] == identity == table[b][a]),
+            a,
+        )
+        for a in range(n)
+    )
+    return identity, inverse
+
+
+class TestFromTable:
+    def test_groups_in_shuffled_labels(self):
+        identities = set()
+        for seed in range(6):
+            group = abelian_product((2, 6), seed)
+            expected = scanned_identity_and_inverses(group.table)
+            assert (group.identity, group.inverse) == expected
+            assert check_group(group)
+            identities.add(group.identity)
+        assert identities - {0}
+
+    def test_non_strict_matches_the_scan(self):
+        # Random tables with a planted identity and one-sided inverses: the
+        # first a b = e in a row is often not a two-sided inverse.
+        rng = random.Random(71)
+        for _ in range(400):
+            n = rng.randint(1, 6)
+            table = [[rng.randrange(n) for _ in range(n)] for _ in range(n)]
+            if rng.random() < 0.7:
+                e = rng.randrange(n)
+                table[e] = list(range(n))
+                for b in range(n):
+                    table[b][e] = b
+            group = FiniteGroup.from_table(table, strict=False)
+            assert (group.identity, group.inverse) == scanned_identity_and_inverses(
+                table
+            )
+            assert group.table == tuple(tuple(row) for row in table)
+
+    def test_entries_are_coerced_to_int(self):
+        group = FiniteGroup.from_table([[True, False], [False, True]])
+        assert group.table == ((1, 0), (0, 1))
+        assert all(type(x) is int for row in group.table for x in row)
+
+    def test_strict_refuses_missing_inverse(self):
+        # 0 is the identity; 1 1 = 1, so 1 has no inverse.
+        with pytest.raises(ValueError, match="no inverse"):
+            FiniteGroup.from_table([[0, 1], [1, 1]])
+
+
 class TestCenter:
     def test_abelian_full(self, z4):
         assert center_group(z4) == (0, 1, 2, 3)

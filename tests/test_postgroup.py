@@ -6,21 +6,36 @@ groups small enough to afford it.  On abelian groups the Rota-Baxter maps
 are exactly the endomorphisms, which gives a second independent count.
 """
 
+import random
 from itertools import product
 
 import pytest
 
 from postrb.errors import NotRotaBaxterError
-from postrb.groups import FiniteGroup, GroupMap, center_group, check_group, cyclic_group
+from postrb.groups import (
+    FiniteGroup,
+    GroupMap,
+    center_group,
+    check_group,
+    cyclic_group,
+    generating_set,
+)
 from postrb.postgroup import (
     PostGroup,
+    assert_tilde_closed,
     check_postgroup_axioms,
     check_rb_group,
+    check_rb_group_on_generators,
     enumerate_rb_operators,
     from_rb_group,
+    induced_triangle,
     innerness_witness_group,
     sub_adjacent_group,
+    sub_adjacent_table,
+    tilde_operator,
 )
+
+from conftest import make_d4, make_s3, relabel_group, seeded_relabellings
 
 
 def trivial_postgroup(group: FiniteGroup) -> PostGroup:
@@ -146,6 +161,20 @@ class TestWitness:
         assert innerness_witness_group(pg) is None
 
 
+def klein_four() -> FiniteGroup:
+    pairs = [(0, 0), (0, 1), (1, 0), (1, 1)]
+    return FiniteGroup.from_table(
+        [[(a1 ^ b1) * 2 + (a2 ^ b2) for b1, b2 in pairs] for a1, a2 in pairs]
+    )
+
+
+def search_generators(group: FiniteGroup, op: GroupMap) -> tuple[int, ...]:
+    """The generator list T the search holds at the leaf of ``op``: the
+    greedy generating set of its sub-adjacent group."""
+    composition = sub_adjacent_table(group, induced_triangle(group, op))
+    return generating_set(composition, group.identity)
+
+
 class TestEnumeration:
     def test_z2_exactly_endomorphisms(self, z2):
         ops = enumerate_rb_operators(z2)
@@ -160,11 +189,7 @@ class TestEnumeration:
         assert ops == {e.images for e in endomorphisms(z4)}
 
     def test_klein_four_matches_naive(self):
-        table = [
-            [(a1 ^ b1) * 2 + (a2 ^ b2) for b1, b2 in [(0, 0), (0, 1), (1, 0), (1, 1)]]
-            for a1, a2 in [(0, 0), (0, 1), (1, 0), (1, 1)]
-        ]
-        group = FiniteGroup.from_table(table)
+        group = klein_four()
         ops = {op.images for op in enumerate_rb_operators(group)}
         assert ops == {op.images for op in naive_rb_enumeration(group)}
         assert len(ops) == 16  # all F_2 2x2 matrices
@@ -183,6 +208,38 @@ class TestEnumeration:
         assert first == second
         assert all(a.images <= b.images for a, b in zip(first, first[1:]))
 
+    @pytest.mark.parametrize(
+        "make, seed",
+        [
+            (lambda: cyclic_group(4), 41),
+            (klein_four, 43),
+            (lambda: cyclic_group(6), 47),
+            (make_s3, 53),
+        ],
+        ids=["Z4", "Klein", "Z6", "S3"],
+    )
+    def test_matches_naive_when_relabelled(self, make, seed):
+        # The identity is moved off element 0, so B(e) = e is pre-assigned
+        # away from the first branch point.
+        base = make()
+        perms = [
+            p
+            for p in seeded_relabellings(base.order, seed, count=12)
+            if p[base.identity] != 0
+        ][:3]
+        assert len(perms) == 3
+        for perm in perms:
+            group = relabel_group(base, perm)
+            assert group.identity != 0
+            found = [op.images for op in enumerate_rb_operators(group)]
+            assert all(a < b for a, b in zip(found, found[1:]))
+            assert set(found) == {op.images for op in naive_rb_enumeration(group)}
+
+    def test_trivial_and_empty_tables(self):
+        assert [op.images for op in enumerate_rb_operators(cyclic_group(1))] == [(0,)]
+        empty = FiniteGroup.from_table([], strict=False)
+        assert [op.images for op in enumerate_rb_operators(empty)] == [()]
+
     def test_cap_guard(self, s3):
         with pytest.raises(ValueError):
             enumerate_rb_operators(s3, cap=100)
@@ -193,6 +250,101 @@ class TestEnumeration:
             for a in range(6):
                 for b in range(6):
                     assert op(sub.mul(a, b)) == s3.mul(op(a), op(b))
+
+
+class TestTildeSelfCheck:
+    def test_tilde_is_an_involution_on_operators(self, d4):
+        ops = enumerate_rb_operators(d4)
+        images = {op.images for op in ops}
+        for op in ops:
+            tilde = tilde_operator(d4, op)
+            assert check_rb_group(d4, tilde)
+            assert tilde.images in images
+            assert tilde_operator(d4, tilde) == op
+
+    def test_full_sets_pass(self, s3, d4):
+        for group in (s3, d4):
+            assert_tilde_closed(group, enumerate_rb_operators(group))
+
+    def test_dropping_one_operator_raises(self, s3):
+        ops = enumerate_rb_operators(s3)
+        constant = GroupMap.constant(6, s3.identity)
+        # Its partner B~(a) = a^-1 is still there and now has no image.
+        assert tilde_operator(s3, constant) == GroupMap(s3.inverse)
+        rest = [op for op in ops if op != constant]
+        assert len(rest) == len(ops) - 1
+        with pytest.raises(AssertionError, match="not closed"):
+            assert_tilde_closed(s3, rest)
+
+
+class TestGeneratorCheck:
+    """``check_rb_group_on_generators`` against the all-pairs check."""
+
+    def test_never_accepts_what_the_full_check_refuses(self):
+        groups = [make_s3(), make_d4(), cyclic_group(6), klein_four()]
+        rng = random.Random(61)
+        accepted = refused = 0
+        for group in groups:
+            n, e = group.order, group.identity
+            ops = [op.images for op in enumerate_rb_operators(group)]
+            for _ in range(1500):
+                if rng.random() < 0.5:
+                    images = [rng.randrange(n) for _ in range(n)]
+                    images[e] = e
+                else:  # an operator with a few images moved
+                    images = list(rng.choice(ops))
+                    for a in rng.sample(range(n), rng.randint(1, 3)):
+                        images[a] = rng.randrange(n)
+                generators = rng.sample(range(n), rng.randint(1, 3))
+                candidate = GroupMap(tuple(images))
+                if check_rb_group_on_generators(group, candidate, generators):
+                    assert check_rb_group(group, candidate), (group, images, generators)
+                    accepted += 1
+                else:
+                    refused += 1
+        # Both outcomes occur, so the comparison is not vacuous.
+        assert accepted > 100 and refused > 100
+
+    def test_accepts_every_operator_on_its_generators(self, s3, d4):
+        for group in (s3, d4):
+            for op in enumerate_rb_operators(group):
+                generators = search_generators(group, op)
+                assert len(generators) <= 3  # |T| <= log2 n
+                assert check_rb_group_on_generators(group, op, generators)
+
+    def test_refuses_each_operator_with_one_image_changed(self, s3, d4):
+        for group in (s3, d4):
+            n = group.order
+            for op in enumerate_rb_operators(group):
+                generators = search_generators(group, op)
+                for a in range(n):
+                    for value in range(n):
+                        if value == op(a):
+                            continue
+                        images = list(op.images)
+                        images[a] = value
+                        changed = GroupMap(tuple(images))
+                        assert not check_rb_group(group, changed)
+                        assert not check_rb_group_on_generators(
+                            group, changed, generators
+                        )
+
+    def test_refuses_generators_whose_walk_misses_an_element(self, d4):
+        # B = e makes o the group product; one element reaches only its
+        # cyclic subgroup, which is proper in D4, so the walk cannot
+        # certify the rest.
+        constant = GroupMap.constant(8, d4.identity)
+        assert check_rb_group(d4, constant)
+        for a in range(8):
+            assert not check_rb_group_on_generators(d4, constant, [a])
+        assert not check_rb_group_on_generators(d4, constant, [])
+        assert check_rb_group_on_generators(d4, constant, d4.generators)
+
+    def test_rejects_malformed_generators(self, s3):
+        with pytest.raises(ValueError):
+            check_rb_group_on_generators(s3, GroupMap.identity(6), [6])
+        with pytest.raises(ValueError):
+            check_rb_group_on_generators(s3, GroupMap.identity(4), [1])
 
 
 class TestLargerGroups:
