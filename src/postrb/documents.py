@@ -108,10 +108,10 @@ def parse_combination(text: str, dim: int, line: int = 0) -> Vector:
         idx = int(m.group("idx"))
         if not (1 <= idx <= dim):
             raise ParseError(line, f"basis index e{idx} out of range 1..{dim}")
-        coef_text = m.group("coef")
+        coef_text = m.group("coef")  # None or nonempty; "()" is no scalar
         if coef_text and coef_text.startswith("(") and coef_text.endswith(")"):
             coef_text = coef_text[1:-1]
-        coef = parse_scalar(coef_text, line) if coef_text else gaussian(1)
+        coef = parse_scalar(coef_text, line) if m.group("coef") else gaussian(1)
         out[idx - 1] = out[idx - 1] + sign * coef
     return tuple(out)
 

@@ -25,7 +25,7 @@ from .groups import (
 )
 from .postgroup import (
     PostGroup,
-    from_rb_group,
+    check_rb_group,
     induced_triangle,
     innerness_witness_group,
     sub_adjacent_group,
@@ -374,8 +374,7 @@ def construct_rb_from_obstruction_group(
     )
     if induced_triangle(g, operator) != pg.triangle:
         raise AssertionError("reconstructed operator does not reproduce the product")
-    # The operator induces pg's product, so its sub-adjacent table is sub's.
-    if not is_group_homomorphism(operator, sub.table, g):
+    if not check_rb_group(g, operator):
         raise AssertionError("reconstructed map fails the group Rota-Baxter identity")
     return GroupRbReconstruction(operator, witness, cocycle, correction)
 
@@ -425,11 +424,14 @@ def rb_difference_cocycle_group(
 
     Verifies the values are central and multiplicative for the sub-adjacent
     law; returns None when the induced products differ.  Raises
-    NotRotaBaxterError unless both maps satisfy the Rota-Baxter identity.
+    NotRotaBaxterError, naming the first map that fails the Rota-Baxter
+    identity.
     """
-    pg1 = from_rb_group(group, first)
-    pg2 = from_rb_group(group, second)
-    if pg1.triangle != pg2.triangle:
+    for name, operator in (("first", first), ("second", second)):
+        if not check_rb_group(group, operator):
+            raise NotRotaBaxterError(f"{name} map fails the group Rota-Baxter identity")
+    triangle = induced_triangle(group, first)
+    if triangle != induced_triangle(group, second):
         return None
     n = group.order
     central = set(center_group(group))
@@ -437,9 +439,7 @@ def rb_difference_cocycle_group(
     if any(z not in central for z in images):
         raise AssertionError("difference of equal-product operators must be central")
     difference = GroupMap(images)
-    if not is_group_homomorphism(
-        difference, sub_adjacent_table(group, pg1.triangle), group
-    ):
+    if not is_group_homomorphism(difference, sub_adjacent_table(group, triangle), group):
         raise AssertionError("difference is not multiplicative on the sub-adjacent group")
     return difference
 
@@ -452,25 +452,23 @@ def group_tower_certificates(
     Hard checks at every level: group axioms, the Rota-Baxter identity for
     the fixed operator, and that the operator and the tilde map
     a -> a o_(i-1) B(a) are homomorphisms one level down.  Each raises on
-    failure, so returning the levels is the certificate.
+    failure, so returning the levels is the certificate.  The operator is a
+    homomorphism from the next level exactly when it is Rota-Baxter on this
+    one, so ``check_rb_group`` on every level covers both.
     """
     if depth < 0:
         raise ValueError("tower depth must be nonnegative")
-    # The Rota-Baxter test of a level builds the table of the next level;
-    # on it, B is a homomorphism to the level below exactly when it is
-    # Rota-Baxter on that level.
-    table = sub_adjacent_table(group, induced_triangle(group, operator))
-    if not is_group_homomorphism(operator, table, group):
+    if not check_rb_group(group, operator):
         raise NotRotaBaxterError("map fails the group Rota-Baxter identity")
     levels = [group]
     for i in range(depth):
         current = levels[-1]
+        table = sub_adjacent_table(current, induced_triangle(current, operator))
         nxt = FiniteGroup.from_table(table, names=group.names)
         problems = group_violations(nxt, limit=1)
         if problems:
             raise AssertionError(f"tower level {i + 1} is not a group: {problems[0]}")
-        table = sub_adjacent_table(nxt, induced_triangle(nxt, operator))
-        if not is_group_homomorphism(operator, table, nxt):
+        if not check_rb_group(nxt, operator):
             raise AssertionError(f"operator is not Rota-Baxter on level {i + 1}")
         tilde = GroupMap(
             tuple(current.mul(a, operator(a)) for a in range(current.order))

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
 
-from .errors import NontrivialObstructionError, NotInnerError
+from .errors import NontrivialObstructionError, NotInnerError, NotRotaBaxterError
 from .lie import (
     LieAlgebra,
     Subspace,
@@ -26,7 +26,7 @@ from .lie import (
 from .postlie import (
     LinearMap,
     PostLieAlgebra,
-    from_rota_baxter,
+    _rota_baxter_tables,
     innerness_witness,
     is_homomorphism,
     is_witness,
@@ -255,12 +255,16 @@ def rb_difference_cocycle(
 
     Returns t = second - first after verifying it maps into the center and
     kills sub-adjacent brackets; returns None when the induced products
-    differ.  Raises NotRotaBaxterError unless both inputs satisfy the
-    Rota-Baxter identity.
+    differ.  Raises NotRotaBaxterError, naming the first input that fails
+    the Rota-Baxter identity.
     """
-    p1 = from_rota_baxter(algebra, first)
-    p2 = from_rota_baxter(algebra, second)
-    if p1.tc != p2.tc:
+    products = []
+    for name, operator in (("first", first), ("second", second)):
+        tables = _rota_baxter_tables(algebra, operator)
+        if tables is None:
+            raise NotRotaBaxterError(f"{name} map fails the Rota-Baxter identity")
+        products.append(tables[0])
+    if products[0] != products[1]:
         return None
     difference = second - first
     z = center(algebra)
@@ -268,7 +272,7 @@ def rb_difference_cocycle(
     for i in range(n):
         if not z.contains(difference.column(i)):
             raise AssertionError("difference of equal-product operators must be central")
-    sub = sub_adjacent(p1)
+    sub = sub_adjacent(PostLieAlgebra(algebra, products[0]))
     for i in range(n):
         for j in range(i + 1, n):
             if not is_zero_vector(difference.apply(sub.sc[i][j])):

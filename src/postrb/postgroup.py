@@ -8,11 +8,10 @@ Equivalently, B is Rota-Baxter exactly when its graph
 H_B = {h_x = (B(x), x B(x))} is a subgroup of G x G (Guo-Lang-Sheng, Adv.
 Math. 387, 2021; Bardakov-Gubarev, J. Algebra 596, 2022): h_x h_y is
 (B(x) B(y), x B(x) y B(y)), which is h_(x o y) exactly when
-B(x o y) = B(x) B(y).  The enumeration of all Rota-Baxter maps searches
-depth first and, at each branch, closes the partial map on the chosen
-generators Dimino-style, n |T| products for |T| <= log2 n generators; each
-leaf is verified on the same generators in n |T| steps (see
-``enumerate_rb_operators`` and ``check_rb_group_on_generators``).
+B(x o y) = B(x) B(y).  ``check_rb_group`` decides the identity on the
+generators it picks while it walks, n |T| steps for a Rota-Baxter map, and
+the enumeration of all Rota-Baxter maps closes each branch on its chosen
+generators Dimino-style, n |T| products for |T| <= log2 n generators.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ from .groups import (
     GroupMap,
     _differing_entries,
     group_violations,
-    is_group_homomorphism,
 )
 
 
@@ -166,17 +164,76 @@ def sub_adjacent_table(
 
 def check_rb_group(group: FiniteGroup, operator: GroupMap) -> bool:
     """B(a) B(b) = B(a * B(a) b B(a)^-1) on all pairs: B is a homomorphism
-    from the sub-adjacent table of its induced product to the group."""
-    table = sub_adjacent_table(group, induced_triangle(group, operator))
-    return is_group_homomorphism(operator, table, group)
+    from the sub-adjacent table of its induced product to the group, which
+    must be a group (``check_group``).
+
+    Walks the right o-products x o t = x B(x) t B(x)^-1 from the identity,
+    checking B(x o t) = B(x) B(t) at every step, and picks the generator
+    list T Dimino-style: when the walk stalls, the least unreached t joins
+    T, every element reached so far is multiplied by t, and each newly
+    reached element by every generator in T.  Accepts when B(e) = e and
+    every step passes.
+
+    Soundness, in G x G with H = {h_x = (B(x), x B(x))}: the check at
+    (x, t) says h_x h_t = h_(x o t), since both are
+    (B(x) B(t), x B(x) t B(t)).  Let Y = {y : H h_y is in H}.
+    * Y is closed under o: for y, z in Y, h_y h_z lies in H, say h_w, and
+      comparing coordinates gives B(w) = B(y) B(z) and then w = y o z; so
+      H h_(y o z) = (H h_y) h_z is in H h_z, inside H.  This uses only the
+      associativity of G x G and nothing about B.
+    * e is in Y, as h_e = (e, e) when B(e) = e.
+    * T is in Y: at the end h_x h_t is in H for all x and each t in T.
+    Every element is e, a generator, or x o t for a t in T and an element x
+    reached before it, so every element lies in Y; that is H H in H, which is
+    B(y o z) = B(y) B(z) for all y, z.  Conversely, for a Rota-Baxter B
+    every step passes, and T is the greedy generating set (``generating_set``)
+    of the group (G, o), |T| <= log2 n.
+    """
+    n = group.order
+    if operator.size != n:
+        raise ValueError("operator size does not match the group order")
+    if n == 0:  # an empty table (only non-strict construction builds one)
+        return True
+    table, conj, e = group.table, group.conjugation, group.identity
+    images = operator.images
+    if images[e] != e:
+        return False
+    steps: list[tuple[int, int]] = []  # (t, B(t)) for t in T
+    reached = [False] * n
+    reached[e] = True
+    walk = [e]
+    for t in range(n):
+        if reached[t]:
+            continue
+        bt = images[t]
+        old = len(walk)
+        for x in walk[:old]:  # the old elements times t
+            bx = images[x]
+            y = table[x][conj[bx][t]]
+            if images[y] != table[bx][bt]:
+                return False
+            if not reached[y]:
+                reached[y] = True
+                walk.append(y)
+        steps.append((t, bt))
+        for x in islice(walk, old, None):  # the new ones times every generator
+            bx = images[x]
+            row_x, conj_bx, row_bx = table[x], conj[bx], table[bx]
+            for s, bs in steps:
+                y = row_x[conj_bx[s]]
+                if images[y] != row_bx[bs]:
+                    return False
+                if not reached[y]:
+                    reached[y] = True
+                    walk.append(y)
+    return True
 
 
 def from_rb_group(group: FiniteGroup, operator: GroupMap) -> PostGroup:
     """The induced product a > b = B(a) b B(a)^-1; rejects non-Rota-Baxter maps."""
-    triangle = induced_triangle(group, operator)
-    if not is_group_homomorphism(operator, sub_adjacent_table(group, triangle), group):
+    if not check_rb_group(group, operator):
         raise NotRotaBaxterError("map fails the group Rota-Baxter identity")
-    return PostGroup(group, triangle)
+    return PostGroup(group, induced_triangle(group, operator))
 
 
 def innerness_witness_group(pg: PostGroup) -> GroupMap | None:
@@ -199,57 +256,6 @@ def innerness_witness_group(pg: PostGroup) -> GroupMap | None:
     # each conjugator coset while pinning the normalization.
     shift = g.inv(raw[g.identity])
     return GroupMap(tuple(g.mul(c, shift) for c in raw))
-
-
-def check_rb_group_on_generators(
-    group: FiniteGroup, operator: GroupMap, generators: Sequence[int]
-) -> bool:
-    """The Rota-Baxter identity from the image tuple, in n |T| steps for the
-    generator list T = ``generators``.
-
-    Walks the right o-products x o t = x B(x) t B(x)^-1, t in T, from the
-    identity, checks B(x o t) = B(x) B(t) at every step, and accepts when
-    B(e) = e and the walk reaches every element.
-
-    Soundness, in G x G with H = {h_x = (B(x), x B(x))}: the check at
-    (x, t) says h_x h_t = h_(x o t), since both are
-    (B(x) B(t), x B(x) t B(t)).  Let Y = {y : H h_y is in H}.
-    * Y is closed under o: for y, z in Y, h_y h_z lies in H, say h_w, and
-      comparing coordinates gives B(w) = B(y) B(z) and then w = y o z; so
-      H h_(y o z) = (H h_y) h_z is in H h_z, inside H.  This uses only the
-      associativity of G x G and nothing about B.
-    * e is in Y, as h_e = (e, e) when B(e) = e.
-    * T is in Y once the walk reaches every x: then h_x h_t is in H for all
-      x and each t in T.
-    So every element the walk reaches lies in Y; reaching all of them gives
-    H H in H, which is B(y o z) = B(y) B(z) for all y, z.  Conversely, for
-    a Rota-Baxter B the walk is the closure of e under o-products with T in
-    the group (G, o), so it passes whenever T generates (G, o).
-    """
-    n = group.order
-    if operator.size != n:
-        raise ValueError("operator size does not match the group order")
-    if not all(0 <= t < n for t in generators):
-        raise ValueError(f"generator outside the elements 0..{n - 1}")
-    table, conj, e = group.table, group.conjugation, group.identity
-    images = operator.images
-    if images[e] != e:
-        return False
-    steps = [(t, images[t]) for t in generators]
-    reached = [False] * n
-    reached[e] = True
-    walk = [e]
-    for x in walk:  # grows while it is read
-        bx = images[x]
-        row_x, conj_bx, row_bx = table[x], conj[bx], table[bx]
-        for t, bt in steps:
-            y = row_x[conj_bx[t]]
-            if images[y] != row_bx[bt]:
-                return False
-            if not reached[y]:
-                reached[y] = True
-                walk.append(y)
-    return len(walk) == n
 
 
 def tilde_operator(group: FiniteGroup, operator: GroupMap) -> GroupMap:
@@ -287,7 +293,7 @@ def enumerate_rb_operators(group: FiniteGroup, cap: int = 8**8) -> list[GroupMap
     B(e)^2 = B(e)).  At each node it branches on the smallest free element t
     and each value B(t) in turn, and appends t to the generator list T.  The
     forcing rule B(x o y) = B(x) B(y) is multiplication in G x G
-    (h_x h_y = h_(x o y); see ``check_rb_group_on_generators``), so the map
+    (h_x h_y = h_(x o y); see ``check_rb_group``), so the map
     that a branch forces is the subgroup generated by the graph of T.  It is
     closed Dimino-style: every old element times the new generator, then
     every newly forced element times every generator in T.  The result
@@ -309,8 +315,9 @@ def enumerate_rb_operators(group: FiniteGroup, cap: int = 8**8) -> list[GroupMap
 
     Branching on the smallest free element in ascending value order yields
     the leaves in lexicographic order.  Each leaf is verified from its image
-    tuple on T (``check_rb_group_on_generators``), and the finished set is
-    checked to be closed under B -> B~ (``assert_tilde_closed``).
+    tuple (``check_rb_group``, whose walk picks the same T in n |T| steps),
+    and the finished set is checked to be closed under B -> B~
+    (``assert_tilde_closed``).
     """
     n = group.order
     if n**n > cap:
@@ -350,7 +357,7 @@ def enumerate_rb_operators(group: FiniteGroup, cap: int = 8**8) -> list[GroupMap
         free = next((a for a in range(start, n) if images[a] is None), None)
         if free is None:
             candidate = GroupMap(tuple(images))  # type: ignore[arg-type]
-            if not check_rb_group_on_generators(group, candidate, generators):
+            if not check_rb_group(group, candidate):
                 raise AssertionError("propagation admitted a non-Rota-Baxter map")
             results.append(candidate)
             return

@@ -10,7 +10,7 @@ witness solve and the tower.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import NotRotaBaxterError
 from .lie import (
@@ -229,53 +229,56 @@ def is_homomorphism(
 
     Both sides are bilinear and antisymmetric, so pairs i < j suffice.
     """
-    return _homomorphic_on_pairs(mapping, lambda i, j: upper_table[i][j], lower)
-
-
-def _homomorphic_on_pairs(
-    mapping: LinearMap, entry: Callable[[int, int], Vector], lower: LieAlgebra
-) -> bool:
-    """True when [f(e_i), f(e_j)] = f(entry(i, j)) in ``lower`` for all i < j.
-
-    Pairs come column by column, (0, j), ..., (j-1, j), and the first
-    mismatch stops the scan, so ``entry`` may build what column j needs
-    just before its first pair.
-    """
     for j in range(mapping.dim):
         for i in range(j):
             lhs = lower.bracket(mapping.column(i), mapping.column(j))
-            if lhs != mapping.apply(entry(i, j)):
+            if lhs != mapping.apply(upper_table[i][j]):
                 return False
     return True
 
 
-def check_rota_baxter(algebra: LieAlgebra, operator: LinearMap) -> bool:
-    """Weight-1 identity [Rx,Ry] = R([Rx,y] + [x,Ry] + [x,y]) on basis pairs.
+def _rota_baxter_tables(
+    algebra: LieAlgebra, operator: LinearMap
+) -> tuple[StructureTable, StructureTable] | None:
+    """The induced table of [R(x), y] and its sub-adjacent table, or None
+    when R fails the weight-1 identity [Rx,Ry] = R([Rx,y] + [x,Ry] + [x,y]).
 
-    That is, R is a homomorphism from the sub-adjacent bracket of the
-    induced product to the algebra.  Row j of the induced table is built
-    just before the pairs (i, j), i < j, are compared, so an operator that
-    fails stops at its first bad pair.
+    The identity says that R is a homomorphism from the sub-adjacent bracket
+    to the algebra, so basis pairs i < j decide it (``is_homomorphism``).
+    Row j of the induced table is built just before the pairs (i, j), i < j,
+    are compared, so a failing operator stops at its first bad pair.  The
+    sub-adjacent table is antisymmetric: entry (j, i) is the negated (i, j).
     """
-    if operator.dim != algebra.dim:
+    n = algebra.dim
+    if operator.dim != n:
         raise ValueError("operator dimension does not match the algebra")
     sc = algebra.sc
-    rows: list[tuple[Vector, ...]] = []
+    columns = [operator.column(j) for j in range(n)]
+    induced: list[tuple[Vector, ...]] = []
+    sub = [[zero_vector(n)] * n for _ in range(n)]
+    for j, column_j in enumerate(columns):
+        induced.append(left_columns(sc, column_j))
+        for i in range(j):
+            entry = _sub_adjacent_entry(sc, induced, i, j)
+            if algebra.bracket(columns[i], column_j) != operator.apply(entry):
+                return None
+            sub[i][j] = entry
+            sub[j][i] = tuple(-x for x in entry)
+    return tuple(induced), tuple(map(tuple, sub))
 
-    def entry(i: int, j: int) -> Vector:
-        while len(rows) <= j:
-            rows.append(left_columns(sc, operator.column(len(rows))))
-        return _sub_adjacent_entry(sc, rows, i, j)
 
-    return _homomorphic_on_pairs(operator, entry, algebra)
+def check_rota_baxter(algebra: LieAlgebra, operator: LinearMap) -> bool:
+    """Weight-1 identity [Rx,Ry] = R([Rx,y] + [x,Ry] + [x,y]) on basis pairs;
+    stops at the first bad pair."""
+    return _rota_baxter_tables(algebra, operator) is not None
 
 
 def from_rota_baxter(algebra: LieAlgebra, operator: LinearMap) -> PostLieAlgebra:
     """The induced product x > y = [R(x), y]; rejects non-Rota-Baxter input."""
-    table = induced_table(algebra, operator)
-    if not is_homomorphism(operator, sub_adjacent_table(algebra.sc, table), algebra):
+    tables = _rota_baxter_tables(algebra, operator)
+    if tables is None:
         raise NotRotaBaxterError("operator fails the weight-1 Rota-Baxter identity")
-    return PostLieAlgebra(algebra, table)
+    return PostLieAlgebra(algebra, tables[0])
 
 
 def innerness_witness(p: PostLieAlgebra) -> LinearMap | None:

@@ -356,11 +356,11 @@ class ExactMatrix:
         n = self.rows
         if n != self.cols:
             raise ValueError("only square matrices can be inverted")
-        red, pivots = rref(hstack(self, ExactMatrix.identity(n)))
-        if list(pivots) != list(range(n)):
+        # A singular matrix leaves some column of the identity unsolvable.
+        solved = _solve_columns(self, ExactMatrix.identity(n))
+        if solved is None:
             raise ValueError("matrix is singular")
-        rows = tuple(r[n:] for r in red.entries)
-        return ExactMatrix(rows, n)
+        return ExactMatrix(tuple(zip(*solved[0])), n)
 
     def __str__(self) -> str:
         return "\n".join(" ".join(str(x) for x in r) for r in self.entries)

@@ -16,13 +16,7 @@ from dataclasses import dataclass
 
 from .errors import NotRotaBaxterError
 from .lie import Fingerprint, LieAlgebra, check_jacobi, invariant_fingerprint
-from .postlie import (
-    LinearMap,
-    check_rota_baxter,
-    induced_table,
-    is_homomorphism,
-    sub_adjacent_table,
-)
+from .postlie import LinearMap, _rota_baxter_tables, check_rota_baxter, is_homomorphism
 from .scalars import ExactMatrix
 
 
@@ -48,10 +42,10 @@ class TowerReport:
 def next_bracket(algebra: LieAlgebra, operator: LinearMap) -> LieAlgebra:
     """One tower step: [Rx,y] + [x,Ry] + [x,y], the sub-adjacent bracket of
     the induced product [Rx, y]."""
-    sub = sub_adjacent_table(algebra.sc, induced_table(algebra, operator))
-    if not is_homomorphism(operator, sub, algebra):
+    tables = _rota_baxter_tables(algebra, operator)
+    if tables is None:
         raise NotRotaBaxterError("operator fails the Rota-Baxter identity on this level")
-    return LieAlgebra(sub)
+    return LieAlgebra(tables[1])
 
 
 def build_tower(algebra: LieAlgebra, operator: LinearMap, depth: int) -> LieTower:

@@ -155,6 +155,18 @@ def make_q8() -> FiniteGroup:
     )
 
 
+def rb_group_by_definition(group: FiniteGroup, operator) -> bool:
+    """B(a) B(b) = B(a B(a) b B(a)^-1) for every a, b, on raw Cayley-table
+    lookups: the oracle for the library's group Rota-Baxter predicate."""
+    table, inverse, images = group.table, group.inverse, operator.images
+    for a, ba in enumerate(images):
+        for b, bb in enumerate(images):
+            twisted = table[table[table[a][ba]][b]][inverse[ba]]
+            if table[ba][bb] != images[twisted]:
+                return False
+    return True
+
+
 def relabel_values(values, perm):
     """A table of element values with element a renamed perm[a]."""
     n = len(values)

@@ -201,6 +201,18 @@ class TestParseErrors:
             parse_document(f"kind lie\ndim 2\n[1,2] = {value}\n")
         assert err.value.line == 3
 
+    @pytest.mark.parametrize("value", ["()*e1", "( )*e1", "e2 - ()*e1"])
+    def test_empty_parenthesized_coefficient_is_refused(self, tmp_path, capsys, value):
+        # An empty coefficient is no scalar; it does not fall back to 1.
+        text = f"kind lie\ndim 2\n[1,2] = {value}\n"
+        with pytest.raises(ParseError, match="bad scalar literal ''") as err:
+            parse_document(text)
+        assert err.value.line == 3
+        path = tmp_path / "doc.lie"
+        path.write_text(text)
+        assert main(["check-lie", "--input", str(path)]) == 2
+        assert capsys.readouterr().err == "error: line 3: bad scalar literal ''\n"
+
     @pytest.mark.parametrize(
         "value, expected",
         [("+ e1", [1, 0]), ("e1+e2", [1, 1]), ("-e1 + 1/2*e2", [-1, gaussian("1/2")])],
@@ -431,16 +443,16 @@ class TestCli:
         from postrb import postlie, tower
 
         path = SAMPLES / "sl2.rb"
-        operator = parse_document(path.read_text()).linear_maps["operator"]
+        doc = parse_document(path.read_text())
         seen = []
-        original = postlie.is_homomorphism
+        original = postlie._rota_baxter_tables
 
-        def counted(mapping, upper_table, lower):
-            seen.append(mapping == operator)
-            return original(mapping, upper_table, lower)
+        def counted(algebra, operator):
+            seen.append(algebra == doc.lie_algebra)
+            return original(algebra, operator)
 
-        monkeypatch.setattr(postlie, "is_homomorphism", counted)
-        monkeypatch.setattr(tower, "is_homomorphism", counted)
+        monkeypatch.setattr(postlie, "_rota_baxter_tables", counted)
+        monkeypatch.setattr(tower, "_rota_baxter_tables", counted)
         assert main(["tower", "--input", str(path), "--depth", "1"]) == 0
         assert seen.count(True) == 1
 
@@ -605,23 +617,19 @@ class TestCli:
         )
         assert code == 3
 
-    def test_diff_cocycle_checks_each_group_operator_at_most_twice(
-        self, monkeypatch, capsys
-    ):
+    def test_diff_cocycle_checks_each_group_operator_once(self, monkeypatch, capsys):
         from collections import Counter
 
-        from postrb import group_obstruction, postgroup
+        from postrb import group_obstruction
 
-        # Every Rota-Baxter test is a homomorphism test of the operator.
         calls = Counter()
-        original = postgroup.is_group_homomorphism
+        original = group_obstruction.check_rb_group
 
-        def counted(mapping, source_table, target):
-            calls[mapping.images] += 1
-            return original(mapping, source_table, target)
+        def counted(group, operator):
+            calls[operator.images] += 1
+            return original(group, operator)
 
-        for module in (group_obstruction, postgroup):
-            monkeypatch.setattr(module, "is_group_homomorphism", counted)
+        monkeypatch.setattr(group_obstruction, "check_rb_group", counted)
         code = main(
             [
                 "diff-cocycle",
@@ -634,7 +642,32 @@ class TestCli:
         assert code == 3
         assert "products differ" in capsys.readouterr().out
         assert len(calls) == 2
-        assert max(calls.values()) <= 2
+        assert set(calls.values()) == {1}
+
+    def test_diff_cocycle_checks_each_lie_operator_once(
+        self, monkeypatch, tmp_path, capsys, solvable
+    ):
+        from postrb import lie_obstruction
+        from postrb.postlie import LinearMap
+
+        operators = [
+            LinearMap.from_columns([[1, 0, 0], [0, -1, 0], [0, 0, 0]]),
+            LinearMap.from_columns([[1, 0, 1], [0, -1, 0], [0, 0, 2]]),
+        ]
+        seen = []
+        original = lie_obstruction._rota_baxter_tables
+
+        def counted(algebra, operator):
+            seen.append(operator)
+            return original(algebra, operator)
+
+        monkeypatch.setattr(lie_obstruction, "_rota_baxter_tables", counted)
+        paths = [tmp_path / "a.rb", tmp_path / "b.rb"]
+        for path, operator in zip(paths, operators):
+            path.write_text(render_rb_lie_document(solvable, operator))
+        code = main(["diff-cocycle", "--a", str(paths[0]), "--b", str(paths[1])])
+        assert code == 0
+        assert seen == operators
 
     def test_diff_cocycle_lie_different_products(self, tmp_path, capsys, solvable):
         from postrb.documents import render_rb_lie_document
@@ -667,6 +700,47 @@ class TestCli:
         out = capsys.readouterr().out
         assert code == 0
         assert "difference" in out
+
+    @pytest.mark.parametrize(
+        "bad_first, bad_second, named",
+        [(True, False, "first"), (True, True, "first"), (False, True, "second")],
+    )
+    def test_diff_cocycle_lie_names_the_failing_operator(
+        self, tmp_path, capsys, sl2, bad_first, bad_second, named
+    ):
+        from postrb.postlie import LinearMap
+
+        good = render_rb_lie_document(sl2, make_sl2_operator())
+        bad = render_rb_lie_document(sl2, LinearMap.identity(3))
+        a, b = tmp_path / "a.rb", tmp_path / "b.rb"
+        a.write_text(bad if bad_first else good)
+        b.write_text(bad if bad_second else good)
+        code = main(["diff-cocycle", "--a", str(a), "--b", str(b)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == f"error: {named} map fails the Rota-Baxter identity\n"
+
+    @pytest.mark.parametrize(
+        "bad_first, bad_second, named",
+        [(True, False, "first"), (True, True, "first"), (False, True, "second")],
+    )
+    def test_diff_cocycle_group_names_the_failing_operator(
+        self, tmp_path, capsys, bad_first, bad_second, named
+    ):
+        group = parse_document((SAMPLES / "s3_inverse.rbgrp").read_text()).group
+        good = render_rb_group_document(group, GroupMap(group.inverse))
+        bad = render_rb_group_document(group, GroupMap.identity(group.order))
+        a, b = tmp_path / "a.rbgrp", tmp_path / "b.rbgrp"
+        a.write_text(bad if bad_first else good)
+        b.write_text(bad if bad_second else good)
+        code = main(["diff-cocycle", "--a", str(a), "--b", str(b)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {named} map fails the group Rota-Baxter identity\n"
+        )
 
     def test_machine_format_json(self, capsys):
         code = main(

@@ -25,7 +25,6 @@ from postrb.postgroup import (
     assert_tilde_closed,
     check_postgroup_axioms,
     check_rb_group,
-    check_rb_group_on_generators,
     enumerate_rb_operators,
     from_rb_group,
     induced_triangle,
@@ -35,7 +34,13 @@ from postrb.postgroup import (
     tilde_operator,
 )
 
-from conftest import make_d4, make_s3, relabel_group, seeded_relabellings
+from conftest import (
+    make_d4,
+    make_s3,
+    rb_group_by_definition,
+    relabel_group,
+    seeded_relabellings,
+)
 
 
 def trivial_postgroup(group: FiniteGroup) -> PostGroup:
@@ -52,7 +57,7 @@ def naive_rb_enumeration(group: FiniteGroup) -> list[GroupMap]:
     found = []
     for images in product(range(n), repeat=n):
         candidate = GroupMap(images)
-        if check_rb_group(group, candidate):
+        if rb_group_by_definition(group, candidate):
             found.append(candidate)
     return found
 
@@ -278,9 +283,9 @@ class TestTildeSelfCheck:
 
 
 class TestGeneratorCheck:
-    """``check_rb_group_on_generators`` against the all-pairs check."""
+    """``check_rb_group``'s generator walk against the definition."""
 
-    def test_never_accepts_what_the_full_check_refuses(self):
+    def test_agrees_with_the_definition_on_random_maps(self):
         groups = [make_s3(), make_d4(), cyclic_group(6), klein_four()]
         rng = random.Random(61)
         accepted = refused = 0
@@ -295,28 +300,27 @@ class TestGeneratorCheck:
                     images = list(rng.choice(ops))
                     for a in rng.sample(range(n), rng.randint(1, 3)):
                         images[a] = rng.randrange(n)
-                generators = rng.sample(range(n), rng.randint(1, 3))
                 candidate = GroupMap(tuple(images))
-                if check_rb_group_on_generators(group, candidate, generators):
-                    assert check_rb_group(group, candidate), (group, images, generators)
+                verdict = rb_group_by_definition(group, candidate)
+                assert check_rb_group(group, candidate) == verdict, (group, images)
+                if verdict:
                     accepted += 1
                 else:
                     refused += 1
         # Both outcomes occur, so the comparison is not vacuous.
         assert accepted > 100 and refused > 100
 
-    def test_accepts_every_operator_on_its_generators(self, s3, d4):
+    def test_accepts_every_operator(self, s3, d4):
         for group in (s3, d4):
             for op in enumerate_rb_operators(group):
-                generators = search_generators(group, op)
-                assert len(generators) <= 3  # |T| <= log2 n
-                assert check_rb_group_on_generators(group, op, generators)
+                assert len(search_generators(group, op)) <= 3  # |T| <= log2 n
+                assert rb_group_by_definition(group, op)
+                assert check_rb_group(group, op)
 
     def test_refuses_each_operator_with_one_image_changed(self, s3, d4):
         for group in (s3, d4):
             n = group.order
             for op in enumerate_rb_operators(group):
-                generators = search_generators(group, op)
                 for a in range(n):
                     for value in range(n):
                         if value == op(a):
@@ -324,27 +328,14 @@ class TestGeneratorCheck:
                         images = list(op.images)
                         images[a] = value
                         changed = GroupMap(tuple(images))
+                        assert not rb_group_by_definition(group, changed)
                         assert not check_rb_group(group, changed)
-                        assert not check_rb_group_on_generators(
-                            group, changed, generators
-                        )
 
-    def test_refuses_generators_whose_walk_misses_an_element(self, d4):
-        # B = e makes o the group product; one element reaches only its
-        # cyclic subgroup, which is proper in D4, so the walk cannot
-        # certify the rest.
-        constant = GroupMap.constant(8, d4.identity)
-        assert check_rb_group(d4, constant)
-        for a in range(8):
-            assert not check_rb_group_on_generators(d4, constant, [a])
-        assert not check_rb_group_on_generators(d4, constant, [])
-        assert check_rb_group_on_generators(d4, constant, d4.generators)
-
-    def test_rejects_malformed_generators(self, s3):
-        with pytest.raises(ValueError):
-            check_rb_group_on_generators(s3, GroupMap.identity(6), [6])
-        with pytest.raises(ValueError):
-            check_rb_group_on_generators(s3, GroupMap.identity(4), [1])
+    def test_empty_table_and_wrong_size(self, s3):
+        empty = FiniteGroup.from_table((), strict=False)
+        assert check_rb_group(empty, GroupMap(()))
+        with pytest.raises(ValueError, match="size does not match"):
+            check_rb_group(s3, GroupMap.identity(4))
 
 
 class TestLargerGroups:
