@@ -389,6 +389,8 @@ def _cmd_diff_cocycle(args) -> tuple[Report, int]:
     if doc_a.kind == "rb-lie" and doc_b.kind == "rb-lie":
         if doc_a.lie_algebra.sc != doc_b.lie_algebra.sc:
             raise _AxiomFailure("the two documents carry different Lie algebras")
+        if jacobi_violations(doc_a.lie_algebra):
+            raise _AxiomFailure("base bracket fails the Jacobi identity")
         first = doc_a.linear_maps[OPERATOR_MAP]
         second = doc_b.linear_maps[OPERATOR_MAP]
         diff = rb_difference_cocycle(doc_a.lie_algebra, first, second)

@@ -22,6 +22,7 @@ from .groups import (
     center_group,
     group_violations,
     is_group_homomorphism,
+    _cayley_tree,
 )
 from .postgroup import (
     PostGroup,
@@ -31,7 +32,7 @@ from .postgroup import (
     sub_adjacent_group,
     sub_adjacent_table,
 )
-from .scalars import IntMatrix, _solve_diagonal, smith_normal_form
+from .scalars import IntMatrix, _diagonalize
 
 
 @dataclass(frozen=True)
@@ -175,10 +176,10 @@ def coboundary_solve_group(
     generators and f(a, e) = 0, so f vanishes everywhere.
 
     The pairs (a, s) are the edges a -> a o s of the Cayley graph of S.  A
-    breadth-first tree from e solves its own edges: along them
-    z(a o s) = z(a) + x_s - w(a, s), so z(a) = k_a . x + c_a, where x holds
-    the unknowns x_s = z(s), k_a counts the generators on the tree path to a
-    and c_a sums the cocycle values along it.  Each of the n |S| - n + 1
+    breadth-first tree from e (``_cayley_tree``) solves its own edges: along
+    them z(a o s) = z(a) + x_s - w(a, s), so z(a) = k_a . x + c_a, where x
+    holds the unknowns x_s = z(s), k_a counts the generators on the tree path
+    to a and c_a sums the cocycle values along it.  Each of the n |S| - n + 1
     edges off the tree, b = a o s, leaves one congruence with |S| columns,
     (k_a + e_s - k_b) . x = c_b - c_a + w(a, s).  A zero row, or a row that
     repeats an earlier one up to sign, is decided by its right-hand side
@@ -214,34 +215,25 @@ def coboundary_solve_group(
     generators = domain.generators
     width = len(generators)
     coords = center.coords
-    paths: list[tuple[int, ...] | None] = [None] * n  # k_a
+    paths, edges = _cayley_tree(composition, generators, e)
     sums = [(0,) * len(factors)] * n  # c_a, reduced per factor
-    paths[e] = (0,) * width
     rows: dict[tuple[int, ...], tuple[int, ...]] = {}
-    reached = [e]
-    for a in reached:  # grows while it is walked: breadth first
-        k_a, c_a = paths[a], sums[a]
-        for j, s in enumerate(generators):
-            # z(a o s) read through the edge (a, s): k_via . x + c_via.
-            b = composition[a][s]
-            k_via = k_a[:j] + (k_a[j] + 1,) + k_a[j + 1 :]
-            w_as = coords[cocycle.values[a][s]]
-            c_via = tuple((x - y) % d for x, y, d in zip(c_a, w_as, factors))
-            k_b = paths[b]
-            if k_b is None:
-                paths[b], sums[b] = k_via, c_via
-                reached.append(b)
-                continue
-            row = tuple(p - q for p, q in zip(k_via, k_b))
-            rhs = tuple((x - y) % d for x, y, d in zip(sums[b], c_via, factors))
-            if next((p for p in row if p), 0) < 0:
-                row = tuple(-p for p in row)
-                rhs = tuple(-x % d for x, d in zip(rhs, factors))
-            if not any(row):
-                if any(rhs):
-                    return None
-            elif rows.setdefault(row, rhs) != rhs:
+    for a, j, b, row in edges:
+        # z(a o s) read through the edge (a, s): k_a . x + x_s + c_via.
+        w_as = coords[cocycle.values[a][generators[j]]]
+        c_via = tuple((x - y) % d for x, y, d in zip(sums[a], w_as, factors))
+        if row is None:  # the tree edge into b
+            sums[b] = c_via
+            continue
+        rhs = tuple((x - y) % d for x, y, d in zip(sums[b], c_via, factors))
+        if next((p for p in row if p), 0) < 0:
+            row = tuple(-p for p in row)
+            rhs = tuple(-x % d for x, d in zip(rhs, factors))
+        if not any(row):
+            if any(rhs):
                 return None
+        elif rows.setdefault(row, rhs) != rhs:
+            return None
 
     system = _diagonalize(
         list(rows),
@@ -304,44 +296,6 @@ def coboundary_solve_group(
                     raise ValueError("cochain is not a 2-cocycle for this domain group")
                 raise AssertionError("congruence solution failed substitution")
     return result
-
-
-class _DiagonalSystem(NamedTuple):
-    """The congruences d_i y_i = s_i (mod each invariant factor), one list
-    s per factor, in unknowns y with x = transform @ y, and each factor's
-    least solution y."""
-
-    diagonal: tuple[int, ...]
-    shifted: list[list[int]]
-    least: list[list[int]]
-    transform: IntMatrix
-
-
-def _diagonalize(
-    rows: list[tuple[int, ...]],
-    rhs: list[list[int]],
-    factors: tuple[int, ...],
-    transform: IntMatrix,
-) -> _DiagonalSystem | None:
-    """The congruences rows @ y = rhs[k] (mod factors[k]) in unknowns y,
-    where x = transform @ y, as an equivalent diagonal system, or None when
-    some factor has no solution.
-
-    One Smith normal form u @ rows @ v = d serves every factor: the new
-    unknowns are v^-1 @ y, and the right-hand sides become u @ rhs[k].
-    """
-    width = transform.cols
-    u, d, v = smith_normal_form(IntMatrix.from_rows(rows, width=width))
-    diagonal = d.diagonal() + (0,) * (width - min(d.rows, width))
-    shifted, least = [], []
-    for column, modulus in zip(rhs, factors):
-        s = u.apply(column) + [0] * (width - len(column))
-        y = _solve_diagonal(diagonal, s, modulus)
-        if y is None:
-            return None
-        shifted.append(s[:width])
-        least.append(y)
-    return _DiagonalSystem(diagonal, shifted, least, transform @ v)
 
 
 def construct_rb_from_obstruction_group(

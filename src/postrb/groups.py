@@ -199,6 +199,53 @@ def generating_set(
     return tuple(generators)
 
 
+_Path = tuple[int, ...]
+
+
+def _cayley_tree(
+    table: Sequence[Sequence[int]], generators: Sequence[int], identity: int
+) -> tuple[list[_Path | None], list[tuple[int, int, int, _Path | None]]]:
+    """A breadth-first spanning tree, from ``identity``, of the Cayley graph
+    whose edges a -> b = a s_j are the right products by s_j =
+    ``generators[j]``.
+
+    Returns the path vector k_a of each element a (k_a[j] counts the steps
+    along s_j on the tree path from the identity to a; None when a is not
+    reached) and every edge (a, j, b, row) in walk order.  A tree edge, the
+    first edge into some b other than the identity, has row None, as
+    k_b = k_a + e_j there; an edge off the tree carries its relation row
+    k_a + e_j - k_b.
+
+    When the group is abelian, the rows present it: it is Z^S modulo the
+    span of the rows, by x -> the sum of x_j s_j written additively.  Every
+    row is a closed walk (the tree path to a, the edge, the tree path back
+    from b), so it maps to zero.  Conversely, read x as a word of steps
+    along the s_j and their inverses, in any order, and follow it from e;
+    as the group is abelian, it ends at the image c of x.  A step along an
+    edge (a, j, b) adds e_j = k_b - k_a + row (row 0 on a tree edge) and a
+    step against one subtracts it, so the sum telescopes to
+    x = k_c + (a sum of rows).  A word that maps to zero returns to e, where
+    k_e = 0: it is a sum of the relations along its walk.
+    """
+    paths: list[_Path | None] = [None] * len(table)
+    paths[identity] = (0,) * len(generators)
+    edges = []
+    reached = [identity]
+    for a in reached:  # grows while it is walked: breadth first
+        k_a = paths[a]
+        for j, s in enumerate(generators):
+            b = table[a][s]
+            k_via = k_a[:j] + (k_a[j] + 1,) + k_a[j + 1 :]
+            k_b = paths[b]
+            if k_b is None:
+                paths[b] = k_via
+                reached.append(b)
+                edges.append((a, j, b, None))
+            else:
+                edges.append((a, j, b, tuple(p - q for p, q in zip(k_via, k_b))))
+    return paths, edges
+
+
 def _associativity_failures(
     rows: Sequence[tuple[int, ...]], middles: Iterable[int], firsts: Sequence[int]
 ) -> Iterator[tuple[int, int, int]]:
@@ -333,15 +380,12 @@ def abelian_decomposition(
 ) -> AbelianDecomposition:
     """Decompose an abelian subgroup given by element indices.
 
-    Presents the subgroup by one generator e_a per element and the relations
-    e_a + e_s - e_(a s) for a in the subgroup and s in its greedy generating
-    set S (``generating_set``), |S| <= log2 m of them per element, and reads
-    the invariant factors off the Smith normal form of the relation matrix.
-    These relations span all of e_a + e_b - e_(a b): the one at b = e is
-    e_e, and for b = c s
-    e_a + e_b - e_(a b) = (e_a + e_c - e_(a c)) + (e_(a c) + e_s - e_(a b))
-    - (e_c + e_s - e_b),
-    so induction along products of generators reaches every b.
+    Presents the subgroup by its greedy generating set S
+    (``generating_set``) and the distinct relation rows of its Cayley tree
+    (``_cayley_tree``), at most m |S| - m + 1 rows of |S| <= log2 m columns,
+    and reads the invariant factors off their Smith normal form
+    u @ R @ v = d.  The element with path vector k has coordinates
+    (k v)_i mod d_i: x -> x v maps the row span of R onto that of d.
     """
     elements = tuple(dict.fromkeys(int(x) for x in subset))
     m = len(elements)
@@ -364,25 +408,24 @@ def abelian_decomposition(
         e = elements[0]
         return AbelianDecomposition((e,), (), {e: ()}, {(): e})
 
-    # Relations e_a + e_s - e_(a s) = 0 as columns; subgroup = Z^m / column span.
-    relations = []
-    for s in generating_set(local, index[group.identity]):
-        for a, row in enumerate(local):
-            relation = [0] * m
-            relation[a] += 1
-            relation[s] += 1
-            relation[row[s]] -= 1
-            relations.append(relation)
-    presentation = IntMatrix.from_rows(relations, width=m).transpose()
-    u, d, _ = smith_normal_form(presentation)
-    diag = list(d.diagonal()) + [0] * (m - min(d.rows, d.cols))
-    if any(x == 0 for x in diag):
+    generators = generating_set(local, index[group.identity])
+    width = len(generators)
+    paths, edges = _cayley_tree(local, generators, index[group.identity])
+    relations = dict.fromkeys(  # up to sign, in walk order
+        max(row, tuple(-x for x in row))
+        for *_, row in edges
+        if row is not None and any(row)
+    )
+    _, d, v = smith_normal_form(IntMatrix.from_rows(relations, width=width))
+    diag = d.diagonal() + (0,) * (width - min(d.rows, width))
+    if 0 in diag:
         raise AssertionError("finite subgroup produced an infinite presentation")
-    keep = [k for k, x in enumerate(diag) if x > 1]
-    factors = tuple(diag[k] for k in keep)
+    factors = tuple(x for x in diag if x > 1)
 
+    columns = v.transpose()  # columns.apply(k) is k v
     coords = {
-        g: tuple(u.entries[k][index[g]] % diag[k] for k in keep) for g in elements
+        g: tuple(y % x for y, x in zip(columns.apply(k), diag) if x > 1)
+        for g, k in zip(elements, paths)
     }
     elements_by_coords = {c: g for g, c in coords.items()}
     if prod(factors) != m or len(elements_by_coords) != m:

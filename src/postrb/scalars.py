@@ -599,9 +599,6 @@ class IntMatrix:
             self.entries[k][k] for k in range(min(self.rows, self.cols))
         )
 
-    def to_exact(self) -> ExactMatrix:
-        return ExactMatrix.from_rows(self.entries, width=self.width)
-
 
 class SmithDecomposition(NamedTuple):
     u: IntMatrix
@@ -614,92 +611,71 @@ def smith_normal_form(matrix: IntMatrix) -> SmithDecomposition:
 
     ``u`` and ``v`` are unimodular; ``d`` is diagonal with nonnegative
     entries satisfying d1 | d2 | ...
+
+    One pass over the diagonal positions t.  The pivot is a least nonzero
+    |entry| of the block left, d[t:, t:], moved to (t, t) and made positive.
+    Division with remainder clears its column and row; a remainder left is
+    smaller than the pivot, which is then picked again.  Once both are
+    clear, a row holding an entry that the pivot does not divide is added to
+    row t, which leaves such a remainder.  So t is finished only when its
+    pivot divides the whole block left, and d1 | d2 | ... holds as the pass
+    goes.  The pivot shrinks at least at every second pick (a tie goes to
+    the least (row, column), which is (t, t) after a row is added).
     """
     m, n = matrix.rows, matrix.cols
     d = [list(r) for r in matrix.entries]
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def row_swap(i: int, j: int) -> None:
-        d[i], d[j] = d[j], d[i]
-        u[i], u[j] = u[j], u[i]
+    u = [[int(i == j) for j in range(m)] for i in range(m)]
+    v = [[int(i == j) for j in range(n)] for i in range(n)]
 
     def row_add(i: int, j: int, q: int) -> None:
         d[i] = [a + q * b for a, b in zip(d[i], d[j])]
         u[i] = [a + q * b for a, b in zip(u[i], u[j])]
 
-    def row_negate(i: int) -> None:
-        d[i] = [-a for a in d[i]]
-        u[i] = [-a for a in u[i]]
-
-    def col_swap(i: int, j: int) -> None:
-        for r in range(m):
-            d[r][i], d[r][j] = d[r][j], d[r][i]
-        for r in range(n):
-            v[r][i], v[r][j] = v[r][j], v[r][i]
-
     def col_add(i: int, j: int, q: int) -> None:
-        for r in range(m):
-            d[r][i] += q * d[r][j]
-        for r in range(n):
-            v[r][i] += q * v[r][j]
+        for row in d[t:]:  # rows above t are zero in both columns
+            row[i] += q * row[j]
+        for row in v:
+            row[i] += q * row[j]
 
-    def diagonalize() -> int:
-        t = 0
-        while t < min(m, n):
-            best = None
-            pos = None
-            for i in range(t, m):
-                for j in range(t, n):
-                    a = abs(d[i][j])
-                    if a and (best is None or a < best):
-                        best, pos = a, (i, j)
-            if pos is None:
+    t = 0
+    while t < min(m, n):
+        least = 0
+        for i in range(t, m):
+            row = d[i]
+            for j in range(t, n):
+                x = abs(row[j])
+                if x and (not least or x < least):
+                    least, pivot_row, pivot_col = x, i, j
+            if least == 1:
                 break
-            row_swap(t, pos[0])
-            col_swap(t, pos[1])
-            while True:
-                if d[t][t] < 0:
-                    row_negate(t)
-                again = False
-                for i in range(t + 1, m):
-                    if d[i][t]:
-                        q = d[i][t] // d[t][t]
-                        row_add(i, t, -q)
-                        if d[i][t]:
-                            row_swap(t, i)
-                            again = True
-                for j in range(t + 1, n):
-                    if d[t][j]:
-                        q = d[t][j] // d[t][t]
-                        col_add(j, t, -q)
-                        if d[t][j]:
-                            col_swap(t, j)
-                            again = True
-                if again:
-                    continue
-                if all(d[i][t] == 0 for i in range(t + 1, m)) and all(
-                    d[t][j] == 0 for j in range(t + 1, n)
-                ):
-                    break
-            if d[t][t] < 0:
-                row_negate(t)
-            t += 1
-        return t
-
-    rank = diagonalize()
-    # Repair the divisibility chain: pull a violating entry next to its
-    # predecessor and rediagonalize until d1 | d2 | ... holds.
-    while True:
-        violation = None
-        for k in range(rank - 1):
-            if d[k][k] and d[k + 1][k + 1] % d[k][k] != 0:
-                violation = k
-                break
-        if violation is None:
-            break
-        col_add(violation, violation + 1, 1)
-        rank = diagonalize()
+        if not least:
+            break  # the block left is zero
+        d[t], d[pivot_row] = d[pivot_row], d[t]
+        u[t], u[pivot_row] = u[pivot_row], u[t]
+        if pivot_col != t:
+            for row in (*d[t:], *v):
+                row[t], row[pivot_col] = row[pivot_col], row[t]
+        if d[t][t] < 0:
+            d[t] = [-a for a in d[t]]
+            u[t] = [-a for a in u[t]]
+        p = d[t][t]
+        for i in range(t + 1, m):
+            q = d[i][t] // p
+            if q:
+                row_add(i, t, -q)
+        for j in range(t + 1, n):
+            q = d[t][j] // p
+            if q:
+                col_add(j, t, -q)
+        if any(d[i][t] for i in range(t + 1, m)) or any(d[t][t + 1 :]):
+            continue  # a remainder is left
+        bad = next(
+            (i for i in range(t + 1, m) if any(x % p for x in d[i][t + 1 :])), None
+        )
+        if bad is not None:
+            row_add(t, bad, 1)
+            continue
+        t += 1
 
     # The entries are ints already: no ``from_rows`` coercion.
     return SmithDecomposition(
@@ -709,26 +685,48 @@ def smith_normal_form(matrix: IntMatrix) -> SmithDecomposition:
     )
 
 
-def _solve_diagonal(
-    diagonal: Sequence[int], shifted: Sequence[int], modulus: int
-) -> list[int] | None:
-    """The least y with d_i y_i = s_i (mod modulus) for every i, or None.
+class _DiagonalSystem(NamedTuple):
+    """The congruences d_i y_i = s_i (mod each modulus), one list s per
+    modulus, in unknowns y with x = transform @ y, and each modulus' least
+    solution y."""
 
-    ``diagonal`` holds d_i and ``shifted`` holds s_i; the entries of
-    ``shifted`` past the end of ``diagonal`` stand for rows with d_i = 0.
-    Each y_i is the least solution of its congruence, which exists exactly
-    when gcd(d_i, modulus) divides s_i; y has one entry per d_i.
+    diagonal: tuple[int, ...]
+    shifted: list[list[int]]
+    least: list[list[int]]
+    transform: IntMatrix
+
+
+def _diagonalize(
+    rows: Sequence[Sequence[int]],
+    rhs: Sequence[Sequence[int]],
+    moduli: Sequence[int],
+    transform: IntMatrix,
+) -> _DiagonalSystem | None:
+    """The congruences rows @ y = rhs[k] (mod moduli[k]) in unknowns y,
+    where x = transform @ y, as an equivalent diagonal system, or None when
+    some modulus has no solution.
+
+    One Smith normal form u @ rows @ v = d serves every modulus: the new
+    unknowns are v^-1 @ y, and the right-hand sides become s = u @ rhs[k].
+    Each d_i y_i = s_i has a solution exactly when gcd(d_i, modulus) divides
+    s_i, and its least one is taken; a row past the width stands for d_i = 0.
     """
-    y = []
-    for i, si in enumerate(shifted):
-        di = diagonal[i] if i < len(diagonal) else 0
-        g = gcd(di, modulus)
-        if si % g:
-            return None
-        if i < len(diagonal):
-            m = modulus // g
-            y.append((si // g) * pow(di // g, -1, m) % m if m > 1 else 0)
-    return y
+    width = transform.cols
+    u, d, v = smith_normal_form(IntMatrix.from_rows(rows, width=width))
+    diagonal = d.diagonal() + (0,) * (width - min(d.rows, width))
+    shifted, least = [], []
+    for column, modulus in zip(rhs, moduli):
+        s = u.apply(column) + [0] * (width - len(column))
+        y = []
+        for di, si in zip(diagonal + (0,) * (len(s) - width), s):
+            g = gcd(di, modulus)
+            if si % g:
+                return None
+            q = modulus // g
+            y.append((si // g) * pow(di // g, -1, q) % q)
+        shifted.append(s[:width])
+        least.append(y[:width])
+    return _DiagonalSystem(diagonal, shifted, least, transform @ v)
 
 
 def solve_linear_congruences(
@@ -744,9 +742,8 @@ def solve_linear_congruences(
         raise ValueError("modulus must be positive")
     if len(rhs) != coeffs.rows:
         raise ValueError("right-hand side length does not match row count")
-    u, d, v = smith_normal_form(coeffs)
-    w = _solve_diagonal(d.diagonal(), u.apply([int(x) for x in rhs]), modulus)
-    if w is None:
+    identity = IntMatrix.identity(coeffs.cols)
+    system = _diagonalize(coeffs.entries, [[int(x) for x in rhs]], (modulus,), identity)
+    if system is None:
         return None
-    w += [0] * (coeffs.cols - len(w))
-    return [xi % modulus for xi in v.apply(w)]
+    return [x % modulus for x in system.transform.apply(system.least[0])]

@@ -721,6 +721,23 @@ class TestCli:
         assert captured.out == ""
         assert captured.err == f"error: {named} map fails the Rota-Baxter identity\n"
 
+    def test_diff_cocycle_lie_refuses_a_bracket_failing_jacobi(self, tmp_path, capsys):
+        # The Jacobi identity fails at (e1, e2, e3): the cyclic sum is e1.
+        from postrb.lie import LieAlgebra
+        from postrb.postlie import LinearMap
+
+        algebra = LieAlgebra.from_brackets(
+            3, {(0, 1): [1, 0, 0], (0, 2): [1, 0, 0], (1, 2): [0, 1, 0]}
+        )
+        a, b = tmp_path / "a.rb", tmp_path / "b.rb"
+        for path in (a, b):
+            path.write_text(render_rb_lie_document(algebra, LinearMap.zero(3)))
+        code = main(["diff-cocycle", "--a", str(a), "--b", str(b)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == "error: base bracket fails the Jacobi identity\n"
+
     @pytest.mark.parametrize(
         "bad_first, bad_second, named",
         [(True, False, "first"), (True, True, "first"), (False, True, "second")],

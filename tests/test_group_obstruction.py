@@ -477,19 +477,19 @@ class TestCanonicalCorrection:
         # nonsymmetric bilinear cocycle is nonzero, so the class is refused
         # by a zero row or a repeat with another right-hand side, before any
         # Smith normal form.
-        from postrb import group_obstruction
+        from postrb import scalars
 
         def refused(matrix):
             raise AssertionError("the tree rows should decide the class")
 
-        monkeypatch.setattr(group_obstruction, "smith_normal_form", refused)
+        monkeypatch.setattr(scalars, "smith_normal_form", refused)
         group = make()
         assert coboundary_solve_group(make_cocycle(group, beta), group) is None
 
     def test_smith_forms_have_at_most_s_columns(self, monkeypatch, capsys, censuses):
         # Every Smith normal form of the coboundary solve works on the |S|
         # unknowns z(s), s in the sub-adjacent group's generating set S.
-        from postrb import group_obstruction
+        from postrb import scalars
         from postrb.cli import main
         from postrb.scalars import smith_normal_form
 
@@ -499,7 +499,7 @@ class TestCanonicalCorrection:
             widths.append(matrix.cols)
             return smith_normal_form(matrix)
 
-        monkeypatch.setattr(group_obstruction, "smith_normal_form", counted)
+        monkeypatch.setattr(scalars, "smith_normal_form", counted)
         for sample in sorted(SAMPLES.glob("*.postgrp")):
             doc = parse_document(sample.read_text(encoding="utf-8"))
             widths.clear()

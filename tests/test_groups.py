@@ -2,7 +2,7 @@
 
 import random
 from itertools import product
-from math import log2
+from math import log2, prod
 
 import pytest
 
@@ -18,6 +18,8 @@ from postrb.groups import (
 )
 from postrb.scalars import IntMatrix, smith_normal_form
 
+from conftest import relabel_group, seeded_relabellings
+
 
 def abelian_product(moduli, seed):
     """Z/m1 x Z/m2 x ... with its elements in a seeded order."""
@@ -29,6 +31,27 @@ def abelian_product(moduli, seed):
             [index[tuple((p + q) % m for p, q, m in zip(x, y, moduli))] for y in elements]
             for x in elements
         ]
+    )
+
+
+def prime_power_factors(moduli):
+    """Invariant factors of Z/m1 x Z/m2 x ..., without a Smith normal form:
+    the k-th largest is the product of each prime's k-th largest power
+    among the m_i."""
+    powers = {}
+    for m in moduli:
+        p = 2
+        while m > 1:
+            q = 1
+            while m % p == 0:
+                m, q = m // p, q * p
+            if q > 1:
+                powers.setdefault(p, []).append(q)
+            p += 1
+    ranked = [sorted(qs, reverse=True) for qs in powers.values()]
+    depth = max(map(len, ranked), default=0)
+    return tuple(
+        prod(qs[k] for qs in ranked if k < len(qs)) for k in reversed(range(depth))
     )
 
 
@@ -250,9 +273,10 @@ class TestAbelianDecomposition:
         "moduli", [(2, 4), (2, 2, 2), (3, 6), (12,), (2, 6), (4, 4)]
     )
     def test_generator_relations_match_the_full_presentation(self, moduli, monkeypatch):
-        # The relations (a, s), s in the greedy generating set, give the
-        # invariant factors of all |Z|^2 relations, from at most
-        # |Z| log2 |Z| columns.  Each moduli tuple is already d1 | d2 | ...
+        # The relation rows of the Cayley tree of the greedy generating set
+        # S give the invariant factors of all |Z|^2 relations, from |S| <=
+        # log2 |Z| columns and at most |Z| |S| - |Z| + 1 rows, one per edge
+        # off the tree.  Each moduli tuple is already d1 | d2 | ...
         from postrb import groups
 
         shapes = []
@@ -269,7 +293,28 @@ class TestAbelianDecomposition:
             monkeypatch.undo()
             assert decomp.invariant_factors == expected == moduli
             m = group.order
-            assert shapes[-1][0] == m and shapes[-1][1] <= m * int(log2(m))
+            rows, cols = shapes[-1]
+            assert cols <= log2(m) and rows <= m * cols - m + 1
+
+    @pytest.mark.parametrize(
+        "moduli", [(2,) * 6, (4, 4, 4), (2, 4, 8), (2, 6, 6), (64,), (3, 3, 3)]
+    )
+    def test_centers_up_to_order_64(self, moduli):
+        expected = prime_power_factors(moduli)
+        base = abelian_product(moduli, 0)
+        for perm in seeded_relabellings(base.order, seed=len(moduli)):
+            group = relabel_group(base, perm)
+            decomp = abelian_decomposition(group, range(group.order))
+            assert decomp.invariant_factors == expected
+            assert sorted(decomp.coords.values()) == list(
+                product(*(range(d) for d in expected))
+            )
+            for a, b in product(range(group.order), repeat=2):
+                added = tuple(
+                    (x + y) % d
+                    for x, y, d in zip(decomp.to_coords(a), decomp.to_coords(b), expected)
+                )
+                assert decomp.to_coords(group.mul(a, b)) == added
 
     def test_rejects_nonabelian(self, s3):
         with pytest.raises(ValueError):

@@ -322,7 +322,7 @@ class TestDeterminant:
 
 
 def _int_det(matrix: IntMatrix) -> int:
-    value = determinant(matrix.to_exact())
+    value = determinant(ExactMatrix.from_rows(matrix.entries, width=matrix.cols))
     assert not value.im and value.re.denominator == 1
     return int(value.re)
 
@@ -348,10 +348,11 @@ def _check_smith(matrix: IntMatrix) -> IntMatrix:
 
 
 @st.composite
-def integer_matrices(draw, max_rows=5, max_cols=5):
+def integer_matrices(draw, max_rows=7, max_cols=7):
     """Small integer matrices, empty ones included, with some rows and
     columns set to zero.  Entries are zero half the time, so sparse and
-    diagonal shapes, whose divisibility chain needs repair, are common."""
+    diagonal shapes, whose pivots do not divide the entries left, are
+    common."""
     rows = draw(st.integers(0, max_rows))
     cols = draw(st.integers(0, max_cols))
     entry = st.one_of(st.just(0), st.integers(-9, 9))
@@ -452,6 +453,25 @@ class TestSmithNormalForm:
         )
         d = _check_smith(m)
         assert d.diagonal() == expected == (2, 2, 156)
+
+    def test_transforms_stay_small(self):
+        # A second full diagonalization to restore the divisibility chain
+        # takes minutes here, with transform entries of millions of bits
+        # (coefficient explosion); the chain must hold as the pass goes.
+        m = IntMatrix.from_rows(
+            [
+                (3, 0, -8, 0, -2, 0, -6),
+                (0, -8, 0, 0, -6, -7, 0),
+                (0, 1, 0, 9, -9, -7, -1),
+                (0, -9, 8, 2, 0, -4, 0),
+                (0, 2, 0, 0, 0, 0, -6),
+                (0, 0, 0, 9, -8, 0, 0),
+            ]
+        )
+        u, d, v = smith_normal_form(m)
+        assert (u @ m @ v).entries == d.entries
+        assert d.diagonal() == (1, 1, 1, 1, 1, 2)
+        assert all(abs(x) < 2**64 for t in (u, v) for row in t.entries for x in row)
 
 
 class TestSolveLinearCongruences:
