@@ -260,9 +260,6 @@ def _parse_lie_side(lines: _Lines, kind: str) -> AlgebraDocument:
         doc.post_lie = PostLieAlgebra.from_products(algebra, products)
     if kind == "rb-lie" and OPERATOR_MAP not in maps:
         raise ParseError(lines.last_line, "rb-lie documents need a 'map operator'")
-    for name, mp in maps.items():
-        if mp.dim != dim:
-            raise ParseError(lines.last_line, f"map {name!r} has wrong dimension")
     return doc
 
 
@@ -316,11 +313,14 @@ def _parse_group_side(
     triangle_rows: list[list[int]] | None = None
     group_maps: dict[str, GroupMap] = {}
 
-    def closure() -> FiniteGroup:
-        """The group the 'gen' lines read so far generate, closed once."""
+    def closure(no: int) -> FiniteGroup:
+        """The group the 'gen' lines generate, closed once: no 'gen' may follow."""
         nonlocal group
         if group is None:
-            group = expand_permutation_generators(degree, generators)
+            try:
+                group = expand_permutation_generators(degree, generators)
+            except ValueError as exc:
+                raise ParseError(no, str(exc)) from None
         return group
 
     while lines.peek() is not None:
@@ -328,10 +328,14 @@ def _parse_group_side(
         if text == "table":
             if order is None:
                 raise ParseError(no, "'table' requires an 'order n' header")
+            if table_rows is not None:
+                raise ParseError(no, "duplicate 'table' section")
             table_rows = _parse_table_rows(lines, order, order, "Cayley table")
         elif text.startswith("gen "):
             if degree is None:
                 raise ParseError(no, "'gen' requires a 'generators d' header")
+            if group is not None:
+                raise ParseError(no, "'gen' line after a 'triangle' or 'map' block")
             tokens = text.split()[1:]
             try:
                 perm = tuple(_integers(tokens))
@@ -340,21 +344,24 @@ def _parse_group_side(
             if sorted(perm) != list(range(degree)):
                 raise ParseError(no, f"generator is not a permutation of 0..{degree - 1}")
             generators.append(perm)
-            group = None
         elif text.split()[0] == "names":
+            if names is not None:
+                raise ParseError(no, "duplicate 'names' line")
             names = tuple(text.split()[1:])
         elif text == "triangle":
             if kind != "postgroup":
                 raise ParseError(no, f"triangle table not allowed in kind {kind!r}")
             if order is None and not generators:
                 raise ParseError(no, "triangle table must follow the group data")
-            size = order if order is not None else closure().order
+            if triangle_rows is not None:
+                raise ParseError(no, "duplicate 'triangle' section")
+            size = order if order is not None else closure(no).order
             triangle_rows = _parse_table_rows(lines, size, size, "triangle table")
         elif m := _MAP_RE.match(text):
             name = m.group(1)
             if name in group_maps:
                 raise ParseError(no, f"duplicate map {name!r}")
-            size = order if order is not None else closure().order
+            size = order if order is not None else closure(no).order
             images = [-1] * size
             for _ in range(size):
                 nxt = lines.peek()
@@ -378,7 +385,7 @@ def _parse_group_side(
     if degree is not None:
         if not generators:
             raise ParseError(lines.last_line, "generator form needs 'gen' lines")
-        group = closure()
+        group = closure(lines.last_line)
         if names is not None:
             if len(names) != group.order:
                 raise ParseError(lines.last_line, "names length does not match order")
@@ -406,9 +413,6 @@ def _parse_group_side(
         doc.post_group = PostGroup.from_table(group, triangle_rows)
     if kind == "rb-group" and OPERATOR_MAP not in group_maps:
         raise ParseError(lines.last_line, "rb-group documents need a 'map operator'")
-    for name, mp in group_maps.items():
-        if mp.size != group.order:
-            raise ParseError(lines.last_line, f"map {name!r} has wrong size")
     return doc
 
 

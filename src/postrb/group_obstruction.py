@@ -66,9 +66,6 @@ class GroupTwoCocycle:
     def order(self) -> int:
         return self.value_group.order
 
-    def value(self, a: int, b: int) -> int:
-        return self.values[a][b]
-
 
 class GroupRbReconstruction(NamedTuple):
     operator: GroupMap
@@ -298,21 +295,16 @@ def coboundary_solve_group(
     return result
 
 
-def construct_rb_from_obstruction_group(
-    pg: PostGroup, witness: GroupMap | None = None
-) -> GroupRbReconstruction:
+def construct_rb_from_obstruction_group(pg: PostGroup) -> GroupRbReconstruction:
     """Witness, defect cocycle, congruence solve, operator B(a) = F(a) z(a).
 
     Assumes the post-group axioms hold (callers validate).  Raises
     NotInnerError when some left multiplication is not a conjugation and
     NontrivialObstructionError when the class is nonzero.
     """
+    witness = innerness_witness_group(pg)
     if witness is None:
-        witness = innerness_witness_group(pg)
-        if witness is None:
-            raise NotInnerError(
-                "left multiplications are not all inner automorphisms"
-            )
+        raise NotInnerError("left multiplications are not all inner automorphisms")
     sub = sub_adjacent_group(pg)
     cocycle = _defect_group(pg, witness, sub)
     if not verify_group_2cocycle(cocycle, sub):

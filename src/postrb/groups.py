@@ -165,13 +165,6 @@ class GroupMap:
     def constant(n: int, value: int) -> "GroupMap":
         return GroupMap((value,) * n)
 
-    @staticmethod
-    def of(images: Iterable[int]) -> "GroupMap":
-        return GroupMap(tuple(int(x) for x in images))
-
-    def is_permutation(self) -> bool:
-        return sorted(self.images) == list(range(len(self.images)))
-
 
 def generating_set(
     composition: Sequence[Sequence[int]], identity: int
@@ -364,9 +357,6 @@ class AbelianDecomposition:
     invariant_factors: tuple[int, ...]
     coords: dict[int, tuple[int, ...]]
     elements_by_coords: dict[tuple[int, ...], int]
-
-    def to_coords(self, element: int) -> tuple[int, ...]:
-        return self.coords[element]
 
     def from_coords(self, coordinates: Sequence[int]) -> int:
         key = tuple(

@@ -29,7 +29,6 @@ from .scalars import (
     rref,
     unit_vector,
     vec_add,
-    vec_scale,
     vector,
     zero_vector,
 )
@@ -207,30 +206,6 @@ class Subspace:
         if not is_zero_vector(tuple(v)):
             return None
         return tuple(coords)
-
-    def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(b) for b in other.basis)
-
-    def plus(self, other: "Subspace") -> "Subspace":
-        if self.ambient_dim != other.ambient_dim:
-            raise ValueError("ambient dimension mismatch")
-        return Subspace.from_spanning(self.ambient_dim, self.basis + other.basis)
-
-    def intersect(self, other: "Subspace") -> "Subspace":
-        if self.ambient_dim != other.ambient_dim:
-            raise ValueError("ambient dimension mismatch")
-        if not self.basis or not other.basis:
-            return Subspace.zero(self.ambient_dim)
-        cols = [list(b) for b in self.basis] + [[-x for x in b] for b in other.basis]
-        system = ExactMatrix.from_columns(cols)
-        vectors = []
-        for combo in nullspace(system):
-            acc = zero_vector(self.ambient_dim)
-            for c, b in zip(combo[: len(self.basis)], self.basis):
-                if c:
-                    acc = vec_add(acc, vec_scale(c, b))
-            vectors.append(acc)
-        return Subspace.from_spanning(self.ambient_dim, vectors)
 
 
 @dataclass(frozen=True)

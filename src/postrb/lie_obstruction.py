@@ -95,13 +95,6 @@ class LieTwoCochain:
     def evaluate(self, x: Sequence[ScalarLike], y: Sequence[ScalarLike]) -> Vector:
         return bilinear(self.values, x, y)
 
-    def is_zero(self) -> bool:
-        return all(
-            is_zero_vector(self.values[i][j])
-            for i in range(self.ambient)
-            for j in range(i + 1, self.ambient)
-        )
-
 
 class RbReconstruction(NamedTuple):
     operator: LinearMap

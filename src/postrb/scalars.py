@@ -314,12 +314,6 @@ class ExactMatrix:
     def __neg__(self) -> "ExactMatrix":
         return ExactMatrix(tuple(tuple(-x for x in r) for r in self.entries), self.width)
 
-    def scale(self, s: ScalarLike) -> "ExactMatrix":
-        c = GaussianRational.of(s)
-        return ExactMatrix(
-            tuple(tuple(c * x for x in r) for r in self.entries), self.width
-        )
-
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.cols != other.rows:
             raise ValueError("matrix shape mismatch in product")

@@ -4,10 +4,12 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from postrb import cli
 from postrb.cli import main
 from postrb.documents import (
+    KINDS,
     expand_permutation_generators,
     parse_combination,
     parse_document,
@@ -288,6 +290,106 @@ class TestParseErrors:
         path.write_text(text, encoding="utf-8")
         assert main(["check-group", "--input", str(path)]) == 2
 
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            (
+                "kind group\norder 2\ntable\n0 1\n1 0\ntable\n1 0\n0 1\n",
+                6,
+                "duplicate 'table' section",
+            ),
+            (
+                "kind postgroup\norder 1\ntable\n0\ntriangle\n0\ntriangle\n0\n",
+                7,
+                "duplicate 'triangle' section",
+            ),
+            (
+                "kind group\norder 2\ntable\n0 1\n1 0\nnames e s\nnames e t\n",
+                7,
+                "duplicate 'names' line",
+            ),
+        ],
+        ids=["table", "triangle", "names"],
+    )
+    def test_repeated_section_is_refused(self, tmp_path, capsys, text, line, message):
+        path = tmp_path / "doc.txt"
+        path.write_text(text)
+        assert main(["check-group", "--input", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: line {line}: {message}\n"
+
+
+def _grammar_documents():
+    """Documents of at most 12 lines shaped like the grammar, well-formed or
+    not: a kind line and a header line of one side, then lines of that side
+    mixed with lines of any kind."""
+    index = st.integers(-1, 3)
+    size = st.integers(1, 3)
+    scalars = st.sampled_from(["0", "1", "-1", "1/2", "i", "1+i", "2/0", "x"])
+    combinations = st.sampled_from(["0", "e1", "-e2", "e1 + 1/2*e3", "(1+i)*e2", "e4", "e1 +"])
+    pair = st.tuples(index, index)
+    line = st.one_of(
+        st.sampled_from([f"kind {k}" for k in KINDS]),
+        st.builds("{} {}".format, st.sampled_from(["dim", "order", "generators"]), index),
+        st.sampled_from(["table", "triangle", "names e a", "map operator", "map witness"]),
+        st.lists(st.integers(0, 2), min_size=1, max_size=3).map(
+            lambda row: " ".join(map(str, row))
+        ),
+    )
+    lie_line = st.one_of(
+        line,
+        st.lists(scalars, min_size=1, max_size=3).map(lambda row: "row " + " ".join(row)),
+        st.builds(lambda ab, c: f"[{ab[0]},{ab[1]}] = {c}", pair, combinations),
+        st.builds(lambda ab, c: f"{ab[0]}>{ab[1]} = {c}", pair, combinations),
+    )
+    group_line = st.one_of(
+        line,
+        st.permutations([0, 1, 2]).map(lambda p: "gen " + " ".join(map(str, p))),
+        pair.map(lambda ab: f"{ab[0]} -> {ab[1]}"),
+    )
+    # A keyword with the n rows of n entries an order-n table needs, so that
+    # the parser often gets past a table instead of stopping inside it.
+    block = st.builds(
+        lambda keyword, n, entries: [keyword]
+        + [" ".join(str(x % n) for x in entries[r * n : r * n + n]) for r in range(n)],
+        st.sampled_from(["table", "triangle"]),
+        size,
+        st.lists(st.integers(0, 5), min_size=9, max_size=9),
+    )
+
+    def document(head, body):
+        return "\n".join([*head, *body][:12]) + "\n"
+
+    lie = st.builds(
+        document,
+        st.tuples(
+            st.sampled_from(["kind lie", "kind postlie", "kind rb-lie"]),
+            size.map("dim {}".format),
+        ),
+        st.lists(lie_line, max_size=10),
+    )
+    group = st.builds(
+        document,
+        st.tuples(
+            st.sampled_from(["kind group", "kind postgroup", "kind rb-group"]),
+            st.one_of(size.map("order {}".format), st.just("generators 3")),
+        ),
+        st.lists(st.one_of(group_line.map(lambda x: [x]), block), max_size=10).map(
+            lambda chunks: sum(chunks, [])
+        ),
+    )
+    return st.one_of(lie, group)
+
+
+class TestParserProperty:
+    @settings(database=None, derandomize=True, max_examples=200)
+    @given(_grammar_documents())
+    def test_only_parse_errors_escape(self, text):
+        for validate in (True, False):
+            try:
+                parse_document(text, validate_group_axioms=validate)
+            except ParseError:
+                pass
+
 
 class TestGeneratorExpansion:
     def test_transposition(self):
@@ -336,13 +438,40 @@ class TestGeneratorExpansion:
         assert calls == [((1, 0, 2), (1, 2, 0))]
 
     def test_gen_line_after_a_map_closes_again(self):
-        # The map is sized by the transposition alone, the group by both.
+        # The map is sized by the transposition alone, so a later generator
+        # would change the group under it.
         text = (
             "kind rb-group\ngenerators 3\ngen 1 0 2\n"
             "map operator\n0 -> 0\n1 -> 0\ngen 1 2 0\n"
         )
-        with pytest.raises(ParseError, match="wrong size"):
+        with pytest.raises(ParseError, match="after a 'triangle' or 'map' block") as err:
             parse_document(text)
+        assert err.value.line == 7
+
+    @pytest.mark.parametrize("command", ["check-postgroup", "group-obstruction"])
+    def test_gen_line_after_a_triangle_is_refused(self, tmp_path, capsys, command):
+        path = tmp_path / "doc.txt"
+        path.write_text(
+            "kind postgroup\ngenerators 3\ngen 1 0 2\ntriangle\n0 1\n0 1\ngen 1 2 0\n"
+        )
+        assert main([command, "--input", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: line 7: 'gen' line after a 'triangle' or 'map' block\n"
+        )
+
+    @pytest.mark.parametrize(
+        "kind, tail, line", [("group", "", 4), ("postgroup", "triangle\n", 5)]
+    )
+    def test_closure_past_the_cap_is_a_parse_error(self, tmp_path, capsys, kind, tail, line):
+        # S_8 has 40320 elements, past the closure cap of 4096.
+        path = tmp_path / "doc.txt"
+        path.write_text(
+            f"kind {kind}\ngenerators 8\ngen 1 2 3 4 5 6 7 0\ngen 1 0 2 3 4 5 6 7\n{tail}"
+        )
+        assert main(["check-group", "--input", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: line {line}: closure exceeds the cap of 4096 elements\n"
+        )
 
 
 class TestReadmeExample:

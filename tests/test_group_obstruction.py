@@ -141,7 +141,7 @@ def full_system_solvable(cocycle: GroupTwoCocycle, composition) -> bool:
             if composition[a][b] != e:
                 row[slot[composition[a][b]]] -= 1
             rows.append(row)
-            coords.append(cocycle.center.to_coords(cocycle.values[a][b]))
+            coords.append(cocycle.center.coords[cocycle.values[a][b]])
     system = IntMatrix.from_rows(rows, width=len(unknowns))
     return all(
         solve_linear_congruences(system, [c[k] for c in coords], modulus) is not None

@@ -189,7 +189,7 @@ class TestInnerAutomorphism:
             n = group.order
             for c in range(n):
                 auto = inner_automorphism(group, c)
-                assert auto.is_permutation()
+                assert sorted(auto.images) == list(range(n))
                 for a in range(n):
                     for b in range(n):
                         assert auto(group.mul(a, b)) == group.mul(auto(a), auto(b))
@@ -214,8 +214,6 @@ class TestGroupMap:
         for images in ((0, 5, 2, 3), (0, -1, 2, 3)):
             with pytest.raises(ValueError, match="outside the elements 0..3"):
                 check_rb_group(cyclic_group(4), GroupMap(images))
-            with pytest.raises(ValueError):
-                GroupMap.of(images)
 
     def test_every_element_is_a_valid_image(self):
         assert GroupMap((3, 0, 1, 2)).images == (3, 0, 1, 2)
@@ -252,7 +250,7 @@ class TestAbelianDecomposition:
         decomp = abelian_decomposition(z6, range(6))
         assert decomp.invariant_factors == (6,)
         for g in range(6):
-            assert decomp.from_coords(decomp.to_coords(g)) == g
+            assert decomp.from_coords(decomp.coords[g]) == g
 
     def test_coordinates_respect_product(self, d4):
         z = center_group(d4)
@@ -262,12 +260,12 @@ class TestAbelianDecomposition:
                 expected = tuple(
                     (x + y) % d
                     for x, y, d in zip(
-                        decomp.to_coords(a),
-                        decomp.to_coords(b),
+                        decomp.coords[a],
+                        decomp.coords[b],
                         decomp.invariant_factors,
                     )
                 )
-                assert decomp.to_coords(d4.mul(a, b)) == expected
+                assert decomp.coords[d4.mul(a, b)] == expected
 
     @pytest.mark.parametrize(
         "moduli", [(2, 4), (2, 2, 2), (3, 6), (12,), (2, 6), (4, 4)]
@@ -312,9 +310,9 @@ class TestAbelianDecomposition:
             for a, b in product(range(group.order), repeat=2):
                 added = tuple(
                     (x + y) % d
-                    for x, y, d in zip(decomp.to_coords(a), decomp.to_coords(b), expected)
+                    for x, y, d in zip(decomp.coords[a], decomp.coords[b], expected)
                 )
-                assert decomp.to_coords(group.mul(a, b)) == added
+                assert decomp.coords[group.mul(a, b)] == added
 
     def test_rejects_nonabelian(self, s3):
         with pytest.raises(ValueError):

@@ -114,7 +114,8 @@ class TestDerivations:
 
     def test_inner_contained_in_derivations(self, sl2, solvable, heisenberg):
         for algebra in (sl2, solvable, heisenberg):
-            assert derivations(algebra).contains_subspace(inner_derivations(algebra))
+            der = derivations(algebra)
+            assert all(der.contains(b) for b in inner_derivations(algebra).basis)
 
     def test_abelian_inner_trivial(self):
         assert inner_derivations(LieAlgebra.abelian(3)).dim == 0
@@ -136,7 +137,7 @@ class TestKilling:
     def test_sl2_nondegenerate(self, sl2):
         # tr(ad e_i ad e_j) = -2 delta_ij on this basis.
         form, flag = killing_semisimple(sl2)
-        assert form == ExactMatrix.identity(3).scale(-2)
+        assert form == ExactMatrix.from_rows([[-2, 0, 0], [0, -2, 0], [0, 0, -2]])
         assert flag
 
     def test_solvable_degenerate(self, solvable):
@@ -218,15 +219,6 @@ class TestSubspace:
     def test_coordinates(self):
         s = Subspace.from_spanning(2, [vector([1, 0]), vector([0, 1])])
         assert s.coordinates_of(vector([3, 4])) == vector([3, 4])
-
-    def test_intersection(self):
-        a = Subspace.from_spanning(3, [vector([1, 0, 0]), vector([0, 1, 0])])
-        b = Subspace.from_spanning(3, [vector([0, 1, 0]), vector([0, 0, 1])])
-        assert a.intersect(b) == Subspace.from_spanning(3, [vector([0, 1, 0])])
-
-    def test_intersection_with_zero(self):
-        a = Subspace.from_spanning(2, [vector([1, 0])])
-        assert a.intersect(Subspace.zero(2)).dim == 0
 
     def test_semisimple_implies_complete(self, sl2, solvable):
         for algebra in (sl2, solvable, LieAlgebra.abelian(2)):

@@ -75,12 +75,13 @@ class TestObstructionCocycle:
     def test_zero_product(self, sl2):
         p = PostLieAlgebra.from_products(sl2, {})
         cochain = obstruction_cocycle(p, LinearMap.zero(3))
-        assert cochain.is_zero()
+        assert not any(any(v) for row in cochain.values for v in row)
 
     def test_sl2_forced_zero(self, sl2):
         p = PostLieAlgebra(sl2, sl2_triangle_table())
         cochain = obstruction_cocycle(p, make_sl2_operator())
-        assert cochain.is_zero()  # zero center leaves no room
+        # zero center leaves no room
+        assert not any(any(v) for row in cochain.values for v in row)
 
     def test_solvable_beta_one(self):
         p, w = solvable_postlie(alpha=0, beta=1, gamma=0)

@@ -168,7 +168,8 @@ def _gaussian_unimodular(n):
         for r in range(n)
     ]
     product = ExactMatrix.from_rows(lower) @ ExactMatrix.from_rows(upper)
-    return product.scale(gaussian(0, 1))
+    i = gaussian(0, 1)
+    return ExactMatrix.from_rows([[i * x for x in row] for row in product.entries])
 
 
 def _elementary(n, a, b):
@@ -400,7 +401,8 @@ def _oracle_coboundary(cochain, sub):
     z = cochain.center_basis
     r = z.dim
     if r == 0:
-        return LinearMap.zero(n) if cochain.is_zero() else None
+        zero = not any(any(v) for row in cochain.values for v in row)
+        return LinearMap.zero(n) if zero else None
     rows = []
     rhs = []
     for i in range(n):
@@ -447,7 +449,8 @@ def _oracle_images_span(operator):
         )
 
     op = operator.matrix
-    return image(op).plus(image(operator.plus_identity().matrix)).dim == op.rows
+    left, right = image(op), image(operator.plus_identity().matrix)
+    return Subspace.from_spanning(op.rows, left.basis + right.basis).dim == op.rows
 
 
 def _seeded_basis(rng, n, complex_entries):

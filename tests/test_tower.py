@@ -168,7 +168,9 @@ class TestProofInvariants:
             assert image.dim == n
 
     def test_image_intersection_identity(self, sl2, solvable):
-        # Im(R) meet Im(R+id) equals Im(R(R+id)) for the towers at hand.
+        # Im(R) meet Im(R+id) equals Im(R(R+id)) for the towers at hand:
+        # R(R+id) = (R+id)R puts the product's image in both, and
+        # dim(L meet R) = dim L + dim R - dim(L + R) matches its dimension.
         from postrb.lie import Subspace
 
         for algebra, op in [
@@ -181,7 +183,9 @@ class TestProofInvariants:
             left = Subspace.from_spanning(n, [m.column(j) for j in range(n)])
             right = Subspace.from_spanning(n, [shifted.column(j) for j in range(n)])
             expected = Subspace.from_spanning(n, [product.column(j) for j in range(n)])
-            assert left.intersect(right) == expected
+            assert all(left.contains(b) and right.contains(b) for b in expected.basis)
+            total = Subspace.from_spanning(n, left.basis + right.basis)
+            assert left.dim + right.dim - total.dim == expected.dim
 
     def test_level_one_semisimple_implies_level_zero(self, sl2):
         # Where the cited result applies: R = 0 and R = -id towers.
