@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Sequence
 
 from .errors import ParseError
@@ -18,7 +17,7 @@ from .groups import FiniteGroup, GroupMap, group_violations
 from .lie import LieAlgebra
 from .postgroup import PostGroup
 from .postlie import LinearMap, PostLieAlgebra
-from .scalars import GaussianRational, Vector, gaussian, zero_vector
+from .scalars import ONE, GaussianRational, Vector, from_triple, zero_vector
 
 KINDS = ("lie", "postlie", "group", "postgroup", "rb-lie", "rb-group")
 
@@ -39,6 +38,18 @@ _MAP_RE = re.compile(r"^map\s+([A-Za-z_][A-Za-z0-9_-]*)$")
 _ARROW_RE = re.compile(r"^([0-9]+)\s*->\s*([0-9]+)$")
 _TERM_RE = re.compile(r"^(?:(?P<coef>.+)\*)?e(?P<idx>[0-9]+)$")
 _INTEGERS_RE = re.compile(r"-?[0-9]+(?: -?[0-9]+)*")
+_MINUS_ONE = -ONE
+
+
+def _rational(text: str) -> tuple[int, int]:
+    """The numerator and denominator of a ``_RATIONAL`` literal, as written."""
+    n, _, d = text.partition("/")
+    return int(n), int(d) if d else 1
+
+
+def _imag_rational(text: str) -> tuple[int, int]:
+    """The coefficient of an imaginary literal ``i`` or ``<rational>*i``."""
+    return (1, 1) if text == "i" else _rational(text[:-2])  # strip "*i"
 
 
 def parse_scalar(token: str, line: int = 0) -> GaussianRational:
@@ -47,20 +58,19 @@ def parse_scalar(token: str, line: int = 0) -> GaussianRational:
     if not m:
         raise ParseError(line, f"bad scalar literal {token!r}")
     sign = -1 if m.group("sign") == "-" else 1
-
-    def imag_value(text: str) -> Fraction:
-        if text == "i":
-            return Fraction(1)
-        return Fraction(text[:-2])  # strip "*i"
-
+    real, imag = m.group("re"), m.group("imag_only") or m.group("im")
+    a, c = _rational(real) if real else (0, 1)
+    b, e = _imag_rational(imag) if imag else (0, 1)
+    # The leading sign is the first part's; "isign" is the imaginary part's.
+    if real:
+        a *= sign
+        if m.group("isign") == "-":
+            b = -b
+    else:
+        b *= sign
+    # a/c + (b/e)*i = (a*e + b*c*i) / (c*e)
     try:
-        if m.group("imag_only") is not None:
-            return gaussian(0, sign * imag_value(m.group("imag_only")))
-        re_part = sign * Fraction(m.group("re"))
-        if m.group("im") is None:
-            return gaussian(re_part)
-        isign = -1 if m.group("isign") == "-" else 1
-        return gaussian(re_part, isign * imag_value(m.group("im")))
+        return from_triple(a * e, b * c, c * e)
     except ZeroDivisionError:
         raise ParseError(line, f"zero denominator in {token!r}") from None
 
@@ -95,9 +105,9 @@ def parse_combination(text: str, dim: int, line: int = 0) -> Vector:
         return zero_vector(dim)
     out = list(zero_vector(dim))
     for term in _split_terms(text, line):
-        sign = gaussian(1)
+        sign = ONE
         if term.startswith("-"):
-            sign = gaussian(-1)
+            sign = _MINUS_ONE
             term = term[1:].strip()
         elif term.startswith("+"):
             term = term[1:].strip()
@@ -111,7 +121,7 @@ def parse_combination(text: str, dim: int, line: int = 0) -> Vector:
         coef_text = m.group("coef")  # None or nonempty; "()" is no scalar
         if coef_text and coef_text.startswith("(") and coef_text.endswith(")"):
             coef_text = coef_text[1:-1]
-        coef = parse_scalar(coef_text, line) if m.group("coef") else gaussian(1)
+        coef = parse_scalar(coef_text, line) if m.group("coef") else ONE
         out[idx - 1] = out[idx - 1] + sign * coef
     return tuple(out)
 
@@ -121,11 +131,11 @@ def render_combination(value: Sequence[GaussianRational]) -> str:
     for k, c in enumerate(value):
         if not c:
             continue
-        if c == gaussian(1):
+        if c == ONE:
             term = f"e{k + 1}"
-        elif c == gaussian(-1):
+        elif c == _MINUS_ONE:
             term = f"-e{k + 1}"
-        elif c.re and c.im:
+        elif c.a and c.b:
             term = f"({c})*e{k + 1}"
         else:
             term = f"{c}*e{k + 1}"
@@ -296,6 +306,7 @@ def _parse_group_side(
     table_rows: list[list[int]] | None = None
     generators: list[tuple[int, ...]] = []
     names: tuple[str, ...] | None = None
+    names_line = 0
     degree: int | None = None
 
     keyword = text.split()[0]
@@ -347,7 +358,7 @@ def _parse_group_side(
         elif text.split()[0] == "names":
             if names is not None:
                 raise ParseError(no, "duplicate 'names' line")
-            names = tuple(text.split()[1:])
+            names, names_line = tuple(text.split()[1:]), no
         elif text == "triangle":
             if kind != "postgroup":
                 raise ParseError(no, f"triangle table not allowed in kind {kind!r}")
@@ -388,13 +399,13 @@ def _parse_group_side(
         group = closure(lines.last_line)
         if names is not None:
             if len(names) != group.order:
-                raise ParseError(lines.last_line, "names length does not match order")
+                raise ParseError(names_line, "names length does not match order")
             group = FiniteGroup(group.table, group.identity, group.inverse, names)
     else:
         if table_rows is None:
             raise ParseError(lines.last_line, "group documents need a 'table' section")
         if names is not None and len(names) != order:
-            raise ParseError(lines.last_line, "names length does not match order")
+            raise ParseError(names_line, "names length does not match order")
         try:
             group = FiniteGroup.from_table(
                 table_rows, names=names, strict=validate_group_axioms

@@ -1,11 +1,14 @@
 """Exact scalars and exact linear algebra.
 
 Everything in this library is computed over the Gaussian rationals Q(i).
-Each part of a ``GaussianRational`` is an ``int`` when its value is integral
-and a reduced ``fractions.Fraction`` (denominator > 1) otherwise, so the
-integral entries that dominate real workloads cost plain ``int``
-arithmetic.  There is no floating point anywhere: float arguments are
-rejected, results are exact and runs are bit-for-bit reproducible.
+A ``GaussianRational`` holds three ``int``s ``a, b, d`` meaning
+(a + b*i)/d, with d > 0 and gcd(a, b, d) = 1.  That form is unique, so
+equality compares three ints, and the arithmetic is plain ``int``
+arithmetic with one ``math.gcd`` per result; integral values (d = 1), which
+dominate real workloads, skip even that.  No ``fractions.Fraction`` is built
+by arithmetic: the parts ``re`` and ``im`` are derived on demand.  There is
+no floating point anywhere: float arguments are rejected, results are exact
+and runs are bit-for-bit reproducible.
 
 An ``ExactMatrix`` is a dense immutable tuple of rows, but elimination
 (``rref``, and through it every solve, rank, inverse and subspace) works on
@@ -18,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from numbers import Rational
 from typing import Iterable, NamedTuple, Sequence, Union
 
@@ -27,40 +30,42 @@ Component = Union[int, Fraction]
 RationalLike = Union[Fraction, int, str]
 
 
-def _canonical(x: Fraction) -> Component:
-    """``x`` as an ``int`` when integral, else unchanged."""
-    return x.numerator if x.denominator == 1 else x
-
-
-def _component(x: object) -> Component:
+def _component(x: object) -> Fraction:
     """Coerce a constructor argument (a rational or a literal string)."""
     if not isinstance(x, (Rational, str)):
         raise TypeError(f"cannot interpret {x!r} as an exact rational")
-    return _canonical(Fraction(x))
+    return Fraction(x)
 
 
-def _quotient(n: Component, d: Component) -> Component:
-    """n / d in canonical form; ``/`` on two ints would give a float."""
-    if n.__class__ is int and d.__class__ is int:
-        q, r = divmod(n, d)
-        return Fraction(n, d) if r else q
-    return _canonical(n / d)
+def _part(n: int, d: int) -> Component:
+    """n/d as an ``int`` when integral, else a reduced ``Fraction``."""
+    q, r = divmod(n, d)
+    return Fraction(n, d) if r else q
+
+
+def _rational_str(n: int, d: int) -> str:
+    """n/d as ``str`` prints its reduced ``Fraction``."""
+    g = gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
 
 
 class GaussianRational:
-    """An element re + im*i of Q(i).
+    """An element (a + b*i)/d of Q(i).
 
-    Immutable.  ``re`` and ``im`` are canonical: an ``int`` exactly when the
-    value is integral, otherwise a reduced ``Fraction``.  Equality and hashing
-    follow the pair ``(re, im)``; a ``GaussianRational`` never equals an
-    ``int`` or a ``Fraction``.
+    Immutable.  ``a, b, d`` are ints with d > 0 and gcd(a, b, d) = 1, so
+    zero is (0, 0, 1) and equality compares the triples.  ``re`` and ``im``
+    are canonical: an ``int`` exactly when the part is integral, otherwise a
+    reduced ``Fraction``; hashing follows the pair ``(re, im)``.  A
+    ``GaussianRational`` never equals an ``int`` or a ``Fraction``.
     """
 
-    __slots__ = ("re", "im")
+    __slots__ = ("a", "b", "d")
 
-    def __init__(self, re: RationalLike = 0, im: RationalLike = 0) -> None:
-        _set_re(self, _component(re))
-        _set_im(self, _component(im))
+    def __new__(cls, re: RationalLike = 0, im: RationalLike = 0) -> "GaussianRational":
+        x, y = _component(re), _component(im)
+        d = lcm(x.denominator, y.denominator)
+        # Both parts are reduced, so gcd(a, b, d) = 1 already.
+        return _make(x.numerator * (d // x.denominator), y.numerator * (d // y.denominator), d)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -73,10 +78,18 @@ class GaussianRational:
     def __reduce__(self):
         return (GaussianRational, (self.re, self.im))
 
+    @property
+    def re(self) -> Component:
+        return _part(self.a, self.d)
+
+    @property
+    def im(self) -> Component:
+        return _part(self.b, self.d)
+
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not GaussianRational:
             return NotImplemented
-        return self.re == other.re and self.im == other.im
+        return self.a == other.a and self.b == other.b and self.d == other.d
 
     def __hash__(self) -> int:
         return hash((self.re, self.im))
@@ -86,34 +99,46 @@ class GaussianRational:
         if value.__class__ is GaussianRational:
             return value
         if value.__class__ is int:
-            return _make(value, 0)
-        if isinstance(value, (int, Fraction)):
-            return _make(_canonical(Fraction(value)), 0)
+            return _make(value, 0, 1)
+        if isinstance(value, int):
+            return _make(int(value), 0, 1)
+        if isinstance(value, Fraction):
+            return _make(value.numerator, 0, value.denominator)
         raise TypeError(f"cannot interpret {value!r} as a Gaussian rational")
 
     def __add__(self, other: ScalarLike) -> "GaussianRational":
         if other.__class__ is not GaussianRational:
             other = GaussianRational.of(other)
-        re = self.re + other.re
-        im = self.im + other.im
-        if re.__class__ is not int:
-            re = _canonical(re)
-        if im.__class__ is not int:
-            im = _canonical(im)
-        return _make(re, im)
+        d = self.d
+        if d == other.d:
+            a = self.a + other.a
+            b = self.b + other.b
+            if d == 1:
+                return _make(a, b, 1)
+        else:
+            e = other.d
+            a = self.a * e + other.a * d
+            b = self.b * e + other.b * d
+            d *= e
+        return _reduced(a, b, d)
 
     __radd__ = __add__
 
     def __sub__(self, other: ScalarLike) -> "GaussianRational":
         if other.__class__ is not GaussianRational:
             other = GaussianRational.of(other)
-        re = self.re - other.re
-        im = self.im - other.im
-        if re.__class__ is not int:
-            re = _canonical(re)
-        if im.__class__ is not int:
-            im = _canonical(im)
-        return _make(re, im)
+        d = self.d
+        if d == other.d:
+            a = self.a - other.a
+            b = self.b - other.b
+            if d == 1:
+                return _make(a, b, 1)
+        else:
+            e = other.d
+            a = self.a * e - other.a * d
+            b = self.b * e - other.b * d
+            d *= e
+        return _reduced(a, b, d)
 
     def __rsub__(self, other: ScalarLike) -> "GaussianRational":
         return GaussianRational.of(other) - self
@@ -121,84 +146,107 @@ class GaussianRational:
     def __mul__(self, other: ScalarLike) -> "GaussianRational":
         if other.__class__ is not GaussianRational:
             other = GaussianRational.of(other)
-        a, b, c, d = self.re, self.im, other.re, other.im
-        if not b and not d:
-            re = a * c
-            return _make(re if re.__class__ is int else _canonical(re), 0)
-        re = a * c - b * d
-        im = a * d + b * c
-        if re.__class__ is not int:
-            re = _canonical(re)
-        if im.__class__ is not int:
-            im = _canonical(im)
-        return _make(re, im)
+        a, b, c, e = self.a, self.b, other.a, other.b
+        if not b and not e:
+            re, im = a * c, 0
+        else:
+            re, im = a * c - b * e, a * e + b * c
+        d = self.d * other.d
+        return _make(re, im, 1) if d == 1 else _reduced(re, im, d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: ScalarLike) -> "GaussianRational":
         if other.__class__ is not GaussianRational:
             other = GaussianRational.of(other)
-        a, b, c, d = self.re, self.im, other.re, other.im
-        if not d:
+        # (a + b*i)/d / ((c + e*i)/f) = (a + b*i)(c - e*i) f / (d (c^2 + e^2))
+        a, b, c, e, f = self.a, self.b, other.a, other.b, other.d
+        if not e:
             if not c:
                 raise ZeroDivisionError("division by zero in Q(i)")
-            if not b:
-                return _make(_quotient(a, c), 0)
-            return _make(_quotient(a, c), _quotient(b, c))
-        norm = c * c + d * d
-        return _make(_quotient(a * c + b * d, norm), _quotient(b * c - a * d, norm))
+            d = self.d * c
+            if d < 0:
+                f, d = -f, -d
+            return _reduced(a * f, b * f, d)
+        return _reduced((a * c + b * e) * f, (b * c - a * e) * f, self.d * (c * c + e * e))
 
     def __rtruediv__(self, other: ScalarLike) -> "GaussianRational":
         return GaussianRational.of(other) / self
 
     def __neg__(self) -> "GaussianRational":
-        return _make(-self.re, -self.im)
+        return _make(-self.a, -self.b, self.d)
 
     def __bool__(self) -> bool:
-        return True if self.re or self.im else False
+        return True if self.a or self.b else False
 
     def conjugate(self) -> "GaussianRational":
-        return _make(self.re, -self.im)
+        return _make(self.a, -self.b, self.d)
 
     def inverse(self) -> "GaussianRational":
         return ONE / self
 
     def __str__(self) -> str:
-        if not self.im:
-            return str(self.re)
-        if not self.re:
-            return _imag_str(self.im)
-        sign = "+" if self.im > 0 else "-"
-        return f"{self.re}{sign}{_imag_str(abs(self.im))}"
+        a, b, d = self.a, self.b, self.d
+        if not b:
+            return _rational_str(a, d)
+        if not a:
+            return _imag_str(b, d)
+        sign = "+" if b > 0 else "-"
+        return f"{_rational_str(a, d)}{sign}{_imag_str(abs(b), d)}"
 
     __repr__ = __str__
 
 
-_set_re = GaussianRational.re.__set__
-_set_im = GaussianRational.im.__set__
+class _Fields:
+    """``GaussianRational``'s slot layout without its write guard."""
+
+    __slots__ = ("a", "b", "d")
 
 
 def _make(
-    re: Component, im: Component, _new=object.__new__, _cls=GaussianRational
+    a: int, b: int, d: int, _new=object.__new__, _cls=_Fields, _gr=GaussianRational
 ) -> GaussianRational:
-    """The raw constructor: ``re`` and ``im`` must already be canonical."""
+    """The raw constructor: (a + b*i)/d must already be reduced, d > 0.
+
+    The write guard of ``GaussianRational`` refuses attribute stores, so the
+    fields go into a ``_Fields`` with plain stores, which is then retyped.
+    """
     z = _new(_cls)
-    _set_re(z, re)
-    _set_im(z, im)
+    z.a = a
+    z.b = b
+    z.d = d
+    z.__class__ = _gr
     return z
 
 
-def _imag_str(im: Component) -> str:
-    if im == 1:
+def _reduced(a: int, b: int, d: int) -> GaussianRational:
+    """(a + b*i)/d for d > 0, divided by gcd(a, b, d)."""
+    g = gcd(a, b, d)
+    if g == 1:
+        return _make(a, b, d)
+    return _make(a // g, b // g, d // g)
+
+
+def from_triple(a: int, b: int, d: int) -> GaussianRational:
+    """(a + b*i)/d for ints with d != 0, reduced; ZeroDivisionError on d = 0."""
+    if not d:
+        raise ZeroDivisionError("zero denominator in Q(i)")
+    if d < 0:
+        a, b, d = -a, -b, -d
+    return _reduced(a, b, d)
+
+
+def _imag_str(b: int, d: int) -> str:
+    if b == d:
         return "i"
-    if im == -1:
+    if b == -d:
         return "-i"
-    return f"{im}*i"
+    return f"{_rational_str(b, d)}*i"
 
 
-ZERO = _make(0, 0)
-ONE = _make(1, 0)
-I = _make(0, 1)
+ZERO = _make(0, 0, 1)
+ONE = _make(1, 0, 1)
+I = _make(0, 1, 1)
 
 
 def gaussian(re: RationalLike = 0, im: RationalLike = 0) -> GaussianRational:

@@ -88,15 +88,24 @@ def tower_report(t: LieTower) -> TowerReport:
 
     Fingerprint equality across levels is the isomorphism evidence.  When
     ``operator_power_ranks[0]`` (or ``shifted_power_ranks[0]``) equals the
-    dimension, R (or R+id) is invertible and is itself an explicit
-    isomorphism from each level to the one below: the homomorphism law was
-    already hard-checked during construction.
+    dimension, R (or R+id) is invertible.  It is a homomorphism from each
+    level to the one below, which ``build_tower`` hard-checked: for R, the
+    Rota-Baxter identity on each level below the top; for R+id, the law
+    itself.  A bijective homomorphism is an isomorphism, so then every level
+    is isomorphic to level 0 and shares its fingerprint, which is computed
+    once.
     """
-    fingerprints = tuple(invariant_fingerprint(level) for level in t.levels)
+    n = t.levels[0].dim
+    operator_ranks = _power_ranks(t.operator.matrix, t.depth)
+    shifted_ranks = _power_ranks(t.operator.plus_identity().matrix, t.depth)
+    if t.depth and n in (operator_ranks[0], shifted_ranks[0]):
+        fingerprints = (invariant_fingerprint(t.levels[0]),) * len(t.levels)
+    else:
+        fingerprints = tuple(invariant_fingerprint(level) for level in t.levels)
     return TowerReport(
         fingerprints=fingerprints,
         semisimple=tuple(f.killing_rank == f.dim for f in fingerprints),
-        operator_power_ranks=_power_ranks(t.operator.matrix, t.depth),
-        shifted_power_ranks=_power_ranks(t.operator.plus_identity().matrix, t.depth),
+        operator_power_ranks=operator_ranks,
+        shifted_power_ranks=shifted_ranks,
         fingerprints_equal=all(f == fingerprints[0] for f in fingerprints),
     )

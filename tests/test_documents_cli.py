@@ -317,6 +317,21 @@ class TestParseErrors:
         assert main(["check-group", "--input", str(path)]) == 2
         assert capsys.readouterr().err == f"error: line {line}: {message}\n"
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "kind group\norder 2\nnames e\ntable\n0 1\n1 0\n",
+            "kind group\ngenerators 3\nnames e a\ngen 1 2 0\n",
+            "kind postgroup\ngenerators 3\nnames e a\ngen 1 2 0\ntriangle\n0 1 2\n1 2 0\n2 0 1\n",
+        ],
+        ids=["table", "generators", "generators-closed-early"],
+    )
+    def test_names_length_is_reported_on_the_names_line(self, tmp_path, capsys, text):
+        path = tmp_path / "doc.txt"
+        path.write_text(text)
+        assert main(["check-group", "--input", str(path)]) == 2
+        assert capsys.readouterr().err == "error: line 3: names length does not match order\n"
+
 
 def _grammar_documents():
     """Documents of at most 12 lines shaped like the grammar, well-formed or

@@ -104,3 +104,25 @@ def test_no_orphaned_private_names():
         if name.startswith("_") and not name.startswith("__") and name not in referenced
     )
     assert not orphans, f"private names used nowhere in the library: {', '.join(orphans)}"
+
+
+def _imported_modules(tree: ast.Module) -> set[str]:
+    """Top-level name of every module that ``tree`` imports from."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def test_only_scalars_imports_fractions():
+    # Scalars are integer triples; a Fraction is only built where the
+    # scalar layer converts at its boundary.
+    importers = sorted(
+        p.name
+        for p in SRC.glob("*.py")
+        if "fractions" in _imported_modules(ast.parse(p.read_text(), filename=str(p)))
+    )
+    assert importers == ["scalars.py"]

@@ -9,9 +9,10 @@ on-disk cache out of the working tree.
 """
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from postrb.documents import parse_scalar
 from postrb.scalars import ONE, ZERO, GaussianRational, gaussian
@@ -158,3 +159,52 @@ def test_halves_sum_to_an_int():
     total = half + half
     assert type(total.re) is int and type(total.im) is int
     assert total == gaussian(1, -1)
+
+
+def assert_reduced(x: GaussianRational) -> None:
+    assert type(x.a) is int and type(x.b) is int and type(x.d) is int
+    assert x.d > 0 and gcd(x.a, x.b, x.d) == 1
+    if not x:
+        assert (x.a, x.b, x.d) == (0, 0, 1)
+
+
+@DETERMINISTIC
+@given(values, values)
+def test_every_result_is_a_reduced_triple(a, b):
+    for x in (a + b, a - b, a * b, -a, a.conjugate()):
+        assert_reduced(x)
+    if b:
+        assert_reduced(a / b)
+        assert_reduced(b.inverse())
+
+
+def rational_literal(n: int, d: int, slash: bool) -> tuple[str, Fraction]:
+    return (f"{n}/{d}", Fraction(n, d)) if slash else (str(n), Fraction(n))
+
+
+def signed(sign: str, value: Fraction) -> Fraction:
+    return -value if sign == "-" else value
+
+
+real_literals = st.builds(rational_literal, st.integers(0, 40), st.integers(1, 12), st.booleans())
+imag_literals = st.one_of(
+    st.just(("i", Fraction(1))), real_literals.map(lambda lit: (lit[0] + "*i", lit[1]))
+)
+signs = st.sampled_from(["", "+", "-"])
+
+
+@DETERMINISTIC
+@given(signs, st.none() | real_literals, st.sampled_from(["+", "-"]), st.none() | imag_literals)
+def test_parsed_literals_match_fraction_pairs(sign, real, isign, imag):
+    # Literals like -3/4+5/6*i, i and 7, against gaussian(Fraction, Fraction).
+    assume(real is not None or imag is not None)
+    if real is None:
+        text, expected = sign + imag[0], gaussian(0, signed(sign, imag[1]))
+    elif imag is None:
+        text, expected = sign + real[0], gaussian(signed(sign, real[1]))
+    else:
+        text = sign + real[0] + isign + imag[0]
+        expected = gaussian(signed(sign, real[1]), signed(isign, imag[1]))
+    parsed = parse_scalar(text)
+    assert_reduced(parsed)
+    assert parsed == expected

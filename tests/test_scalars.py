@@ -8,6 +8,7 @@ properties (exact transform identity, unimodularity, divisibility chain).
 import random
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,6 +28,8 @@ from postrb.scalars import (
     solve_linear_congruences,
     vector,
 )
+
+SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
 
 class TestGaussianRational:
@@ -509,3 +512,31 @@ class TestSolveLinearCongruences:
             if got is not None:
                 image = m.apply(got)
                 assert all((a - b) % modulus == 0 for a, b in zip(image, rhs))
+
+
+def test_parsing_checking_and_obstruction_build_no_fraction(tmp_path, monkeypatch, capsys):
+    # Arithmetic works on the integer triples; a Fraction is built only when
+    # ``re`` or ``im`` is read.  The document mixes 1/2 and i entries.
+    from postrb.cli import main
+    from postrb.documents import parse_document
+    from postrb.lie_obstruction import construct_rb_from_obstruction
+    from postrb.postlie import check_postlie_axioms
+
+    text = SAMPLES.joinpath("sl2.post").read_text()
+    assert "1/2" in text and "i*e" in text
+    path = tmp_path / "sl2.post"
+    path.write_text(text)
+    built = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    doc = parse_document(text)
+    assert check_postlie_axioms(doc.post_lie).ok
+    construct_rb_from_obstruction(doc.post_lie, doc.linear_maps["witness"])
+    assert main(["obstruction", "--input", str(path)]) == 0
+    assert capsys.readouterr().out
+    assert built == []

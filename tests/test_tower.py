@@ -142,6 +142,32 @@ class TestTowerReport:
         for form in forms:
             assert sum(matrix == form for matrix in calls) == forms.count(form)
 
+    @pytest.mark.parametrize(
+        "case", ["sl2-minus-identity", "sl2-zero", "solvable-invertible"]
+    )
+    def test_isomorphic_levels_reuse_level_zero_fingerprint(
+        self, sl2, solvable, monkeypatch, case
+    ):
+        # -id and the solvable witness with gamma = 2 are invertible; for
+        # R = 0, R + id = id is.  The reused fingerprint is each level's own.
+        algebra, op = {
+            "sl2-minus-identity": (sl2, -LinearMap.identity(3)),
+            "sl2-zero": (sl2, LinearMap.zero(3)),
+            "solvable-invertible": (solvable, solvable_witness(alpha=1, beta=0, gamma=2)),
+        }[case]
+        t = build_tower(algebra, op, 3)
+        own = tuple(invariant_fingerprint(level) for level in t.levels)
+        from postrb import tower
+
+        calls = []
+        monkeypatch.setattr(
+            tower, "invariant_fingerprint", lambda a: calls.append(a) or invariant_fingerprint(a)
+        )
+        report = tower_report(t)
+        assert calls == [t.levels[0]]
+        assert report.fingerprints == own
+        assert 3 in (report.operator_power_ranks[0], report.shifted_power_ranks[0])
+
     def test_power_ranks_shape(self, sl2):
         t = build_tower(sl2, make_sl2_operator(), 3)
         report = tower_report(t)
