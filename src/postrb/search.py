@@ -17,17 +17,25 @@ column vanishes on them, and only the part [w_i, w_j] - sub_ij[i] w_i -
 sub_ij[j] w_j needs that correction.  It depends on (idx[i], idx[j]) only:
 each grid column c gets its ad table ads[c][k] = [c, e_k] once, a candidate
 is an index tuple idx, and the corrected part of a column pair is cached
-while its index pair stays fixed, which ``product`` order repeats.  A
-candidate pays only for the terms sub_ij[m] w_m of the other columns and
-stops at the first nonzero coordinate.  Only a valid candidate gets its
-``PostLieAlgebra``, witness and sub-adjacent algebra built, once each.
+while its index pair stays fixed, which ``product`` order repeats.
+
+From n = 3 on the scan walks the prefixes idx[0..n-2] and solves for the
+last column instead of trying each.  The pair (0, 1) leaves out column n-1,
+so its defect off the pivots is r - s w_{n-1} with s = sub_01[n-1] and r
+fixed by the prefix.  If s != 0 only the columns equal to r/s off the
+pivots can pass, found by one lookup in a map from those values to the
+grid indices that carry them; if s = 0 the prefix passes with every last
+column when r = 0 and with none otherwise.  Each survivor is then checked
+on every pair, paying only for the terms sub_ij[m] w_m of the other columns
+and stopping at the first nonzero coordinate.  Only a valid candidate gets
+its ``PostLieAlgebra``, witness and sub-adjacent algebra built, once each.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .lie import LieAlgebra, center, jacobi_violations, left_columns
 from .lie_obstruction import _defect, coboundary_solve
@@ -169,6 +177,60 @@ def _defect_is_central(
     return True
 
 
+def _pair_01_survivors(
+    algebra: LieAlgebra,
+    grid: Sequence[Vector],
+    ads: Sequence[Sequence[Vector]],
+    off: Sequence[tuple[int, tuple]],
+    cache: dict[tuple[int, int], tuple],
+) -> Iterator[tuple[int, ...]]:
+    """The index tuples, in ``product`` order, whose defect at the pair
+    (0, 1) is central; every tuple when n < 3.
+
+    The last column is solved from the prefix, not enumerated.  ``cache``
+    is the one ``_defect_is_central`` keeps, so the survivor reuses the
+    (0, 1) entry.
+    """
+    n = algebra.dim
+    everything = range(len(grid))
+    if n < 3:
+        yield from product(everything, repeat=n)
+        return
+    last = n - 1
+    by_values: dict[tuple, tuple[int, ...]] = {}
+    for c, col in enumerate(grid):
+        key = tuple(col[q] for q, _ in off)
+        by_values[key] = by_values.get(key, ()) + (c,)
+    for prefix in product(everything, repeat=last):
+        key = prefix[:2]
+        hit = cache.get((0, 1))
+        if hit is None or hit[0] != key:
+            hit = (key, *_pair_part(algebra, grid, ads, off, 0, 1, *key))
+            cache[(0, 1)] = hit
+        _, others, corrected = hit
+        s = ZERO
+        fixed = []
+        for m, t in others:
+            if m == last:
+                s = t
+            else:
+                fixed.append((t, grid[prefix[m]]))
+        residual = []
+        for q, value in corrected:
+            for t, col in fixed:
+                if col[q]:
+                    value = value - t * col[q]
+            residual.append(value)
+        if s:
+            lasts = by_values.get(tuple(r / s for r in residual), ())
+        elif any(residual):
+            continue
+        else:
+            lasts = everything
+        for c in lasts:
+            yield prefix + (c,)
+
+
 def scan_algebra(
     name: str,
     algebra: LieAlgebra,
@@ -176,6 +238,10 @@ def scan_algebra(
     max_examples: int = 3,
 ) -> ScanSummary:
     """Scan one algebra; inner products are parametrized by the witness grid.
+
+    Every witness with columns on the grid counts as a candidate, so a
+    coefficient listed twice repeats the grid columns, and with them the
+    candidates and the structures found.
 
     Raises ``ValueError`` naming the first basis triple where the bracket
     fails Jacobi, before any candidate is built.
@@ -202,13 +268,11 @@ def scan_algebra(
         grid.append(tuple(col))
     ads = [left_columns(algebra.sc, col) for col in grid]
     cache: dict[tuple[int, int], tuple] = {}
-    candidates = 0
     valid = 0
     trivial = 0
     nontrivial = 0
     examples: list[ScanFinding] = []
-    for idx in product(range(len(grid)), repeat=n):
-        candidates += 1
+    for idx in _pair_01_survivors(algebra, grid, ads, off, cache):
         if not _defect_is_central(algebra, grid, ads, off, idx, cache):
             continue
         valid += 1
@@ -223,7 +287,7 @@ def scan_algebra(
                 examples.append(ScanFinding(name, witness, trivial_class=False))
         else:
             trivial += 1
-    return ScanSummary(candidates, valid, trivial, nontrivial, tuple(examples))
+    return ScanSummary(len(grid) ** n, valid, trivial, nontrivial, tuple(examples))
 
 
 def scan_catalog(

@@ -38,6 +38,13 @@ def _oracle_valid_count(algebra: LieAlgebra, coefficients) -> int:
     return count
 
 
+_ORACLE_ALGEBRAS = {
+    **dict(default_catalog()),
+    "heisenberg+line": LieAlgebra.from_brackets(4, {(0, 1): [0, 0, 1, 0]}),
+    "heisenberg+line-skew": LieAlgebra.from_brackets(4, {(0, 1): [0, 0, 1, 1]}),
+}
+
+
 def _signed_permutation(perm, signs) -> ExactMatrix:
     """Columns are the new basis: e_j goes to signs[j] * e_perm[j]."""
     n = len(perm)
@@ -92,19 +99,54 @@ class TestScan:
         assert len(names) == len(set(names))
 
     @pytest.mark.parametrize(
-        "coefficients, valid", [((-1, 0, 1), 22), ((0, 1, I), 9)]
+        "name, coefficients, counts",
+        [
+            ("affine-2", (-1, 0, 1), (81, 22, 22, 0)),
+            ("affine-2", (0, 1, I), (81, 9, 9, 0)),
+            # The last column is solved by dividing by sub_01[2] =
+            # 1 + w_0[0] + w_1[1], which is complex on most prefixes.
+            ("simple-3", (0, I), (512, 1, 1, 0)),
+            # sub_01[3] = 0: each prefix keeps every last column or none, as
+            # its residual less the prefix column 2 vanishes or not.
+            ("heisenberg+line", (0, 1), (256, 64, 29, 35)),
+            # sub_01[2] = sub_01[3]: the residual less the prefix column 2
+            # is divided by a nonzero s to find the last column.
+            ("heisenberg+line-skew", (-1, 1), (256, 64, 16, 48)),
+        ],
     )
-    def test_affine_2_matches_axiom_oracle(self, coefficients, valid):
-        algebra = LieAlgebra.from_brackets(2, {(0, 1): [0, 1]})
-        assert center(algebra).dim == 0
-        summary = scan_algebra("affine-2", algebra, coefficients)
-        assert summary.candidates == 81
+    def test_counts_match_axiom_oracle(self, name, coefficients, counts):
+        algebra = _ORACLE_ALGEBRAS[name]
+        summary = scan_algebra(name, algebra, coefficients)
+        assert (
+            summary.candidates,
+            summary.valid_post_lie,
+            summary.trivial_class,
+            summary.nontrivial_class,
+        ) == counts
         assert summary.valid_post_lie == _oracle_valid_count(algebra, coefficients)
-        assert summary.valid_post_lie == valid
+
+    def test_repeated_coefficients_repeat_candidates(self):
+        # Over the values {-1, 0} two witnesses are valid: zero, and one with
+        # three entries -1.  Listing -1 twice spells that one 2^3 = 8 ways,
+        # and each spelling is its own candidate, so 1 + 8 = 9 are valid.
+        # Keeping one grid index per column value would find 1 + 4 = 5.
+        summary = scan_algebra(
+            "simple-3", dict(default_catalog())["simple-3"], (-1, -1, 0)
+        )
+        assert (
+            summary.candidates,
+            summary.valid_post_lie,
+            summary.trivial_class,
+            summary.nontrivial_class,
+        ) == (19683, 9, 9, 0)
 
     @pytest.mark.parametrize(
         "name, counts",
-        [("heisenberg", (729, 81, 8)), ("affine-3", (729, 66, 0))],
+        [
+            ("heisenberg", (729, 81, 8)),
+            ("affine-3", (729, 66, 0)),
+            ("simple-3", (19683, 2, 0)),
+        ],
     )
     @pytest.mark.parametrize(
         "perm, signs", [((2, 0, 1), (-1, 1, -1)), ((1, 0, 2), (1, -1, -1))]
