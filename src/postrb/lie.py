@@ -6,18 +6,27 @@ the Jacobi identity is a checkable property.  Subspaces are kept in reduced
 row echelon form so equality and membership are plain entry comparisons.
 
 Every product given by such a table (the bracket, a post-Lie product, the
-induced product [R(x), y]) is evaluated by the single evaluator in this
-module: ``bilinear`` for one product x.y, ``left_columns`` for the
-products x.e_j against every basis vector and ``row_combination`` for the
-product e_i.v of a basis vector with any v.  The linear map x -> (y -> x.y)
-has one matrix, ``coefficient_matrix``, behind the center, the inner
-derivations and the innerness-witness solve.
+induced product [R(x), y]) is evaluated in this module: ``bilinear`` for
+one product x.y and ``left_columns`` for the products x.e_j against every
+basis vector.  The linear map x -> (y -> x.y) has one matrix,
+``coefficient_matrix``, behind the center, the inner derivations and the
+innerness-witness solve.
+
+The table identities (Jacobi, the post-Lie axioms, the cocycle identity)
+only ask whether a sum of products of table entries is zero.  They are
+decided on one integer kernel: ``_integer_tables`` puts the tables they read
+on one common denominator L and keeps, per entry (i, j), the nonzero
+coefficients of L table[i][j] as Gaussian integers; ``_accumulate`` adds
+combinations of such rows into plain ``int`` lists.  Each identity is
+homogeneous in the tables, so scaling every table by the same L != 0
+keeps every zero and every nonzero, and no scalar is built on the way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from math import lcm
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .scalars import (
     ExactMatrix,
@@ -28,12 +37,14 @@ from .scalars import (
     nullspace,
     rref,
     unit_vector,
-    vec_add,
     vector,
     zero_vector,
 )
 
 StructureTable = tuple[tuple[Vector, ...], ...]
+# Entry (i, j) holds the (k, a, b) with L table[i][j][k] = a + b*i != 0.
+IntegerRow = tuple[tuple[int, int, int], ...]
+IntegerTable = tuple[tuple[IntegerRow, ...], ...]
 
 
 def bilinear(
@@ -76,16 +87,51 @@ def left_columns(table: StructureTable, x: Sequence[ScalarLike]) -> tuple[Vector
     return tuple(cols)
 
 
-def row_combination(table: StructureTable, i: int, v: Vector) -> Vector:
-    """The product e_i.v = sum_m v_m table[i][m], a combination of row i."""
-    row = table[i]
-    out = [ZERO] * len(row)
-    for m, c in enumerate(v):
-        if c:
-            for k, x in enumerate(row[m]):
-                if x:
-                    out[k] = out[k] + c * x
-    return tuple(out)
+def _integer_tables(*tables: StructureTable) -> tuple[IntegerTable, ...]:
+    """The tables scaled by one common L, as sparse Gaussian-integer rows.
+
+    L is the lcm of the denominators of every entry of every table, and
+    entry (i, j) of each result is the tuple of (k, a, b), k ascending, with
+    L table[i][j][k] = a + b*i nonzero.  Two passes over the entries: O(n^3)
+    per table, against the O(n^4) of the identities read off them.
+    """
+    scale = lcm(*{x.d for table in tables for row in table for v in row for x in v})
+    return tuple(
+        tuple(
+            tuple(
+                tuple(
+                    (k, x.a * (scale // x.d), x.b * (scale // x.d))
+                    for k, x in enumerate(v)
+                    if x.a or x.b
+                )
+                for v in row
+            )
+            for row in table
+        )
+        for table in tables
+    )
+
+
+def _accumulate(
+    re: list[int],
+    im: list[int],
+    coefficients: IntegerRow,
+    rows: Sequence[IntegerRow],
+    sign: int = 1,
+) -> None:
+    """Add sign * sum of (a + b*i) rows[m] over (m, a, b) in ``coefficients``
+    into the real parts ``re`` and imaginary parts ``im``."""
+    for m, a, b in coefficients:
+        if sign < 0:
+            a, b = -a, -b
+        if b:
+            for q, c, e in rows[m]:
+                re[q] += a * c - b * e
+                im[q] += a * e + b * c
+        else:
+            for q, c, e in rows[m]:
+                re[q] += a * c
+                im[q] += a * e
 
 
 @dataclass(frozen=True)
@@ -93,15 +139,21 @@ class LieAlgebra:
     sc: StructureTable
 
     def __post_init__(self) -> None:
-        n = len(self.sc)
+        """Reject a table that is not cubic or not antisymmetric.
+
+        (i, j, k) fails exactly when its mirror (j, i, k) does, so the first
+        bad triple in lexicographic order has i <= j and each pair i <= j is
+        visited once; on the diagonal the test x != -x asks for zero.
+        """
+        sc = self.sc
+        n = len(sc)
+        if any(len(row) != n or any(len(v) != n for v in row) for row in sc):
+            raise ValueError("structure table is not cubic")
         for i in range(n):
-            if len(self.sc[i]) != n:
-                raise ValueError("structure table is not cubic")
-            for j in range(n):
-                if len(self.sc[i][j]) != n:
-                    raise ValueError("structure table is not cubic")
-                for k in range(n):
-                    if self.sc[i][j][k] != -self.sc[j][i][k]:
+            for j in range(i, n):
+                mirror = sc[j][i]
+                for k, x in enumerate(sc[i][j]):
+                    if x != -mirror[k]:
                         raise ValueError(
                             f"structure constants not antisymmetric at ({i},{j},{k})"
                         )
@@ -221,26 +273,32 @@ class Fingerprint:
 
 
 def _cyclic_failures(
-    sc: StructureTable, product: Callable[[Vector, Vector], Vector]
+    sc: StructureTable, values: StructureTable
 ) -> Iterator[tuple[int, int, int]]:
     """Basis triples i<j<k, in order, where the cyclic sum
-    product([e_i,e_j], e_k) + product([e_j,e_k], e_i) + product([e_k,e_i], e_j)
-    is nonzero for the bracket table ``sc``."""
+    v([e_i,e_j], e_k) + v([e_j,e_k], e_i) + v([e_k,e_i], e_j)
+    is nonzero, for the bracket table ``sc`` and the bilinear table
+    ``values`` of v.  Each term pairs an entry of ``sc`` with one of
+    ``values``, so both are decided on one scale (``_integer_tables``)."""
     n = len(sc)
-    units = [unit_vector(n, k) for k in range(n)]
+    tables = _integer_tables(sc) if values is sc else _integer_tables(sc, values)
+    brackets, products = tables[0], tables[-1]
+    # v(u, e_k) = sum_m u_m values[m][k]: column k of ``values``.
+    columns = [[row[k] for row in products] for k in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
-                total = product(sc[i][j], units[k])
-                total = vec_add(total, product(sc[j][k], units[i]))
-                total = vec_add(total, product(sc[k][i], units[j]))
-                if not is_zero_vector(total):
+                re, im = [0] * n, [0] * n
+                _accumulate(re, im, brackets[i][j], columns[k])
+                _accumulate(re, im, brackets[j][k], columns[i])
+                _accumulate(re, im, brackets[k][i], columns[j])
+                if any(re) or any(im):
                     yield (i, j, k)
 
 
 def jacobi_violations(algebra: LieAlgebra) -> tuple[tuple[int, int, int], ...]:
     """Basis triples i<j<k where the cyclic Jacobi sum is nonzero."""
-    return tuple(_cyclic_failures(algebra.sc, algebra.bracket))
+    return tuple(_cyclic_failures(algebra.sc, algebra.sc))
 
 
 def check_jacobi(algebra: LieAlgebra) -> bool:

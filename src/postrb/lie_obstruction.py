@@ -18,7 +18,6 @@ from .lie import (
     LieAlgebra,
     Subspace,
     _cyclic_failures,
-    bilinear,
     center,
     check_jacobi,
     coefficient_matrix,
@@ -92,9 +91,6 @@ class LieTwoCochain:
     def value(self, i: int, j: int) -> Vector:
         return self.values[i][j]
 
-    def evaluate(self, x: Sequence[ScalarLike], y: Sequence[ScalarLike]) -> Vector:
-        return bilinear(self.values, x, y)
-
 
 class RbReconstruction(NamedTuple):
     operator: LinearMap
@@ -135,7 +131,7 @@ def verify_lie_2cocycle(cochain: LieTwoCochain, sub: LieAlgebra) -> bool:
     """Cyclic cocycle identity over the sub-adjacent bracket on basis triples."""
     if cochain.ambient != sub.dim:
         raise ValueError("cochain and algebra dimensions differ")
-    return next(_cyclic_failures(sub.sc, cochain.evaluate), None) is None
+    return next(_cyclic_failures(sub.sc, cochain.values), None) is None
 
 
 def coboundary_solve(cochain: LieTwoCochain, sub: LieAlgebra) -> LinearMap | None:

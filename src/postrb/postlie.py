@@ -16,11 +16,12 @@ from .errors import NotRotaBaxterError
 from .lie import (
     LieAlgebra,
     StructureTable,
+    _accumulate,
+    _integer_tables,
     bilinear,
     check_jacobi,
     coefficient_matrix,
     left_columns,
-    row_combination,
 )
 from .scalars import (
     ExactMatrix,
@@ -155,33 +156,45 @@ def check_postlie_axioms(p: PostLieAlgebra) -> PostLieReport:
     checked for j < k and W for i < j, and each failing triple is reported
     together with its mirror.
 
-    [e_j, v] and e_i > v are combinations of row j of the bracket table and
-    row i of the product table (``row_combination``), and [e_i>e_j, e_k] is
-    -[e_k, e_i>e_j].
+    Both identities are decided on the integer kernel of ``lie``: the
+    bracket and product tables are scaled by one common denominator
+    (``_integer_tables``), and the sub-adjacent entry is formed from the
+    scaled tables, so it shares that scale.  Every term is a product of two
+    scaled entries, so each side is the true side times L^2.  [e_j, v] and
+    e_i > v are combinations of row j of the bracket table and row i of the
+    product table, v > e_k one of column k of the product table
+    (``_accumulate``), and [e_i>e_j, e_k] is -[e_k, e_i>e_j].
     """
     n = p.dim
-    sc, tc = p.base.sc, p.tc
+    sc, tc = _integer_tables(p.base.sc, p.tc)
     derivation_bad = []
     for i in range(n):
         tci = tc[i]
         for j in range(n):
             for k in range(j + 1, n):
-                lhs = row_combination(tc, i, sc[j][k])
-                rhs = vec_sub(
-                    row_combination(sc, j, tci[k]), row_combination(sc, k, tci[j])
-                )
-                if lhs != rhs:
+                re, im = [0] * n, [0] * n
+                _accumulate(re, im, sc[j][k], tci)
+                _accumulate(re, im, tci[k], sc[j], -1)
+                _accumulate(re, im, tci[j], sc[k])
+                if any(re) or any(im):
                     derivation_bad += [(i, j, k), (i, k, j)]
     weighted_bad = []
-    subs = sub_adjacent_table(sc, tc)
+    # units[m] is the row of e_m, so a combination of units is the row itself.
+    units = [((m, 1, 0),) for m in range(n)]
+    columns = [[row[k] for row in tc] for k in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            products = left_columns(tc, subs[i][j])
+            re, im = [0] * n, [0] * n
+            _accumulate(re, im, tc[i][j], units)
+            _accumulate(re, im, tc[j][i], units, -1)
+            _accumulate(re, im, sc[i][j], units)
+            sub = tuple((m, re[m], im[m]) for m in range(n) if re[m] or im[m])
             for k in range(n):
-                rhs = vec_sub(
-                    row_combination(tc, i, tc[j][k]), row_combination(tc, j, tc[i][k])
-                )
-                if products[k] != rhs:
+                re, im = [0] * n, [0] * n
+                _accumulate(re, im, sub, columns[k])
+                _accumulate(re, im, tc[j][k], tc[i], -1)
+                _accumulate(re, im, tc[i][k], tc[j])
+                if any(re) or any(im):
                     weighted_bad += [(i, j, k), (j, i, k)]
     return PostLieReport(tuple(sorted(derivation_bad)), tuple(sorted(weighted_bad)))
 

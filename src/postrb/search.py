@@ -26,9 +26,10 @@ fixed by the prefix.  If s != 0 only the columns equal to r/s off the
 pivots can pass, found by one lookup in a map from those values to the
 grid indices that carry them; if s = 0 the prefix passes with every last
 column when r = 0 and with none otherwise.  Each survivor is then checked
-on every pair, paying only for the terms sub_ij[m] w_m of the other columns
-and stopping at the first nonzero coordinate.  Only a valid candidate gets
-its ``PostLieAlgebra``, witness and sub-adjacent algebra built, once each.
+on every pair after (0, 1), paying only for the terms sub_ij[m] w_m of the
+other columns and stopping at the first nonzero coordinate.  Only a valid
+candidate gets its ``PostLieAlgebra``, witness and sub-adjacent algebra
+built, once each.
 """
 
 from __future__ import annotations
@@ -151,29 +152,28 @@ def _defect_is_central(
     ads: Sequence[Sequence[Vector]],
     off: Sequence[tuple[int, tuple]],
     idx: tuple[int, ...],
+    pairs: Sequence[tuple[int, int]],
     cache: dict[tuple[int, int], tuple],
 ) -> bool:
-    """Whether every defect value of the witness (grid[c] for c in idx) is
-    central, with early exit.
+    """Whether the defect value of the witness (grid[c] for c in idx) is
+    central at every pair i < j in ``pairs``, with early exit.
 
     ``cache`` keeps, per pair i < j, the part of the last (idx[i], idx[j]).
     """
-    n = len(idx)
-    for i in range(n):
-        for j in range(i + 1, n):
-            key = (idx[i], idx[j])
-            hit = cache.get((i, j))
-            if hit is None or hit[0] != key:
-                hit = (key, *_pair_part(algebra, grid, ads, off, i, j, *key))
-                cache[(i, j)] = hit
-            _, others, corrected = hit
-            for q, value in corrected:
-                for m, s in others:
-                    x = grid[idx[m]][q]
-                    if x:
-                        value = value - s * x
-                if value:
-                    return False
+    for i, j in pairs:
+        key = (idx[i], idx[j])
+        hit = cache.get((i, j))
+        if hit is None or hit[0] != key:
+            hit = (key, *_pair_part(algebra, grid, ads, off, i, j, *key))
+            cache[(i, j)] = hit
+        _, others, corrected = hit
+        for q, value in corrected:
+            for m, s in others:
+                x = grid[idx[m]][q]
+                if x:
+                    value = value - s * x
+            if value:
+                return False
     return True
 
 
@@ -182,14 +182,13 @@ def _pair_01_survivors(
     grid: Sequence[Vector],
     ads: Sequence[Sequence[Vector]],
     off: Sequence[tuple[int, tuple]],
-    cache: dict[tuple[int, int], tuple],
 ) -> Iterator[tuple[int, ...]]:
     """The index tuples, in ``product`` order, whose defect at the pair
     (0, 1) is central; every tuple when n < 3.
 
-    The last column is solved from the prefix, not enumerated.  ``cache``
-    is the one ``_defect_is_central`` keeps, so the survivor reuses the
-    (0, 1) entry.
+    The last column is solved from the prefix, not enumerated, so from
+    n = 3 on a survivor needs no second look at the pair (0, 1).  The part
+    of the pair is kept while (idx[0], idx[1]) stays fixed.
     """
     n = algebra.dim
     everything = range(len(grid))
@@ -201,12 +200,11 @@ def _pair_01_survivors(
     for c, col in enumerate(grid):
         key = tuple(col[q] for q, _ in off)
         by_values[key] = by_values.get(key, ()) + (c,)
+    hit = None
     for prefix in product(everything, repeat=last):
         key = prefix[:2]
-        hit = cache.get((0, 1))
         if hit is None or hit[0] != key:
             hit = (key, *_pair_part(algebra, grid, ads, off, 0, 1, *key))
-            cache[(0, 1)] = hit
         _, others, corrected = hit
         s = ZERO
         fixed = []
@@ -268,12 +266,16 @@ def scan_algebra(
         grid.append(tuple(col))
     ads = [left_columns(algebra.sc, col) for col in grid]
     cache: dict[tuple[int, int], tuple] = {}
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    if n >= 3:
+        # Every survivor has a central defect at (0, 1) already.
+        del pairs[0]
     valid = 0
     trivial = 0
     nontrivial = 0
     examples: list[ScanFinding] = []
-    for idx in _pair_01_survivors(algebra, grid, ads, off, cache):
-        if not _defect_is_central(algebra, grid, ads, off, idx, cache):
+    for idx in _pair_01_survivors(algebra, grid, ads, off):
+        if not _defect_is_central(algebra, grid, ads, off, idx, pairs, cache):
             continue
         valid += 1
         # The triangle table is the induced table of these columns, so the

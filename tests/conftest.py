@@ -8,15 +8,15 @@ import random
 import shutil
 import tempfile
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
 from postrb.groups import FiniteGroup, cyclic_group
-from postrb.lie import LieAlgebra, center, change_basis
+from postrb.lie import LieAlgebra, bilinear, center, change_basis
 from postrb.postgroup import PostGroup
 from postrb.postlie import LinearMap, check_rota_baxter
-from postrb.scalars import ExactMatrix, gaussian
+from postrb.scalars import ExactMatrix, gaussian, is_zero_vector, unit_vector, vec_add
 from postrb import sub_adjacent, from_rota_baxter
 
 
@@ -92,6 +92,40 @@ def solvable_witness(alpha=0, beta=0, gamma=0) -> LinearMap:
 def make_heisenberg() -> LieAlgebra:
     """[e1,e2] = e3, everything else zero."""
     return LieAlgebra.from_brackets(3, {(0, 1): [0, 0, 1]})
+
+
+def reference_cyclic_failures(sc, values) -> tuple[tuple[int, int, int], ...]:
+    """The triples i<j<k where v([e_i,e_j], e_k) + v([e_j,e_k], e_i) +
+    v([e_k,e_i], e_j) is nonzero, v being the bilinear map of the table
+    ``values`` and the brackets read from ``sc``, evaluated by ``bilinear``:
+    Jacobi when ``values`` is ``sc``, the cocycle identity for a cochain."""
+    n = len(sc)
+    units = [unit_vector(n, k) for k in range(n)]
+    bad = []
+    for i, j, k in combinations(range(n), 3):
+        total = vec_add(
+            vec_add(
+                bilinear(values, sc[i][j], units[k]),
+                bilinear(values, sc[j][k], units[i]),
+            ),
+            bilinear(values, sc[k][i], units[j]),
+        )
+        if not is_zero_vector(total):
+            bad.append((i, j, k))
+    return tuple(bad)
+
+
+def make_half_solvable() -> LieAlgebra:
+    """[e1,e2] = e2, [e1,e3] = -e3, [e2,e3] = e4 in the basis 2e1, e2, e3,
+    e1+e2+e3+e4, where the brackets have 1/2 entries: [f2,f3] =
+    -1/2 f1 - f2 - f3 + f4, and every bracket pair is nonzero."""
+    algebra = LieAlgebra.from_brackets(
+        4, {(0, 1): [0, 1, 0, 0], (0, 2): [0, 0, -1, 0], (1, 2): [0, 0, 0, 1]}
+    )
+    transform = ExactMatrix.from_columns(
+        [[2, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [1, 1, 1, 1]]
+    )
+    return change_basis(algebra, transform)
 
 
 def compose_perms(p, q):

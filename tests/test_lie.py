@@ -6,6 +6,7 @@ span{e3} and degenerate Killing form.
 """
 
 import random
+from itertools import combinations
 
 import pytest
 
@@ -23,9 +24,14 @@ from postrb.lie import (
     jacobi_violations,
     killing_semisimple,
 )
-from postrb.scalars import ExactMatrix, unit_vector, vector
+from postrb.scalars import ExactMatrix, gaussian, unit_vector, vector
 
-from conftest import make_sl2, make_solvable
+from conftest import (
+    make_half_solvable,
+    make_sl2,
+    make_solvable,
+    reference_cyclic_failures,
+)
 
 
 class TestConstruction:
@@ -37,6 +43,24 @@ class TestConstruction:
                     [[1, 0], [0, 0]],
                 ]
             )
+
+    @pytest.mark.parametrize(
+        "bad, named",
+        [
+            # The lexicographically first bad triple is named, whichever of
+            # the pair (i, j) or (j, i) was written wrong.
+            ({(1, 1, 0): 1, (0, 2, 1): 2}, (0, 2, 1)),
+            ({(2, 0, 1): 1, (1, 2, 0): 1}, (0, 2, 1)),
+            ({(1, 1, 2): 1, (1, 2, 0): 1}, (1, 1, 2)),
+        ],
+    )
+    def test_antisymmetry_error_names_first_bad_triple(self, bad, named):
+        table = [[[0] * 3 for _ in range(3)] for _ in range(3)]
+        for (i, j, k), x in bad.items():
+            table[i][j][k] = x
+        message = r"not antisymmetric at \(%d,%d,%d\)$" % named
+        with pytest.raises(ValueError, match=message):
+            LieAlgebra.from_table(table)
 
     def test_from_brackets_fills_mirror(self):
         algebra = make_solvable()
@@ -69,6 +93,27 @@ class TestJacobi:
             3, {(0, 1): [0, 0, 1], (0, 2): [1, 0, 0]}
         )
         assert jacobi_violations(algebra) == ((0, 1, 2),)
+
+    @pytest.mark.parametrize("delta", [gaussian("1/3"), gaussian("1/3", "2/3")])
+    def test_mixed_denominators_match_bilinear(self, delta):
+        # Brackets with 1/2 entries, each pair entry moved by a third.
+        algebra = make_half_solvable()
+        assert {x.d for row in algebra.sc for v in row for x in v} == {1, 2}
+        assert jacobi_violations(algebra) == () == reference_cyclic_failures(
+            algebra.sc, algebra.sc
+        )
+        failing = 0
+        for i, j in combinations(range(4), 2):
+            for k in range(4):
+                table = [[list(v) for v in row] for row in algebra.sc]
+                table[i][j][k] = table[i][j][k] + delta
+                table[j][i][k] = table[j][i][k] - delta
+                perturbed = LieAlgebra.from_table(table)
+                violations = jacobi_violations(perturbed)
+                reference = reference_cyclic_failures(perturbed.sc, perturbed.sc)
+                assert violations == reference, (i, j, k)
+                failing += bool(violations)
+        assert failing > 12
 
 
 class TestAdjoint:

@@ -9,13 +9,15 @@ correction sends e2 to b*e3, and the reconstructed operator has columns
 nontrivial class.
 """
 
+from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import pytest
 
 from postrb.documents import parse_document
 from postrb.errors import NontrivialObstructionError, NotInnerError
-from postrb.lie import LieAlgebra, center, check_jacobi, is_complete
+from postrb.lie import LieAlgebra, Subspace, center, check_jacobi, is_complete
 from postrb.lie_obstruction import (
     LieTwoCochain,
     coboundary_solve,
@@ -34,12 +36,14 @@ from postrb.postlie import (
     innerness_witness,
     sub_adjacent,
 )
-from postrb.scalars import is_zero_vector, vector
+from postrb.scalars import gaussian, is_zero_vector, vec_add, vec_scale, vector
 
 from conftest import (
+    make_half_solvable,
     make_heisenberg,
     make_sl2_operator,
     make_solvable,
+    reference_cyclic_failures,
     sl2_triangle_table,
     solvable_witness,
 )
@@ -116,6 +120,34 @@ class TestVerifyCocycle:
             3, center(solvable), {(1, 2): [0, 0, 1]}
         )
         assert not verify_lie_2cocycle(bad, sub)
+
+
+class TestVerifyCocycleMixedDenominators:
+    """A cochain in thirds over a bracket in halves: one common scale
+    decides the identity, in agreement with the ``bilinear`` reference."""
+
+    def test_coboundary_accepted_and_each_perturbation_refused(self):
+        sub = make_half_solvable()
+        z = vector([0, 0, 1, gaussian(0, 1)])
+        line = Subspace.from_spanning(4, [z])
+        # The coboundary c(x, y) = t([x, y]_sub) z with t = (2/3, 1/3, 0, 0).
+        t = (Fraction(2, 3), Fraction(1, 3))
+        pairs = {
+            (i, j): vec_scale(sub.sc[i][j][0] * t[0] + sub.sc[i][j][1] * t[1], z)
+            for i, j in combinations(range(4), 2)
+        }
+        valid = LieTwoCochain.from_pairs(4, line, pairs)
+        assert {x.d for v in pairs.values() for x in v} == {1, 3}
+        assert {x.d for row in sub.sc for v in row for x in v} == {1, 2}
+        assert verify_lie_2cocycle(valid, sub)
+        assert reference_cyclic_failures(sub.sc, valid.values) == ()
+        third = vec_scale(Fraction(1, 3), z)
+        for pair in pairs:
+            moved = dict(pairs)
+            moved[pair] = vec_add(pairs[pair], third)
+            bad = LieTwoCochain.from_pairs(4, line, moved)
+            assert not verify_lie_2cocycle(bad, sub), pair
+            assert reference_cyclic_failures(sub.sc, bad.values), pair
 
 
 class TestCoboundarySolve:

@@ -129,6 +129,15 @@ def _complex_basis_case() -> PostLieAlgebra:
     return from_rota_baxter(algebra, operator)
 
 
+def _half_bracket_case() -> PostLieAlgebra:
+    """The paper's sl2 operator moved to the basis e1, e2, 2e3, where the
+    bracket has the entry [e1,e2] = 1/2 e3."""
+    transform = ExactMatrix.from_columns([[1, 0, 0], [0, 1, 0], [0, 0, 2]])
+    algebra = change_basis(make_sl2(), transform)
+    operator = LinearMap(transform.inverse() @ make_sl2_operator().matrix @ transform)
+    return from_rota_baxter(algebra, operator)
+
+
 PERTURBATION_BASES = {
     "sl2": lambda: PostLieAlgebra(make_sl2(), sl2_triangle_table()),
     "solvable": lambda: from_rota_baxter(
@@ -161,6 +170,21 @@ class TestAxiomReportMatchesReference:
         for i, j, k in product(range(3), repeat=3):
             q = _perturbed(p, i, j, k, gaussian(0, 1))
             assert check_postlie_axioms(q) == reference_report(q), (i, j, k)
+
+    @pytest.mark.parametrize("delta", [gaussian("1/3"), gaussian("1/3", "2/3")])
+    def test_mixed_denominators(self, delta):
+        # Thirds in the product table over halves in the bracket: the weighted
+        # identity compares products of two tables, so they share one scale.
+        p = _half_bracket_case()
+        assert 2 in {x.d for row in p.base.sc for v in row for x in v}
+        assert check_postlie_axioms(p).ok
+        failing = 0
+        for i, j, k in product(range(3), repeat=3):
+            q = _perturbed(p, i, j, k, delta)
+            report = check_postlie_axioms(q)
+            assert report == reference_report(q), (i, j, k)
+            failing += not report.ok
+        assert failing > 20
 
     def test_only_derivation_identity_fails(self):
         p = PostLieAlgebra.from_products(

@@ -519,8 +519,9 @@ def test_parsing_checking_and_obstruction_build_no_fraction(tmp_path, monkeypatc
     # ``re`` or ``im`` is read.  The document mixes 1/2 and i entries.
     from postrb.cli import main
     from postrb.documents import parse_document
-    from postrb.lie_obstruction import construct_rb_from_obstruction
-    from postrb.postlie import check_postlie_axioms
+    from postrb.lie import jacobi_violations
+    from postrb.lie_obstruction import construct_rb_from_obstruction, verify_lie_2cocycle
+    from postrb.postlie import check_postlie_axioms, sub_adjacent
 
     text = SAMPLES.joinpath("sl2.post").read_text()
     assert "1/2" in text and "i*e" in text
@@ -536,7 +537,9 @@ def test_parsing_checking_and_obstruction_build_no_fraction(tmp_path, monkeypatc
     monkeypatch.setattr(Fraction, "__new__", counting)
     doc = parse_document(text)
     assert check_postlie_axioms(doc.post_lie).ok
-    construct_rb_from_obstruction(doc.post_lie, doc.linear_maps["witness"])
+    assert jacobi_violations(doc.post_lie.base) == ()
+    rebuilt = construct_rb_from_obstruction(doc.post_lie, doc.linear_maps["witness"])
+    assert verify_lie_2cocycle(rebuilt.cocycle, sub_adjacent(doc.post_lie))
     assert main(["obstruction", "--input", str(path)]) == 0
     assert capsys.readouterr().out
     assert built == []
