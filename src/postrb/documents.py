@@ -304,6 +304,7 @@ def _parse_group_side(
     group: FiniteGroup | None = None
     order: int | None = None
     table_rows: list[list[int]] | None = None
+    table_line = 0
     generators: list[tuple[int, ...]] = []
     names: tuple[str, ...] | None = None
     names_line = 0
@@ -342,6 +343,7 @@ def _parse_group_side(
             if table_rows is not None:
                 raise ParseError(no, "duplicate 'table' section")
             table_rows = _parse_table_rows(lines, order, order, "Cayley table")
+            table_line = no
         elif text.startswith("gen "):
             if degree is None:
                 raise ParseError(no, "'gen' requires a 'generators d' header")
@@ -411,11 +413,11 @@ def _parse_group_side(
                 table_rows, names=names, strict=validate_group_axioms
             )
         except ValueError as exc:
-            raise ParseError(lines.last_line, str(exc)) from None
+            raise ParseError(table_line, str(exc)) from None
         if validate_group_axioms:
             problems = group_violations(group, limit=1)
             if problems:
-                raise ParseError(lines.last_line, problems[0])
+                raise ParseError(table_line, problems[0])
 
     doc = AlgebraDocument(kind=kind, group=group, group_maps=group_maps)
     if kind == "postgroup":

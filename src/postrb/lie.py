@@ -227,10 +227,6 @@ class Subspace:
         return Subspace(ambient_dim, basis, pivots)
 
     @staticmethod
-    def zero(ambient_dim: int) -> "Subspace":
-        return Subspace(ambient_dim, (), ())
-
-    @staticmethod
     def full(ambient_dim: int) -> "Subspace":
         return Subspace.from_spanning(
             ambient_dim, [unit_vector(ambient_dim, k) for k in range(ambient_dim)]
@@ -400,41 +396,48 @@ def is_complete(algebra: LieAlgebra) -> bool:
     return inner == n and n * n - _derivation_system(algebra).rank() == inner
 
 
-def _bracket_subspace(algebra: LieAlgebra, a: Subspace, b: Subspace) -> Subspace:
-    spans = []
-    for u in a.basis:
-        for v in b.basis:
-            spans.append(algebra.bracket(u, v))
-    return Subspace.from_spanning(algebra.dim, spans)
+def _series_dims(algebra: LieAlgebra) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The dimensions of the derived and of the lower central series, each
+    from [g, g] on, up to the first zero or repeat.
 
+    Both start at [g, g], the span of the table rows [e_i, e_j] with i < j.
+    A derived step brackets the basis pairs u < v of the term; a lower
+    central step spans the columns [v, e_k] of each basis vector v.
+    """
+    n, sc = algebra.dim, algebra.sc
+    commutator = Subspace.from_spanning(
+        n, [sc[i][j] for i in range(n) for j in range(i + 1, n)]
+    )
 
-def _series_dims(algebra: LieAlgebra, lower_central: bool) -> tuple[int, ...]:
-    full = Subspace.full(algebra.dim)
-    dims: list[int] = []
-    current = full
-    while True:
-        nxt = _bracket_subspace(
-            algebra, full if lower_central else current, current
-        )
-        if dims and nxt.dim == dims[-1]:
-            break
-        dims.append(nxt.dim)
-        if nxt.dim == 0:
-            break
-        current = nxt
-    return tuple(dims)
+    def derived(basis: tuple[Vector, ...]) -> list[Vector]:
+        return [bilinear(sc, u, v) for k, u in enumerate(basis) for v in basis[k + 1 :]]
+
+    def lower_central(basis: tuple[Vector, ...]) -> list[Vector]:
+        return [column for v in basis for column in left_columns(sc, v)]
+
+    found = []
+    for step in (derived, lower_central):
+        dims, term = [commutator.dim], commutator
+        while dims[-1]:
+            term = Subspace.from_spanning(n, step(term.basis))
+            if term.dim == dims[-1]:
+                break
+            dims.append(term.dim)
+        found.append(tuple(dims))
+    return found[0], found[1]
 
 
 def invariant_fingerprint(algebra: LieAlgebra) -> Fingerprint:
     """The dimensions of the center and of the derivations are read off as
     n - rank and n^2 - rank of their defining systems."""
     n = algebra.dim
+    derived_dims, lower_central_dims = _series_dims(algebra)
     return Fingerprint(
         dim=n,
         center_dim=n - coefficient_matrix(algebra.sc).rank(),
         killing_rank=_killing_form(algebra).rank(),
-        derived_dims=_series_dims(algebra, lower_central=False),
-        lower_central_dims=_series_dims(algebra, lower_central=True),
+        derived_dims=derived_dims,
+        lower_central_dims=lower_central_dims,
         derivation_dim=n * n - _derivation_system(algebra).rank(),
     )
 

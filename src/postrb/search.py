@@ -14,22 +14,24 @@ with sub_ij = [e_i, e_j] + [w_i, e_j] - [w_j, e_i].  v is central iff
 v_q = sum_r v_{p_r} z_r[q] off the pivots p_r of the center rows z_r.  The
 complement is spanned by the coordinates off those pivots, so every grid
 column vanishes on them, and only the part [w_i, w_j] - sub_ij[i] w_i -
-sub_ij[j] w_j needs that correction.  It depends on (idx[i], idx[j]) only:
-each grid column c gets its ad table ads[c][k] = [c, e_k] once, a candidate
-is an index tuple idx, and the corrected part of a column pair is cached
-while its index pair stays fixed, which ``product`` order repeats.
+sub_ij[j] w_j needs that correction.  It depends on (i, j, idx[i], idx[j])
+only: each grid column c gets its ad table ads[c][k] = [c, e_k] once, and a
+candidate is an index tuple idx.
 
-From n = 3 on the scan walks the prefixes idx[0..n-2] and solves for the
-last column instead of trying each.  The pair (0, 1) leaves out column n-1,
-so its defect off the pivots is r - s w_{n-1} with s = sub_01[n-1] and r
-fixed by the prefix.  If s != 0 only the columns equal to r/s off the
-pivots can pass, found by one lookup in a map from those values to the
-grid indices that carry them; if s = 0 the prefix passes with every last
-column when r = 0 and with none otherwise.  Each survivor is then checked
-on every pair after (0, 1), paying only for the terms sub_ij[m] w_m of the
-other columns and stopping at the first nonzero coordinate.  Only a valid
-candidate gets its ``PostLieAlgebra``, witness and sub-adjacent algebra
-built, once each.
+From n = 3 on the scan walks the pairs (idx[0], idx[1]) outermost, builds
+the part of the pair (0, 1) once for each, then walks the middle columns
+and solves for the last one instead of trying each.  The pair (0, 1)
+leaves out column n-1, so its defect off the pivots is r - s w_{n-1} with
+s = sub_01[n-1] and r fixed by the prefix.  If s != 0 only the columns
+equal to r/s off the pivots can pass, found by one lookup in a map from
+those values to the grid indices that carry them; if s = 0 the prefix
+passes with every last column when r = 0 and with none otherwise.  Each
+survivor is then checked on every other pair, paying only for the terms
+sub_ij[m] w_m of the other columns.  The parts of those pairs are kept in
+one dict per scan, keyed by (i, j, idx[i], idx[j]); the pair (0, 1) needs
+none, as each of its parts serves one contiguous run of prefixes.  Only a
+valid candidate gets its ``PostLieAlgebra``, witness and sub-adjacent
+algebra built, once each.
 """
 
 from __future__ import annotations
@@ -41,15 +43,7 @@ from typing import Iterator, Sequence
 from .lie import LieAlgebra, center, jacobi_violations, left_columns
 from .lie_obstruction import _defect, coboundary_solve
 from .postlie import LinearMap, PostLieAlgebra, sub_adjacent
-from .scalars import (
-    ScalarLike,
-    Vector,
-    ZERO,
-    vec_add,
-    vec_sub,
-    vector,
-    zero_vector,
-)
+from .scalars import ScalarLike, Vector, ZERO, vector, zero_vector
 
 
 @dataclass(frozen=True)
@@ -123,7 +117,8 @@ def _pair_part(
     """
     n = algebra.dim
     wa, wb, ta = grid[a], grid[b], ads[a]
-    sub = vec_sub(vec_add(algebra.sc[i][j], ta[j]), ads[b][i])
+    row, left, right = algebra.sc[i][j], ta[j], ads[b][i]
+    sub = [row[m] + left[m] - right[m] for m in range(n)]
     part = [ZERO] * n
     for k in range(n):
         if wb[k]:
@@ -146,87 +141,81 @@ def _pair_part(
     return others, tuple(corrected)
 
 
-def _defect_is_central(
-    algebra: LieAlgebra,
+def _residual(
     grid: Sequence[Vector],
-    ads: Sequence[Sequence[Vector]],
-    off: Sequence[tuple[int, tuple]],
-    idx: tuple[int, ...],
-    pairs: Sequence[tuple[int, int]],
-    cache: dict[tuple[int, int], tuple],
-) -> bool:
-    """Whether the defect value of the witness (grid[c] for c in idx) is
-    central at every pair i < j in ``pairs``, with early exit.
-
-    ``cache`` keeps, per pair i < j, the part of the last (idx[i], idx[j]).
-    """
-    for i, j in pairs:
-        key = (idx[i], idx[j])
-        hit = cache.get((i, j))
-        if hit is None or hit[0] != key:
-            hit = (key, *_pair_part(algebra, grid, ads, off, i, j, *key))
-            cache[(i, j)] = hit
-        _, others, corrected = hit
-        for q, value in corrected:
-            for m, s in others:
-                x = grid[idx[m]][q]
-                if x:
-                    value = value - s * x
-            if value:
-                return False
-    return True
+    idx: Sequence[int],
+    others: tuple,
+    corrected: tuple,
+) -> list:
+    """The corrected part of a pair less sum s w_m over (m, s) in
+    ``others``, w_m = grid[idx[m]], on the coordinates off the pivots."""
+    columns = [(s, grid[idx[m]]) for m, s in others]
+    residual = []
+    for q, value in corrected:
+        for s, col in columns:
+            if col[q]:
+                value = value - s * col[q]
+        residual.append(value)
+    return residual
 
 
-def _pair_01_survivors(
+def _central_witnesses(
     algebra: LieAlgebra,
     grid: Sequence[Vector],
     ads: Sequence[Sequence[Vector]],
     off: Sequence[tuple[int, tuple]],
 ) -> Iterator[tuple[int, ...]]:
-    """The index tuples, in ``product`` order, whose defect at the pair
-    (0, 1) is central; every tuple when n < 3.
+    """The index tuples, in ``product`` order, whose defect is central at
+    every pair i < j.
 
-    The last column is solved from the prefix, not enumerated, so from
-    n = 3 on a survivor needs no second look at the pair (0, 1).  The part
-    of the pair is kept while (idx[0], idx[1]) stays fixed.
+    From n = 3 on the part of the pair (0, 1) is built once per (idx[0],
+    idx[1]), the outermost loop, and the last column is solved from it; the
+    part of every other pair is built once and kept in ``parts``, which the
+    generator drops when it finishes.
     """
     n = algebra.dim
     everything = range(len(grid))
+    parts: dict[tuple[int, int, int, int], tuple] = {}
+
+    def central(idx: tuple[int, ...], pairs: Sequence[tuple[int, int]]) -> bool:
+        for i, j in pairs:
+            key = (i, j, idx[i], idx[j])
+            part = parts.get(key)
+            if part is None:
+                part = parts[key] = _pair_part(algebra, grid, ads, off, *key)
+            if any(_residual(grid, idx, *part)):
+                return False
+        return True
+
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     if n < 3:
-        yield from product(everything, repeat=n)
+        for idx in product(everything, repeat=n):
+            if central(idx, pairs):
+                yield idx
         return
+    del pairs[0]  # solved for below
     last = n - 1
     by_values: dict[tuple, tuple[int, ...]] = {}
     for c, col in enumerate(grid):
         key = tuple(col[q] for q, _ in off)
         by_values[key] = by_values.get(key, ()) + (c,)
-    hit = None
-    for prefix in product(everything, repeat=last):
-        key = prefix[:2]
-        if hit is None or hit[0] != key:
-            hit = (key, *_pair_part(algebra, grid, ads, off, 0, 1, *key))
-        _, others, corrected = hit
-        s = ZERO
-        fixed = []
-        for m, t in others:
-            if m == last:
-                s = t
+    for a, b in product(everything, repeat=2):
+        others, corrected = _pair_part(algebra, grid, ads, off, 0, 1, a, b)
+        s = dict(others).get(last, ZERO)
+        fixed = tuple((m, t) for m, t in others if m != last)
+        for middle in product(everything, repeat=n - 3):
+            prefix = (a, b, *middle)
+            residual = _residual(grid, prefix, fixed, corrected)
+            if s:
+                lasts = by_values.get(tuple(r / s for r in residual), ())
+            elif any(residual):
+                continue
             else:
-                fixed.append((t, grid[prefix[m]]))
-        residual = []
-        for q, value in corrected:
-            for t, col in fixed:
-                if col[q]:
-                    value = value - t * col[q]
-            residual.append(value)
-        if s:
-            lasts = by_values.get(tuple(r / s for r in residual), ())
-        elif any(residual):
-            continue
-        else:
-            lasts = everything
-        for c in lasts:
-            yield prefix + (c,)
+                lasts = everything
+            for c in lasts:
+                idx = prefix + (c,)
+                if central(idx, pairs):
+                    yield idx
 
 
 def scan_algebra(
@@ -265,18 +254,11 @@ def scan_algebra(
             col[slot] = value
         grid.append(tuple(col))
     ads = [left_columns(algebra.sc, col) for col in grid]
-    cache: dict[tuple[int, int], tuple] = {}
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    if n >= 3:
-        # Every survivor has a central defect at (0, 1) already.
-        del pairs[0]
     valid = 0
     trivial = 0
     nontrivial = 0
     examples: list[ScanFinding] = []
-    for idx in _pair_01_survivors(algebra, grid, ads, off):
-        if not _defect_is_central(algebra, grid, ads, off, idx, pairs, cache):
-            continue
+    for idx in _central_witnesses(algebra, grid, ads, off):
         valid += 1
         # The triangle table is the induced table of these columns, so the
         # witness holds by construction and needs no check.

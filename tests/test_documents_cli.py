@@ -332,6 +332,50 @@ class TestParseErrors:
         assert main(["check-group", "--input", str(path)]) == 2
         assert capsys.readouterr().err == "error: line 3: names length does not match order\n"
 
+    @pytest.mark.parametrize(
+        "table, message",
+        [
+            ("1 1 1\n1 1 1\n1 1 1\n", "table has no identity element"),
+            ("0 1 2\n1 1 1\n2 1 2\n", "element 1 has no inverse"),
+            ("0 1 2\n1 0 2\n2 2 0\n", "associativity fails at triple (1,2,2)"),
+        ],
+        ids=["no-identity", "no-inverse", "non-associative"],
+    )
+    @pytest.mark.parametrize(
+        "kind, command, trailer",
+        [
+            ("group", "enumerate-rb", "names e a b\n"),
+            ("postgroup", "group-obstruction", "triangle\n0 1 2\n1 2 0\n2 0 1\n"),
+        ],
+        ids=["group", "postgroup"],
+    )
+    def test_failing_group_table_is_reported_at_its_table_line(
+        self, tmp_path, capsys, table, message, kind, command, trailer
+    ):
+        # The block after the table moves the document's last line, not the
+        # line the failure is reported at.
+        path = tmp_path / "doc.txt"
+        path.write_text(f"kind {kind}\norder 3\ntable\n{table}{trailer}")
+        assert main([command, "--input", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: line 3: {message}\n"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("kind group\norder 2\nnames e a\n", "group documents need a 'table' section"),
+            (
+                "kind postgroup\norder 1\ntable\n0\nnames e\n",
+                "postgroup documents need a 'triangle' section",
+            ),
+        ],
+        ids=["table", "triangle"],
+    )
+    def test_missing_section_is_reported_at_the_last_line(self, text, message):
+        # The document ended without the section, so no earlier line is at fault.
+        with pytest.raises(ParseError, match=message) as err:
+            parse_document(text)
+        assert err.value.line == text.count("\n")
+
 
 def _grammar_documents():
     """Documents of at most 12 lines shaped like the grammar, well-formed or

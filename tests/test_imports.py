@@ -3,7 +3,8 @@ module-level private name is used somewhere in the library.
 
 No linter ships with the toolchain, so this stdlib ``ast`` scan stands in
 for one.  ``__init__.py`` is skipped by the import check: its imports are
-the package exports.
+the package exports.  Every module must also parse under the grammar of the
+oldest Python that ``pyproject.toml`` admits.
 """
 
 import ast
@@ -11,7 +12,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "postrb"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "postrb"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -65,6 +67,22 @@ def test_no_unused_imports(path):
         if name not in used
     )
     assert not unused, f"{path.name} imports names it never uses: {', '.join(unused)}"
+
+
+# The oldest Python that pyproject.toml admits.
+PYTHON_FLOOR = (3, 10)
+
+
+def test_python_floor_matches_pyproject():
+    text = (ROOT / "pyproject.toml").read_text()
+    assert 'requires-python = ">=%d.%d"' % PYTHON_FLOOR in text
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_parses_at_the_python_floor(path):
+    # ``except*`` (3.11) and PEP 695 ``type`` statements and generic
+    # parameter lists (3.12) are syntax errors under this grammar.
+    ast.parse(path.read_text(), filename=str(path), feature_version=PYTHON_FLOOR)
 
 
 def _private_definitions(tree: ast.Module):

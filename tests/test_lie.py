@@ -14,6 +14,7 @@ from postrb.lie import (
     LieAlgebra,
     Subspace,
     ad_matrix,
+    bilinear,
     center,
     change_basis,
     check_jacobi,
@@ -24,7 +25,7 @@ from postrb.lie import (
     jacobi_violations,
     killing_semisimple,
 )
-from postrb.scalars import ExactMatrix, gaussian, unit_vector, vector
+from postrb.scalars import I, ExactMatrix, gaussian, unit_vector, vector
 
 from conftest import (
     make_half_solvable,
@@ -248,6 +249,86 @@ class TestFingerprint:
                 if m.rank() == n:
                     break
             assert invariant_fingerprint(change_basis(algebra, m)) == invariant_fingerprint(algebra)
+
+
+def reference_series(algebra: LieAlgebra) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The derived and the lower central series dimensions by the definition:
+    each term is spanned by the brackets of all ordered pairs of basis vectors
+    of its two factors, from [g, g] on, up to the first zero or repeat."""
+    n = algebra.dim
+    whole = Subspace.full(n).basis
+    found = []
+    for lower_central in (False, True):
+        dims, term = [], whole
+        while True:
+            left = whole if lower_central else term
+            nxt = Subspace.from_spanning(
+                n, [bilinear(algebra.sc, u, v) for u in left for v in term]
+            )
+            if dims and nxt.dim == dims[-1]:
+                break
+            dims.append(nxt.dim)
+            if not nxt.dim:
+                break
+            term = nxt.basis
+        found.append(tuple(dims))
+    return tuple(found)
+
+
+def _filiform_5() -> LieAlgebra:
+    """L5: [e1, e_k] = e_{k+1} for k = 2, 3, 4, the longest lower central
+    series in dimension 5."""
+    brackets = {(0, k): [int(m == k + 1) for m in range(5)] for k in (1, 2, 3)}
+    return LieAlgebra.from_brackets(5, brackets)
+
+
+def _upper_triangular_3() -> LieAlgebra:
+    """b(3), the upper triangular 3x3 matrices under the commutator, in the
+    basis E11, E22, E33, E12, E13, E23 of matrix units."""
+    units = [(0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)]
+    where = {unit: k for k, unit in enumerate(units)}
+    brackets = {}
+    for i, (a, b) in enumerate(units):
+        for j, (c, d) in enumerate(units[i + 1 :], start=i + 1):
+            # [E_ab, E_cd] = delta_bc E_ad - delta_da E_cb
+            value = [0] * len(units)
+            if b == c:
+                value[where[(a, d)]] += 1
+            if d == a:
+                value[where[(c, b)]] -= 1
+            if any(value):
+                brackets[(i, j)] = value
+    return LieAlgebra.from_brackets(len(units), brackets)
+
+
+def _gaussian_unimodular(n: int) -> ExactMatrix:
+    """A lower times an upper unitriangular matrix with Gaussian-integer
+    entries: determinant 1, so the inverse is Gaussian-integral too."""
+    lower = [[1 if r == c else 1 + I if c < r else 0 for c in range(n)] for r in range(n)]
+    upper = [[1 if r == c else -I if c > r else 0 for c in range(n)] for r in range(n)]
+    return ExactMatrix.from_rows(lower) @ ExactMatrix.from_rows(upper)
+
+
+class TestSeries:
+    @pytest.mark.parametrize(
+        "make, derived, lower_central",
+        [
+            (_filiform_5, (3, 0), (3, 2, 1, 0)),
+            (_upper_triangular_3, (3, 1, 0), (3,)),
+        ],
+        ids=["filiform-5", "b3"],
+    )
+    @pytest.mark.parametrize("basis_change", [False, True], ids=["own", "gaussian"])
+    def test_series_match_definition(self, make, derived, lower_central, basis_change):
+        algebra = make()
+        assert not jacobi_violations(algebra)
+        if basis_change:
+            algebra = change_basis(algebra, _gaussian_unimodular(algebra.dim))
+            # The new basis is complex: the table has entries off the reals.
+            assert any(x.im for row in algebra.sc for v in row for x in v)
+        fp = invariant_fingerprint(algebra)
+        assert (fp.derived_dims, fp.lower_central_dims) == (derived, lower_central)
+        assert (fp.derived_dims, fp.lower_central_dims) == reference_series(algebra)
 
 
 class TestSubspace:
