@@ -35,8 +35,14 @@ class FiniteGroup:
             for x in row:
                 if not (0 <= x < n):
                     raise ValueError("Cayley table entry out of range")
+        # The empty table that ``from_table(strict=False)`` builds keeps
+        # identity 0.
+        if not (0 <= self.identity < max(n, 1)):
+            raise ValueError("identity element out of range")
         if len(self.inverse) != n:
             raise ValueError("inverse table length does not match the order")
+        if not all(0 <= x < n for x in self.inverse):
+            raise ValueError("inverse table entry out of range")
         if self.names is not None and len(self.names) != n:
             raise ValueError("name list length does not match the order")
 

@@ -40,7 +40,6 @@ from .scalars import (
     is_zero_vector,
     nullspace,
     vec_add,
-    vec_scale,
     vector,
     zero_vector,
 )
@@ -137,37 +136,27 @@ def verify_lie_2cocycle(cochain: LieTwoCochain, sub: LieAlgebra) -> bool:
 def coboundary_solve(cochain: LieTwoCochain, sub: LieAlgebra) -> LinearMap | None:
     """Find t into the center with cochain(x,y) = -t([x,y]_sub), or None.
 
-    The unknowns are the coordinates of t against the center basis, so the
-    result maps into the center by construction.  Coordinate m of t solves
-    one system whose rows are -[e_i, e_j]_sub, i < j, against coordinate m
-    of the cochain; all r of them are solved by one elimination with free
-    variables zero.
+    One system has the rows -[e_i, e_j]_sub, i < j, and the n components
+    of the values cochain(e_i, e_j) as its right-hand sides; one
+    elimination solves them all with free variables zero, and the solution
+    for component k is row k of t.  The elimination is the same for every
+    component, so each column t(e_l) is one fixed combination of cochain
+    values, which ``LieTwoCochain`` checked are central: t maps into the
+    center.
     """
     n = sub.dim
     if cochain.ambient != n:
         raise ValueError("cochain and algebra dimensions differ")
-    z = cochain.center_basis
     rows = []
     rhs = []
     for i in range(n):
         for j in range(i + 1, n):
-            coords = z.coordinates_of(cochain.value(i, j))
-            if coords is None:
-                raise ValueError("cochain value escapes the center basis")
             rows.append(tuple(-x for x in sub.sc[i][j]))
-            rhs.append(coords)
-    solved = _solve_columns(ExactMatrix(tuple(rows), n), ExactMatrix(tuple(rhs), z.dim))
+            rhs.append(cochain.value(i, j))
+    solved = _solve_columns(ExactMatrix(tuple(rows), n), ExactMatrix(tuple(rhs), n))
     if solved is None:
         return None
-    coordinates = solved[0]
-    columns = []
-    for l in range(n):
-        col = zero_vector(n)
-        for m, t in enumerate(coordinates):
-            if t[l]:
-                col = vec_add(col, vec_scale(t[l], z.basis[m]))
-        columns.append(col)
-    return LinearMap.from_columns(columns)
+    return LinearMap(ExactMatrix(solved[0], n))
 
 
 def construct_rb_from_obstruction(

@@ -242,12 +242,61 @@ class TestParseErrors:
             ("kind rb-lie\ndim 1\nmap operator\nrows 0\n", 4, "needs 1 'row' lines"),
             ("kind rb-lie\ndim 1\nmap operator\nrowdy 0\n", 4, "needs 1 'row' lines"),
             ("kind group\norder 1\ntable\n0\nnamesake a\n", 5, "unexpected line"),
+            ("kind lie\ndim 0\n", 2, "dimension must be positive"),
+            ("kind group\norder 0\n", 2, "order must be positive"),
+            ("kind group\n", 1, "expected 'order n' or 'generators d'"),
+            ("kinds lie\ndim 1\n", 1, "first line must be 'kind <kind>'"),
+            ("# comment\nkind lie 2\ndim 1\n", 2, "first line must be 'kind <kind>'"),
         ],
     )
     def test_header_keywords_match_exactly(self, text, line, message):
         with pytest.raises(ParseError, match=message) as err:
             parse_document(text)
         assert err.value.line == line
+
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            ("kind lie\ndim 2\n[1,2] = )e1(\n", 3, "unbalanced parentheses"),
+            ("kind lie\ndim 2\n[1,2] = (1+i*e1\n", 3, "unbalanced parentheses"),
+            ("kind postlie\ndim 2\n1>3 = e1\n", 3, "bad product pair 1>3"),
+            (
+                "kind rb-lie\ndim 2\nmap operator\nrow 1 0\nrow 1\n",
+                5,
+                "expected 2 entries in map row",
+            ),
+            ("kind group\norder 2\ntable\n0 1\n", 4, "Cayley table needs 2 rows"),
+            (
+                "kind group\ngenerators 3\ngen 0 1 1\n",
+                3,
+                "generator is not a permutation of 0..2",
+            ),
+            (
+                "kind postgroup\ngenerators 3\ntriangle\n0\n",
+                3,
+                "triangle table must follow the group data",
+            ),
+            (
+                "kind rb-group\norder 2\ntable\n0 1\n1 0\nmap operator\n0 -> 2\n1 -> 1\n",
+                7,
+                "map indices out of range",
+            ),
+        ],
+        ids=[
+            "close-before-open",
+            "open-left-open",
+            "product-pair",
+            "map-row-length",
+            "cayley-rows",
+            "not-a-permutation",
+            "triangle-before-group",
+            "map-index",
+        ],
+    )
+    def test_body_refusal_names_its_line(self, text, line, message):
+        with pytest.raises(ParseError) as err:
+            parse_document(text)
+        assert str(err.value) == f"line {line}: {message}"
 
     @pytest.mark.parametrize(
         "text, line, message",
@@ -308,8 +357,37 @@ class TestParseErrors:
                 7,
                 "duplicate 'names' line",
             ),
+            (
+                "kind postlie\ndim 2\n1>2 = e1\n1>2 = e2\n",
+                4,
+                "conflicting product for pair 1>2",
+            ),
+            (
+                "kind rb-lie\ndim 1\nmap operator\nrow 0\nmap operator\nrow 0\n",
+                5,
+                "duplicate map 'operator'",
+            ),
+            (
+                "kind rb-group\norder 1\ntable\n0\nmap operator\n0 -> 0\n"
+                "map operator\n0 -> 0\n",
+                7,
+                "duplicate map 'operator'",
+            ),
+            (
+                "kind rb-group\norder 2\ntable\n0 1\n1 0\nmap operator\n0 -> 1\n0 -> 0\n",
+                8,
+                "duplicate image for element 0",
+            ),
         ],
-        ids=["table", "triangle", "names"],
+        ids=[
+            "table",
+            "triangle",
+            "names",
+            "conflicting-product",
+            "lie-map",
+            "group-map",
+            "image",
+        ],
     )
     def test_repeated_section_is_refused(self, tmp_path, capsys, text, line, message):
         path = tmp_path / "doc.txt"
@@ -472,6 +550,16 @@ class TestGeneratorExpansion:
         text = "kind group\ngenerators 3\ngen 1 0 2\ngen 1 2 0\n"
         doc = parse_document(text)
         assert doc.group.order == 6
+
+    def test_generator_document_takes_names(self):
+        plain = parse_document("kind group\ngenerators 3\ngen 1 2 0\n").group
+        named = parse_document("kind group\ngenerators 3\nnames e a b\ngen 1 2 0\n").group
+        assert named.names == ("e", "a", "b")
+        assert (named.table, named.identity, named.inverse) == (
+            plain.table,
+            plain.identity,
+            plain.inverse,
+        )
 
     def test_generator_document_is_closed_once(self, monkeypatch):
         # The triangle, the map and the group all need the closure.
@@ -946,6 +1034,58 @@ class TestCli:
         assert captured.err == (
             f"error: {named} map fails the group Rota-Baxter identity\n"
         )
+
+    def test_tower_refuses_a_bracket_failing_jacobi(self, tmp_path, capsys):
+        # The Jacobi identity fails at (e1, e2, e3): the cyclic sum is e1.
+        from postrb.lie import LieAlgebra
+        from postrb.postlie import LinearMap
+
+        algebra = LieAlgebra.from_brackets(
+            3, {(0, 1): [1, 0, 0], (0, 2): [1, 0, 0], (1, 2): [0, 1, 0]}
+        )
+        path = tmp_path / "doc.rb"
+        path.write_text(render_rb_lie_document(algebra, LinearMap.zero(3)))
+        code = main(["tower", "--input", str(path)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == "error: base bracket fails the Jacobi identity\n"
+
+    def test_group_obstruction_refuses_failing_postgroup_axioms(self, tmp_path, capsys):
+        # Every left multiplication of a constant triangle sends all to 0.
+        text = (SAMPLES / "s3_conjugation.postgrp").read_text()
+        head = text[: text.index("triangle")]
+        path = tmp_path / "doc.postgrp"
+        path.write_text(head + "triangle\n" + "0 0 0 0 0 0\n" * 6)
+        code = main(["group-obstruction", "--input", str(path)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == (
+            "error: post-group axioms fail; run check-postgroup for details\n"
+        )
+
+    def test_diff_cocycle_refuses_different_lie_algebras(self, tmp_path, capsys, solvable):
+        from postrb.postlie import LinearMap
+
+        other = tmp_path / "solvable.rb"
+        other.write_text(render_rb_lie_document(solvable, LinearMap.zero(3)))
+        code = main(["diff-cocycle", "--a", str(SAMPLES / "sl2.rb"), "--b", str(other)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == "error: the two documents carry different Lie algebras\n"
+
+    def test_diff_cocycle_refuses_different_groups(self, tmp_path, capsys, z2):
+        other = tmp_path / "z2.rbgrp"
+        other.write_text(render_rb_group_document(z2, GroupMap.identity(2)))
+        code = main(
+            ["diff-cocycle", "--a", str(SAMPLES / "s3_inverse.rbgrp"), "--b", str(other)]
+        )
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == "error: the two documents carry different groups\n"
 
     def test_machine_format_json(self, capsys):
         code = main(

@@ -237,6 +237,43 @@ class TestCocycleComputation:
             obstruction_cocycle_group(pg, GroupMap(s3.inverse))
 
 
+class TestRefusals:
+    """Malformed cocycles, witnesses and domains are refused by message."""
+
+    def test_cocycle_shape(self, z2):
+        with pytest.raises(ValueError, match="shape does not match the group"):
+            make_cocycle(z2, [[0, 0]])
+
+    def test_cocycle_value_not_central(self, s3):
+        # The center of S3 is trivial, so any other value escapes it.
+        e = s3.identity
+        values = [[e] * 6 for _ in range(6)]
+        a = next(x for x in range(6) if x != e)
+        values[a][a] = a
+        with pytest.raises(ValueError, match=rf"value at \({a},{a}\) is not central"):
+            make_cocycle(s3, values)
+
+    def test_cocycle_not_normalized(self, z2):
+        with pytest.raises(ValueError, match="not normalized at the identity"):
+            make_cocycle(z2, [[0, 1], [0, 0]])
+
+    def test_witness_size(self, s3):
+        pg = trivial_postgroup(s3)
+        with pytest.raises(ValueError, match="witness size does not match"):
+            obstruction_cocycle_group(pg, GroupMap.constant(5, s3.identity))
+
+    def test_witness_not_normalized(self, s3):
+        pg = trivial_postgroup(s3)
+        other = next(x for x in range(6) if x != s3.identity)
+        with pytest.raises(ValueError, match="witness is not normalized at the identity"):
+            obstruction_cocycle_group(pg, GroupMap.constant(6, other))
+
+    def test_domain_order_mismatch(self, z2, z4):
+        cocycle = make_cocycle(z2, [[0, 0], [0, 0]])
+        with pytest.raises(ValueError, match="domain group order mismatch"):
+            verify_group_2cocycle(cocycle, z4)
+
+
 class TestVerify2Cocycle:
     def test_perturbed_cell_fails(self, d4):
         ops = enumerate_rb_operators(d4)

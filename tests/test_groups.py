@@ -154,6 +154,26 @@ class TestFromTable:
             FiniteGroup.from_table([[0, 1], [1, 1]])
 
 
+class TestFields:
+    Z2 = ((0, 1), (1, 0))
+
+    @pytest.mark.parametrize("identity", [2, 5, -1])
+    def test_identity_out_of_range(self, identity):
+        with pytest.raises(ValueError, match="identity element out of range"):
+            FiniteGroup(self.Z2, identity, (0, 1))
+
+    @pytest.mark.parametrize("inverse", [(0, 2), (-1, 1), (5, 1)])
+    def test_inverse_entry_out_of_range(self, inverse):
+        with pytest.raises(ValueError, match="inverse table entry out of range"):
+            FiniteGroup(self.Z2, 0, inverse)
+
+    def test_empty_table_keeps_identity_zero(self):
+        empty = FiniteGroup((), 0, ())
+        assert empty == FiniteGroup.from_table([], strict=False)
+        with pytest.raises(ValueError, match="identity element out of range"):
+            FiniteGroup((), 1, ())
+
+
 class TestCenter:
     def test_abelian_full(self, z4):
         assert center_group(z4) == (0, 1, 2, 3)

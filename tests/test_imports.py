@@ -1,5 +1,6 @@
-"""Every module of the library uses each name it imports, and every
-module-level private name is used somewhere in the library.
+"""Every module of the library uses each name it imports, every
+module-level private name is used somewhere in the library, and every
+function, class and method it defines is used somewhere in the project.
 
 No linter ships with the toolchain, so this stdlib ``ast`` scan stands in
 for one.  ``__init__.py`` is skipped by the import check: its imports are
@@ -8,12 +9,16 @@ oldest Python that ``pyproject.toml`` admits.
 """
 
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "postrb"
+TESTS = ROOT / "tests"
+BENCH = ROOT / "bench"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -144,3 +149,42 @@ def test_only_scalars_imports_fractions():
         if "fractions" in _imported_modules(ast.parse(p.read_text(), filename=str(p)))
     )
     assert importers == ["scalars.py"]
+
+
+# A string that is one identifier or a dotted path of them, such as the
+# benchmark tracer's "ExactMatrix.rank" or a name given to ``setattr``.
+_DOTTED = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(?:\.[A-Za-z_][A-Za-z0-9_]*)*")
+
+
+def _name_uses(tree: ast.AST) -> Counter:
+    """How often each name is used in ``tree``: read as a name, read or set
+    as an attribute, imported, or spelled out in a dotted-path string."""
+    uses = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            uses[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            uses[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            uses.update(node.name.split("."))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if _DOTTED.fullmatch(node.value):
+                uses.update(node.value.split("."))
+    return uses
+
+
+def test_no_dead_definitions():
+    # A use inside the definition itself, such as a recursive call, does
+    # not keep it alive.
+    files = [*SRC.glob("*.py"), *TESTS.glob("*.py"), *BENCH.glob("*.py")]
+    trees = {p: ast.parse(p.read_text(), filename=str(p)) for p in files}
+    uses = sum(map(_name_uses, trees.values()), Counter())
+    dead = sorted(
+        f"{path.name}:{node.lineno} {node.name}"
+        for path in SRC.glob("*.py")
+        for node in ast.walk(trees[path])
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and uses[node.name] <= _name_uses(node)[node.name]
+    )
+    assert not dead, f"definitions used nowhere: {', '.join(dead)}"

@@ -216,6 +216,47 @@ class TestCoboundarySolve:
                                     assert cochain.value(i, j) == expected
 
 
+class TestRefusals:
+    """Malformed cochains and mismatched inputs are refused by message."""
+
+    def test_cochain_shape(self, solvable):
+        zero = vector([0, 0, 0])
+        with pytest.raises(ValueError, match="cochain table shape mismatch"):
+            LieTwoCochain(3, center(solvable), ((zero,) * 3,) * 2)
+
+    def test_cochain_diagonal(self, solvable):
+        zero, e3 = vector([0, 0, 0]), vector([0, 0, 1])
+        values = ((e3, zero, zero), (zero,) * 3, (zero,) * 3)
+        with pytest.raises(ValueError, match="not alternating on the diagonal"):
+            LieTwoCochain(3, center(solvable), values)
+
+    def test_cochain_antisymmetry(self, solvable):
+        zero, e3 = vector([0, 0, 0]), vector([0, 0, 1])
+        values = ((zero, e3, zero), (e3, zero, zero), (zero,) * 3)
+        with pytest.raises(ValueError, match="cochain table not antisymmetric"):
+            LieTwoCochain(3, center(solvable), values)
+
+    def test_cochain_value_outside_the_center(self, solvable):
+        with pytest.raises(ValueError, match=r"value at \(0,2\) lies outside the center"):
+            LieTwoCochain.from_pairs(3, center(solvable), {(0, 2): [1, 0, 0]})
+
+    @pytest.mark.parametrize("pair", [(1, 0), (1, 1), (0, 3)])
+    def test_from_pairs_needs_i_below_j(self, solvable, pair):
+        with pytest.raises(ValueError, match="cochain pairs must satisfy i < j"):
+            LieTwoCochain.from_pairs(3, center(solvable), {pair: [0, 0, 1]})
+
+    @pytest.mark.parametrize("solve", [verify_lie_2cocycle, coboundary_solve])
+    def test_dimension_mismatch(self, solvable, solve):
+        cochain = LieTwoCochain.from_pairs(3, center(solvable), {})
+        with pytest.raises(ValueError, match="cochain and algebra dimensions differ"):
+            solve(cochain, LieAlgebra.abelian(2))
+
+    def test_reconstruction_refuses_a_supplied_non_witness(self):
+        p, _ = solvable_postlie()
+        with pytest.raises(ValueError, match="not an innerness witness"):
+            construct_rb_from_obstruction(p, witness=LinearMap.identity(3))
+
+
 class TestReconstruction:
     def test_sl2_recovers_operator(self, sl2):
         p = PostLieAlgebra(sl2, sl2_triangle_table())

@@ -14,6 +14,7 @@ from postrb.postlie import (
     check_rota_baxter,
     from_rota_baxter,
     innerness_witness,
+    is_homomorphism,
     is_witness,
     sub_adjacent,
 )
@@ -252,6 +253,12 @@ class TestRotaBaxter:
     def test_solvable_witness_rb_iff_beta_zero(self, solvable):
         assert check_rota_baxter(solvable, solvable_witness(alpha=2, beta=0, gamma=-1))
         assert not check_rota_baxter(solvable, solvable_witness(alpha=0, beta=1, gamma=0))
+
+    def test_is_homomorphism_refuses_a_bracket_it_does_not_carry(self, sl2):
+        # The identity carries sl2 onto itself, not the zero bracket.
+        identity = LinearMap.identity(3)
+        assert is_homomorphism(identity, sl2.sc, sl2)
+        assert not is_homomorphism(identity, LieAlgebra.abelian(3).sc, sl2)
 
 
 class TestFromRotaBaxter:
