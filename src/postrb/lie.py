@@ -87,27 +87,27 @@ def left_columns(table: StructureTable, x: Sequence[ScalarLike]) -> tuple[Vector
     return tuple(cols)
 
 
+def _integer_row(v: Vector, scale: int) -> IntegerRow:
+    """The (k, a, b), k ascending, with scale * v[k] = a + b*i nonzero;
+    ``scale`` must be a multiple of every denominator of ``v``."""
+    return tuple(
+        (k, x.a * (scale // x.d), x.b * (scale // x.d))
+        for k, x in enumerate(v)
+        if x.a or x.b
+    )
+
+
 def _integer_tables(*tables: StructureTable) -> tuple[IntegerTable, ...]:
     """The tables scaled by one common L, as sparse Gaussian-integer rows.
 
     L is the lcm of the denominators of every entry of every table, and
-    entry (i, j) of each result is the tuple of (k, a, b), k ascending, with
-    L table[i][j][k] = a + b*i nonzero.  Two passes over the entries: O(n^3)
-    per table, against the O(n^4) of the identities read off them.
+    entry (i, j) of each result is ``_integer_row(table[i][j], L)``.  Two
+    passes over the entries: O(n^3) per table, against the O(n^4) of the
+    identities read off them.
     """
     scale = lcm(*{x.d for table in tables for row in table for v in row for x in v})
     return tuple(
-        tuple(
-            tuple(
-                tuple(
-                    (k, x.a * (scale // x.d), x.b * (scale // x.d))
-                    for k, x in enumerate(v)
-                    if x.a or x.b
-                )
-                for v in row
-            )
-            for row in table
-        )
+        tuple(tuple(_integer_row(v, scale) for v in row) for row in table)
         for table in tables
     )
 

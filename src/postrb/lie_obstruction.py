@@ -156,7 +156,7 @@ def coboundary_solve(cochain: LieTwoCochain, sub: LieAlgebra) -> LinearMap | Non
     solved = _solve_columns(ExactMatrix(tuple(rows), n), ExactMatrix(tuple(rhs), n))
     if solved is None:
         return None
-    return LinearMap(ExactMatrix(solved[0], n))
+    return LinearMap(ExactMatrix(solved, n))
 
 
 def construct_rb_from_obstruction(

@@ -305,7 +305,7 @@ def innerness_witness(p: PostLieAlgebra) -> LinearMap | None:
     solved = _solve_columns(coefficient_matrix(p.base.sc), coefficient_matrix(p.tc))
     if solved is None:
         return None
-    witness = LinearMap.from_columns(solved[0])
+    witness = LinearMap.from_columns(solved)
     if not is_witness(p, witness):
         raise AssertionError("witness solve failed to reproduce the product")
     return witness

@@ -402,7 +402,7 @@ class ExactMatrix:
         solved = _solve_columns(self, ExactMatrix.identity(n))
         if solved is None:
             raise ValueError("matrix is singular")
-        return ExactMatrix(tuple(zip(*solved[0])), n)
+        return ExactMatrix(tuple(zip(*solved)), n)
 
     def __str__(self) -> str:
         return "\n".join(" ".join(str(x) for x in r) for r in self.entries)
@@ -516,35 +516,39 @@ def solve_affine(
     b = vector(rhs)
     if len(b) != matrix.rows:
         raise ValueError("right-hand side length does not match row count")
-    solved = _solve_columns(matrix, ExactMatrix(tuple((x,) for x in b), 1))
+    red, pivots = rref(hstack(matrix, ExactMatrix(tuple((x,) for x in b), 1)))
+    solved = _reduced_solutions(red, pivots, matrix.cols)
     if solved is None:
         return None
-    (x,), basis = solved
-    return AffineSolution(x, basis)
+    return AffineSolution(solved[0], _free_column_basis(red, pivots, matrix.cols))
 
 
-def _solve_columns(
-    matrix: ExactMatrix, rhs: ExactMatrix
-) -> tuple[tuple[Vector, ...], tuple[Vector, ...]] | None:
+def _solve_columns(matrix: ExactMatrix, rhs: ExactMatrix) -> tuple[Vector, ...] | None:
     """Solve matrix @ X = rhs with one ``rref`` of [matrix | rhs].
 
     Returns the canonical solution of each column of ``rhs`` (free variables
-    set to zero) and the canonical nullspace basis of ``matrix``, or None
-    when some column is inconsistent.  Each solution is the one a separate
-    solve of its column gives: the rref of a row space is unique.
+    set to zero), or None when some column is inconsistent.  Each solution
+    is the one a separate solve of its column gives: the rref of a row space
+    is unique.
     """
-    ncols = matrix.cols
-    red, pivots = rref(hstack(matrix, rhs))
+    return _reduced_solutions(*rref(hstack(matrix, rhs)), matrix.cols)
+
+
+def _reduced_solutions(
+    red: ExactMatrix, pivots: Sequence[int], ncols: int
+) -> tuple[Vector, ...] | None:
+    """The canonical solution of each column right of the first ``ncols``
+    of a reduced [matrix | rhs], or None when some column is inconsistent."""
     # A pivot right of the matrix is a row 0 = 1 for that column.
     if pivots and pivots[-1] >= ncols:
         return None
     solutions = []
-    for c in range(ncols, ncols + rhs.cols):
+    for c in range(ncols, red.cols):
         x = [ZERO] * ncols
         for r, p in enumerate(pivots):
             x[p] = red.entries[r][c]
         solutions.append(tuple(x))
-    return tuple(solutions), _free_column_basis(red, pivots, ncols)
+    return tuple(solutions)
 
 
 def determinant(matrix: ExactMatrix) -> GaussianRational:

@@ -18,32 +18,65 @@ sub_ij[j] w_j needs that correction.  It depends on (i, j, idx[i], idx[j])
 only: each grid column c gets its ad table ads[c][k] = [c, e_k] once, and a
 candidate is an index tuple idx.
 
+The whole scan runs on Gaussian integers, each held as two ``int``s, in the
+sparse rows of ``lie._accumulate``; a scalar is built only for a valid
+candidate.  Three scales put every quantity on a common denominator (the
+integer-preserving idea of Bareiss, Math. Comp. 22, 1968): G, the lcm of
+the grid's denominators; T, that of the structure constants; Z, that of
+the center rows.  The grid columns are held as G c, the ad tables as
+G T [c, e_k], and the table as T [e_i, e_j]; in sub_ij the table entry
+[e_i, e_j] has degree 0 in the grid where [w_i, e_j] has degree 1, so it
+takes the extra G, and every term of sub_ij is at scale G T.  Every term of [w_i, w_j] and of
+sub_ij[m] w_m is then at G^2 T.  The centrality test is the integer
+functional Z v_q - sum_r (Z z_r[q]) v_{p_r} per coordinate q off the
+pivots, so every term of a defect coordinate, as tested, is at G^2 T Z.
+Since every term of a quantity carries the same scale, the scaled quantity
+is the true one times one nonzero integer: every zero and every nonzero is
+kept, and the scan decides what it decided on scalars.
+
 From n = 3 on the scan walks the pairs (idx[0], idx[1]) outermost, builds
 the part of the pair (0, 1) once for each, then walks the middle columns
 and solves for the last one instead of trying each.  The pair (0, 1)
-leaves out column n-1, so its defect off the pivots is r - s w_{n-1} with
-s = sub_01[n-1] and r fixed by the prefix.  If s != 0 only the columns
-equal to r/s off the pivots can pass, found by one lookup in a map from
-those values to the grid indices that carry them; if s = 0 the prefix
-passes with every last column when r = 0 and with none otherwise.  Each
-survivor is then checked on every other pair, paying only for the terms
-sub_ij[m] w_m of the other columns.  The parts of those pairs are kept in
-one dict per scan, keyed by (i, j, idx[i], idx[j]); the pair (0, 1) needs
-none, as each of its parts serves one contiguous run of prefixes.  Only a
-valid candidate gets its ``PostLieAlgebra``, witness and sub-adjacent
-algebra built, once each.
+leaves out column n-1, so its tested defect is R - s W with s = sub_01[n-1]
+at scale G T, R fixed by the prefix at G^2 T Z, and W the last column, as
+tested, at G Z.  If s = x + y i != 0, only W = R/s can pass, and it is a
+Gaussian integer: with N = x^2 + y^2, N must divide both parts of R
+conj(s) in every coordinate, or no column matches.  The quotient is looked
+up in a map from the tested columns to the grid indices that carry them.
+If s = 0 the prefix passes with every last column when R = 0 and with none
+otherwise.  Each survivor is then checked on every other pair, paying only
+for the terms sub_ij[m] w_m of the other columns.  The parts of those pairs
+are kept in one dict per scan, keyed by (i, j, idx[i], idx[j]); the pair
+(0, 1) needs none, as each of its parts serves one contiguous run of
+prefixes.
+
+A valid candidate reads sub_ij and kappa_ij off the same integer rows and
+turns them into scalars once, over G T and G^2 T.  Its sub-adjacent table
+is checked for antisymmetry (``LieAlgebra``) and Jacobi, and its defect for
+being alternating and central (``LieTwoCochain``), before the coboundary
+solve.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
-from typing import Iterator, Sequence
+from itertools import product, repeat
+from math import lcm
+from typing import Iterator, NamedTuple, Sequence
 
-from .lie import LieAlgebra, center, jacobi_violations, left_columns
-from .lie_obstruction import _defect, coboundary_solve
-from .postlie import LinearMap, PostLieAlgebra, sub_adjacent
-from .scalars import ScalarLike, Vector, ZERO, vector, zero_vector
+from .lie import (
+    IntegerRow,
+    LieAlgebra,
+    Subspace,
+    _accumulate,
+    _integer_row,
+    center,
+    check_jacobi,
+    jacobi_violations,
+)
+from .lie_obstruction import LieTwoCochain, coboundary_solve
+from .postlie import LinearMap
+from .scalars import ScalarLike, Vector, from_triple, vector, zero_vector
 
 
 @dataclass(frozen=True)
@@ -97,74 +130,149 @@ def default_catalog() -> list[tuple[str, LieAlgebra]]:
     ]
 
 
+class _Scaled(NamedTuple):
+    """The scan's integer rows, each at its scale (see the module docstring).
+
+    ``sc[i][j]`` is T [e_i, e_j]; ``grid[c]`` is G c and ``ads[c][k]`` is
+    G T [c, e_k] for grid column c.  There are ``width`` coordinates off the
+    pivots; the t-th of them, q, has the centrality functional
+    Z v_q - sum_r Z z_r[q] v_{p_r}.  ``phi[p]`` holds the (t, a, b) with
+    a + b*i the coefficient of v_p in the t-th functional, and ``tested[c]``
+    the (t, a, b) with a + b*i the t-th functional on G c, which is G Z c_q
+    as c vanishes on the pivots.  ``g`` and ``t`` are G and T.
+    """
+
+    sc: Sequence[Sequence[IntegerRow]]
+    grid: Sequence[IntegerRow]
+    ads: Sequence[Sequence[IntegerRow]]
+    phi: Sequence[IntegerRow]
+    tested: Sequence[IntegerRow]
+    width: int
+    g: int
+    t: int
+
+
+def _sparse(re: Sequence[int], im: Sequence[int]) -> IntegerRow:
+    """The nonzero (k, re[k], im[k])."""
+    return tuple((k, x, y) for k, (x, y) in enumerate(zip(re, im)) if x or y)
+
+
+def _scaled(
+    algebra: LieAlgebra, z: Subspace, off: Sequence[int], grid: Sequence[Vector]
+) -> _Scaled:
+    """The integer rows of a scan of ``algebra`` over ``grid``, whose
+    columns vanish on the pivots of the center ``z``; ``off`` lists the
+    other coordinates."""
+    n = algebra.dim
+    g = lcm(*(x.d for col in grid for x in col))
+    t = lcm(*(x.d for row in algebra.sc for v in row for x in v))
+    zs = lcm(*(x.d for row in z.basis for x in row))
+    sc = [[_integer_row(v, t) for v in row] for row in algebra.sc]
+    # Column k of the table: [c, e_k] = sum_i c_i [e_i, e_k].
+    table_columns = [[row[k] for row in sc] for k in range(n)]
+    columns = [_integer_row(col, g) for col in grid]
+    ads = []
+    for col in columns:
+        ad = []
+        for k in range(n):
+            re, im = [0] * n, [0] * n
+            _accumulate(re, im, col, table_columns[k])
+            ad.append(_sparse(re, im))
+        ads.append(ad)
+    position = {q: k for k, q in enumerate(off)}
+    phi = [[(position[q], zs, 0)] if q in position else [] for q in range(n)]
+    for row, p in zip(z.basis, z.pivots):
+        phi[p] += [(position[q], -x, -y) for q, x, y in _integer_row(row, zs) if q != p]
+    return _Scaled(
+        sc,
+        columns,
+        ads,
+        tuple(map(tuple, phi)),
+        [_integer_row([col[q] for q in off], g * zs) for col in grid],
+        len(off),
+        g,
+        t,
+    )
+
+
+def _pair_rows(
+    rows: _Scaled, i: int, j: int, a: int, b: int
+) -> tuple[list[int], list[int], list[int], list[int]]:
+    """The real and imaginary parts of sub = [e_i, e_j] + [w_i, e_j] -
+    [w_j, e_i] at scale G T and of the part [w_i, w_j] - sub[i] w_i -
+    sub[j] w_j at G^2 T, for idx[i] = a and idx[j] = b."""
+    sc, grid, ads = rows.sc, rows.grid, rows.ads
+    n = len(sc)
+    ta = ads[a]
+    sre, sim = [0] * n, [0] * n
+    # [e_i, e_j] has degree 0 in the grid, so it takes the extra G.
+    terms = (sc[i][j], ta[j], ads[b][i])
+    _accumulate(sre, sim, ((0, rows.g, 0), (1, 1, 0), (2, -1, 0)), terms)
+    pre, pim = [0] * n, [0] * n
+    # [w_i, w_j] = sum_k w_j[k] [w_i, e_k].
+    _accumulate(pre, pim, grid[b], ta)
+    ends = tuple(
+        (e, sre[m], sim[m]) for e, m in ((0, i), (1, j)) if sre[m] or sim[m]
+    )
+    _accumulate(pre, pim, ends, (grid[a], grid[b]), -1)
+    return sre, sim, pre, pim
+
+
+def _others(sre: list[int], sim: list[int], i: int, j: int) -> IntegerRow:
+    """The nonzero sub[m], m not in (i, j), as (m, re, im)."""
+    return tuple(
+        (m, x, y)
+        for m, (x, y) in enumerate(zip(sre, sim))
+        if (x or y) and m not in (i, j)
+    )
+
+
 def _pair_part(
-    algebra: LieAlgebra,
-    grid: Sequence[Vector],
-    ads: Sequence[Sequence[Vector]],
-    off: Sequence[tuple[int, tuple]],
-    i: int,
-    j: int,
-    a: int,
-    b: int,
-) -> tuple[tuple, tuple]:
+    rows: _Scaled, i: int, j: int, a: int, b: int
+) -> tuple[IntegerRow, list[int], list[int]]:
     """What the defect at (i, j) needs from idx[i] = a, idx[j] = b.
 
-    With sub = [e_i, e_j] + [w_i, e_j] - [w_j, e_i] the defect is
-    [w_i, w_j] - sum_m sub[m] w_m.  Returns the nonzero sub[m] of the other
-    columns m, and per (q, terms) in ``off`` the coordinate q of the part
-    [w_i, w_j] - sub[i] w_i - sub[j] w_j less sum part[p] c over (p, c) in
-    terms: zero on every q exactly when that part is central.
+    With sub and the part as in ``_pair_rows`` the defect is the part less
+    sum_m sub[m] w_m over the other columns m.  Returns those sub[m] as
+    (m, re, im) at scale G T, and the real and imaginary parts of the
+    centrality functionals of the part, at G^2 T Z: all zero exactly when
+    the part is central.
     """
-    n = algebra.dim
-    wa, wb, ta = grid[a], grid[b], ads[a]
-    row, left, right = algebra.sc[i][j], ta[j], ads[b][i]
-    sub = [row[m] + left[m] - right[m] for m in range(n)]
-    part = [ZERO] * n
-    for k in range(n):
-        if wb[k]:
-            for q, x in enumerate(ta[k]):
-                if x:
-                    part[q] = part[q] + wb[k] * x
-    for s, w in ((sub[i], wa), (sub[j], wb)):
-        if s:
-            for q, x in enumerate(w):
-                if x:
-                    part[q] = part[q] - s * x
-    corrected = []
-    for q, terms in off:
-        value = part[q]
-        for p, c in terms:
-            if part[p]:
-                value = value - part[p] * c
-        corrected.append((q, value))
-    others = tuple((m, sub[m]) for m in range(n) if m not in (i, j) and sub[m])
-    return others, tuple(corrected)
+    sre, sim, pre, pim = _pair_rows(rows, i, j, a, b)
+    cre, cim = [0] * rows.width, [0] * rows.width
+    _accumulate(cre, cim, _sparse(pre, pim), rows.phi)
+    return _others(sre, sim, i, j), cre, cim
 
 
 def _residual(
-    grid: Sequence[Vector],
-    idx: Sequence[int],
-    others: tuple,
-    corrected: tuple,
-) -> list:
-    """The corrected part of a pair less sum s w_m over (m, s) in
-    ``others``, w_m = grid[idx[m]], on the coordinates off the pivots."""
-    columns = [(s, grid[idx[m]]) for m, s in others]
-    residual = []
-    for q, value in corrected:
-        for s, col in columns:
-            if col[q]:
-                value = value - s * col[q]
-        residual.append(value)
-    return residual
+    columns: Sequence[IntegerRow], others: IntegerRow, re: list[int], im: list[int]
+) -> tuple[list[int], list[int]]:
+    """Copies of ``re`` and ``im`` less sum s columns[m] over (m, s) in
+    ``others``."""
+    re, im = re[:], im[:]
+    _accumulate(re, im, others, columns, -1)
+    return re, im
 
 
-def _central_witnesses(
-    algebra: LieAlgebra,
-    grid: Sequence[Vector],
-    ads: Sequence[Sequence[Vector]],
-    off: Sequence[tuple[int, tuple]],
-) -> Iterator[tuple[int, ...]]:
+def _exact_quotient(
+    re: Sequence[int], im: Sequence[int], x: int, y: int
+) -> IntegerRow | None:
+    """(re + im*i)/(x + y*i) per coordinate t in Z[i], as the sparse row of
+    its nonzero (t, real part, imaginary part), or None when some
+    coordinate is not divisible."""
+    norm = x * x + y * y
+    quotient = []
+    for t, (u, v) in enumerate(zip(re, im)):
+        # (u + v*i) conj(x + y*i) = (u x + v y) + (v x - u y) i.
+        u, v = u * x + v * y, v * x - u * y
+        if u % norm or v % norm:
+            return None
+        if u or v:
+            quotient.append((t, u // norm, v // norm))
+    return tuple(quotient)
+
+
+def _central_witnesses(rows: _Scaled) -> Iterator[tuple[int, ...]]:
     """The index tuples, in ``product`` order, whose defect is central at
     every pair i < j.
 
@@ -173,17 +281,20 @@ def _central_witnesses(
     part of every other pair is built once and kept in ``parts``, which the
     generator drops when it finishes.
     """
-    n = algebra.dim
-    everything = range(len(grid))
+    n = len(rows.sc)
+    everything = range(len(rows.grid))
+    tested = rows.tested
     parts: dict[tuple[int, int, int, int], tuple] = {}
 
     def central(idx: tuple[int, ...], pairs: Sequence[tuple[int, int]]) -> bool:
+        columns = [tested[c] for c in idx]
         for i, j in pairs:
             key = (i, j, idx[i], idx[j])
             part = parts.get(key)
             if part is None:
-                part = parts[key] = _pair_part(algebra, grid, ads, off, *key)
-            if any(_residual(grid, idx, *part)):
+                part = parts[key] = _pair_part(rows, *key)
+            re, im = _residual(columns, *part)
+            if any(re) or any(im):
                 return False
         return True
 
@@ -195,20 +306,20 @@ def _central_witnesses(
         return
     del pairs[0]  # solved for below
     last = n - 1
-    by_values: dict[tuple, tuple[int, ...]] = {}
-    for c, col in enumerate(grid):
-        key = tuple(col[q] for q, _ in off)
-        by_values[key] = by_values.get(key, ()) + (c,)
+    by_values: dict[IntegerRow, tuple[int, ...]] = {}
+    for c, col in enumerate(tested):
+        by_values[col] = by_values.get(col, ()) + (c,)
     for a, b in product(everything, repeat=2):
-        others, corrected = _pair_part(algebra, grid, ads, off, 0, 1, a, b)
-        s = dict(others).get(last, ZERO)
-        fixed = tuple((m, t) for m, t in others if m != last)
+        others, cre, cim = _pair_part(rows, 0, 1, a, b)
+        s = next(((x, y) for m, x, y in others if m == last), None)
+        fixed = tuple(t for t in others if t[0] != last)
         for middle in product(everything, repeat=n - 3):
             prefix = (a, b, *middle)
-            residual = _residual(grid, prefix, fixed, corrected)
+            re, im = _residual([tested[c] for c in prefix], fixed, cre, cim)
             if s:
-                lasts = by_values.get(tuple(r / s for r in residual), ())
-            elif any(residual):
+                key = _exact_quotient(re, im, *s)
+                lasts = () if key is None else by_values.get(key, ())
+            elif any(re) or any(im):
                 continue
             else:
                 lasts = everything
@@ -216,6 +327,35 @@ def _central_witnesses(
                 idx = prefix + (c,)
                 if central(idx, pairs):
                     yield idx
+
+
+def _candidate(
+    rows: _Scaled, idx: tuple[int, ...], z: Subspace
+) -> tuple[LieAlgebra, LieTwoCochain]:
+    """The sub-adjacent algebra of a valid candidate and its defect.
+
+    sub_ij and kappa_ij are read off the integer rows at scales G T and
+    G^2 T, and turned into scalars once.  The sub-adjacent table is refused
+    unless it is a Lie algebra, and the defect unless it is alternating
+    with values in the center ``z``.
+    """
+    n = len(idx)
+    scale = rows.g * rows.t
+    columns = [rows.grid[c] for c in idx]
+    table = [[zero_vector(n)] * n for _ in range(n)]
+    pairs = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            sre, sim, pre, pim = _pair_rows(rows, i, j, idx[i], idx[j])
+            _accumulate(pre, pim, _others(sre, sim, i, j), columns, -1)
+            entry = tuple(map(from_triple, sre, sim, repeat(scale)))
+            table[i][j] = entry
+            table[j][i] = tuple(-x for x in entry)
+            pairs[(i, j)] = tuple(map(from_triple, pre, pim, repeat(scale * rows.g)))
+    sub = LieAlgebra(tuple(map(tuple, table)))
+    if not check_jacobi(sub):
+        raise ValueError("sub-adjacent bracket fails Jacobi: input is not post-Lie")
+    return sub, LieTwoCochain.from_pairs(n, z, pairs)
 
 
 def scan_algebra(
@@ -241,33 +381,25 @@ def scan_algebra(
         )
     n = algebra.dim
     z = center(algebra)
-    # Per coordinate q off the pivots p_r, the nonzero z_r[q] of the center rows.
-    off = [
-        (q, tuple((p, row[q]) for row, p in zip(z.basis, z.pivots) if row[q]))
-        for q in range(n)
-        if q not in z.pivots
-    ]
+    off = [q for q in range(n) if q not in z.pivots]
     grid = []
     for choice in product(vector(coefficients), repeat=len(off)):
         col = list(zero_vector(n))
-        for value, (slot, _) in zip(choice, off):
+        for value, slot in zip(choice, off):
             col[slot] = value
         grid.append(tuple(col))
-    ads = [left_columns(algebra.sc, col) for col in grid]
+    rows = _scaled(algebra, z, off, grid)
     valid = 0
     trivial = 0
     nontrivial = 0
     examples: list[ScanFinding] = []
-    for idx in _central_witnesses(algebra, grid, ads, off):
+    for idx in _central_witnesses(rows):
         valid += 1
-        # The triangle table is the induced table of these columns, so the
-        # witness holds by construction and needs no check.
-        witness = LinearMap.from_columns([grid[c] for c in idx])
-        post = PostLieAlgebra(algebra, tuple(ads[c] for c in idx))
-        sub = sub_adjacent(post)
-        if coboundary_solve(_defect(post, witness, sub, z), sub) is None:
+        sub, cochain = _candidate(rows, idx, z)
+        if coboundary_solve(cochain, sub) is None:
             nontrivial += 1
             if len(examples) < max_examples:
+                witness = LinearMap.from_columns([grid[c] for c in idx])
                 examples.append(ScanFinding(name, witness, trivial_class=False))
         else:
             trivial += 1

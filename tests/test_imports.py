@@ -188,3 +188,36 @@ def test_no_dead_definitions():
         and uses[node.name] <= _name_uses(node)[node.name]
     )
     assert not dead, f"definitions used nowhere: {', '.join(dead)}"
+
+
+def _floating_point(tree: ast.Module):
+    """(line, what) of each float or complex literal and each call of
+    ``float`` or ``complex`` in ``tree``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and type(node.value) in (float, complex):
+            yield node.lineno, f"literal {node.value!r}"
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id in ("float", "complex")
+        ):
+            yield node.lineno, f"call of {node.func.id}"
+
+
+def test_floating_point_scan_finds_literals_and_calls():
+    tree = ast.parse("x = 0.5\ny = 2j\nz = float(x) + complex(1, 2)\nw = 1 / 2\n")
+    assert sorted(_floating_point(tree)) == [
+        (1, "literal 0.5"),
+        (2, "literal 2j"),
+        (3, "call of complex"),
+        (3, "call of float"),
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_floating_point(path):
+    # Every result is exact; a float literal or conversion is a bug.
+    found = sorted(_floating_point(ast.parse(path.read_text(), filename=str(path))))
+    assert not found, f"{path.name} uses floating point: " + ", ".join(
+        f"line {line} {what}" for line, what in found
+    )

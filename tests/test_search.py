@@ -1,23 +1,32 @@
 """Grid scan harness: counts cross-checked against hand formulas, against
 products built bracket by bracket, and across changes of basis."""
 
+from fractions import Fraction
 from itertools import product
 
 import pytest
 
+from postrb import search
+from postrb.errors import NontrivialObstructionError
 from postrb.lie import LieAlgebra, center, change_basis
-from postrb.postlie import PostLieAlgebra, check_postlie_axioms
+from postrb.lie_obstruction import construct_rb_from_obstruction, obstruction_cocycle
+from postrb.postlie import (
+    LinearMap,
+    PostLieAlgebra,
+    check_postlie_axioms,
+    induced_table,
+    sub_adjacent,
+)
 from postrb.scalars import I, ExactMatrix, unit_vector, vector
-from postrb.search import ScanSummary, default_catalog, scan_algebra
+from postrb.search import ScanFinding, ScanSummary, default_catalog, scan_algebra
 
 from conftest import make_heisenberg
 
 
-def _oracle_valid_count(algebra: LieAlgebra, coefficients) -> int:
-    """Grid witnesses whose product, built from ``bracket`` one basis pair at
-    a time, passes every post-Lie axiom.  The grid is the scan's: columns
-    with entries in ``coefficients`` on the coordinates off the pivots of the
-    center's canonical basis and zero on them."""
+def _grid(algebra: LieAlgebra, coefficients) -> list[list]:
+    """The scan's grid columns: entries in ``coefficients`` on the
+    coordinates off the pivots of the center's canonical basis, zero on
+    them, in ``product`` order."""
     n = algebra.dim
     off = [k for k in range(n) if k not in center(algebra).pivots]
     columns = []
@@ -26,16 +35,39 @@ def _oracle_valid_count(algebra: LieAlgebra, coefficients) -> int:
         for k, value in zip(off, choice):
             column[k] = value
         columns.append(column)
-    count = 0
+    return columns
+
+
+def _oracle(name: str, algebra: LieAlgebra, coefficients, max_examples=3) -> ScanSummary:
+    """The scan's summary, found the slow way.  For each grid witness, in
+    ``product`` order, the product is built from ``bracket`` one basis pair
+    at a time; it counts as valid when it passes every post-Lie axiom, and
+    as nontrivial when ``construct_rb_from_obstruction`` refuses it."""
+    n = algebra.dim
+    columns = _grid(algebra, coefficients)
+    valid = trivial = 0
+    examples = []
     for witness in product(columns, repeat=n):
         products = {
             (i, j): algebra.bracket(witness[i], unit_vector(n, j))
             for i in range(n)
             for j in range(n)
         }
-        if check_postlie_axioms(PostLieAlgebra.from_products(algebra, products)).ok:
-            count += 1
-    return count
+        post = PostLieAlgebra.from_products(algebra, products)
+        if not check_postlie_axioms(post).ok:
+            continue
+        valid += 1
+        witness_map = LinearMap.from_columns(witness)
+        try:
+            construct_rb_from_obstruction(post, witness_map)
+        except NontrivialObstructionError:
+            if len(examples) < max_examples:
+                examples.append(ScanFinding(name, witness_map, trivial_class=False))
+        else:
+            trivial += 1
+    return ScanSummary(
+        len(columns) ** n, valid, trivial, valid - trivial, tuple(examples)
+    )
 
 
 _ORACLE_ALGEBRAS = {
@@ -43,6 +75,23 @@ _ORACLE_ALGEBRAS = {
     "heisenberg+line": LieAlgebra.from_brackets(4, {(0, 1): [0, 0, 1, 0]}),
     "heisenberg+line-skew": LieAlgebra.from_brackets(4, {(0, 1): [0, 0, 1, 1]}),
 }
+
+HALF = Fraction(1, 2)
+# A change of basis of determinant 6: the brackets get denominators 3 and 6.
+NON_UNIMODULAR = ExactMatrix.from_rows([[2, 0, 1], [0, 1, 1], [0, 0, 3]])
+# f3 = e3 - 2 e1, so the Heisenberg center e3 = 2 f1 + f3 has the canonical
+# row (1, 0, 1/2): the centrality test needs the center's denominator.
+HALF_PIVOT = ExactMatrix.from_rows([[1, 0, -2], [0, 1, 0], [0, 0, 1]])
+SKEW = ExactMatrix.from_rows([[1, 0, -1], [0, 1, 1], [0, 0, 1]])
+
+
+def _counts(summary: ScanSummary) -> tuple[int, int, int, int]:
+    return (
+        summary.candidates,
+        summary.valid_post_lie,
+        summary.trivial_class,
+        summary.nontrivial_class,
+    )
 
 
 def _signed_permutation(perm, signs) -> ExactMatrix:
@@ -123,7 +172,7 @@ class TestScan:
             summary.trivial_class,
             summary.nontrivial_class,
         ) == counts
-        assert summary.valid_post_lie == _oracle_valid_count(algebra, coefficients)
+        assert summary == _oracle(name, algebra, coefficients)
 
     def test_repeated_coefficients_repeat_candidates(self):
         # Over the values {-1, 0} two witnesses are valid: zero, and one with
@@ -171,8 +220,7 @@ class TestScan:
         # In the basis f1 = e1, f2 = e2, f3 = -e1 + e2 + e3 the center e3 is
         # the row (1, -1, 1), not a coordinate subspace, so a defect is
         # central only after the correction by the pivot coordinate.
-        basis = ExactMatrix.from_rows([[1, 0, -1], [0, 1, 1], [0, 0, 1]])
-        algebra = change_basis(dict(default_catalog())[name], basis)
+        algebra = change_basis(dict(default_catalog())[name], SKEW)
         assert center(algebra).basis == (tuple(vector([1, -1, 1])),)
         summary = scan_algebra(name, algebra)
         assert (
@@ -180,7 +228,7 @@ class TestScan:
             summary.valid_post_lie,
             summary.nontrivial_class,
         ) == counts
-        assert summary.valid_post_lie == _oracle_valid_count(algebra, (-1, 0, 1))
+        assert summary == _oracle(name, algebra, (-1, 0, 1))
 
     def test_heisenberg_examples_keep_enumeration_order(self):
         summary = scan_algebra("heisenberg", make_heisenberg())
@@ -192,3 +240,139 @@ class TestScan:
         assert [f.witness.matrix for f in summary.nontrivial_examples] == [
             ExactMatrix.from_rows(rows) for rows in expected
         ]
+
+
+class TestScanMatchesOracle:
+    """The scan runs on Gaussian integers scaled by the grid's, the table's
+    and the center's denominators; on each input the whole summary, counts
+    and examples in order, must be the oracle's."""
+
+    @pytest.mark.parametrize(
+        "name, algebra, coefficients, counts",
+        [
+            ("heisenberg", make_heisenberg(), (0, HALF, -1), (729, 81, 73, 8)),
+            ("affine-3", dict(default_catalog())["affine-3"], (0, HALF, -1), (729, 60, 60, 0)),
+            ("affine-2", dict(default_catalog())["affine-2"], (0, HALF, -1), (81, 22, 22, 0)),
+            (
+                "heisenberg-half",
+                LieAlgebra.from_brackets(3, {(0, 1): [0, 0, HALF]}),
+                (-1, 0, 1),
+                (729, 81, 73, 8),
+            ),
+            (
+                "heisenberg-half",
+                LieAlgebra.from_brackets(3, {(0, 1): [0, 0, HALF]}),
+                (0, HALF, -1),
+                (729, 81, 73, 8),
+            ),
+            (
+                "heisenberg-non-unimodular",
+                change_basis(make_heisenberg(), NON_UNIMODULAR),
+                (-1, 0, 1),
+                (729, 9, 9, 0),
+            ),
+            (
+                "heisenberg-non-unimodular",
+                change_basis(make_heisenberg(), NON_UNIMODULAR),
+                (0, HALF, -1),
+                (729, 16, 15, 1),
+            ),
+            (
+                "affine-3-non-unimodular",
+                change_basis(dict(default_catalog())["affine-3"], NON_UNIMODULAR),
+                (0, 1, I),
+                (729, 31, 31, 0),
+            ),
+            # Some prefixes have s = 0 and a purely imaginary residual.
+            ("affine-3", dict(default_catalog())["affine-3"], (0, I), (64, 10, 10, 0)),
+            # The skew center (1, -1, 1) with complex divisors s.
+            (
+                "heisenberg-skew",
+                change_basis(make_heisenberg(), SKEW),
+                (0, I),
+                (64, 9, 9, 0),
+            ),
+            (
+                "heisenberg-half-pivot",
+                change_basis(make_heisenberg(), HALF_PIVOT),
+                (0, HALF, -1),
+                (729, 36, 32, 4),
+            ),
+        ],
+    )
+    def test_scaled_input(self, name, algebra, coefficients, counts):
+        summary = scan_algebra(name, algebra, coefficients)
+        assert _counts(summary) == counts
+        assert summary == _oracle(name, algebra, coefficients)
+
+    def test_half_pivot_center_has_a_denominator(self):
+        algebra = change_basis(make_heisenberg(), HALF_PIVOT)
+        assert center(algebra).basis == (vector([1, 0, HALF]),)
+
+    def test_complex_divisor_without_exact_quotient(self, monkeypatch):
+        # On simple-3 the last column is solved by dividing by sub_01[2] =
+        # 1 + w_0[0] + w_1[1], which is complex on most prefixes of the grid
+        # (0, i); on some of them it does not divide the residual in Z[i],
+        # so no last column can match.
+        refused = []
+        exact_quotient = search._exact_quotient
+
+        def spy(re, im, x, y):
+            key = exact_quotient(re, im, x, y)
+            if key is None and y:
+                refused.append((x, y))
+            return key
+
+        monkeypatch.setattr(search, "_exact_quotient", spy)
+        algebra = dict(default_catalog())["simple-3"]
+        summary = scan_algebra("simple-3", algebra, (0, I))
+        assert refused
+        assert _counts(summary) == (512, 1, 1, 0)
+        assert summary == _oracle("simple-3", algebra, (0, I))
+
+    @pytest.mark.parametrize(
+        "re, im, x, y, key",
+        [
+            ((6, 0), (3, 0), 3, 0, ((0, 2, 1),)),
+            ((-4, 2), (2, 0), -2, 0, ((0, 2, -1), (1, -1, 0))),
+            # (2 + i)/2 has an integral real part but is not in Z[i].
+            ((2,), (1,), 2, 0, None),
+            ((1,), (3,), 1, 1, ((0, 2, 1),)),
+            ((5,), (0,), 2, 1, ((0, 2, -1),)),
+            ((1,), (0,), 2, 1, None),
+            ((0, 3), (0, -2), 0, 1, ((1, -2, -3),)),
+            ((0, 0), (0, 0), 1, 1, ()),
+        ],
+    )
+    def test_exact_quotient(self, re, im, x, y, key):
+        assert search._exact_quotient(re, im, x, y) == key
+
+    @pytest.mark.parametrize(
+        "algebra, coefficients",
+        [
+            (make_heisenberg(), (0, HALF, -1)),
+            (change_basis(make_heisenberg(), HALF_PIVOT), (0, HALF, -1)),
+            (change_basis(make_heisenberg(), NON_UNIMODULAR), (0, I, -1)),
+            (LieAlgebra.from_brackets(3, {(0, 1): [0, 0, HALF]}), (0, HALF, 1 + I)),
+        ],
+    )
+    def test_candidates_read_the_scalar_tables(self, monkeypatch, algebra, coefficients):
+        # Each valid candidate's sub-adjacent algebra and defect, read off
+        # the integer rows, are the ones the scalar pipeline builds.
+        seen = []
+        candidate = search._candidate
+
+        def spy(rows, idx, z):
+            found = candidate(rows, idx, z)
+            seen.append((idx, *found))
+            return found
+
+        monkeypatch.setattr(search, "_candidate", spy)
+        summary = scan_algebra("x", algebra, coefficients)
+        assert len(seen) == summary.valid_post_lie > 0
+        columns = _grid(algebra, coefficients)
+        for idx, sub, cochain in seen:
+            witness = LinearMap.from_columns([columns[c] for c in idx])
+            post = PostLieAlgebra(algebra, induced_table(algebra, witness))
+            assert sub == sub_adjacent(post)
+            assert cochain == obstruction_cocycle(post, witness)
