@@ -32,7 +32,7 @@ from .postgroup import (
     sub_adjacent_group,
     sub_adjacent_table,
 )
-from .scalars import IntMatrix, _diagonalize
+from .scalars import _diagonalize
 
 
 @dataclass(frozen=True)
@@ -191,10 +191,12 @@ def coboundary_solve_group(
     chosen so far take, at a, the values of a subgroup of the center, read
     per invariant factor off the kernel of the diagonal system.  z(a) is the
     least element of its coset of that subgroup; when the subgroup is
-    nontrivial, the row k_a with that value joins the system and a small
-    Smith normal form rediagonalizes it.  The walk stops when no
-    homomorphism is left.  The result is substituted back into all n^2
-    pairs before it is returned.
+    nontrivial, the row k_a . x = z(a) - c_a joins the relations and the
+    whole system is diagonalized again.  Each choice is read off the
+    solution set of the relations, not off the unknowns y a Smith normal
+    form picks, so it is the same however the system is presented.  The
+    walk stops when no homomorphism is left.  The result is substituted
+    back into all n^2 pairs before it is returned.
     """
     g = cocycle.value_group
     n = cocycle.order
@@ -232,16 +234,13 @@ def coboundary_solve_group(
         elif rows.setdefault(row, rhs) != rhs:
             return None
 
-    system = _diagonalize(
-        list(rows),
-        [[rhs[k] for rhs in rows.values()] for k in range(len(factors))],
-        factors,
-        IntMatrix.identity(width),
-    )
+    relations = list(rows)
+    columns = [[rhs[k] for rhs in rows.values()] for k in range(len(factors))]
+    system = _diagonalize(relations, columns, factors, width)
     if system is None:
         return None
     for a in range(n):
-        diagonal, shifted, least, transform = system
+        diagonal, least, transform = system
         if all(gcd(di, d) == 1 for d in factors for di in diagonal):
             break  # no homomorphism is left
         k_a = transform.transpose().apply(paths[a])  # k_a in the unknowns y
@@ -260,16 +259,10 @@ def coboundary_solve_group(
             for z in center.elements
             if all(c % step == r for c, (step, r) in zip(coords[z], cosets))
         )
-        diagonal_rows = [
-            tuple(di if i == j else 0 for j in range(width))
-            for i, di in enumerate(diagonal)
-        ]
-        system = _diagonalize(
-            diagonal_rows + [tuple(k_a)],
-            [s + [c - c_a] for s, c, c_a in zip(shifted, coords[chosen], sums[a])],
-            factors,
-            transform,
-        )
+        relations.append(paths[a])
+        for column, c, c_a in zip(columns, coords[chosen], sums[a]):
+            column.append(c - c_a)
+        system = _diagonalize(relations, columns, factors, width)
         if system is None:
             raise AssertionError("least coset element does not fit the system")
 

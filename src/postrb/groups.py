@@ -13,7 +13,7 @@ from math import prod
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
-from .scalars import IntMatrix, smith_normal_form
+from .scalars import _diagonalize
 
 
 @dataclass(frozen=True)
@@ -412,8 +412,7 @@ def abelian_decomposition(
         for *_, row in edges
         if row is not None and any(row)
     )
-    _, d, v = smith_normal_form(IntMatrix.from_rows(relations, width=width))
-    diag = d.diagonal() + (0,) * (width - min(d.rows, width))
+    diag, _, v = _diagonalize(list(relations), (), (), width)
     if 0 in diag:
         raise AssertionError("finite subgroup produced an infinite presentation")
     factors = tuple(x for x in diag if x > 1)

@@ -30,6 +30,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from .scalars import (
     ExactMatrix,
+    GaussianRational,
     ScalarLike,
     Vector,
     ZERO,
@@ -134,6 +135,11 @@ def _accumulate(
                 im[q] += a * e
 
 
+def _negates(x: GaussianRational, y: GaussianRational) -> bool:
+    """Whether y = -x, read off the reduced triples without building -x."""
+    return x.a == -y.a and x.b == -y.b and x.d == y.d
+
+
 @dataclass(frozen=True)
 class LieAlgebra:
     sc: StructureTable
@@ -143,7 +149,7 @@ class LieAlgebra:
 
         (i, j, k) fails exactly when its mirror (j, i, k) does, so the first
         bad triple in lexicographic order has i <= j and each pair i <= j is
-        visited once; on the diagonal the test x != -x asks for zero.
+        visited once; on the diagonal the test y = -x asks for zero.
         """
         sc = self.sc
         n = len(sc)
@@ -151,9 +157,8 @@ class LieAlgebra:
             raise ValueError("structure table is not cubic")
         for i in range(n):
             for j in range(i, n):
-                mirror = sc[j][i]
-                for k, x in enumerate(sc[i][j]):
-                    if x != -mirror[k]:
+                for k, (x, y) in enumerate(zip(sc[i][j], sc[j][i])):
+                    if not _negates(x, y):
                         raise ValueError(
                             f"structure constants not antisymmetric at ({i},{j},{k})"
                         )

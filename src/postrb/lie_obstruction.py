@@ -18,6 +18,7 @@ from .lie import (
     LieAlgebra,
     Subspace,
     _cyclic_failures,
+    _negates,
     center,
     check_jacobi,
     coefficient_matrix,
@@ -61,7 +62,8 @@ class LieTwoCochain:
             if not is_zero_vector(self.values[i][i]):
                 raise ValueError("cochain not alternating on the diagonal")
             for j in range(i + 1, n):
-                if self.values[j][i] != tuple(-x for x in self.values[i][j]):
+                value, mirror = self.values[i][j], self.values[j][i]
+                if len(value) != len(mirror) or not all(map(_negates, value, mirror)):
                     raise ValueError("cochain table not antisymmetric")
                 if not self.center_basis.contains(self.values[i][j]):
                     raise ValueError(

@@ -732,12 +732,11 @@ def smith_normal_form(matrix: IntMatrix) -> SmithDecomposition:
 
 
 class _DiagonalSystem(NamedTuple):
-    """The congruences d_i y_i = s_i (mod each modulus), one list s per
-    modulus, in unknowns y with x = transform @ y, and each modulus' least
-    solution y."""
+    """The congruences d_i y_i = s_i (mod each modulus), one d_i per
+    unknown, in unknowns y with x = transform @ y, where transform is the v
+    of the Smith normal form, and each modulus' least solution y."""
 
     diagonal: tuple[int, ...]
-    shifted: list[list[int]]
     least: list[list[int]]
     transform: IntMatrix
 
@@ -746,21 +745,20 @@ def _diagonalize(
     rows: Sequence[Sequence[int]],
     rhs: Sequence[Sequence[int]],
     moduli: Sequence[int],
-    transform: IntMatrix,
+    width: int,
 ) -> _DiagonalSystem | None:
-    """The congruences rows @ y = rhs[k] (mod moduli[k]) in unknowns y,
-    where x = transform @ y, as an equivalent diagonal system, or None when
-    some modulus has no solution.
+    """The congruences rows @ x = rhs[k] (mod moduli[k]) in ``width``
+    unknowns x, as an equivalent diagonal system, or None when some modulus
+    has no solution.
 
     One Smith normal form u @ rows @ v = d serves every modulus: the new
-    unknowns are v^-1 @ y, and the right-hand sides become s = u @ rhs[k].
+    unknowns are y = v^-1 @ x, and the right-hand sides become s = u @ rhs[k].
     Each d_i y_i = s_i has a solution exactly when gcd(d_i, modulus) divides
     s_i, and its least one is taken; a row past the width stands for d_i = 0.
     """
-    width = transform.cols
     u, d, v = smith_normal_form(IntMatrix.from_rows(rows, width=width))
     diagonal = d.diagonal() + (0,) * (width - min(d.rows, width))
-    shifted, least = [], []
+    least = []
     for column, modulus in zip(rhs, moduli):
         s = u.apply(column) + [0] * (width - len(column))
         y = []
@@ -770,9 +768,8 @@ def _diagonalize(
                 return None
             q = modulus // g
             y.append((si // g) * pow(di // g, -1, q) % q)
-        shifted.append(s[:width])
         least.append(y[:width])
-    return _DiagonalSystem(diagonal, shifted, least, transform @ v)
+    return _DiagonalSystem(diagonal, least, v)
 
 
 def solve_linear_congruences(
@@ -788,8 +785,7 @@ def solve_linear_congruences(
         raise ValueError("modulus must be positive")
     if len(rhs) != coeffs.rows:
         raise ValueError("right-hand side length does not match row count")
-    identity = IntMatrix.identity(coeffs.cols)
-    system = _diagonalize(coeffs.entries, [[int(x) for x in rhs]], (modulus,), identity)
+    system = _diagonalize(coeffs.entries, [[int(x) for x in rhs]], (modulus,), coeffs.cols)
     if system is None:
         return None
     return [x % modulus for x in system.transform.apply(system.least[0])]

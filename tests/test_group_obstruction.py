@@ -403,6 +403,14 @@ E8_BETA = [[4 if a & 2 and b & 1 else 0 for b in range(8)] for a in range(8)]
 # The carry cocycle of the extension Z/36 of Z/6 by Z/6, as Z4_CARRY.
 Z6_CARRY = [[1 if a + b >= 6 else 0 for b in range(6)] for a in range(6)]
 
+
+def z4_times_z2() -> FiniteGroup:
+    """Z/4 x Z/2 with (a1, a2) at index 2 a1 + a2."""
+    return FiniteGroup.from_table(
+        [[(a // 2 + b // 2) % 4 * 2 + (a + b) % 2 for b in range(8)] for a in range(8)]
+    )
+
+
 ABELIAN = {
     "z4": (lambda: cyclic_group(4), Z4_CARRY),
     "v4": (klein_four, V4_BETA),
@@ -519,24 +527,51 @@ class TestCanonicalCorrection:
         def refused(matrix):
             raise AssertionError("the tree rows should decide the class")
 
-        monkeypatch.setattr(scalars, "smith_normal_form", refused)
         group = make()
-        assert coboundary_solve_group(make_cocycle(group, beta), group) is None
+        cocycle = make_cocycle(group, beta)  # decomposes the center by SNF
+        monkeypatch.setattr(scalars, "smith_normal_form", refused)
+        assert coboundary_solve_group(cocycle, group) is None
+
+    @pytest.mark.parametrize("make", [elementary_abelian_8, z4_times_z2])
+    def test_walk_fixes_several_values(self, monkeypatch, make):
+        # On the trivial post-group G o = G, Hom(G, Z(G)) = Hom(G, G) has
+        # rank above one, so the walk fixes several values, and each one
+        # rediagonalizes the tree rows together with the values fixed so far.
+        from postrb import group_obstruction
+        from postrb.scalars import _diagonalize
+
+        calls = []
+
+        def counted(rows, rhs, moduli, width):
+            calls[-1] += 1
+            return _diagonalize(rows, rhs, moduli, width)
+
+        monkeypatch.setattr(group_obstruction, "_diagonalize", counted)
+        group = make()
+        rng = random.Random(61)
+        for _ in range(4):
+            dz = coboundary_values(group, random_central_map(rng, group), group.table)
+            cocycle = make_cocycle(group, dz)
+            calls.append(0)
+            solved = coboundary_solve_group(cocycle, group)
+            assert solved == least_coboundary_oracle(cocycle, group.table)
+        assert max(calls) >= 3
 
     def test_smith_forms_have_at_most_s_columns(self, monkeypatch, capsys, censuses):
         # Every Smith normal form of the coboundary solve works on the |S|
         # unknowns z(s), s in the sub-adjacent group's generating set S.
-        from postrb import scalars
+        # The spy sits on the solve's own calls, not on the center's.
+        from postrb import group_obstruction
         from postrb.cli import main
-        from postrb.scalars import smith_normal_form
+        from postrb.scalars import _diagonalize
 
         widths = []
 
-        def counted(matrix):
-            widths.append(matrix.cols)
-            return smith_normal_form(matrix)
+        def counted(rows, rhs, moduli, width):
+            widths.append(width)
+            return _diagonalize(rows, rhs, moduli, width)
 
-        monkeypatch.setattr(scalars, "smith_normal_form", counted)
+        monkeypatch.setattr(group_obstruction, "_diagonalize", counted)
         for sample in sorted(SAMPLES.glob("*.postgrp")):
             doc = parse_document(sample.read_text(encoding="utf-8"))
             widths.clear()

@@ -295,7 +295,7 @@ class TestAbelianDecomposition:
         # S give the invariant factors of all |Z|^2 relations, from |S| <=
         # log2 |Z| columns and at most |Z| |S| - |Z| + 1 rows, one per edge
         # off the tree.  Each moduli tuple is already d1 | d2 | ...
-        from postrb import groups
+        from postrb import scalars
 
         shapes = []
 
@@ -306,7 +306,7 @@ class TestAbelianDecomposition:
         for seed in range(3):
             group = abelian_product(moduli, seed)
             expected = full_presentation_factors(group)
-            monkeypatch.setattr(groups, "smith_normal_form", counted)
+            monkeypatch.setattr(scalars, "smith_normal_form", counted)
             decomp = abelian_decomposition(group, range(group.order))
             monkeypatch.undo()
             assert decomp.invariant_factors == expected == moduli

@@ -173,6 +173,17 @@ def _name_uses(tree: ast.AST) -> Counter:
     return uses
 
 
+def test_only_scalars_calls_smith_normal_form():
+    # Every Smith normal form is taken in the scalar layer, through its one
+    # congruence solver; ``__init__.py`` only re-exports the name.
+    callers = sorted(
+        p.name
+        for p in MODULES
+        if _name_uses(ast.parse(p.read_text(), filename=str(p)))["smith_normal_form"]
+    )
+    assert callers == ["scalars.py"]
+
+
 def test_no_dead_definitions():
     # A use inside the definition itself, such as a recursive call, does
     # not keep it alive.

@@ -20,6 +20,7 @@ from postrb.scalars import (
     IntMatrix,
     ONE,
     ZERO,
+    _diagonalize,
     determinant,
     gaussian,
     rref,
@@ -512,6 +513,89 @@ class TestSolveLinearCongruences:
             if got is not None:
                 image = m.apply(got)
                 assert all((a - b) % modulus == 0 for a, b in zip(image, rhs))
+
+
+def _solvable(rows, rhs, modulus, width) -> bool:
+    """Whether rows @ x = rhs (mod modulus) has a solution, by exhaustion."""
+    from itertools import product
+
+    return any(
+        all((sum(a * x for a, x in zip(row, xs)) - s) % modulus == 0 for row, s in zip(rows, rhs))
+        for xs in product(range(modulus), repeat=width)
+    )
+
+
+def _assert_diagonal(system, rows, width):
+    """``diagonal`` has ``width`` entries, a divisibility chain of nonzero
+    entries followed by zeros; ``transform`` is unimodular, and each column
+    i of rows @ transform is a multiple of d_i (zero past the rank), as
+    rows @ v = u^-1 @ d."""
+    diagonal, transform = system.diagonal, system.transform
+    assert len(diagonal) == width and all(x >= 0 for x in diagonal)
+    nonzero = [x for x in diagonal if x]
+    assert all(b % a == 0 for a, b in zip(nonzero, nonzero[1:]))
+    assert not any(diagonal[len(nonzero):])
+    assert (transform.rows, transform.cols) == (width, width)
+    assert width == 0 or abs(_int_det(transform)) == 1
+    for row in rows:
+        image = transform.transpose().apply(row)  # row @ transform
+        assert all(x == 0 if not d else x % d == 0 for x, d in zip(image, diagonal))
+
+
+class TestDiagonalize:
+    """The diagonal solver shared by every integer system, on several moduli
+    and right-hand sides at once, against exhaustion."""
+
+    def test_agrees_with_exhaustion(self):
+        rng = random.Random(59)
+        verdicts = {True: 0, False: 0}
+        for _ in range(120):
+            width = rng.randint(1, 3)
+            rows = [
+                [rng.randint(-4, 4) for _ in range(width)] for _ in range(rng.randint(0, 5))
+            ]
+            if rows and rng.random() < 0.3:
+                rows[rng.randrange(len(rows))] = [0] * width
+            moduli = rng.sample([2, 3, 4, 6, 8], rng.randint(1, 3))
+            rhs = [[rng.randint(-6, 6) for _ in rows] for _ in moduli]
+            system = _diagonalize(rows, rhs, moduli, width)
+            solvable = all(_solvable(rows, r, m, width) for r, m in zip(rhs, moduli))
+            assert (system is not None) == solvable
+            verdicts[solvable] += 1
+            if system is None:
+                continue
+            _assert_diagonal(system, rows, width)
+            assert len(system.least) == len(moduli)
+            for least, r, m in zip(system.least, rhs, moduli):
+                x = system.transform.apply(least)
+                assert all(
+                    (sum(a * xi for a, xi in zip(row, x)) - s) % m == 0
+                    for row, s in zip(rows, r)
+                )
+        assert min(verdicts.values()) >= 20
+
+    def test_one_modulus_without_solution_refuses_all(self):
+        # 2 x = 1 has a solution mod 3 but none mod 4.
+        rows = [[2, 0], [0, 0]]
+        assert _diagonalize(rows, [[1, 0]], (3,), 2) is not None
+        assert _diagonalize(rows, [[1, 0], [1, 0]], (3, 4), 2) is None
+        assert _diagonalize(rows, [[1, 1]], (3,), 2) is None  # the zero row
+
+    @pytest.mark.parametrize(
+        "rows, width, diagonal",
+        [
+            ([[2, 0], [0, 4], [0, 0], [2, 4]], 2, (2, 4)),
+            ([[6, 4, 0]], 3, (2, 0, 0)),
+            ([[2, 0], [0, 3]], 2, (1, 6)),
+            ([], 2, (0, 0)),
+        ],
+    )
+    def test_smith_form_alone(self, rows, width, diagonal):
+        # No right-hand sides: the padded diagonal and v, as the center's
+        # decomposition reads them.
+        system = _diagonalize(rows, (), (), width)
+        assert system.diagonal == diagonal and system.least == []
+        _assert_diagonal(system, rows, width)
 
 
 def test_parsing_checking_and_obstruction_build_no_fraction(tmp_path, monkeypatch, capsys):
