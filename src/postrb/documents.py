@@ -354,7 +354,7 @@ def _parse_group_side(
                 perm = tuple(_integers(tokens))
             except ValueError:
                 raise ParseError(no, "non-integer entry in generator") from None
-            if sorted(perm) != list(range(degree)):
+            if len(perm) != degree or sorted(perm) != list(range(degree)):
                 raise ParseError(no, f"generator is not a permutation of 0..{degree - 1}")
             generators.append(perm)
         elif text.split()[0] == "names":
@@ -375,7 +375,7 @@ def _parse_group_side(
             if name in group_maps:
                 raise ParseError(no, f"duplicate map {name!r}")
             size = order if order is not None else closure(no).order
-            images = [-1] * size
+            arrows: dict[int, int] = {}  # sized by the lines read, not by ``size``
             for _ in range(size):
                 nxt = lines.peek()
                 if nxt is None or not _ARROW_RE.match(nxt[1]):
@@ -384,14 +384,13 @@ def _parse_group_side(
                         f"map {name!r} needs {size} 'a -> b' lines",
                     )
                 ano, atext = lines.take()
-                am = _ARROW_RE.match(atext)
-                src, dst = int(am.group(1)), int(am.group(2))
+                src, dst = map(int, _ARROW_RE.match(atext).groups())
                 if not (0 <= src < size and 0 <= dst < size):
                     raise ParseError(ano, "map indices out of range")
-                if images[src] != -1:
+                if src in arrows:
                     raise ParseError(ano, f"duplicate image for element {src}")
-                images[src] = dst
-            group_maps[name] = GroupMap(tuple(images))
+                arrows[src] = dst
+            group_maps[name] = GroupMap(tuple(map(arrows.__getitem__, range(size))))
         else:
             raise ParseError(no, f"unexpected line {text!r}")
 
@@ -463,7 +462,7 @@ def expand_permutation_generators(
         raise ValueError("degree must be positive")
     gens = [tuple(int(x) for x in g) for g in generators]
     for g in gens:
-        if sorted(g) != list(range(degree)):
+        if len(g) != degree or sorted(g) != list(range(degree)):
             raise ValueError(f"generator {g} is not a permutation of 0..{degree - 1}")
     identity = tuple(range(degree))
     elements = [identity]

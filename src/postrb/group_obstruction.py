@@ -186,17 +186,20 @@ def coboundary_solve_group(
 
     The solutions form a coset of Hom(G o, Z(G)), so z is not unique when
     that group is nonzero.  The canonical z has the lexicographically least
-    image tuple (z(0), ..., z(n-1)) by element index.  It is found element by
-    element in index order: the homomorphisms that still fit the values
-    chosen so far take, at a, the values of a subgroup of the center, read
-    per invariant factor off the kernel of the diagonal system.  z(a) is the
-    least element of its coset of that subgroup; when the subgroup is
-    nontrivial, the row k_a . x = z(a) - c_a joins the relations and the
-    whole system is diagonalized again.  Each choice is read off the
-    solution set of the relations, not off the unknowns y a Smith normal
-    form picks, so it is the same however the system is presented.  The
-    walk stops when no homomorphism is left.  The result is substituted
-    back into all n^2 pairs before it is returned.
+    image tuple (z(0), ..., z(n-1)) by element index.  Two solutions differ
+    by a homomorphism, and each element outside S lies in the subgroup
+    generated by the generators before it (``generating_set``), so they
+    first differ at a generator: z is fixed generator by generator.  The
+    homomorphisms that still fit the values chosen so far take, at s_j, the
+    values of a subgroup of the center, read per invariant factor off the
+    kernel of the diagonal system.  z(s_j) is the least element of its coset
+    of that subgroup; when the subgroup is nontrivial, the unit row
+    x_j = z(s_j) joins the relations (the tree reaches s_j from e along
+    s_j: k = e_j, c = -w(e, s_j) = 0) and the whole system is diagonalized
+    again.  Each choice is read off the solution set of the relations, not
+    off the unknowns y a Smith normal form picks, so it is the same however
+    the system is presented.  The walk stops when no homomorphism is left.
+    The result is substituted back into all n^2 pairs before it is returned.
     """
     g = cocycle.value_group
     n = cocycle.order
@@ -204,9 +207,7 @@ def coboundary_solve_group(
     center = cocycle.center
     factors = center.invariant_factors
     if not factors:
-        if all(
-            cocycle.values[a][b] == e for a in range(n) for b in range(n)
-        ):
+        if all(x == e for row in cocycle.values for x in row):
             return GroupMap.constant(n, e)
         return None
 
@@ -225,9 +226,9 @@ def coboundary_solve_group(
             sums[b] = c_via
             continue
         rhs = tuple((x - y) % d for x, y, d in zip(sums[b], c_via, factors))
-        if next((p for p in row if p), 0) < 0:
-            row = tuple(-p for p in row)
-            rhs = tuple(-x % d for x, d in zip(rhs, factors))
+        signed = max(row, tuple(-p for p in row))  # the row up to sign
+        if signed != row:
+            row, rhs = signed, tuple(-x % d for x, d in zip(rhs, factors))
         if not any(row):
             if any(rhs):
                 return None
@@ -239,18 +240,16 @@ def coboundary_solve_group(
     system = _diagonalize(relations, columns, factors, width)
     if system is None:
         return None
-    for a in range(n):
+    for j in range(width):
         diagonal, least, transform = system
         if all(gcd(di, d) == 1 for d in factors for di in diagonal):
             break  # no homomorphism is left
-        k_a = transform.transpose().apply(paths[a])  # k_a in the unknowns y
-        cosets = []  # per factor: z(a) is ``residue`` mod ``step``
-        for d, y, c_a in zip(factors, least, sums[a]):
-            value = c_a + sum(p * y_i for p, y_i in zip(k_a, y))
-            # The homomorphisms left take the multiples of ``step`` at a.
-            step = d
-            for p, di in zip(k_a, diagonal):
-                step = gcd(step, p * (d // gcd(di, d)))
+        x_j = transform.entries[j]  # x_j = z(s_j) in the unknowns y
+        cosets = []  # per factor: z(s_j) is ``residue`` mod ``step``
+        for d, y in zip(factors, least):
+            # The homomorphisms left take the multiples of ``step`` at s_j.
+            step = gcd(d, *(p * (d // gcd(di, d)) for p, di in zip(x_j, diagonal)))
+            value = sum(p * y_i for p, y_i in zip(x_j, y))
             cosets.append((step, value % step))
         if all(step == d for (step, _), d in zip(cosets, factors)):
             continue
@@ -259,9 +258,9 @@ def coboundary_solve_group(
             for z in center.elements
             if all(c % step == r for c, (step, r) in zip(coords[z], cosets))
         )
-        relations.append(paths[a])
-        for column, c, c_a in zip(columns, coords[chosen], sums[a]):
-            column.append(c - c_a)
+        relations.append(tuple(int(i == j) for i in range(width)))  # e_j
+        for column, c in zip(columns, coords[chosen]):
+            column.append(c)
         system = _diagonalize(relations, columns, factors, width)
         if system is None:
             raise AssertionError("least coset element does not fit the system")

@@ -180,6 +180,8 @@ def generating_set(
     Scans the elements in index order and keeps each one that lies outside
     the subgroup generated by those kept so far.  Each kept element at least
     doubles that subgroup, whose order divides n, so at most log2 n are kept.
+    Every other element lies in the subgroup generated by the kept ones
+    smaller than it; ``coboundary_solve_group`` relies on this.
     """
     generators: list[int] = []
     reached = {identity}

@@ -1,6 +1,7 @@
 """Document grammar round-trips and the command-line surface."""
 
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -618,6 +619,44 @@ class TestGeneratorExpansion:
         assert main(["check-group", "--input", str(path)]) == 2
         assert capsys.readouterr().err == (
             f"error: line {line}: closure exceeds the cap of 4096 elements\n"
+        )
+
+
+class TestDeclaredSizeIsNotAllocated:
+    """A short document that declares a large degree or order is refused
+    with memory in proportion to its lines, not to the declared size."""
+
+    SIZE = 10**6
+
+    def refusal(self, call, error=ParseError) -> str:
+        """The message ``call()`` is refused with, once the refusal has
+        peaked under 1 MB of Python allocations."""
+        tracemalloc.start()
+        try:
+            with pytest.raises(error) as err:
+                call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        return str(err.value)
+
+    def test_short_gen_line(self):
+        text = f"kind group\ngenerators {self.SIZE}\ngen 0 1\n"
+        assert self.refusal(lambda: parse_document(text)) == (
+            f"line 3: generator is not a permutation of 0..{self.SIZE - 1}"
+        )
+
+    def test_short_generator_in_the_expansion(self):
+        message = self.refusal(
+            lambda: expand_permutation_generators(self.SIZE, [(0, 1)]), ValueError
+        )
+        assert message == f"generator (0, 1) is not a permutation of 0..{self.SIZE - 1}"
+
+    def test_short_map_block(self):
+        text = f"kind rb-group\norder {self.SIZE}\nmap operator\n0 -> 0\n"
+        assert self.refusal(lambda: parse_document(text)) == (
+            f"line 4: map 'operator' needs {self.SIZE} 'a -> b' lines"
         )
 
 

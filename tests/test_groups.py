@@ -3,6 +3,7 @@
 import random
 from itertools import product
 from math import log2, prod
+from pathlib import Path
 
 import pytest
 
@@ -16,9 +17,20 @@ from postrb.groups import (
     group_violations,
     inner_automorphism,
 )
+from postrb.documents import parse_document
+from postrb.postgroup import sub_adjacent_group
 from postrb.scalars import IntMatrix, smith_normal_form
 
-from conftest import relabel_group, seeded_relabellings
+from conftest import (
+    inner_postgroups,
+    make_d4,
+    make_q8,
+    make_s3,
+    relabel_group,
+    seeded_relabellings,
+)
+
+SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
 
 def abelian_product(moduli, seed):
@@ -341,3 +353,45 @@ class TestAbelianDecomposition:
     def test_rejects_non_closed(self, z4):
         with pytest.raises(ValueError):
             abelian_decomposition(z4, [0, 1])
+
+
+def generated_subgroup(group, elements):
+    """The subgroup generated by ``elements``, closed by right products."""
+    reached = {group.identity}
+    frontier = [group.identity]
+    while frontier:
+        x = frontier.pop()
+        for s in elements:
+            y = group.mul(x, s)
+            if y not in reached:
+                reached.add(y)
+                frontier.append(y)
+    return reached
+
+
+def generating_set_groups():
+    """Named groups: the sub-adjacent groups of the sample post-groups and of
+    the D4 and Q8 censuses, and S3."""
+    for sample in sorted(SAMPLES.glob("*.postgrp")):
+        doc = parse_document(sample.read_text(encoding="utf-8"))
+        yield sample.name, sub_adjacent_group(doc.post_group)
+    for name, make in (("d4", make_d4), ("q8", make_q8)):
+        for k, pg in enumerate(inner_postgroups(make())):
+            yield f"{name} census {k}", sub_adjacent_group(pg)
+    yield "s3", make_s3()
+
+
+class TestGeneratingSet:
+    def test_other_elements_lie_below_their_index(self):
+        # The canonical group correction fixes values only at the
+        # generators: every other element a lies in the subgroup generated
+        # by the generators smaller than a, so its value is fixed by theirs.
+        # A smaller generating set for other uses needs its own function.
+        groups = list(generating_set_groups())
+        assert len(groups) == 1 + 16 + 16 + 1
+        for name, group in groups:
+            generators = group.generators
+            assert list(generators) == sorted(set(generators)), name
+            for a in range(group.order):
+                below = generated_subgroup(group, [s for s in generators if s < a])
+                assert (a in below) == (a not in generators), (name, a)
