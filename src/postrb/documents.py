@@ -266,8 +266,7 @@ def _parse_lie_side(lines: _Lines, kind: str) -> AlgebraDocument:
         raise ParseError(lines.last_line, str(exc)) from None
     doc = AlgebraDocument(kind=kind, lie_algebra=algebra, linear_maps=maps)
     if kind == "postlie":
-        products = {key: val for key, val in triangle.items()}
-        doc.post_lie = PostLieAlgebra.from_products(algebra, products)
+        doc.post_lie = PostLieAlgebra.from_products(algebra, triangle)
     if kind == "rb-lie" and OPERATOR_MAP not in maps:
         raise ParseError(lines.last_line, "rb-lie documents need a 'map operator'")
     return doc

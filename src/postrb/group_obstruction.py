@@ -201,6 +201,8 @@ def coboundary_solve_group(
     the system is presented.  The walk stops when no homomorphism is left.
     The result is substituted back into all n^2 pairs before it is returned.
     """
+    if domain.order != cocycle.order:
+        raise ValueError("domain group order mismatch")
     g = cocycle.value_group
     n = cocycle.order
     e = g.identity

@@ -10,7 +10,9 @@ induced product [R(x), y]) is evaluated in this module: ``bilinear`` for
 one product x.y and ``left_columns`` for the products x.e_j against every
 basis vector.  The linear map x -> (y -> x.y) has one matrix,
 ``coefficient_matrix``, behind the center, the inner derivations and the
-innerness-witness solve.
+innerness-witness solve.  Every alternating table (a bracket, a
+sub-adjacent bracket, a 2-cochain) is assembled from its pairs i < j by
+``_alternating``.
 
 The table identities (Jacobi, the post-Lie axioms, the cocycle identity)
 only ask whether a sum of products of table entries is zero.  They are
@@ -54,6 +56,8 @@ def bilinear(
     """The product x.y = sum_{i,j} x_i y_j table[i][j]."""
     n = len(table)
     u, v = vector(x), vector(y)
+    if len(u) != n or len(v) != n:
+        raise ValueError("vector has wrong length")
     out = [ZERO] * n
     for i in range(n):
         if not u[i]:
@@ -86,6 +90,17 @@ def left_columns(table: StructureTable, x: Sequence[ScalarLike]) -> tuple[Vector
                         col[k] = col[k] + v[i] * row[k]
         cols.append(tuple(col))
     return tuple(cols)
+
+
+def _alternating(n: int, upper: Mapping[tuple[int, int], Vector]) -> StructureTable:
+    """The n x n table with ``upper[i, j]`` at (i, j) for the given pairs
+    i < j, its negation at (j, i) and the zero vector everywhere else."""
+    zero = zero_vector(n)
+    table = [[zero] * n for _ in range(n)]
+    for (i, j), value in upper.items():
+        table[i][j] = value
+        table[j][i] = tuple(-x for x in value)
+    return tuple(map(tuple, table))
 
 
 def _integer_row(v: Vector, scale: int) -> IntegerRow:
@@ -181,8 +196,7 @@ class LieAlgebra:
         Keys are 0-based (i, j) with i != j; the (j, i) bracket is derived by
         antisymmetry, and giving both inconsistently is rejected.
         """
-        table = [[list(zero_vector(dim)) for _ in range(dim)] for _ in range(dim)]
-        seen: set[tuple[int, int]] = set()
+        upper: dict[tuple[int, int], Vector] = {}
         for (i, j), value in brackets.items():
             if not (0 <= i < dim and 0 <= j < dim):
                 raise ValueError(f"bracket index ({i},{j}) out of range")
@@ -191,19 +205,17 @@ class LieAlgebra:
             v = vector(value)
             if len(v) != dim:
                 raise ValueError(f"bracket value for ({i},{j}) has wrong length")
-            if (j, i) in seen:
-                if tuple(table[i][j]) != v:
+            key, v = ((i, j), v) if i < j else ((j, i), tuple(-x for x in v))
+            if key in upper:
+                if upper[key] != v:
                     raise ValueError(f"inconsistent brackets for pair ({i},{j})")
                 continue
-            table[i][j] = list(v)
-            table[j][i] = [-x for x in v]
-            seen.add((i, j))
-        return LieAlgebra(tuple(tuple(tuple(r) for r in row) for row in table))
+            upper[key] = v
+        return LieAlgebra(_alternating(dim, upper))
 
     @staticmethod
     def abelian(dim: int) -> "LieAlgebra":
-        z = zero_vector(dim)
-        return LieAlgebra(tuple(tuple(z for _ in range(dim)) for _ in range(dim)))
+        return LieAlgebra(_alternating(dim, {}))
 
     def bracket(self, x: Sequence[ScalarLike], y: Sequence[ScalarLike]) -> Vector:
         return bilinear(self.sc, x, y)
@@ -453,11 +465,9 @@ def change_basis(algebra: LieAlgebra, transform: ExactMatrix) -> LieAlgebra:
     if transform.rows != n or transform.cols != n:
         raise ValueError("transform shape does not match the algebra")
     inv = transform.inverse()
-    table = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            w = algebra.bracket(transform.column(i), transform.column(j))
-            row.append(inv.apply(w))
-        table.append(tuple(row))
-    return LieAlgebra(tuple(table))
+    columns = [transform.column(i) for i in range(n)]
+    return LieAlgebra(_alternating(n, {
+        (i, j): inv.apply(algebra.bracket(columns[i], columns[j]))
+        for i in range(n)
+        for j in range(i + 1, n)
+    }))

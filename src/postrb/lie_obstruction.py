@@ -17,6 +17,7 @@ from .errors import NontrivialObstructionError, NotInnerError, NotRotaBaxterErro
 from .lie import (
     LieAlgebra,
     Subspace,
+    _alternating,
     _cyclic_failures,
     _negates,
     center,
@@ -40,9 +41,8 @@ from .scalars import (
     hstack,
     is_zero_vector,
     nullspace,
-    vec_add,
+    vec_sub,
     vector,
-    zero_vector,
 )
 
 
@@ -76,18 +76,11 @@ class LieTwoCochain:
         center_basis: Subspace,
         pairs: Mapping[tuple[int, int], Sequence[ScalarLike]],
     ) -> "LieTwoCochain":
-        table = [[list(zero_vector(ambient)) for _ in range(ambient)] for _ in range(ambient)]
-        for (i, j), value in pairs.items():
+        for i, j in pairs:
             if not (0 <= i < j < ambient):
                 raise ValueError("cochain pairs must satisfy i < j")
-            v = vector(value)
-            table[i][j] = list(v)
-            table[j][i] = [-x for x in v]
-        return LieTwoCochain(
-            ambient,
-            center_basis,
-            tuple(tuple(tuple(r) for r in row) for row in table),
-        )
+        upper = {key: vector(value) for key, value in pairs.items()}
+        return LieTwoCochain(ambient, center_basis, _alternating(ambient, upper))
 
     def value(self, i: int, j: int) -> Vector:
         return self.values[i][j]
@@ -117,14 +110,12 @@ def _defect(
     """``obstruction_cocycle`` for a known witness, on the sub-adjacent
     algebra ``sub``, with values in the center ``z`` of ``p.base``."""
     n = p.dim
-    pairs = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            value = vec_add(
-                p.base.bracket(witness.column(i), witness.column(j)),
-                tuple(-x for x in witness.apply(sub.sc[i][j])),
-            )
-            pairs[(i, j)] = value
+    columns = [witness.column(i) for i in range(n)]
+    pairs = {
+        (i, j): vec_sub(p.base.bracket(columns[i], columns[j]), witness.apply(sub.sc[i][j]))
+        for i in range(n)
+        for j in range(i + 1, n)
+    }
     return LieTwoCochain.from_pairs(n, z, pairs)
 
 
@@ -211,18 +202,19 @@ def pullback_algebra(p: PostLieAlgebra) -> LieAlgebra:
     basis = Subspace.from_spanning(2 * n, nullspace(constraint))
     if basis.dim != n + z.dim:
         raise AssertionError("pullback dimension differs from dim + dim center")
-    table = []
+    # [v_b, v_a] = -[v_a, v_b] and [v_a, v_a] = 0, so the pairs a < b
+    # decide closure and give the whole table.
+    upper = {}
     for a in range(basis.dim):
-        row = []
-        for b in range(basis.dim):
-            va, vb = basis.basis[a], basis.basis[b]
+        va = basis.basis[a]
+        for b in range(a + 1, basis.dim):
+            vb = basis.basis[b]
             product = sub.bracket(va[:n], vb[:n]) + p.base.bracket(va[n:], vb[n:])
             coords = basis.coordinates_of(product)
             if coords is None:
                 raise AssertionError("pullback is not closed under the bracket")
-            row.append(coords)
-        table.append(tuple(row))
-    result = LieAlgebra(tuple(table))
+            upper[(a, b)] = coords
+    result = LieAlgebra(_alternating(basis.dim, upper))
     if not check_jacobi(result):
         raise AssertionError("pullback bracket fails Jacobi")
     return result

@@ -17,6 +17,7 @@ from .lie import (
     LieAlgebra,
     StructureTable,
     _accumulate,
+    _alternating,
     _integer_tables,
     bilinear,
     check_jacobi,
@@ -204,18 +205,14 @@ def sub_adjacent_table(sc: StructureTable, tc: StructureTable) -> StructureTable
 
     For the induced product x > y = [Rx, y] this is the bracket
     [Rx,y] + [x,Ry] + [x,y] of the Rota-Baxter identity and of the tower.
+    It is alternating when sc is, so only the pairs i < j are computed.
     """
     n = len(sc)
-    return tuple(
-        tuple(_sub_adjacent_entry(sc, tc, i, j) for j in range(n)) for i in range(n)
-    )
-
-
-def _sub_adjacent_entry(
-    sc: StructureTable, tc: Sequence[Sequence[Vector]], i: int, j: int
-) -> Vector:
-    """Entry (i, j) of ``sub_adjacent_table(sc, tc)``; reads rows i and j of tc."""
-    return vec_add(vec_sub(tc[i][j], tc[j][i]), sc[i][j])
+    return _alternating(n, {
+        (i, j): vec_add(vec_sub(tc[i][j], tc[j][i]), sc[i][j])
+        for i in range(n)
+        for j in range(i + 1, n)
+    })
 
 
 def sub_adjacent(p: PostLieAlgebra) -> LieAlgebra:
@@ -242,12 +239,12 @@ def is_homomorphism(
 
     Both sides are bilinear and antisymmetric, so pairs i < j suffice.
     """
-    for j in range(mapping.dim):
-        for i in range(j):
-            lhs = lower.bracket(mapping.column(i), mapping.column(j))
-            if lhs != mapping.apply(upper_table[i][j]):
-                return False
-    return True
+    columns = [mapping.column(j) for j in range(mapping.dim)]
+    return all(
+        lower.bracket(columns[i], column_j) == mapping.apply(upper_table[i][j])
+        for j, column_j in enumerate(columns)
+        for i in range(j)
+    )
 
 
 def _rota_baxter_tables(
@@ -257,32 +254,16 @@ def _rota_baxter_tables(
     when R fails the weight-1 identity [Rx,Ry] = R([Rx,y] + [x,Ry] + [x,y]).
 
     The identity says that R is a homomorphism from the sub-adjacent bracket
-    to the algebra, so basis pairs i < j decide it (``is_homomorphism``).
-    Row j of the induced table is built just before the pairs (i, j), i < j,
-    are compared, so a failing operator stops at its first bad pair.  The
-    sub-adjacent table is antisymmetric: entry (j, i) is the negated (i, j).
+    to the algebra (``is_homomorphism``).
     """
-    n = algebra.dim
-    if operator.dim != n:
-        raise ValueError("operator dimension does not match the algebra")
-    sc = algebra.sc
-    columns = [operator.column(j) for j in range(n)]
-    induced: list[tuple[Vector, ...]] = []
-    sub = [[zero_vector(n)] * n for _ in range(n)]
-    for j, column_j in enumerate(columns):
-        induced.append(left_columns(sc, column_j))
-        for i in range(j):
-            entry = _sub_adjacent_entry(sc, induced, i, j)
-            if algebra.bracket(columns[i], column_j) != operator.apply(entry):
-                return None
-            sub[i][j] = entry
-            sub[j][i] = tuple(-x for x in entry)
-    return tuple(induced), tuple(map(tuple, sub))
+    induced = induced_table(algebra, operator)
+    sub = sub_adjacent_table(algebra.sc, induced)
+    return (induced, sub) if is_homomorphism(operator, sub, algebra) else None
 
 
 def check_rota_baxter(algebra: LieAlgebra, operator: LinearMap) -> bool:
-    """Weight-1 identity [Rx,Ry] = R([Rx,y] + [x,Ry] + [x,y]) on basis pairs;
-    stops at the first bad pair."""
+    """Weight-1 identity [Rx,Ry] = R([Rx,y] + [x,Ry] + [x,y]) on basis pairs
+    i < j; the comparison stops at the first bad pair."""
     return _rota_baxter_tables(algebra, operator) is not None
 
 

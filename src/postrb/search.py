@@ -69,6 +69,7 @@ from .lie import (
     LieAlgebra,
     Subspace,
     _accumulate,
+    _alternating,
     _integer_row,
     center,
     check_jacobi,
@@ -342,17 +343,14 @@ def _candidate(
     n = len(idx)
     scale = rows.g * rows.t
     columns = [rows.grid[c] for c in idx]
-    table = [[zero_vector(n)] * n for _ in range(n)]
-    pairs = {}
+    brackets, pairs = {}, {}
     for i in range(n):
         for j in range(i + 1, n):
             sre, sim, pre, pim = _pair_rows(rows, i, j, idx[i], idx[j])
             _accumulate(pre, pim, _others(sre, sim, i, j), columns, -1)
-            entry = tuple(map(from_triple, sre, sim, repeat(scale)))
-            table[i][j] = entry
-            table[j][i] = tuple(-x for x in entry)
+            brackets[(i, j)] = tuple(map(from_triple, sre, sim, repeat(scale)))
             pairs[(i, j)] = tuple(map(from_triple, pre, pim, repeat(scale * rows.g)))
-    sub = LieAlgebra(tuple(map(tuple, table)))
+    sub = LieAlgebra(_alternating(n, brackets))
     if not check_jacobi(sub):
         raise ValueError("sub-adjacent bracket fails Jacobi: input is not post-Lie")
     return sub, LieTwoCochain.from_pairs(n, z, pairs)

@@ -273,6 +273,13 @@ class TestRefusals:
         with pytest.raises(ValueError, match="domain group order mismatch"):
             verify_group_2cocycle(cocycle, z4)
 
+    @pytest.mark.parametrize("order", [2, 8])
+    def test_solve_domain_order_mismatch(self, z4, order):
+        # Neither a short map for a smaller domain nor an IndexError for a larger one.
+        cocycle = make_cocycle(z4, [[0] * 4 for _ in range(4)])
+        with pytest.raises(ValueError, match="domain group order mismatch"):
+            coboundary_solve_group(cocycle, cyclic_group(order))
+
 
 class TestVerify2Cocycle:
     def test_perturbed_cell_fails(self, d4):

@@ -13,6 +13,7 @@ import pytest
 from postrb.lie import (
     LieAlgebra,
     Subspace,
+    _alternating,
     ad_matrix,
     bilinear,
     center,
@@ -73,6 +74,25 @@ class TestConstruction:
         y = vector([0, 1, 3])
         # [e1 + 2e2, e2 + 3e3] = e3 + 3[e1,e3] + 2*3 [e2,e3] = 6e1 - 3e2 + e3
         assert algebra.bracket(x, y) == vector([6, -3, 1])
+
+    @pytest.mark.parametrize(
+        "x, y", [([1, 0, 0, 7], [0, 1, 0, 9]), ([1, 0], [0, 1, 0]), ([1, 0, 0], [0, 1])]
+    )
+    def test_bracket_refuses_wrong_length(self, x, y):
+        # Extra coordinates are not dropped, missing ones are not an IndexError.
+        with pytest.raises(ValueError, match="vector has wrong length"):
+            make_sl2().bracket(x, y)
+
+    def test_alternating_mirrors_given_pairs(self):
+        a, b = vector([1, I, 0]), vector([0, gaussian("1/2"), -3])
+        table = _alternating(3, {(0, 1): a, (1, 2): b})
+        assert table[0][1] == a and table[1][2] == b
+        assert table[1][0] == vector([-1, -I, 0])
+        assert table[2][1] == vector([0, gaussian("-1/2"), 3])
+        zero = vector([0, 0, 0])
+        assert [table[i][i] for i in range(3)] == [zero] * 3
+        assert table[0][2] == table[2][0] == zero
+        assert _alternating(0, {}) == ()
 
 
 class TestJacobi:

@@ -1,33 +1,63 @@
 """Post-Lie axioms, sub-adjacent bracket, Rota-Baxter constructions, witnesses."""
 
+import random
 from itertools import product
+from pathlib import Path
 
 import pytest
 
+from postrb.documents import parse_document
 from postrb.errors import NotRotaBaxterError
 from postrb.lie import LieAlgebra, center, change_basis, check_jacobi
 from postrb.postlie import (
     LinearMap,
     PostLieAlgebra,
     PostLieReport,
+    _rota_baxter_tables,
     check_postlie_axioms,
     check_rota_baxter,
     from_rota_baxter,
+    induced_table,
     innerness_witness,
     is_homomorphism,
     is_witness,
     sub_adjacent,
+    sub_adjacent_table,
 )
-from postrb.scalars import ExactMatrix, ONE, ZERO, gaussian, is_zero_vector, vector
+from postrb.scalars import (
+    ExactMatrix,
+    ONE,
+    ZERO,
+    gaussian,
+    is_zero_vector,
+    vec_add,
+    vec_sub,
+    vector,
+)
 
 from conftest import (
     make_heisenberg,
     make_solvable,
     make_sl2,
     make_sl2_operator,
+    random_rb_instance,
     sl2_triangle_table,
     solvable_witness,
 )
+
+SAMPLES = Path(__file__).resolve().parent.parent / "samples"
+
+
+def sample_post_lie() -> list[PostLieAlgebra]:
+    return [
+        parse_document(path.read_text()).post_lie
+        for path in sorted(SAMPLES.glob("*.post"))
+    ]
+
+
+def seeded_rota_baxter(seed: int, count: int = 10) -> list[tuple[LieAlgebra, LinearMap]]:
+    rng = random.Random(seed)
+    return [random_rb_instance(rng) for _ in range(count)]
 
 
 def zero_product(algebra: LieAlgebra) -> PostLieAlgebra:
@@ -61,6 +91,11 @@ class TestAxioms:
         for algebra, op in cases:
             p = from_rota_baxter(algebra, op)
             assert check_postlie_axioms(p).ok
+
+    def test_triangle_refuses_wrong_length(self, sl2):
+        p = PostLieAlgebra(sl2, sl2_triangle_table())
+        with pytest.raises(ValueError, match="vector has wrong length"):
+            p.triangle([1, 0, 0, 7], [0, 1, 0, 9])
 
 
 def _product(table, x, y):
@@ -235,6 +270,46 @@ class TestSubAdjacent:
         form, semisimple = killing_semisimple(sub)
         assert not semisimple
         assert form.rank() == 1
+
+
+class TestSubAdjacentTable:
+    """``sub_adjacent_table`` computes the pairs i < j and mirrors them; the
+    reference reads every one of the n^2 entries off the tables."""
+
+    @staticmethod
+    def assert_matches_reference(sc, tc):
+        table = sub_adjacent_table(sc, tc)
+        n = len(sc)
+        for i, j in product(range(n), repeat=2):
+            assert table[i][j] == vec_add(vec_sub(tc[i][j], tc[j][i]), sc[i][j]), (i, j)
+
+    def test_sample_tables(self):
+        samples = sample_post_lie()
+        assert len(samples) == 2
+        for p in samples:
+            self.assert_matches_reference(p.base.sc, p.tc)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_seeded_rota_baxter_tables(self, seed):
+        for algebra, operator in seeded_rota_baxter(seed):
+            self.assert_matches_reference(algebra.sc, from_rota_baxter(algebra, operator).tc)
+
+
+class TestRotaBaxterTables:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_rota_baxter_gives_induced_and_sub_adjacent(self, sl2, seed):
+        instances = [(sl2, make_sl2_operator()), *seeded_rota_baxter(seed)]
+        for algebra, operator in instances:
+            induced = induced_table(algebra, operator)
+            expected = (induced, sub_adjacent_table(algebra.sc, induced))
+            assert _rota_baxter_tables(algebra, operator) == expected
+
+    def test_other_operators_give_none(self, sl2, solvable):
+        for algebra, operator in [
+            (sl2, LinearMap.identity(3)),
+            (solvable, solvable_witness(alpha=0, beta=1, gamma=0)),
+        ]:
+            assert _rota_baxter_tables(algebra, operator) is None
 
 
 class TestRotaBaxter:
