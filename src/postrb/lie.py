@@ -10,7 +10,7 @@ induced product [R(x), y]) is evaluated in this module: ``bilinear`` for
 one product x.y and ``left_columns`` for the products x.e_j against every
 basis vector.  The linear map x -> (y -> x.y) has one matrix,
 ``coefficient_matrix``, behind the center, the inner derivations and the
-innerness-witness solve.  Every alternating table (a bracket, a
+innerness-witness solve.  Every alternating table of scalars (a bracket, a
 sub-adjacent bracket, a 2-cochain) is assembled from its pairs i < j by
 ``_alternating``.
 
@@ -21,7 +21,9 @@ on one common denominator L and keeps, per entry (i, j), the nonzero
 coefficients of L table[i][j] as Gaussian integers; ``_accumulate`` adds
 combinations of such rows into plain ``int`` lists.  Each identity is
 homogeneous in the tables, so scaling every table by the same L != 0
-keeps every zero and every nonzero, and no scalar is built on the way.
+keeps every zero and every nonzero, and no scalar is built on the way.  The
+cyclic sum of Jacobi and of the cocycle identity is read off such rows by
+``_integer_cyclic_failures``, which the grid scan calls on its own rows.
 """
 
 from __future__ import annotations
@@ -33,9 +35,11 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from .scalars import (
     ExactMatrix,
     GaussianRational,
+    IntegerRow,
     ScalarLike,
     Vector,
     ZERO,
+    _integer_row,
     is_zero_vector,
     nullspace,
     rref,
@@ -46,7 +50,6 @@ from .scalars import (
 
 StructureTable = tuple[tuple[Vector, ...], ...]
 # Entry (i, j) holds the (k, a, b) with L table[i][j][k] = a + b*i != 0.
-IntegerRow = tuple[tuple[int, int, int], ...]
 IntegerTable = tuple[tuple[IntegerRow, ...], ...]
 
 
@@ -101,16 +104,6 @@ def _alternating(n: int, upper: Mapping[tuple[int, int], Vector]) -> StructureTa
         table[i][j] = value
         table[j][i] = tuple(-x for x in value)
     return tuple(map(tuple, table))
-
-
-def _integer_row(v: Vector, scale: int) -> IntegerRow:
-    """The (k, a, b), k ascending, with scale * v[k] = a + b*i nonzero;
-    ``scale`` must be a multiple of every denominator of ``v``."""
-    return tuple(
-        (k, x.a * (scale // x.d), x.b * (scale // x.d))
-        for k, x in enumerate(v)
-        if x.a or x.b
-    )
 
 
 def _integer_tables(*tables: StructureTable) -> tuple[IntegerTable, ...]:
@@ -293,9 +286,16 @@ def _cyclic_failures(
     is nonzero, for the bracket table ``sc`` and the bilinear table
     ``values`` of v.  Each term pairs an entry of ``sc`` with one of
     ``values``, so both are decided on one scale (``_integer_tables``)."""
-    n = len(sc)
     tables = _integer_tables(sc) if values is sc else _integer_tables(sc, values)
-    brackets, products = tables[0], tables[-1]
+    return _integer_cyclic_failures(tables[0], tables[-1])
+
+
+def _integer_cyclic_failures(
+    brackets: IntegerTable, products: IntegerTable
+) -> Iterator[tuple[int, int, int]]:
+    """``_cyclic_failures`` on integer tables: the bracket table and the
+    table of v, each scaled by a nonzero integer."""
+    n = len(brackets)
     # v(u, e_k) = sum_m u_m values[m][k]: column k of ``values``.
     columns = [[row[k] for row in products] for k in range(n)]
     for i in range(n):

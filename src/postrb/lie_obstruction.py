@@ -144,7 +144,9 @@ def coboundary_solve(cochain: LieTwoCochain, sub: LieAlgebra) -> LinearMap | Non
     rhs = []
     for i in range(n):
         for j in range(i + 1, n):
-            rows.append(tuple(-x for x in sub.sc[i][j]))
+            # -[e_i, e_j]_sub is the mirror entry, which ``LieAlgebra``
+            # checked is the negation.
+            rows.append(sub.sc[j][i])
             rhs.append(cochain.value(i, j))
     solved = _solve_columns(ExactMatrix(tuple(rows), n), ExactMatrix(tuple(rhs), n))
     if solved is None:

@@ -11,10 +11,14 @@ no floating point anywhere: float arguments are rejected, results are exact
 and runs are bit-for-bit reproducible.
 
 An ``ExactMatrix`` is a dense immutable tuple of rows, but elimination
-(``rref``, and through it every solve, rank, inverse and subspace) works on
-sparse rows that hold only their nonzero columns.  Integer matrices (used
-for the congruence solves over finite abelian groups) get a Smith normal
-form with unimodular transforms.
+(``rref``, and through it every solve, inverse and subspace) works on
+sparse rows that hold only their nonzero columns.  A rank needs only the
+pivot columns, so ``ExactMatrix.rank`` takes no ``rref``: it scales each
+row by the lcm of its denominators and hands the Gaussian-integer rows to
+``_echelon_pivots``, a fraction-free echelon without back-substitution
+that the grid scan shares.  Integer matrices (used for the congruence
+solves over finite abelian groups) get a Smith normal form with unimodular
+transforms.
 """
 
 from __future__ import annotations
@@ -26,6 +30,9 @@ from numbers import Rational
 from typing import Iterable, NamedTuple, Sequence, Union
 
 ScalarLike = Union["GaussianRational", Fraction, int]
+# A sparse Gaussian-integer row: the (k, a, b), k ascending, with entry
+# k = a + b*i nonzero.
+IntegerRow = tuple[tuple[int, int, int], ...]
 Component = Union[int, Fraction]
 RationalLike = Union[Fraction, int, str]
 
@@ -293,6 +300,57 @@ def is_zero_vector(v: Vector) -> bool:
     return not any(v)
 
 
+def _integer_row(v: Vector, scale: int) -> IntegerRow:
+    """The (k, a, b), k ascending, with scale * v[k] = a + b*i nonzero;
+    ``scale`` must be a multiple of every denominator of ``v``."""
+    return tuple(
+        (k, x.a * (scale // x.d), x.b * (scale // x.d))
+        for k, x in enumerate(v)
+        if x.a or x.b
+    )
+
+
+def _echelon_pivots(rows: Iterable[IntegerRow]) -> tuple[int, ...]:
+    """The pivot columns of the Gaussian-integer ``rows``: those of their
+    ``rref``, found without a fraction.
+
+    The rows go in one at a time.  While a row has a leading column that
+    an earlier row already leads, with p and f the pivot row's and its own
+    entries there, it becomes p row - f pivot_row, which clears that
+    column, divided by the gcd of its parts; there is no back-substitution.
+    A row left nonzero leads its column from then on, stored times the
+    conjugate of its leading entry and divided by the gcd of its parts.
+    So every p is a positive integer: a step scales the row by an integer,
+    which the gcd can take out again, and no Gaussian factor such as 2 + i
+    piles up from step to step.  The leading columns of such an echelon
+    basis of the row space are the pivots of its ``rref``.
+    """
+    leaders: dict[int, dict[int, tuple[int, int]]] = {}
+    for entries in rows:
+        row = {k: (a, b) for k, a, b in entries}
+        while row:
+            lead = min(row)
+            pivot_row = leaders.get(lead)
+            if pivot_row is None:
+                # (a + b i)(p - q i) = (p a + q b) + (p b - q a) i.
+                p, q = row[lead]
+                row = {k: (p * a + q * b, p * b - q * a) for k, (a, b) in row.items()}
+                g = gcd(*(part for entry in row.values() for part in entry))
+                leaders[lead] = {k: (a // g, b // g) for k, (a, b) in row.items()}
+                break
+            p = pivot_row[lead][0]
+            f, h = row.pop(lead)
+            new = {k: (p * a, p * b) for k, (a, b) in row.items()}
+            # Less (f + h i)(a + b i) = (f a - h b) + (f b + h a) i.
+            for k, (a, b) in pivot_row.items():
+                if k != lead:
+                    u, v = new.get(k, (0, 0))
+                    new[k] = (u - f * a + h * b, v - f * b - h * a)
+            g = gcd(*(part for entry in new.values() for part in entry))
+            row = {k: (a // g, b // g) for k, (a, b) in new.items() if a or b}
+    return tuple(sorted(leaders))
+
+
 @dataclass(frozen=True)
 class ExactMatrix:
     """Dense immutable matrix over Q(i).
@@ -392,7 +450,11 @@ class ExactMatrix:
         return tuple(out)
 
     def rank(self) -> int:
-        return len(rref(self)[1])
+        """The number of pivots of the rows, each scaled by the lcm of its
+        denominators (``_echelon_pivots``)."""
+        return len(_echelon_pivots(
+            _integer_row(row, lcm(*(x.d for x in row))) for row in self.entries
+        ))
 
     def inverse(self) -> "ExactMatrix":
         n = self.rows

@@ -4,8 +4,8 @@ Every inner product has the shape x > y = [w(x), y] for a linear w, and two
 such w induce the same product exactly when they differ by a map into the
 center.  The scan therefore enumerates w with columns in a complement of the
 center over a small coefficient grid, keeps the post-Lie ones and classifies
-each by the coboundary solve.  Findings are reported, not asserted: this is
-an exploration harness.
+each by whether its defect is a coboundary.  Findings are reported, not
+asserted: this is an exploration harness.
 
 By Jacobi, which the bracket is checked for first, such a product satisfies
 the derivation identity, and the weighted associativity exactly when the
@@ -19,17 +19,18 @@ only: each grid column c gets its ad table ads[c][k] = [c, e_k] once, and a
 candidate is an index tuple idx.
 
 The whole scan runs on Gaussian integers, each held as two ``int``s, in the
-sparse rows of ``lie._accumulate``; a scalar is built only for a valid
-candidate.  Three scales put every quantity on a common denominator (the
-integer-preserving idea of Bareiss, Math. Comp. 22, 1968): G, the lcm of
-the grid's denominators; T, that of the structure constants; Z, that of
-the center rows.  The grid columns are held as G c, the ad tables as
-G T [c, e_k], and the table as T [e_i, e_j]; in sub_ij the table entry
-[e_i, e_j] has degree 0 in the grid where [w_i, e_j] has degree 1, so it
-takes the extra G, and every term of sub_ij is at scale G T.  Every term of [w_i, w_j] and of
-sub_ij[m] w_m is then at G^2 T.  The centrality test is the integer
-functional Z v_q - sum_r (Z z_r[q]) v_{p_r} per coordinate q off the
-pivots, so every term of a defect coordinate, as tested, is at G^2 T Z.
+sparse rows of ``lie._accumulate``; a scalar is built only for the witness
+of a reported example.  Three scales put every quantity on a common
+denominator (the integer-preserving idea of Bareiss, Math. Comp. 22, 1968):
+G, the lcm of the grid's denominators; T, that of the structure
+constants; Z, that of the center rows.  The grid columns are held as G c,
+the ad tables as G T [c, e_k], and the table as T [e_i, e_j]; in sub_ij the
+table entry [e_i, e_j] has degree 0 in the grid where [w_i, e_j] has
+degree 1, so it takes the extra G, and every term of sub_ij is at scale
+G T.  Every term of [w_i, w_j] and of sub_ij[m] w_m is then at G^2 T.
+The centrality test is the integer functional Z v_q - sum_r (Z z_r[q])
+v_{p_r} per coordinate q off the pivots, so every term of a defect
+coordinate, as tested, is at G^2 T Z.
 Since every term of a quantity carries the same scale, the scaled quantity
 is the true one times one nonzero integer: every zero and every nonzero is
 kept, and the scan decides what it decided on scalars.
@@ -50,34 +51,42 @@ are kept in one dict per scan, keyed by (i, j, idx[i], idx[j]); the pair
 (0, 1) needs none, as each of its parts serves one contiguous run of
 prefixes.
 
-A valid candidate reads sub_ij and kappa_ij off the same integer rows and
-turns them into scalars once, over G T and G^2 T.  Its sub-adjacent table
-is checked for antisymmetry (``LieAlgebra``) and Jacobi, and its defect for
-being alternating and central (``LieTwoCochain``), before the coboundary
-solve.
+A valid candidate reads sub_ij at G T and kappa_ij at G^2 T off the same
+integer rows and stays on them.  Only the pairs i < j are held, so both
+tables are alternating by construction.  The sub-adjacent bracket is
+checked for Jacobi (the integer kernel of ``lie.jacobi_violations``) and
+every kappa_ij again for centrality (the functionals above).  The class is
+nontrivial exactly when some pivot of the rows [sub_ij | kappa_ij], i < j,
+lies in the kappa block: the equations kappa = -t o sub for t into the
+center, which ``coboundary_solve`` solves, are then inconsistent.  The
+pivots come from the fraction-free echelon ``scalars._echelon_pivots``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product, repeat
+from itertools import product
 from math import lcm
 from typing import Iterator, NamedTuple, Sequence
 
 from .lie import (
-    IntegerRow,
     LieAlgebra,
     Subspace,
     _accumulate,
-    _alternating,
-    _integer_row,
+    _integer_cyclic_failures,
     center,
-    check_jacobi,
     jacobi_violations,
 )
-from .lie_obstruction import LieTwoCochain, coboundary_solve
 from .postlie import LinearMap
-from .scalars import ScalarLike, Vector, from_triple, vector, zero_vector
+from .scalars import (
+    IntegerRow,
+    ScalarLike,
+    Vector,
+    _echelon_pivots,
+    _integer_row,
+    vector,
+    zero_vector,
+)
 
 
 @dataclass(frozen=True)
@@ -330,30 +339,50 @@ def _central_witnesses(rows: _Scaled) -> Iterator[tuple[int, ...]]:
                     yield idx
 
 
-def _candidate(
-    rows: _Scaled, idx: tuple[int, ...], z: Subspace
-) -> tuple[LieAlgebra, LieTwoCochain]:
-    """The sub-adjacent algebra of a valid candidate and its defect.
+class _Classified(NamedTuple):
+    """A valid candidate's sub_ij at scale G T and kappa_ij at G^2 T, each
+    for the pairs i < j in order, and whether its class is nontrivial."""
 
-    sub_ij and kappa_ij are read off the integer rows at scales G T and
-    G^2 T, and turned into scalars once.  The sub-adjacent table is refused
-    unless it is a Lie algebra, and the defect unless it is alternating
-    with values in the center ``z``.
+    sub: tuple[IntegerRow, ...]
+    kappa: tuple[IntegerRow, ...]
+    nontrivial: bool
+
+
+def _classify(rows: _Scaled, idx: tuple[int, ...]) -> _Classified:
+    """Read sub_ij and kappa_ij off the integer rows and decide the class.
+
+    The sub-adjacent bracket is refused unless it satisfies Jacobi, and the
+    defect unless every kappa_ij is central.  The class is trivial when
+    kappa = -t o sub for some t, that is when no pivot of the rows
+    [sub_ij | kappa_ij] lies in the kappa block (as in ``coboundary_solve``,
+    whose rows are -sub_ij): scaling a block of columns, as the scales
+    -1, G T and G^2 T do, rescales t and moves no pivot.
     """
     n = len(idx)
-    scale = rows.g * rows.t
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     columns = [rows.grid[c] for c in idx]
-    brackets, pairs = {}, {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            sre, sim, pre, pim = _pair_rows(rows, i, j, idx[i], idx[j])
-            _accumulate(pre, pim, _others(sre, sim, i, j), columns, -1)
-            brackets[(i, j)] = tuple(map(from_triple, sre, sim, repeat(scale)))
-            pairs[(i, j)] = tuple(map(from_triple, pre, pim, repeat(scale * rows.g)))
-    sub = LieAlgebra(_alternating(n, brackets))
-    if not check_jacobi(sub):
+    # Only the pairs i < j are computed; (j, i) holds the negation.
+    table: list[list[IntegerRow]] = [[()] * n for _ in range(n)]
+    sub, kappa = [], []
+    for i, j in pairs:
+        sre, sim, kre, kim = _pair_rows(rows, i, j, idx[i], idx[j])
+        _accumulate(kre, kim, _others(sre, sim, i, j), columns, -1)
+        bracket = table[i][j] = _sparse(sre, sim)
+        table[j][i] = tuple((k, -a, -b) for k, a, b in bracket)
+        sub.append(bracket)
+        kappa.append(_sparse(kre, kim))
+    if next(_integer_cyclic_failures(table, table), None) is not None:
         raise ValueError("sub-adjacent bracket fails Jacobi: input is not post-Lie")
-    return sub, LieTwoCochain.from_pairs(n, z, pairs)
+    for (i, j), value in zip(pairs, kappa):
+        cre, cim = [0] * rows.width, [0] * rows.width
+        _accumulate(cre, cim, value, rows.phi)
+        if any(cre) or any(cim):
+            raise ValueError(f"cochain value at ({i},{j}) lies outside the center")
+    pivots = _echelon_pivots(
+        bracket + tuple((n + k, a, b) for k, a, b in value)
+        for bracket, value in zip(sub, kappa)
+    )
+    return _Classified(tuple(sub), tuple(kappa), any(p >= n for p in pivots))
 
 
 def scan_algebra(
@@ -393,8 +422,7 @@ def scan_algebra(
     examples: list[ScanFinding] = []
     for idx in _central_witnesses(rows):
         valid += 1
-        sub, cochain = _candidate(rows, idx, z)
-        if coboundary_solve(cochain, sub) is None:
+        if _classify(rows, idx).nontrivial:
             nontrivial += 1
             if len(examples) < max_examples:
                 witness = LinearMap.from_columns([grid[c] for c in idx])

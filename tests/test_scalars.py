@@ -8,11 +8,13 @@ properties (exact transform identity, unimodularity, divisibility chain).
 import random
 from decimal import Decimal
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from postrb import scalars
 from postrb.scalars import (
     ExactMatrix,
     GaussianRational,
@@ -134,6 +136,54 @@ class TestRref:
         red, pivots = rref(m)
         assert pivots == (0, 1)
         assert red == ExactMatrix.identity(2)
+
+
+class TestRank:
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            ExactMatrix((), 3),
+            ExactMatrix(((), ()), 0),
+            ExactMatrix.zeros(2, 3),
+            ExactMatrix.from_rows([[1, 2, 3], [2, 4, 6], [I, 2 * I, 3 * I], [0, 0, 1]]),
+            ExactMatrix.from_rows(
+                [[gaussian(Fraction(2, 3), 1), 0, 1], [0, gaussian(0, Fraction(1, 2)), 1]]
+            ),
+        ],
+    )
+    def test_rank_takes_no_rref(self, matrix, monkeypatch):
+        # A rank needs only the pivots: the fraction-free echelon.
+        expected = len(rref(matrix)[1])
+
+        def refused(matrix):
+            raise AssertionError("rank went through rref")
+
+        monkeypatch.setattr(scalars, "rref", refused)
+        assert matrix.rank() == expected
+
+    def test_dense_gaussian_rows_keep_small_entries(self, monkeypatch):
+        # Each elimination step multiplies a row by a pivot.  Were the pivots
+        # left complex, their Gaussian factors (which no integer gcd
+        # removes) would pile up from step to step.  Here every minor is
+        # below about 2^100 (Hadamard), so the parts of a row, seen by the
+        # gcd that divides them, stay within a product of two minors.
+        largest = []
+
+        def watched(*parts):
+            largest.append(max((abs(x) for x in parts), default=0).bit_length())
+            return gcd(*parts)
+
+        rng = random.Random(24)
+        rows = [[gaussian(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(24)] for _ in range(20)]
+        for _ in range(4):
+            u, v = rng.sample(rows, 2)
+            c = gaussian(rng.randint(-2, 2), rng.randint(1, 2))
+            rows.append([c * x + y for x, y in zip(u, v)])
+        matrix = ExactMatrix.from_rows(rows)
+        expected = len(rref(matrix)[1])
+        monkeypatch.setattr(scalars, "gcd", watched)
+        assert matrix.rank() == expected == 20
+        assert max(largest) < 400
 
 
 def dense_rref(matrix):

@@ -1,15 +1,20 @@
 """Grid scan harness: counts cross-checked against hand formulas, against
 products built bracket by bracket, and across changes of basis."""
 
+import sys
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
-from postrb import search
+from postrb import lie, lie_obstruction, scalars, search
 from postrb.errors import NontrivialObstructionError
 from postrb.lie import LieAlgebra, center, change_basis
-from postrb.lie_obstruction import construct_rb_from_obstruction, obstruction_cocycle
+from postrb.lie_obstruction import (
+    coboundary_solve,
+    construct_rb_from_obstruction,
+    obstruction_cocycle,
+)
 from postrb.postlie import (
     LinearMap,
     PostLieAlgebra,
@@ -17,7 +22,7 @@ from postrb.postlie import (
     induced_table,
     sub_adjacent,
 )
-from postrb.scalars import I, ExactMatrix, unit_vector, vector
+from postrb.scalars import I, ZERO, ExactMatrix, from_triple, unit_vector, vector
 from postrb.search import ScanFinding, ScanSummary, default_catalog, scan_algebra
 
 from conftest import make_heisenberg
@@ -36,6 +41,15 @@ def _grid(algebra: LieAlgebra, coefficients) -> list[list]:
             column[k] = value
         columns.append(column)
     return columns
+
+
+def _scalars(row, n: int, scale: int) -> tuple:
+    """The n-vector whose k-th entry is (a + b*i)/scale for each (k, a, b)
+    in the sparse integer ``row``, zero elsewhere."""
+    out = [ZERO] * n
+    for k, a, b in row:
+        out[k] = from_triple(a, b, scale)
+    return tuple(out)
 
 
 def _oracle(name: str, algebra: LieAlgebra, coefficients, max_examples=3) -> ScanSummary:
@@ -357,22 +371,104 @@ class TestScanMatchesOracle:
         ],
     )
     def test_candidates_read_the_scalar_tables(self, monkeypatch, algebra, coefficients):
-        # Each valid candidate's sub-adjacent algebra and defect, read off
-        # the integer rows, are the ones the scalar pipeline builds.
+        # Each valid candidate's sub-adjacent bracket and defect, read off
+        # the integer rows and converted at their scales G T and G^2 T, are
+        # the ones the scalar pipeline builds, and the verdict on those rows
+        # is the coboundary solve's.
         seen = []
-        candidate = search._candidate
+        classify = search._classify
 
-        def spy(rows, idx, z):
-            found = candidate(rows, idx, z)
-            seen.append((idx, *found))
+        def spy(rows, idx):
+            found = classify(rows, idx)
+            seen.append((idx, rows.g * rows.t, rows.g, found))
             return found
 
-        monkeypatch.setattr(search, "_candidate", spy)
+        monkeypatch.setattr(search, "_classify", spy)
         summary = scan_algebra("x", algebra, coefficients)
         assert len(seen) == summary.valid_post_lie > 0
+        assert sum(found.nontrivial for *_, found in seen) == summary.nontrivial_class
         columns = _grid(algebra, coefficients)
-        for idx, sub, cochain in seen:
+        n = algebra.dim
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        for idx, scale, g, found in seen:
             witness = LinearMap.from_columns([columns[c] for c in idx])
             post = PostLieAlgebra(algebra, induced_table(algebra, witness))
-            assert sub == sub_adjacent(post)
-            assert cochain == obstruction_cocycle(post, witness)
+            sub = sub_adjacent(post)
+            cochain = obstruction_cocycle(post, witness)
+            for (i, j), bracket, value in zip(pairs, found.sub, found.kappa, strict=True):
+                assert _scalars(bracket, n, scale) == sub.sc[i][j]
+                assert _scalars(value, n, scale * g) == cochain.value(i, j)
+            assert found.nontrivial == (coboundary_solve(cochain, sub) is None)
+
+
+def _count_rref(monkeypatch) -> list:
+    """Count every ``rref`` call, through whichever module names it."""
+    calls = []
+    rref = scalars.rref
+
+    def counted(matrix):
+        calls.append(matrix)
+        return rref(matrix)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("postrb") and getattr(module, "rref", None) is rref:
+            monkeypatch.setattr(module, "rref", counted)
+    return calls
+
+
+class TestScanDesign:
+    def test_scan_solves_on_integer_rows(self, monkeypatch):
+        # The only elimination over scalars is the center's; no candidate
+        # builds a Lie algebra or a cochain, or reaches the coboundary solve.
+        catalog = default_catalog()
+        calls = _count_rref(monkeypatch)
+        per_center = []
+        for _, algebra in catalog:
+            center(algebra)
+            per_center.append(len(calls))
+            calls.clear()
+
+        def refused(*args, **kwargs):
+            raise AssertionError("the scan reached the scalar pipeline")
+
+        monkeypatch.setattr(lie_obstruction, "coboundary_solve", refused)
+        monkeypatch.setattr(lie_obstruction.LieTwoCochain, "__post_init__", refused)
+        monkeypatch.setattr(lie.LieAlgebra, "__post_init__", refused)
+        for (name, algebra), expected in zip(catalog, per_center, strict=True):
+            summary = scan_algebra(name, algebra)
+            assert summary.valid_post_lie > 0
+            assert len(calls) == expected > 0
+            calls.clear()
+
+
+class TestClassifyRefuses:
+    """The checks on a valid candidate's integer rows, fed candidates that
+    the walk would not yield: each is refused with the message with which
+    ``obstruction_cocycle`` refuses the same witness."""
+
+    def _scan(self, monkeypatch, name, idx, message):
+        algebra = dict(default_catalog())[name]
+        columns = _grid(algebra, (0, 1))
+        witness = LinearMap.from_columns([columns[c] for c in idx])
+        post = PostLieAlgebra(algebra, induced_table(algebra, witness))
+        with pytest.raises(ValueError, match=message):
+            obstruction_cocycle(post, witness)
+        monkeypatch.setattr(search, "_central_witnesses", lambda rows: iter([idx]))
+        with pytest.raises(ValueError, match=message):
+            scan_algebra(name, algebra, (0, 1))
+
+    def test_sub_adjacent_bracket_failing_jacobi(self, monkeypatch):
+        # Over the grid (0, 1) the witness with columns 0, 0, e2.
+        self._scan(monkeypatch, "simple-3", (0, 0, 2), "fails Jacobi: input is not post-Lie")
+
+    @pytest.mark.parametrize(
+        "name, idx",
+        [
+            # Columns 0, 0, e3: the bracket is Lie, the defect is not central.
+            ("simple-3", (0, 0, 1)),
+            # Columns 0, 0, e2 against the center e3.
+            ("heisenberg", (0, 0, 1)),
+        ],
+    )
+    def test_defect_outside_the_center(self, monkeypatch, name, idx):
+        self._scan(monkeypatch, name, idx, r"value at \(0,1\) lies outside the center")
