@@ -336,15 +336,24 @@ def coefficient_matrix(table: StructureTable) -> ExactMatrix:
     return ExactMatrix(rows, n)
 
 
+def _null_subspace(matrix: ExactMatrix) -> Subspace:
+    """The nullspace of ``matrix`` in its canonical basis, from one ``rref``:
+    reversed back, each ``nullspace`` vector of the column-reversed matrix
+    leads with its 1 and vanishes on the other free columns."""
+    n = matrix.cols
+    flipped = nullspace(ExactMatrix(tuple(row[::-1] for row in matrix.entries), n))
+    basis = tuple(v[::-1] for v in reversed(flipped))
+    return Subspace(n, basis, tuple(next(k for k, x in enumerate(v) if x) for v in basis))
+
+
 def center(algebra: LieAlgebra) -> Subspace:
     """The x with [x, e_j] = 0 for every j: the nullspace of the coefficient matrix."""
-    return Subspace.from_spanning(algebra.dim, nullspace(coefficient_matrix(algebra.sc)))
+    return _null_subspace(coefficient_matrix(algebra.sc))
 
 
 def derivations(algebra: LieAlgebra) -> Subspace:
     """Solution space of D[x,y] = [Dx,y] + [x,Dy], flattened row-major in K^(n^2)."""
-    n = algebra.dim
-    return Subspace.from_spanning(n * n, nullspace(_derivation_system(algebra)))
+    return _null_subspace(_derivation_system(algebra))
 
 
 def _derivation_system(algebra: LieAlgebra) -> ExactMatrix:

@@ -19,7 +19,9 @@ from .lie import (
     Subspace,
     _alternating,
     _cyclic_failures,
+    _integer_tables,
     _negates,
+    _null_subspace,
     center,
     check_jacobi,
     coefficient_matrix,
@@ -35,12 +37,14 @@ from .postlie import (
 )
 from .scalars import (
     ExactMatrix,
+    IntegerRow,
     ScalarLike,
     Vector,
-    _solve_columns,
+    _echelon,
+    _back_substitute,
+    _reduced_solutions,
     hstack,
     is_zero_vector,
-    nullspace,
     vec_sub,
     vector,
 )
@@ -126,31 +130,43 @@ def verify_lie_2cocycle(cochain: LieTwoCochain, sub: LieAlgebra) -> bool:
     return next(_cyclic_failures(sub.sc, cochain.values), None) is None
 
 
+def _coboundary_echelon(
+    brackets: Sequence[IntegerRow], values: Sequence[IntegerRow], n: int
+) -> dict[int, dict[int, tuple[int, int]]] | None:
+    """The one decision of the class: the ``_echelon`` of the rows
+    [brackets[r] | values[r]] in 2n columns, or None when one leads in the
+    value block, an equation 0 = nonzero of kappa = -t o sub.  Row r holds
+    +-[e_i, e_j]_sub and kappa(e_i, e_j) for the r-th pair i < j, each block
+    times a nonzero integer, which moves no leading column."""
+    leaders = _echelon(
+        bracket + tuple((n + k, a, b) for k, a, b in value)
+        for bracket, value in zip(brackets, values)
+    )
+    return None if any(lead >= n for lead in leaders) else leaders
+
+
 def coboundary_solve(cochain: LieTwoCochain, sub: LieAlgebra) -> LinearMap | None:
     """Find t into the center with cochain(x,y) = -t([x,y]_sub), or None.
 
-    One system has the rows -[e_i, e_j]_sub, i < j, and the n components
-    of the values cochain(e_i, e_j) as its right-hand sides; one
-    elimination solves them all with free variables zero, and the solution
-    for component k is row k of t.  The elimination is the same for every
-    component, so each column t(e_l) is one fixed combination of cochain
-    values, which ``LieTwoCochain`` checked are central: t maps into the
-    center.
+    ``_coboundary_echelon`` decides on the rows -[e_i, e_j]_sub, i < j,
+    beside the n components of cochain(e_i, e_j), both on one scale
+    (``lie._integer_tables``); for a trivial class the canonical solution
+    of component k is row k of t.  Each column t(e_l) is then one fixed
+    combination of cochain values, which ``LieTwoCochain`` checked are
+    central: t maps into the center.
     """
     n = sub.dim
     if cochain.ambient != n:
         raise ValueError("cochain and algebra dimensions differ")
-    rows = []
-    rhs = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            # -[e_i, e_j]_sub is the mirror entry, which ``LieAlgebra``
-            # checked is the negation.
-            rows.append(sub.sc[j][i])
-            rhs.append(cochain.value(i, j))
-    solved = _solve_columns(ExactMatrix(tuple(rows), n), ExactMatrix(tuple(rhs), n))
-    if solved is None:
+    brackets, values = _integer_tables(sub.sc, cochain.values)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    # -[e_i, e_j]_sub is the mirror entry, which ``LieAlgebra`` checked.
+    leaders = _coboundary_echelon(
+        [brackets[j][i] for i, j in pairs], [values[i][j] for i, j in pairs], n
+    )
+    if leaders is None:
         return None
+    solved = _reduced_solutions(*_back_substitute(leaders, 2 * n, len(leaders)), n)
     return LinearMap(ExactMatrix(solved, n))
 
 
@@ -201,7 +217,7 @@ def pullback_algebra(p: PostLieAlgebra) -> LieAlgebra:
     sub = sub_adjacent(p)
     z = center(p.base)
     constraint = hstack(coefficient_matrix(p.tc), -coefficient_matrix(p.base.sc))
-    basis = Subspace.from_spanning(2 * n, nullspace(constraint))
+    basis = _null_subspace(constraint)
     if basis.dim != n + z.dim:
         raise AssertionError("pullback dimension differs from dim + dim center")
     # [v_b, v_a] = -[v_a, v_b] and [v_a, v_a] = 0, so the pairs a < b

@@ -10,15 +10,13 @@ by arithmetic: the parts ``re`` and ``im`` are derived on demand.  There is
 no floating point anywhere: float arguments are rejected, results are exact
 and runs are bit-for-bit reproducible.
 
-An ``ExactMatrix`` is a dense immutable tuple of rows, but elimination
-(``rref``, and through it every solve, inverse and subspace) works on
-sparse rows that hold only their nonzero columns.  A rank needs only the
-pivot columns, so ``ExactMatrix.rank`` takes no ``rref``: it scales each
-row by the lcm of its denominators and hands the Gaussian-integer rows to
-``_echelon_pivots``, a fraction-free echelon without back-substitution
-that the grid scan shares.  Integer matrices (used for the congruence
-solves over finite abelian groups) get a Smith normal form with unimodular
-transforms.
+An ``ExactMatrix`` is a dense immutable tuple of rows.  Every elimination
+over Q(i) but ``determinant`` is the fraction-free forward pass
+``_echelon`` on sparse Gaussian-integer rows: ``ExactMatrix.rank`` counts
+its rows, the Lie obstruction class is read off it, and ``rref`` (and with
+it every solve, nullspace, inverse and subspace) back-substitutes with the
+same step.  Integer matrices (used for the congruence solves over finite
+abelian groups) get a Smith normal form with unimodular transforms.
 """
 
 from __future__ import annotations
@@ -27,12 +25,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from numbers import Rational
-from typing import Iterable, NamedTuple, Sequence, Union
+from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
 ScalarLike = Union["GaussianRational", Fraction, int]
 # A sparse Gaussian-integer row: the (k, a, b), k ascending, with entry
 # k = a + b*i nonzero.
 IntegerRow = tuple[tuple[int, int, int], ...]
+# A working row of the elimination: column -> (a, b), entry a + b*i != 0.
+_Row = dict[int, tuple[int, int]]
 Component = Union[int, Fraction]
 RationalLike = Union[Fraction, int, str]
 
@@ -310,45 +310,84 @@ def _integer_row(v: Vector, scale: int) -> IntegerRow:
     )
 
 
-def _echelon_pivots(rows: Iterable[IntegerRow]) -> tuple[int, ...]:
-    """The pivot columns of the Gaussian-integer ``rows``: those of their
-    ``rref``, found without a fraction.
-
-    The rows go in one at a time.  While a row has a leading column that
-    an earlier row already leads, with p and f the pivot row's and its own
-    entries there, it becomes p row - f pivot_row, which clears that
-    column, divided by the gcd of its parts; there is no back-substitution.
-    A row left nonzero leads its column from then on, stored times the
-    conjugate of its leading entry and divided by the gcd of its parts.
-    So every p is a positive integer: a step scales the row by an integer,
-    which the gcd can take out again, and no Gaussian factor such as 2 + i
-    piles up from step to step.  The leading columns of such an echelon
-    basis of the row space are the pivots of its ``rref``.
-    """
-    leaders: dict[int, dict[int, tuple[int, int]]] = {}
+def _echelon(rows: Iterable[IntegerRow]) -> dict[int, _Row]:
+    """A fraction-free echelon basis of the span of the Gaussian-integer
+    ``rows``, each row keyed by its leading column: the ``rref`` pivots.
+    A row led where an earlier one leads takes the step of ``_eliminate``
+    (Bareiss, Math. Comp. 22, 1968); a row left nonzero is stored times the
+    conjugate of its leading entry over the gcd of its parts, so every
+    pivot is a positive integer and no factor such as 2 + i piles up."""
+    leaders: dict[int, _Row] = {}
     for entries in rows:
         row = {k: (a, b) for k, a, b in entries}
         while row:
             lead = min(row)
-            pivot_row = leaders.get(lead)
-            if pivot_row is None:
+            if lead in leaders:
+                row = _eliminate(row, leaders[lead], lead)
+                continue
+            p, q = row[lead]
+            if q or p < 0:
                 # (a + b i)(p - q i) = (p a + q b) + (p b - q a) i.
-                p, q = row[lead]
                 row = {k: (p * a + q * b, p * b - q * a) for k, (a, b) in row.items()}
-                g = gcd(*(part for entry in row.values() for part in entry))
-                leaders[lead] = {k: (a // g, b // g) for k, (a, b) in row.items()}
-                break
-            p = pivot_row[lead][0]
-            f, h = row.pop(lead)
-            new = {k: (p * a, p * b) for k, (a, b) in row.items()}
-            # Less (f + h i)(a + b i) = (f a - h b) + (f b + h a) i.
-            for k, (a, b) in pivot_row.items():
-                if k != lead:
-                    u, v = new.get(k, (0, 0))
-                    new[k] = (u - f * a + h * b, v - f * b - h * a)
-            g = gcd(*(part for entry in new.values() for part in entry))
-            row = {k: (a // g, b // g) for k, (a, b) in new.items() if a or b}
-    return tuple(sorted(leaders))
+            leaders[lead] = _divided(row)
+            break
+    return leaders
+
+
+def _eliminate(row: _Row, pivot_row: _Row, lead: int) -> _Row:
+    """p row - f pivot_row over the gcd of its parts, p and f the entries at
+    ``lead`` of ``pivot_row`` and ``row`` (changed in place)."""
+    p = pivot_row[lead][0]
+    f, h = row.pop(lead)
+    if p != 1:
+        for k, (a, b) in row.items():
+            row[k] = (p * a, p * b)
+    # Less (f + h i)(a + b i) = (f a - h b) + (f b + h a) i.
+    for k, (a, b) in pivot_row.items():
+        if k != lead:
+            u, v = row.get(k, (0, 0))
+            u, v = u - f * a + h * b, v - f * b - h * a
+            if u or v:
+                row[k] = (u, v)
+            else:
+                del row[k]
+    return _divided(row)
+
+
+def _divided(row: _Row) -> _Row:
+    g = 0
+    for a, b in row.values():
+        g = gcd(g, a, b)
+        if g == 1:
+            return row
+    return {k: (a // g, b // g) for k, (a, b) in row.items()} if g else row
+
+
+def _back_substitute(
+    leaders: dict[int, _Row], ncols: int, nrows: int
+) -> tuple[ExactMatrix, tuple[int, ...]]:
+    """The ``rref`` of an ``_echelon``, zero rows padding it to ``nrows``,
+    and its pivots: ``_eliminate`` clears above each pivot from the last
+    back, in place, and each row over its pivot gives the scalars."""
+    pivots = tuple(sorted(leaders))
+    for t, c in reversed(tuple(enumerate(pivots))):
+        for lead in pivots[:t]:
+            if c in leaders[lead]:
+                leaders[lead] = _eliminate(leaders[lead], leaders[c], c)
+    reduced = []
+    for c in pivots:
+        out = [ZERO] * ncols
+        p = leaders[c][c][0]
+        for k, (a, b) in leaders[c].items():
+            out[k] = _make(a, b, 1) if p == 1 else _reduced(a, b, p)
+        reduced.append(tuple(out))
+    reduced += [zero_vector(ncols)] * (nrows - len(pivots))
+    return ExactMatrix(tuple(reduced), ncols), pivots
+
+
+def _integer_rows(matrix: ExactMatrix) -> Iterator[IntegerRow]:
+    """Each row of ``matrix`` scaled by the lcm of its denominators."""
+    return (_integer_row(row, lcm(*(x.d for x in row))) for row in matrix.entries)
 
 
 @dataclass(frozen=True)
@@ -450,11 +489,8 @@ class ExactMatrix:
         return tuple(out)
 
     def rank(self) -> int:
-        """The number of pivots of the rows, each scaled by the lcm of its
-        denominators (``_echelon_pivots``)."""
-        return len(_echelon_pivots(
-            _integer_row(row, lcm(*(x.d for x in row))) for row in self.entries
-        ))
+        """The number of rows of an ``_echelon`` of the integer rows."""
+        return len(_echelon(_integer_rows(self)))
 
     def inverse(self) -> "ExactMatrix":
         n = self.rows
@@ -478,64 +514,9 @@ def hstack(left: ExactMatrix, right: ExactMatrix) -> ExactMatrix:
 
 
 def rref(matrix: ExactMatrix) -> tuple[ExactMatrix, tuple[int, ...]]:
-    """Reduced row echelon form and the pivot column indices.
-
-    Each working row is a dict of its nonzero entries by column.  The pivot
-    row is scaled only when its pivot is not 1, elimination visits only the
-    pivot row's nonzero entries, and an entry that cancels is deleted.  The
-    arithmetic on the nonzero entries is that of the dense elimination, so
-    the result is the same exact matrix.
-    """
-    ncols = matrix.cols
-    rows = [{c: x for c, x in enumerate(r) if x} for r in matrix.entries]
-    nrows = len(rows)
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        pivot_row = None
-        for i in range(r, nrows):
-            if c in rows[i]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        prow = rows[r]
-        x = prow[c]
-        if x != ONE:
-            inv = x.inverse()
-            prow = rows[r] = {k: v * inv for k, v in prow.items()}
-        # The pivot column of every other row becomes zero: pop it, and
-        # eliminate over the remaining entries of the pivot row.
-        others = [(k, v) for k, v in prow.items() if k != c]
-        for i in range(nrows):
-            if i == r:
-                continue
-            row = rows[i]
-            f = row.pop(c, None)
-            if f is None:
-                continue
-            for k, b in others:
-                a = row.get(k)
-                if a is None:
-                    row[k] = -(f * b)
-                else:
-                    a = a - f * b
-                    if a:
-                        row[k] = a
-                    else:
-                        del row[k]
-        pivots.append(c)
-        r += 1
-    dense = []
-    for row in rows:
-        out = [ZERO] * ncols
-        for k, v in row.items():
-            out[k] = v
-        dense.append(tuple(out))
-    return ExactMatrix(tuple(dense), ncols), tuple(pivots)
+    """Reduced row echelon form and the pivot column indices, zero rows
+    last."""
+    return _back_substitute(_echelon(_integer_rows(matrix)), matrix.cols, matrix.rows)
 
 
 def nullspace(matrix: ExactMatrix) -> tuple[Vector, ...]:

@@ -56,10 +56,9 @@ integer rows and stays on them.  Only the pairs i < j are held, so both
 tables are alternating by construction.  The sub-adjacent bracket is
 checked for Jacobi (the integer kernel of ``lie.jacobi_violations``) and
 every kappa_ij again for centrality (the functionals above).  The class is
-nontrivial exactly when some pivot of the rows [sub_ij | kappa_ij], i < j,
-lies in the kappa block: the equations kappa = -t o sub for t into the
-center, which ``coboundary_solve`` solves, are then inconsistent.  The
-pivots come from the fraction-free echelon ``scalars._echelon_pivots``.
+decided on the rows [sub_ij | kappa_ij], i < j, by the one decision that
+``coboundary_solve`` makes too, ``lie_obstruction._coboundary_echelon``;
+the scan never back-substitutes.
 """
 
 from __future__ import annotations
@@ -77,12 +76,12 @@ from .lie import (
     center,
     jacobi_violations,
 )
+from .lie_obstruction import _coboundary_echelon
 from .postlie import LinearMap
 from .scalars import (
     IntegerRow,
     ScalarLike,
     Vector,
-    _echelon_pivots,
     _integer_row,
     vector,
     zero_vector,
@@ -352,11 +351,9 @@ def _classify(rows: _Scaled, idx: tuple[int, ...]) -> _Classified:
     """Read sub_ij and kappa_ij off the integer rows and decide the class.
 
     The sub-adjacent bracket is refused unless it satisfies Jacobi, and the
-    defect unless every kappa_ij is central.  The class is trivial when
-    kappa = -t o sub for some t, that is when no pivot of the rows
-    [sub_ij | kappa_ij] lies in the kappa block (as in ``coboundary_solve``,
-    whose rows are -sub_ij): scaling a block of columns, as the scales
-    -1, G T and G^2 T do, rescales t and moves no pivot.
+    defect unless every kappa_ij is central.  The class is decided by
+    ``_coboundary_echelon`` on the rows [sub_ij | kappa_ij], whose blocks
+    are at the scales G T and G^2 T: scaling a block moves no pivot.
     """
     n = len(idx)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
@@ -378,11 +375,7 @@ def _classify(rows: _Scaled, idx: tuple[int, ...]) -> _Classified:
         _accumulate(cre, cim, value, rows.phi)
         if any(cre) or any(cim):
             raise ValueError(f"cochain value at ({i},{j}) lies outside the center")
-    pivots = _echelon_pivots(
-        bracket + tuple((n + k, a, b) for k, a, b in value)
-        for bracket, value in zip(sub, kappa)
-    )
-    return _Classified(tuple(sub), tuple(kappa), any(p >= n for p in pivots))
+    return _Classified(tuple(sub), tuple(kappa), _coboundary_echelon(sub, kappa, n) is None)
 
 
 def scan_algebra(

@@ -1,4 +1,4 @@
-"""Shared constructions: the two worked Lie examples, desk-scale groups,
+"""Shared constructions: the dense ``rref`` oracle, the two worked Lie examples, desk-scale groups,
 and a seeded generator of random Rota-Baxter instances for property suites.
 """
 
@@ -28,6 +28,34 @@ def pytest_configure(config):
     home = tempfile.mkdtemp(prefix="postrb-hypothesis-")
     set_hypothesis_home_dir(home)
     config.add_cleanup(lambda: shutil.rmtree(home, ignore_errors=True))
+
+
+def dense_rref(matrix):
+    """The dense elimination that ``rref`` replaced, kept as its oracle."""
+    rows = [list(r) for r in matrix.entries]
+    nrows, ncols = matrix.rows, matrix.cols
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = None
+        for i in range(r, nrows):
+            if rows[i][c]:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = rows[r][c].inverse()
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return ExactMatrix(tuple(tuple(row) for row in rows), ncols), tuple(pivots)
 
 
 def make_sl2() -> LieAlgebra:

@@ -184,6 +184,21 @@ def test_only_scalars_calls_smith_normal_form():
     assert callers == ["scalars.py"]
 
 
+def test_one_elimination_kernel_and_one_class_decision():
+    # Every elimination over Q(i) but ``determinant`` is a forward pass of
+    # ``scalars._echelon``; the only other module that runs it holds the one
+    # decision of the Lie obstruction class, which the scan calls.
+    def users(name):
+        return sorted(
+            p.name
+            for p in MODULES
+            if _name_uses(ast.parse(p.read_text(), filename=str(p)))[name]
+        )
+
+    assert users("_echelon") == ["lie_obstruction.py", "scalars.py"]
+    assert users("_coboundary_echelon") == ["lie_obstruction.py", "search.py"]
+
+
 def test_no_dead_definitions():
     # A use inside the definition itself, such as a recursive call, does
     # not keep it alive.

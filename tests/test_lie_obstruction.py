@@ -314,25 +314,32 @@ class TestReconstruction:
         assert len(calls) == 1
 
     def test_each_linear_system_is_one_elimination(self, monkeypatch):
-        from postrb import scalars
+        # Every elimination is a forward pass of ``scalars._echelon``: the
+        # witness's through ``rref``, the coboundary's through the class
+        # decision in ``lie_obstruction``.
+        from postrb import lie_obstruction, scalars
 
         calls = []
-        rref = scalars.rref
+        echelon = scalars._echelon
 
-        def counted(matrix):
-            calls.append(matrix)
-            return rref(matrix)
+        def counted(rows):
+            calls.append(rows)
+            return echelon(rows)
+
+        def count(on):
+            for module in (scalars, lie_obstruction):
+                monkeypatch.setattr(module, "_echelon", counted if on else echelon)
 
         doc = parse_document((SAMPLES / "sl2.post").read_text(encoding="utf-8"))
         p = doc.post_lie
         sub = sub_adjacent(p)
-        monkeypatch.setattr(scalars, "rref", counted)
+        count(True)
         witness = innerness_witness(p)
         assert witness is not None
         assert len(calls) == 1
-        monkeypatch.setattr(scalars, "rref", rref)
+        count(False)
         cochain = obstruction_cocycle(p, witness)
-        monkeypatch.setattr(scalars, "rref", counted)
+        count(True)
         assert coboundary_solve(cochain, sub) == LinearMap.zero(3)
         assert len(calls) == 2
 

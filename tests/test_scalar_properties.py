@@ -4,8 +4,10 @@ echelon.
 Every operation is compared with a reference written here on plain
 ``(Fraction, Fraction)`` pairs, and every result is checked for the
 canonical-component rule: a part is an ``int`` exactly when it is integral,
-otherwise a reduced ``Fraction``.  The pivots of ``_echelon_pivots``, and
-the rank and solvability read off them, are compared with ``rref``.  Runs are derandomized and keep no example
+otherwise a reduced ``Fraction``.  ``rref`` is compared with the dense
+elimination of ``conftest.dense_rref``, which shares no code with it, and
+the leading columns of ``_echelon``, and the rank and solvability read off
+them, with ``rref``.  Runs are derandomized and keep no example
 database, so the suite is deterministic; ``conftest.py`` keeps Hypothesis's
 on-disk cache out of the working tree.
 """
@@ -22,13 +24,15 @@ from postrb.scalars import (
     ZERO,
     ExactMatrix,
     GaussianRational,
-    _echelon_pivots,
+    _echelon,
     _integer_row,
     _solve_columns,
     gaussian,
     rref,
     zero_vector,
 )
+
+from conftest import dense_rref
 
 DETERMINISTIC = settings(database=None, derandomize=True)
 
@@ -260,10 +264,21 @@ def integer_rows(m: ExactMatrix) -> list:
     return [_integer_row(row, lcm(*(x.d for x in row))) for row in m.entries]
 
 
+def echelon_pivots(m: ExactMatrix) -> tuple[int, ...]:
+    """The leading columns of the ``_echelon`` of the integer rows."""
+    return tuple(sorted(_echelon(integer_rows(m))))
+
+
+@ECHELON
+@given(matrices())
+def test_rref_matches_the_dense_elimination(m):
+    assert rref(m) == dense_rref(m)
+
+
 @ECHELON
 @given(matrices())
 def test_echelon_pivots_are_the_rref_pivots(m):
-    assert _echelon_pivots(integer_rows(m)) == rref(m)[1]
+    assert echelon_pivots(m) == rref(m)[1]
 
 
 @ECHELON
@@ -279,5 +294,5 @@ def test_solvability_read_off_the_echelon_pivots(n, k, data):
     m = data.draw(matrices(n + k))
     a = ExactMatrix(tuple(row[:n] for row in m.entries), n)
     b = ExactMatrix(tuple(row[n:] for row in m.entries), k)
-    solvable = all(p < n for p in _echelon_pivots(integer_rows(m)))
+    solvable = all(p < n for p in echelon_pivots(m))
     assert solvable == (_solve_columns(a, b) is not None)

@@ -32,6 +32,8 @@ from postrb.scalars import (
     vector,
 )
 
+from conftest import dense_rref
+
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
 
@@ -184,34 +186,6 @@ class TestRank:
         monkeypatch.setattr(scalars, "gcd", watched)
         assert matrix.rank() == expected == 20
         assert max(largest) < 400
-
-
-def dense_rref(matrix):
-    """The dense elimination that ``rref`` replaced, kept as its oracle."""
-    rows = [list(r) for r in matrix.entries]
-    nrows, ncols = matrix.rows, matrix.cols
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, nrows):
-            if rows[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = rows[r][c].inverse()
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return ExactMatrix(tuple(tuple(row) for row in rows), ncols), tuple(pivots)
 
 
 def _assert_rref_matches_oracle(matrix):

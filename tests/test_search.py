@@ -19,13 +19,22 @@ from postrb.postlie import (
     LinearMap,
     PostLieAlgebra,
     check_postlie_axioms,
+    check_rota_baxter,
     induced_table,
     sub_adjacent,
 )
-from postrb.scalars import I, ZERO, ExactMatrix, from_triple, unit_vector, vector
+from postrb.scalars import (
+    I,
+    ZERO,
+    ExactMatrix,
+    from_triple,
+    is_zero_vector,
+    unit_vector,
+    vector,
+)
 from postrb.search import ScanFinding, ScanSummary, default_catalog, scan_algebra
 
-from conftest import make_heisenberg
+from conftest import dense_rref, make_heisenberg
 
 
 def _grid(algebra: LieAlgebra, coefficients) -> list[list]:
@@ -399,6 +408,54 @@ class TestScanMatchesOracle:
                 assert _scalars(bracket, n, scale) == sub.sc[i][j]
                 assert _scalars(value, n, scale * g) == cochain.value(i, j)
             assert found.nontrivial == (coboundary_solve(cochain, sub) is None)
+
+
+class TestClassOracle:
+    def test_verdicts_match_a_dense_elimination(self, monkeypatch):
+        # h3 (+) k over the grid (0, 1): 64 valid candidates, 35 of them
+        # nontrivial, and 19 of those have no pair where the sub-adjacent
+        # bracket vanishes and the defect does not, so their refutation
+        # combines rows.  Each verdict of the one class decision, reached
+        # through the scan and through ``coboundary_solve``, is checked
+        # against the dense elimination of the scalar system
+        # [-sub_ij | kappa_ij], and each trivial one against the operator
+        # that the reconstruction builds.
+        algebra = _ORACLE_ALGEBRAS["heisenberg+line"]
+        seen = []
+        classify = search._classify
+
+        def spy(rows, idx):
+            found = classify(rows, idx)
+            seen.append((idx, found.nontrivial))
+            return found
+
+        monkeypatch.setattr(search, "_classify", spy)
+        assert _counts(scan_algebra("h3+k", algebra, (0, 1))) == (256, 64, 29, 35)
+        columns = _grid(algebra, (0, 1))
+        n = algebra.dim
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        combined = 0
+        for idx, nontrivial in seen:
+            witness = LinearMap.from_columns([columns[c] for c in idx])
+            post = PostLieAlgebra(algebra, induced_table(algebra, witness))
+            sub = sub_adjacent(post)
+            cochain = obstruction_cocycle(post, witness)
+            system = ExactMatrix(
+                tuple(tuple(-x for x in sub.sc[i][j]) + cochain.value(i, j) for i, j in pairs),
+                2 * n,
+            )
+            dense = any(p >= n for p in dense_rref(system)[1])
+            assert nontrivial == (coboundary_solve(cochain, sub) is None) == dense
+            if nontrivial:
+                combined += not any(
+                    is_zero_vector(sub.sc[i][j]) and not is_zero_vector(cochain.value(i, j))
+                    for i, j in pairs
+                )
+            else:
+                operator = construct_rb_from_obstruction(post, witness).operator
+                assert check_rota_baxter(algebra, operator)
+                assert induced_table(algebra, operator) == post.tc
+        assert len(seen) == 64 and combined == 19
 
 
 def _count_rref(monkeypatch) -> list:
