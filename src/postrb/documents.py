@@ -421,7 +421,7 @@ def _parse_group_side(
     if kind == "postgroup":
         if triangle_rows is None:
             raise ParseError(lines.last_line, "postgroup documents need a 'triangle' section")
-        doc.post_group = PostGroup.from_table(group, triangle_rows)
+        doc.post_group = PostGroup(group, tuple(map(tuple, triangle_rows)))
     if kind == "rb-group" and OPERATOR_MAP not in group_maps:
         raise ParseError(lines.last_line, "rb-group documents need a 'map operator'")
     return doc

@@ -311,7 +311,8 @@ class TestCoboundarySolve:
 
     def test_non_cocycle_is_rejected(self, z4):
         # The generator rows of Z/4 read only w(a, 1); a value off them that
-        # breaks the cocycle identity is caught by the substitution check.
+        # breaks the cocycle identity is caught by the cocycle check the
+        # solve runs first.
         assert z4.generators == (1,)
         values = [[0] * 4 for _ in range(4)]
         values[2][2] = 2
@@ -319,6 +320,19 @@ class TestCoboundarySolve:
         assert not verify_group_2cocycle(cochain, z4)
         with pytest.raises(ValueError, match="not a 2-cocycle"):
             coboundary_solve_group(cochain, z4)
+
+    def test_non_cocycle_on_a_generator_row_is_rejected(self):
+        # w(2, 1) = 1 on Z/3 sits on the generator row of 1, where the tree
+        # congruences already have no solution: the answer must be a
+        # refusal, not "class nontrivial".
+        z3 = cyclic_group(3)
+        assert z3.generators == (1,)
+        values = [[0] * 3 for _ in range(3)]
+        values[2][1] = 1
+        cochain = make_cocycle(z3, values)
+        assert not verify_group_2cocycle(cochain, z3)
+        with pytest.raises(ValueError, match="not a 2-cocycle"):
+            coboundary_solve_group(cochain, z3)
 
     def test_solver_matches_oracle_on_d4(self, d4):
         for op in enumerate_rb_operators(d4)[:12]:
@@ -830,6 +844,38 @@ class TestInnerCensus:
         assert check_group(q8)
         assert center_group(q8) == (0, 1)
         assert self._classify(q8) == (2, 14)
+
+
+class TestPipelineTheorems:
+    """What the obstruction pipeline takes from the theorem instead of
+    rechecking: the canonical witness is normalized and induces the product,
+    its defect is a 2-cocycle, and every correction the solve returns
+    satisfies w(a,b) = z(a) z(b) z(a o b)^-1 on all n^2 pairs."""
+
+    @pytest.mark.parametrize("source", ["d4", "q8", "samples"])
+    def test_defect_is_a_cocycle_and_corrections_substitute(self, source, request):
+        if source == "samples":
+            postgroups = [
+                parse_document(path.read_text(encoding="utf-8")).post_group
+                for path in sorted(SAMPLES.glob("*.postgrp"))
+            ]
+        else:
+            postgroups = request.getfixturevalue("censuses")[source]
+        solved = 0
+        for pg in postgroups:
+            witness = innerness_witness_group(pg)
+            # The public entry point refuses a witness that is not normalized
+            # or does not induce the product.
+            cocycle = obstruction_cocycle_group(pg, witness)
+            sub = sub_adjacent_group(pg)
+            assert verify_group_2cocycle(cocycle, sub)
+            correction = coboundary_solve_group(cocycle, sub)
+            if correction is not None:
+                solved += 1
+                assert coboundary_values(pg.base, correction.images, sub.table) == [
+                    list(row) for row in cocycle.values
+                ]
+        assert solved
 
 
 class TestGroupTower:

@@ -199,6 +199,25 @@ def test_one_elimination_kernel_and_one_class_decision():
     assert users("_coboundary_echelon") == ["lie_obstruction.py", "search.py"]
 
 
+def test_each_verdict_fact_is_checked_once():
+    # The group solve tests the cocycle identity before it solves, and the
+    # pipeline relies on that one test; the Lie witness solve is a witness
+    # by construction, so it does not re-evaluate the product.
+    def callers(name):
+        return sorted(
+            f"{p.name}:{node.name}"
+            for p in MODULES
+            for node in ast.walk(ast.parse(p.read_text(), filename=str(p)))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and _name_uses(node)[name]
+        )
+
+    assert callers("verify_group_2cocycle") == [
+        "group_obstruction.py:coboundary_solve_group"
+    ]
+    assert "postlie.py:innerness_witness" not in callers("is_witness")
+
+
 def test_no_dead_definitions():
     # A use inside the definition itself, such as a recursive call, does
     # not keep it alive.

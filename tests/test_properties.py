@@ -115,6 +115,26 @@ class TestRbInducedStructures:
             cochain = obstruction_cocycle(post, witness)
             assert verify_lie_2cocycle(cochain, sub_adjacent(post))
 
+    def test_canonical_witness_is_a_witness(self):
+        # The witness solve reads [w(e_i), e_j] = e_i > e_j row by row, so
+        # ``innerness_witness`` does not recheck its answer.
+        posts = [
+            parse_document(path.read_text(encoding="utf-8")).post_lie
+            for path in sorted(SAMPLES.glob("*.post"))
+        ]
+        heisenberg = dict(default_catalog())["heisenberg"]
+        scan = scan_algebra("heisenberg", heisenberg, max_examples=8)
+        assert len(scan.nontrivial_examples) == 8
+        posts += [
+            PostLieAlgebra(heisenberg, induced_table(heisenberg, finding.witness))
+            for finding in scan.nontrivial_examples
+        ]
+        posts += [from_rota_baxter(algebra, operator) for algebra, operator in INSTANCES]
+        for post in posts:
+            witness = innerness_witness(post)
+            assert witness is not None
+            assert is_witness(post, witness)
+
 
 def _oracle_is_witness(post, candidate):
     """[candidate(e_i), e_j] = e_i > e_j on every pair, one bracket per pair."""
