@@ -314,7 +314,10 @@ def construct_rb_from_obstruction_group(pg: PostGroup) -> GroupRbReconstruction:
 def pullback_group(pg: PostGroup) -> FiniteGroup:
     """The subgroup of sub-adjacent x base pairs (a, b) with Ad_b = a > (.).
 
-    Its order is |G| times |Z(G)|; rejects non-inner input.
+    Assumes ``pg.base`` is a group (callers validate).  The pairs are a
+    finite subset of the group G o x G closed under the product, hence a
+    subgroup, and the b with Ad_b = a > (.) form one coset of Z(G): its
+    order is |G| times |Z(G)|.  Rejects non-inner input.
     """
     g = pg.base
     n = g.order
@@ -340,13 +343,7 @@ def pullback_group(pg: PostGroup) -> FiniteGroup:
             row.append(index[product])
         table.append(tuple(row))
     names = tuple(f"({g.name_of(a)},{g.name_of(b)})" for a, b in members)
-    result = FiniteGroup.from_table(tuple(table), names=names)
-    problems = group_violations(result, limit=1)
-    if problems:
-        raise AssertionError(f"pullback is not a group: {problems[0]}")
-    if result.order != n * len(center_group(g)):
-        raise AssertionError("pullback order is not |G| * |Z(G)|")
-    return result
+    return FiniteGroup.from_table(tuple(table), names=names)
 
 
 def rb_difference_cocycle_group(

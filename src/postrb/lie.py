@@ -23,7 +23,7 @@ combinations of such rows into plain ``int`` lists.  Each identity is
 homogeneous in the tables, so scaling every table by the same L != 0
 keeps every zero and every nonzero, and no scalar is built on the way.  The
 cyclic sum of Jacobi and of the cocycle identity is read off such rows by
-``_integer_cyclic_failures``, which the grid scan calls on its own rows.
+``_integer_cyclic_failures``.
 """
 
 from __future__ import annotations

@@ -208,18 +208,18 @@ def construct_rb_from_obstruction(
 def pullback_algebra(p: PostLieAlgebra) -> LieAlgebra:
     """Subalgebra of sub-adjacent (+) base pairs (x, y) with ad_y = left mult by x.
 
-    Dimension is dim + dim center; rejects non-inner input since then the
-    first projection would not be onto.
+    The pairs are the null space N of [C(tc) | -C(sc)].  Its canonical
+    basis vectors that lead in the first n columns number dim pi_x(N), and
+    the others span {0} x Z, so p is inner exactly when n of them lead
+    there; the dimension is then dim + dim center.  Rejects non-inner input,
+    whose first projection would not be onto.
     """
     n = p.dim
-    if innerness_witness(p) is None:
-        raise NotInnerError("pullback requires an inner post-Lie algebra")
-    sub = sub_adjacent(p)
-    z = center(p.base)
     constraint = hstack(coefficient_matrix(p.tc), -coefficient_matrix(p.base.sc))
     basis = _null_subspace(constraint)
-    if basis.dim != n + z.dim:
-        raise AssertionError("pullback dimension differs from dim + dim center")
+    if sum(lead < n for lead in basis.pivots) < n:
+        raise NotInnerError("pullback requires an inner post-Lie algebra")
+    sub = sub_adjacent(p)
     # [v_b, v_a] = -[v_a, v_b] and [v_a, v_a] = 0, so the pairs a < b
     # decide closure and give the whole table.
     upper = {}
@@ -243,18 +243,20 @@ def rb_difference_cocycle(
 ) -> LinearMap | None:
     """Difference of two Rota-Baxter operators inducing the same product.
 
-    Returns t = second - first after verifying it maps into the center and
-    kills sub-adjacent brackets; returns None when the induced products
-    differ.  Raises NotRotaBaxterError, naming the first input that fails
-    the Rota-Baxter identity.
+    Assumes ``algebra`` is a Lie algebra (callers validate).  Returns t =
+    second - first after verifying it maps into the center and kills
+    sub-adjacent brackets; returns None when the induced products differ.
+    Raises NotRotaBaxterError, naming the first input that fails the
+    Rota-Baxter identity.
     """
-    products = []
+    tables = []
     for name, operator in (("first", first), ("second", second)):
-        tables = _rota_baxter_tables(algebra, operator)
-        if tables is None:
+        pair = _rota_baxter_tables(algebra, operator)
+        if pair is None:
             raise NotRotaBaxterError(f"{name} map fails the Rota-Baxter identity")
-        products.append(tables[0])
-    if products[0] != products[1]:
+        tables.append(pair)
+    (induced, sub), (other, _) = tables
+    if induced != other:
         return None
     difference = second - first
     z = center(algebra)
@@ -262,9 +264,8 @@ def rb_difference_cocycle(
     for i in range(n):
         if not z.contains(difference.column(i)):
             raise AssertionError("difference of equal-product operators must be central")
-    sub = sub_adjacent(PostLieAlgebra(algebra, products[0]))
     for i in range(n):
         for j in range(i + 1, n):
-            if not is_zero_vector(difference.apply(sub.sc[i][j])):
+            if not is_zero_vector(difference.apply(sub[i][j])):
                 raise AssertionError("difference must vanish on sub-adjacent brackets")
     return difference

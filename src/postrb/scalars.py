@@ -386,8 +386,10 @@ def _back_substitute(
 
 
 def _integer_rows(matrix: ExactMatrix) -> Iterator[IntegerRow]:
-    """Each row of ``matrix`` scaled by the lcm of its denominators."""
-    return (_integer_row(row, lcm(*(x.d for x in row))) for row in matrix.entries)
+    """Each nonzero row of ``matrix`` scaled by the lcm of its denominators."""
+    return (
+        _integer_row(row, lcm(*(x.d for x in row))) for row in matrix.entries if any(row)
+    )
 
 
 @dataclass(frozen=True)

@@ -53,10 +53,10 @@ prefixes.
 
 A valid candidate reads sub_ij at G T and kappa_ij at G^2 T off the same
 integer rows and stays on them.  Only the pairs i < j are held, so both
-tables are alternating by construction.  The sub-adjacent bracket is
-checked for Jacobi (the integer kernel of ``lie.jacobi_violations``) and
-every kappa_ij again for centrality (the functionals above).  The class is
-decided on the rows [sub_ij | kappa_ij], i < j, by the one decision that
+tables are alternating by construction.  Neither is checked again: the
+walk tested the centrality functionals of every kappa_ij, so the product
+is post-Lie (see above), and so its sub-adjacent bracket is Lie.  The class
+is decided on the rows [sub_ij | kappa_ij], i < j, by the one decision that
 ``coboundary_solve`` makes too, ``lie_obstruction._coboundary_echelon``;
 the scan never back-substitutes.
 """
@@ -72,7 +72,6 @@ from .lie import (
     LieAlgebra,
     Subspace,
     _accumulate,
-    _integer_cyclic_failures,
     center,
     jacobi_violations,
 )
@@ -350,31 +349,21 @@ class _Classified(NamedTuple):
 def _classify(rows: _Scaled, idx: tuple[int, ...]) -> _Classified:
     """Read sub_ij and kappa_ij off the integer rows and decide the class.
 
-    The sub-adjacent bracket is refused unless it satisfies Jacobi, and the
-    defect unless every kappa_ij is central.  The class is decided by
-    ``_coboundary_echelon`` on the rows [sub_ij | kappa_ij], whose blocks
-    are at the scales G T and G^2 T: scaling a block moves no pivot.
+    The walk yields only tuples whose every kappa_ij is central, so the
+    product is post-Lie and its sub-adjacent bracket is Lie: neither needs
+    checking here.  The class is decided by ``_coboundary_echelon`` on the
+    rows [sub_ij | kappa_ij], whose blocks are at the scales G T and G^2 T:
+    scaling a block moves no pivot.
     """
     n = len(idx)
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     columns = [rows.grid[c] for c in idx]
-    # Only the pairs i < j are computed; (j, i) holds the negation.
-    table: list[list[IntegerRow]] = [[()] * n for _ in range(n)]
     sub, kappa = [], []
-    for i, j in pairs:
-        sre, sim, kre, kim = _pair_rows(rows, i, j, idx[i], idx[j])
-        _accumulate(kre, kim, _others(sre, sim, i, j), columns, -1)
-        bracket = table[i][j] = _sparse(sre, sim)
-        table[j][i] = tuple((k, -a, -b) for k, a, b in bracket)
-        sub.append(bracket)
-        kappa.append(_sparse(kre, kim))
-    if next(_integer_cyclic_failures(table, table), None) is not None:
-        raise ValueError("sub-adjacent bracket fails Jacobi: input is not post-Lie")
-    for (i, j), value in zip(pairs, kappa):
-        cre, cim = [0] * rows.width, [0] * rows.width
-        _accumulate(cre, cim, value, rows.phi)
-        if any(cre) or any(cim):
-            raise ValueError(f"cochain value at ({i},{j}) lies outside the center")
+    for i in range(n):
+        for j in range(i + 1, n):
+            sre, sim, kre, kim = _pair_rows(rows, i, j, idx[i], idx[j])
+            _accumulate(kre, kim, _others(sre, sim, i, j), columns, -1)
+            sub.append(_sparse(sre, sim))
+            kappa.append(_sparse(kre, kim))
     return _Classified(tuple(sub), tuple(kappa), _coboundary_echelon(sub, kappa, n) is None)
 
 

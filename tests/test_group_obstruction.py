@@ -850,19 +850,22 @@ class TestPipelineTheorems:
     """What the obstruction pipeline takes from the theorem instead of
     rechecking: the canonical witness is normalized and induces the product,
     its defect is a 2-cocycle, and every correction the solve returns
-    satisfies w(a,b) = z(a) z(b) z(a o b)^-1 on all n^2 pairs."""
+    satisfies w(a,b) = z(a) z(b) z(a o b)^-1 on all n^2 pairs.  The
+    pullback is a group of order |G| |Z(G)|."""
 
-    @pytest.mark.parametrize("source", ["d4", "q8", "samples"])
-    def test_defect_is_a_cocycle_and_corrections_substitute(self, source, request):
+    @staticmethod
+    def _postgroups(source, request) -> list[PostGroup]:
         if source == "samples":
-            postgroups = [
+            return [
                 parse_document(path.read_text(encoding="utf-8")).post_group
                 for path in sorted(SAMPLES.glob("*.postgrp"))
             ]
-        else:
-            postgroups = request.getfixturevalue("censuses")[source]
+        return request.getfixturevalue("censuses")[source]
+
+    @pytest.mark.parametrize("source", ["d4", "q8", "samples"])
+    def test_defect_is_a_cocycle_and_corrections_substitute(self, source, request):
         solved = 0
-        for pg in postgroups:
+        for pg in self._postgroups(source, request):
             witness = innerness_witness_group(pg)
             # The public entry point refuses a witness that is not normalized
             # or does not induce the product.
@@ -876,6 +879,16 @@ class TestPipelineTheorems:
                     list(row) for row in cocycle.values
                 ]
         assert solved
+
+    @pytest.mark.parametrize("source", ["d4", "q8", "samples"])
+    def test_pullback_is_a_group_of_order_g_times_center(self, source, request):
+        # The pairs are closed under the product of the group G o x G, so
+        # they form a subgroup, and the conjugators of each a are one coset
+        # of Z(G); ``pullback_group`` checks neither.
+        for pg in self._postgroups(source, request):
+            pullback = pullback_group(pg)
+            assert check_group(pullback)
+            assert pullback.order == pg.base.order * len(center_group(pg.base))
 
 
 class TestGroupTower:

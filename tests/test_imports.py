@@ -216,6 +216,17 @@ def test_each_verdict_fact_is_checked_once():
         "group_obstruction.py:coboundary_solve_group"
     ]
     assert "postlie.py:innerness_witness" not in callers("is_witness")
+    # The scan's walk yields only central defects, so the class decision
+    # rechecks neither Jacobi nor centrality; the pullback reads innerness
+    # and the center off its own null space; the difference cocycle reads
+    # the sub-adjacent table that the Rota-Baxter test built; and pullback
+    # pairs closed under a group product form a group.
+    assert "search.py:_classify" not in callers("_integer_cyclic_failures")
+    assert "search.py:_classify" not in callers("phi")
+    assert "lie_obstruction.py:pullback_algebra" not in callers("innerness_witness")
+    assert "lie_obstruction.py:pullback_algebra" not in callers("center")
+    assert "lie_obstruction.py:rb_difference_cocycle" not in callers("sub_adjacent")
+    assert "group_obstruction.py:pullback_group" not in callers("group_violations")
 
 
 def test_no_dead_definitions():

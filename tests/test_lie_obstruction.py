@@ -33,10 +33,12 @@ from postrb.postlie import (
     check_postlie_axioms,
     check_rota_baxter,
     from_rota_baxter,
+    induced_table,
     innerness_witness,
     sub_adjacent,
 )
 from postrb.scalars import gaussian, is_zero_vector, vec_add, vec_scale, vector
+from postrb.search import default_catalog
 
 from conftest import (
     make_half_solvable,
@@ -255,6 +257,25 @@ class TestRefusals:
         p, _ = solvable_postlie()
         with pytest.raises(ValueError, match="not an innerness witness"):
             construct_rb_from_obstruction(p, witness=LinearMap.identity(3))
+
+    @pytest.mark.parametrize(
+        "name, last, message",
+        [
+            # Columns 0, 0, e2: the sub-adjacent bracket fails Jacobi.
+            ("simple-3", [0, 1, 0], "fails Jacobi: input is not post-Lie"),
+            # Columns 0, 0, e3: the bracket is Lie, the defect is not central.
+            ("simple-3", [0, 0, 1], r"value at \(0,1\) lies outside the center"),
+            # Columns 0, 0, e2 against the center e3.
+            ("heisenberg", [0, 1, 0], r"value at \(0,1\) lies outside the center"),
+        ],
+        ids=["simple-3-jacobi", "simple-3-center", "heisenberg-center"],
+    )
+    def test_defect_of_a_product_that_is_not_post_lie(self, name, last, message):
+        algebra = dict(default_catalog())[name]
+        witness = LinearMap.from_columns([[0, 0, 0], [0, 0, 0], last])
+        p = PostLieAlgebra(algebra, induced_table(algebra, witness))
+        with pytest.raises(ValueError, match=message):
+            obstruction_cocycle(p, witness)
 
 
 class TestReconstruction:

@@ -21,6 +21,7 @@ from postrb.lie import (
     bilinear,
     center,
     change_basis,
+    check_jacobi,
     inner_derivations,
     killing_semisimple,
 )
@@ -29,6 +30,7 @@ from postrb.lie_obstruction import (
     coboundary_solve,
     construct_rb_from_obstruction,
     obstruction_cocycle,
+    pullback_algebra,
     rb_difference_cocycle,
     verify_lie_2cocycle,
 )
@@ -118,22 +120,36 @@ class TestRbInducedStructures:
     def test_canonical_witness_is_a_witness(self):
         # The witness solve reads [w(e_i), e_j] = e_i > e_j row by row, so
         # ``innerness_witness`` does not recheck its answer.
-        posts = [
-            parse_document(path.read_text(encoding="utf-8")).post_lie
-            for path in sorted(SAMPLES.glob("*.post"))
-        ]
-        heisenberg = dict(default_catalog())["heisenberg"]
-        scan = scan_algebra("heisenberg", heisenberg, max_examples=8)
-        assert len(scan.nontrivial_examples) == 8
-        posts += [
-            PostLieAlgebra(heisenberg, induced_table(heisenberg, finding.witness))
-            for finding in scan.nontrivial_examples
-        ]
-        posts += [from_rota_baxter(algebra, operator) for algebra, operator in INSTANCES]
-        for post in posts:
+        for post in _inner_post_lie_algebras():
             witness = innerness_witness(post)
             assert witness is not None
             assert is_witness(post, witness)
+
+    def test_pullback_has_dimension_dim_plus_dim_center(self):
+        # ``pullback_algebra`` reads innerness off its null space N and so
+        # does not recheck dim N: the canonical basis vectors of N leading
+        # off the first n columns span {0} x Z.
+        for post in _inner_post_lie_algebras():
+            pullback = pullback_algebra(post)
+            assert pullback.dim == post.dim + center(post.base).dim
+            assert check_jacobi(pullback)
+
+
+def _inner_post_lie_algebras() -> list[PostLieAlgebra]:
+    """The samples' post-Lie algebras, the first 8 nontrivial Heisenberg
+    scan findings and the products of ``INSTANCES``: all inner."""
+    posts = [
+        parse_document(path.read_text(encoding="utf-8")).post_lie
+        for path in sorted(SAMPLES.glob("*.post"))
+    ]
+    heisenberg = dict(default_catalog())["heisenberg"]
+    scan = scan_algebra("heisenberg", heisenberg, max_examples=8)
+    assert len(scan.nontrivial_examples) == 8
+    posts += [
+        PostLieAlgebra(heisenberg, induced_table(heisenberg, finding.witness))
+        for finding in scan.nontrivial_examples
+    ]
+    return posts + [from_rota_baxter(algebra, operator) for algebra, operator in INSTANCES]
 
 
 def _oracle_is_witness(post, candidate):

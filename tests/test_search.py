@@ -106,6 +106,13 @@ NON_UNIMODULAR = ExactMatrix.from_rows([[2, 0, 1], [0, 1, 1], [0, 0, 3]])
 # row (1, 0, 1/2): the centrality test needs the center's denominator.
 HALF_PIVOT = ExactMatrix.from_rows([[1, 0, -2], [0, 1, 0], [0, 0, 1]])
 SKEW = ExactMatrix.from_rows([[1, 0, -1], [0, 1, 1], [0, 0, 1]])
+# Grids whose candidates carry denominators, complex entries or both.
+SCALAR_GRIDS = [
+    (make_heisenberg(), (0, HALF, -1)),
+    (change_basis(make_heisenberg(), HALF_PIVOT), (0, HALF, -1)),
+    (change_basis(make_heisenberg(), NON_UNIMODULAR), (0, I, -1)),
+    (LieAlgebra.from_brackets(3, {(0, 1): [0, 0, HALF]}), (0, HALF, 1 + I)),
+]
 
 
 def _counts(summary: ScanSummary) -> tuple[int, int, int, int]:
@@ -370,15 +377,7 @@ class TestScanMatchesOracle:
     def test_exact_quotient(self, re, im, x, y, key):
         assert search._exact_quotient(re, im, x, y) == key
 
-    @pytest.mark.parametrize(
-        "algebra, coefficients",
-        [
-            (make_heisenberg(), (0, HALF, -1)),
-            (change_basis(make_heisenberg(), HALF_PIVOT), (0, HALF, -1)),
-            (change_basis(make_heisenberg(), NON_UNIMODULAR), (0, I, -1)),
-            (LieAlgebra.from_brackets(3, {(0, 1): [0, 0, HALF]}), (0, HALF, 1 + I)),
-        ],
-    )
+    @pytest.mark.parametrize("algebra, coefficients", SCALAR_GRIDS)
     def test_candidates_read_the_scalar_tables(self, monkeypatch, algebra, coefficients):
         # Each valid candidate's sub-adjacent bracket and defect, read off
         # the integer rows and converted at their scales G T and G^2 T, are
@@ -498,34 +497,40 @@ class TestScanDesign:
             calls.clear()
 
 
-class TestClassifyRefuses:
-    """The checks on a valid candidate's integer rows, fed candidates that
-    the walk would not yield: each is refused with the message with which
-    ``obstruction_cocycle`` refuses the same witness."""
-
-    def _scan(self, monkeypatch, name, idx, message):
-        algebra = dict(default_catalog())[name]
-        columns = _grid(algebra, (0, 1))
-        witness = LinearMap.from_columns([columns[c] for c in idx])
-        post = PostLieAlgebra(algebra, induced_table(algebra, witness))
-        with pytest.raises(ValueError, match=message):
-            obstruction_cocycle(post, witness)
-        monkeypatch.setattr(search, "_central_witnesses", lambda rows: iter([idx]))
-        with pytest.raises(ValueError, match=message):
-            scan_algebra(name, algebra, (0, 1))
-
-    def test_sub_adjacent_bracket_failing_jacobi(self, monkeypatch):
-        # Over the grid (0, 1) the witness with columns 0, 0, e2.
-        self._scan(monkeypatch, "simple-3", (0, 0, 2), "fails Jacobi: input is not post-Lie")
+class TestWalkTheorems:
+    """What ``_classify`` takes from the walk instead of rechecking: every
+    tuple that ``_central_witnesses`` yields has each kappa_ij central, so
+    its product is post-Lie and the sub-adjacent bracket satisfies Jacobi."""
 
     @pytest.mark.parametrize(
-        "name, idx",
+        "algebra, coefficients",
         [
-            # Columns 0, 0, e3: the bracket is Lie, the defect is not central.
-            ("simple-3", (0, 0, 1)),
-            # Columns 0, 0, e2 against the center e3.
-            ("heisenberg", (0, 0, 1)),
+            *((algebra, (-1, 0, 1)) for _, algebra in default_catalog()),
+            (_ORACLE_ALGEBRAS["heisenberg+line"], (0, 1)),
+            *SCALAR_GRIDS,
         ],
     )
-    def test_defect_outside_the_center(self, monkeypatch, name, idx):
-        self._scan(monkeypatch, name, idx, r"value at \(0,1\) lies outside the center")
+    def test_yielded_candidates_are_post_lie(self, monkeypatch, algebra, coefficients):
+        seen = []
+        classify = search._classify
+
+        def spy(rows, idx):
+            found = classify(rows, idx)
+            seen.append((rows, found))
+            return found
+
+        monkeypatch.setattr(search, "_classify", spy)
+        summary = scan_algebra("x", algebra, coefficients)
+        assert len(seen) == summary.valid_post_lie > 0
+        n = algebra.dim
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        for rows, found in seen:
+            table = [[()] * n for _ in range(n)]
+            for (i, j), bracket in zip(pairs, found.sub, strict=True):
+                table[i][j] = bracket
+                table[j][i] = tuple((k, -a, -b) for k, a, b in bracket)
+            assert next(lie._integer_cyclic_failures(table, table), None) is None
+            for value in found.kappa:
+                re, im = [0] * rows.width, [0] * rows.width
+                lie._accumulate(re, im, value, rows.phi)
+                assert not any(re) and not any(im)
