@@ -41,7 +41,7 @@ from .postgroup import (
     enumerate_rb_operators,
     induced_triangle,
 )
-from .postlie import check_postlie_axioms, induced_table, is_witness
+from .postlie import check_postlie_axioms, induced_table, innerness_witness
 from .tower import build_tower, tower_report
 
 EXIT_OK = 0
@@ -169,8 +169,6 @@ class _AxiomFailure(Exception):
 
 
 def _cmd_innerness(args) -> tuple[Report, int]:
-    from .postlie import innerness_witness
-
     doc = _validated_postlie(args)
     report = Report([], {})
     witness = innerness_witness(doc.post_lie)
@@ -186,9 +184,12 @@ def _cmd_obstruction(args) -> tuple[Report, int]:
     doc = _validated_postlie(args)
     report = Report([], {})
     witness = doc.linear_maps.get(WITNESS_MAP)
-    if witness is not None and not is_witness(doc.post_lie, witness):
-        raise _AxiomFailure("map witness does not induce the product")
-    result = construct_rb_from_obstruction(doc.post_lie, witness=witness)
+    try:
+        result = construct_rb_from_obstruction(doc.post_lie, witness=witness)
+    except (NotInnerError, NontrivialObstructionError):
+        raise
+    except ValueError:  # the library's refusal of a supplied non-witness
+        raise _AxiomFailure("map witness does not induce the product") from None
     report.add("inner", True, "witness found")
     report.add("cocycle", True, "defect verified as a 2-cocycle on the sub-adjacent algebra")
     report.add("coboundary", True, "obstruction class is trivial")

@@ -351,26 +351,24 @@ def rb_difference_cocycle_group(
 ) -> GroupMap | None:
     """z(a) = B1(a)^-1 B2(a) when both operators induce the same product.
 
-    Verifies the values are central and multiplicative for the sub-adjacent
-    law; returns None when the induced products differ.  Raises
+    Returns None when the induced products differ.  Raises
     NotRotaBaxterError, naming the first map that fails the Rota-Baxter
     identity.
+
+    z is central and multiplicative for the sub-adjacent law by a theorem,
+    so it is not checked.  Equal triangles say B1(a) b B1(a)^-1 = B2(a) b B2(a)^-1
+    for all b, so z(a) is central.  Both operators are then homomorphisms
+    from the same sub-adjacent group, and with z central
+    z(a o b) = B1(b)^-1 B1(a)^-1 B2(a) B2(b) = B1(b)^-1 z(a) B2(b) = z(a) z(b).
     """
     for name, operator in (("first", first), ("second", second)):
         if not check_rb_group(group, operator):
             raise NotRotaBaxterError(f"{name} map fails the group Rota-Baxter identity")
-    triangle = induced_triangle(group, first)
-    if triangle != induced_triangle(group, second):
+    if induced_triangle(group, first) != induced_triangle(group, second):
         return None
-    n = group.order
-    central = set(center_group(group))
-    images = tuple(group.mul(group.inv(first(a)), second(a)) for a in range(n))
-    if any(z not in central for z in images):
-        raise AssertionError("difference of equal-product operators must be central")
-    difference = GroupMap(images)
-    if not is_group_homomorphism(difference, sub_adjacent_table(group, triangle), group):
-        raise AssertionError("difference is not multiplicative on the sub-adjacent group")
-    return difference
+    return GroupMap(
+        tuple(group.mul(group.inv(first(a)), second(a)) for a in range(group.order))
+    )
 
 
 def group_tower_certificates(

@@ -23,7 +23,7 @@ combinations of such rows into plain ``int`` lists.  Each identity is
 homogeneous in the tables, so scaling every table by the same L != 0
 keeps every zero and every nonzero, and no scalar is built on the way.  The
 cyclic sum of Jacobi and of the cocycle identity is read off such rows by
-``_integer_cyclic_failures``.
+``_cyclic_failures``.
 """
 
 from __future__ import annotations
@@ -287,14 +287,7 @@ def _cyclic_failures(
     ``values`` of v.  Each term pairs an entry of ``sc`` with one of
     ``values``, so both are decided on one scale (``_integer_tables``)."""
     tables = _integer_tables(sc) if values is sc else _integer_tables(sc, values)
-    return _integer_cyclic_failures(tables[0], tables[-1])
-
-
-def _integer_cyclic_failures(
-    brackets: IntegerTable, products: IntegerTable
-) -> Iterator[tuple[int, int, int]]:
-    """``_cyclic_failures`` on integer tables: the bracket table and the
-    table of v, each scaled by a nonzero integer."""
+    brackets, products = tables[0], tables[-1]
     n = len(brackets)
     # v(u, e_k) = sum_m u_m values[m][k]: column k of ``values``.
     columns = [[row[k] for row in products] for k in range(n)]

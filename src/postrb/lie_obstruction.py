@@ -23,7 +23,6 @@ from .lie import (
     _negates,
     _null_subspace,
     center,
-    check_jacobi,
     coefficient_matrix,
 )
 from .postlie import (
@@ -34,6 +33,7 @@ from .postlie import (
     is_homomorphism,
     is_witness,
     sub_adjacent,
+    sub_adjacent_table,
 )
 from .scalars import (
     ExactMatrix,
@@ -179,6 +179,8 @@ def construct_rb_from_obstruction(
     NotInnerError when some left multiplication is not inner and
     NontrivialObstructionError when the cocycle is not a coboundary.  On
     success the reconstructed operator provably induces the given product.
+    The sub-adjacent bracket of a post-Lie algebra satisfies Jacobi (a
+    consequence of the axioms), so it is built without a Jacobi check.
     """
     if witness is None:
         witness = innerness_witness(p)
@@ -186,7 +188,7 @@ def construct_rb_from_obstruction(
             raise NotInnerError("left multiplications are not all inner derivations")
     elif not is_witness(p, witness):
         raise ValueError("supplied map is not an innerness witness for this product")
-    sub = sub_adjacent(p)
+    sub = LieAlgebra(sub_adjacent_table(p.base.sc, p.tc))
     cochain = _defect(p, witness, sub, center(p.base))
     if not verify_lie_2cocycle(cochain, sub):
         raise AssertionError("defect of a valid witness must be a 2-cocycle")
@@ -213,6 +215,12 @@ def pullback_algebra(p: PostLieAlgebra) -> LieAlgebra:
     the others span {0} x Z, so p is inner exactly when n of them lead
     there; the dimension is then dim + dim center.  Rejects non-inner input,
     whose first projection would not be onto.
+
+    Assumes ``p.base`` is a Lie algebra (callers validate); ``sub_adjacent``
+    refuses a sub-adjacent bracket that fails Jacobi.  Then sub (+) base is
+    a Lie algebra, and N, closed under its bracket (``coordinates_of``
+    checks each product), is a Lie subalgebra: the result satisfies Jacobi
+    without a check.
     """
     n = p.dim
     constraint = hstack(coefficient_matrix(p.tc), -coefficient_matrix(p.base.sc))
@@ -232,10 +240,7 @@ def pullback_algebra(p: PostLieAlgebra) -> LieAlgebra:
             if coords is None:
                 raise AssertionError("pullback is not closed under the bracket")
             upper[(a, b)] = coords
-    result = LieAlgebra(_alternating(basis.dim, upper))
-    if not check_jacobi(result):
-        raise AssertionError("pullback bracket fails Jacobi")
-    return result
+    return LieAlgebra(_alternating(basis.dim, upper))
 
 
 def rb_difference_cocycle(
@@ -244,10 +249,16 @@ def rb_difference_cocycle(
     """Difference of two Rota-Baxter operators inducing the same product.
 
     Assumes ``algebra`` is a Lie algebra (callers validate).  Returns t =
-    second - first after verifying it maps into the center and kills
-    sub-adjacent brackets; returns None when the induced products differ.
-    Raises NotRotaBaxterError, naming the first input that fails the
-    Rota-Baxter identity.
+    second - first when both operators induce the same product, None when
+    the induced products differ.  Raises NotRotaBaxterError, naming the
+    first input that fails the Rota-Baxter identity.
+
+    t is a central 1-cocycle by a theorem, so it is not checked.  Equal
+    induced tables say [t(e_i), e_j] = 0 for all i, j, so t maps into the
+    center.  Both operators are then homomorphisms from the same
+    sub-adjacent bracket, and with t central
+    R2([x,y]_sub) = [R1 x + t x, R1 y + t y] = [R1 x, R1 y] = R1([x,y]_sub),
+    so t vanishes on the sub-adjacent brackets.
     """
     tables = []
     for name, operator in (("first", first), ("second", second)):
@@ -255,17 +266,7 @@ def rb_difference_cocycle(
         if pair is None:
             raise NotRotaBaxterError(f"{name} map fails the Rota-Baxter identity")
         tables.append(pair)
-    (induced, sub), (other, _) = tables
+    (induced, _), (other, _) = tables
     if induced != other:
         return None
-    difference = second - first
-    z = center(algebra)
-    n = algebra.dim
-    for i in range(n):
-        if not z.contains(difference.column(i)):
-            raise AssertionError("difference of equal-product operators must be central")
-    for i in range(n):
-        for j in range(i + 1, n):
-            if not is_zero_vector(difference.apply(sub[i][j])):
-                raise AssertionError("difference must vanish on sub-adjacent brackets")
-    return difference
+    return second - first

@@ -2,7 +2,10 @@
 
 ``data/cli_snapshots.json`` holds the exit code, stdout and stderr of each
 run below, in both output formats.  A change to the library that should not
-change what the CLI prints must leave every entry as it is.  Regenerate the
+change what the CLI prints must leave every entry as it is.  The runs call
+``main`` in this process; one run of each subcommand also starts
+``python -m postrb.cli`` as a fresh process, so the entry point is covered
+too.  Regenerate the
 file deliberately, after reviewing the new output, with
 
     PYTHONPATH=src python tests/test_cli_snapshots.py
@@ -15,6 +18,8 @@ from __future__ import annotations
 import io
 import json
 import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from itertools import product
 from pathlib import Path
@@ -65,6 +70,32 @@ def test_snapshot_covers_every_invocation(snapshots):
 def test_cli_output_matches_snapshot(argv, snapshots, monkeypatch):
     monkeypatch.chdir(ROOT)
     assert _run(argv) == snapshots[" ".join(argv)]
+
+
+@pytest.mark.parametrize("command", list(_COMMANDS))
+def test_entry_point_matches_snapshot(command, snapshots):
+    # The last text-format run of ``command`` that exits 0: for
+    # ``obstruction`` that is the sample with a supplied witness.
+    argv = [
+        argv
+        for argv in _invocations()
+        if argv[0] == command
+        and argv[-1] == "text"
+        and snapshots[" ".join(argv)]["exit"] == 0
+    ][-1]
+    path = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
+    )
+    done = subprocess.run(
+        [sys.executable, "-m", "postrb.cli", *argv],
+        cwd=ROOT,
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    expected = snapshots[" ".join(argv)]
+    assert (done.returncode, done.stdout) == (expected["exit"], expected["stdout"])
 
 
 if __name__ == "__main__":

@@ -816,6 +816,17 @@ class TestCli:
         )
         assert main(["obstruction", "--input", str(doc)]) == 5
 
+    def test_obstruction_nontrivial_exit_with_a_witness(self, tmp_path, capsys):
+        # The pipeline checks a supplied witness itself; the CLI maps that
+        # refusal to exit 3 but must keep the nontrivial class at exit 5.
+        doc = tmp_path / "heis.post"
+        doc.write_text(
+            "kind postlie\ndim 3\n[1,2] = e3\n"
+            "1>1 = e3\n2>1 = e3\n2>2 = e3\n"
+            "map witness\nrow 0 1 0\nrow -1 -1 0\nrow 0 0 0\n"
+        )
+        assert main(["obstruction", "--input", str(doc)]) == 5
+
     def test_tower(self, capsys):
         code = main(["tower", "--input", str(SAMPLES / "sl2.rb"), "--depth", "3"])
         out = capsys.readouterr().out

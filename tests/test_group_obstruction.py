@@ -43,7 +43,15 @@ from postrb.postgroup import (
 )
 from postrb.scalars import IntMatrix, solve_linear_congruences
 
-from conftest import inner_postgroups, relabel_group, relabel_values, seeded_relabellings
+from conftest import (
+    inner_postgroups,
+    make_d4,
+    make_q8,
+    make_s3,
+    relabel_group,
+    relabel_values,
+    seeded_relabellings,
+)
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
@@ -398,8 +406,6 @@ class TestGeneratingSetSystem:
     def test_random_coboundaries_with_homomorphisms(self, name):
         # On the trivial post-group G o = G; for these groups
         # Hom(G, Z(G)) != 0, so the solution is not unique.
-        from conftest import make_q8
-
         group = {"z4": lambda: cyclic_group(4), "v4": klein_four, "q8": make_q8}[name]()
         rng = random.Random(3)
         for _ in range(6):
@@ -804,6 +810,41 @@ class TestDifferenceCocycle:
         diff = rb_difference_cocycle_group(d4, base_op, shifted)
         assert diff == found
 
+    @pytest.mark.parametrize(
+        "make, pairs, nontrivial",
+        [(make_s3, 8, 0), (make_d4, 288, 232), (make_q8, 32, 24)],
+        ids=["s3", "d4", "q8"],
+    )
+    def test_same_product_operators_differ_by_a_central_cocycle(
+        self, make, pairs, nontrivial
+    ):
+        # Equal triangles make B1(a)^-1 B2(a) central, and then multiplicative
+        # for the shared sub-adjacent law; ``rb_difference_cocycle_group``
+        # checks neither.
+        group = make()
+        n = group.order
+        by_triangle = {}
+        for op in enumerate_rb_operators(group):
+            by_triangle.setdefault(from_rb_group(group, op).triangle, []).append(op)
+        seen = shifted = 0
+        for ops in by_triangle.values():
+            sub = sub_adjacent_group(from_rb_group(group, ops[0]))
+            for first, second in product(ops, repeat=2):
+                z = rb_difference_cocycle_group(group, first, second)
+                assert all(
+                    group.mul(z(a), b) == group.mul(b, z(a))
+                    for a in range(n)
+                    for b in range(n)
+                )
+                assert all(
+                    z(sub.mul(a, b)) == group.mul(z(a), z(b))
+                    for a in range(n)
+                    for b in range(n)
+                )
+                seen += 1
+                shifted += z != GroupMap.constant(n, group.identity)
+        assert (seen, shifted) == (pairs, nontrivial)
+
     def test_different_products_absent(self, s3):
         diff = rb_difference_cocycle_group(
             s3, GroupMap.constant(6, s3.identity), GroupMap(s3.inverse)
@@ -838,8 +879,6 @@ class TestInnerCensus:
         assert self._classify(d4) == (12, 4)
 
     def test_q8_census(self):
-        from conftest import make_q8
-
         q8 = make_q8()
         assert check_group(q8)
         assert center_group(q8) == (0, 1)

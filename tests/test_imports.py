@@ -221,12 +221,25 @@ def test_each_verdict_fact_is_checked_once():
     # and the center off its own null space; the difference cocycle reads
     # the sub-adjacent table that the Rota-Baxter test built; and pullback
     # pairs closed under a group product form a group.
-    assert "search.py:_classify" not in callers("_integer_cyclic_failures")
+    assert "search.py:_classify" not in callers("_cyclic_failures")
     assert "search.py:_classify" not in callers("phi")
     assert "lie_obstruction.py:pullback_algebra" not in callers("innerness_witness")
     assert "lie_obstruction.py:pullback_algebra" not in callers("center")
     assert "lie_obstruction.py:rb_difference_cocycle" not in callers("sub_adjacent")
     assert "group_obstruction.py:pullback_group" not in callers("group_violations")
+    # Two operators inducing one product differ by a central 1-cocycle, so
+    # neither difference rechecks centrality or multiplicativity; the
+    # sub-adjacent bracket of a post-Lie algebra and a subalgebra of a Lie
+    # algebra satisfy Jacobi; and the pipeline refuses a supplied
+    # non-witness, which the CLI does not test first.
+    assert "lie_obstruction.py:rb_difference_cocycle" not in callers("center")
+    for name in ("center_group", "is_group_homomorphism"):
+        assert "group_obstruction.py:rb_difference_cocycle_group" not in callers(name)
+    assert "lie_obstruction.py:construct_rb_from_obstruction" not in callers(
+        "sub_adjacent"
+    )
+    assert "lie_obstruction.py:pullback_algebra" not in callers("check_jacobi")
+    assert "cli.py:_cmd_obstruction" not in callers("is_witness")
 
 
 def test_no_dead_definitions():

@@ -320,15 +320,19 @@ class TestReconstruction:
         assert result.correction == LinearMap.zero(3)
 
     def test_builds_the_sub_adjacent_algebra_once(self, monkeypatch):
-        from postrb import lie_obstruction
+        # Counted in both modules that build the table, so a call of
+        # ``sub_adjacent`` would count too.
+        from postrb import lie_obstruction, postlie
 
         calls = []
+        build = postlie.sub_adjacent_table
 
-        def counted(p):
-            calls.append(p)
-            return sub_adjacent(p)
+        def counted(sc, tc):
+            calls.append(tc)
+            return build(sc, tc)
 
-        monkeypatch.setattr(lie_obstruction, "sub_adjacent", counted)
+        for module in (lie_obstruction, postlie):
+            monkeypatch.setattr(module, "sub_adjacent_table", counted)
         doc = parse_document((SAMPLES / "sl2.post").read_text(encoding="utf-8"))
         result = construct_rb_from_obstruction(doc.post_lie)
         assert result.operator == make_sl2_operator()

@@ -44,6 +44,7 @@ from postrb.postlie import (
     innerness_witness,
     is_witness,
     sub_adjacent,
+    sub_adjacent_table,
 )
 from postrb.scalars import (
     ZERO,
@@ -86,11 +87,29 @@ class TestRbInducedStructures:
             assert from_rota_baxter(algebra, result.operator).tc == post.tc
 
     def test_reconstruction_differs_by_central_cocycle(self):
-        for algebra, operator in INSTANCES[:60]:
+        # Two operators inducing one product differ by a map t into the
+        # center that vanishes on the sub-adjacent brackets;
+        # ``rb_difference_cocycle`` returns t without checking either.
+        nonzero = 0
+        for algebra, operator in INSTANCES:
             post = from_rota_baxter(algebra, operator)
             result = construct_rb_from_obstruction(post)
             difference = rb_difference_cocycle(algebra, operator, result.operator)
-            assert difference is not None
+            n = algebra.dim
+            columns = [difference.column(i) for i in range(n)]
+            assert all(
+                is_zero_vector(algebra.bracket(column, unit_vector(n, j)))
+                for column in columns
+                for j in range(n)
+            )
+            sub = sub_adjacent(post).sc
+            assert all(
+                is_zero_vector(difference.apply(sub[i][j]))
+                for i in range(n)
+                for j in range(i + 1, n)
+            )
+            nonzero += any(map(any, columns))
+        assert nonzero == 110
 
     def test_center_subrepresentation_and_trivial_action(self):
         for algebra, operator in INSTANCES:
@@ -124,6 +143,12 @@ class TestRbInducedStructures:
             witness = innerness_witness(post)
             assert witness is not None
             assert is_witness(post, witness)
+
+    def test_sub_adjacent_bracket_is_lie(self):
+        # The post-Lie axioms imply Jacobi for x>y - y>x + [x,y], so
+        # ``construct_rb_from_obstruction`` builds it without a check.
+        for post in _inner_post_lie_algebras():
+            assert check_jacobi(LieAlgebra(sub_adjacent_table(post.base.sc, post.tc)))
 
     def test_pullback_has_dimension_dim_plus_dim_center(self):
         # ``pullback_algebra`` reads innerness off its null space N and so
