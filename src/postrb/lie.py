@@ -8,29 +8,41 @@ row echelon form so equality and membership are plain entry comparisons.
 Every product given by such a table (the bracket, a post-Lie product, the
 induced product [R(x), y]) is evaluated in this module: ``bilinear`` for
 one product x.y and ``left_columns`` for the products x.e_j against every
-basis vector.  The linear map x -> (y -> x.y) has one matrix,
-``coefficient_matrix``, behind the center, the inner derivations and the
-innerness-witness solve.  Every alternating table of scalars (a bracket, a
-sub-adjacent bracket, a 2-cochain) is assembled from its pairs i < j by
-``_alternating``.
+basis vector, and ``_left_products`` for those products on integer rows.
+The linear map x -> (y -> x.y) has one matrix, ``coefficient_matrix``,
+behind the center, the inner derivations and the innerness-witness solve.
+Every alternating table of scalars (a bracket, a sub-adjacent bracket, a
+2-cochain) is assembled from its pairs i < j by ``_alternating``, or
+converted from integer rows by ``_scalar_table``.
 
-The table identities (Jacobi, the post-Lie axioms, the cocycle identity)
-only ask whether a sum of products of table entries is zero.  They are
-decided on one integer kernel: ``_integer_tables`` puts the tables they read
-on one common denominator L and keeps, per entry (i, j), the nonzero
-coefficients of L table[i][j] as Gaussian integers; ``_accumulate`` adds
+The table identities (Jacobi, the post-Lie axioms, the cocycle identity,
+the Rota-Baxter identity) only ask whether a sum of products of table
+entries is zero.  They are decided on one integer kernel: a table is held
+on a scale L as, per entry (i, j), the nonzero coefficients of
+L table[i][j] as Gaussian integers (``_IntegerForm``); ``_accumulate`` adds
 combinations of such rows into plain ``int`` lists.  Each identity is
-homogeneous in the tables, so scaling every table by the same L != 0
-keeps every zero and every nonzero, and no scalar is built on the way.  The
+homogeneous in each table, so scaling a table by L != 0 keeps every zero
+and every nonzero, and no scalar is built on the way.  A ``LieAlgebra``
+builds these rows of its own table once, on the least scale
+(``_integer``), and a level of a tower receives them from the step that
+made it (``_lie_algebra``); ``_integer_tables`` puts several tables on one
+common scale where an identity adds entries of different tables.  The
 cyclic sum of Jacobi and of the cocycle identity is read off such rows by
 ``_cyclic_failures``.
+
+The fingerprint is read off the same rows: the center, the Killing form,
+the derivations and the derived and lower central series are all ranks of
+integer rows (``scalars._row_basis``), and ``killing_semisimple`` and
+``derivations`` build their scalars from those rows too.  Scalars are
+built from integer rows only where a table or a matrix is returned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
-from typing import Iterable, Iterator, Mapping, Sequence
+from functools import cached_property
+from math import gcd, lcm
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .scalars import (
     ExactMatrix,
@@ -40,6 +52,8 @@ from .scalars import (
     Vector,
     ZERO,
     _integer_row,
+    _row_basis,
+    _scalar_row,
     is_zero_vector,
     nullspace,
     rref,
@@ -51,6 +65,14 @@ from .scalars import (
 StructureTable = tuple[tuple[Vector, ...], ...]
 # Entry (i, j) holds the (k, a, b) with L table[i][j][k] = a + b*i != 0.
 IntegerTable = tuple[tuple[IntegerRow, ...], ...]
+
+
+class _IntegerForm(NamedTuple):
+    """Integer rows on one scale L: the rows of a table (``IntegerTable``)
+    or the columns of a linear map, L times each entry."""
+
+    scale: int
+    rows: tuple
 
 
 def bilinear(
@@ -114,11 +136,56 @@ def _integer_tables(*tables: StructureTable) -> tuple[IntegerTable, ...]:
     passes over the entries: O(n^3) per table, against the O(n^4) of the
     identities read off them.
     """
-    scale = lcm(*{x.d for table in tables for row in table for v in row for x in v})
+    scale = _common_scale(tables)
+    return tuple(_rows_at(table, scale) for table in tables)
+
+
+def _common_scale(tables: Iterable[StructureTable]) -> int:
+    return lcm(*{x.d for table in tables for row in table for v in row for x in v})
+
+
+def _rows_at(table: StructureTable, scale: int) -> IntegerTable:
+    return tuple(tuple(_integer_row(v, scale) for v in row) for row in table)
+
+
+def _integer_form(table: StructureTable) -> _IntegerForm:
+    """``table`` on its own least scale, the lcm of its denominators."""
+    scale = _common_scale((table,))
+    return _IntegerForm(scale, _rows_at(table, scale))
+
+
+def _least_scale(form: _IntegerForm) -> _IntegerForm:
+    """``form`` divided by the gcd g of its scale and every part.  The
+    denominator of (a + b*i)/L is L/gcd(a, b, L), and the lcm of such
+    quotients of L is L over the gcd of the divisors, so L/g is the least
+    scale: the result is ``_integer_form`` of the scalar table."""
+    g = form.scale
+    for row in form.rows:
+        for entry in row:
+            for _, a, b in entry:
+                g = gcd(g, a, b)
+                if g == 1:
+                    return form
+    return _IntegerForm(form.scale // g, tuple(
+        tuple(tuple((k, a // g, b // g) for k, a, b in entry) for entry in row)
+        for row in form.rows
+    ))
+
+
+def _scalar_table(form: _IntegerForm) -> StructureTable:
+    """The table of scalars whose integer rows are ``form``: the edge where
+    a table that a caller returns is built."""
+    n = len(form.rows)
+    zero = zero_vector(n)
     return tuple(
-        tuple(tuple(_integer_row(v, scale) for v in row) for row in table)
-        for table in tables
+        tuple(_scalar_row(entry, n, form.scale) if entry else zero for entry in row)
+        for row in form.rows
     )
+
+
+def _sparse(re: Sequence[int], im: Sequence[int]) -> IntegerRow:
+    """The nonzero (k, re[k], im[k])."""
+    return tuple((k, x, y) for k, (x, y) in enumerate(zip(re, im)) if x or y)
 
 
 def _accumulate(
@@ -126,13 +193,13 @@ def _accumulate(
     im: list[int],
     coefficients: IntegerRow,
     rows: Sequence[IntegerRow],
-    sign: int = 1,
+    factor: int = 1,
 ) -> None:
-    """Add sign * sum of (a + b*i) rows[m] over (m, a, b) in ``coefficients``
-    into the real parts ``re`` and imaginary parts ``im``."""
+    """Add factor * sum of (a + b*i) rows[m] over (m, a, b) in
+    ``coefficients`` into the real parts ``re`` and imaginary parts ``im``."""
     for m, a, b in coefficients:
-        if sign < 0:
-            a, b = -a, -b
+        if factor != 1:
+            a, b = factor * a, factor * b
         if b:
             for q, c, e in rows[m]:
                 re[q] += a * c - b * e
@@ -213,6 +280,21 @@ class LieAlgebra:
     def bracket(self, x: Sequence[ScalarLike], y: Sequence[ScalarLike]) -> Vector:
         return bilinear(self.sc, x, y)
 
+    @cached_property
+    def _integer(self) -> _IntegerForm:
+        """The bracket table on its least scale, built once per algebra."""
+        return _integer_form(self.sc)
+
+
+def _lie_algebra(form: _IntegerForm) -> LieAlgebra:
+    """The Lie algebra of the alternating table with integer rows ``form``,
+    holding them on their least scale as its ``_integer``."""
+    algebra = LieAlgebra(_scalar_table(form))
+    # A cached_property keeps its value in the instance dict, which a
+    # frozen dataclass leaves writable.
+    algebra.__dict__["_integer"] = _least_scale(form)
+    return algebra
+
 
 @dataclass(frozen=True)
 class Subspace:
@@ -279,17 +361,16 @@ class Fingerprint:
 
 
 def _cyclic_failures(
-    sc: StructureTable, values: StructureTable
+    brackets: IntegerTable, products: IntegerTable
 ) -> Iterator[tuple[int, int, int]]:
     """Basis triples i<j<k, in order, where the cyclic sum
     v([e_i,e_j], e_k) + v([e_j,e_k], e_i) + v([e_k,e_i], e_j)
-    is nonzero, for the bracket table ``sc`` and the bilinear table
-    ``values`` of v.  Each term pairs an entry of ``sc`` with one of
-    ``values``, so both are decided on one scale (``_integer_tables``)."""
-    tables = _integer_tables(sc) if values is sc else _integer_tables(sc, values)
-    brackets, products = tables[0], tables[-1]
+    is nonzero, for the integer rows ``brackets`` of the bracket table and
+    ``products`` of the bilinear table of v.  Each term pairs an entry of
+    one with an entry of the other, so each sum is the true one times the
+    product of their scales, whatever the two scales are."""
     n = len(brackets)
-    # v(u, e_k) = sum_m u_m values[m][k]: column k of ``values``.
+    # v(u, e_k) = sum_m u_m products[m][k]: column k of ``products``.
     columns = [[row[k] for row in products] for k in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
@@ -304,7 +385,8 @@ def _cyclic_failures(
 
 def jacobi_violations(algebra: LieAlgebra) -> tuple[tuple[int, int, int], ...]:
     """Basis triples i<j<k where the cyclic Jacobi sum is nonzero."""
-    return tuple(_cyclic_failures(algebra.sc, algebra.sc))
+    rows = algebra._integer.rows
+    return tuple(_cyclic_failures(rows, rows))
 
 
 def check_jacobi(algebra: LieAlgebra) -> bool:
@@ -350,27 +432,39 @@ def derivations(algebra: LieAlgebra) -> Subspace:
 
 
 def _derivation_system(algebra: LieAlgebra) -> ExactMatrix:
-    """The equations of ``derivations``: one row per i < j and component k."""
+    """The equations of ``derivations`` (``_derivation_rows``) as scalars."""
     n = algebra.dim
-    rows = []
+    table = algebra._integer
+    return ExactMatrix(
+        tuple(_scalar_row(row, n * n, table.scale) for row in _derivation_rows(table.rows)),
+        n * n,
+    )
+
+
+def _derivation_rows(table: IntegerTable) -> Iterator[IntegerRow]:
+    """The equations of the derivations on integer rows: one per i < j and
+    component k, D[e_i,e_j]_k - [D e_i,e_j]_k - [e_i,D e_j]_k = 0 in the
+    unknown D[p][q] at p*n + q, times the scale of ``table``."""
+    n = len(table)
+    # parts[i][k] holds the (p, a, b) with [e_i, e_p]_k = a + b*i.
+    parts = [[[] for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for p in range(n):
+            for k, a, b in table[i][p]:
+                parts[i][k].append((p, a, b))
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(n):
-                row = [ZERO] * (n * n)
-                # D applied to [e_i, e_j], component k
-                for q in range(n):
-                    if algebra.sc[i][j][q]:
-                        row[k * n + q] = row[k * n + q] + algebra.sc[i][j][q]
-                # [D e_i, e_j]: unknown D[p][i]
-                for p in range(n):
-                    if algebra.sc[p][j][k]:
-                        row[p * n + i] = row[p * n + i] - algebra.sc[p][j][k]
-                # [e_i, D e_j]: unknown D[p][j]
-                for p in range(n):
-                    if algebra.sc[i][p][k]:
-                        row[p * n + j] = row[p * n + j] - algebra.sc[i][p][k]
-                rows.append(tuple(row))
-    return ExactMatrix(tuple(rows), n * n)
+                row: dict[int, tuple[int, int]] = {}
+                # D applied to [e_i, e_j]; -[D e_i, e_j]_k = sum_p D[p][i]
+                # [e_j, e_p]_k; -[e_i, D e_j]_k = -sum_p D[p][j] [e_i, e_p]_k.
+                terms = [(k * n + q, a, b) for q, a, b in table[i][j]]
+                terms += [(p * n + i, a, b) for p, a, b in parts[j][k]]
+                terms += [(p * n + j, -a, -b) for p, a, b in parts[i][k]]
+                for c, a, b in terms:
+                    x, y = row.get(c, (0, 0))
+                    row[c] = (x + a, y + b)
+                yield tuple((c, a, b) for c, (a, b) in sorted(row.items()) if a or b)
 
 
 def inner_derivations(algebra: LieAlgebra) -> Subspace:
@@ -381,21 +475,33 @@ def inner_derivations(algebra: LieAlgebra) -> Subspace:
 
 
 def _killing_form(algebra: LieAlgebra) -> ExactMatrix:
-    """Killing form K(x,y) = tr(ad x ad y) on the basis, read off the table:
-    K(e_i, e_j) = sum_{k,l} c_il^k c_jk^l."""
-    sc = algebra.sc
+    """The Killing form on the basis (``_killing_rows``) as scalars."""
     n = algebra.dim
-    pairs = [(k, l) for k in range(n) for l in range(n)]
-    rows = []
+    table = algebra._integer
+    square = table.scale * table.scale
+    return ExactMatrix(
+        tuple(_scalar_row(row, n, square) for row in _killing_rows(table.rows)), n
+    )
+
+
+def _killing_rows(table: IntegerTable) -> tuple[IntegerRow, ...]:
+    """Killing form K(x,y) = tr(ad x ad y) on the basis, read off the table:
+    K(e_i, e_j) = sum_{k,l} c_il^k c_jk^l, times the square of its scale."""
+    n = len(table)
+    # ads[i][k, l] is entry (k, l) of ad e_i: the e_k-part of [e_i, e_l].
+    ads = [{(k, l): (a, b) for l in range(n) for k, a, b in table[i][l]} for i in range(n)]
+    form = [[(0, 0)] * n for _ in range(n)]
     for i in range(n):
-        row = []
-        for j in range(n):
-            row.append(sum(
-                (sc[i][l][k] * sc[j][k][l] for k, l in pairs if sc[i][l][k] and sc[j][k][l]),
-                ZERO,
-            ))
-        rows.append(tuple(row))
-    return ExactMatrix(tuple(rows), n)
+        for j in range(i, n):
+            re = im = 0
+            other = ads[j]
+            for (k, l), (a, b) in ads[i].items():
+                if (l, k) in other:
+                    c, e = other[l, k]
+                    re += a * c - b * e
+                    im += a * e + b * c
+            form[i][j] = form[j][i] = (re, im)
+    return tuple(_sparse(*zip(*row)) for row in form)
 
 
 def killing_semisimple(algebra: LieAlgebra) -> tuple[ExactMatrix, bool]:
@@ -404,60 +510,94 @@ def killing_semisimple(algebra: LieAlgebra) -> tuple[ExactMatrix, bool]:
     return form, form.rank() == algebra.dim
 
 
+def _ad_rows(table: IntegerTable) -> tuple[IntegerRow, ...]:
+    """ad e_c flattened for each c, [e_c, e_j]_k at j*n + k: the columns of
+    the coefficient matrix, its rows reordered, so it has the same rank."""
+    n = len(table)
+    return tuple(
+        tuple((j * n + k, a, b) for j in range(n) for k, a, b in table[c][j])
+        for c in range(n)
+    )
+
+
 def is_complete(algebra: LieAlgebra) -> bool:
     """Zero center and every derivation inner.
 
-    The coefficient matrix has rank n - dim center, and its columns ad e_c
-    span the inner derivations, so both are read off that one rank.
+    The ad e_c have rank n - dim center and span the inner derivations, so
+    both are read off that one rank.
     """
     n = algebra.dim
-    inner = coefficient_matrix(algebra.sc).rank()
-    return inner == n and n * n - _derivation_system(algebra).rank() == inner
+    rows = algebra._integer.rows
+    inner = len(_row_basis(_ad_rows(rows)))
+    return inner == n and n * n - len(_row_basis(_derivation_rows(rows))) == inner
 
 
-def _series_dims(algebra: LieAlgebra) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _left_products(vectors: Iterable[IntegerRow], table: IntegerTable) -> IntegerTable:
+    """[u, e_q] for each u of ``vectors`` and each q, on the product of the
+    scales: sum_m u_m table[m][q], with table[m][q] = -table[q][m] read off
+    row q of the alternating ``table``."""
+    n = len(table)
+    products = []
+    for u in vectors:
+        row = []
+        for q in range(n):
+            re, im = [0] * n, [0] * n
+            _accumulate(re, im, u, table[q], -1)
+            row.append(_sparse(re, im))
+        products.append(tuple(row))
+    return tuple(products)
+
+
+def _series_dims(table: IntegerTable) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The dimensions of the derived and of the lower central series, each
     from [g, g] on, up to the first zero or repeat.
 
     Both start at [g, g], the span of the table rows [e_i, e_j] with i < j.
-    A derived step brackets the basis pairs u < v of the term; a lower
-    central step spans the columns [v, e_k] of each basis vector v.
+    A derived step brackets the basis pairs u < v of the term,
+    [u, v] = sum_q v_q [u, e_q]; a lower central step spans the [v, e_q] of
+    each basis vector v.  Each term is the ``_row_basis`` of these integer
+    rows, whose scale does not change their span.
     """
-    n, sc = algebra.dim, algebra.sc
-    commutator = Subspace.from_spanning(
-        n, [sc[i][j] for i in range(n) for j in range(i + 1, n)]
-    )
+    n = len(table)
+    commutator = _row_basis(table[i][j] for i in range(n) for j in range(i + 1, n))
 
-    def derived(basis: tuple[Vector, ...]) -> list[Vector]:
-        return [bilinear(sc, u, v) for k, u in enumerate(basis) for v in basis[k + 1 :]]
+    def derived(basis: tuple[IntegerRow, ...]) -> Iterator[IntegerRow]:
+        for k, u in enumerate(basis):
+            products = _left_products((u,), table)[0]
+            for v in basis[k + 1 :]:
+                re, im = [0] * n, [0] * n
+                _accumulate(re, im, v, products)
+                yield _sparse(re, im)
 
-    def lower_central(basis: tuple[Vector, ...]) -> list[Vector]:
-        return [column for v in basis for column in left_columns(sc, v)]
+    def lower_central(basis: tuple[IntegerRow, ...]) -> Iterator[IntegerRow]:
+        return (column for row in _left_products(basis, table) for column in row)
 
     found = []
     for step in (derived, lower_central):
-        dims, term = [commutator.dim], commutator
+        dims, term = [len(commutator)], commutator
         while dims[-1]:
-            term = Subspace.from_spanning(n, step(term.basis))
-            if term.dim == dims[-1]:
+            term = _row_basis(step(term))
+            if len(term) == dims[-1]:
                 break
-            dims.append(term.dim)
+            dims.append(len(term))
         found.append(tuple(dims))
     return found[0], found[1]
 
 
 def invariant_fingerprint(algebra: LieAlgebra) -> Fingerprint:
-    """The dimensions of the center and of the derivations are read off as
-    n - rank and n^2 - rank of their defining systems."""
+    """Every entry is a rank of integer rows of the held table
+    (``_row_basis``): the dimensions of the center and of the derivations
+    are n - rank and n^2 - rank of their defining systems."""
     n = algebra.dim
-    derived_dims, lower_central_dims = _series_dims(algebra)
+    rows = algebra._integer.rows
+    derived_dims, lower_central_dims = _series_dims(rows)
     return Fingerprint(
         dim=n,
-        center_dim=n - coefficient_matrix(algebra.sc).rank(),
-        killing_rank=_killing_form(algebra).rank(),
+        center_dim=n - len(_row_basis(_ad_rows(rows))),
+        killing_rank=len(_row_basis(_killing_rows(rows))),
         derived_dims=derived_dims,
         lower_central_dims=lower_central_dims,
-        derivation_dim=n * n - _derivation_system(algebra).rank(),
+        derivation_dim=n * n - len(_row_basis(_derivation_rows(rows))),
     )
 
 

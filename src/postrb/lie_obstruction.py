@@ -19,18 +19,22 @@ from .lie import (
     Subspace,
     _alternating,
     _cyclic_failures,
+    _integer_form,
     _integer_tables,
+    _least_scale,
     _negates,
     _null_subspace,
+    _sparse,
     center,
     coefficient_matrix,
 )
 from .postlie import (
     LinearMap,
     PostLieAlgebra,
+    _bracket_defects,
+    _is_homomorphism,
     _rota_baxter_tables,
     innerness_witness,
-    is_homomorphism,
     is_witness,
     sub_adjacent,
     sub_adjacent_table,
@@ -43,9 +47,9 @@ from .scalars import (
     _echelon,
     _back_substitute,
     _reduced_solutions,
+    _scalar_row,
     hstack,
     is_zero_vector,
-    vec_sub,
     vector,
 )
 
@@ -112,14 +116,12 @@ def _defect(
     p: PostLieAlgebra, witness: LinearMap, sub: LieAlgebra, z: Subspace
 ) -> LieTwoCochain:
     """``obstruction_cocycle`` for a known witness, on the sub-adjacent
-    algebra ``sub``, with values in the center ``z`` of ``p.base``."""
+    algebra ``sub``, with values in the center ``z`` of ``p.base``: the
+    defect of the bracket law of w from ``sub`` to ``p.base``, on integer
+    rows (``_bracket_defects``)."""
     n = p.dim
-    columns = [witness.column(i) for i in range(n)]
-    pairs = {
-        (i, j): vec_sub(p.base.bracket(columns[i], columns[j]), witness.apply(sub.sc[i][j]))
-        for i in range(n)
-        for j in range(i + 1, n)
-    }
+    scale, defects = _bracket_defects(witness._integer, sub._integer, p.base._integer)
+    pairs = {(i, j): _scalar_row(_sparse(re, im), n, scale) for i, j, re, im in defects}
     return LieTwoCochain.from_pairs(n, z, pairs)
 
 
@@ -127,7 +129,8 @@ def verify_lie_2cocycle(cochain: LieTwoCochain, sub: LieAlgebra) -> bool:
     """Cyclic cocycle identity over the sub-adjacent bracket on basis triples."""
     if cochain.ambient != sub.dim:
         raise ValueError("cochain and algebra dimensions differ")
-    return next(_cyclic_failures(sub.sc, cochain.values), None) is None
+    values = _integer_form(cochain.values).rows
+    return next(_cyclic_failures(sub._integer.rows, values), None) is None
 
 
 def _coboundary_echelon(
@@ -202,7 +205,7 @@ def construct_rb_from_obstruction(
         raise AssertionError("reconstructed operator does not reproduce the product")
     # [R(x), y] = x > y, so the Rota-Baxter identity says that R is a
     # homomorphism from the sub-adjacent algebra of p.
-    if not is_homomorphism(operator, sub.sc, p.base):
+    if not _is_homomorphism(operator._integer, sub._integer, p.base._integer):
         raise AssertionError("reconstructed operator fails the Rota-Baxter identity")
     return RbReconstruction(operator, witness, cochain, correction)
 
@@ -266,7 +269,8 @@ def rb_difference_cocycle(
         if pair is None:
             raise NotRotaBaxterError(f"{name} map fails the Rota-Baxter identity")
         tables.append(pair)
+    # On its least scale a table's integer rows are unique.
     (induced, _), (other, _) = tables
-    if induced != other:
+    if _least_scale(induced) != _least_scale(other):
         return None
     return second - first

@@ -5,12 +5,20 @@ The extra product is the same table type as the bracket, evaluated by
 product [R(x), y] induced by an operator R and the sub-adjacent bracket are
 built here once and shared by the axiom checks, the Rota-Baxter check, the
 witness solve and the tower.
+
+The post-Lie axioms, the Rota-Baxter identity and every homomorphism law
+are decided on the integer rows of ``lie``: a linear map holds its columns
+on one scale (``LinearMap._integer``), as an algebra holds its table, and
+the induced and sub-adjacent tables of the Rota-Baxter test are built as
+such rows.  Scalars are built only for the tables a caller returns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from functools import cached_property
+from math import gcd, lcm
+from typing import Iterator, Mapping, Sequence
 
 from .errors import NotRotaBaxterError
 from .lie import (
@@ -18,16 +26,22 @@ from .lie import (
     StructureTable,
     _accumulate,
     _alternating,
+    _integer_form,
     _integer_tables,
+    _IntegerForm,
+    _left_products,
+    _scalar_table,
+    _sparse,
     bilinear,
     check_jacobi,
     coefficient_matrix,
-    left_columns,
 )
 from .scalars import (
     ExactMatrix,
+    IntegerRow,
     ScalarLike,
     Vector,
+    _integer_row,
     _solve_columns,
     vec_add,
     vec_sub,
@@ -84,6 +98,15 @@ class LinearMap:
 
     def plus_identity(self) -> "LinearMap":
         return LinearMap(self.matrix + ExactMatrix.identity(self.dim))
+
+    @cached_property
+    def _integer(self) -> _IntegerForm:
+        """The columns as integer rows on one scale, the lcm of the
+        denominators of the entries; built once per map."""
+        scale = lcm(*{x.d for row in self.matrix.entries for x in row})
+        return _IntegerForm(
+            scale, tuple(_integer_row(self.column(j), scale) for j in range(self.dim))
+        )
 
 
 @dataclass(frozen=True)
@@ -225,10 +248,18 @@ def sub_adjacent(p: PostLieAlgebra) -> LieAlgebra:
 
 def induced_table(algebra: LieAlgebra, operator: LinearMap) -> StructureTable:
     """The table of x > y = [R(x), y]: row i holds the products [R(e_i), e_j]."""
+    return _scalar_table(_induced_rows(algebra, operator))
+
+
+def _induced_rows(algebra: LieAlgebra, operator: LinearMap) -> _IntegerForm:
+    """``induced_table`` as integer rows: entry (i, b) is [R e_i, e_b] on
+    L_R L_s, from R's columns on L_R and the bracket on L_s
+    (``_left_products``)."""
     if operator.dim != algebra.dim:
         raise ValueError("operator dimension does not match the algebra")
-    return tuple(
-        left_columns(algebra.sc, operator.column(i)) for i in range(algebra.dim)
+    columns, brackets = operator._integer, algebra._integer
+    return _IntegerForm(
+        columns.scale * brackets.scale, _left_products(columns.rows, brackets.rows)
     )
 
 
@@ -237,33 +268,103 @@ def is_homomorphism(
 ) -> bool:
     """True when [f(e_i), f(e_j)] = f(upper_table[i][j]) in ``lower`` for i < j.
 
-    Both sides are bilinear and antisymmetric, so pairs i < j suffice.
+    Both sides are bilinear and antisymmetric, so pairs i < j suffice; they
+    are compared on integer rows (``_is_homomorphism``).
     """
-    columns = [mapping.column(j) for j in range(mapping.dim)]
-    return all(
-        lower.bracket(columns[i], column_j) == mapping.apply(upper_table[i][j])
-        for j, column_j in enumerate(columns)
-        for i in range(j)
-    )
+    if mapping.dim != lower.dim or len(upper_table) != lower.dim:
+        raise ValueError("map and tables have different dimensions")
+    return _is_homomorphism(mapping._integer, _integer_form(upper_table), lower._integer)
+
+
+def _is_homomorphism(
+    mapping: _IntegerForm,
+    upper: _IntegerForm,
+    lower: _IntegerForm,
+    products: Sequence[Sequence[IntegerRow]] | None = None,
+) -> bool:
+    """``is_homomorphism`` for the integer columns of f and the integer
+    tables of the upper and the lower bracket: every defect of
+    ``_bracket_defects`` is zero.  It stops at the first bad pair."""
+    _, defects = _bracket_defects(mapping, upper, lower, products)
+    return not any(any(re) or any(im) for _, _, re, im in defects)
+
+
+def _bracket_defects(
+    mapping: _IntegerForm,
+    upper: _IntegerForm,
+    lower: _IntegerForm,
+    products: Sequence[Sequence[IntegerRow]] | None = None,
+) -> tuple[int, Iterator[tuple[int, int, list[int], list[int]]]]:
+    """A scale S and, for each pair i < j in turn, [f(e_i), f(e_j)] -
+    f(upper_ij) on S as the lists of its real and imaginary parts, for the
+    integer columns F of f on L_f and the upper and lower tables on L_u and
+    L_l.
+
+    products[i][q] = [f(e_i), e_q] on L_f L_l (``_left_products``, formed
+    here when not given).  Then sum_q F_j[q] products[i][q] is
+    [f(e_i), f(e_j)] on L_f^2 L_l, and sum_m U_ij[m] F_m is f(U_ij) on
+    L_u L_f.  With g = gcd(L_u, L_f L_l) the first times L_u/g and the
+    second times L_f L_l/g are both on S = L_f^2 L_l L_u / g, their lcm.
+    """
+    columns = mapping.rows
+    if products is None:
+        products = _left_products(columns, lower.rows)
+    g = gcd(upper.scale, mapping.scale * lower.scale)
+    left, right = upper.scale // g, mapping.scale * lower.scale // g
+    n = len(columns)
+
+    def defects() -> Iterator[tuple[int, int, list[int], list[int]]]:
+        for j in range(n):
+            for i in range(j):
+                re, im = [0] * n, [0] * n
+                _accumulate(re, im, columns[j], products[i], left)
+                _accumulate(re, im, upper.rows[i][j], columns, -right)
+                yield i, j, re, im
+
+    return mapping.scale * mapping.scale * lower.scale * left, defects()
 
 
 def _rota_baxter_tables(
     algebra: LieAlgebra, operator: LinearMap
-) -> tuple[StructureTable, StructureTable] | None:
-    """The induced table of [R(x), y] and its sub-adjacent table, or None
-    when R fails the weight-1 identity [Rx,Ry] = R([Rx,y] + [x,Ry] + [x,y]).
+) -> tuple[_IntegerForm, _IntegerForm] | None:
+    """The induced table of [R(x), y] and its sub-adjacent table, as integer
+    rows on one scale, or None when R fails the weight-1 identity
+    [Rx,Ry] = R([Rx,y] + [x,Ry] + [x,y]).
 
-    The identity says that R is a homomorphism from the sub-adjacent bracket
-    to the algebra (``is_homomorphism``).
+    With R's columns on L_R and the bracket on L_s, the induced table is
+    on L_R L_s (``_induced_rows``), and so is the sub-adjacent entry
+    [R e_i, e_j] - [R e_j, e_i] + L_R [e_i, e_j].  The identity says that R
+    is a homomorphism from the sub-adjacent bracket to the algebra: both
+    sides of each pair are on L_R^2 L_s, and ``_is_homomorphism`` stops at
+    the first bad pair.  No scalar is built; a caller that returns a table
+    converts it (``lie._scalar_table``).
     """
-    induced = induced_table(algebra, operator)
-    sub = sub_adjacent_table(algebra.sc, induced)
-    return (induced, sub) if is_homomorphism(operator, sub, algebra) else None
+    n = algebra.dim
+    induced = _induced_rows(algebra, operator)
+    columns, brackets = operator._integer, algebra._integer
+    rows = induced.rows
+    sub: list[list[IntegerRow]] = [[()] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            re, im = [0] * n, [0] * n
+            _accumulate(
+                re,
+                im,
+                ((0, 1, 0), (1, -1, 0), (2, columns.scale, 0)),
+                (rows[i][j], rows[j][i], brackets.rows[i][j]),
+            )
+            sub[i][j] = _sparse(re, im)
+            sub[j][i] = tuple((k, -a, -b) for k, a, b in sub[i][j])
+    sub_form = _IntegerForm(induced.scale, tuple(map(tuple, sub)))
+    if not _is_homomorphism(columns, sub_form, brackets, rows):
+        return None
+    return induced, sub_form
 
 
 def check_rota_baxter(algebra: LieAlgebra, operator: LinearMap) -> bool:
     """Weight-1 identity [Rx,Ry] = R([Rx,y] + [x,Ry] + [x,y]) on basis pairs
-    i < j; the comparison stops at the first bad pair."""
+    i < j; the comparison stops at the first bad pair and builds no table
+    of scalars."""
     return _rota_baxter_tables(algebra, operator) is not None
 
 
@@ -272,7 +373,7 @@ def from_rota_baxter(algebra: LieAlgebra, operator: LinearMap) -> PostLieAlgebra
     tables = _rota_baxter_tables(algebra, operator)
     if tables is None:
         raise NotRotaBaxterError("operator fails the weight-1 Rota-Baxter identity")
-    return PostLieAlgebra(algebra, tables[0])
+    return PostLieAlgebra(algebra, _scalar_table(tables[0]))
 
 
 def innerness_witness(p: PostLieAlgebra) -> LinearMap | None:

@@ -12,11 +12,12 @@ and runs are bit-for-bit reproducible.
 
 An ``ExactMatrix`` is a dense immutable tuple of rows.  Every elimination
 over Q(i) but ``determinant`` is the fraction-free forward pass
-``_echelon`` on sparse Gaussian-integer rows: ``ExactMatrix.rank`` counts
-its rows, the Lie obstruction class is read off it, and ``rref`` (and with
-it every solve, nullspace, inverse and subspace) back-substitutes with the
-same step.  Integer matrices (used for the congruence solves over finite
-abelian groups) get a Smith normal form with unimodular transforms.
+``_echelon`` on sparse Gaussian-integer rows: every rank counts the rows
+of its ``_row_basis`` (``ExactMatrix.rank`` and the integer ranks of the
+Lie layer alike), the Lie obstruction class is read off it, and ``rref``
+(and with it every solve, nullspace, inverse and subspace) back-substitutes
+with the same step.  Integer matrices (used for the congruence solves over
+finite abelian groups) get a Smith normal form with unimodular transforms.
 """
 
 from __future__ import annotations
@@ -334,6 +335,26 @@ def _echelon(rows: Iterable[IntegerRow]) -> dict[int, _Row]:
     return leaders
 
 
+def _scalar_row(row: IntegerRow, width: int, scale: int) -> Vector:
+    """The vector of length ``width`` whose entry k is (a + b*i)/scale for
+    each (k, a, b) of ``row``: the inverse of ``_integer_row``."""
+    out = [ZERO] * width
+    for k, a, b in row:
+        out[k] = _reduced(a, b, scale)
+    return tuple(out)
+
+
+def _row_basis(rows: Iterable[IntegerRow]) -> tuple[IntegerRow, ...]:
+    """A basis of the span of the Gaussian-integer ``rows``: the rows of
+    their ``_echelon`` by leading column, so its length is their rank.
+    Every rank of the library is read here."""
+    leaders = _echelon(rows)
+    return tuple(
+        tuple((k, a, b) for k, (a, b) in sorted(leaders[lead].items()))
+        for lead in sorted(leaders)
+    )
+
+
 def _eliminate(row: _Row, pivot_row: _Row, lead: int) -> _Row:
     """p row - f pivot_row over the gcd of its parts, p and f the entries at
     ``lead`` of ``pivot_row`` and ``row`` (changed in place)."""
@@ -491,8 +512,8 @@ class ExactMatrix:
         return tuple(out)
 
     def rank(self) -> int:
-        """The number of rows of an ``_echelon`` of the integer rows."""
-        return len(_echelon(_integer_rows(self)))
+        """The number of rows of a ``_row_basis`` of the integer rows."""
+        return len(_row_basis(_integer_rows(self)))
 
     def inverse(self) -> "ExactMatrix":
         n = self.rows

@@ -72,6 +72,7 @@ from .lie import (
     LieAlgebra,
     Subspace,
     _accumulate,
+    _sparse,
     center,
     jacobi_violations,
 )
@@ -158,11 +159,6 @@ class _Scaled(NamedTuple):
     width: int
     g: int
     t: int
-
-
-def _sparse(re: Sequence[int], im: Sequence[int]) -> IntegerRow:
-    """The nonzero (k, re[k], im[k])."""
-    return tuple((k, x, y) for k, (x, y) in enumerate(zip(re, im)) if x or y)
 
 
 def _scaled(

@@ -8,16 +8,37 @@ once each: the Rota-Baxter identity on a level says that R is a
 homomorphism from the next level to it.  The report adds each level's
 fingerprint and the ranks of the powers of R and R+id, which depend on R
 only and are computed once.
+
+Every check and every rank runs on integer rows.  A level holds its table
+as integer rows (``LieAlgebra._integer``), and each step builds the next
+level's rows from them and hands them on (``lie._lie_algebra``), so the
+Jacobi check, the homomorphism laws, the next step and the fingerprint all
+read them without converting the scalars back.  The powers of R and R+id
+are products of integer columns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .errors import NotRotaBaxterError
-from .lie import Fingerprint, LieAlgebra, check_jacobi, invariant_fingerprint
-from .postlie import LinearMap, _rota_baxter_tables, check_rota_baxter, is_homomorphism
-from .scalars import ExactMatrix
+from .lie import (
+    Fingerprint,
+    LieAlgebra,
+    _accumulate,
+    _lie_algebra,
+    _sparse,
+    check_jacobi,
+    invariant_fingerprint,
+)
+from .postlie import (
+    LinearMap,
+    _is_homomorphism,
+    _rota_baxter_tables,
+    check_rota_baxter,
+)
+from .scalars import IntegerRow, _row_basis
 
 
 @dataclass(frozen=True)
@@ -41,11 +62,11 @@ class TowerReport:
 
 def next_bracket(algebra: LieAlgebra, operator: LinearMap) -> LieAlgebra:
     """One tower step: [Rx,y] + [x,Ry] + [x,y], the sub-adjacent bracket of
-    the induced product [Rx, y]."""
+    the induced product [Rx, y]; the result holds its integer rows."""
     tables = _rota_baxter_tables(algebra, operator)
     if tables is None:
         raise NotRotaBaxterError("operator fails the Rota-Baxter identity on this level")
-    return LieAlgebra(tables[1])
+    return _lie_algebra(tables[1])
 
 
 def build_tower(algebra: LieAlgebra, operator: LinearMap, depth: int) -> LieTower:
@@ -60,13 +81,13 @@ def build_tower(algebra: LieAlgebra, operator: LinearMap, depth: int) -> LieTowe
     if depth == 0 and not check_rota_baxter(algebra, operator):
         raise NotRotaBaxterError("operator fails the Rota-Baxter identity")
     levels = [algebra]
-    shifted = operator.plus_identity()
+    shifted = operator.plus_identity()._integer
     for step in range(depth):
         current = levels[-1]
         nxt = next_bracket(current, operator)
         if not check_jacobi(nxt):
             raise AssertionError(f"level {step + 1} fails Jacobi")
-        if not is_homomorphism(shifted, nxt.sc, current):
+        if not _is_homomorphism(shifted, nxt._integer, current._integer):
             raise AssertionError(
                 f"operator+id is not a homomorphism from level {step + 1} to {step}"
             )
@@ -74,13 +95,28 @@ def build_tower(algebra: LieAlgebra, operator: LinearMap, depth: int) -> LieTowe
     return LieTower(tuple(levels), operator)
 
 
-def _power_ranks(matrix: ExactMatrix, depth: int) -> tuple[int, ...]:
+def _power_ranks(columns: Sequence[IntegerRow], depth: int) -> tuple[int, ...]:
+    """The ranks of M, M^2, ..., M^depth for the integer columns of M, the
+    ranks of R^k when M is L R; depth - 1 products, none past M^depth."""
     ranks = []
-    power = matrix
-    for _ in range(depth):
-        ranks.append(power.rank())
-        power = power @ matrix
+    power = columns
+    for k in range(depth):
+        if k:
+            power = _compose(columns, power)
+        ranks.append(len(_row_basis(power)))
     return tuple(ranks)
+
+
+def _compose(left: Sequence[IntegerRow], right: Sequence[IntegerRow]) -> list[IntegerRow]:
+    """The integer columns of the product of two maps given by their
+    columns: column i is ``left`` applied to column i of ``right``."""
+    n = len(left)
+    product = []
+    for column in right:
+        re, im = [0] * n, [0] * n
+        _accumulate(re, im, column, left)
+        product.append(_sparse(re, im))
+    return product
 
 
 def tower_report(t: LieTower) -> TowerReport:
@@ -96,8 +132,8 @@ def tower_report(t: LieTower) -> TowerReport:
     once.
     """
     n = t.levels[0].dim
-    operator_ranks = _power_ranks(t.operator.matrix, t.depth)
-    shifted_ranks = _power_ranks(t.operator.plus_identity().matrix, t.depth)
+    operator_ranks = _power_ranks(t.operator._integer.rows, t.depth)
+    shifted_ranks = _power_ranks(t.operator.plus_identity()._integer.rows, t.depth)
     if t.depth and n in (operator_ranks[0], shifted_ranks[0]):
         fingerprints = (invariant_fingerprint(t.levels[0]),) * len(t.levels)
     else:

@@ -242,6 +242,40 @@ def test_each_verdict_fact_is_checked_once():
     assert "cli.py:_cmd_obstruction" not in callers("is_witness")
 
 
+def test_rota_baxter_and_fingerprint_run_on_integer_rows():
+    # The Rota-Baxter identity, the homomorphism laws and their defect,
+    # the fingerprint and the tower's power ranks run on integer rows: none
+    # of them evaluates a product of scalars, applies a scalar map or ranks
+    # a scalar matrix.
+    scalar = (
+        "bilinear",
+        "left_columns",
+        "ExactMatrix",
+        "bracket",
+        "apply",
+        "rank",
+        "coefficient_matrix",
+        "induced_table",
+        "sub_adjacent_table",
+        "_killing_form",
+        "_derivation_system",
+    )
+    pinned = {
+        "postlie.py": ("is_homomorphism", "_is_homomorphism", "_rota_baxter_tables"),
+        "lie.py": ("invariant_fingerprint", "_series_dims"),
+        "tower.py": ("_power_ranks", "build_tower"),
+        "lie_obstruction.py": ("_defect",),
+    }
+    for module, names in pinned.items():
+        tree = ast.parse((SRC / module).read_text(), filename=module)
+        functions = {
+            node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+        }
+        for name in names:
+            uses = _name_uses(functions[name])
+            assert not [s for s in scalar if uses[s]], f"{module}:{name}"
+
+
 def test_no_dead_definitions():
     # A use inside the definition itself, such as a recursive call, does
     # not keep it alive.

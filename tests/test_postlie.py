@@ -8,7 +8,7 @@ import pytest
 
 from postrb.documents import parse_document
 from postrb.errors import NotRotaBaxterError
-from postrb.lie import LieAlgebra, center, change_basis, check_jacobi
+from postrb.lie import LieAlgebra, _scalar_table, center, change_basis, check_jacobi
 from postrb.postlie import (
     LinearMap,
     PostLieAlgebra,
@@ -302,7 +302,8 @@ class TestRotaBaxterTables:
         for algebra, operator in instances:
             induced = induced_table(algebra, operator)
             expected = (induced, sub_adjacent_table(algebra.sc, induced))
-            assert _rota_baxter_tables(algebra, operator) == expected
+            tables = _rota_baxter_tables(algebra, operator)
+            assert tuple(map(_scalar_table, tables)) == expected
 
     def test_other_operators_give_none(self, sl2, solvable):
         for algebra, operator in [
@@ -328,6 +329,51 @@ class TestRotaBaxter:
     def test_solvable_witness_rb_iff_beta_zero(self, solvable):
         assert check_rota_baxter(solvable, solvable_witness(alpha=2, beta=0, gamma=-1))
         assert not check_rota_baxter(solvable, solvable_witness(alpha=0, beta=1, gamma=0))
+
+    def test_check_builds_no_scalar_table(self, sl2, solvable, monkeypatch):
+        # The identity is decided on integer rows, so neither a failing nor
+        # a passing operator builds an induced or sub-adjacent table of
+        # scalars, nor evaluates a product of scalars.
+        from postrb import lie, postlie
+
+        built = []
+        builders = {
+            lie: ("_scalar_table", "_alternating", "bilinear", "left_columns"),
+            postlie: ("_scalar_table", "_alternating", "bilinear", "induced_table",
+                      "sub_adjacent_table"),
+        }
+        for module, names in builders.items():
+            for name in names:
+                monkeypatch.setattr(
+                    module, name, lambda *args, name=name: built.append(name)
+                )
+        cases = [
+            (sl2, LinearMap.identity(3), False),
+            (sl2, make_sl2_operator(), True),
+            (sl2, -LinearMap.identity(3), True),
+            (solvable, solvable_witness(alpha=0, beta=1, gamma=0), False),
+            (solvable, solvable_witness(alpha=2, beta=0, gamma=-1), True),
+        ]
+        for algebra, operator, expected in cases:
+            assert check_rota_baxter(algebra, operator) is expected
+        assert built == []
+
+    def test_check_stops_at_the_first_bad_pair(self, sl2, monkeypatch):
+        # On sl2 the identity fails on the first pair (0, 1), so one of the
+        # three pairs is compared.
+        from postrb import postlie
+
+        compared = []
+        accumulate = postlie._accumulate
+
+        def counted(re, im, coefficients, rows, factor=1):
+            compared.append(factor)
+            return accumulate(re, im, coefficients, rows, factor)
+
+        monkeypatch.setattr(postlie, "_accumulate", counted)
+        assert not check_rota_baxter(sl2, LinearMap.identity(3))
+        # Three sub-adjacent entries, then two sums for the one pair.
+        assert len(compared) == 3 + 2
 
     def test_is_homomorphism_refuses_a_bracket_it_does_not_carry(self, sl2):
         # The identity carries sl2 onto itself, not the zero bracket.

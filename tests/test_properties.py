@@ -8,21 +8,28 @@ reproducible.
 """
 
 import random
+from collections import Counter
+from fractions import Fraction
 from functools import reduce
+from math import gcd
 from pathlib import Path
 
 import pytest
 
 from postrb.documents import parse_document
 from postrb.lie import (
+    Fingerprint,
     LieAlgebra,
     Subspace,
+    _derivation_system,
     ad_matrix,
     bilinear,
     center,
     change_basis,
     check_jacobi,
+    coefficient_matrix,
     inner_derivations,
+    invariant_fingerprint,
     killing_semisimple,
 )
 from postrb.lie_obstruction import (
@@ -42,6 +49,7 @@ from postrb.postlie import (
     from_rota_baxter,
     induced_table,
     innerness_witness,
+    is_homomorphism,
     is_witness,
     sub_adjacent,
     sub_adjacent_table,
@@ -61,7 +69,7 @@ from postrb.scalars import (
 from postrb.search import default_catalog, scan_algebra
 from postrb.tower import build_tower, next_bracket, tower_report
 
-from conftest import random_rb_instance
+from conftest import make_sl2, make_sl2_operator, random_rb_instance
 
 
 def make_instances(count: int, seed: int):
@@ -129,12 +137,29 @@ class TestRbInducedStructures:
             assert direct.sc == via_post.sc
 
     def test_defect_cocycle_always_verifies(self):
+        # The defect is read off integer rows; each value is also
+        # [w(e_i), w(e_j)] - w([e_i, e_j]_sub), bracket by bracket.
+        nonzero = 0
         for algebra, operator in INSTANCES[:60]:
             post = from_rota_baxter(algebra, operator)
             witness = innerness_witness(post)
             assert witness is not None
             cochain = obstruction_cocycle(post, witness)
-            assert verify_lie_2cocycle(cochain, sub_adjacent(post))
+            sub = sub_adjacent(post)
+            assert verify_lie_2cocycle(cochain, sub)
+            n = algebra.dim
+            for i in range(n):
+                for j in range(i + 1, n):
+                    value = cochain.value(i, j)
+                    assert value == tuple(
+                        x - y
+                        for x, y in zip(
+                            algebra.bracket(witness.column(i), witness.column(j)),
+                            witness.apply(sub.sc[i][j]),
+                        )
+                    )
+                    nonzero += any(value)
+        assert nonzero > 20
 
     def test_canonical_witness_is_a_witness(self):
         # The witness solve reads [w(e_i), e_j] = e_i > e_j row by row, so
@@ -233,9 +258,30 @@ def _gaussian_unimodular(n):
     return ExactMatrix.from_rows([[i * x for x in row] for row in product.entries])
 
 
-def _elementary(n, a, b):
+def _elementary(n, a, b, value=1):
     return LinearMap.from_rows(
-        [[1 if (r, c) == (a, b) else 0 for c in range(n)] for r in range(n)]
+        [[value if (r, c) == (a, b) else 0 for c in range(n)] for r in range(n)]
+    )
+
+
+def _oracle_homomorphism(mapping, upper, lower):
+    """[f(e_i), f(e_j)] = f(upper[i][j]) for i < j, bracket by bracket."""
+    n = lower.dim
+    return all(
+        lower.bracket(mapping.column(i), mapping.column(j)) == mapping.apply(upper[i][j])
+        for i in range(n)
+        for j in range(i + 1, n)
+    )
+
+
+def _moved(algebra, operator, complex_basis):
+    """The pair in the basis of ``_gaussian_unimodular`` when asked."""
+    if not complex_basis:
+        return algebra, operator
+    transform = _gaussian_unimodular(algebra.dim)
+    return (
+        change_basis(algebra, transform),
+        LinearMap(transform.inverse() @ operator.matrix @ transform),
     )
 
 
@@ -275,6 +321,157 @@ class TestRotaBaxterOracle:
                     assert is_witness(post, shifted) == witness
         # Both verdicts occur, so neither comparison is vacuous.
         assert min(verdicts.values()) > 0 and min(witnesses.values()) > 0
+
+    @pytest.mark.parametrize("complex_basis", [False, True])
+    def test_checks_match_with_other_denominators(self, complex_basis):
+        # The integer checks multiply each side by a product of scales: R/2
+        # and R + (i/3) E_ab have denominators the table lacks, and the sl2
+        # operator has halves over an integer table.  The homomorphism laws
+        # compare L_upper [f e_i, f e_j] with L_f L_lower f(upper_ij): the
+        # tower's R + id from each level to the one below, and a transform T
+        # of determinant n! from the bracket moved to its basis, where
+        # L_upper carries the denominators of T^-1.
+        third = gaussian(0, Fraction(1, 3))
+        verdicts, laws, factors = Counter(), Counter(), Counter()
+        for algebra, operator in [(make_sl2(), make_sl2_operator()), *INSTANCES]:
+            algebra, operator = _moved(algebra, operator, complex_basis)
+            n = algebra.dim
+            halved = LinearMap(
+                ExactMatrix.from_rows([[x / 2 for x in row] for row in operator.matrix.entries])
+            )
+            candidates = [operator, halved] + [
+                operator + _elementary(n, a, b, third) for a in range(n) for b in range(n)
+            ]
+            for candidate in candidates:
+                verdict = _oracle_rota_baxter(algebra, candidate)
+                verdicts[verdict] += 1
+                assert check_rota_baxter(algebra, candidate) == verdict
+                if verdict:
+                    assert next_bracket(algebra, candidate).sc == _oracle_next(
+                        algebra, candidate
+                    )
+            levels = build_tower(algebra, operator, 3).levels
+            shifted = operator.plus_identity()
+            laws_to_check = [(shifted, upper, lower) for lower, upper in zip(levels, levels[1:])]
+            diagonal = ExactMatrix.from_rows(
+                [[r + 1 if r == c else 0 for c in range(n)] for r in range(n)]
+            )
+            transform = _gaussian_unimodular(n) @ diagonal
+            laws_to_check.append(
+                (LinearMap(transform), change_basis(algebra, transform), algebra)
+            )
+            for mapping, upper, lower in laws_to_check:
+                for candidate in (mapping, mapping + _elementary(n, 0, n - 1, third)):
+                    law = _oracle_homomorphism(candidate, upper.sc, lower)
+                    laws[law] += 1
+                    assert is_homomorphism(candidate, upper.sc, lower) == law
+                    scales = (
+                        upper._integer.scale,
+                        candidate._integer.scale * lower._integer.scale,
+                    )
+                    g = gcd(*scales)
+                    factors.update(side for side, x in zip("uf", scales) if x != g)
+        assert min(verdicts.values()) > 0 and min(laws.values()) > 0
+        # Both factors of the law differ from 1 in some cases.
+        assert min(factors["u"], factors["f"]) > 100
+
+
+def _reference_derivation_system(algebra):
+    """The derivation equations built entry by entry from the scalars."""
+    n = algebra.dim
+    rows = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(n):
+                row = [ZERO] * (n * n)
+                for q in range(n):
+                    row[k * n + q] = row[k * n + q] + algebra.sc[i][j][q]
+                for p in range(n):
+                    row[p * n + i] = row[p * n + i] - algebra.sc[p][j][k]
+                for p in range(n):
+                    row[p * n + j] = row[p * n + j] - algebra.sc[i][p][k]
+                rows.append(tuple(row))
+    return ExactMatrix(tuple(rows), n * n)
+
+
+def _reference_killing_form(algebra):
+    """K(e_i, e_j) = sum_{k,l} c_il^k c_jk^l from the scalars."""
+    sc, n = algebra.sc, algebra.dim
+    return ExactMatrix(
+        tuple(
+            tuple(
+                sum((sc[i][l][k] * sc[j][k][l] for k in range(n) for l in range(n)), ZERO)
+                for j in range(n)
+            )
+            for i in range(n)
+        ),
+        n,
+    )
+
+
+def _reference_series_dims(algebra):
+    """The derived and lower central series as ``Subspace`` objects."""
+    n, sc = algebra.dim, algebra.sc
+    commutator = Subspace.from_spanning(n, [sc[i][j] for i in range(n) for j in range(i + 1, n)])
+    steps = (
+        lambda basis: [bilinear(sc, u, v) for k, u in enumerate(basis) for v in basis[k + 1 :]],
+        lambda basis: [
+            bilinear(sc, v, unit_vector(n, q)) for v in basis for q in range(n)
+        ],
+    )
+    found = []
+    for step in steps:
+        dims, term = [commutator.dim], commutator
+        while dims[-1]:
+            term = Subspace.from_spanning(n, step(term.basis))
+            if term.dim == dims[-1]:
+                break
+            dims.append(term.dim)
+        found.append(tuple(dims))
+    return found
+
+
+def _reference_fingerprint(algebra):
+    n = algebra.dim
+    derived, lower_central = _reference_series_dims(algebra)
+    return Fingerprint(
+        dim=n,
+        center_dim=n - coefficient_matrix(algebra.sc).rank(),
+        killing_rank=_reference_killing_form(algebra).rank(),
+        derived_dims=derived,
+        lower_central_dims=lower_central,
+        derivation_dim=n * n - _reference_derivation_system(algebra).rank(),
+    )
+
+
+class TestFingerprintOracle:
+    """The fingerprint's integer ranks against the scalar formulas they
+    replaced, on every level of the depth-3 towers of ``INSTANCES`` and of
+    the sl2 operator, in the given basis and after a Gaussian-integer change
+    of basis."""
+
+    def test_fingerprint_matches_scalar_formulas(self):
+        seen = Counter()
+        for algebra, operator in [(make_sl2(), make_sl2_operator()), *INSTANCES]:
+            for level in build_tower(algebra, operator, 3).levels:
+                fingerprint = invariant_fingerprint(level)
+                moved = change_basis(level, _gaussian_unimodular(level.dim))
+                for each in (level, moved):
+                    assert invariant_fingerprint(each) == fingerprint
+                    assert _reference_fingerprint(each) == fingerprint
+                    assert killing_semisimple(each)[0] == _reference_killing_form(each)
+                    assert _derivation_system(each) == _reference_derivation_system(each)
+                seen.update(
+                    {
+                        ("center", fingerprint.center_dim),
+                        ("killing", fingerprint.killing_rank),
+                        ("derived", fingerprint.derived_dims),
+                        ("lower", fingerprint.lower_central_dims),
+                    }
+                )
+        # No comparison is vacuous: each entry takes several values.
+        values = Counter(name for name, _ in seen)
+        assert values == {"center": 5, "killing": 3, "derived": 4, "lower": 6}
 
 
 class TestSectionIndependence:

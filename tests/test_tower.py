@@ -120,19 +120,21 @@ class TestTowerReport:
         # Every rank of the report is one of its fingerprints' or a rank of
         # a power of P or P+id: one Killing-form rank per level and nothing
         # for properties that hold for every linear map.  Ranks are counted
-        # where they are asked for, whatever elimination computes them.
-        from postrb.scalars import ExactMatrix
+        # at the one entry point every integer rank goes through.
+        from postrb import lie, scalars, tower
 
         calls = []
-        rank = ExactMatrix.rank
+        row_basis = scalars._row_basis
 
-        def counted(matrix):
-            calls.append(matrix)
-            return rank(matrix)
+        def counted(rows):
+            rows = tuple(rows)
+            calls.append(rows)
+            return row_basis(rows)
 
         t = build_tower(sl2, make_sl2_operator(), 3)
-        forms = [killing_semisimple(level)[0] for level in t.levels]
-        monkeypatch.setattr(ExactMatrix, "rank", counted)
+        forms = [lie._killing_rows(level._integer.rows) for level in t.levels]
+        for module in (scalars, lie, tower):
+            monkeypatch.setattr(module, "_row_basis", counted)
         for level in t.levels:
             invariant_fingerprint(level)
         fingerprint_calls = len(calls)
@@ -140,7 +142,41 @@ class TestTowerReport:
         tower_report(t)
         assert len(calls) == fingerprint_calls + 2 * t.depth
         for form in forms:
-            assert sum(matrix == form for matrix in calls) == forms.count(form)
+            assert sum(rows == form for rows in calls) == forms.count(form)
+
+    @pytest.mark.parametrize("depth", [0, 1, 3, 5])
+    def test_power_ranks_form_no_power_past_the_depth(self, sl2, monkeypatch, depth):
+        # R^k and (R+id)^k for k <= depth take depth - 1 products each.
+        from postrb import tower
+
+        products = []
+        compose = tower._compose
+        monkeypatch.setattr(
+            tower, "_compose", lambda a, b: products.append(1) or compose(a, b)
+        )
+        report = tower_report(build_tower(sl2, make_sl2_operator(), depth))
+        assert len(products) == 2 * max(depth - 1, 0)
+        assert len(report.operator_power_ranks) == depth
+
+    def test_power_ranks_match_scalar_powers(self, sl2, solvable):
+        # The ranks of the integer powers are those of the scalar powers.
+        cases = [
+            (sl2, make_sl2_operator()),
+            (sl2, -LinearMap.identity(3)),
+            (solvable, solvable_witness(alpha=1, beta=0, gamma=2)),
+            (solvable, solvable_witness(alpha=1, beta=0, gamma=0)),
+        ]
+        for algebra, op in cases:
+            report = tower_report(build_tower(algebra, op, 4))
+            for matrix, ranks in (
+                (op.matrix, report.operator_power_ranks),
+                (op.plus_identity().matrix, report.shifted_power_ranks),
+            ):
+                power, expected = matrix, []
+                for _ in range(4):
+                    expected.append(power.rank())
+                    power = power @ matrix
+                assert ranks == tuple(expected)
 
     @pytest.mark.parametrize(
         "case", ["sl2-minus-identity", "sl2-zero", "solvable-invertible"]
