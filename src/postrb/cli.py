@@ -388,7 +388,7 @@ def _cmd_diff_cocycle(args) -> tuple[Report, int]:
     doc_b = _read_document(args.b)
     report = Report([], {})
     if doc_a.kind == "rb-lie" and doc_b.kind == "rb-lie":
-        if doc_a.lie_algebra.sc != doc_b.lie_algebra.sc:
+        if doc_a.lie_algebra != doc_b.lie_algebra:
             raise _AxiomFailure("the two documents carry different Lie algebras")
         if jacobi_violations(doc_a.lie_algebra):
             raise _AxiomFailure("base bracket fails the Jacobi identity")

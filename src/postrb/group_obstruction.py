@@ -179,11 +179,12 @@ def coboundary_solve_group(
     holds the unknowns x_s = z(s), k_a counts the generators on the tree path
     to a and c_a sums the cocycle values along it.  Each of the n |S| - n + 1
     edges off the tree, b = a o s, leaves one congruence with |S| columns,
-    (k_a + e_s - k_b) . x = c_b - c_a + w(a, s).  A zero row, or a row that
-    repeats an earlier one up to sign, is decided by its right-hand side
-    alone; the distinct rows take one Smith normal form, shared by the
-    invariant factors of the center (each factor's coordinates are one
-    right-hand side).
+    (k_a + e_s - k_b) . x = c_b - c_a + w(a, s).  A row that repeats an
+    earlier one up to sign is decided by its right-hand side alone; the
+    distinct rows take one Smith normal form, shared by the invariant
+    factors of the center (each factor's coordinates are one right-hand
+    side).  A zero row is one of them: u @ rows @ v = d, u unimodular, has
+    the solutions of the rows, so ``_diagonalize`` refutes 0 = nonzero.
 
     The solutions form a coset of Hom(G o, Z(G)), so z is not unique when
     that group is nonzero.  The canonical z has the lexicographically least
@@ -231,10 +232,7 @@ def coboundary_solve_group(
         signed = max(row, tuple(-p for p in row))  # the row up to sign
         if signed != row:
             row, rhs = signed, tuple(-x % d for x, d in zip(rhs, factors))
-        if not any(row):
-            if any(rhs):
-                return None
-        elif rows.setdefault(row, rhs) != rhs:
+        if rows.setdefault(row, rhs) != rhs:
             return None
 
     relations = list(rows)

@@ -1,40 +1,31 @@
 """Finite-dimensional Lie algebras presented by exact structure constants.
 
-A ``LieAlgebra`` stores the full 3-index table c[i][j][k] with
-[e_i, e_j] = sum_k c[i][j][k] e_k; antisymmetry is enforced at construction,
-the Jacobi identity is a checkable property.  Subspaces are kept in reduced
-row echelon form so equality and membership are plain entry comparisons.
+A ``LieAlgebra`` holds its table c[i][j][k], [e_i, e_j] = sum_k
+c[i][j][k] e_k, as integer rows on its least scale L (``_IntegerForm``):
+per entry (i, j), the nonzero coefficients of L c[i][j] as Gaussian
+integers.  These rows are unique, so equality and hashing compare them.  A
+table of scalars enters once, at the constructor (``_integer_form``),
+which checks there that it is antisymmetric; a table built here or in a
+pipeline is alternating by construction and enters as rows
+(``_lie_algebra``).  The table of scalars ``sc`` is a view, built from the
+rows (``_scalar_table``) once, for a caller that asks.  Subspaces are kept
+in reduced row echelon form.
 
 Every product given by such a table (the bracket, a post-Lie product, the
-induced product [R(x), y]) is evaluated in this module: ``bilinear`` for
-one product x.y and ``left_columns`` for the products x.e_j against every
-basis vector, and ``_left_products`` for those products on integer rows.
-The linear map x -> (y -> x.y) has one matrix, ``coefficient_matrix``,
-behind the center, the inner derivations and the innerness-witness solve.
-Every alternating table of scalars (a bracket, a sub-adjacent bracket, a
-2-cochain) is assembled from its pairs i < j by ``_alternating``, or
-converted from integer rows by ``_scalar_table``.
+induced product [R(x), y]) is evaluated on rows: ``_accumulate`` adds
+combinations of rows into plain ``int`` lists, ``_left_products`` gives
+[u, e_q] for every basis vector e_q, and ``_product`` one product x.y of
+vectors of scalars.  The linear map x -> (y -> x.y) has one matrix,
+``coefficient_matrix``, behind the center, the inner derivations and the
+innerness-witness solve.
 
 The table identities (Jacobi, the post-Lie axioms, the cocycle identity,
-the Rota-Baxter identity) only ask whether a sum of products of table
-entries is zero.  They are decided on one integer kernel: a table is held
-on a scale L as, per entry (i, j), the nonzero coefficients of
-L table[i][j] as Gaussian integers (``_IntegerForm``); ``_accumulate`` adds
-combinations of such rows into plain ``int`` lists.  Each identity is
-homogeneous in each table, so scaling a table by L != 0 keeps every zero
-and every nonzero, and no scalar is built on the way.  A ``LieAlgebra``
-builds these rows of its own table once, on the least scale
-(``_integer``), and a level of a tower receives them from the step that
-made it (``_lie_algebra``); ``_integer_tables`` puts several tables on one
-common scale where an identity adds entries of different tables.  The
-cyclic sum of Jacobi and of the cocycle identity is read off such rows by
-``_cyclic_failures``.
-
-The fingerprint is read off the same rows: the center, the Killing form,
-the derivations and the derived and lower central series are all ranks of
-integer rows (``scalars._row_basis``), and ``killing_semisimple`` and
-``derivations`` build their scalars from those rows too.  Scalars are
-built from integer rows only where a table or a matrix is returned.
+the Rota-Baxter identity) ask whether sums of products of table entries
+are zero.  Each is homogeneous in each table, so it is decided on the held
+rows; where an identity adds entries of two tables, they are taken on the
+lcm of the two scales.  The fingerprint is read off the same rows: the
+center, the Killing form, the derivations and the derived and lower
+central series are ranks of integer rows (``scalars._rank``).
 """
 
 from __future__ import annotations
@@ -46,12 +37,11 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .scalars import (
     ExactMatrix,
-    GaussianRational,
     IntegerRow,
     ScalarLike,
     Vector,
-    ZERO,
     _integer_row,
+    _rank,
     _row_basis,
     _scalar_row,
     is_zero_vector,
@@ -68,53 +58,20 @@ IntegerTable = tuple[tuple[IntegerRow, ...], ...]
 
 
 class _IntegerForm(NamedTuple):
-    """Integer rows on one scale L: the rows of a table (``IntegerTable``)
-    or the columns of a linear map, L times each entry."""
+    """Integer rows on one scale L, L times each entry: the rows of a table
+    (``IntegerTable``), or vectors such as the columns of a linear map."""
 
     scale: int
     rows: tuple
 
 
-def bilinear(
-    table: StructureTable, x: Sequence[ScalarLike], y: Sequence[ScalarLike]
-) -> Vector:
-    """The product x.y = sum_{i,j} x_i y_j table[i][j]."""
-    n = len(table)
-    u, v = vector(x), vector(y)
-    if len(u) != n or len(v) != n:
-        raise ValueError("vector has wrong length")
-    out = [ZERO] * n
-    for i in range(n):
-        if not u[i]:
-            continue
-        for j in range(n):
-            if not v[j]:
-                continue
-            c = u[i] * v[j]
-            row = table[i][j]
-            for k in range(n):
-                if row[k]:
-                    out[k] = out[k] + c * row[k]
-    return tuple(out)
-
-
-def left_columns(table: StructureTable, x: Sequence[ScalarLike]) -> tuple[Vector, ...]:
-    """The products x.e_j for j = 0, ..., n-1: the columns of y -> x.y."""
-    n = len(table)
-    v = vector(x)
-    if len(v) != n:
-        raise ValueError("vector has wrong length")
-    cols = []
-    for j in range(n):
-        col = [ZERO] * n
-        for i in range(n):
-            if v[i]:
-                row = table[i][j]
-                for k in range(n):
-                    if row[k]:
-                        col[k] = col[k] + v[i] * row[k]
-        cols.append(tuple(col))
-    return tuple(cols)
+def _held(cls: type, **state: object):
+    """An instance of the frozen dataclass ``cls`` with the given state,
+    which this library built and does not check again.  A scalar view is a
+    ``cached_property``: it keeps its value in the instance dict too."""
+    held = object.__new__(cls)
+    held.__dict__.update(state)
+    return held
 
 
 def _alternating(n: int, upper: Mapping[tuple[int, int], Vector]) -> StructureTable:
@@ -128,30 +85,33 @@ def _alternating(n: int, upper: Mapping[tuple[int, int], Vector]) -> StructureTa
     return tuple(map(tuple, table))
 
 
-def _integer_tables(*tables: StructureTable) -> tuple[IntegerTable, ...]:
-    """The tables scaled by one common L, as sparse Gaussian-integer rows.
-
-    L is the lcm of the denominators of every entry of every table, and
-    entry (i, j) of each result is ``_integer_row(table[i][j], L)``.  Two
-    passes over the entries: O(n^3) per table, against the O(n^4) of the
-    identities read off them.
-    """
-    scale = _common_scale(tables)
-    return tuple(_rows_at(table, scale) for table in tables)
+def _alternating_rows(n: int, upper: Mapping[tuple[int, int], IntegerRow]) -> IntegerTable:
+    """``_alternating`` for integer rows."""
+    table: list[list[IntegerRow]] = [[()] * n for _ in range(n)]
+    for (i, j), row in upper.items():
+        table[i][j] = row
+        table[j][i] = _times(row, -1)
+    return tuple(map(tuple, table))
 
 
-def _common_scale(tables: Iterable[StructureTable]) -> int:
-    return lcm(*{x.d for table in tables for row in table for v in row for x in v})
+def _times(row: IntegerRow, factor: int) -> IntegerRow:
+    """``row`` times the integer ``factor``."""
+    return row if factor == 1 else tuple((k, factor * a, factor * b) for k, a, b in row)
 
 
-def _rows_at(table: StructureTable, scale: int) -> IntegerTable:
-    return tuple(tuple(_integer_row(v, scale) for v in row) for row in table)
+def _integer_vectors(vectors: Sequence[Vector]) -> _IntegerForm:
+    """Vectors of scalars as integer rows on one scale, the lcm of the
+    denominators of their entries: the least scale they share."""
+    scale = lcm(*{x.d for v in vectors for x in v})
+    return _IntegerForm(scale, tuple(_integer_row(v, scale) for v in vectors))
 
 
 def _integer_form(table: StructureTable) -> _IntegerForm:
-    """``table`` on its own least scale, the lcm of its denominators."""
-    scale = _common_scale((table,))
-    return _IntegerForm(scale, _rows_at(table, scale))
+    """The integer rows of an n x n table of scalars on its least scale.
+    Every table of scalars that a caller hands in is converted here, once."""
+    n = len(table)
+    scale, rows = _integer_vectors([v for row in table for v in row])
+    return _IntegerForm(scale, tuple(rows[i * n : (i + 1) * n] for i in range(n)))
 
 
 def _least_scale(form: _IntegerForm) -> _IntegerForm:
@@ -173,8 +133,9 @@ def _least_scale(form: _IntegerForm) -> _IntegerForm:
 
 
 def _scalar_table(form: _IntegerForm) -> StructureTable:
-    """The table of scalars whose integer rows are ``form``: the edge where
-    a table that a caller returns is built."""
+    """The table of scalars whose integer rows are ``form``: the one
+    builder of the scalar views ``sc``, ``tc`` and ``values``, and of a
+    table that a caller is returned."""
     n = len(form.rows)
     zero = zero_vector(n)
     return tuple(
@@ -210,37 +171,67 @@ def _accumulate(
                 im[q] += a * e
 
 
-def _negates(x: GaussianRational, y: GaussianRational) -> bool:
-    """Whether y = -x, read off the reduced triples without building -x."""
-    return x.a == -y.a and x.b == -y.b and x.d == y.d
+def _combine(
+    coefficients: IntegerRow, rows: Sequence[IntegerRow], n: int, factor: int = 1
+) -> IntegerRow:
+    """The integer row of width n of ``_accumulate`` from zero."""
+    re, im = [0] * n, [0] * n
+    _accumulate(re, im, coefficients, rows, factor)
+    return _sparse(re, im)
 
 
-@dataclass(frozen=True)
+def _vector_rows(n: int, *xs: Sequence[ScalarLike]) -> _IntegerForm:
+    """Vectors of n scalars as integer rows on one scale."""
+    vectors = tuple(map(vector, xs))
+    if any(len(v) != n for v in vectors):
+        raise ValueError("vector has wrong length")
+    return _integer_vectors(vectors)
+
+
+def _product(form: _IntegerForm, x: Sequence[ScalarLike], y: Sequence[ScalarLike]) -> Vector:
+    """x.y = sum_{m,j} x_m y_j table[m][j] for the table with integer rows
+    ``form`` on L, and x and y on S: the sum is on S^2 L."""
+    n = len(form.rows)
+    scale, (u, v) = _vector_rows(n, x, y)
+    # e_m.y for each m in the support of x.
+    right = {m: _combine(v, form.rows[m], n) for m, _, _ in u}
+    return _scalar_row(_combine(u, right, n), n, scale * scale * form.scale)
+
+
+@dataclass(frozen=True, init=False)
 class LieAlgebra:
-    sc: StructureTable
+    """A Lie bracket on K^n, held as the integer rows ``_integer`` of its
+    structure constants on their least scale; ``sc`` is its table of
+    scalars.  The Jacobi identity is a checkable property."""
 
-    def __post_init__(self) -> None:
+    _integer: _IntegerForm
+
+    def __init__(self, sc: StructureTable) -> None:
         """Reject a table that is not cubic or not antisymmetric.
 
-        (i, j, k) fails exactly when its mirror (j, i, k) does, so the first
-        bad triple in lexicographic order has i <= j and each pair i <= j is
-        visited once; on the diagonal the test y = -x asks for zero.
+        The mirror (j, i, k) of a bad triple (i, j, k) is bad too, so the
+        first in lexicographic order has i <= j; two sparse rows differ at
+        the coordinates of their symmetric difference.
         """
-        sc = self.sc
         n = len(sc)
         if any(len(row) != n or any(len(v) != n for v in row) for row in sc):
             raise ValueError("structure table is not cubic")
+        form = _integer_form(sc)
         for i in range(n):
             for j in range(i, n):
-                for k, (x, y) in enumerate(zip(sc[i][j], sc[j][i])):
-                    if not _negates(x, y):
-                        raise ValueError(
-                            f"structure constants not antisymmetric at ({i},{j},{k})"
-                        )
+                upper, mirror = form.rows[i][j], _times(form.rows[j][i], -1)
+                if upper != mirror:
+                    k = min(k for k, _, _ in set(upper) ^ set(mirror))
+                    raise ValueError(f"structure constants not antisymmetric at ({i},{j},{k})")
+        self.__dict__.update(_integer=form, sc=sc)
+
+    @cached_property
+    def sc(self) -> StructureTable:
+        return _scalar_table(self._integer)
 
     @property
     def dim(self) -> int:
-        return len(self.sc)
+        return len(self._integer.rows)
 
     @staticmethod
     def from_table(table: Sequence[Sequence[Sequence[ScalarLike]]]) -> "LieAlgebra":
@@ -278,22 +269,13 @@ class LieAlgebra:
         return LieAlgebra(_alternating(dim, {}))
 
     def bracket(self, x: Sequence[ScalarLike], y: Sequence[ScalarLike]) -> Vector:
-        return bilinear(self.sc, x, y)
-
-    @cached_property
-    def _integer(self) -> _IntegerForm:
-        """The bracket table on its least scale, built once per algebra."""
-        return _integer_form(self.sc)
+        return _product(self._integer, x, y)
 
 
 def _lie_algebra(form: _IntegerForm) -> LieAlgebra:
     """The Lie algebra of the alternating table with integer rows ``form``,
-    holding them on their least scale as its ``_integer``."""
-    algebra = LieAlgebra(_scalar_table(form))
-    # A cached_property keeps its value in the instance dict, which a
-    # frozen dataclass leaves writable.
-    algebra.__dict__["_integer"] = _least_scale(form)
-    return algebra
+    held on their least scale."""
+    return _held(LieAlgebra, _integer=_least_scale(form))
 
 
 @dataclass(frozen=True)
@@ -394,8 +376,13 @@ def check_jacobi(algebra: LieAlgebra) -> bool:
 
 
 def ad_matrix(algebra: LieAlgebra, x: Sequence[ScalarLike]) -> ExactMatrix:
-    """Matrix of y -> [x, y] in the algebra basis (columns are images)."""
-    return ExactMatrix.from_columns(left_columns(algebra.sc, x))
+    """Matrix of y -> [x, y] in the algebra basis (columns are images): the
+    products [x, e_j] on integer rows (``_left_products``)."""
+    n, table = algebra.dim, algebra._integer
+    scale, u = _vector_rows(n, x)
+    (products,) = _left_products(u, table.rows)
+    scale *= table.scale
+    return ExactMatrix.from_columns([_scalar_row(c, n, scale) for c in products])
 
 
 def coefficient_matrix(table: StructureTable) -> ExactMatrix:
@@ -528,8 +515,8 @@ def is_complete(algebra: LieAlgebra) -> bool:
     """
     n = algebra.dim
     rows = algebra._integer.rows
-    inner = len(_row_basis(_ad_rows(rows)))
-    return inner == n and n * n - len(_row_basis(_derivation_rows(rows))) == inner
+    inner = _rank(_ad_rows(rows))
+    return inner == n and n * n - _rank(_derivation_rows(rows)) == inner
 
 
 def _left_products(vectors: Iterable[IntegerRow], table: IntegerTable) -> IntegerTable:
@@ -537,15 +524,7 @@ def _left_products(vectors: Iterable[IntegerRow], table: IntegerTable) -> Intege
     scales: sum_m u_m table[m][q], with table[m][q] = -table[q][m] read off
     row q of the alternating ``table``."""
     n = len(table)
-    products = []
-    for u in vectors:
-        row = []
-        for q in range(n):
-            re, im = [0] * n, [0] * n
-            _accumulate(re, im, u, table[q], -1)
-            row.append(_sparse(re, im))
-        products.append(tuple(row))
-    return tuple(products)
+    return tuple(tuple(_combine(u, table[q], n, -1) for q in range(n)) for u in vectors)
 
 
 def _series_dims(table: IntegerTable) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -565,9 +544,7 @@ def _series_dims(table: IntegerTable) -> tuple[tuple[int, ...], tuple[int, ...]]
         for k, u in enumerate(basis):
             products = _left_products((u,), table)[0]
             for v in basis[k + 1 :]:
-                re, im = [0] * n, [0] * n
-                _accumulate(re, im, v, products)
-                yield _sparse(re, im)
+                yield _combine(v, products, n)
 
     def lower_central(basis: tuple[IntegerRow, ...]) -> Iterator[IntegerRow]:
         return (column for row in _left_products(basis, table) for column in row)
@@ -593,23 +570,34 @@ def invariant_fingerprint(algebra: LieAlgebra) -> Fingerprint:
     derived_dims, lower_central_dims = _series_dims(rows)
     return Fingerprint(
         dim=n,
-        center_dim=n - len(_row_basis(_ad_rows(rows))),
-        killing_rank=len(_row_basis(_killing_rows(rows))),
+        center_dim=n - _rank(_ad_rows(rows)),
+        killing_rank=_rank(_killing_rows(rows)),
         derived_dims=derived_dims,
         lower_central_dims=lower_central_dims,
-        derivation_dim=n * n - len(_row_basis(_derivation_rows(rows))),
+        derivation_dim=n * n - _rank(_derivation_rows(rows)),
     )
 
 
 def change_basis(algebra: LieAlgebra, transform: ExactMatrix) -> LieAlgebra:
-    """Push the bracket through an invertible transform (columns = new basis)."""
+    """Push the bracket through an invertible transform T (columns = new
+    basis): the new [e_i, e_j] is T^-1 [T e_i, T e_j].
+
+    On integer rows, with T's columns on L_T, T^-1's on L_I and the bracket
+    on L: [T e_i, e_q] is on L_T L (``_left_products``), [T e_i, T e_j] on
+    L_T^2 L, and its image under T^-1 on L_T^2 L L_I.
+    """
     n = algebra.dim
     if transform.rows != n or transform.cols != n:
         raise ValueError("transform shape does not match the algebra")
-    inv = transform.inverse()
-    columns = [transform.column(i) for i in range(n)]
-    return LieAlgebra(_alternating(n, {
-        (i, j): inv.apply(algebra.bracket(columns[i], columns[j]))
-        for i in range(n)
-        for j in range(i + 1, n)
-    }))
+    inverse = transform.inverse()
+    columns = _integer_vectors([transform.column(j) for j in range(n)])
+    inverse = _integer_vectors([inverse.column(j) for j in range(n)])
+    table = algebra._integer
+    products = _left_products(columns.rows, table.rows)
+    upper = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            image = _combine(columns.rows[j], products[i], n)
+            upper[i, j] = _combine(image, inverse.rows, n)
+    scale = columns.scale**2 * table.scale * inverse.scale
+    return _lie_algebra(_IntegerForm(scale, _alternating_rows(n, upper)))

@@ -6,25 +6,36 @@ center-valued 2-cocycle on the sub-adjacent algebra.  The structure comes
 from a Rota-Baxter operator exactly when that cocycle is a coboundary
 c(x,y) = -t([x,y]_sub) for some t into the center, and then w - t is such
 an operator.
+
+Every step reads the integer rows that the algebras and the cochain hold;
+scalars are built only for t and for the values that a caller reads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from math import lcm
 from typing import Mapping, NamedTuple, Sequence
 
 from .errors import NontrivialObstructionError, NotInnerError, NotRotaBaxterError
 from .lie import (
     LieAlgebra,
+    StructureTable,
     Subspace,
     _alternating,
+    _alternating_rows,
     _cyclic_failures,
+    _held,
     _integer_form,
-    _integer_tables,
+    _IntegerForm,
     _least_scale,
-    _negates,
+    _left_products,
+    _lie_algebra,
     _null_subspace,
+    _scalar_table,
     _sparse,
+    _times,
     center,
     coefficient_matrix,
 )
@@ -34,10 +45,10 @@ from .postlie import (
     _bracket_defects,
     _is_homomorphism,
     _rota_baxter_tables,
+    _sub_adjacent_rows,
     innerness_witness,
     is_witness,
     sub_adjacent,
-    sub_adjacent_table,
 )
 from .scalars import (
     ExactMatrix,
@@ -47,36 +58,43 @@ from .scalars import (
     _echelon,
     _back_substitute,
     _reduced_solutions,
-    _scalar_row,
     hstack,
-    is_zero_vector,
     vector,
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class LieTwoCochain:
-    """An alternating 2-cochain on K^n with values inside a center subspace."""
+    """An alternating 2-cochain on K^n with values inside a center subspace,
+    held as integer rows like a ``LieAlgebra``; ``values`` is the view."""
 
     ambient: int
     center_basis: Subspace
-    values: tuple[tuple[Vector, ...], ...]
+    _integer: _IntegerForm
 
-    def __post_init__(self) -> None:
-        n = self.ambient
-        if len(self.values) != n or any(len(row) != n for row in self.values):
+    def __init__(
+        self, ambient: int, center_basis: Subspace, values: StructureTable
+    ) -> None:
+        n = ambient
+        if len(values) != n or any(len(row) != n for row in values):
             raise ValueError("cochain table shape mismatch")
+        form = _integer_form(values)
+        rows = form.rows
         for i in range(n):
-            if not is_zero_vector(self.values[i][i]):
+            if rows[i][i]:
                 raise ValueError("cochain not alternating on the diagonal")
             for j in range(i + 1, n):
-                value, mirror = self.values[i][j], self.values[j][i]
-                if len(value) != len(mirror) or not all(map(_negates, value, mirror)):
+                value, mirror = values[i][j], values[j][i]
+                if len(value) != len(mirror) or rows[j][i] != _times(rows[i][j], -1):
                     raise ValueError("cochain table not antisymmetric")
-                if not self.center_basis.contains(self.values[i][j]):
-                    raise ValueError(
-                        f"cochain value at ({i},{j}) lies outside the center"
-                    )
+                if not center_basis.contains(value):
+                    raise ValueError(f"cochain value at ({i},{j}) lies outside the center")
+        state = dict(ambient=ambient, center_basis=center_basis, _integer=form, values=values)
+        self.__dict__.update(state)
+
+    @cached_property
+    def values(self) -> StructureTable:
+        return _scalar_table(self._integer)
 
     @staticmethod
     def from_pairs(
@@ -118,19 +136,25 @@ def _defect(
     """``obstruction_cocycle`` for a known witness, on the sub-adjacent
     algebra ``sub``, with values in the center ``z`` of ``p.base``: the
     defect of the bracket law of w from ``sub`` to ``p.base``, on integer
-    rows (``_bracket_defects``)."""
+    rows (``_bracket_defects``).  A value v is central when every [v, e_q]
+    is zero (``_left_products``); the first pair i < j that is not is named.
+    """
     n = p.dim
     scale, defects = _bracket_defects(witness._integer, sub._integer, p.base._integer)
-    pairs = {(i, j): _scalar_row(_sparse(re, im), n, scale) for i, j, re, im in defects}
-    return LieTwoCochain.from_pairs(n, z, pairs)
+    pairs = sorted(((i, j), _sparse(re, im)) for i, j, re, im in defects)
+    brackets = _left_products((row for _, row in pairs), p.base._integer.rows)
+    for ((i, j), _), products in zip(pairs, brackets):
+        if any(products):
+            raise ValueError(f"cochain value at ({i},{j}) lies outside the center")
+    form = _least_scale(_IntegerForm(scale, _alternating_rows(n, dict(pairs))))
+    return _held(LieTwoCochain, ambient=n, center_basis=z, _integer=form)
 
 
 def verify_lie_2cocycle(cochain: LieTwoCochain, sub: LieAlgebra) -> bool:
     """Cyclic cocycle identity over the sub-adjacent bracket on basis triples."""
     if cochain.ambient != sub.dim:
         raise ValueError("cochain and algebra dimensions differ")
-    values = _integer_form(cochain.values).rows
-    return next(_cyclic_failures(sub._integer.rows, values), None) is None
+    return next(_cyclic_failures(sub._integer.rows, cochain._integer.rows), None) is None
 
 
 def _coboundary_echelon(
@@ -152,20 +176,24 @@ def coboundary_solve(cochain: LieTwoCochain, sub: LieAlgebra) -> LinearMap | Non
     """Find t into the center with cochain(x,y) = -t([x,y]_sub), or None.
 
     ``_coboundary_echelon`` decides on the rows -[e_i, e_j]_sub, i < j,
-    beside the n components of cochain(e_i, e_j), both on one scale
-    (``lie._integer_tables``); for a trivial class the canonical solution
-    of component k is row k of t.  Each column t(e_l) is then one fixed
-    combination of cochain values, which ``LieTwoCochain`` checked are
-    central: t maps into the center.
+    beside the n components of cochain(e_i, e_j), both on the lcm of the
+    two held scales; for a trivial class the canonical solution of
+    component k is row k of t.  Each column t(e_l) is then one fixed
+    combination of cochain values, which are central (checked where the
+    cochain was made): t maps into the center.
     """
     n = sub.dim
     if cochain.ambient != n:
         raise ValueError("cochain and algebra dimensions differ")
-    brackets, values = _integer_tables(sub.sc, cochain.values)
+    brackets, values = sub._integer, cochain._integer
+    scale = lcm(brackets.scale, values.scale)
+    f, g = scale // brackets.scale, scale // values.scale
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    # -[e_i, e_j]_sub is the mirror entry, which ``LieAlgebra`` checked.
+    # -[e_i, e_j]_sub is the mirror entry of the alternating table.
     leaders = _coboundary_echelon(
-        [brackets[j][i] for i, j in pairs], [values[i][j] for i, j in pairs], n
+        [_times(brackets.rows[j][i], f) for i, j in pairs],
+        [_times(values.rows[i][j], g) for i, j in pairs],
+        n,
     )
     if leaders is None:
         return None
@@ -191,7 +219,7 @@ def construct_rb_from_obstruction(
             raise NotInnerError("left multiplications are not all inner derivations")
     elif not is_witness(p, witness):
         raise ValueError("supplied map is not an innerness witness for this product")
-    sub = LieAlgebra(sub_adjacent_table(p.base.sc, p.tc))
+    sub = _lie_algebra(_sub_adjacent_rows(p.base._integer, p._integer))
     cochain = _defect(p, witness, sub, center(p.base))
     if not verify_lie_2cocycle(cochain, sub):
         raise AssertionError("defect of a valid witness must be a 2-cocycle")

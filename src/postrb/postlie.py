@@ -1,16 +1,14 @@
 """Post-Lie algebras: axioms, sub-adjacent bracket, Rota-Baxter constructions.
 
-The extra product is the same table type as the bracket, evaluated by
-``lie.bilinear``: t[i][j][k] with e_i > e_j = sum_k t[i][j][k] e_k.  The
-product [R(x), y] induced by an operator R and the sub-adjacent bracket are
-built here once and shared by the axiom checks, the Rota-Baxter check, the
-witness solve and the tower.
-
-The post-Lie axioms, the Rota-Baxter identity and every homomorphism law
-are decided on the integer rows of ``lie``: a linear map holds its columns
-on one scale (``LinearMap._integer``), as an algebra holds its table, and
-the induced and sub-adjacent tables of the Rota-Baxter test are built as
-such rows.  Scalars are built only for the tables a caller returns.
+The product table t[i][j][k], e_i > e_j = sum_k t[i][j][k] e_k, is held
+as a ``LieAlgebra`` holds its bracket: integer rows on their least scale,
+with ``tc`` a view.  A linear map holds its columns on one scale
+(``LinearMap._integer``).  The induced product [R(x), y] is built as rows
+by ``_induced_rows``, and the sub-adjacent table x>y - y>x + [x,y] by
+``_sub_adjacent_rows`` alone, for the axioms, ``sub_adjacent``, the
+Rota-Baxter test, the reconstruction and the tower.  Every axiom and
+homomorphism law is decided on rows; scalars are built only for the tables
+a caller is returned.
 """
 
 from __future__ import annotations
@@ -25,14 +23,17 @@ from .lie import (
     LieAlgebra,
     StructureTable,
     _accumulate,
-    _alternating,
+    _alternating_rows,
+    _combine,
+    _held,
     _integer_form,
-    _integer_tables,
+    _integer_vectors,
     _IntegerForm,
+    _lie_algebra,
+    _least_scale,
     _left_products,
+    _product,
     _scalar_table,
-    _sparse,
-    bilinear,
     check_jacobi,
     coefficient_matrix,
 )
@@ -41,10 +42,7 @@ from .scalars import (
     IntegerRow,
     ScalarLike,
     Vector,
-    _integer_row,
     _solve_columns,
-    vec_add,
-    vec_sub,
     vector,
     zero_vector,
 )
@@ -101,25 +99,28 @@ class LinearMap:
 
     @cached_property
     def _integer(self) -> _IntegerForm:
-        """The columns as integer rows on one scale, the lcm of the
-        denominators of the entries; built once per map."""
-        scale = lcm(*{x.d for row in self.matrix.entries for x in row})
-        return _IntegerForm(
-            scale, tuple(_integer_row(self.column(j), scale) for j in range(self.dim))
-        )
+        """The columns as integer rows on one scale; built once per map."""
+        return _integer_vectors([self.column(j) for j in range(self.dim)])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PostLieAlgebra:
-    base: LieAlgebra
-    tc: StructureTable
+    """A product x > y on the space of ``base``, held as the integer rows
+    ``_integer`` of its table on their least scale; ``tc`` is its table of
+    scalars."""
 
-    def __post_init__(self) -> None:
-        n = self.base.dim
-        if len(self.tc) != n or any(
-            len(row) != n or any(len(v) != n for v in row) for row in self.tc
-        ):
+    base: LieAlgebra
+    _integer: _IntegerForm
+
+    def __init__(self, base: LieAlgebra, tc: StructureTable) -> None:
+        n = base.dim
+        if len(tc) != n or any(len(row) != n or any(len(v) != n for v in row) for row in tc):
             raise ValueError("triangle table shape does not match the base algebra")
+        self.__dict__.update(base=base, _integer=_integer_form(tc), tc=tc)
+
+    @cached_property
+    def tc(self) -> StructureTable:
+        return _scalar_table(self._integer)
 
     @property
     def dim(self) -> int:
@@ -137,17 +138,15 @@ class PostLieAlgebra:
         base: LieAlgebra, products: Mapping[tuple[int, int], Sequence[ScalarLike]]
     ) -> "PostLieAlgebra":
         n = base.dim
-        table = [[list(zero_vector(n)) for _ in range(n)] for _ in range(n)]
+        table = [[zero_vector(n)] * n for _ in range(n)]
         for (i, j), value in products.items():
             if not (0 <= i < n and 0 <= j < n):
                 raise ValueError(f"product index ({i},{j}) out of range")
-            table[i][j] = list(vector(value))
-        return PostLieAlgebra(
-            base, tuple(tuple(tuple(r) for r in row) for row in table)
-        )
+            table[i][j] = vector(value)
+        return PostLieAlgebra(base, tuple(map(tuple, table)))
 
     def triangle(self, x: Sequence[ScalarLike], y: Sequence[ScalarLike]) -> Vector:
-        return bilinear(self.tc, x, y)
+        return _product(self._integer, x, y)
 
 
 @dataclass(frozen=True)
@@ -172,75 +171,78 @@ def check_postlie_axioms(p: PostLieAlgebra) -> PostLieReport:
         W(i,j,k):  [e_i,e_j]_sub > e_k = e_i > (e_j > e_k) - e_j > (e_i > e_k)
     fails, [x,y]_sub = x>y - y>x + [x,y] being the sub-adjacent bracket.
     Each identity is antisymmetric in one pair of indices, so half of the
-    triples decide it.  ``LieAlgebra`` enforces an antisymmetric bracket
-    table, so both sides of D change sign when j and k are swapped: D(i,j,k)
-    fails exactly when D(i,k,j) does.  ``sub_adjacent_table`` is
-    antisymmetric too, so both sides of W change sign when i and j are
-    swapped.  On the diagonal both sides of each identity are zero.  So D is
-    checked for j < k and W for i < j, and each failing triple is reported
-    together with its mirror.
+    triples decide it.  A ``LieAlgebra`` bracket table is antisymmetric, so
+    both sides of D change sign when j and k are swapped: D(i,j,k) fails
+    exactly when D(i,k,j) does.  The sub-adjacent table is antisymmetric
+    too, so both sides of W change sign when i and j are swapped.  On the
+    diagonal both sides of each identity are zero.  So D is checked for
+    j < k and W for i < j, and each failing triple is reported together
+    with its mirror.
 
-    Both identities are decided on the integer kernel of ``lie``: the
-    bracket and product tables are scaled by one common denominator
-    (``_integer_tables``), and the sub-adjacent entry is formed from the
-    scaled tables, so it shares that scale.  Every term is a product of two
-    scaled entries, so each side is the true side times L^2.  [e_j, v] and
-    e_i > v are combinations of row j of the bracket table and row i of the
-    product table, v > e_k one of column k of the product table
-    (``_accumulate``), and [e_i>e_j, e_k] is -[e_k, e_i>e_j].
+    Both identities are decided on the held integer rows, the bracket on
+    L_s and the product on L_t.  Every term of D pairs an entry of each,
+    so each side of D is the true side times L_s L_t.  The sub-adjacent
+    table is on L = lcm(L_s, L_t) (``_sub_adjacent_rows``), so the left
+    side of W is on L L_t and the right side, times L/L_t, too.
+    [e_j, v] and e_i > v are combinations of row j of the bracket table and
+    row i of the product table, v > e_k one of column k of the product
+    table (``_accumulate``), and [e_i>e_j, e_k] is -[e_k, e_i>e_j].
     """
     n = p.dim
-    sc, tc = _integer_tables(p.base.sc, p.tc)
+    brackets, products = p.base._integer, p._integer
+    s, t = brackets.rows, products.rows
     derivation_bad = []
     for i in range(n):
-        tci = tc[i]
+        ti = t[i]
         for j in range(n):
             for k in range(j + 1, n):
                 re, im = [0] * n, [0] * n
-                _accumulate(re, im, sc[j][k], tci)
-                _accumulate(re, im, tci[k], sc[j], -1)
-                _accumulate(re, im, tci[j], sc[k])
+                _accumulate(re, im, s[j][k], ti)
+                _accumulate(re, im, ti[k], s[j], -1)
+                _accumulate(re, im, ti[j], s[k])
                 if any(re) or any(im):
                     derivation_bad += [(i, j, k), (i, k, j)]
     weighted_bad = []
-    # units[m] is the row of e_m, so a combination of units is the row itself.
-    units = [((m, 1, 0),) for m in range(n)]
-    columns = [[row[k] for row in tc] for k in range(n)]
+    sub = _sub_adjacent_rows(brackets, products)
+    factor = sub.scale // products.scale
+    columns = [[row[k] for row in t] for k in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            re, im = [0] * n, [0] * n
-            _accumulate(re, im, tc[i][j], units)
-            _accumulate(re, im, tc[j][i], units, -1)
-            _accumulate(re, im, sc[i][j], units)
-            sub = tuple((m, re[m], im[m]) for m in range(n) if re[m] or im[m])
             for k in range(n):
                 re, im = [0] * n, [0] * n
-                _accumulate(re, im, sub, columns[k])
-                _accumulate(re, im, tc[j][k], tc[i], -1)
-                _accumulate(re, im, tc[i][k], tc[j])
+                _accumulate(re, im, sub.rows[i][j], columns[k])
+                _accumulate(re, im, t[j][k], t[i], -factor)
+                _accumulate(re, im, t[i][k], t[j], factor)
                 if any(re) or any(im):
                     weighted_bad += [(i, j, k), (j, i, k)]
     return PostLieReport(tuple(sorted(derivation_bad)), tuple(sorted(weighted_bad)))
 
 
-def sub_adjacent_table(sc: StructureTable, tc: StructureTable) -> StructureTable:
-    """The table of x>y - y>x + [x,y] for the bracket table sc and product table tc.
+def _sub_adjacent_rows(brackets: _IntegerForm, products: _IntegerForm) -> _IntegerForm:
+    """The table of x>y - y>x + [x,y] for the integer rows of a bracket
+    table on L_s and of a product table on L_t, on L = lcm(L_s, L_t): the
+    product entries times L/L_t, the bracket entry times L/L_s.
 
     For the induced product x > y = [Rx, y] this is the bracket
     [Rx,y] + [x,Ry] + [x,y] of the Rota-Baxter identity and of the tower.
-    It is alternating when sc is, so only the pairs i < j are computed.
+    It is alternating as the bracket is, so only the pairs i < j are
+    computed.
     """
-    n = len(sc)
-    return _alternating(n, {
-        (i, j): vec_add(vec_sub(tc[i][j], tc[j][i]), sc[i][j])
-        for i in range(n)
-        for j in range(i + 1, n)
-    })
+    n = len(brackets.rows)
+    scale = lcm(brackets.scale, products.scale)
+    ft, fs = scale // products.scale, scale // brackets.scale
+    s, t = brackets.rows, products.rows
+    upper = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            terms = (t[i][j], t[j][i], s[i][j])
+            upper[i, j] = _combine(((0, ft, 0), (1, -ft, 0), (2, fs, 0)), terms, n)
+    return _IntegerForm(scale, _alternating_rows(n, upper))
 
 
 def sub_adjacent(p: PostLieAlgebra) -> LieAlgebra:
     """The bracket x>y - y>x + [x,y]; valid input yields a Lie algebra."""
-    result = LieAlgebra(sub_adjacent_table(p.base.sc, p.tc))
+    result = _lie_algebra(_sub_adjacent_rows(p.base._integer, p._integer))
     if not check_jacobi(result):
         raise ValueError("sub-adjacent bracket fails Jacobi: input is not post-Lie")
     return result
@@ -332,33 +334,19 @@ def _rota_baxter_tables(
     [Rx,Ry] = R([Rx,y] + [x,Ry] + [x,y]).
 
     With R's columns on L_R and the bracket on L_s, the induced table is
-    on L_R L_s (``_induced_rows``), and so is the sub-adjacent entry
+    on L_R L_s (``_induced_rows``), and so is the sub-adjacent table
+    (``_sub_adjacent_rows``), whose entry is
     [R e_i, e_j] - [R e_j, e_i] + L_R [e_i, e_j].  The identity says that R
     is a homomorphism from the sub-adjacent bracket to the algebra: both
     sides of each pair are on L_R^2 L_s, and ``_is_homomorphism`` stops at
     the first bad pair.  No scalar is built; a caller that returns a table
     converts it (``lie._scalar_table``).
     """
-    n = algebra.dim
     induced = _induced_rows(algebra, operator)
-    columns, brackets = operator._integer, algebra._integer
-    rows = induced.rows
-    sub: list[list[IntegerRow]] = [[()] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            re, im = [0] * n, [0] * n
-            _accumulate(
-                re,
-                im,
-                ((0, 1, 0), (1, -1, 0), (2, columns.scale, 0)),
-                (rows[i][j], rows[j][i], brackets.rows[i][j]),
-            )
-            sub[i][j] = _sparse(re, im)
-            sub[j][i] = tuple((k, -a, -b) for k, a, b in sub[i][j])
-    sub_form = _IntegerForm(induced.scale, tuple(map(tuple, sub)))
-    if not _is_homomorphism(columns, sub_form, brackets, rows):
+    sub = _sub_adjacent_rows(algebra._integer, induced)
+    if not _is_homomorphism(operator._integer, sub, algebra._integer, induced.rows):
         return None
-    return induced, sub_form
+    return induced, sub
 
 
 def check_rota_baxter(algebra: LieAlgebra, operator: LinearMap) -> bool:
@@ -373,7 +361,7 @@ def from_rota_baxter(algebra: LieAlgebra, operator: LinearMap) -> PostLieAlgebra
     tables = _rota_baxter_tables(algebra, operator)
     if tables is None:
         raise NotRotaBaxterError("operator fails the weight-1 Rota-Baxter identity")
-    return PostLieAlgebra(algebra, _scalar_table(tables[0]))
+    return _held(PostLieAlgebra, base=algebra, _integer=_least_scale(tables[0]))
 
 
 def innerness_witness(p: PostLieAlgebra) -> LinearMap | None:
@@ -391,5 +379,9 @@ def innerness_witness(p: PostLieAlgebra) -> LinearMap | None:
 
 
 def is_witness(p: PostLieAlgebra, candidate: LinearMap) -> bool:
-    """True when [candidate(x), y] equals x > y on all basis pairs."""
-    return candidate.dim == p.dim and induced_table(p.base, candidate) == p.tc
+    """True when [candidate(x), y] equals x > y on all basis pairs: the
+    induced table on its least scale has the held rows of the product."""
+    return (
+        candidate.dim == p.dim
+        and _least_scale(_induced_rows(p.base, candidate)) == p._integer
+    )

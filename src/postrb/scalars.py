@@ -12,9 +12,9 @@ and runs are bit-for-bit reproducible.
 
 An ``ExactMatrix`` is a dense immutable tuple of rows.  Every elimination
 over Q(i) but ``determinant`` is the fraction-free forward pass
-``_echelon`` on sparse Gaussian-integer rows: every rank counts the rows
-of its ``_row_basis`` (``ExactMatrix.rank`` and the integer ranks of the
-Lie layer alike), the Lie obstruction class is read off it, and ``rref``
+``_echelon`` on sparse Gaussian-integer rows: every rank counts its
+leading columns (``_rank``: ``ExactMatrix.rank`` and the integer ranks of
+the Lie layer alike), the Lie obstruction class is read off it, and ``rref``
 (and with it every solve, nullspace, inverse and subspace) back-substitutes
 with the same step.  Integer matrices (used for the congruence solves over
 finite abelian groups) get a Smith normal form with unimodular transforms.
@@ -344,10 +344,16 @@ def _scalar_row(row: IntegerRow, width: int, scale: int) -> Vector:
     return tuple(out)
 
 
+def _rank(rows: Iterable[IntegerRow]) -> int:
+    """The rank of the Gaussian-integer ``rows``: the number of leading
+    columns of their ``_echelon``.  Every rank of the library is read here."""
+    return len(_echelon(rows))
+
+
 def _row_basis(rows: Iterable[IntegerRow]) -> tuple[IntegerRow, ...]:
     """A basis of the span of the Gaussian-integer ``rows``: the rows of
-    their ``_echelon`` by leading column, so its length is their rank.
-    Every rank of the library is read here."""
+    their ``_echelon`` by leading column, for a caller that goes on to
+    work with the span (``_rank`` where only its size is read)."""
     leaders = _echelon(rows)
     return tuple(
         tuple((k, a, b) for k, (a, b) in sorted(leaders[lead].items()))
@@ -512,8 +518,8 @@ class ExactMatrix:
         return tuple(out)
 
     def rank(self) -> int:
-        """The number of rows of a ``_row_basis`` of the integer rows."""
-        return len(_row_basis(_integer_rows(self)))
+        """The ``_rank`` of the integer rows."""
+        return _rank(_integer_rows(self))
 
     def inverse(self) -> "ExactMatrix":
         n = self.rows

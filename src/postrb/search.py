@@ -65,13 +65,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from math import lcm
 from typing import Iterator, NamedTuple, Sequence
 
 from .lie import (
     LieAlgebra,
     Subspace,
     _accumulate,
+    _integer_vectors,
+    _left_products,
     _sparse,
     center,
     jacobi_violations,
@@ -168,29 +169,18 @@ def _scaled(
     columns vanish on the pivots of the center ``z``; ``off`` lists the
     other coordinates."""
     n = algebra.dim
-    g = lcm(*(x.d for col in grid for x in col))
-    t = lcm(*(x.d for row in algebra.sc for v in row for x in v))
-    zs = lcm(*(x.d for row in z.basis for x in row))
-    sc = [[_integer_row(v, t) for v in row] for row in algebra.sc]
-    # Column k of the table: [c, e_k] = sum_i c_i [e_i, e_k].
-    table_columns = [[row[k] for row in sc] for k in range(n)]
-    columns = [_integer_row(col, g) for col in grid]
-    ads = []
-    for col in columns:
-        ad = []
-        for k in range(n):
-            re, im = [0] * n, [0] * n
-            _accumulate(re, im, col, table_columns[k])
-            ad.append(_sparse(re, im))
-        ads.append(ad)
+    g, columns = _integer_vectors(grid)
+    # T is the least scale of the table, on which the algebra holds it.
+    t, table = algebra._integer
+    zs, center_rows = _integer_vectors(z.basis)
     position = {q: k for k, q in enumerate(off)}
     phi = [[(position[q], zs, 0)] if q in position else [] for q in range(n)]
-    for row, p in zip(z.basis, z.pivots):
-        phi[p] += [(position[q], -x, -y) for q, x, y in _integer_row(row, zs) if q != p]
+    for row, p in zip(center_rows, z.pivots):
+        phi[p] += [(position[q], -x, -y) for q, x, y in row if q != p]
     return _Scaled(
-        sc,
+        table,
         columns,
-        ads,
+        _left_products(columns, table),
         tuple(map(tuple, phi)),
         [_integer_row([col[q] for q in off], g * zs) for col in grid],
         len(off),

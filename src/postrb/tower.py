@@ -26,9 +26,8 @@ from .errors import NotRotaBaxterError
 from .lie import (
     Fingerprint,
     LieAlgebra,
-    _accumulate,
+    _combine,
     _lie_algebra,
-    _sparse,
     check_jacobi,
     invariant_fingerprint,
 )
@@ -38,7 +37,7 @@ from .postlie import (
     _rota_baxter_tables,
     check_rota_baxter,
 )
-from .scalars import IntegerRow, _row_basis
+from .scalars import IntegerRow, _rank
 
 
 @dataclass(frozen=True)
@@ -103,20 +102,14 @@ def _power_ranks(columns: Sequence[IntegerRow], depth: int) -> tuple[int, ...]:
     for k in range(depth):
         if k:
             power = _compose(columns, power)
-        ranks.append(len(_row_basis(power)))
+        ranks.append(_rank(power))
     return tuple(ranks)
 
 
 def _compose(left: Sequence[IntegerRow], right: Sequence[IntegerRow]) -> list[IntegerRow]:
     """The integer columns of the product of two maps given by their
     columns: column i is ``left`` applied to column i of ``right``."""
-    n = len(left)
-    product = []
-    for column in right:
-        re, im = [0] * n, [0] * n
-        _accumulate(re, im, column, left)
-        product.append(_sparse(re, im))
-    return product
+    return [_combine(column, left, len(left)) for column in right]
 
 
 def tower_report(t: LieTower) -> TowerReport:

@@ -1,5 +1,7 @@
-"""Shared constructions: the dense ``rref`` oracle, the two worked Lie examples, desk-scale groups,
-and a seeded generator of random Rota-Baxter instances for property suites.
+"""Shared constructions: the dense ``rref`` oracle, the scalar table
+evaluators that the integer rows replaced, the two worked Lie examples,
+desk-scale groups, and a seeded generator of random Rota-Baxter instances
+for property suites.
 """
 
 from __future__ import annotations
@@ -13,10 +15,19 @@ from itertools import combinations, product
 import pytest
 
 from postrb.groups import FiniteGroup, cyclic_group
-from postrb.lie import LieAlgebra, bilinear, center, change_basis
+from postrb.lie import LieAlgebra, center, change_basis
 from postrb.postgroup import PostGroup
 from postrb.postlie import LinearMap, check_rota_baxter
-from postrb.scalars import ExactMatrix, gaussian, is_zero_vector, unit_vector, vec_add
+from postrb.scalars import (
+    ZERO,
+    ExactMatrix,
+    gaussian,
+    is_zero_vector,
+    unit_vector,
+    vec_add,
+    vec_sub,
+    vector,
+)
 from postrb import sub_adjacent, from_rota_baxter
 
 
@@ -56,6 +67,58 @@ def dense_rref(matrix):
         if r == nrows:
             break
     return ExactMatrix(tuple(tuple(row) for row in rows), ncols), tuple(pivots)
+
+
+def bilinear(table, x, y):
+    """The product x.y = sum_{i,j} x_i y_j table[i][j] on scalars: the
+    evaluator that the integer rows replaced, kept as their oracle."""
+    n = len(table)
+    u, v = vector(x), vector(y)
+    if len(u) != n or len(v) != n:
+        raise ValueError("vector has wrong length")
+    out = [ZERO] * n
+    for i in range(n):
+        if not u[i]:
+            continue
+        for j in range(n):
+            if not v[j]:
+                continue
+            c = u[i] * v[j]
+            row = table[i][j]
+            for k in range(n):
+                if row[k]:
+                    out[k] = out[k] + c * row[k]
+    return tuple(out)
+
+
+def left_columns(table, x):
+    """The products x.e_j for j = 0, ..., n-1 on scalars, the columns of
+    y -> x.y: the oracle of ``ad_matrix``."""
+    n = len(table)
+    v = vector(x)
+    if len(v) != n:
+        raise ValueError("vector has wrong length")
+    cols = []
+    for j in range(n):
+        col = [ZERO] * n
+        for i in range(n):
+            if v[i]:
+                row = table[i][j]
+                for k in range(n):
+                    if row[k]:
+                        col[k] = col[k] + v[i] * row[k]
+        cols.append(tuple(col))
+    return tuple(cols)
+
+
+def sub_adjacent_reference(sc, tc):
+    """The table of x>y - y>x + [x,y] on scalars, every one of the n^2
+    entries read off the bracket table sc and the product table tc."""
+    n = len(sc)
+    return tuple(
+        tuple(vec_add(vec_sub(tc[i][j], tc[j][i]), sc[i][j]) for j in range(n))
+        for i in range(n)
+    )
 
 
 def make_sl2() -> LieAlgebra:

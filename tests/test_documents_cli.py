@@ -1153,3 +1153,44 @@ class TestCli:
         main(["--format", "machine", "obstruction", "--input", str(SAMPLES / "sl2.post")])
         second = capsys.readouterr().out
         assert first == second
+
+
+class TestTableConversions:
+    """A Lie-side table of scalars is converted to integer rows once, where
+    it enters (``lie._integer_form``); the pipelines read the rows the
+    objects hold, and no table of scalars is built for a table that no
+    report prints (``lie._scalar_table``)."""
+
+    @staticmethod
+    def counted(monkeypatch, name):
+        import sys
+        from postrb import lie
+
+        calls = []
+        original = getattr(lie, name)
+
+        def spy(*args):
+            calls.append(args)
+            return original(*args)
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("postrb") and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, spy)
+        return calls
+
+    def test_obstruction_converts_each_parsed_table_once(self, monkeypatch, capsys):
+        doc = parse_document((SAMPLES / "sl2.post").read_text(encoding="utf-8"))
+        conversions = self.counted(monkeypatch, "_integer_form")
+        assert main(["obstruction", "--input", str(SAMPLES / "sl2.post")]) == 0
+        # The bracket table and the product table of the document.
+        assert [args[0] for args in conversions] == [doc.lie_algebra.sc, doc.post_lie.tc]
+
+    def test_tower_builds_no_scalar_table_for_its_levels(self, monkeypatch, capsys):
+        conversions = self.counted(monkeypatch, "_integer_form")
+        views = self.counted(monkeypatch, "_scalar_table")
+        assert main(["tower", "--input", str(SAMPLES / "sl2.rb"), "--depth", "3"]) == 0
+        assert "4 levels pass Jacobi" in capsys.readouterr().out
+        # Only the parsed bracket enters from scalars, so it alone is
+        # checked for antisymmetry; the three levels above it are rows.
+        assert len(conversions) == 1
+        assert views == []

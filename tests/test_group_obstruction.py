@@ -521,8 +521,8 @@ class TestCanonicalCorrection:
     def test_every_bilinear_cocycle_on_klein_four(self):
         # A bilinear map V4 x V4 -> V4 is a 2-cocycle, and 4 of the 256 are
         # coboundaries.  The others are refused in both ways: by the tree
-        # rows alone (a zero row, or a repeated row with another right-hand
-        # side) and by the Smith normal form.  Each is checked against the
+        # rows alone (a repeated row with another right-hand side) and by
+        # the Smith normal form.  Each is checked against the
         # search in the given labelling and in one relabelling.
         v4 = klein_four()
         perms = seeded_relabellings(4, seed=29, count=1)
@@ -547,8 +547,9 @@ class TestCanonicalCorrection:
         # many steps along each generator forwards as backwards: zero rows,
         # and rows that repeat.  Summed around such a commutator walk, a
         # nonsymmetric bilinear cocycle is nonzero, so the class is refused
-        # by a zero row or a repeat with another right-hand side, before any
-        # Smith normal form.
+        # by a repeat with another right-hand side, before any Smith normal
+        # form.  This pins the repeat test: without it the conflicting
+        # right-hand side would be dropped and the Smith form reached.
         from postrb import scalars
 
         def refused(matrix):

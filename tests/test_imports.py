@@ -244,27 +244,41 @@ def test_each_verdict_fact_is_checked_once():
 
 def test_rota_baxter_and_fingerprint_run_on_integer_rows():
     # The Rota-Baxter identity, the homomorphism laws and their defect,
-    # the fingerprint and the tower's power ranks run on integer rows: none
-    # of them evaluates a product of scalars, applies a scalar map or ranks
-    # a scalar matrix.
+    # the post-Lie axioms, the sub-adjacent table, the cocycle identity,
+    # the fingerprint, the tower's power ranks and the scan's tables run on
+    # integer rows: none of them evaluates a product into scalars, reads or
+    # builds a table of scalars (``sc``, ``tc``, ``values``, each a view
+    # built by ``_scalar_table``), applies a scalar map or ranks a scalar
+    # matrix.
     scalar = (
-        "bilinear",
-        "left_columns",
+        "_product",
+        "_scalar_table",
+        "sc",
+        "tc",
+        "values",
         "ExactMatrix",
         "bracket",
+        "triangle",
         "apply",
         "rank",
         "coefficient_matrix",
         "induced_table",
-        "sub_adjacent_table",
         "_killing_form",
         "_derivation_system",
     )
     pinned = {
-        "postlie.py": ("is_homomorphism", "_is_homomorphism", "_rota_baxter_tables"),
+        "postlie.py": (
+            "is_homomorphism",
+            "_is_homomorphism",
+            "_rota_baxter_tables",
+            "check_postlie_axioms",
+            "_sub_adjacent_rows",
+            "is_witness",
+        ),
         "lie.py": ("invariant_fingerprint", "_series_dims"),
         "tower.py": ("_power_ranks", "build_tower"),
-        "lie_obstruction.py": ("_defect",),
+        "lie_obstruction.py": ("_defect", "verify_lie_2cocycle"),
+        "search.py": ("_scaled",),
     }
     for module, names in pinned.items():
         tree = ast.parse((SRC / module).read_text(), filename=module)

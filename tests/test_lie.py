@@ -15,7 +15,6 @@ from postrb.lie import (
     Subspace,
     _alternating,
     ad_matrix,
-    bilinear,
     center,
     change_basis,
     check_jacobi,
@@ -29,6 +28,7 @@ from postrb.lie import (
 from postrb.scalars import I, ExactMatrix, gaussian, unit_vector, vector
 
 from conftest import (
+    bilinear,
     make_half_solvable,
     make_sl2,
     make_solvable,

@@ -325,14 +325,14 @@ class TestReconstruction:
         from postrb import lie_obstruction, postlie
 
         calls = []
-        build = postlie.sub_adjacent_table
+        build = postlie._sub_adjacent_rows
 
-        def counted(sc, tc):
-            calls.append(tc)
-            return build(sc, tc)
+        def counted(brackets, products):
+            calls.append(products)
+            return build(brackets, products)
 
         for module in (lie_obstruction, postlie):
-            monkeypatch.setattr(module, "sub_adjacent_table", counted)
+            monkeypatch.setattr(module, "_sub_adjacent_rows", counted)
         doc = parse_document((SAMPLES / "sl2.post").read_text(encoding="utf-8"))
         result = construct_rb_from_obstruction(doc.post_lie)
         assert result.operator == make_sl2_operator()

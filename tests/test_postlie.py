@@ -14,6 +14,7 @@ from postrb.postlie import (
     PostLieAlgebra,
     PostLieReport,
     _rota_baxter_tables,
+    _sub_adjacent_rows,
     check_postlie_axioms,
     check_rota_baxter,
     from_rota_baxter,
@@ -22,7 +23,6 @@ from postrb.postlie import (
     is_homomorphism,
     is_witness,
     sub_adjacent,
-    sub_adjacent_table,
 )
 from postrb.scalars import (
     ExactMatrix,
@@ -43,6 +43,7 @@ from conftest import (
     random_rb_instance,
     sl2_triangle_table,
     solvable_witness,
+    sub_adjacent_reference,
 )
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
@@ -273,12 +274,13 @@ class TestSubAdjacent:
 
 
 class TestSubAdjacentTable:
-    """``sub_adjacent_table`` computes the pairs i < j and mirrors them; the
+    """``_sub_adjacent_rows`` computes the pairs i < j and mirrors them; the
     reference reads every one of the n^2 entries off the tables."""
 
     @staticmethod
-    def assert_matches_reference(sc, tc):
-        table = sub_adjacent_table(sc, tc)
+    def assert_matches_reference(p):
+        table = _scalar_table(_sub_adjacent_rows(p.base._integer, p._integer))
+        sc, tc = p.base.sc, p.tc
         n = len(sc)
         for i, j in product(range(n), repeat=2):
             assert table[i][j] == vec_add(vec_sub(tc[i][j], tc[j][i]), sc[i][j]), (i, j)
@@ -287,12 +289,12 @@ class TestSubAdjacentTable:
         samples = sample_post_lie()
         assert len(samples) == 2
         for p in samples:
-            self.assert_matches_reference(p.base.sc, p.tc)
+            self.assert_matches_reference(p)
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_seeded_rota_baxter_tables(self, seed):
         for algebra, operator in seeded_rota_baxter(seed):
-            self.assert_matches_reference(algebra.sc, from_rota_baxter(algebra, operator).tc)
+            self.assert_matches_reference(from_rota_baxter(algebra, operator))
 
 
 class TestRotaBaxterTables:
@@ -301,7 +303,7 @@ class TestRotaBaxterTables:
         instances = [(sl2, make_sl2_operator()), *seeded_rota_baxter(seed)]
         for algebra, operator in instances:
             induced = induced_table(algebra, operator)
-            expected = (induced, sub_adjacent_table(algebra.sc, induced))
+            expected = (induced, sub_adjacent_reference(algebra.sc, induced))
             tables = _rota_baxter_tables(algebra, operator)
             assert tuple(map(_scalar_table, tables)) == expected
 
@@ -333,14 +335,15 @@ class TestRotaBaxter:
     def test_check_builds_no_scalar_table(self, sl2, solvable, monkeypatch):
         # The identity is decided on integer rows, so neither a failing nor
         # a passing operator builds an induced or sub-adjacent table of
-        # scalars, nor evaluates a product of scalars.
+        # scalars, nor evaluates a product into scalars.  Every table of
+        # scalars, a view included, comes from ``_scalar_table`` or
+        # ``_alternating``, and every product of vectors from ``_product``.
         from postrb import lie, postlie
 
         built = []
         builders = {
-            lie: ("_scalar_table", "_alternating", "bilinear", "left_columns"),
-            postlie: ("_scalar_table", "_alternating", "bilinear", "induced_table",
-                      "sub_adjacent_table"),
+            lie: ("_scalar_table", "_alternating", "_product"),
+            postlie: ("_scalar_table", "_product", "induced_table"),
         }
         for module, names in builders.items():
             for name in names:
@@ -364,13 +367,18 @@ class TestRotaBaxter:
         from postrb import postlie
 
         compared = []
-        accumulate = postlie._accumulate
+        accumulate, combine = postlie._accumulate, postlie._combine
 
         def counted(re, im, coefficients, rows, factor=1):
             compared.append(factor)
             return accumulate(re, im, coefficients, rows, factor)
 
+        def counted_entry(coefficients, rows, n, factor=1):
+            compared.append(factor)
+            return combine(coefficients, rows, n, factor)
+
         monkeypatch.setattr(postlie, "_accumulate", counted)
+        monkeypatch.setattr(postlie, "_combine", counted_entry)
         assert not check_rota_baxter(sl2, LinearMap.identity(3))
         # Three sub-adjacent entries, then two sums for the one pair.
         assert len(compared) == 3 + 2

@@ -15,7 +15,9 @@ from math import gcd
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from postrb import lie
 from postrb.documents import parse_document
 from postrb.lie import (
     Fingerprint,
@@ -23,7 +25,6 @@ from postrb.lie import (
     Subspace,
     _derivation_system,
     ad_matrix,
-    bilinear,
     center,
     change_basis,
     check_jacobi,
@@ -52,9 +53,9 @@ from postrb.postlie import (
     is_homomorphism,
     is_witness,
     sub_adjacent,
-    sub_adjacent_table,
 )
 from postrb.scalars import (
+    ONE,
     ZERO,
     ExactMatrix,
     gaussian,
@@ -69,7 +70,14 @@ from postrb.scalars import (
 from postrb.search import default_catalog, scan_algebra
 from postrb.tower import build_tower, next_bracket, tower_report
 
-from conftest import make_sl2, make_sl2_operator, random_rb_instance
+from conftest import (
+    bilinear,
+    left_columns,
+    make_sl2,
+    make_sl2_operator,
+    random_rb_instance,
+    sub_adjacent_reference,
+)
 
 
 def make_instances(count: int, seed: int):
@@ -173,7 +181,7 @@ class TestRbInducedStructures:
         # The post-Lie axioms imply Jacobi for x>y - y>x + [x,y], so
         # ``construct_rb_from_obstruction`` builds it without a check.
         for post in _inner_post_lie_algebras():
-            assert check_jacobi(LieAlgebra(sub_adjacent_table(post.base.sc, post.tc)))
+            assert check_jacobi(LieAlgebra(sub_adjacent_reference(post.base.sc, post.tc)))
 
     def test_pullback_has_dimension_dim_plus_dim_center(self):
         # ``pullback_algebra`` reads innerness off its null space N and so
@@ -881,3 +889,124 @@ class TestLinearSystemOracle:
 
         assert min(inner.values()) > 0 and min(solvable.values()) > 0
         assert max(ranks) >= 2
+
+
+# --- The held integer form against the scalar oracles ---------------------
+
+_rationals = st.one_of(
+    st.integers(min_value=-3, max_value=3),
+    st.fractions(min_value=-3, max_value=3, max_denominator=6),
+)
+_scalars = st.builds(gaussian, _rationals, _rationals)
+
+
+@st.composite
+def _antisymmetric_tables(draw, n=None):
+    """An antisymmetric table of scalars on K^n, n <= 4, sparse, with mixed
+    denominators and complex entries."""
+    n = draw(st.integers(min_value=1, max_value=4)) if n is None else n
+    entry = st.one_of(st.just(ZERO), _scalars)
+    upper = {
+        (i, j): tuple(draw(entry) for _ in range(n))
+        for i in range(n)
+        for j in range(i + 1, n)
+    }
+    return lie._alternating(n, upper)
+
+
+@st.composite
+def _vectors(draw, n):
+    return tuple(draw(st.one_of(st.just(ZERO), _scalars)) for _ in range(n))
+
+
+@st.composite
+def _invertible(draw, n):
+    """A unit lower times a unit upper triangular matrix: determinant 1."""
+    lower = [[ONE if r == c else draw(_scalars) if r > c else ZERO for c in range(n)]
+             for r in range(n)]
+    upper = [[ONE if r == c else draw(_scalars) if c > r else ZERO for c in range(n)]
+             for r in range(n)]
+    return ExactMatrix.from_rows(lower, width=n) @ ExactMatrix.from_rows(upper, width=n)
+
+
+def _first_asymmetry(table):
+    """The lexicographically first (i, j, k), i <= j, with
+    table[i][j][k] != -table[j][i][k], read off the scalars."""
+    n = len(table)
+    for i in range(n):
+        for j in range(i, n):
+            for k in range(n):
+                if table[i][j][k] != -table[j][i][k]:
+                    return i, j, k
+    return None
+
+
+HELD = settings(database=None, derandomize=True, max_examples=40, deadline=None)
+
+
+class TestHeldIntegerForm:
+    """A ``LieAlgebra`` holds integer rows and builds ``sc`` from them; a
+    ``PostLieAlgebra`` holds ``tc`` the same way.  Every view, comparison
+    and evaluation agrees with the scalar tables and the scalar oracles
+    ``bilinear`` and ``left_columns``."""
+
+    @HELD
+    @given(_antisymmetric_tables())
+    def test_the_view_is_the_table(self, table):
+        algebra = LieAlgebra(table)
+        assert algebra.sc == table
+        # An algebra built from rows builds its view from them.
+        assert lie._lie_algebra(algebra._integer).sc == table
+        assert lie._scalar_table(algebra._integer) == table
+
+    @HELD
+    @given(st.data())
+    def test_equality_and_hash_follow_the_scalar_tables(self, data):
+        first = data.draw(_antisymmetric_tables())
+        n = len(first)
+        second = data.draw(st.one_of(st.just(first), _antisymmetric_tables(n)))
+        a, b = LieAlgebra(first), LieAlgebra(second)
+        assert (a == b) == (first == second)
+        if first == second:
+            assert hash(a) == hash(b)
+        # The same table on a larger scale is the same algebra.
+        factor = data.draw(st.integers(min_value=2, max_value=6))
+        scaled = lie._IntegerForm(
+            factor * a._integer.scale,
+            tuple(tuple(lie._times(v, factor) for v in row) for row in a._integer.rows),
+        )
+        again = lie._lie_algebra(scaled)
+        assert again == a and hash(again) == hash(a)
+
+    @HELD
+    @given(st.data())
+    def test_evaluations_match_the_oracles(self, data):
+        table = data.draw(_antisymmetric_tables())
+        n = len(table)
+        algebra = LieAlgebra(table)
+        x, y = data.draw(_vectors(n)), data.draw(_vectors(n))
+        assert algebra.bracket(x, y) == bilinear(table, x, y)
+        assert ad_matrix(algebra, x) == ExactMatrix.from_columns(left_columns(table, x))
+        products = tuple(tuple(data.draw(_vectors(n)) for _ in range(n)) for _ in range(n))
+        post = PostLieAlgebra(algebra, products)
+        assert post.triangle(x, y) == bilinear(products, x, y)
+        assert lie._scalar_table(post._integer) == products
+        transform = data.draw(_invertible(n))
+        moved = change_basis(algebra, transform)
+        assert moved.sc == _transport(table, transform, transform.inverse())
+
+    @HELD
+    @given(st.data())
+    def test_a_table_that_is_not_antisymmetric_is_refused(self, data):
+        table = [[list(v) for v in row] for row in data.draw(_antisymmetric_tables())]
+        n = len(table)
+        i = data.draw(st.integers(min_value=0, max_value=n - 1))
+        j = data.draw(st.integers(min_value=i, max_value=n - 1))
+        k = data.draw(st.integers(min_value=0, max_value=n - 1))
+        table[i][j][k] = table[i][j][k] + data.draw(_scalars.filter(bool))
+        table = tuple(tuple(tuple(v) for v in row) for row in table)
+        message = r"^structure constants not antisymmetric at \(%d,%d,%d\)$" % (
+            _first_asymmetry(table)
+        )
+        with pytest.raises(ValueError, match=message):
+            LieAlgebra(table)

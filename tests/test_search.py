@@ -488,8 +488,12 @@ class TestScanDesign:
             raise AssertionError("the scan reached the scalar pipeline")
 
         monkeypatch.setattr(lie_obstruction, "coboundary_solve", refused)
-        monkeypatch.setattr(lie_obstruction.LieTwoCochain, "__post_init__", refused)
-        monkeypatch.setattr(lie.LieAlgebra, "__post_init__", refused)
+        # Both are built from scalars by ``__init__`` and from rows by
+        # ``_held``.
+        monkeypatch.setattr(lie_obstruction.LieTwoCochain, "__init__", refused)
+        monkeypatch.setattr(lie.LieAlgebra, "__init__", refused)
+        for module in (lie, lie_obstruction):
+            monkeypatch.setattr(module, "_held", refused)
         for (name, algebra), expected in zip(catalog, per_center, strict=True):
             summary = scan_algebra(name, algebra)
             assert summary.valid_post_lie > 0

@@ -120,21 +120,21 @@ class TestTowerReport:
         # Every rank of the report is one of its fingerprints' or a rank of
         # a power of P or P+id: one Killing-form rank per level and nothing
         # for properties that hold for every linear map.  Ranks are counted
-        # at the one entry point every integer rank goes through.
-        from postrb import lie, scalars, tower
+        # at the one entry point every integer rank goes through, the
+        # echelon form behind ``_rank`` and ``_row_basis``.
+        from postrb import lie, scalars
 
         calls = []
-        row_basis = scalars._row_basis
+        echelon = scalars._echelon
 
         def counted(rows):
             rows = tuple(rows)
             calls.append(rows)
-            return row_basis(rows)
+            return echelon(rows)
 
         t = build_tower(sl2, make_sl2_operator(), 3)
         forms = [lie._killing_rows(level._integer.rows) for level in t.levels]
-        for module in (scalars, lie, tower):
-            monkeypatch.setattr(module, "_row_basis", counted)
+        monkeypatch.setattr(scalars, "_echelon", counted)
         for level in t.levels:
             invariant_fingerprint(level)
         fingerprint_calls = len(calls)
