@@ -195,12 +195,16 @@ def coboundary_solve_group(
     homomorphisms that still fit the values chosen so far take, at s_j, the
     values of a subgroup of the center, read per invariant factor off the
     kernel of the diagonal system.  z(s_j) is the least element of its coset
-    of that subgroup; when the subgroup is nontrivial, the unit row
-    x_j = z(s_j) joins the relations (the tree reaches s_j from e along
-    s_j: k = e_j, c = -w(e, s_j) = 0) and the whole system is diagonalized
-    again.  Each choice is read off the solution set of the relations, not
-    off the unknowns y a Smith normal form picks, so it is the same however
-    the system is presented.  The walk stops when no homomorphism is left.
+    of that subgroup; when the subgroup is nontrivial, x_j = z(s_j) is
+    fixed (the tree reaches s_j from e along s_j: k = e_j,
+    c = -w(e, s_j) = 0).  The diagonal system in y, D_i y_i = D_i least_i
+    for each D_i != 0, has the solutions of the relations, so it takes
+    their place: with the row x_j = (transform row j) . y and right-hand
+    side z(s_j) it is diagonalized again, at most |S| + 1 rows, and the new
+    transform is composed onto the old one.  Each choice is read off the
+    solution set of the relations, not off the unknowns y a Smith normal
+    form picks, so it is the same however the system is presented.  The
+    walk stops when no homomorphism is left.
     """
     if not verify_group_2cocycle(cocycle, domain):
         raise ValueError("cochain is not a 2-cocycle for this domain group")
@@ -235,13 +239,12 @@ def coboundary_solve_group(
         if rows.setdefault(row, rhs) != rhs:
             return None
 
-    relations = list(rows)
     columns = [[rhs[k] for rhs in rows.values()] for k in range(len(factors))]
-    system = _diagonalize(relations, columns, factors, width)
+    system = _diagonalize(list(rows), columns, factors, width)
     if system is None:
         return None
+    diagonal, least, transform = system
     for j in range(width):
-        diagonal, least, transform = system
         if all(gcd(di, d) == 1 for d in factors for di in diagonal):
             break  # no homomorphism is left
         x_j = transform.entries[j]  # x_j = z(s_j) in the unknowns y
@@ -258,14 +261,19 @@ def coboundary_solve_group(
             for z in center.elements
             if all(c % step == r for c, (step, r) in zip(coords[z], cosets))
         )
-        relations.append(tuple(int(i == j) for i in range(width)))  # e_j
-        for column, c in zip(columns, coords[chosen]):
-            column.append(c)
+        # The diagonal system in y, D_i y_i = D_i least_i, and x_j = z(s_j).
+        kept = [i for i, di in enumerate(diagonal) if di]
+        relations = [[diagonal[i] * (i == k) for k in range(width)] for i in kept] + [x_j]
+        columns = [
+            [diagonal[i] * y[i] for i in kept] + [c] for y, c in zip(least, coords[chosen])
+        ]
         system = _diagonalize(relations, columns, factors, width)
         if system is None:
             raise AssertionError("least coset element does not fit the system")
+        diagonal, least, step_transform = system
+        transform = transform @ step_transform
 
-    solutions = [system.transform.apply(y) for y in system.least]
+    solutions = [transform.apply(y) for y in least]
     images = [
         center.from_coords(
             tuple(

@@ -16,7 +16,8 @@ induced product [R(x), y]) is evaluated on rows: ``_accumulate`` adds
 combinations of rows into plain ``int`` lists, ``_left_products`` gives
 [u, e_q] for every basis vector e_q, and ``_product`` one product x.y of
 vectors of scalars.  The linear map x -> (y -> x.y) has one matrix,
-``coefficient_matrix``, behind the center, the inner derivations and the
+``coefficient_matrix``, read off the held rows (its columns are
+``_ad_rows``), behind the center, the inner derivations and the
 innerness-witness solve.
 
 The table identities (Jacobi, the post-Lie axioms, the cocycle identity,
@@ -385,17 +386,16 @@ def ad_matrix(algebra: LieAlgebra, x: Sequence[ScalarLike]) -> ExactMatrix:
     return ExactMatrix.from_columns([_scalar_row(c, n, scale) for c in products])
 
 
-def coefficient_matrix(table: StructureTable) -> ExactMatrix:
-    """Matrix of x -> the n x n matrix of y -> x.y, flattened row-major.
+def coefficient_matrix(table: _IntegerForm) -> ExactMatrix:
+    """Matrix of x -> the n x n matrix of y -> x.y, flattened row-major,
+    read off the held rows of the table; no table of scalars is built.
 
     Row k*n + j, column c holds table[c][j][k], the e_k-coefficient of
     e_c.e_j, so for a bracket table column c is ad e_c flattened row-major.
     """
-    n = len(table)
-    rows = tuple(
-        tuple(table[c][j][k] for c in range(n)) for k in range(n) for j in range(n)
-    )
-    return ExactMatrix(rows, n)
+    n = len(table.rows)
+    columns = [_scalar_row(column, n * n, table.scale) for column in _ad_rows(table.rows)]
+    return ExactMatrix(tuple(zip(*columns)), n)
 
 
 def _null_subspace(matrix: ExactMatrix) -> Subspace:
@@ -410,7 +410,7 @@ def _null_subspace(matrix: ExactMatrix) -> Subspace:
 
 def center(algebra: LieAlgebra) -> Subspace:
     """The x with [x, e_j] = 0 for every j: the nullspace of the coefficient matrix."""
-    return _null_subspace(coefficient_matrix(algebra.sc))
+    return _null_subspace(coefficient_matrix(algebra._integer))
 
 
 def derivations(algebra: LieAlgebra) -> Subspace:
@@ -457,7 +457,7 @@ def _derivation_rows(table: IntegerTable) -> Iterator[IntegerRow]:
 def inner_derivations(algebra: LieAlgebra) -> Subspace:
     """The span of the ad e_i, flattened row-major in K^(n^2)."""
     n = algebra.dim
-    adjoints = coefficient_matrix(algebra.sc)
+    adjoints = coefficient_matrix(algebra._integer)
     return Subspace.from_spanning(n * n, [adjoints.column(i) for i in range(n)])
 
 
@@ -498,11 +498,11 @@ def killing_semisimple(algebra: LieAlgebra) -> tuple[ExactMatrix, bool]:
 
 
 def _ad_rows(table: IntegerTable) -> tuple[IntegerRow, ...]:
-    """ad e_c flattened for each c, [e_c, e_j]_k at j*n + k: the columns of
-    the coefficient matrix, its rows reordered, so it has the same rank."""
+    """ad e_c flattened row-major for each c, [e_c, e_j]_k at k*n + j: the
+    columns of the coefficient matrix, so they have its rank."""
     n = len(table)
     return tuple(
-        tuple((j * n + k, a, b) for j in range(n) for k, a, b in table[c][j])
+        tuple(sorted((k * n + j, a, b) for j in range(n) for k, a, b in table[c][j]))
         for c in range(n)
     )
 

@@ -254,7 +254,9 @@ def pullback_algebra(p: PostLieAlgebra) -> LieAlgebra:
     without a check.
     """
     n = p.dim
-    constraint = hstack(coefficient_matrix(p.tc), -coefficient_matrix(p.base.sc))
+    constraint = hstack(
+        coefficient_matrix(p._integer), -coefficient_matrix(p.base._integer)
+    )
     basis = _null_subspace(constraint)
     if sum(lead < n for lead in basis.pivots) < n:
         raise NotInnerError("pullback requires an inner post-Lie algebra")

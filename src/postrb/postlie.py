@@ -374,7 +374,9 @@ def innerness_witness(p: PostLieAlgebra) -> LinearMap | None:
     witness (``is_witness``) by construction.  Returns None when some left
     multiplication is not an inner derivation.
     """
-    solved = _solve_columns(coefficient_matrix(p.base.sc), coefficient_matrix(p.tc))
+    solved = _solve_columns(
+        coefficient_matrix(p.base._integer), coefficient_matrix(p._integer)
+    )
     return None if solved is None else LinearMap.from_columns(solved)
 
 

@@ -17,13 +17,16 @@ leading columns (``_rank``: ``ExactMatrix.rank`` and the integer ranks of
 the Lie layer alike), the Lie obstruction class is read off it, and ``rref``
 (and with it every solve, nullspace, inverse and subspace) back-substitutes
 with the same step.  Integer matrices (used for the congruence solves over
-finite abelian groups) get a Smith normal form with unimodular transforms.
+finite abelian groups) get a Smith normal form with unimodular transforms
+from one kernel, ``_smith``, which carries any right-hand sides through its
+row operations instead of building the row transform.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from math import gcd, lcm
 from numbers import Rational
 from typing import Iterable, Iterator, NamedTuple, Sequence, Union
@@ -724,11 +727,12 @@ class SmithDecomposition(NamedTuple):
     v: IntMatrix
 
 
-def smith_normal_form(matrix: IntMatrix) -> SmithDecomposition:
-    """Smith normal form with transforms: u @ matrix @ v == d.
-
-    ``u`` and ``v`` are unimodular; ``d`` is diagonal with nonnegative
-    entries satisfying d1 | d2 | ...
+def _smith(
+    rows: Sequence[Sequence[int]], riders: list[list[int]], width: int
+) -> tuple[list[list[int]], list[list[int]]]:
+    """The Smith normal form u @ rows @ v = d of ``rows`` (``width``
+    columns), as (d, v); each row operation is also applied to the row's
+    entry of ``riders``, so they come out as u @ riders, with no u built.
 
     One pass over the diagonal positions t.  The pivot is a least nonzero
     |entry| of the block left, d[t:, t:], moved to (t, t) and made positive.
@@ -740,14 +744,13 @@ def smith_normal_form(matrix: IntMatrix) -> SmithDecomposition:
     goes.  The pivot shrinks at least at every second pick (a tie goes to
     the least (row, column), which is (t, t) after a row is added).
     """
-    m, n = matrix.rows, matrix.cols
-    d = [list(r) for r in matrix.entries]
-    u = [[int(i == j) for j in range(m)] for i in range(m)]
+    m, n = len(rows), width
+    d = [list(r) for r in rows]
     v = [[int(i == j) for j in range(n)] for i in range(n)]
 
     def row_add(i: int, j: int, q: int) -> None:
         d[i] = [a + q * b for a, b in zip(d[i], d[j])]
-        u[i] = [a + q * b for a, b in zip(u[i], u[j])]
+        riders[i] = [a + q * b for a, b in zip(riders[i], riders[j])]
 
     def col_add(i: int, j: int, q: int) -> None:
         for row in d[t:]:  # rows above t are zero in both columns
@@ -769,13 +772,13 @@ def smith_normal_form(matrix: IntMatrix) -> SmithDecomposition:
         if not least:
             break  # the block left is zero
         d[t], d[pivot_row] = d[pivot_row], d[t]
-        u[t], u[pivot_row] = u[pivot_row], u[t]
+        riders[t], riders[pivot_row] = riders[pivot_row], riders[t]
         if pivot_col != t:
             for row in (*d[t:], *v):
                 row[t], row[pivot_col] = row[pivot_col], row[t]
         if d[t][t] < 0:
             d[t] = [-a for a in d[t]]
-            u[t] = [-a for a in u[t]]
+            riders[t] = [-a for a in riders[t]]
         p = d[t][t]
         for i in range(t + 1, m):
             q = d[i][t] // p
@@ -794,12 +797,24 @@ def smith_normal_form(matrix: IntMatrix) -> SmithDecomposition:
             row_add(t, bad, 1)
             continue
         t += 1
+    return d, v
 
+
+def smith_normal_form(matrix: IntMatrix) -> SmithDecomposition:
+    """Smith normal form with transforms: u @ matrix @ v == d.
+
+    ``u`` and ``v`` are unimodular; ``d`` is diagonal with nonnegative
+    entries satisfying d1 | d2 | ...  The pass is ``_smith``'s, with the
+    rows of the identity as riders, which come out as the rows of u.
+    """
+    m = matrix.rows
+    u = [[int(i == j) for j in range(m)] for i in range(m)]
+    d, v = _smith(matrix.entries, u, matrix.cols)
     # The entries are ints already: no ``from_rows`` coercion.
     return SmithDecomposition(
         IntMatrix(tuple(map(tuple, u)), m),
-        IntMatrix(tuple(map(tuple, d)), n),
-        IntMatrix(tuple(map(tuple, v)), n),
+        IntMatrix(tuple(map(tuple, d)), matrix.cols),
+        IntMatrix(tuple(map(tuple, v)), matrix.cols),
     )
 
 
@@ -824,24 +839,27 @@ def _diagonalize(
     has no solution.
 
     One Smith normal form u @ rows @ v = d serves every modulus: the new
-    unknowns are y = v^-1 @ x, and the right-hand sides become s = u @ rhs[k].
-    Each d_i y_i = s_i has a solution exactly when gcd(d_i, modulus) divides
-    s_i, and its least one is taken; a row past the width stands for d_i = 0.
+    unknowns are y = v^-1 @ x, and the right-hand sides become
+    s = u @ rhs[k], carried through the pass as each row's riders (its
+    entries of every rhs[k]), so u itself is never built.  Each
+    d_i y_i = s_i has a solution exactly when gcd(d_i, modulus) divides
+    s_i, and its least one is taken; a row past the width stands for
+    d_i = 0, and an unknown past the rows for s_i = 0.
     """
-    u, d, v = smith_normal_form(IntMatrix.from_rows(rows, width=width))
-    diagonal = d.diagonal() + (0,) * (width - min(d.rows, width))
+    riders = [[column[i] for column in rhs] for i in range(len(rows))]
+    d, v = _smith(rows, riders, width)
+    diagonal = tuple(d[k][k] if k < len(d) else 0 for k in range(width))
     least = []
-    for column, modulus in zip(rhs, moduli):
-        s = u.apply(column) + [0] * (width - len(column))
+    for k, modulus in enumerate(moduli):
         y = []
-        for di, si in zip(diagonal + (0,) * (len(s) - width), s):
+        for di, si in zip_longest(diagonal, (s[k] for s in riders), fillvalue=0):
             g = gcd(di, modulus)
             if si % g:
                 return None
             q = modulus // g
             y.append((si // g) * pow(di // g, -1, q) % q)
         least.append(y[:width])
-    return _DiagonalSystem(diagonal, least, v)
+    return _DiagonalSystem(diagonal, least, IntMatrix(tuple(map(tuple, v)), width))
 
 
 def solve_linear_congruences(

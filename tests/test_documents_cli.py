@@ -29,7 +29,7 @@ from postrb.postlie import PostLieAlgebra
 from postrb.postgroup import from_rb_group
 from postrb.scalars import gaussian, vector
 
-from conftest import make_sl2_operator, sl2_triangle_table
+from conftest import make_sl2, make_sl2_operator, sl2_triangle_table
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
@@ -1184,6 +1184,24 @@ class TestTableConversions:
         assert main(["obstruction", "--input", str(SAMPLES / "sl2.post")]) == 0
         # The bracket table and the product table of the document.
         assert [args[0] for args in conversions] == [doc.lie_algebra.sc, doc.post_lie.tc]
+
+    def test_coefficient_matrices_read_the_held_rows(self, monkeypatch):
+        # The center, the inner derivations, the witness solve and the
+        # pullback read the coefficient matrix off the held rows of a product
+        # or bracket built from rows, so none of them builds its ``tc`` or
+        # ``sc`` view.
+        from postrb.lie import center, inner_derivations
+        from postrb.lie_obstruction import pullback_algebra
+        from postrb.postlie import from_rota_baxter, innerness_witness, sub_adjacent
+
+        p = from_rota_baxter(make_sl2(), make_sl2_operator())
+        sub = sub_adjacent(p)
+        views = self.counted(monkeypatch, "_scalar_table")
+        assert innerness_witness(p) is not None
+        assert center(sub).dim == 0
+        assert inner_derivations(sub).dim == 3
+        assert pullback_algebra(p).dim == 3
+        assert views == []
 
     def test_tower_builds_no_scalar_table_for_its_levels(self, monkeypatch, capsys):
         conversions = self.counted(monkeypatch, "_integer_form")

@@ -549,22 +549,23 @@ class TestCanonicalCorrection:
         # nonsymmetric bilinear cocycle is nonzero, so the class is refused
         # by a repeat with another right-hand side, before any Smith normal
         # form.  This pins the repeat test: without it the conflicting
-        # right-hand side would be dropped and the Smith form reached.
+        # right-hand side would be dropped and the Smith form reached.  The
+        # spy sits on the one Smith-form kernel, which every caller runs.
         from postrb import scalars
 
-        def refused(matrix):
+        def refused(rows, riders, width):
             raise AssertionError("the tree rows should decide the class")
 
         group = make()
         cocycle = make_cocycle(group, beta)  # decomposes the center by SNF
-        monkeypatch.setattr(scalars, "smith_normal_form", refused)
+        monkeypatch.setattr(scalars, "_smith", refused)
         assert coboundary_solve_group(cocycle, group) is None
 
     @pytest.mark.parametrize("make", [elementary_abelian_8, z4_times_z2])
     def test_walk_fixes_several_values(self, monkeypatch, make):
         # On the trivial post-group G o = G, Hom(G, Z(G)) = Hom(G, G) has
         # rank above one, so the walk fixes several values, and each one
-        # rediagonalizes the tree rows together with the values fixed so far.
+        # diagonalizes the system left by the one before, with that value.
         from postrb import group_obstruction
         from postrb.scalars import _diagonalize
 
@@ -584,6 +585,34 @@ class TestCanonicalCorrection:
             solved = coboundary_solve_group(cocycle, group)
             assert solved == least_coboundary_oracle(cocycle, group.table)
         assert max(calls) >= 3
+
+    @pytest.mark.parametrize("make", [elementary_abelian_8, z4_times_z2])
+    def test_walk_systems_have_at_most_s_plus_one_rows(self, monkeypatch, make):
+        # After the tree rows, each step of the walk diagonalizes the
+        # diagonal system it holds, one row D_i y_i per nonzero D_i, plus the
+        # one row that fixes the next value: at most |S| + 1 rows, however
+        # many tree rows there were.
+        from postrb import group_obstruction
+        from postrb.scalars import _diagonalize
+
+        shapes = []
+
+        def counted(rows, rhs, moduli, width):
+            shapes[-1].append((len(rows), width))
+            return _diagonalize(rows, rhs, moduli, width)
+
+        monkeypatch.setattr(group_obstruction, "_diagonalize", counted)
+        group = make()
+        rng = random.Random(67)
+        for _ in range(4):
+            dz = coboundary_values(group, random_central_map(rng, group), group.table)
+            cocycle = make_cocycle(group, dz)
+            shapes.append([])
+            solved = coboundary_solve_group(cocycle, group)
+            assert solved == least_coboundary_oracle(cocycle, group.table)
+            width = shapes[-1][0][1]
+            assert len(shapes[-1]) >= 3
+            assert all(rows <= width + 1 for rows, _ in shapes[-1][1:])
 
     def test_smith_forms_have_at_most_s_columns(self, monkeypatch, capsys, censuses):
         # Every Smith normal form of the coboundary solve works on the |S|

@@ -307,22 +307,25 @@ class TestAbelianDecomposition:
         # S give the invariant factors of all |Z|^2 relations, from |S| <=
         # log2 |Z| columns and at most |Z| |S| - |Z| + 1 rows, one per edge
         # off the tree.  Each moduli tuple is already d1 | d2 | ...
+        # The spy sits on the Smith-form kernel that every caller runs.
         from postrb import scalars
 
         shapes = []
+        kernel = scalars._smith
 
-        def counted(matrix):
-            shapes.append((matrix.rows, matrix.cols))
-            return smith_normal_form(matrix)
+        def counted(rows, riders, width):
+            shapes.append((len(rows), width))
+            return kernel(rows, riders, width)
 
         for seed in range(3):
             group = abelian_product(moduli, seed)
             expected = full_presentation_factors(group)
-            monkeypatch.setattr(scalars, "smith_normal_form", counted)
+            monkeypatch.setattr(scalars, "_smith", counted)
             decomp = abelian_decomposition(group, range(group.order))
             monkeypatch.undo()
             assert decomp.invariant_factors == expected == moduli
             m = group.order
+            assert len(shapes) == seed + 1  # one Smith form per decomposition
             rows, cols = shapes[-1]
             assert cols <= log2(m) and rows <= m * cols - m + 1
 

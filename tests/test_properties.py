@@ -439,12 +439,20 @@ def _reference_series_dims(algebra):
     return found
 
 
+def _reference_coefficient_matrix(table):
+    """Row k*n + j, column c: table[c][j][k], read off a table of scalars."""
+    n = len(table)
+    return ExactMatrix(
+        tuple(tuple(table[c][j][k] for c in range(n)) for k in range(n) for j in range(n)), n
+    )
+
+
 def _reference_fingerprint(algebra):
     n = algebra.dim
     derived, lower_central = _reference_series_dims(algebra)
     return Fingerprint(
         dim=n,
-        center_dim=n - coefficient_matrix(algebra.sc).rank(),
+        center_dim=n - _reference_coefficient_matrix(algebra.sc).rank(),
         killing_rank=_reference_killing_form(algebra).rank(),
         derived_dims=derived,
         lower_central_dims=lower_central,
@@ -987,10 +995,12 @@ class TestHeldIntegerForm:
         x, y = data.draw(_vectors(n)), data.draw(_vectors(n))
         assert algebra.bracket(x, y) == bilinear(table, x, y)
         assert ad_matrix(algebra, x) == ExactMatrix.from_columns(left_columns(table, x))
+        assert coefficient_matrix(algebra._integer) == _reference_coefficient_matrix(table)
         products = tuple(tuple(data.draw(_vectors(n)) for _ in range(n)) for _ in range(n))
         post = PostLieAlgebra(algebra, products)
         assert post.triangle(x, y) == bilinear(products, x, y)
         assert lie._scalar_table(post._integer) == products
+        assert coefficient_matrix(post._integer) == _reference_coefficient_matrix(products)
         transform = data.draw(_invertible(n))
         moved = change_basis(algebra, transform)
         assert moved.sc == _transport(table, transform, transform.inverse())

@@ -23,6 +23,7 @@ from postrb.scalars import (
     ONE,
     ZERO,
     _diagonalize,
+    _smith,
     determinant,
     gaussian,
     rref,
@@ -410,6 +411,32 @@ class TestSmithProperties:
     @given(integer_matrices())
     def test_defining_properties(self, matrix):
         _check_smith(matrix)
+
+    @DETERMINISTIC
+    @given(integer_matrices(), st.data())
+    def test_riders_take_every_row_operation(self, matrix, data):
+        # The one kernel applies each row operation to the riders: they come
+        # out as u @ riders, with the u, d and v of ``smith_normal_form``,
+        # and the congruence solver reads the same diagonal and v off it.
+        k = data.draw(st.integers(0, 3))
+        block = data.draw(
+            st.lists(
+                st.lists(st.integers(-9, 9), min_size=k, max_size=k),
+                min_size=matrix.rows,
+                max_size=matrix.rows,
+            )
+        )
+        u, d, v = smith_normal_form(matrix)
+        assert (u @ matrix @ v).entries == d.entries  # so u is the row transform
+        riders = [list(row) for row in block]
+        got_d, got_v = _smith(matrix.entries, riders, matrix.cols)
+        assert riders == [list(row) for row in (u @ IntMatrix.from_rows(block, width=k)).entries]
+        assert (tuple(map(tuple, got_d)), tuple(map(tuple, got_v))) == (d.entries, v.entries)
+        # Every congruence mod 1 holds, so the system is never refused.
+        columns = [[row[c] for row in block] for c in range(k)]
+        system = _diagonalize(matrix.entries, columns, (1,) * k, matrix.cols)
+        padded = d.diagonal() + (0,) * (matrix.cols - len(d.diagonal()))
+        assert system.diagonal == padded and system.transform == v
 
     @DETERMINISTIC
     @given(
