@@ -4,20 +4,36 @@ One document describes one object.  Lie-side documents use 1-based basis
 indices and exact scalar literals (``a/b`` or ``a/b+c/d*i``); group-side
 documents use 0-based element indices.  See the README for the grammar.
 Parse errors carry the offending 1-based line number.
+
+A bracket or product line is read in one pass, one regex match per signed
+term (``_SIGNED_TERM_RE``), into an integer row (``_combination_row``), and
+the tables enter ``LieAlgebra`` and ``PostLieAlgebra`` as rows: no table
+of scalars is built.  A line that pass does not read is handed to
+``_refuse_combination``, which names its first fault.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Sequence
+from math import gcd, lcm
+from typing import NoReturn, Sequence
 
 from .errors import ParseError
 from .groups import FiniteGroup, GroupMap, group_violations
-from .lie import LieAlgebra
+from .lie import (
+    LieAlgebra,
+    _alternating_rows,
+    _held,
+    _IntegerForm,
+    _lie_algebra,
+    _least_scale,
+    _sparse,
+    _times,
+)
 from .postgroup import PostGroup
 from .postlie import LinearMap, PostLieAlgebra
-from .scalars import ONE, GaussianRational, Vector, from_triple, zero_vector
+from .scalars import ONE, GaussianRational, IntegerRow, Vector, _scalar_row, from_triple
 
 KINDS = ("lie", "postlie", "group", "postgroup", "rb-lie", "rb-group")
 
@@ -25,105 +41,146 @@ OPERATOR_MAP = "operator"
 WITNESS_MAP = "witness"
 
 # ASCII digits only: ``\d`` would also match the digits of other scripts.
-_RATIONAL = r"[0-9]+(?:/[0-9]+)?"
-_SCALAR_RE = re.compile(
-    rf"^(?P<sign>[+-])?"
-    rf"(?:(?P<imag_only>(?:{_RATIONAL}\*)?i)"
-    rf"|(?P<re>{_RATIONAL})"
-    rf"(?:(?P<isign>[+-])(?P<im>(?:{_RATIONAL}\*)?i))?)$"
+_NUMBER = "[0-9]+"
+# A scalar literal after its leading sign: a/c, (b/e)*i or a/c+(b/e)*i.  The
+# imaginary part takes a sign of its own only inside parentheses (the group
+# ``open``): outside them, a sign starts the next term.
+_VALUE = (
+    rf"(?=[0-9i])(?:(?P<rn>{_NUMBER})(?:/(?P<rd>{_NUMBER}))?)?"
+    rf"(?:(?(rn)(?(open)(?P<isign>[+-])|(?!)))"
+    rf"(?:(?P<inum>{_NUMBER})(?:/(?P<iden>{_NUMBER}))?\*)?(?P<i>i))?"
+)
+_SCALAR_RE = re.compile(rf"(?P<open>)(?P<csign>[+-])?{_VALUE}")
+# One signed term of a combination whose spaces are dropped: an optional
+# coefficient, bare or in parentheses, then ``e`` and the basis index.
+# Other whitespace than a newline may end a bare coefficient or pad one in
+# parentheses, where the literal is read stripped.
+_SIGNED_TERM_RE = re.compile(
+    rf"\s*(?P<sign>[+-])?\s*"
+    rf"(?:(?P<open>\([^\S\n]*(?P<csign>[+-])?)?{_VALUE}[^\S\n]*(?(open)\))\*)?"
+    rf"e(?P<idx>{_NUMBER})\s*"
 )
 _BRACKET_RE = re.compile(r"^\[([0-9]+),([0-9]+)\]\s*=\s*(.+)$")
 _TRIANGLE_RE = re.compile(r"^([0-9]+)>([0-9]+)\s*=\s*(.+)$")
 _MAP_RE = re.compile(r"^map\s+([A-Za-z_][A-Za-z0-9_-]*)$")
 _ARROW_RE = re.compile(r"^([0-9]+)\s*->\s*([0-9]+)$")
-_TERM_RE = re.compile(r"^(?:(?P<coef>.+)\*)?e(?P<idx>[0-9]+)$")
 _INTEGERS_RE = re.compile(r"-?[0-9]+(?: -?[0-9]+)*")
+# The longest integer literal read: Python's default limit on ``int(str)``.
+_MAX_DIGITS = 4300
+_LONG_NUMBER = re.compile(rf"[0-9]{{{_MAX_DIGITS + 1}}}")
 _MINUS_ONE = -ONE
+# Entry (i, j) of a table as read from a document: (D, row), D times the
+# entry as an integer row (``_combination_row``).
+_Entries = dict[tuple[int, int], tuple[int, IntegerRow]]
 
 
-def _rational(text: str) -> tuple[int, int]:
-    """The numerator and denominator of a ``_RATIONAL`` literal, as written."""
-    n, _, d = text.partition("/")
-    return int(n), int(d) if d else 1
+def _check_length(text: str, line: int) -> None:
+    """Refuse ``text`` if it holds an integer literal of more than
+    ``_MAX_DIGITS`` digits; a shorter text cannot."""
+    if len(text) > _MAX_DIGITS and _LONG_NUMBER.search(text):
+        raise ParseError(line, f"integer literal longer than {_MAX_DIGITS} digits")
 
 
-def _imag_rational(text: str) -> tuple[int, int]:
-    """The coefficient of an imaginary literal ``i`` or ``<rational>*i``."""
-    return (1, 1) if text == "i" else _rational(text[:-2])  # strip "*i"
+def _int(digits: str, line: int) -> int:
+    """The ASCII ``digits`` as an int, refused past ``_MAX_DIGITS``."""
+    if len(digits) > _MAX_DIGITS:
+        _check_length(digits, line)
+    return int(digits)
+
+
+def _triple(parts: Sequence[str | None]) -> tuple[int, int, int]:
+    """(a*e, b*c, c*e) for the literal a/c + (b/e)*i whose leading sign and
+    ``_VALUE`` groups are ``parts``; the leading sign is the real part's,
+    or the imaginary part's when it stands alone.  c*e is zero when a
+    denominator is."""
+    csign, rn, rd, isign, inum, iden, i = parts
+    a, c = int(rn) if rn else 0, int(rd) if rd else 1
+    b, e = (int(inum) if inum else 1) if i else 0, int(iden) if iden else 1
+    if csign == "-":
+        a = -a
+    if (isign if rn else csign) == "-":
+        b = -b
+    return a * e, b * c, c * e
 
 
 def parse_scalar(token: str, line: int = 0) -> GaussianRational:
     token = token.strip()
-    m = _SCALAR_RE.match(token)
+    m = _SCALAR_RE.fullmatch(token)
     if not m:
         raise ParseError(line, f"bad scalar literal {token!r}")
-    sign = -1 if m.group("sign") == "-" else 1
-    real, imag = m.group("re"), m.group("imag_only") or m.group("im")
-    a, c = _rational(real) if real else (0, 1)
-    b, e = _imag_rational(imag) if imag else (0, 1)
-    # The leading sign is the first part's; "isign" is the imaginary part's.
-    if real:
-        a *= sign
-        if m.group("isign") == "-":
-            b = -b
-    else:
-        b *= sign
-    # a/c + (b/e)*i = (a*e + b*c*i) / (c*e)
+    _check_length(token, line)
     try:
-        return from_triple(a * e, b * c, c * e)
+        return from_triple(*_triple(m.groups()[1:]))
     except ZeroDivisionError:
         raise ParseError(line, f"zero denominator in {token!r}") from None
 
 
-def _split_terms(text: str, line: int) -> list[str]:
-    terms = []
-    depth = 0
-    current = ""
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise ParseError(line, "unbalanced parentheses")
-        if ch in "+-" and depth == 0 and current.strip():
-            terms.append(current.strip())
-            current = ch
-            continue
-        current += ch
+def _combination_row(text: str, dim: int, line: int) -> tuple[int, IntegerRow]:
+    """A linear combination like ``1/2*e1 + (1+i)*e2 - e3`` as (D, row): D
+    times its value as an integer row of width ``dim``, D being the lcm of
+    the denominators of its terms.  Spaces may stand anywhere in a term, so
+    they are dropped first."""
+    text = text.replace(" ", "").strip()
+    if text == "0":
+        return 1, ()
+    if len(text) > _MAX_DIGITS and _LONG_NUMBER.search(text):
+        _refuse_combination(text, dim, line)
+    re_parts, im_parts, scale, pos = [0] * dim, [0] * dim, 1, 0
+    while pos < len(text):
+        m = _SIGNED_TERM_RE.match(text, pos)
+        if m is None:
+            _refuse_combination(text, dim, line)
+        sign, _, csign, rn, rd, isign, inum, iden, i, idx = m.groups()
+        k = int(idx) - 1
+        # A term without a coefficient, with neither part, has coefficient 1.
+        a, b, d = _triple((csign, rn, rd, isign, inum, iden, i)) if rn or i else (1, 0, 1)
+        if (pos and not sign) or not (0 <= k < dim and d):
+            _refuse_combination(text, dim, line)
+        if scale % d:
+            lift = d // gcd(scale, d)
+            scale, re_parts, im_parts = (
+                scale * lift, [x * lift for x in re_parts], [x * lift for x in im_parts]
+            )
+        factor = -(scale // d) if sign == "-" else scale // d
+        re_parts[k] += a * factor
+        im_parts[k] += b * factor
+        pos = m.end()
+    return scale, _sparse(re_parts, im_parts)
+
+
+def _refuse_combination(text: str, dim: int, line: int) -> NoReturn:
+    """Raise the ParseError of a spaceless, stripped combination that
+    ``_combination_row`` does not read: unbalanced parentheses, or else the
+    first bad term, basis index or coefficient.  A term starts at each sign
+    outside parentheses but the first character; with its own sign
+    dropped, it is ``e<index>`` or ``<coefficient>*e<index>``."""
+    depth, cuts = 0, [0]
+    for k, ch in enumerate(text):
+        depth += (ch == "(") - (ch == ")")
+        if depth < 0:
+            break
+        if ch in "+-" and k and not depth:
+            cuts.append(k)
     if depth:
         raise ParseError(line, "unbalanced parentheses")
-    if current.strip():
-        terms.append(current.strip())
-    return terms
+    for start, end in zip(cuts, [*cuts[1:], None]):
+        term = text[start:end].strip()
+        term = term[1:].strip() if term[0] in "+-" else term
+        head, star, tail = term.rpartition("*")
+        if not re.fullmatch("e[0-9]+", tail) or (star and not head) or "\n" in head:
+            raise ParseError(line, f"bad term {term!r}")
+        index = _int(tail[1:], line)
+        if not 1 <= index <= dim:
+            raise ParseError(line, f"basis index e{index} out of range 1..{dim}")
+        if star:
+            parse_scalar(head[1:-1] if head.startswith("(") and head.endswith(")") else head, line)
+    raise AssertionError(f"no fault found in {text!r}")
 
 
 def parse_combination(text: str, dim: int, line: int = 0) -> Vector:
     """Parse a linear combination like ``1/2*e1 + (1+i)*e2 - e3``."""
-    text = text.strip()
-    if text == "0":
-        return zero_vector(dim)
-    out = list(zero_vector(dim))
-    for term in _split_terms(text, line):
-        sign = ONE
-        if term.startswith("-"):
-            sign = _MINUS_ONE
-            term = term[1:].strip()
-        elif term.startswith("+"):
-            term = term[1:].strip()
-        term = term.replace(" ", "")
-        m = _TERM_RE.match(term)
-        if not m:
-            raise ParseError(line, f"bad term {term!r}")
-        idx = int(m.group("idx"))
-        if not (1 <= idx <= dim):
-            raise ParseError(line, f"basis index e{idx} out of range 1..{dim}")
-        coef_text = m.group("coef")  # None or nonempty; "()" is no scalar
-        if coef_text and coef_text.startswith("(") and coef_text.endswith(")"):
-            coef_text = coef_text[1:-1]
-        coef = parse_scalar(coef_text, line) if m.group("coef") else ONE
-        out[idx - 1] = out[idx - 1] + sign * coef
-    return tuple(out)
+    scale, row = _combination_row(text, dim, line)
+    return _scalar_row(row, dim, scale)
 
 
 def render_combination(value: Sequence[GaussianRational]) -> str:
@@ -211,34 +268,31 @@ def _parse_lie_side(lines: _Lines, kind: str) -> AlgebraDocument:
     if dim <= 0:
         raise ParseError(no, "dimension must be positive")
 
-    brackets: dict[tuple[int, int], Vector] = {}
-    triangle: dict[tuple[int, int], Vector] = {}
+    # A bracket is kept at i < j, its mirror being its negation.
+    brackets: _Entries = {}
+    products: _Entries = {}
     maps: dict[str, LinearMap] = {}
     while lines.peek() is not None:
         no, text = lines.take()
-        if m := _BRACKET_RE.match(text):
-            i, j = int(m.group(1)), int(m.group(2))
-            if not (1 <= i <= dim and 1 <= j <= dim) or i == j:
-                raise ParseError(no, f"bad bracket pair [{i},{j}]")
-            value = parse_combination(m.group(3), dim, no)
-            key, mirror = (i - 1, j - 1), (j - 1, i - 1)
-            if key in brackets or mirror in brackets:
-                prior = brackets.get(key, tuple(-x for x in brackets.get(mirror, ())))
-                if prior != value:
-                    raise ParseError(no, f"conflicting bracket for pair [{i},{j}]")
-                continue
-            brackets[key] = value
-        elif m := _TRIANGLE_RE.match(text):
-            if kind != "postlie":
+        if m := _BRACKET_RE.match(text) or _TRIANGLE_RE.match(text):
+            bracket = m.re is _BRACKET_RE
+            if not bracket and kind != "postlie":
                 raise ParseError(no, f"triangle products not allowed in kind {kind!r}")
-            i, j = int(m.group(1)), int(m.group(2))
-            if not (1 <= i <= dim and 1 <= j <= dim):
-                raise ParseError(no, f"bad product pair {i}>{j}")
-            key = (i - 1, j - 1)
-            value = parse_combination(m.group(3), dim, no)
-            if key in triangle and triangle[key] != value:
-                raise ParseError(no, f"conflicting product for pair {i}>{j}")
-            triangle[key] = value
+            i, j = _int(m[1], no), _int(m[2], no)
+            if not (1 <= i <= dim and 1 <= j <= dim) or (bracket and i == j):
+                raise ParseError(
+                    no, f"bad bracket pair [{i},{j}]" if bracket else f"bad product pair {i}>{j}"
+                )
+            scale, row = _combination_row(m[3], dim, no)
+            key, table = (i - 1, j - 1), brackets if bracket else products
+            if bracket and i > j:
+                key, row = (j - 1, i - 1), _times(row, -1)
+            if key not in table:
+                table[key] = scale, row
+            elif _times(table[key][1], scale) != _times(row, table[key][0]):
+                raise ParseError(no, f"conflicting bracket for pair [{i},{j}]" if bracket else (
+                    f"conflicting product for pair {i}>{j}"
+                ))
         elif m := _MAP_RE.match(text):
             name = m.group(1)
             if name in maps:
@@ -260,16 +314,23 @@ def _parse_lie_side(lines: _Lines, kind: str) -> AlgebraDocument:
         else:
             raise ParseError(no, f"unexpected line {text!r}")
 
-    try:
-        algebra = LieAlgebra.from_brackets(dim, brackets)
-    except ValueError as exc:
-        raise ParseError(lines.last_line, str(exc)) from None
+    scale, upper = _one_scale(brackets)
+    algebra = _lie_algebra(_IntegerForm(scale, _alternating_rows(dim, upper)))
     doc = AlgebraDocument(kind=kind, lie_algebra=algebra, linear_maps=maps)
     if kind == "postlie":
-        doc.post_lie = PostLieAlgebra.from_products(algebra, triangle)
+        scale, entries = _one_scale(products)
+        rows = tuple(tuple(entries.get((i, j), ()) for j in range(dim)) for i in range(dim))
+        form = _least_scale(_IntegerForm(scale, rows))
+        doc.post_lie = _held(PostLieAlgebra, base=algebra, _integer=form)
     if kind == "rb-lie" and OPERATOR_MAP not in maps:
         raise ParseError(lines.last_line, "rb-lie documents need a 'map operator'")
     return doc
+
+
+def _one_scale(entries: _Entries) -> tuple[int, dict[tuple[int, int], IntegerRow]]:
+    """The rows of the (D, row) ``entries`` on the lcm L of their D: (L, rows)."""
+    scale = lcm(*(d for d, _ in entries.values()))
+    return scale, {key: _times(row, scale // d) for key, (d, row) in entries.items()}
 
 
 def _parse_table_rows(lines: _Lines, count: int, width: int, what: str) -> list[list[int]]:
@@ -383,7 +444,7 @@ def _parse_group_side(
                         f"map {name!r} needs {size} 'a -> b' lines",
                     )
                 ano, atext = lines.take()
-                src, dst = map(int, _ARROW_RE.match(atext).groups())
+                src, dst = (_int(x, ano) for x in _ARROW_RE.match(atext).groups())
                 if not (0 <= src < size and 0 <= dst < size):
                     raise ParseError(ano, "map indices out of range")
                 if src in arrows:

@@ -5,9 +5,9 @@ c[i][j][k] e_k, as integer rows on its least scale L (``_IntegerForm``):
 per entry (i, j), the nonzero coefficients of L c[i][j] as Gaussian
 integers.  These rows are unique, so equality and hashing compare them.  A
 table of scalars enters once, at the constructor (``_integer_form``),
-which checks there that it is antisymmetric; a table built here or in a
-pipeline is alternating by construction and enters as rows
-(``_lie_algebra``).  The table of scalars ``sc`` is a view, built from the
+which checks there that it is antisymmetric; a table built here, in a
+pipeline or by the document parser is alternating by construction and
+enters as rows (``_lie_algebra``).  The table of scalars ``sc`` is a view, built from the
 rows (``_scalar_table``) once, for a caller that asks.  Subspaces are kept
 in reduced row echelon form.
 

@@ -1,12 +1,14 @@
 """Shared constructions: the dense ``rref`` oracle, the scalar table
-evaluators that the integer rows replaced, the two worked Lie examples,
-desk-scale groups, and a seeded generator of random Rota-Baxter instances
-for property suites.
+evaluators that the integer rows replaced, the scalar reader of linear
+combinations that the one-pass parser replaced, the two worked Lie
+examples, desk-scale groups, and a seeded generator of random Rota-Baxter
+instances for property suites.
 """
 
 from __future__ import annotations
 
 import random
+import re
 import shutil
 import tempfile
 from fractions import Fraction
@@ -14,13 +16,16 @@ from itertools import combinations, product
 
 import pytest
 
+from postrb.errors import ParseError
 from postrb.groups import FiniteGroup, cyclic_group
 from postrb.lie import LieAlgebra, center, change_basis
 from postrb.postgroup import PostGroup
 from postrb.postlie import LinearMap, check_rota_baxter
 from postrb.scalars import (
+    ONE,
     ZERO,
     ExactMatrix,
+    from_triple,
     gaussian,
     is_zero_vector,
     unit_vector,
@@ -119,6 +124,97 @@ def sub_adjacent_reference(sc, tc):
         tuple(vec_add(vec_sub(tc[i][j], tc[j][i]), sc[i][j]) for j in range(n))
         for i in range(n)
     )
+
+
+_RATIONAL = r"[0-9]+(?:/[0-9]+)?"
+_SCALAR_RE = re.compile(
+    rf"^(?P<sign>[+-])?"
+    rf"(?:(?P<imag_only>(?:{_RATIONAL}\*)?i)"
+    rf"|(?P<re>{_RATIONAL})"
+    rf"(?:(?P<isign>[+-])(?P<im>(?:{_RATIONAL}\*)?i))?)$"
+)
+_TERM_RE = re.compile(r"^(?:(?P<coef>.+)\*)?e(?P<idx>[0-9]+)$")
+
+
+def _rational(text):
+    n, _, d = text.partition("/")
+    return int(n), int(d) if d else 1
+
+
+def reference_parse_scalar(token, line=0):
+    """The scalar literal reader of ``parse_scalar`` before the term regex:
+    one match of the whole literal, then its parts as scalars."""
+    token = token.strip()
+    m = _SCALAR_RE.match(token)
+    if not m:
+        raise ParseError(line, f"bad scalar literal {token!r}")
+    sign = -1 if m.group("sign") == "-" else 1
+    real, imag = m.group("re"), m.group("imag_only") or m.group("im")
+    a, c = _rational(real) if real else (0, 1)
+    b, e = ((1, 1) if imag == "i" else _rational(imag[:-2])) if imag else (0, 1)
+    if real:
+        a *= sign
+        if m.group("isign") == "-":
+            b = -b
+    else:
+        b *= sign
+    try:
+        return from_triple(a * e, b * c, c * e)
+    except ZeroDivisionError:
+        raise ParseError(line, f"zero denominator in {token!r}") from None
+
+
+def _split_terms(text, line):
+    terms = []
+    depth = 0
+    current = ""
+    for ch in text:
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+            if depth < 0:
+                raise ParseError(line, "unbalanced parentheses")
+        if ch in "+-" and depth == 0 and current.strip():
+            terms.append(current.strip())
+            current = ch
+            continue
+        current += ch
+    if depth:
+        raise ParseError(line, "unbalanced parentheses")
+    if current.strip():
+        terms.append(current.strip())
+    return terms
+
+
+def reference_parse_combination(text, dim, line=0):
+    """The reader of linear combinations that the one-pass parser replaced,
+    kept as its oracle: a split at each sign outside parentheses, one match
+    per term, and a sum of ``reference_parse_scalar`` scalars."""
+    text = text.strip()
+    if text == "0":
+        return (ZERO,) * dim
+    out = [ZERO] * dim
+    for term in _split_terms(text, line):
+        sign = ONE
+        if term.startswith("-"):
+            sign = -ONE
+            term = term[1:].strip()
+        elif term.startswith("+"):
+            term = term[1:].strip()
+        term = term.replace(" ", "")
+        m = _TERM_RE.match(term)
+        if not m:
+            raise ParseError(line, f"bad term {term!r}")
+        idx = int(m.group("idx"))
+        if not (1 <= idx <= dim):
+            raise ParseError(line, f"basis index e{idx} out of range 1..{dim}")
+        coef_text = m.group("coef")
+        if coef_text and coef_text.startswith("(") and coef_text.endswith(")"):
+            coef_text = coef_text[1:-1]
+        coef = reference_parse_scalar(coef_text, line) if m.group("coef") else ONE
+        out[idx - 1] = out[idx - 1] + sign * coef
+    return tuple(out)
 
 
 def make_sl2() -> LieAlgebra:

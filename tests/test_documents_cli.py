@@ -1,6 +1,9 @@
 """Document grammar round-trips and the command-line surface."""
 
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -32,6 +35,9 @@ from postrb.scalars import gaussian, vector
 from conftest import make_sl2, make_sl2_operator, sl2_triangle_table
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
+# One digit past Python's default limit on int(str), and its refusal.
+_HUGE = "9" * 4301
+_TOO_LONG = "integer literal longer than 4300 digits"
 
 
 class TestScalarLiterals:
@@ -454,6 +460,44 @@ class TestParseErrors:
         with pytest.raises(ParseError, match=message) as err:
             parse_document(text)
         assert err.value.line == text.count("\n")
+
+    @pytest.mark.parametrize(
+        "text, line, command",
+        [
+            (f"kind lie\ndim 2\n[1,2] = {_HUGE}*e1\n", 3, "check-lie"),
+            (f"kind lie\ndim 2\n[1,2] = e{_HUGE}\n", 3, "check-lie"),
+            (f"kind lie\ndim 2\n[{_HUGE},1] = e1\n", 3, "check-lie"),
+            (f"kind rb-lie\ndim 1\nmap operator\nrow {_HUGE}\n", 4, "tower"),
+            (f"kind rb-group\norder 1\ntable\n0\nmap operator\n{_HUGE} -> 0\n", 6, "group-tower"),
+        ],
+        ids=["scalar", "basis-index", "bracket-pair", "map-row", "group-arrow"],
+    )
+    def test_oversized_integer_literal_is_refused(self, tmp_path, capsys, text, line, command):
+        # Past Python's default limit on int(str), a literal is refused at
+        # its line instead of escaping as a ValueError.
+        path = tmp_path / "doc.txt"
+        path.write_text(text)
+        assert main([command, "--input", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: line {line}: {_TOO_LONG}\n"
+
+    def test_oversized_integer_literal_is_refused_by_the_entry_point(self, tmp_path):
+        path = tmp_path / "doc.txt"
+        path.write_text(f"kind rb-group\norder 1\ntable\n0\nmap operator\n{_HUGE} -> 0\n")
+        source = str(Path(__file__).resolve().parent.parent / "src")
+        search = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "postrb.cli", "group-tower", "--input", str(path)],
+            env={**os.environ, "PYTHONPATH": search},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert (done.returncode, done.stderr) == (2, f"error: line 6: {_TOO_LONG}\n")
+
+    def test_literal_of_the_longest_length_is_read(self):
+        longest = "1" * 4300
+        doc = parse_document(f"kind lie\ndim 2\n[1,2] = {longest}/{longest}*e1 + e1\n")
+        assert doc.lie_algebra.sc[0][1] == vector([2, 0])
 
 
 def _grammar_documents():
@@ -1157,9 +1201,10 @@ class TestCli:
 
 class TestTableConversions:
     """A Lie-side table of scalars is converted to integer rows once, where
-    it enters (``lie._integer_form``); the pipelines read the rows the
-    objects hold, and no table of scalars is built for a table that no
-    report prints (``lie._scalar_table``)."""
+    it enters (``lie._integer_form``), and a parsed table enters as rows,
+    with no conversion; the pipelines read the rows the objects hold, and no
+    table of scalars is built for a table that no report prints
+    (``lie._scalar_table``)."""
 
     @staticmethod
     def counted(monkeypatch, name):
@@ -1178,12 +1223,11 @@ class TestTableConversions:
                 monkeypatch.setattr(module, name, spy)
         return calls
 
-    def test_obstruction_converts_each_parsed_table_once(self, monkeypatch, capsys):
-        doc = parse_document((SAMPLES / "sl2.post").read_text(encoding="utf-8"))
+    def test_obstruction_converts_no_parsed_table(self, monkeypatch, capsys):
         conversions = self.counted(monkeypatch, "_integer_form")
         assert main(["obstruction", "--input", str(SAMPLES / "sl2.post")]) == 0
-        # The bracket table and the product table of the document.
-        assert [args[0] for args in conversions] == [doc.lie_algebra.sc, doc.post_lie.tc]
+        # The bracket table and the product table are parsed as rows.
+        assert conversions == []
 
     def test_coefficient_matrices_read_the_held_rows(self, monkeypatch):
         # The center, the inner derivations, the witness solve and the
@@ -1208,7 +1252,6 @@ class TestTableConversions:
         views = self.counted(monkeypatch, "_scalar_table")
         assert main(["tower", "--input", str(SAMPLES / "sl2.rb"), "--depth", "3"]) == 0
         assert "4 levels pass Jacobi" in capsys.readouterr().out
-        # Only the parsed bracket enters from scalars, so it alone is
-        # checked for antisymmetry; the three levels above it are rows.
-        assert len(conversions) == 1
+        # The parsed bracket and the three levels above it are all rows.
+        assert conversions == []
         assert views == []
