@@ -33,7 +33,9 @@ from .lie import (
 )
 from .postgroup import PostGroup
 from .postlie import LinearMap, PostLieAlgebra
-from .scalars import ONE, GaussianRational, IntegerRow, Vector, _scalar_row, from_triple
+from .scalars import (
+    ONE, GaussianRational, IntegerRow, Vector, _least_vectors, _scalar_row, from_triple
+)
 
 KINDS = ("lie", "postlie", "group", "postgroup", "rb-lie", "rb-group")
 
@@ -103,16 +105,22 @@ def _triple(parts: Sequence[str | None]) -> tuple[int, int, int]:
     return a * e, b * c, c * e
 
 
-def parse_scalar(token: str, line: int = 0) -> GaussianRational:
+def _scalar_triple(token: str, line: int) -> tuple[int, int, int]:
+    """(a, b, d), d > 0, with the scalar literal ``token`` equal to
+    (a + b*i)/d, not necessarily reduced."""
     token = token.strip()
     m = _SCALAR_RE.fullmatch(token)
     if not m:
         raise ParseError(line, f"bad scalar literal {token!r}")
     _check_length(token, line)
-    try:
-        return from_triple(*_triple(m.groups()[1:]))
-    except ZeroDivisionError:
-        raise ParseError(line, f"zero denominator in {token!r}") from None
+    a, b, d = _triple(m.groups()[1:])
+    if not d:
+        raise ParseError(line, f"zero denominator in {token!r}")
+    return a, b, d
+
+
+def parse_scalar(token: str, line: int = 0) -> GaussianRational:
+    return from_triple(*_scalar_triple(token, line))
 
 
 def _combination_row(text: str, dim: int, line: int) -> tuple[int, IntegerRow]:
@@ -241,22 +249,24 @@ class _Lines:
         return self.rows[-1][0] if self.rows else 0
 
 
-def _integers(tokens: Sequence[str]) -> list[int]:
+def _integers(tokens: Sequence[str], line: int) -> list[int] | None:
     """Whitespace-free tokens read as an optional '-' and ASCII digits each;
-    ValueError otherwise.  One match per line is cheaper than one per token."""
-    if not _INTEGERS_RE.fullmatch(" ".join(tokens)):
-        raise ValueError(f"not integers: {tokens!r}")
+    None otherwise.  One match per line is cheaper than one per token.  A
+    literal past ``_MAX_DIGITS`` is refused at ``line``."""
+    text = " ".join(tokens)
+    if not _INTEGERS_RE.fullmatch(text):
+        return None
+    _check_length(text, line)
     return list(map(int, tokens))
 
 
 def _header_integer(no: int, text: str, letter: str) -> int:
     """The integer of a header line 'keyword n' that has exactly two tokens."""
     keyword, *values = text.split()
-    try:
-        (value,) = _integers(values)
-        return value
-    except ValueError:
-        raise ParseError(no, f"expected '{keyword} {letter}' with integer {letter}") from None
+    values = _integers(values, no)
+    if values is None or len(values) != 1:
+        raise ParseError(no, f"expected '{keyword} {letter}' with integer {letter}")
+    return values[0]
 
 
 def _parse_lie_side(lines: _Lines, kind: str) -> AlgebraDocument:
@@ -297,20 +307,7 @@ def _parse_lie_side(lines: _Lines, kind: str) -> AlgebraDocument:
             name = m.group(1)
             if name in maps:
                 raise ParseError(no, f"duplicate map {name!r}")
-            rows = []
-            for _ in range(dim):
-                nxt = lines.peek()
-                if nxt is None or nxt[1].split()[0] != "row":
-                    raise ParseError(
-                        nxt[0] if nxt else lines.last_line,
-                        f"map {name!r} needs {dim} 'row' lines",
-                    )
-                rno, rtext = lines.take()
-                tokens = rtext.split()[1:]
-                if len(tokens) != dim:
-                    raise ParseError(rno, f"expected {dim} entries in map row")
-                rows.append([parse_scalar(tok, rno) for tok in tokens])
-            maps[name] = LinearMap.from_rows(rows)
+            maps[name] = _parse_map(lines, name, dim)
         else:
             raise ParseError(no, f"unexpected line {text!r}")
 
@@ -327,6 +324,30 @@ def _parse_lie_side(lines: _Lines, kind: str) -> AlgebraDocument:
     return doc
 
 
+def _parse_map(lines: _Lines, name: str, dim: int) -> LinearMap:
+    """The ``dim`` 'row' lines of the map ``name``, read straight into its
+    integer columns: entry (r, c) is (a + b*i)/d (``_scalar_triple``), and
+    the columns are put on the lcm of the d, then on their least scale."""
+    rows = []
+    for _ in range(dim):
+        nxt = lines.peek()
+        if nxt is None or nxt[1].split()[0] != "row":
+            raise ParseError(
+                nxt[0] if nxt else lines.last_line, f"map {name!r} needs {dim} 'row' lines"
+            )
+        rno, rtext = lines.take()
+        tokens = rtext.split()[1:]
+        if len(tokens) != dim:
+            raise ParseError(rno, f"expected {dim} entries in map row")
+        rows.append([_scalar_triple(token, rno) for token in tokens])
+    scale = lcm(*(d for row in rows for _, _, d in row))
+    columns = tuple(
+        tuple((r, a * scale // d, b * scale // d) for r, (a, b, d) in enumerate(column) if a or b)
+        for column in zip(*rows)
+    )
+    return _held(LinearMap, _integer=_least_vectors(_IntegerForm(scale, columns)))
+
+
 def _one_scale(entries: _Entries) -> tuple[int, dict[tuple[int, int], IntegerRow]]:
     """The rows of the (D, row) ``entries`` on the lcm L of their D: (L, rows)."""
     scale = lcm(*(d for d, _ in entries.values()))
@@ -340,11 +361,9 @@ def _parse_table_rows(lines: _Lines, count: int, width: int, what: str) -> list[
         if nxt is None:
             raise ParseError(lines.last_line, f"{what} needs {count} rows")
         no, text = lines.take()
-        tokens = text.split()
-        try:
-            row = _integers(tokens)
-        except ValueError:
-            raise ParseError(no, f"non-integer entry in {what} row") from None
+        row = _integers(text.split(), no)
+        if row is None:
+            raise ParseError(no, f"non-integer entry in {what} row")
         if len(row) != width:
             raise ParseError(no, f"expected {width} entries in {what} row")
         for x in row:
@@ -409,11 +428,10 @@ def _parse_group_side(
                 raise ParseError(no, "'gen' requires a 'generators d' header")
             if group is not None:
                 raise ParseError(no, "'gen' line after a 'triangle' or 'map' block")
-            tokens = text.split()[1:]
-            try:
-                perm = tuple(_integers(tokens))
-            except ValueError:
-                raise ParseError(no, "non-integer entry in generator") from None
+            perm = _integers(text.split()[1:], no)
+            if perm is None:
+                raise ParseError(no, "non-integer entry in generator")
+            perm = tuple(perm)
             if len(perm) != degree or sorted(perm) != list(range(degree)):
                 raise ParseError(no, f"generator is not a permutation of 0..{degree - 1}")
             generators.append(perm)

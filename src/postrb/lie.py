@@ -15,10 +15,13 @@ Every product given by such a table (the bracket, a post-Lie product, the
 induced product [R(x), y]) is evaluated on rows: ``_accumulate`` adds
 combinations of rows into plain ``int`` lists, ``_left_products`` gives
 [u, e_q] for every basis vector e_q, and ``_product`` one product x.y of
-vectors of scalars.  The linear map x -> (y -> x.y) has one matrix,
-``coefficient_matrix``, read off the held rows (its columns are
-``_ad_rows``), behind the center, the inner derivations and the
-innerness-witness solve.
+vectors of scalars.  The linear map x -> (y -> x.y) of a table has the
+matrix C whose integer rows ``_coefficient_rows`` reads off the held rows
+(its columns are ``_ad_rows``).  The center, the derivations, the inner
+derivations, the innerness witness and the pullback are each one
+``scalars._solve`` of integer rows (these, ``_derivation_rows`` or
+``_ad_rows``), with no matrix of scalars in between; scalars are built
+only for the ``Subspace`` or map a caller is returned.
 
 The table identities (Jacobi, the post-Lie axioms, the cocycle identity,
 the Rota-Baxter identity) ask whether sums of products of table entries
@@ -33,8 +36,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import gcd, lcm
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from math import lcm
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .scalars import (
     ExactMatrix,
@@ -42,12 +45,15 @@ from .scalars import (
     ScalarLike,
     Vector,
     _integer_row,
+    _integer_rows,
+    _IntegerForm,
+    _least_vectors,
     _rank,
     _row_basis,
     _scalar_row,
+    _scalar_rows,
+    _solve,
     is_zero_vector,
-    nullspace,
-    rref,
     unit_vector,
     vector,
     zero_vector,
@@ -56,14 +62,6 @@ from .scalars import (
 StructureTable = tuple[tuple[Vector, ...], ...]
 # Entry (i, j) holds the (k, a, b) with L table[i][j][k] = a + b*i != 0.
 IntegerTable = tuple[tuple[IntegerRow, ...], ...]
-
-
-class _IntegerForm(NamedTuple):
-    """Integer rows on one scale L, L times each entry: the rows of a table
-    (``IntegerTable``), or vectors such as the columns of a linear map."""
-
-    scale: int
-    rows: tuple
 
 
 def _held(cls: type, **state: object):
@@ -107,30 +105,25 @@ def _integer_vectors(vectors: Sequence[Vector]) -> _IntegerForm:
     return _IntegerForm(scale, tuple(_integer_row(v, scale) for v in vectors))
 
 
-def _integer_form(table: StructureTable) -> _IntegerForm:
-    """The integer rows of an n x n table of scalars on its least scale.
-    Every table of scalars that a caller hands in is converted here, once."""
-    n = len(table)
-    scale, rows = _integer_vectors([v for row in table for v in row])
+def _table(entries: _IntegerForm, n: int) -> _IntegerForm:
+    """The n^2 integer ``entries`` of an n x n table, row after row, as
+    that table."""
+    scale, rows = entries
     return _IntegerForm(scale, tuple(rows[i * n : (i + 1) * n] for i in range(n)))
 
 
+def _integer_form(table: StructureTable) -> _IntegerForm:
+    """The integer rows of an n x n table of scalars on its least scale.
+    Every table of scalars that a caller hands in is converted here, once."""
+    return _table(_integer_vectors([v for row in table for v in row]), len(table))
+
+
 def _least_scale(form: _IntegerForm) -> _IntegerForm:
-    """``form`` divided by the gcd g of its scale and every part.  The
-    denominator of (a + b*i)/L is L/gcd(a, b, L), and the lcm of such
-    quotients of L is L over the gcd of the divisors, so L/g is the least
-    scale: the result is ``_integer_form`` of the scalar table."""
-    g = form.scale
-    for row in form.rows:
-        for entry in row:
-            for _, a, b in entry:
-                g = gcd(g, a, b)
-                if g == 1:
-                    return form
-    return _IntegerForm(form.scale // g, tuple(
-        tuple(tuple((k, a // g, b // g) for k, a, b in entry) for entry in row)
-        for row in form.rows
-    ))
+    """The table ``form`` on its least scale (``_least_vectors`` of its
+    entries): the result is ``_integer_form`` of the scalar table."""
+    entries = _IntegerForm(form.scale, [v for row in form.rows for v in row])
+    least = _least_vectors(entries)
+    return form if least is entries else _table(least, len(form.rows))
 
 
 def _scalar_table(form: _IntegerForm) -> StructureTable:
@@ -295,17 +288,12 @@ class Subspace:
         for r in rows:
             if len(r) != ambient_dim:
                 raise ValueError("spanning vector has wrong length")
-        if not rows:
-            return Subspace(ambient_dim, (), ())
-        red, pivots = rref(ExactMatrix.from_rows(rows, width=ambient_dim))
-        basis = tuple(red.entries[r] for r in range(len(pivots)))
-        return Subspace(ambient_dim, basis, pivots)
+        return _row_space(_integer_rows(rows), ambient_dim)
 
     @staticmethod
     def full(ambient_dim: int) -> "Subspace":
-        return Subspace.from_spanning(
-            ambient_dim, [unit_vector(ambient_dim, k) for k in range(ambient_dim)]
-        )
+        n = ambient_dim
+        return Subspace(n, tuple(unit_vector(n, k) for k in range(n)), tuple(range(n)))
 
     @property
     def dim(self) -> int:
@@ -386,46 +374,57 @@ def ad_matrix(algebra: LieAlgebra, x: Sequence[ScalarLike]) -> ExactMatrix:
     return ExactMatrix.from_columns([_scalar_row(c, n, scale) for c in products])
 
 
-def coefficient_matrix(table: _IntegerForm) -> ExactMatrix:
-    """Matrix of x -> the n x n matrix of y -> x.y, flattened row-major,
-    read off the held rows of the table; no table of scalars is built.
+def _coefficient_rows(*blocks: tuple[_IntegerForm, int]) -> list[list[tuple[int, int, int]]]:
+    """The integer rows of [f_1 C(T_1) | f_2 C(T_2) | ...] for the tables T
+    and integer factors f of ``blocks``, every table on the lcm of their
+    scales.  C(T) is the matrix of x -> (y -> x.y) flattened row-major:
+    row k*n + j, column c holds T[c][j][k], the e_k-coefficient of e_c.e_j,
+    so for a bracket table column c is ad e_c flattened (``_ad_rows``)."""
+    n = len(blocks[0][0].rows)
+    scale = lcm(*(table.scale for table, _ in blocks))
+    rows: list[list[tuple[int, int, int]]] = [[] for _ in range(n * n)]
+    for offset, (table, factor) in enumerate(blocks):
+        f = factor * (scale // table.scale)
+        for c, products in enumerate(table.rows):
+            for j, entry in enumerate(products):
+                for k, a, b in entry:
+                    rows[k * n + j].append((offset * n + c, f * a, f * b))
+    return rows
 
-    Row k*n + j, column c holds table[c][j][k], the e_k-coefficient of
-    e_c.e_j, so for a bracket table column c is ad e_c flattened row-major.
-    """
-    n = len(table.rows)
-    columns = [_scalar_row(column, n * n, table.scale) for column in _ad_rows(table.rows)]
-    return ExactMatrix(tuple(zip(*columns)), n)
 
-
-def _null_subspace(matrix: ExactMatrix) -> Subspace:
-    """The nullspace of ``matrix`` in its canonical basis, from one ``rref``:
-    reversed back, each ``nullspace`` vector of the column-reversed matrix
+def _null_basis(rows: Iterable[IntegerRow], n: int) -> tuple[_IntegerForm, tuple[int, ...]]:
+    """The null space of the Gaussian-integer ``rows`` in n unknowns, in
+    its canonical (reduced row echelon) basis on its least scale, and the
+    leading column of each basis vector.  One ``_solve`` of the
+    column-reversed rows: reversed back, each vector of its null basis
     leads with its 1 and vanishes on the other free columns."""
-    n = matrix.cols
-    flipped = nullspace(ExactMatrix(tuple(row[::-1] for row in matrix.entries), n))
-    basis = tuple(v[::-1] for v in reversed(flipped))
-    return Subspace(n, basis, tuple(next(k for k, x in enumerate(v) if x) for v in basis))
+    flipped = (tuple((n - 1 - k, a, b) for k, a, b in reversed(row)) for row in rows)
+    scale, basis = _solve(flipped, n, n).kernel
+    basis = tuple(tuple((n - 1 - k, a, b) for k, a, b in reversed(v)) for v in reversed(basis))
+    return _IntegerForm(scale, basis), tuple(v[0][0] for v in basis)
+
+
+def _null_subspace(rows: Iterable[IntegerRow], n: int) -> Subspace:
+    """``_null_basis`` as a ``Subspace``."""
+    basis, pivots = _null_basis(rows, n)
+    return Subspace(n, _scalar_rows(basis, n), pivots)
+
+
+def _row_space(rows: Iterable[IntegerRow], n: int) -> Subspace:
+    """The span of the Gaussian-integer ``rows`` of width n: the reduced
+    rows of their ``_solve``."""
+    solved = _solve(rows, n, n)
+    return Subspace(n, _scalar_rows(solved.reduced, n), solved.pivots)
 
 
 def center(algebra: LieAlgebra) -> Subspace:
-    """The x with [x, e_j] = 0 for every j: the nullspace of the coefficient matrix."""
-    return _null_subspace(coefficient_matrix(algebra._integer))
+    """The x with [x, e_j] = 0 for every j: the null space of C(sc)."""
+    return _null_subspace(_coefficient_rows((algebra._integer, 1)), algebra.dim)
 
 
 def derivations(algebra: LieAlgebra) -> Subspace:
     """Solution space of D[x,y] = [Dx,y] + [x,Dy], flattened row-major in K^(n^2)."""
-    return _null_subspace(_derivation_system(algebra))
-
-
-def _derivation_system(algebra: LieAlgebra) -> ExactMatrix:
-    """The equations of ``derivations`` (``_derivation_rows``) as scalars."""
-    n = algebra.dim
-    table = algebra._integer
-    return ExactMatrix(
-        tuple(_scalar_row(row, n * n, table.scale) for row in _derivation_rows(table.rows)),
-        n * n,
-    )
+    return _null_subspace(_derivation_rows(algebra._integer.rows), algebra.dim**2)
 
 
 def _derivation_rows(table: IntegerTable) -> Iterator[IntegerRow]:
@@ -456,19 +455,7 @@ def _derivation_rows(table: IntegerTable) -> Iterator[IntegerRow]:
 
 def inner_derivations(algebra: LieAlgebra) -> Subspace:
     """The span of the ad e_i, flattened row-major in K^(n^2)."""
-    n = algebra.dim
-    adjoints = coefficient_matrix(algebra._integer)
-    return Subspace.from_spanning(n * n, [adjoints.column(i) for i in range(n)])
-
-
-def _killing_form(algebra: LieAlgebra) -> ExactMatrix:
-    """The Killing form on the basis (``_killing_rows``) as scalars."""
-    n = algebra.dim
-    table = algebra._integer
-    square = table.scale * table.scale
-    return ExactMatrix(
-        tuple(_scalar_row(row, n, square) for row in _killing_rows(table.rows)), n
-    )
+    return _row_space(_ad_rows(algebra._integer.rows), algebra.dim**2)
 
 
 def _killing_rows(table: IntegerTable) -> tuple[IntegerRow, ...]:
@@ -492,14 +479,17 @@ def _killing_rows(table: IntegerTable) -> tuple[IntegerRow, ...]:
 
 
 def killing_semisimple(algebra: LieAlgebra) -> tuple[ExactMatrix, bool]:
-    """Killing form on the basis and whether it is nondegenerate."""
-    form = _killing_form(algebra)
-    return form, form.rank() == algebra.dim
+    """Killing form on the basis and whether it is nondegenerate: the
+    ``_killing_rows`` as scalars, and their rank."""
+    n, (scale, table) = algebra.dim, algebra._integer
+    rows = _killing_rows(table)
+    form = ExactMatrix(tuple(_scalar_row(row, n, scale * scale) for row in rows), n)
+    return form, _rank(rows) == n
 
 
 def _ad_rows(table: IntegerTable) -> tuple[IntegerRow, ...]:
     """ad e_c flattened row-major for each c, [e_c, e_j]_k at k*n + j: the
-    columns of the coefficient matrix, so they have its rank."""
+    columns of C(sc) (``_coefficient_rows``), so they have its rank."""
     n = len(table)
     return tuple(
         tuple(sorted((k * n + j, a, b) for j in range(n) for k, a, b in table[c][j]))

@@ -25,6 +25,7 @@ from .lie import (
     Subspace,
     _alternating,
     _alternating_rows,
+    _coefficient_rows,
     _cyclic_failures,
     _held,
     _integer_form,
@@ -37,7 +38,6 @@ from .lie import (
     _sparse,
     _times,
     center,
-    coefficient_matrix,
 )
 from .postlie import (
     LinearMap,
@@ -51,14 +51,11 @@ from .postlie import (
     sub_adjacent,
 )
 from .scalars import (
-    ExactMatrix,
     IntegerRow,
     ScalarLike,
     Vector,
     _echelon,
-    _back_substitute,
-    _reduced_solutions,
-    hstack,
+    _solve,
     vector,
 )
 
@@ -177,10 +174,11 @@ def coboundary_solve(cochain: LieTwoCochain, sub: LieAlgebra) -> LinearMap | Non
 
     ``_coboundary_echelon`` decides on the rows -[e_i, e_j]_sub, i < j,
     beside the n components of cochain(e_i, e_j), both on the lcm of the
-    two held scales; for a trivial class the canonical solution of
-    component k is row k of t.  Each column t(e_l) is then one fixed
-    combination of cochain values, which are central (checked where the
-    cochain was made): t maps into the center.
+    two held scales; for a trivial class ``scalars._solve`` back-substitutes
+    that echelon, and the canonical solution of component k is row k of t.
+    Each column t(e_l) is then one fixed combination of cochain values,
+    which are central (checked where the cochain was made): t maps into
+    the center.
     """
     n = sub.dim
     if cochain.ambient != n:
@@ -197,8 +195,14 @@ def coboundary_solve(cochain: LieTwoCochain, sub: LieAlgebra) -> LinearMap | Non
     )
     if leaders is None:
         return None
-    solved = _reduced_solutions(*_back_substitute(leaders, 2 * n, len(leaders)), n)
-    return LinearMap(ExactMatrix(solved, n))
+    # Solution k holds row k of t: its columns are the transpose.
+    scale, rows = _solve(leaders, n, 2 * n).solutions
+    columns = [[] for _ in range(n)]
+    for k, row in enumerate(rows):
+        for m, a, b in row:
+            columns[m].append((k, a, b))
+    t = _IntegerForm(scale, tuple(map(tuple, columns)))
+    return _held(LinearMap, _integer=t)
 
 
 def construct_rb_from_obstruction(
@@ -254,10 +258,7 @@ def pullback_algebra(p: PostLieAlgebra) -> LieAlgebra:
     without a check.
     """
     n = p.dim
-    constraint = hstack(
-        coefficient_matrix(p._integer), -coefficient_matrix(p.base._integer)
-    )
-    basis = _null_subspace(constraint)
+    basis = _null_subspace(_coefficient_rows((p._integer, 1), (p.base._integer, -1)), 2 * n)
     if sum(lead < n for lead in basis.pivots) < n:
         raise NotInnerError("pullback requires an inner post-Lie algebra")
     sub = sub_adjacent(p)

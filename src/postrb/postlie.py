@@ -2,13 +2,14 @@
 
 The product table t[i][j][k], e_i > e_j = sum_k t[i][j][k] e_k, is held
 as a ``LieAlgebra`` holds its bracket: integer rows on their least scale,
-with ``tc`` a view.  A linear map holds its columns on one scale
-(``LinearMap._integer``).  The induced product [R(x), y] is built as rows
-by ``_induced_rows``, and the sub-adjacent table x>y - y>x + [x,y] by
-``_sub_adjacent_rows`` alone, for the axioms, ``sub_adjacent``, the
-Rota-Baxter test, the reconstruction and the tower.  Every axiom and
-homomorphism law is decided on rows; scalars are built only for the tables
-a caller is returned.
+with ``tc`` a view.  A ``LinearMap`` holds its columns the same way, with
+``matrix`` a view, and the innerness witness comes out of the one integer
+solve (``scalars._solve``) as columns.  The induced product [R(x), y] is
+built as rows by ``_induced_rows``, and the sub-adjacent table
+x>y - y>x + [x,y] by ``_sub_adjacent_rows`` alone, for the axioms,
+``sub_adjacent``, the Rota-Baxter test, the reconstruction and the tower.
+Every axiom and homomorphism law is decided on rows; scalars are built only
+for the tables a caller is returned.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .lie import (
     StructureTable,
     _accumulate,
     _alternating_rows,
+    _coefficient_rows,
     _combine,
     _held,
     _integer_form,
@@ -34,34 +36,48 @@ from .lie import (
     _left_products,
     _product,
     _scalar_table,
+    _vector_rows,
     check_jacobi,
-    coefficient_matrix,
 )
 from .scalars import (
     ExactMatrix,
     IntegerRow,
     ScalarLike,
     Vector,
-    _solve_columns,
+    _scalar_row,
+    _scalar_rows,
+    _solve,
     vector,
     zero_vector,
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class LinearMap:
-    """A linear operator on the algebra; matrix columns are basis images."""
+    """A linear operator on the algebra, held as the integer rows
+    ``_integer`` of its columns, the images of the basis vectors, on their
+    least scale; ``matrix`` is its matrix of scalars, a view.  A matrix of
+    scalars enters once, at the constructor, and a map this library builds
+    enters as rows (``lie._held``).  ``apply`` and ``column`` read the rows;
+    the sum, difference and negation are taken on ``matrix``."""
 
-    matrix: ExactMatrix
+    _integer: _IntegerForm
 
-    def __post_init__(self) -> None:
-        if self.matrix.rows != self.matrix.cols:
+    def __init__(self, matrix: ExactMatrix) -> None:
+        if matrix.rows != matrix.cols:
             raise ValueError("linear maps on an algebra must be square")
+        columns = _integer_vectors([matrix.column(j) for j in range(matrix.cols)])
+        self.__dict__.update(_integer=columns, matrix=matrix)
+
+    @cached_property
+    def matrix(self) -> ExactMatrix:
+        n = self.dim
+        return ExactMatrix(tuple(zip(*_scalar_rows(self._integer, n))), n)
 
     @staticmethod
     def from_columns(cols: Sequence[Sequence[ScalarLike]]) -> "LinearMap":
-        # No columns means the map on the zero space.
-        return LinearMap(ExactMatrix.from_columns(cols)) if cols else LinearMap.zero(0)
+        # No columns give the map on the zero space.
+        return _held(LinearMap, _integer=_vector_rows(len(cols), *cols))
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[ScalarLike]]) -> "LinearMap":
@@ -69,21 +85,26 @@ class LinearMap:
 
     @staticmethod
     def zero(n: int) -> "LinearMap":
-        return LinearMap(ExactMatrix.zeros(n, n))
+        return _held(LinearMap, _integer=_IntegerForm(1, ((),) * n))
 
     @staticmethod
     def identity(n: int) -> "LinearMap":
-        return LinearMap(ExactMatrix.identity(n))
+        columns = tuple(((k, 1, 0),) for k in range(n))
+        return _held(LinearMap, _integer=_IntegerForm(1, columns))
 
     @property
     def dim(self) -> int:
-        return self.matrix.rows
+        return len(self._integer.rows)
 
     def apply(self, vec: Sequence[ScalarLike]) -> Vector:
-        return self.matrix.apply(vec)
+        v = vector(vec)
+        if len(v) != self.dim:
+            raise ValueError("vector length does not match matrix width")
+        (scale, (u,)), (s, columns) = _integer_vectors([v]), self._integer
+        return _scalar_row(_combine(u, columns, self.dim), self.dim, scale * s)
 
     def column(self, j: int) -> Vector:
-        return self.matrix.column(j)
+        return _scalar_row(self._integer.rows[j], self.dim, self._integer.scale)
 
     def __add__(self, other: "LinearMap") -> "LinearMap":
         return LinearMap(self.matrix + other.matrix)
@@ -96,11 +117,6 @@ class LinearMap:
 
     def plus_identity(self) -> "LinearMap":
         return LinearMap(self.matrix + ExactMatrix.identity(self.dim))
-
-    @cached_property
-    def _integer(self) -> _IntegerForm:
-        """The columns as integer rows on one scale; built once per map."""
-        return _integer_vectors([self.column(j) for j in range(self.dim)])
 
 
 @dataclass(frozen=True, init=False)
@@ -367,17 +383,17 @@ def from_rota_baxter(algebra: LieAlgebra, operator: LinearMap) -> PostLieAlgebra
 def innerness_witness(p: PostLieAlgebra) -> LinearMap | None:
     """Canonical witness with ad_{w(e_i)} equal to the left multiplication by e_i.
 
-    Column i of w solves C(sc) w_i = column i of C(tc), where C is the
-    coefficient matrix; all n columns are solved by one elimination with
-    free variables set to zero, so the witness is deterministic.  Row (k, j)
+    Column i of w solves C(sc) w_i = column i of C(tc), where C(T) is the
+    matrix of x -> (y -> x.y) (``lie._coefficient_rows``); all n columns
+    are solved by one ``_solve`` on integer rows, free variables set to
+    zero, so the witness is deterministic.  Row (k, j)
     of that system reads [w(e_i), e_j]_k = (e_i > e_j)_k, so a solution is a
     witness (``is_witness``) by construction.  Returns None when some left
     multiplication is not an inner derivation.
     """
-    solved = _solve_columns(
-        coefficient_matrix(p.base._integer), coefficient_matrix(p._integer)
-    )
-    return None if solved is None else LinearMap.from_columns(solved)
+    n = p.dim
+    solved = _solve(_coefficient_rows((p.base._integer, 1), (p._integer, 1)), n, 2 * n)
+    return None if solved.solutions is None else _held(LinearMap, _integer=solved.solutions)
 
 
 def is_witness(p: PostLieAlgebra, candidate: LinearMap) -> bool:

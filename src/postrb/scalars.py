@@ -14,9 +14,15 @@ An ``ExactMatrix`` is a dense immutable tuple of rows.  Every elimination
 over Q(i) but ``determinant`` is the fraction-free forward pass
 ``_echelon`` on sparse Gaussian-integer rows: every rank counts its
 leading columns (``_rank``: ``ExactMatrix.rank`` and the integer ranks of
-the Lie layer alike), the Lie obstruction class is read off it, and ``rref``
-(and with it every solve, nullspace, inverse and subspace) back-substitutes
-with the same step.  Integer matrices (used for the congruence solves over
+the Lie layer alike), and the Lie obstruction class is read off it.  There
+is one solve, ``_solve``: integer rows [A | B] go in, are back-substituted
+with the same step, and the reduced rows, the canonical solution of each
+column of B and the canonical null basis of A come out as integer vectors
+on their least scale (``_IntegerForm``).  The Lie side (center,
+derivations, witness, coboundary, pullback) calls it on the rows it holds;
+``rref``, ``nullspace``, ``solve_affine`` and ``ExactMatrix.inverse`` are
+thin wrappers that convert a matrix of scalars in and the result out.
+Integer matrices (used for the congruence solves over
 finite abelian groups) get a Smith normal form with unimodular transforms
 from one kernel, ``_smith``, which carries any right-hand sides through its
 row operations instead of building the row transform.
@@ -291,15 +297,6 @@ def vec_add(u: Vector, v: Vector) -> Vector:
     return tuple(a + b for a, b in zip(u, v, strict=True))
 
 
-def vec_sub(u: Vector, v: Vector) -> Vector:
-    return tuple(a - b for a, b in zip(u, v, strict=True))
-
-
-def vec_scale(s: ScalarLike, v: Vector) -> Vector:
-    c = GaussianRational.of(s)
-    return tuple(c * a for a in v)
-
-
 def is_zero_vector(v: Vector) -> bool:
     return not any(v)
 
@@ -393,33 +390,94 @@ def _divided(row: _Row) -> _Row:
     return {k: (a // g, b // g) for k, (a, b) in row.items()} if g else row
 
 
-def _back_substitute(
-    leaders: dict[int, _Row], ncols: int, nrows: int
-) -> tuple[ExactMatrix, tuple[int, ...]]:
-    """The ``rref`` of an ``_echelon``, zero rows padding it to ``nrows``,
-    and its pivots: ``_eliminate`` clears above each pivot from the last
-    back, in place, and each row over its pivot gives the scalars."""
+class _IntegerForm(NamedTuple):
+    """Integer rows on one scale L, L times each entry: the rows of a table
+    (``lie.IntegerTable``), or vectors such as the columns of a linear map."""
+
+    scale: int
+    rows: tuple
+
+
+def _least_vectors(form: _IntegerForm) -> _IntegerForm:
+    """The integer vectors ``form`` divided by the gcd g of its scale and
+    every part.  The denominator of (a + b*i)/L is L/gcd(a, b, L), and the
+    lcm of such quotients of L is L over the gcd of the divisors, so L/g is
+    the least scale the vectors share: unique, so equal vectors of scalars
+    have equal forms."""
+    g = form.scale
+    for row in form.rows:
+        for _, a, b in row:
+            g = gcd(g, a, b)
+            if g == 1:
+                return form
+    rows = tuple(tuple((k, a // g, b // g) for k, a, b in row) for row in form.rows)
+    return _IntegerForm(form.scale // g, rows)
+
+
+def _scalar_rows(form: _IntegerForm, width: int) -> tuple[Vector, ...]:
+    """The vectors of scalars of width ``width`` whose integer rows are ``form``."""
+    return tuple(_scalar_row(row, width, form.scale) for row in form.rows)
+
+
+class _Solved(NamedTuple):
+    """What ``_solve`` reads off the rows [A | B]: the pivots of their
+    reduced row echelon form and its nonzero rows, the canonical solution
+    of A x = b for each column b of B (free unknowns zero), or None when
+    some column has none, and the canonical null basis of A (one vector
+    per free column, free entry 1).  Each set of vectors is on its least
+    scale (``_least_vectors``)."""
+
+    pivots: tuple[int, ...]
+    reduced: _IntegerForm
+    solutions: _IntegerForm | None
+    kernel: _IntegerForm
+
+
+def _solve(
+    rows: Iterable[IntegerRow] | dict[int, _Row], ncols: int, width: int
+) -> _Solved:
+    """The one solve: the Gaussian-integer ``rows`` of [A | B], A the first
+    ``ncols`` of ``width`` columns, through their ``_echelon`` (``rows`` may
+    be that echelon already, as the Lie class decision hands it on), then
+    back-substituted: ``_eliminate`` clears above each pivot from the last
+    back, in place, and row r over its positive integer pivot p_r is row r
+    of the reduced form.  All are put on L = lcm(p_r), each row times L/p_r.
+    """
+    leaders = rows if isinstance(rows, dict) else _echelon(rows)
     pivots = tuple(sorted(leaders))
     for t, c in reversed(tuple(enumerate(pivots))):
         for lead in pivots[:t]:
             if c in leaders[lead]:
                 leaders[lead] = _eliminate(leaders[lead], leaders[c], c)
+    scale = lcm(*(leaders[c][c][0] for c in pivots))
     reduced = []
     for c in pivots:
-        out = [ZERO] * ncols
-        p = leaders[c][c][0]
-        for k, (a, b) in leaders[c].items():
-            out[k] = _make(a, b, 1) if p == 1 else _reduced(a, b, p)
-        reduced.append(tuple(out))
-    reduced += [zero_vector(ncols)] * (nrows - len(pivots))
-    return ExactMatrix(tuple(reduced), ncols), pivots
+        m = scale // leaders[c][c][0]
+        reduced.append({k: (m * a, m * b) for k, (a, b) in leaders[c].items()})
 
+    def form(vectors: Iterable[Iterable[tuple[int, int, int]]]) -> _IntegerForm:
+        return _least_vectors(_IntegerForm(scale, tuple(map(tuple, vectors))))
 
-def _integer_rows(matrix: ExactMatrix) -> Iterator[IntegerRow]:
-    """Each nonzero row of ``matrix`` scaled by the lcm of its denominators."""
-    return (
-        _integer_row(row, lcm(*(x.d for x in row))) for row in matrix.entries if any(row)
+    def column(k: int) -> list[tuple[int, int, int]]:
+        return [(c, *row[k]) for c, row in zip(pivots, reduced) if k in row]
+
+    # A pivot right of A is a row 0 = 1 for that column of B.
+    consistent = not pivots or pivots[-1] < ncols
+    return _Solved(
+        pivots,
+        form(sorted((k, *x) for k, x in row.items()) for row in reduced),
+        form(column(k) for k in range(ncols, width)) if consistent else None,
+        form(
+            [*((c, -a, -b) for c, a, b in column(f)), (f, scale, 0)]
+            for f in range(ncols)
+            if f not in leaders
+        ),
     )
+
+
+def _integer_rows(rows: Iterable[Vector]) -> Iterator[IntegerRow]:
+    """Each nonzero vector of ``rows`` scaled by the lcm of its denominators."""
+    return (_integer_row(row, lcm(*(x.d for x in row))) for row in rows if any(row))
 
 
 @dataclass(frozen=True)
@@ -464,10 +522,6 @@ class ExactMatrix:
     def identity(n: int) -> "ExactMatrix":
         return ExactMatrix(tuple(unit_vector(n, k) for k in range(n)), n)
 
-    @staticmethod
-    def zeros(rows: int, cols: int) -> "ExactMatrix":
-        return ExactMatrix((zero_vector(cols),) * rows, cols)
-
     @property
     def rows(self) -> int:
         return len(self.entries)
@@ -507,72 +561,39 @@ class ExactMatrix:
             rows.append(tuple(out))
         return ExactMatrix(tuple(rows), other.cols)
 
-    def apply(self, vec: Sequence[ScalarLike]) -> Vector:
-        v = vector(vec)
-        if len(v) != self.cols:
-            raise ValueError("vector length does not match matrix width")
-        out = [ZERO] * self.rows
-        for i, row in enumerate(self.entries):
-            acc = ZERO
-            for a, b in zip(row, v):
-                if a and b:
-                    acc = acc + a * b
-            out[i] = acc
-        return tuple(out)
-
     def rank(self) -> int:
         """The ``_rank`` of the integer rows."""
-        return _rank(_integer_rows(self))
+        return _rank(_integer_rows(self.entries))
 
     def inverse(self) -> "ExactMatrix":
         n = self.rows
         if n != self.cols:
             raise ValueError("only square matrices can be inverted")
-        # A singular matrix leaves some column of the identity unsolvable.
-        solved = _solve_columns(self, ExactMatrix.identity(n))
-        if solved is None:
+        # One solve of [self | I]; a singular matrix leaves some column of
+        # the identity unsolvable.
+        rows = _integer_rows(row + unit_vector(n, r) for r, row in enumerate(self.entries))
+        solutions = _solve(rows, n, 2 * n).solutions
+        if solutions is None:
             raise ValueError("matrix is singular")
-        return ExactMatrix(tuple(zip(*solved)), n)
+        return ExactMatrix(tuple(zip(*_scalar_rows(solutions, n))), n)
 
     def __str__(self) -> str:
         return "\n".join(" ".join(str(x) for x in r) for r in self.entries)
 
 
-def hstack(left: ExactMatrix, right: ExactMatrix) -> ExactMatrix:
-    if left.rows != right.rows:
-        raise ValueError("row count mismatch in hstack")
-    rows = tuple(a + b for a, b in zip(left.entries, right.entries))
-    return ExactMatrix(rows, left.cols + right.cols)
-
-
 def rref(matrix: ExactMatrix) -> tuple[ExactMatrix, tuple[int, ...]]:
     """Reduced row echelon form and the pivot column indices, zero rows
-    last."""
-    return _back_substitute(_echelon(_integer_rows(matrix)), matrix.cols, matrix.rows)
+    last: ``_solve``'s reduced rows as scalars."""
+    width = matrix.cols
+    solved = _solve(_integer_rows(matrix.entries), width, width)
+    zero = (zero_vector(width),) * (matrix.rows - len(solved.pivots))
+    return ExactMatrix(_scalar_rows(solved.reduced, width) + zero, width), solved.pivots
 
 
 def nullspace(matrix: ExactMatrix) -> tuple[Vector, ...]:
     """Canonical nullspace basis: one vector per free column, free entry 1."""
-    red, pivots = rref(matrix)
-    return _free_column_basis(red, pivots, matrix.cols)
-
-
-def _free_column_basis(
-    red: ExactMatrix, pivots: Sequence[int], ncols: int
-) -> tuple[Vector, ...]:
-    """Nullspace basis of the first ``ncols`` columns of a reduced matrix:
-    one vector per free column, free entry 1."""
-    pivot_set = set(pivots)
-    basis = []
-    for f in range(ncols):
-        if f in pivot_set:
-            continue
-        v = [ZERO] * ncols
-        v[f] = ONE
-        for r, p in enumerate(pivots):
-            v[p] = -red.entries[r][f]
-        basis.append(tuple(v))
-    return tuple(basis)
+    width = matrix.cols
+    return _scalar_rows(_solve(_integer_rows(matrix.entries), width, width).kernel, width)
 
 
 class AffineSolution(NamedTuple):
@@ -591,39 +612,13 @@ def solve_affine(
     b = vector(rhs)
     if len(b) != matrix.rows:
         raise ValueError("right-hand side length does not match row count")
-    red, pivots = rref(hstack(matrix, ExactMatrix(tuple((x,) for x in b), 1)))
-    solved = _reduced_solutions(red, pivots, matrix.cols)
-    if solved is None:
+    n = matrix.cols
+    solved = _solve(_integer_rows(r + (x,) for r, x in zip(matrix.entries, b)), n, n + 1)
+    if solved.solutions is None:
         return None
-    return AffineSolution(solved[0], _free_column_basis(red, pivots, matrix.cols))
-
-
-def _solve_columns(matrix: ExactMatrix, rhs: ExactMatrix) -> tuple[Vector, ...] | None:
-    """Solve matrix @ X = rhs with one ``rref`` of [matrix | rhs].
-
-    Returns the canonical solution of each column of ``rhs`` (free variables
-    set to zero), or None when some column is inconsistent.  Each solution
-    is the one a separate solve of its column gives: the rref of a row space
-    is unique.
-    """
-    return _reduced_solutions(*rref(hstack(matrix, rhs)), matrix.cols)
-
-
-def _reduced_solutions(
-    red: ExactMatrix, pivots: Sequence[int], ncols: int
-) -> tuple[Vector, ...] | None:
-    """The canonical solution of each column right of the first ``ncols``
-    of a reduced [matrix | rhs], or None when some column is inconsistent."""
-    # A pivot right of the matrix is a row 0 = 1 for that column.
-    if pivots and pivots[-1] >= ncols:
-        return None
-    solutions = []
-    for c in range(ncols, red.cols):
-        x = [ZERO] * ncols
-        for r, p in enumerate(pivots):
-            x[p] = red.entries[r][c]
-        solutions.append(tuple(x))
-    return tuple(solutions)
+    return AffineSolution(
+        _scalar_rows(solved.solutions, n)[0], _scalar_rows(solved.kernel, n)
+    )
 
 
 def determinant(matrix: ExactMatrix) -> GaussianRational:

@@ -69,12 +69,13 @@ from typing import Iterator, NamedTuple, Sequence
 
 from .lie import (
     LieAlgebra,
-    Subspace,
     _accumulate,
+    _coefficient_rows,
+    _held,
     _integer_vectors,
     _left_products,
+    _null_basis,
     _sparse,
-    center,
     jacobi_violations,
 )
 from .lie_obstruction import _coboundary_echelon
@@ -84,6 +85,8 @@ from .scalars import (
     ScalarLike,
     Vector,
     _integer_row,
+    _IntegerForm,
+    _least_vectors,
     vector,
     zero_vector,
 )
@@ -162,20 +165,19 @@ class _Scaled(NamedTuple):
     t: int
 
 
-def _scaled(
-    algebra: LieAlgebra, z: Subspace, off: Sequence[int], grid: Sequence[Vector]
-) -> _Scaled:
+def _scaled(algebra: LieAlgebra, z: tuple, off: Sequence[int], grid: Sequence[Vector]) -> _Scaled:
     """The integer rows of a scan of ``algebra`` over ``grid``, whose
-    columns vanish on the pivots of the center ``z``; ``off`` lists the
-    other coordinates."""
+    columns vanish on the pivots of the center ``z`` (its canonical basis
+    on its least scale Z, and the pivots); ``off`` lists the other
+    coordinates."""
     n = algebra.dim
     g, columns = _integer_vectors(grid)
     # T is the least scale of the table, on which the algebra holds it.
     t, table = algebra._integer
-    zs, center_rows = _integer_vectors(z.basis)
+    (zs, center_rows), pivots = z
     position = {q: k for k, q in enumerate(off)}
     phi = [[(position[q], zs, 0)] if q in position else [] for q in range(n)]
-    for row, p in zip(center_rows, z.pivots):
+    for row, p in zip(center_rows, pivots):
         phi[p] += [(position[q], -x, -y) for q, x, y in row if q != p]
     return _Scaled(
         table,
@@ -375,8 +377,8 @@ def scan_algebra(
             " input is not a Lie algebra"
         )
     n = algebra.dim
-    z = center(algebra)
-    off = [q for q in range(n) if q not in z.pivots]
+    z = _null_basis(_coefficient_rows((algebra._integer, 1)), n)
+    off = [q for q in range(n) if q not in z[1]]
     grid = []
     for choice in product(vector(coefficients), repeat=len(off)):
         col = list(zero_vector(n))
@@ -393,7 +395,8 @@ def scan_algebra(
         if _classify(rows, idx).nontrivial:
             nontrivial += 1
             if len(examples) < max_examples:
-                witness = LinearMap.from_columns([grid[c] for c in idx])
+                witness = _IntegerForm(rows.g, tuple(rows.grid[c] for c in idx))
+                witness = _held(LinearMap, _integer=_least_vectors(witness))
                 examples.append(ScanFinding(name, witness, trivial_class=False))
         else:
             trivial += 1

@@ -1,4 +1,5 @@
-"""Shared constructions: the dense ``rref`` oracle, the scalar table
+"""Shared constructions: the dense ``rref`` oracle, the vector and matrix
+arithmetic of scalars that the integer rows replaced, the scalar table
 evaluators that the integer rows replaced, the scalar reader of linear
 combinations that the one-pass parser replaced, the two worked Lie
 examples, desk-scale groups, and a seeded generator of random Rota-Baxter
@@ -25,15 +26,35 @@ from postrb.scalars import (
     ONE,
     ZERO,
     ExactMatrix,
+    GaussianRational,
     from_triple,
     gaussian,
     is_zero_vector,
     unit_vector,
     vec_add,
-    vec_sub,
     vector,
 )
 from postrb import sub_adjacent, from_rota_baxter
+
+
+def vec_sub(u, v):
+    return tuple(a - b for a, b in zip(u, v, strict=True))
+
+
+def vec_scale(s, v):
+    c = GaussianRational.of(s)
+    return tuple(c * a for a in v)
+
+
+def zero_matrix(rows, cols):
+    return ExactMatrix(((ZERO,) * cols,) * rows, cols)
+
+
+def matrix_apply(matrix, vec):
+    """``matrix`` (an ``ExactMatrix``) applied to the vector ``vec``."""
+    v = vector(vec)
+    assert len(v) == matrix.cols
+    return tuple(sum((a * b for a, b in zip(row, v)), ZERO) for row in matrix.entries)
 
 
 def pytest_configure(config):
@@ -501,7 +522,7 @@ def _central_cocycle_tweak(
     rng: random.Random, algebra: LieAlgebra, operator: LinearMap
 ) -> LinearMap:
     """Add a random central-valued map killing sub-adjacent brackets."""
-    from postrb.scalars import ExactMatrix as EM, nullspace, vec_add, vec_scale, zero_vector, ZERO
+    from postrb.scalars import ExactMatrix as EM, nullspace, zero_vector, ZERO
 
     n = algebra.dim
     z = center(algebra)

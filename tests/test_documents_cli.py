@@ -469,8 +469,26 @@ class TestParseErrors:
             (f"kind lie\ndim 2\n[{_HUGE},1] = e1\n", 3, "check-lie"),
             (f"kind rb-lie\ndim 1\nmap operator\nrow {_HUGE}\n", 4, "tower"),
             (f"kind rb-group\norder 1\ntable\n0\nmap operator\n{_HUGE} -> 0\n", 6, "group-tower"),
+            (f"kind lie\ndim {_HUGE}\n", 2, "check-lie"),
+            (f"kind group\norder {_HUGE}\n", 2, "check-group"),
+            (f"kind group\ngenerators {_HUGE}\n", 2, "check-group"),
+            (f"kind group\norder 2\ntable\n0 1\n1 {_HUGE}\n", 5, "check-group"),
+            (f"kind postgroup\norder 1\ntable\n0\ntriangle\n{_HUGE}\n", 6, "check-postgroup"),
+            (f"kind group\ngenerators 2\ngen 1 {_HUGE}\n", 3, "check-group"),
         ],
-        ids=["scalar", "basis-index", "bracket-pair", "map-row", "group-arrow"],
+        ids=[
+            "scalar",
+            "basis-index",
+            "bracket-pair",
+            "map-row",
+            "group-arrow",
+            "dim",
+            "order",
+            "generators",
+            "cayley-row",
+            "triangle-row",
+            "gen",
+        ],
     )
     def test_oversized_integer_literal_is_refused(self, tmp_path, capsys, text, line, command):
         # Past Python's default limit on int(str), a literal is refused at

@@ -295,6 +295,72 @@ def test_rota_baxter_and_fingerprint_run_on_integer_rows():
             assert not [s for s in scalar if uses[s]], f"{module}:{name}"
 
 
+def _definitions(tree: ast.Module) -> dict:
+    """Each function of ``tree`` by name, and each method as 'Class.name'."""
+    found = {}
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            found[node.name] = node
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    found[f"{node.name}.{item.name}"] = item
+    return found
+
+
+def test_lie_solves_maps_and_map_rows_run_on_integer_rows():
+    # The center, the derivations, the witness, the coboundary, the
+    # pullback's null space, the constructors of linear maps and their
+    # application, the tower and the map-row parser hold integer rows and
+    # solve through the one integer solve, ``scalars._solve``: none of them
+    # builds or eliminates a matrix of scalars or reads a scalar literal.
+    scalar = (
+        "ExactMatrix",
+        "rref",
+        "nullspace",
+        "hstack",
+        "_solve_columns",
+        "coefficient_matrix",
+        "parse_scalar",
+    )
+    pinned = {
+        "lie.py": (
+            "center",
+            "derivations",
+            "inner_derivations",
+            "_coefficient_rows",
+            "_null_basis",
+            "_null_subspace",
+            "_row_space",
+        ),
+        "postlie.py": (
+            "innerness_witness",
+            "LinearMap.from_columns",
+            "LinearMap.zero",
+            "LinearMap.identity",
+            "LinearMap.apply",
+            "LinearMap.column",
+        ),
+        "lie_obstruction.py": ("coboundary_solve", "pullback_algebra"),
+        "tower.py": ("build_tower", "tower_report"),
+        "documents.py": ("_parse_map",),
+    }
+    for module, names in pinned.items():
+        functions = _definitions(ast.parse((SRC / module).read_text(), filename=module))
+        for name in names:
+            uses = _name_uses(functions[name])
+            assert not [s for s in scalar if uses[s]], f"{module}:{name}"
+
+    def users(name):
+        return sorted(
+            p.name
+            for p in MODULES
+            if _name_uses(ast.parse(p.read_text(), filename=str(p)))[name]
+        )
+
+    assert users("_solve") == ["lie.py", "lie_obstruction.py", "postlie.py", "scalars.py"]
+
+
 def test_no_dead_definitions():
     # A use inside the definition itself, such as a recursive call, does
     # not keep it alive.

@@ -33,6 +33,7 @@ from conftest import (
     make_sl2,
     make_solvable,
     reference_cyclic_failures,
+    zero_matrix,
 )
 
 
@@ -139,7 +140,7 @@ class TestJacobi:
 
 class TestAdjoint:
     def test_zero_vector(self, sl2):
-        assert ad_matrix(sl2, [0, 0, 0]) == ExactMatrix.zeros(3, 3)
+        assert ad_matrix(sl2, [0, 0, 0]) == zero_matrix(3, 3)
 
     def test_sl2_e1(self, sl2):
         # e2 -> e3, e3 -> -e2, e1 -> 0.
@@ -197,7 +198,7 @@ class TestDerivations:
 class TestKilling:
     def test_abelian_zero_form(self):
         form, flag = killing_semisimple(LieAlgebra.abelian(2))
-        assert form == ExactMatrix.zeros(2, 2)
+        assert form == zero_matrix(2, 2)
         assert not flag
 
     def test_sl2_nondegenerate(self, sl2):

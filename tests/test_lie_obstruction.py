@@ -37,7 +37,7 @@ from postrb.postlie import (
     innerness_witness,
     sub_adjacent,
 )
-from postrb.scalars import gaussian, is_zero_vector, vec_add, vec_scale, vector
+from postrb.scalars import gaussian, is_zero_vector, vec_add, vector
 from postrb.search import default_catalog
 
 from conftest import (
@@ -48,6 +48,7 @@ from conftest import (
     reference_cyclic_failures,
     sl2_triangle_table,
     solvable_witness,
+    vec_scale,
 )
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"

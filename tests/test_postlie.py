@@ -31,19 +31,19 @@ from postrb.scalars import (
     gaussian,
     is_zero_vector,
     vec_add,
-    vec_sub,
     vector,
 )
 
 from conftest import (
     make_heisenberg,
-    make_solvable,
     make_sl2,
     make_sl2_operator,
+    make_solvable,
     random_rb_instance,
     sl2_triangle_table,
     solvable_witness,
     sub_adjacent_reference,
+    vec_sub,
 )
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"

@@ -18,21 +18,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from postrb import lie
-from postrb.documents import parse_document
+from postrb.documents import parse_document, render_rb_lie_document
 from postrb.lie import (
     Fingerprint,
     LieAlgebra,
     Subspace,
-    _derivation_system,
     ad_matrix,
     center,
     change_basis,
     check_jacobi,
-    coefficient_matrix,
+    derivations,
     inner_derivations,
     invariant_fingerprint,
     killing_semisimple,
 )
+from postrb.errors import NotInnerError
 from postrb.lie_obstruction import (
     LieTwoCochain,
     coboundary_solve,
@@ -64,7 +64,6 @@ from postrb.scalars import (
     solve_affine,
     unit_vector,
     vec_add,
-    vec_scale,
     zero_vector,
 )
 from postrb.search import default_catalog, scan_algebra
@@ -72,11 +71,15 @@ from postrb.tower import build_tower, next_bracket, tower_report
 
 from conftest import (
     bilinear,
+    dense_rref,
     left_columns,
     make_sl2,
     make_sl2_operator,
+    matrix_apply,
     random_rb_instance,
     sub_adjacent_reference,
+    vec_scale,
+    vec_sub,
 )
 
 
@@ -447,6 +450,75 @@ def _reference_coefficient_matrix(table):
     )
 
 
+def _reference_span(vectors, width):
+    """The span of vectors of scalars in its canonical basis, the rows of
+    their ``dense_rref`` (the scalar reference, which shares no code with
+    the integer solve)."""
+    if not vectors:
+        return Subspace(width, (), ())
+    red, pivots = dense_rref(ExactMatrix(tuple(vectors), width))
+    return Subspace(width, red.entries[: len(pivots)], pivots)
+
+
+def _reference_null_space(matrix):
+    """The null space of a matrix of scalars in its canonical basis: one
+    vector per free column of its ``dense_rref``, spanned again."""
+    red, pivots = dense_rref(matrix)
+    basis = []
+    for f in range(matrix.cols):
+        if f not in pivots:
+            v = [ZERO] * matrix.cols
+            v[f] = ONE
+            for r, p in enumerate(pivots):
+                v[p] = -red.entries[r][f]
+            basis.append(tuple(v))
+    return _reference_span(basis, matrix.cols)
+
+
+def _reference_solution(matrix, rhs):
+    """The canonical solution of matrix @ x = rhs (free unknowns zero) off
+    the ``dense_rref`` of [matrix | rhs], or None."""
+    n = matrix.cols
+    augmented = ExactMatrix(tuple(r + (x,) for r, x in zip(matrix.entries, rhs)), n + 1)
+    red, pivots = dense_rref(augmented)
+    if pivots and pivots[-1] == n:
+        return None
+    x = [ZERO] * n
+    for r, p in enumerate(pivots):
+        x[p] = red.entries[r][n]
+    return tuple(x)
+
+
+def _reference_witness(post):
+    """Column i of the canonical witness solves C(sc) w_i = column i of
+    C(tc), the coefficient matrices read off the tables of scalars."""
+    system = _reference_coefficient_matrix(post.base.sc)
+    target = _reference_coefficient_matrix(post.tc)
+    columns = [_reference_solution(system, target.column(i)) for i in range(post.dim)]
+    return None if None in columns else LinearMap.from_columns(columns)
+
+
+def _reference_pullback(post):
+    """The pullback on the scalars: the null space N of [C(tc) | -C(sc)]
+    by ``dense_rref``, None unless n of its basis vectors lead in the first
+    n columns, else the table of the bracket of sub (+) base on N's basis."""
+    n = post.dim
+    left = _reference_coefficient_matrix(post.tc).entries
+    right = _reference_coefficient_matrix(post.base.sc).entries
+    rows = tuple(a + tuple(-x for x in b) for a, b in zip(left, right))
+    basis = _reference_null_space(ExactMatrix(rows, 2 * n))
+    if sum(lead < n for lead in basis.pivots) < n:
+        return None
+    sub = sub_adjacent_reference(post.base.sc, post.tc)
+    upper = {}
+    for a in range(basis.dim):
+        for b in range(a + 1, basis.dim):
+            va, vb = basis.basis[a], basis.basis[b]
+            product = bilinear(sub, va[:n], vb[:n]) + bilinear(post.base.sc, va[n:], vb[n:])
+            upper[a, b] = basis.coordinates_of(product)
+    return LieAlgebra(lie._alternating(basis.dim, upper))
+
+
 def _reference_fingerprint(algebra):
     n = algebra.dim
     derived, lower_central = _reference_series_dims(algebra)
@@ -476,7 +548,11 @@ class TestFingerprintOracle:
                     assert invariant_fingerprint(each) == fingerprint
                     assert _reference_fingerprint(each) == fingerprint
                     assert killing_semisimple(each)[0] == _reference_killing_form(each)
-                    assert _derivation_system(each) == _reference_derivation_system(each)
+                    assert derivations(each) == _reference_null_space(
+                        _reference_derivation_system(each)
+                    )
+                    coefficients = _reference_coefficient_matrix(each.sc)
+                    assert center(each) == _reference_null_space(coefficients)
                 seen.update(
                     {
                         ("center", fingerprint.center_dim),
@@ -746,7 +822,7 @@ def _transport(table, transform, inverse):
     n = len(table)
     columns = [transform.column(i) for i in range(n)]
     return tuple(
-        tuple(inverse.apply(bilinear(table, columns[i], columns[j])) for j in range(n))
+        tuple(matrix_apply(inverse, bilinear(table, columns[i], columns[j])) for j in range(n))
         for i in range(n)
     )
 
@@ -844,6 +920,12 @@ class TestLinearSystemOracle:
             witness = innerness_witness(post)
             assert witness == _oracle_witness(post)
             inner[witness is not None] += 1
+            expected = _reference_pullback(post)
+            if expected is None:
+                with pytest.raises(NotInnerError):
+                    pullback_algebra(post)
+            else:
+                assert pullback_algebra(post) == expected
             if witness is not None:
                 compare_coboundary(obstruction_cocycle(post, witness), sub_adjacent(post))
 
@@ -928,6 +1010,15 @@ def _vectors(draw, n):
 
 
 @st.composite
+def _square_matrices(draw, n=None):
+    """An n x n matrix of scalars, n <= 4, sparse, with mixed denominators
+    and complex entries."""
+    n = draw(st.integers(min_value=0, max_value=4)) if n is None else n
+    entry = st.one_of(st.just(ZERO), _scalars)
+    return ExactMatrix(tuple(tuple(draw(entry) for _ in range(n)) for _ in range(n)), n)
+
+
+@st.composite
 def _invertible(draw, n):
     """A unit lower times a unit upper triangular matrix: determinant 1."""
     lower = [[ONE if r == c else draw(_scalars) if r > c else ZERO for c in range(n)]
@@ -995,12 +1086,21 @@ class TestHeldIntegerForm:
         x, y = data.draw(_vectors(n)), data.draw(_vectors(n))
         assert algebra.bracket(x, y) == bilinear(table, x, y)
         assert ad_matrix(algebra, x) == ExactMatrix.from_columns(left_columns(table, x))
-        assert coefficient_matrix(algebra._integer) == _reference_coefficient_matrix(table)
+        # The coefficient matrix C(sc), read off the rows inside the solves.
+        coefficients = _reference_coefficient_matrix(table)
+        assert center(algebra) == _reference_null_space(coefficients)
+        columns = [coefficients.column(c) for c in range(n)]
+        assert inner_derivations(algebra) == _reference_span(columns, n * n)
         products = tuple(tuple(data.draw(_vectors(n)) for _ in range(n)) for _ in range(n))
         post = PostLieAlgebra(algebra, products)
         assert post.triangle(x, y) == bilinear(products, x, y)
         assert lie._scalar_table(post._integer) == products
-        assert coefficient_matrix(post._integer) == _reference_coefficient_matrix(products)
+        assert innerness_witness(post) == _reference_witness(post)
+        # An induced product has a witness, so its solution is compared too.
+        w = LinearMap.from_columns([data.draw(_vectors(n)) for _ in range(n)])
+        inner = PostLieAlgebra(algebra, induced_table(algebra, w))
+        witness = innerness_witness(inner)
+        assert witness is not None and witness == _reference_witness(inner)
         transform = data.draw(_invertible(n))
         moved = change_basis(algebra, transform)
         assert moved.sc == _transport(table, transform, transform.inverse())
@@ -1020,3 +1120,45 @@ class TestHeldIntegerForm:
         )
         with pytest.raises(ValueError, match=message):
             LieAlgebra(table)
+
+    @HELD
+    @given(st.data())
+    def test_linear_maps_hold_integer_columns(self, data):
+        # A map built from scalars and one built from integer columns (a
+        # parsed 'row' block, or the same columns on a larger scale) are the
+        # same map; the arithmetic on columns agrees with the entrywise
+        # arithmetic of the matrices of scalars.
+        matrix = data.draw(_square_matrices())
+        n = matrix.rows
+        first = LinearMap(matrix)
+        factor = data.draw(st.integers(min_value=2, max_value=6))
+        scale, columns = first._integer
+        larger = lie._IntegerForm(factor * scale, tuple(lie._times(c, factor) for c in columns))
+        same = [
+            LinearMap.from_columns([matrix.column(j) for j in range(n)]),
+            lie._held(LinearMap, _integer=lie._least_vectors(larger)),
+        ]
+        if n:
+            same.append(LinearMap.from_rows(matrix.entries))
+            text = render_rb_lie_document(LieAlgebra.abelian(n), first)
+            same.append(parse_document(text).linear_maps["operator"])
+        for other in same:
+            assert other == first and hash(other) == hash(first)
+            assert other.matrix == matrix
+        second_matrix = data.draw(st.one_of(st.just(matrix), _square_matrices(n)))
+        second = LinearMap(second_matrix)
+        assert (first == second) == (matrix == second_matrix)
+
+        def entrywise(rows):
+            return ExactMatrix(tuple(map(tuple, rows)), n)
+
+        pairs = list(zip(matrix.entries, second_matrix.entries))
+        assert (first + second).matrix == entrywise(vec_add(r, s) for r, s in pairs)
+        assert (first - second).matrix == entrywise(vec_sub(r, s) for r, s in pairs)
+        assert (-first).matrix == entrywise(tuple(-x for x in r) for r in matrix.entries)
+        assert first.plus_identity().matrix == entrywise(
+            vec_add(r, unit_vector(n, i)) for i, r in enumerate(matrix.entries)
+        )
+        x = data.draw(_vectors(n))
+        assert first.apply(x) == matrix_apply(matrix, x)
+        assert [first.column(j) for j in range(n)] == [matrix.column(j) for j in range(n)]

@@ -26,7 +26,8 @@ from postrb.scalars import (
     GaussianRational,
     _echelon,
     _integer_row,
-    _solve_columns,
+    _integer_rows,
+    _solve,
     gaussian,
     rref,
     zero_vector,
@@ -292,7 +293,5 @@ def test_rank_counts_the_rref_pivots(m):
 def test_solvability_read_off_the_echelon_pivots(n, k, data):
     # [A | B] is consistent exactly when no pivot lies in the B block.
     m = data.draw(matrices(n + k))
-    a = ExactMatrix(tuple(row[:n] for row in m.entries), n)
-    b = ExactMatrix(tuple(row[n:] for row in m.entries), k)
     solvable = all(p < n for p in echelon_pivots(m))
-    assert solvable == (_solve_columns(a, b) is not None)
+    assert solvable == (_solve(_integer_rows(m.entries), n, n + k).solutions is not None)
