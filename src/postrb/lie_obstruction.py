@@ -73,7 +73,9 @@ class LieTwoCochain:
         self, ambient: int, center_basis: Subspace, values: StructureTable
     ) -> None:
         n = ambient
-        if len(values) != n or any(len(row) != n for row in values):
+        if center_basis.ambient_dim != n or len(values) != n or any(
+            len(row) != n or any(len(v) != n for v in row) for row in values
+        ):
             raise ValueError("cochain table shape mismatch")
         form = _integer_form(values)
         rows = form.rows
@@ -81,10 +83,9 @@ class LieTwoCochain:
             if rows[i][i]:
                 raise ValueError("cochain not alternating on the diagonal")
             for j in range(i + 1, n):
-                value, mirror = values[i][j], values[j][i]
-                if len(value) != len(mirror) or rows[j][i] != _times(rows[i][j], -1):
+                if rows[j][i] != _times(rows[i][j], -1):
                     raise ValueError("cochain table not antisymmetric")
-                if not center_basis.contains(value):
+                if not center_basis.contains(values[i][j]):
                     raise ValueError(f"cochain value at ({i},{j}) lies outside the center")
         state = dict(ambient=ambient, center_basis=center_basis, _integer=form, values=values)
         self.__dict__.update(state)

@@ -3,12 +3,14 @@
 Everything in this library is computed over the Gaussian rationals Q(i).
 A ``GaussianRational`` holds three ``int``s ``a, b, d`` meaning
 (a + b*i)/d, with d > 0 and gcd(a, b, d) = 1.  That form is unique, so
-equality compares three ints, and the arithmetic is plain ``int``
-arithmetic with one ``math.gcd`` per result; integral values (d = 1), which
-dominate real workloads, skip even that.  No ``fractions.Fraction`` is built
-by arithmetic: the parts ``re`` and ``im`` are derived on demand.  There is
-no floating point anywhere: float arguments are rejected, results are exact
-and runs are bit-for-bit reproducible.
+equality compares three ints, and each operation is one formula in plain
+``int`` arithmetic with one ``math.gcd`` per result.  No
+``fractions.Fraction`` is built by arithmetic: the parts ``re`` and ``im``
+are derived on demand.  There is no floating point anywhere: float
+arguments are rejected, results are exact and runs are bit-for-bit
+reproducible.  Scalars and the dense matrices are an edge format: every
+decision is taken on integer data, and scalars are built only for what a
+caller hands in or reads.
 
 An ``ExactMatrix`` is a dense immutable tuple of rows.  Every elimination
 over Q(i) but ``determinant`` is the fraction-free forward pass
@@ -35,6 +37,7 @@ from fractions import Fraction
 from itertools import zip_longest
 from math import gcd, lcm
 from numbers import Rational
+from operator import mul
 from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
 ScalarLike = Union["GaussianRational", Fraction, int]
@@ -115,8 +118,6 @@ class GaussianRational:
     def of(value: ScalarLike) -> "GaussianRational":
         if value.__class__ is GaussianRational:
             return value
-        if value.__class__ is int:
-            return _make(value, 0, 1)
         if isinstance(value, int):
             return _make(int(value), 0, 1)
         if isinstance(value, Fraction):
@@ -124,67 +125,33 @@ class GaussianRational:
         raise TypeError(f"cannot interpret {value!r} as a Gaussian rational")
 
     def __add__(self, other: ScalarLike) -> "GaussianRational":
-        if other.__class__ is not GaussianRational:
-            other = GaussianRational.of(other)
-        d = self.d
-        if d == other.d:
-            a = self.a + other.a
-            b = self.b + other.b
-            if d == 1:
-                return _make(a, b, 1)
-        else:
-            e = other.d
-            a = self.a * e + other.a * d
-            b = self.b * e + other.b * d
-            d *= e
-        return _reduced(a, b, d)
+        other = GaussianRational.of(other)
+        d, e = self.d, other.d
+        return _reduced(self.a * e + other.a * d, self.b * e + other.b * d, d * e)
 
     __radd__ = __add__
 
     def __sub__(self, other: ScalarLike) -> "GaussianRational":
-        if other.__class__ is not GaussianRational:
-            other = GaussianRational.of(other)
-        d = self.d
-        if d == other.d:
-            a = self.a - other.a
-            b = self.b - other.b
-            if d == 1:
-                return _make(a, b, 1)
-        else:
-            e = other.d
-            a = self.a * e - other.a * d
-            b = self.b * e - other.b * d
-            d *= e
-        return _reduced(a, b, d)
+        other = GaussianRational.of(other)
+        d, e = self.d, other.d
+        return _reduced(self.a * e - other.a * d, self.b * e - other.b * d, d * e)
 
     def __rsub__(self, other: ScalarLike) -> "GaussianRational":
         return GaussianRational.of(other) - self
 
     def __mul__(self, other: ScalarLike) -> "GaussianRational":
-        if other.__class__ is not GaussianRational:
-            other = GaussianRational.of(other)
+        other = GaussianRational.of(other)
         a, b, c, e = self.a, self.b, other.a, other.b
-        if not b and not e:
-            re, im = a * c, 0
-        else:
-            re, im = a * c - b * e, a * e + b * c
-        d = self.d * other.d
-        return _make(re, im, 1) if d == 1 else _reduced(re, im, d)
+        return _reduced(a * c - b * e, a * e + b * c, self.d * other.d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: ScalarLike) -> "GaussianRational":
-        if other.__class__ is not GaussianRational:
-            other = GaussianRational.of(other)
+        other = GaussianRational.of(other)
         # (a + b*i)/d / ((c + e*i)/f) = (a + b*i)(c - e*i) f / (d (c^2 + e^2))
         a, b, c, e, f = self.a, self.b, other.a, other.b, other.d
-        if not e:
-            if not c:
-                raise ZeroDivisionError("division by zero in Q(i)")
-            d = self.d * c
-            if d < 0:
-                f, d = -f, -d
-            return _reduced(a * f, b * f, d)
+        if not (c or e):
+            raise ZeroDivisionError("division by zero in Q(i)")
         return _reduced((a * c + b * e) * f, (b * c - a * e) * f, self.d * (c * c + e * e))
 
     def __rtruediv__(self, other: ScalarLike) -> "GaussianRational":
@@ -274,14 +241,7 @@ Vector = tuple[GaussianRational, ...]
 
 
 def vector(values: Iterable[ScalarLike]) -> Vector:
-    """``values`` as a tuple of ``GaussianRational``; a tuple that already
-    is one is returned unchanged."""
-    if values.__class__ is tuple:
-        for v in values:
-            if v.__class__ is not GaussianRational:
-                break
-        else:
-            return values
+    """``values`` as a tuple of ``GaussianRational``."""
     return tuple(GaussianRational.of(v) for v in values)
 
 
@@ -512,11 +472,7 @@ class ExactMatrix:
         cooked = [vector(c) for c in cols]
         if not cooked:
             raise ValueError("cannot infer height of an empty column list")
-        height = len(cooked[0])
-        rows = tuple(
-            tuple(cooked[j][r] for j in range(len(cooked))) for r in range(height)
-        )
-        return ExactMatrix(rows, len(cooked))
+        return ExactMatrix(tuple(zip(*cooked, strict=True)), len(cooked))
 
     @staticmethod
     def identity(n: int) -> "ExactMatrix":
@@ -548,18 +504,9 @@ class ExactMatrix:
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.cols != other.rows:
             raise ValueError("matrix shape mismatch in product")
-        rows = []
-        for r in self.entries:
-            out = [ZERO] * other.cols
-            for k, x in enumerate(r):
-                if not x:
-                    continue
-                orow = other.entries[k]
-                for c in range(other.cols):
-                    if orow[c]:
-                        out[c] = out[c] + x * orow[c]
-            rows.append(tuple(out))
-        return ExactMatrix(tuple(rows), other.cols)
+        columns = [other.column(c) for c in range(other.cols)]
+        rows = tuple(tuple([sum(map(mul, r, col), ZERO) for col in columns]) for r in self.entries)
+        return ExactMatrix(rows, other.cols)
 
     def rank(self) -> int:
         """The ``_rank`` of the integer rows."""
@@ -685,18 +632,9 @@ class IntMatrix:
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError("matrix shape mismatch in product")
-        rows = []
-        for r in self.entries:
-            out = [0] * other.cols
-            for k, x in enumerate(r):
-                if not x:
-                    continue
-                orow = other.entries[k]
-                for c in range(other.cols):
-                    if orow[c]:
-                        out[c] += x * orow[c]
-            rows.append(tuple(out))
-        return IntMatrix(tuple(rows), other.cols)
+        columns = [[row[c] for row in other.entries] for c in range(other.cols)]
+        rows = tuple(tuple([sum(map(mul, r, col)) for col in columns]) for r in self.entries)
+        return IntMatrix(rows, other.cols)
 
     def apply(self, vec: Sequence[int]) -> list[int]:
         if len(vec) != self.cols:

@@ -227,6 +227,20 @@ class TestRefusals:
         with pytest.raises(ValueError, match="cochain table shape mismatch"):
             LieTwoCochain(3, center(solvable), ((zero,) * 3,) * 2)
 
+    def test_cochain_entry_length(self, heisenberg):
+        # A diagonal entry is read only as an integer row: its length has to
+        # be checked on its own, or the ``values`` view hands it back.
+        zero = vector([0, 0, 0])
+        values = ((vector([0] * 5), zero, zero), (zero,) * 3, (zero,) * 3)
+        with pytest.raises(ValueError, match="cochain table shape mismatch"):
+            LieTwoCochain(3, center(heisenberg), values)
+
+    def test_cochain_center_ambient(self, heisenberg):
+        # One basis vector has no pair i < j whose value would be tested
+        # against the center, so the center's ambient space is checked alone.
+        with pytest.raises(ValueError, match="cochain table shape mismatch"):
+            LieTwoCochain(1, center(heisenberg), ((vector([0]),),))
+
     def test_cochain_diagonal(self, solvable):
         zero, e3 = vector([0, 0, 0]), vector([0, 0, 1])
         values = ((e3, zero, zero), (zero,) * 3, (zero,) * 3)

@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from postrb.documents import parse_scalar
 from postrb.scalars import (
@@ -24,6 +24,7 @@ from postrb.scalars import (
     ZERO,
     ExactMatrix,
     GaussianRational,
+    IntMatrix,
     _echelon,
     _integer_row,
     _integer_rows,
@@ -68,6 +69,18 @@ def ref_div(p, q):
     )
 
 
+# Operands that a faster arithmetic would treat as special cases: equal
+# denominators, integral values, real and imaginary factors, negative real
+# and imaginary divisors.  Random draws seldom hit some of them.
+half = Fraction(1, 2)
+SAME_DENOMINATOR = (gaussian(half, 1), gaussian(3 * half, -half))
+INTEGRAL = (gaussian(3, -2), gaussian(-5, 4))
+REAL = (gaussian(Fraction(2, 3)), gaussian(-4))
+IMAGINARY = (gaussian(0, 2), gaussian(0, Fraction(-1, 3)))
+NEGATIVE_REAL_DIVISOR = (gaussian(1, 2), gaussian(Fraction(-2, 5)))
+IMAGINARY_DIVISOR = (gaussian(3, 1), gaussian(0, -2))
+
+
 def assert_canonical(x: GaussianRational) -> None:
     for part in (x.re, x.im):
         assert type(part) in (int, Fraction)
@@ -84,6 +97,10 @@ def assert_matches(x: GaussianRational, expected: tuple[Fraction, Fraction]) -> 
 
 @DETERMINISTIC
 @given(values, values)
+@example(*SAME_DENOMINATOR)
+@example(*INTEGRAL)
+@example(*REAL)
+@example(*IMAGINARY)
 def test_ring_operations_match_reference(a, b):
     pa, pb = pair(a), pair(b)
     assert_matches(a + b, ref_add(pa, pb))
@@ -94,6 +111,12 @@ def test_ring_operations_match_reference(a, b):
 
 @DETERMINISTIC
 @given(values, nonzero_values)
+@example(*SAME_DENOMINATOR)
+@example(*INTEGRAL)
+@example(*REAL)
+@example(*NEGATIVE_REAL_DIVISOR)
+@example(*IMAGINARY_DIVISOR)
+@example(gaussian(-6), gaussian(-3))
 def test_division_and_inverse_match_reference(a, b):
     pa, pb = pair(a), pair(b)
     assert_matches(a / b, ref_div(pa, pb))
@@ -103,6 +126,10 @@ def test_division_and_inverse_match_reference(a, b):
 
 @DETERMINISTIC
 @given(values, rationals)
+@example(gaussian(1, 1), True)
+@example(gaussian(half, 3), False)
+@example(gaussian(0, -1), -7)
+@example(gaussian(-4), 2)
 def test_mixed_operands_match_reference(a, r):
     pa, pr = pair(a), (Fraction(r), Fraction(0))
     assert_matches(a + r, ref_add(pa, pr))
@@ -188,12 +215,60 @@ def assert_reduced(x: GaussianRational) -> None:
 
 @DETERMINISTIC
 @given(values, values)
+@example(*SAME_DENOMINATOR)
+@example(*INTEGRAL)
+@example(*REAL)
+@example(*IMAGINARY)
+@example(*NEGATIVE_REAL_DIVISOR)
+@example(*IMAGINARY_DIVISOR)
+@example(gaussian(half, half), gaussian(half, -half))
 def test_every_result_is_a_reduced_triple(a, b):
     for x in (a + b, a - b, a * b, -a, a.conjugate()):
         assert_reduced(x)
     if b:
         assert_reduced(a / b)
         assert_reduced(b.inverse())
+
+
+def triple_sum(left, right, inner: int, width: int, zero, add, mul) -> tuple:
+    """The product of the rows ``left`` and ``right`` entry by entry: the
+    sum over j < ``inner`` of left[r][j] * right[j][c]."""
+    out = []
+    for r in range(len(left)):
+        row = []
+        for c in range(width):
+            total = zero
+            for j in range(inner):
+                total = add(total, mul(left[r][j], right[j][c]))
+            row.append(total)
+        out.append(tuple(row))
+    return tuple(out)
+
+
+@DETERMINISTIC
+@given(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4), st.data())
+def test_matrix_products_match_the_triple_sum(n, k, m, data):
+    # Shapes include 0 x k @ k x m and n x 0 @ 0 x m.
+    def draw(entries, rows, cols):
+        return [data.draw(st.lists(entries, min_size=cols, max_size=cols)) for _ in range(rows)]
+
+    left, right = draw(values, n, k), draw(values, k, m)
+    product = ExactMatrix(tuple(map(tuple, left)), k) @ ExactMatrix(tuple(map(tuple, right)), m)
+    assert (product.rows, product.cols) == (n, m)
+    paired = [[pair(x) for x in row] for row in left], [[pair(x) for x in row] for row in right]
+    zero = (Fraction(0), Fraction(0))
+    assert tuple(tuple(pair(x) for x in row) for row in product.entries) == triple_sum(
+        *paired, k, m, zero, ref_add, ref_mul
+    )
+    with pytest.raises(ValueError, match="matrix shape mismatch in product"):
+        ExactMatrix(tuple(map(tuple, left)), k) @ ExactMatrix(((ZERO,) * m,) * (k + 1), m)
+
+    left, right = draw(small_ints, n, k), draw(small_ints, k, m)
+    product = IntMatrix.from_rows(left, k) @ IntMatrix.from_rows(right, m)
+    assert (product.rows, product.cols) == (n, m)
+    assert product.entries == triple_sum(left, right, k, m, 0, int.__add__, int.__mul__)
+    with pytest.raises(ValueError, match="matrix shape mismatch in product"):
+        IntMatrix.from_rows(left, k) @ IntMatrix.from_rows([[0] * m] * (k + 1), m)
 
 
 def rational_literal(n: int, d: int, slash: bool) -> tuple[str, Fraction]:

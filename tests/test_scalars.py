@@ -6,8 +6,10 @@ properties (exact transform identity, unimodularity, divisibility chain).
 """
 
 import random
+from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
+from itertools import product
 from math import gcd
 from pathlib import Path
 
@@ -102,6 +104,14 @@ class TestGaussianRational:
             assert a * (b + c) == a * b + a * c
             if b:
                 assert (a / b) * b == a
+
+
+@pytest.mark.parametrize("columns", [[[1], [3, 4]], [[1, 2], [3]]], ids=["longer", "shorter"])
+def test_ragged_columns_are_refused(columns):
+    # A later column of another height is refused, as ragged rows are, not
+    # cut to the height of the first.
+    with pytest.raises(ValueError):
+        ExactMatrix.from_columns(columns)
 
 
 class TestRref:
@@ -678,3 +688,44 @@ def test_parsing_checking_and_obstruction_build_no_fraction(tmp_path, monkeypatc
     assert main(["obstruction", "--input", str(path)]) == 0
     assert capsys.readouterr().out
     assert built == []
+
+
+# The arithmetic dunders of ``GaussianRational``, as ``bench/tracer.py``
+# wraps them.
+ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+              "__truediv__", "__rtruediv__", "__neg__")
+
+
+def test_decisions_do_no_scalar_arithmetic(monkeypatch, capsys):
+    # Scalars are an edge format: the checks, innerness, every group
+    # subcommand and the scan decide on integer data, so none of them adds,
+    # multiplies, divides or negates a scalar.  ``obstruction``, ``tower``
+    # and ``diff-cocycle`` on Lie operators are left out: the arithmetic of
+    # ``LinearMap`` (``+``, ``-``, negation, ``plus_identity``) still runs
+    # on scalars.
+    from postrb.cli import main
+    from postrb.search import default_catalog, scan_catalog
+
+    catalog = default_catalog()
+    calls = Counter()
+    for name in ARITHMETIC:
+
+        def counted(*args, _name=name, _method=vars(GaussianRational)[name]):
+            calls[_name] += 1
+            return _method(*args)
+
+        monkeypatch.setattr(GaussianRational, name, counted)
+    monkeypatch.chdir(SAMPLES.parent)
+    samples = sorted(p.name for p in SAMPLES.iterdir())
+    commands = ("check-lie", "check-postlie", "innerness", "check-group",
+                "check-postgroup", "group-obstruction", "group-tower", "enumerate-rb")
+    for command, name, fmt in product(commands, samples, ("text", "machine")):
+        main([command, "--input", f"samples/{name}", "--format", fmt])
+    operators = [f"samples/{name}" for name in samples if name.endswith(".rbgrp")]
+    for a, b in product(operators, repeat=2):
+        main(["diff-cocycle", "--a", a, "--b", b])
+    scan_catalog(catalog)
+    capsys.readouterr()
+    assert calls == Counter()
+    assert -ONE == gaussian(-1)
+    assert calls == Counter(__neg__=1)
