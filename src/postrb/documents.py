@@ -17,6 +17,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from math import gcd, lcm
+from operator import index
 from typing import NoReturn, Sequence
 
 from .errors import ParseError
@@ -538,7 +539,7 @@ def expand_permutation_generators(
     """
     if degree <= 0:
         raise ValueError("degree must be positive")
-    gens = [tuple(int(x) for x in g) for g in generators]
+    gens = [tuple(map(index, g)) for g in generators]
     for g in gens:
         if len(g) != degree or sorted(g) != list(range(degree)):
             raise ValueError(f"generator {g} is not a permutation of 0..{degree - 1}")
@@ -558,9 +559,9 @@ def expand_permutation_generators(
                     elements.append(product)
                     nxt.append(product)
         frontier = nxt
-    index = {p: k for k, p in enumerate(elements)}
+    position = {p: k for k, p in enumerate(elements)}
     table = tuple(
-        tuple(index[tuple(a[b[k]] for k in range(degree))] for b in elements)
+        tuple(position[tuple(a[b[k]] for k in range(degree))] for b in elements)
         for a in elements
     )
     return FiniteGroup.from_table(table)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, islice
 from math import prod
-from operator import itemgetter
+from operator import index, itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from .scalars import _diagonalize
@@ -112,7 +112,7 @@ class FiniteGroup:
         falls back to element 0 / the element itself so that the axiom
         checker can report the violation instead of construction failing.
         """
-        cooked = tuple(tuple(map(int, row)) for row in table)
+        cooked = tuple(tuple(map(index, row)) for row in table)
         elements = tuple(range(len(cooked)))
         for identity, row in enumerate(cooked):
             if row == elements and tuple(map(itemgetter(identity), cooked)) == elements:
@@ -368,7 +368,7 @@ class AbelianDecomposition:
 
     def from_coords(self, coordinates: Sequence[int]) -> int:
         key = tuple(
-            int(c) % d for c, d in zip(coordinates, self.invariant_factors, strict=True)
+            index(c) % d for c, d in zip(coordinates, self.invariant_factors, strict=True)
         )
         return self.elements_by_coords[key]
 
@@ -385,30 +385,30 @@ def abelian_decomposition(
     u @ R @ v = d.  The element with path vector k has coordinates
     (k v)_i mod d_i: x -> x v maps the row span of R onto that of d.
     """
-    elements = tuple(dict.fromkeys(int(x) for x in subset))
+    elements = tuple(dict.fromkeys(map(index, subset)))
     m = len(elements)
-    index = {g: k for k, g in enumerate(elements)}
-    if group.identity not in index:
+    position = {g: k for k, g in enumerate(elements)}
+    if group.identity not in position:
         raise ValueError("subset does not contain the identity")
     local = []  # the subgroup's Cayley table on positions in ``elements``
     for a in elements:
-        if group.inverse[a] not in index:
+        if group.inverse[a] not in position:
             raise ValueError("subset is not closed under inverses")
         row = group.table[a]
         for b in elements:
-            if row[b] not in index:
+            if row[b] not in position:
                 raise ValueError("subset is not closed under the product")
             if row[b] != group.table[b][a]:
                 raise ValueError("subset is not abelian")
-        local.append(tuple(index[row[b]] for b in elements))
+        local.append(tuple(position[row[b]] for b in elements))
 
     if m == 1:
         e = elements[0]
         return AbelianDecomposition((e,), (), {e: ()}, {(): e})
 
-    generators = generating_set(local, index[group.identity])
+    generators = generating_set(local, position[group.identity])
     width = len(generators)
-    paths, edges = _cayley_tree(local, generators, index[group.identity])
+    paths, edges = _cayley_tree(local, generators, position[group.identity])
     relations = dict.fromkeys(  # up to sign, in walk order
         max(row, tuple(-x for x in row))
         for *_, row in edges

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, islice
-from operator import itemgetter
+from operator import index, itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from .errors import NotRotaBaxterError
@@ -50,7 +50,7 @@ class PostGroup:
 
     @staticmethod
     def from_table(base: FiniteGroup, table: Sequence[Sequence[int]]) -> "PostGroup":
-        return PostGroup(base, tuple(tuple(int(x) for x in row) for row in table))
+        return PostGroup(base, tuple(tuple(map(index, row)) for row in table))
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,7 @@ from fractions import Fraction
 from itertools import zip_longest
 from math import gcd, lcm
 from numbers import Rational
-from operator import mul
+from operator import index, mul
 from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
 ScalarLike = Union["GaussianRational", Fraction, int]
@@ -608,7 +608,7 @@ class IntMatrix:
 
     @staticmethod
     def from_rows(rows: Iterable[Iterable[int]], width: int | None = None) -> "IntMatrix":
-        ents = tuple(tuple(int(x) for x in row) for row in rows)
+        ents = tuple(tuple(map(index, row)) for row in rows)
         if width is None:
             if not ents:
                 raise ValueError("cannot infer width of an empty matrix")
@@ -808,7 +808,7 @@ def solve_linear_congruences(
         raise ValueError("modulus must be positive")
     if len(rhs) != coeffs.rows:
         raise ValueError("right-hand side length does not match row count")
-    system = _diagonalize(coeffs.entries, [[int(x) for x in rhs]], (modulus,), coeffs.cols)
+    system = _diagonalize(coeffs.entries, [list(map(index, rhs))], (modulus,), coeffs.cols)
     if system is None:
         return None
     return [x % modulus for x in system.transform.apply(system.least[0])]

@@ -40,16 +40,52 @@ the part of the pair (0, 1) once for each, then walks the middle columns
 and solves for the last one instead of trying each.  The pair (0, 1)
 leaves out column n-1, so its tested defect is R - s W with s = sub_01[n-1]
 at scale G T, R fixed by the prefix at G^2 T Z, and W the last column, as
-tested, at G Z.  If s = x + y i != 0, only W = R/s can pass, and it is a
-Gaussian integer: with N = x^2 + y^2, N must divide both parts of R
-conj(s) in every coordinate, or no column matches.  The quotient is looked
-up in a map from the tested columns to the grid indices that carry them.
-If s = 0 the prefix passes with every last column when R = 0 and with none
+tested, at G Z.  If s = x + y i != 0, only W = R/s can pass: with
+N = x^2 + y^2, the columns that pass are those with R conj(s) = N W.  If
+s = 0 the prefix passes with every last column when R = 0 and with none
 otherwise.  Each survivor is then checked on every other pair, paying only
 for the terms sub_ij[m] w_m of the other columns.  The parts of those pairs
 are kept in one dict per scan, keyed by (i, j, idx[i], idx[j]); the pair
 (0, 1) needs none, as each of its parts serves one contiguous run of
 prefixes.
+
+The walk only tests the width-vectors of functionals for zero or looks
+them up, so it holds each as two ``int``s, pack(Re v) and pack(Im v), with
+pack(u) = sum_t u_t 2^(B t): Kronecker substitution (Harvey, J. Symbolic
+Comput. 44, 2009), whose arithmetic runs in C.  Once per scan the tested
+columns t_c = phi(G c) at G Z are packed, phi being the centrality
+functionals, and so are the phi_p, the coefficients of v_p in them.  pack
+is Z-linear, so the tables phi(G T [e_k, c]) = -sum_p G T [c, e_k]_p phi_p
+at G T Z are sums of packed ints.  So is the defect at (i, j),
+phi(kappa_ij) = -sum_k w_j[k] phi([e_k, w_i]) - sum_m sub_ij[m] t_{idx[m]}:
+a few multiply-adds, central when both of its ints are 0.  The last
+column is solved on the packed parts of R: U = x pack(Re R) + y pack(Im R)
+and V = x pack(Im R) - y pack(Re R) are, by linearity, pack(Re R conj(s))
+and pack(Im R conj(s)), and the columns that can pass are the c with
+N | U, N | V and (U/N, V/N) = (pack(Re t_c), pack(Im t_c)).
+
+Why that is exact.  Write |z| for max(|Re z|, |Im z|), so that
+|z w| <= 2 |z| |w|, and |.| of a table for the largest |.| of its entries.
+Let gamma = |G c| and tau = |t_c| over the grid, pi = 2n |G T [c, e_k]|
+|phi|, which bounds every lane of every phi(G T [e_k, c]), and
+sigma = G |T [e_i, e_j]| + 2 |G T [c, e_k]|, which bounds every entry of
+every sub_ij.  A tested defect is a sum of 2n terms, each of |.|
+at most 2 gamma pi or 2 sigma tau, so every lane of it, and of each
+partial sum the walk keeps (the part of a pair, a residual, R), is at most
+D = 2n (gamma pi + sigma tau).  The lanes of U and V are at most
+2 sigma D, and those of N t_c at most 2 sigma^2 tau <= 2 sigma D.  B is one
+more than the bit length of max(tau, D, 2 sigma D), so every lane of every
+packed quantity is below 2^(B-1) in absolute value.  On such vectors pack
+is injective: a difference of two has lanes below 2^B, and its lowest
+nonzero lane would be a nonzero multiple of 2^B.  So a packed zero test
+holds exactly when every lane is zero, and two keys are equal exactly when
+their vectors are.  If N | U, N | V and U/N = pack(Re t_c), then
+pack(Re R conj(s)) = U = pack(N Re t_c), and as both vectors are within the
+bound, Re R conj(s) = N Re t_c; with V likewise, R conj(s) = N t_c, that
+is R = s t_c.  Conversely R = s t_c makes U/N and V/N the key of t_c.  So
+the lookup names exactly the columns that the quotient R/s in Z[i], taken
+coordinate by coordinate, names, and every yielded tuple is the one the
+unpacked test yields.
 
 A valid candidate reads sub_ij at G T and kappa_ij at G^2 T off the same
 integer rows and stays on them.  Only the pairs i < j are held, so both
@@ -64,8 +100,8 @@ the scan never back-substitutes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
-from typing import Iterator, NamedTuple, Sequence
+from itertools import chain, product
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .lie import (
     LieAlgebra,
@@ -146,7 +182,7 @@ def default_catalog() -> list[tuple[str, LieAlgebra]]:
 class _Scaled(NamedTuple):
     """The scan's integer rows, each at its scale (see the module docstring).
 
-    ``sc[i][j]`` is T [e_i, e_j]; ``grid[c]`` is G c and ``ads[c][k]`` is
+    ``table[i][j]`` is T [e_i, e_j]; ``grid[c]`` is G c and ``ads[c][k]`` is
     G T [c, e_k] for grid column c.  There are ``width`` coordinates off the
     pivots; the t-th of them, q, has the centrality functional
     Z v_q - sum_r Z z_r[q] v_{p_r}.  ``phi[p]`` holds the (t, a, b) with
@@ -155,7 +191,7 @@ class _Scaled(NamedTuple):
     as c vanishes on the pivots.  ``g`` and ``t`` are G and T.
     """
 
-    sc: Sequence[Sequence[IntegerRow]]
+    table: Sequence[Sequence[IntegerRow]]
     grid: Sequence[IntegerRow]
     ads: Sequence[Sequence[IntegerRow]]
     phi: Sequence[IntegerRow]
@@ -191,95 +227,117 @@ def _scaled(algebra: LieAlgebra, z: tuple, off: Sequence[int], grid: Sequence[Ve
     )
 
 
-def _pair_rows(
-    rows: _Scaled, i: int, j: int, a: int, b: int
-) -> tuple[list[int], list[int], list[int], list[int]]:
+def _sub(rows: _Scaled, i: int, j: int, a: int, b: int) -> tuple[list[int], list[int]]:
     """The real and imaginary parts of sub = [e_i, e_j] + [w_i, e_j] -
-    [w_j, e_i] at scale G T and of the part [w_i, w_j] - sub[i] w_i -
-    sub[j] w_j at G^2 T, for idx[i] = a and idx[j] = b."""
-    sc, grid, ads = rows.sc, rows.grid, rows.ads
-    n = len(sc)
-    ta = ads[a]
-    sre, sim = [0] * n, [0] * n
+    [w_j, e_i] at scale G T, for idx[i] = a and idx[j] = b."""
+    table, ads = rows.table, rows.ads
+    sre, sim = [0] * len(table), [0] * len(table)
     # [e_i, e_j] has degree 0 in the grid, so it takes the extra G.
-    terms = (sc[i][j], ta[j], ads[b][i])
+    terms = (table[i][j], ads[a][j], ads[b][i])
     _accumulate(sre, sim, ((0, rows.g, 0), (1, 1, 0), (2, -1, 0)), terms)
-    pre, pim = [0] * n, [0] * n
-    # [w_i, w_j] = sum_k w_j[k] [w_i, e_k].
-    _accumulate(pre, pim, grid[b], ta)
-    ends = tuple(
-        (e, sre[m], sim[m]) for e, m in ((0, i), (1, j)) if sre[m] or sim[m]
-    )
-    _accumulate(pre, pim, ends, (grid[a], grid[b]), -1)
-    return sre, sim, pre, pim
+    return sre, sim
 
 
-def _others(sre: list[int], sim: list[int], i: int, j: int) -> IntegerRow:
-    """The nonzero sub[m], m not in (i, j), as (m, re, im)."""
-    return tuple(
-        (m, x, y)
-        for m, (x, y) in enumerate(zip(sre, sim))
-        if (x or y) and m not in (i, j)
-    )
+Packed = tuple[int, int]
 
 
-def _pair_part(
-    rows: _Scaled, i: int, j: int, a: int, b: int
-) -> tuple[IntegerRow, list[int], list[int]]:
-    """What the defect at (i, j) needs from idx[i] = a, idx[j] = b.
-
-    With sub and the part as in ``_pair_rows`` the defect is the part less
-    sum_m sub[m] w_m over the other columns m.  Returns those sub[m] as
-    (m, re, im) at scale G T, and the real and imaginary parts of the
-    centrality functionals of the part, at G^2 T Z: all zero exactly when
-    the part is central.
-    """
-    sre, sim, pre, pim = _pair_rows(rows, i, j, a, b)
-    cre, cim = [0] * rows.width, [0] * rows.width
-    _accumulate(cre, cim, _sparse(pre, pim), rows.phi)
-    return _others(sre, sim, i, j), cre, cim
+def _pack(row: IntegerRow, bits: int) -> Packed:
+    """The sparse width-vector ``row`` as pack(Re row) and pack(Im row),
+    lane t at bit ``bits`` * t."""
+    return sum(a << bits * t for t, a, _ in row), sum(b << bits * t for t, _, b in row)
 
 
-def _residual(
-    columns: Sequence[IntegerRow], others: IntegerRow, re: list[int], im: list[int]
-) -> tuple[list[int], list[int]]:
-    """Copies of ``re`` and ``im`` less sum s columns[m] over (m, s) in
-    ``others``."""
-    re, im = re[:], im[:]
-    _accumulate(re, im, others, columns, -1)
+def _largest(rows: Iterable[IntegerRow]) -> int:
+    """The largest |a| and |b| over the (k, a, b) of ``rows``."""
+    return max((max(abs(a), abs(b)) for row in rows for _, a, b in row), default=0)
+
+
+def _less(re: int, im: int, terms: IntegerRow, columns: Sequence[Packed]) -> Packed:
+    """re + im*i less sum (x + y*i) columns[m] over (m, x, y) in ``terms``,
+    lane by lane."""
+    for m, x, y in terms:
+        u, v = columns[m]
+        re -= x * u - y * v
+        im -= x * v + y * u
     return re, im
 
 
-def _exact_quotient(
-    re: Sequence[int], im: Sequence[int], x: int, y: int
-) -> IntegerRow | None:
-    """(re + im*i)/(x + y*i) per coordinate t in Z[i], as the sparse row of
-    its nonzero (t, real part, imaginary part), or None when some
-    coordinate is not divisible."""
+def _quotient(re: int, im: int, x: int, y: int) -> Packed | None:
+    """(U/N, V/N) for U + V*i = (re + im*i)(x - y*i) and N = x^2 + y^2,
+    or None when N does not divide U and V: the key of R/s (see the module
+    docstring)."""
     norm = x * x + y * y
-    quotient = []
-    for t, (u, v) in enumerate(zip(re, im)):
-        # (u + v*i) conj(x + y*i) = (u x + v y) + (v x - u y) i.
-        u, v = u * x + v * y, v * x - u * y
-        if u % norm or v % norm:
-            return None
-        if u or v:
-            quotient.append((t, u // norm, v // norm))
-    return tuple(quotient)
+    u, v = re * x + im * y, im * x - re * y
+    if u % norm or v % norm:
+        return None
+    return u // norm, v // norm
+
+
+class _Lanes(NamedTuple):
+    """The walk's packed vectors, on ``bits`` = B bits per lane (see the
+    module docstring): ``tested[c]`` is t_c and ``products[c][k]`` is
+    phi(G T [e_k, c]), for grid column c."""
+
+    tested: tuple[Packed, ...]
+    products: tuple[tuple[Packed, ...], ...]
+    bits: int
+
+
+def _lanes(rows: _Scaled) -> _Lanes:
+    """Pack t_c and phi(G T [e_k, c]) on the lane width B that the module
+    docstring derives from the maxima of the scaled tables."""
+    n = len(rows.table)
+    ads = _largest(chain(*rows.ads))
+    sigma = rows.g * _largest(chain(*rows.table)) + 2 * ads
+    tau = _largest(rows.tested)
+    pi = 2 * n * ads * _largest(rows.phi)
+    d = 2 * n * (_largest(rows.grid) * pi + sigma * tau)
+    bits = max(tau, d, 2 * sigma * d).bit_length() + 1
+    phi = [_pack(row, bits) for row in rows.phi]
+    return _Lanes(
+        tuple(_pack(t, bits) for t in rows.tested),
+        # phi([e_k, c]) = -phi([c, e_k]) = -sum_p [c, e_k]_p phi_p.
+        tuple(tuple(_less(0, 0, v, phi) for v in row) for row in rows.ads),
+        bits,
+    )
+
+
+def _part(
+    rows: _Scaled, lanes: _Lanes, i: int, j: int, a: int, b: int
+) -> tuple[int, int, IntegerRow]:
+    """What the defect at (i, j) needs from idx[i] = a, idx[j] = b.
+
+    The defect is the part [w_i, w_j] - sub[i] w_i - sub[j] w_j less
+    sum_m sub[m] w_m over the other columns m.  Returns the packed
+    centrality functionals of the part, at G^2 T Z, and every sub[m], m not
+    in (i, j), as (m, re, im) in order of m.
+    """
+    sre, sim = _sub(rows, i, j, a, b)
+    tested = lanes.tested
+    # phi([w_i, w_j]) = sum_k w_j[k] phi([w_i, e_k]) = -sum_k w_j[k] phi([e_k, w_i]).
+    re, im = _less(0, 0, rows.grid[b], lanes.products[a])
+    ends = ((0, sre[i], sim[i]), (1, sre[j], sim[j]))
+    others = [(m, sre[m], sim[m]) for m in range(len(sre)) if m != i and m != j]
+    return (*_less(re, im, ends, (tested[a], tested[b])), tuple(others))
 
 
 def _central_witnesses(rows: _Scaled) -> Iterator[tuple[int, ...]]:
     """The index tuples, in ``product`` order, whose defect is central at
     every pair i < j.
 
-    From n = 3 on the part of the pair (0, 1) is built once per (idx[0],
-    idx[1]), the outermost loop, and the last column is solved from it; the
-    part of every other pair is built once and kept in ``parts``, which the
+    With no functional to test (width 0) every tuple is.  From n = 3 on the
+    part of the pair (0, 1) is built once per (idx[0], idx[1]), the
+    outermost loop, and the last column is solved from it; the part of
+    every other pair is built once and kept in ``parts``, which the
     generator drops when it finishes.
     """
-    n = len(rows.sc)
+    n = len(rows.table)
     everything = range(len(rows.grid))
-    tested = rows.tested
+    if not rows.width:
+        yield from product(everything, repeat=n)
+        return
+    lanes = _lanes(rows)
+    tested = lanes.tested
     parts: dict[tuple[int, int, int, int], tuple] = {}
 
     def central(idx: tuple[int, ...], pairs: Sequence[tuple[int, int]]) -> bool:
@@ -288,9 +346,9 @@ def _central_witnesses(rows: _Scaled) -> Iterator[tuple[int, ...]]:
             key = (i, j, idx[i], idx[j])
             part = parts.get(key)
             if part is None:
-                part = parts[key] = _pair_part(rows, *key)
-            re, im = _residual(columns, *part)
-            if any(re) or any(im):
+                part = parts[key] = _part(rows, lanes, *key)
+            re, im = _less(*part, columns)
+            if re or im:
                 return False
         return True
 
@@ -301,21 +359,20 @@ def _central_witnesses(rows: _Scaled) -> Iterator[tuple[int, ...]]:
                 yield idx
         return
     del pairs[0]  # solved for below
-    last = n - 1
-    by_values: dict[IntegerRow, tuple[int, ...]] = {}
+    by_values: dict[Packed, tuple[int, ...]] = {}
     for c, col in enumerate(tested):
         by_values[col] = by_values.get(col, ()) + (c,)
     for a, b in product(everything, repeat=2):
-        others, cre, cim = _pair_part(rows, 0, 1, a, b)
-        s = next(((x, y) for m, x, y in others if m == last), None)
-        fixed = tuple(t for t in others if t[0] != last)
+        cre, cim, others = _part(rows, lanes, 0, 1, a, b)
+        # others runs over m = 2, ..., n-1: s = x + y*i comes last.
+        *fixed, (_, x, y) = others
         for middle in product(everything, repeat=n - 3):
             prefix = (a, b, *middle)
-            re, im = _residual([tested[c] for c in prefix], fixed, cre, cim)
-            if s:
-                key = _exact_quotient(re, im, *s)
+            re, im = _less(cre, cim, fixed, [tested[c] for c in prefix])
+            if x or y:
+                key = _quotient(re, im, x, y)
                 lasts = () if key is None else by_values.get(key, ())
-            elif any(re) or any(im):
+            elif re or im:
                 continue
             else:
                 lasts = everything
@@ -323,6 +380,22 @@ def _central_witnesses(rows: _Scaled) -> Iterator[tuple[int, ...]]:
                 idx = prefix + (c,)
                 if central(idx, pairs):
                     yield idx
+
+
+def _pair_rows(
+    rows: _Scaled, idx: tuple[int, ...], i: int, j: int
+) -> tuple[IntegerRow, IntegerRow]:
+    """The sparse rows of sub_ij at scale G T and of kappa_ij = [w_i, w_j] -
+    sum_m sub_ij[m] w_m at G^2 T, for the witness idx."""
+    sre, sim = _sub(rows, i, j, idx[i], idx[j])
+    sub = _sparse(sre, sim)
+    n = len(idx)
+    columns = [rows.grid[c] for c in idx]
+    kre, kim = [0] * n, [0] * n
+    # [w_i, w_j] = sum_k w_j[k] [w_i, e_k].
+    _accumulate(kre, kim, columns[j], rows.ads[idx[i]])
+    _accumulate(kre, kim, sub, columns, -1)
+    return sub, _sparse(kre, kim)
 
 
 class _Classified(NamedTuple):
@@ -344,15 +417,10 @@ def _classify(rows: _Scaled, idx: tuple[int, ...]) -> _Classified:
     scaling a block moves no pivot.
     """
     n = len(idx)
-    columns = [rows.grid[c] for c in idx]
-    sub, kappa = [], []
-    for i in range(n):
-        for j in range(i + 1, n):
-            sre, sim, kre, kim = _pair_rows(rows, i, j, idx[i], idx[j])
-            _accumulate(kre, kim, _others(sre, sim, i, j), columns, -1)
-            sub.append(_sparse(sre, sim))
-            kappa.append(_sparse(kre, kim))
-    return _Classified(tuple(sub), tuple(kappa), _coboundary_echelon(sub, kappa, n) is None)
+    pairs = [_pair_rows(rows, idx, i, j) for i in range(n) for j in range(i + 1, n)]
+    sub = tuple(row for row, _ in pairs)
+    kappa = tuple(row for _, row in pairs)
+    return _Classified(sub, kappa, _coboundary_echelon(sub, kappa, n) is None)
 
 
 def scan_algebra(

@@ -17,9 +17,9 @@ from postrb.groups import (
     group_violations,
     inner_automorphism,
 )
-from postrb.documents import parse_document
-from postrb.postgroup import sub_adjacent_group
-from postrb.scalars import IntMatrix, smith_normal_form
+from postrb.documents import expand_permutation_generators, parse_document
+from postrb.postgroup import PostGroup, sub_adjacent_group
+from postrb.scalars import IntMatrix, smith_normal_form, solve_linear_congruences
 
 from conftest import (
     inner_postgroups,
@@ -164,6 +164,37 @@ class TestFromTable:
         # 0 is the identity; 1 1 = 1, so 1 has no inverse.
         with pytest.raises(ValueError, match="no inverse"):
             FiniteGroup.from_table([[0, 1], [1, 1]])
+
+
+class TestFloatsRefused:
+    """Group-side integers are taken with ``operator.index``: a float is
+    refused with ``TypeError``, as ``GaussianRational`` refuses one, where
+    ``int`` would truncate it (1.9 read as 1, 2.7 as 2)."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: FiniteGroup.from_table([[0.0, 1.9], [1, 0]]),
+            lambda: PostGroup.from_table(cyclic_group(2), [[0, 1.0], [1, 0]]),
+            lambda: expand_permutation_generators(2, [[1.0, 0]]),
+            lambda: abelian_decomposition(cyclic_group(4), [0, 2.0]),
+            lambda: abelian_decomposition(cyclic_group(4), range(4)).from_coords([1.0]),
+            lambda: IntMatrix.from_rows([[1.5, 2]]),
+            lambda: solve_linear_congruences(IntMatrix.from_rows([[1]]), [2.7], 5),
+        ],
+        ids=[
+            "FiniteGroup.from_table",
+            "PostGroup.from_table",
+            "expand_permutation_generators",
+            "abelian_decomposition",
+            "AbelianDecomposition.from_coords",
+            "IntMatrix.from_rows",
+            "solve_linear_congruences",
+        ],
+    )
+    def test_float_refused(self, build):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            build()
 
 
 class TestFields:

@@ -6,6 +6,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from postrb import lie, lie_obstruction, scalars, search
 from postrb.errors import NontrivialObstructionError
@@ -59,6 +60,58 @@ def _scalars(row, n: int, scale: int) -> tuple:
     for k, a, b in row:
         out[k] = from_triple(a, b, scale)
     return tuple(out)
+
+
+def _pack_list(values, bits: int) -> int:
+    """The integers ``values`` packed as lanes of ``bits`` bits, lane t at
+    bit ``bits`` * t."""
+    return sum(x << bits * t for t, x in enumerate(values))
+
+
+def _decode(value: int, bits: int, width: int) -> list[int] | None:
+    """The ``width`` lanes that pack to ``value`` with each below
+    2^(bits-1) in absolute value, or None when there are none.  Such lanes
+    are the balanced digits of ``value`` in [-2^(bits-1), 2^(bits-1)),
+    which are unique."""
+    half = 1 << (bits - 1)
+    lanes = []
+    for _ in range(width):
+        lane = (value + half) % (2 * half) - half
+        lanes.append(lane)
+        value = (value - lane) >> bits
+    return None if value or -half in lanes else lanes
+
+
+def _unpack(value: int, bits: int, width: int) -> list[int]:
+    lanes = _decode(value, bits, width)
+    assert lanes is not None, f"{value} has a lane outside {bits} bits"
+    return lanes
+
+
+def _lookup(found, bits: int, width: int):
+    """The sparse row (t, re, im) that the packed pair ``found`` holds
+    within the lane bound, or None when ``found`` is None or holds none."""
+    if found is None:
+        return None
+    re, im = (_decode(value, bits, width) for value in found)
+    if re is None or im is None:
+        return None
+    return tuple((t, a, b) for t, (a, b) in enumerate(zip(re, im)) if a or b)
+
+
+def _lane_quotient(re, im, x: int, y: int):
+    """(re + im*i)/(x + y*i) coordinate by coordinate, as the sparse row of
+    its nonzero (t, real part, imaginary part), or None when some
+    coordinate is not in Z[i]."""
+    norm = x * x + y * y
+    quotient = []
+    for t, (u, v) in enumerate(zip(re, im)):
+        u, v = u * x + v * y, v * x - u * y
+        if u % norm or v % norm:
+            return None
+        if u or v:
+            quotient.append((t, u // norm, v // norm))
+    return tuple(quotient)
 
 
 def _oracle(name: str, algebra: LieAlgebra, coefficients, max_examples=3) -> ScanSummary:
@@ -351,17 +404,30 @@ class TestScanMatchesOracle:
         # On simple-3 the last column is solved by dividing by sub_01[2] =
         # 1 + w_0[0] + w_1[1], which is complex on most prefixes of the grid
         # (0, i); on some of them it does not divide the residual in Z[i],
-        # so no last column can match.
+        # so no last column can match.  Each packed quotient names a column
+        # exactly when the quotient taken lane by lane is in Z[i] and is a
+        # tested column.
         refused = []
-        exact_quotient = search._exact_quotient
+        lanes = []
+        packed_lanes, quotient = search._lanes, search._quotient
 
-        def spy(re, im, x, y):
-            key = exact_quotient(re, im, x, y)
-            if key is None and y:
+        def lanes_spy(rows):
+            lanes.append((packed_lanes(rows), rows.width))
+            return lanes[-1][0]
+
+        def quotient_spy(re, im, x, y):
+            key = quotient(re, im, x, y)
+            (tested, _, bits), width = lanes[-1]
+            unpacked = [_unpack(value, bits, width) for value in (re, im)]
+            expected = _lane_quotient(*unpacked, x, y)
+            found = key in tested
+            assert found == (expected is not None and search._pack(expected, bits) in tested)
+            if not found and y:
                 refused.append((x, y))
             return key
 
-        monkeypatch.setattr(search, "_exact_quotient", spy)
+        monkeypatch.setattr(search, "_lanes", lanes_spy)
+        monkeypatch.setattr(search, "_quotient", quotient_spy)
         algebra = dict(default_catalog())["simple-3"]
         summary = scan_algebra("simple-3", algebra, (0, I))
         assert refused
@@ -380,10 +446,18 @@ class TestScanMatchesOracle:
             ((1,), (0,), 2, 1, None),
             ((0, 3), (0, -2), 0, 1, ((1, -2, -3),)),
             ((0, 0), (0, 0), 1, 1, ()),
+            # 2 divides both packed parts of (0, 1)(1 - i), (2^B, -2^B),
+            # but 1/(1 + i) is not in Z[i]: the packed quotient names no
+            # vector whose lanes are within the bound.
+            ((0, 1), (0, 0), 1, 1, None),
         ],
     )
     def test_exact_quotient(self, re, im, x, y, key):
-        assert search._exact_quotient(re, im, x, y) == key
+        # (re + im*i)/(x + y*i) coordinate by coordinate: ``key`` is the
+        # sparse row of the quotient, or None when it is not in Z[i].
+        bits = 8
+        found = search._quotient(_pack_list(re, bits), _pack_list(im, bits), x, y)
+        assert _lookup(found, bits, len(re)) == key
 
     @pytest.mark.parametrize("algebra, coefficients", SCALAR_GRIDS)
     def test_candidates_read_the_scalar_tables(self, monkeypatch, algebra, coefficients):
@@ -543,3 +617,127 @@ class TestWalkTheorems:
                 re, im = [0] * rows.width, [0] * rows.width
                 lie._accumulate(re, im, value, rows.phi)
                 assert not any(re) and not any(im)
+
+
+# Grid values besides 0 that widen the lanes (large integers), add a grid
+# denominator (halves) or make the tested columns complex (i).
+WIDE = (1, -1, 1000, -1000, HALF, -HALF, I, -I, 1 + I)
+
+
+@st.composite
+def _scans(draw):
+    """A catalog algebra with a nonzero bracket in a random basis,
+    unimodular or not, and a grid of 0 (so that some candidate is valid)
+    and one or two values of ``WIDE`` (one on simple-3, which has no
+    center, so that the oracle stays fast)."""
+    name = draw(st.sampled_from(["affine-2", "affine-3", "heisenberg", "simple-3"]))
+    algebra = dict(default_catalog())[name]
+    n = algebra.dim
+    entry, pivot = st.integers(-2, 2), st.sampled_from((1, -1, 2, 3))
+    lower = [
+        [1 if i == j else draw(entry) if i > j else 0 for j in range(n)] for i in range(n)
+    ]
+    upper = [
+        [draw(pivot) if i == j else draw(entry) if i < j else 0 for j in range(n)]
+        for i in range(n)
+    ]
+    basis = ExactMatrix.from_rows(lower) @ ExactMatrix.from_rows(upper)
+    size = 1 if name == "simple-3" else draw(st.integers(1, 2))
+    values = draw(
+        st.lists(st.sampled_from(WIDE), min_size=size, max_size=size, unique=True)
+    )
+    return name, change_basis(algebra, basis), (0, *values)
+
+
+class TestPackedLanes:
+    """The walk holds each tested width-vector as two ints of B-bit signed
+    lanes; the module docstring proves that every lane of every packed
+    quantity stays below 2^(B-1), where packing is injective."""
+
+    def test_pack_is_injective_up_to_the_lane_edge(self):
+        bits = 5
+        edge = 2 ** (bits - 1) - 1
+        vectors = list(product((-edge, -1, 0, 1, edge), repeat=3))
+        packs = {}
+        for lanes in vectors:
+            row = tuple((t, a, -a) for t, a in enumerate(lanes) if a)
+            re, im = search._pack(row, bits)
+            assert (re, im) == (_pack_list(lanes, bits), -_pack_list(lanes, bits))
+            assert _decode(re, bits, 3) == list(lanes)
+            packs[re] = lanes
+        assert len(packs) == len(vectors)
+        assert packs[0] == (0, 0, 0)
+        # One past the edge two vectors pack alike: 2^(B-1) = -2^(B-1) + 2^B.
+        half = edge + 1
+        assert search._pack(((0, half, 0),), bits) == search._pack(
+            ((0, -half, 0), (1, 1, 0)), bits
+        )
+
+    def test_quotient_at_the_lane_edge(self):
+        # N t_c with N = 5 reaches the edge 127 of 8-bit lanes, and the
+        # quotient is still the key of t_c.
+        bits = 8
+        t = ((0, 25, 0), (1, -25, 0))
+        r = ((0, 50, 25), (1, -50, -25))  # (2 + i) t
+        found = search._quotient(*search._pack(r, bits), 2, 1)
+        assert found == search._pack(t, bits)
+        assert _lookup(found, bits, 2) == t
+
+    @pytest.mark.parametrize(
+        "algebra, coefficients",
+        [
+            (dict(default_catalog())["simple-3"], (1000, -1)),
+            (change_basis(make_heisenberg(), NON_UNIMODULAR), (0, -1000, I)),
+            (
+                change_basis(dict(default_catalog())["affine-3"], HALF_PIVOT),
+                (HALF, 1000, 1 + I),
+            ),
+            (_ORACLE_ALGEBRAS["heisenberg+line-skew"], (-1000, 1)),
+        ],
+    )
+    def test_walk_stays_within_its_lanes(self, monkeypatch, algebra, coefficients):
+        # Every packed sum the walk builds after its tables (parts and
+        # residuals), every U and V of a quotient and every tested column
+        # has its lanes below 2^(B-1).
+        bound = []
+        packed_lanes, less, quotient = search._lanes, search._less, search._quotient
+
+        def lanes_spy(rows):
+            built = packed_lanes(rows)
+            for value in (v for pair in built.tested for v in pair):
+                _unpack(value, built.bits, rows.width)
+            bound.append((built.bits, rows.width))
+            return built
+
+        def less_spy(re, im, terms, columns):
+            out = less(re, im, terms, columns)
+            if bound:  # the walk's sums, not the tables'
+                for value in out:
+                    _unpack(value, *bound[-1])
+            return out
+
+        def quotient_spy(re, im, x, y):
+            for value in (re * x + im * y, im * x - re * y):
+                _unpack(value, *bound[-1])
+            return quotient(re, im, x, y)
+
+        monkeypatch.setattr(search, "_lanes", lanes_spy)
+        monkeypatch.setattr(search, "_less", less_spy)
+        monkeypatch.setattr(search, "_quotient", quotient_spy)
+        summary = scan_algebra("x", algebra, coefficients)
+        assert len(bound) == 1 and bound[0][0] > 20
+        monkeypatch.undo()
+        assert summary == _oracle("x", algebra, coefficients)
+
+    @settings(database=None, derandomize=True, max_examples=12, deadline=None)
+    @given(_scans())
+    # Nontrivial classes, which random bases seldom meet.  On the standard
+    # Heisenberg basis c_i1 = -w_i[1] and c_i2 = w_i[0], so over
+    # {0, -1, 1000} the class is nontrivial when w_1[0] = -1, w_2[1] = 0 and
+    # w_1[1] w_2[0] != 0, with entries 1000 among them.
+    @example(("heisenberg", make_heisenberg(), (0, -1, 1000)))
+    @example(("heisenberg", change_basis(make_heisenberg(), NON_UNIMODULAR), (0, HALF, -1)))
+    def test_scan_matches_oracle_in_random_bases(self, scan):
+        name, algebra, coefficients = scan
+        summary = scan_algebra(name, algebra, coefficients)
+        assert summary == _oracle(name, algebra, coefficients)
