@@ -12,6 +12,7 @@ import json
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from .documents import (
     OPERATOR_MAP,
@@ -100,32 +101,36 @@ def _read_document(path: str, *, validate_group_axioms: bool = True) -> AlgebraD
     return parse_document(text, validate_group_axioms=validate_group_axioms)
 
 
-def _require_kind(doc: AlgebraDocument, *kinds: str) -> None:
-    if doc.kind not in kinds:
-        raise ParseError(1, f"expected a document of kind {' or '.join(kinds)}, got {doc.kind!r}")
+def _require_kind(doc: AlgebraDocument, kind: str) -> None:
+    if doc.kind != kind:
+        raise ParseError(1, f"expected a document of kind {kind}, got {doc.kind!r}")
 
 
-def _cmd_check_lie(args) -> tuple[Report, int]:
-    doc = _read_document(args.input)
-    _require_kind(doc, "lie")
+def _triples(failures, holds: str) -> tuple[bool, str]:
+    """The verdict on the violating basis triples ``failures``, 0-based and
+    printed 1-based: ``holds`` when there are none."""
+    if not failures:
+        return True, holds
+    return False, f"{len(failures)} violating triples; first {tuple(x + 1 for x in failures[0])}"
+
+
+def _group_axioms(group, holds: str) -> tuple[bool, str]:
+    """The verdict on a group table parsed without the group axioms."""
+    problems = group_violations(group, limit=1)
+    return (False, problems[0]) if problems else (True, holds)
+
+
+def _cmd_check_lie(doc: AlgebraDocument, args) -> tuple[Report, int]:
     report = Report([], {})
-    bad = jacobi_violations(doc.lie_algebra)
     report.add(
         "antisymmetry", True, "enforced structurally at parse time"
     )
-    report.add(
-        "jacobi",
-        not bad,
-        "all basis triples satisfy the cyclic identity"
-        if not bad
-        else f"{len(bad)} violating triples; first {tuple(x + 1 for x in bad[0])}",
-    )
+    bad = jacobi_violations(doc.lie_algebra)
+    report.add("jacobi", *_triples(bad, "all basis triples satisfy the cyclic identity"))
     return report, EXIT_OK if report.all_passed else EXIT_AXIOM
 
 
-def _cmd_check_postlie(args) -> tuple[Report, int]:
-    doc = _read_document(args.input)
-    _require_kind(doc, "postlie")
+def _cmd_check_postlie(doc: AlgebraDocument, args) -> tuple[Report, int]:
     report = Report([], {})
     jac = jacobi_violations(doc.lie_algebra)
     report.add(
@@ -136,40 +141,31 @@ def _cmd_check_postlie(args) -> tuple[Report, int]:
     axioms = check_postlie_axioms(doc.post_lie)
     report.add(
         "derivation-identity",
-        not axioms.derivation_failures,
-        "x>[y,z] = [x>y,z] + [y,x>z] on all triples"
-        if not axioms.derivation_failures
-        else f"{len(axioms.derivation_failures)} violating triples; first "
-        f"{tuple(x + 1 for x in axioms.derivation_failures[0])}",
+        *_triples(axioms.derivation_failures, "x>[y,z] = [x>y,z] + [y,x>z] on all triples"),
     )
     report.add(
         "weighted-associativity",
-        not axioms.weighted_failures,
-        "([x,y]+x>y-y>x)>z = x>(y>z) - y>(x>z) on all triples"
-        if not axioms.weighted_failures
-        else f"{len(axioms.weighted_failures)} violating triples; first "
-        f"{tuple(x + 1 for x in axioms.weighted_failures[0])}",
+        *_triples(
+            axioms.weighted_failures, "([x,y]+x>y-y>x)>z = x>(y>z) - y>(x>z) on all triples"
+        ),
     )
     return report, EXIT_OK if report.all_passed else EXIT_AXIOM
 
 
-def _validated_postlie(args) -> AlgebraDocument:
-    doc = _read_document(args.input)
-    _require_kind(doc, "postlie")
+def _refuse_invalid_postlie(doc: AlgebraDocument) -> None:
     if jacobi_violations(doc.lie_algebra):
         raise _AxiomFailure("base bracket fails the Jacobi identity")
     axioms = check_postlie_axioms(doc.post_lie)
     if not axioms.ok:
         raise _AxiomFailure("post-Lie axioms fail; run check-postlie for details")
-    return doc
 
 
 class _AxiomFailure(Exception):
     pass
 
 
-def _cmd_innerness(args) -> tuple[Report, int]:
-    doc = _validated_postlie(args)
+def _cmd_innerness(doc: AlgebraDocument, args) -> tuple[Report, int]:
+    _refuse_invalid_postlie(doc)
     report = Report([], {})
     witness = innerness_witness(doc.post_lie)
     if witness is None:
@@ -180,8 +176,8 @@ def _cmd_innerness(args) -> tuple[Report, int]:
     return report, EXIT_OK
 
 
-def _cmd_obstruction(args) -> tuple[Report, int]:
-    doc = _validated_postlie(args)
+def _cmd_obstruction(doc: AlgebraDocument, args) -> tuple[Report, int]:
+    _refuse_invalid_postlie(doc)
     report = Report([], {})
     witness = doc.linear_maps.get(WITNESS_MAP)
     try:
@@ -221,9 +217,7 @@ def _usage_checked(function, *args):
         raise ParseError(1, str(exc)) from None
 
 
-def _cmd_tower(args) -> tuple[Report, int]:
-    doc = _read_document(args.input)
-    _require_kind(doc, "rb-lie")
+def _cmd_tower(doc: AlgebraDocument, args) -> tuple[Report, int]:
     report = Report([], {})
     operator = doc.linear_maps[OPERATOR_MAP]
     if jacobi_violations(doc.lie_algebra):
@@ -248,32 +242,17 @@ def _cmd_tower(args) -> tuple[Report, int]:
     return report, EXIT_OK
 
 
-def _cmd_check_group(args) -> tuple[Report, int]:
-    doc = _read_document(args.input, validate_group_axioms=False)
-    _require_kind(doc, "group")
+def _cmd_check_group(doc: AlgebraDocument, args) -> tuple[Report, int]:
     report = Report([], {})
-    problems = group_violations(doc.group, limit=1)
-    report.add(
-        "group-axioms",
-        not problems,
-        "associativity, identity and inverses verified"
-        if not problems
-        else problems[0],
-    )
+    holds = "associativity, identity and inverses verified"
+    report.add("group-axioms", *_group_axioms(doc.group, holds))
     report.data["order"] = str(doc.group.order)
     return report, EXIT_OK if report.all_passed else EXIT_AXIOM
 
 
-def _cmd_check_postgroup(args) -> tuple[Report, int]:
-    doc = _read_document(args.input, validate_group_axioms=False)
-    _require_kind(doc, "postgroup")
+def _cmd_check_postgroup(doc: AlgebraDocument, args) -> tuple[Report, int]:
     report = Report([], {})
-    problems = group_violations(doc.group, limit=1)
-    report.add(
-        "group-axioms",
-        not problems,
-        "base group verified" if not problems else problems[0],
-    )
+    report.add("group-axioms", *_group_axioms(doc.group, "base group verified"))
     axioms = check_postgroup_axioms(doc.post_group)
     report.add(
         "left-multiplications",
@@ -293,17 +272,14 @@ def _cmd_check_postgroup(args) -> tuple[Report, int]:
     return report, EXIT_OK if report.all_passed else EXIT_AXIOM
 
 
-def _validated_postgroup(args) -> AlgebraDocument:
-    doc = _read_document(args.input)
-    _require_kind(doc, "postgroup")
+def _refuse_invalid_postgroup(doc: AlgebraDocument) -> None:
     axioms = check_postgroup_axioms(doc.post_group)
     if not axioms.ok:
         raise _AxiomFailure("post-group axioms fail; run check-postgroup for details")
-    return doc
 
 
-def _cmd_group_obstruction(args) -> tuple[Report, int]:
-    doc = _validated_postgroup(args)
+def _cmd_group_obstruction(doc: AlgebraDocument, args) -> tuple[Report, int]:
+    _refuse_invalid_postgroup(doc)
     report = Report([], {})
     result = construct_rb_from_obstruction_group(doc.post_group)
     report.add("inner", True, "witness found")
@@ -324,9 +300,7 @@ def _cmd_group_obstruction(args) -> tuple[Report, int]:
     return report, EXIT_OK
 
 
-def _cmd_group_tower(args) -> tuple[Report, int]:
-    doc = _read_document(args.input)
-    _require_kind(doc, "rb-group")
+def _cmd_group_tower(doc: AlgebraDocument, args) -> tuple[Report, int]:
     operator = doc.group_maps[OPERATOR_MAP]
     depth = args.depth if args.depth is not None else 3
     levels = _usage_checked(group_tower_certificates, doc.group, operator, depth)
@@ -344,9 +318,7 @@ def _cmd_group_tower(args) -> tuple[Report, int]:
     return report, EXIT_OK
 
 
-def _cmd_enumerate_rb(args) -> tuple[Report, int]:
-    doc = _read_document(args.input)
-    _require_kind(doc, "group")
+def _cmd_enumerate_rb(doc: AlgebraDocument, args) -> tuple[Report, int]:
     operators = _usage_checked(enumerate_rb_operators, doc.group, args.cap)
     report = Report([], {})
     report.add("enumeration", True, f"{len(operators)} Rota-Baxter operators")
@@ -357,33 +329,17 @@ def _cmd_enumerate_rb(args) -> tuple[Report, int]:
     return report, EXIT_OK
 
 
-def _first_product_difference_lie(algebra, first, second) -> str:
-    # The difference cocycle checked both operators; read the products unchecked.
-    t1 = induced_table(algebra, first)
-    t2 = induced_table(algebra, second)
-    for i in range(algebra.dim):
-        for j in range(algebra.dim):
-            if t1[i][j] != t2[i][j]:
-                return (
-                    f"products differ at e{i + 1}>e{j + 1}: "
-                    f"{render_combination(t1[i][j])} vs "
-                    f"{render_combination(t2[i][j])}"
-                )
+def _first_product_difference(first, second, entry, value) -> str:
+    """The first entry where the product tables ``first`` and ``second``
+    differ, named by ``entry`` and shown by ``value``."""
+    for i, (row1, row2) in enumerate(zip(first, second)):
+        for j, (x, y) in enumerate(zip(row1, row2)):
+            if x != y:
+                return f"products differ at {entry(i, j)}: {value(x)} vs {value(y)}"
     return "operators induce different products"
 
 
-def _first_product_difference_group(group, first, second) -> str:
-    # The difference cocycle checked both operators; read the products unchecked.
-    t1 = induced_triangle(group, first)
-    t2 = induced_triangle(group, second)
-    for a in range(group.order):
-        for b in range(group.order):
-            if t1[a][b] != t2[a][b]:
-                return f"products differ at {a}>{b}: {t1[a][b]} vs {t2[a][b]}"
-    return "operators induce different products"
-
-
-def _cmd_diff_cocycle(args) -> tuple[Report, int]:
+def _cmd_diff_cocycle(_, args) -> tuple[Report, int]:
     doc_a = _read_document(args.a)
     doc_b = _read_document(args.b)
     report = Report([], {})
@@ -396,11 +352,14 @@ def _cmd_diff_cocycle(args) -> tuple[Report, int]:
         second = doc_b.linear_maps[OPERATOR_MAP]
         diff = rb_difference_cocycle(doc_a.lie_algebra, first, second)
         if diff is None:
-            report.add(
-                "same-product",
-                False,
-                _first_product_difference_lie(doc_a.lie_algebra, first, second),
+            # The difference cocycle checked both operators; read the products unchecked.
+            difference = _first_product_difference(
+                induced_table(doc_a.lie_algebra, first),
+                induced_table(doc_a.lie_algebra, second),
+                lambda i, j: f"e{i + 1}>e{j + 1}",
+                render_combination,
             )
+            report.add("same-product", False, difference)
             return report, EXIT_AXIOM
         report.add("same-product", True, "operators induce the same product")
         report.add("difference", True, "central 1-cocycle verified")
@@ -413,11 +372,13 @@ def _cmd_diff_cocycle(args) -> tuple[Report, int]:
         second = doc_b.group_maps[OPERATOR_MAP]
         diff = rb_difference_cocycle_group(doc_a.group, first, second)
         if diff is None:
-            report.add(
-                "same-product",
-                False,
-                _first_product_difference_group(doc_a.group, first, second),
+            difference = _first_product_difference(
+                induced_triangle(doc_a.group, first),
+                induced_triangle(doc_a.group, second),
+                lambda a, b: f"{a}>{b}",
+                str,
             )
+            report.add("same-product", False, difference)
             return report, EXIT_AXIOM
         report.add("same-product", True, "operators induce the same product")
         report.add("difference", True, "central 1-cocycle verified")
@@ -426,24 +387,40 @@ def _cmd_diff_cocycle(args) -> tuple[Report, int]:
     raise ParseError(1, "diff-cocycle needs two rb-lie or two rb-group documents")
 
 
+class _Command(NamedTuple):
+    """A subcommand: its handler, which takes the ``--input`` document and
+    the arguments; its help text; the kind of document it reads, None when
+    it reads its own (``--a`` and ``--b``); and whether that document's
+    group table is parsed without the group axioms, which it reports."""
+
+    handler: Callable[[AlgebraDocument | None, argparse.Namespace], tuple[Report, int]]
+    help: str
+    kind: str | None
+    unchecked_group: bool = False
+
+
 _COMMANDS = {
-    "check-lie": (_cmd_check_lie, "Validate a Lie algebra document"),
-    "check-postlie": (_cmd_check_postlie, "Validate post-Lie axioms"),
-    "innerness": (_cmd_innerness, "Decide innerness and emit the witness"),
-    "obstruction": (
+    "check-lie": _Command(_cmd_check_lie, "Validate a Lie algebra document", "lie"),
+    "check-postlie": _Command(_cmd_check_postlie, "Validate post-Lie axioms", "postlie"),
+    "innerness": _Command(_cmd_innerness, "Decide innerness and emit the witness", "postlie"),
+    "obstruction": _Command(
         _cmd_obstruction,
         "Run the full obstruction pipeline and reconstruct the operator",
+        "postlie",
     ),
-    "tower": (_cmd_tower, "Build and certify the bracket tower"),
-    "check-group": (_cmd_check_group, "Validate a Cayley table"),
-    "check-postgroup": (_cmd_check_postgroup, "Validate post-group axioms"),
-    "group-obstruction": (
+    "tower": _Command(_cmd_tower, "Build and certify the bracket tower", "rb-lie"),
+    "check-group": _Command(_cmd_check_group, "Validate a Cayley table", "group", True),
+    "check-postgroup": _Command(
+        _cmd_check_postgroup, "Validate post-group axioms", "postgroup", True
+    ),
+    "group-obstruction": _Command(
         _cmd_group_obstruction,
         "Run the group obstruction pipeline and reconstruct the operator",
+        "postgroup",
     ),
-    "group-tower": (_cmd_group_tower, "Build and certify the group tower"),
-    "enumerate-rb": (_cmd_enumerate_rb, "List all Rota-Baxter operators"),
-    "diff-cocycle": (_cmd_diff_cocycle, "Difference 1-cocycle of two operators"),
+    "group-tower": _Command(_cmd_group_tower, "Build and certify the group tower", "rb-group"),
+    "enumerate-rb": _Command(_cmd_enumerate_rb, "List all Rota-Baxter operators", "group"),
+    "diff-cocycle": _Command(_cmd_diff_cocycle, "Difference 1-cocycle of two operators", None),
 }
 
 
@@ -468,10 +445,10 @@ def _parser() -> argparse.ArgumentParser:
 
     add_common(parser, suppress=False)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
         add_common(p, suppress=True)
-        if name == "diff-cocycle":
+        if command.kind is None:
             p.add_argument("--a", required=True, help="first operator document")
             p.add_argument("--b", required=True, help="second operator document")
         else:
@@ -508,9 +485,15 @@ _EXIT_CODES = {
 
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
-    handler = _COMMANDS[args.command][0]
+    command = _COMMANDS[args.command]
     try:
-        report, code = handler(args)
+        doc = None
+        if command.kind is not None:
+            doc = _read_document(
+                args.input, validate_group_axioms=not command.unchecked_group
+            )
+            _require_kind(doc, command.kind)
+        report, code = command.handler(doc, args)
     except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(v for kind, v in _EXIT_CODES.items() if isinstance(exc, kind))

@@ -41,6 +41,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from .scalars import (
     ExactMatrix,
+    GaussianRational,
     IntegerRow,
     ScalarLike,
     Vector,
@@ -100,9 +101,14 @@ def _times(row: IntegerRow, factor: int) -> IntegerRow:
 
 def _integer_vectors(vectors: Sequence[Vector]) -> _IntegerForm:
     """Vectors of scalars as integer rows on one scale, the lcm of the
-    denominators of their entries: the least scale they share."""
-    scale = lcm(*{x.d for v in vectors for x in v})
-    return _IntegerForm(scale, tuple(_integer_row(v, scale) for v in vectors))
+    denominators of their entries: the least scale they share.  An entry
+    that is not a ``GaussianRational`` is refused with ``TypeError``."""
+    try:
+        scale = lcm(*{x.d for v in vectors for x in v})
+        return _IntegerForm(scale, tuple(_integer_row(v, scale) for v in vectors))
+    except AttributeError:
+        bad = next(x for v in vectors for x in v if not isinstance(x, GaussianRational))
+        raise TypeError(f"entry {bad!r} is not a GaussianRational") from None
 
 
 def _table(entries: _IntegerForm, n: int) -> _IntegerForm:

@@ -58,8 +58,9 @@ class LinearMap:
     ``_integer`` of its columns, the images of the basis vectors, on their
     least scale; ``matrix`` is its matrix of scalars, a view.  A matrix of
     scalars enters once, at the constructor, and a map this library builds
-    enters as rows (``lie._held``).  ``apply`` and ``column`` read the rows;
-    the sum, difference and negation are taken on ``matrix``."""
+    enters as rows (``lie._held``).  ``apply``, ``column`` and
+    ``plus_identity`` run on the rows; the sum, difference and negation are
+    taken on ``matrix``."""
 
     _integer: _IntegerForm
 
@@ -81,6 +82,9 @@ class LinearMap:
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[ScalarLike]]) -> "LinearMap":
+        # No rows give the map on the zero space.
+        if not rows:
+            return LinearMap.zero(0)
         return LinearMap(ExactMatrix.from_rows(rows))
 
     @staticmethod
@@ -116,7 +120,16 @@ class LinearMap:
         return LinearMap(-self.matrix)
 
     def plus_identity(self) -> "LinearMap":
-        return LinearMap(self.matrix + ExactMatrix.identity(self.dim))
+        # Column j of L(M + I) is L M e_j + L e_j.  Its parts differ from
+        # those of L M by multiples of L, so they share the same gcd with L:
+        # the columns keep their least scale.
+        scale, columns = self._integer
+        units = LinearMap.identity(self.dim)._integer.rows
+        shifted = tuple(
+            _combine((*column, (j, scale, 0)), units, self.dim)
+            for j, column in enumerate(columns)
+        )
+        return _held(LinearMap, _integer=_IntegerForm(scale, shifted))
 
 
 @dataclass(frozen=True, init=False)

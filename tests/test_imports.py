@@ -247,6 +247,20 @@ def test_each_verdict_fact_is_checked_once():
     assert "cli.py:_cmd_obstruction" not in callers("is_witness")
 
 
+def test_one_read_path_for_documents():
+    # ``main`` reads the ``--input`` document of the kind that the command
+    # table names, checks that kind, and hands the document to the handler;
+    # only ``diff-cocycle`` reads its own two.
+    callers = sorted(
+        f"{p.name}:{node.name}"
+        for p in MODULES
+        for node in ast.walk(ast.parse(p.read_text(), filename=str(p)))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and _name_uses(node)["_read_document"]
+    )
+    assert callers == ["cli.py:_cmd_diff_cocycle", "cli.py:main"]
+
+
 def test_rota_baxter_and_fingerprint_run_on_integer_rows():
     # The Rota-Baxter identity, the homomorphism laws and their defect,
     # the post-Lie axioms, the sub-adjacent table, the cocycle identity,
@@ -348,6 +362,7 @@ def test_lie_solves_maps_and_map_rows_run_on_integer_rows():
             "LinearMap.identity",
             "LinearMap.apply",
             "LinearMap.column",
+            "LinearMap.plus_identity",
         ),
         "lie_obstruction.py": ("coboundary_solve", "pullback_algebra"),
         "tower.py": ("build_tower", "tower_report"),

@@ -65,6 +65,13 @@ class TestConstruction:
         with pytest.raises(ValueError, match=message):
             LieAlgebra.from_table(table)
 
+    def test_an_entry_that_is_not_a_scalar_is_refused(self):
+        # The constructor takes scalars; ``from_table`` coerces plain numbers.
+        table = (((0, 0), (1, 0)), ((-1, 0), (0, 0)))
+        with pytest.raises(TypeError, match=r"^entry 0 is not a GaussianRational$"):
+            LieAlgebra(table)
+        assert LieAlgebra.from_table(table).sc[0][1] == vector([1, 0])
+
     def test_from_brackets_fills_mirror(self):
         algebra = make_solvable()
         assert algebra.sc[1][0] == vector([0, -1, 0])

@@ -241,6 +241,13 @@ class TestRefusals:
         with pytest.raises(ValueError, match="cochain table shape mismatch"):
             LieTwoCochain(1, center(heisenberg), ((vector([0]),),))
 
+    def test_cochain_entry_that_is_not_a_scalar(self):
+        values = (((0, 0), (1, 0)), ((-1, 0), (0, 0)))
+        with pytest.raises(TypeError, match=r"^entry 0 is not a GaussianRational$"):
+            LieTwoCochain(2, Subspace.full(2), values)
+        cochain = LieTwoCochain.from_pairs(2, Subspace.full(2), {(0, 1): [1, 0]})
+        assert cochain.values[1][0] == vector([-1, 0])
+
     def test_cochain_diagonal(self, solvable):
         zero, e3 = vector([0, 0, 0]), vector([0, 0, 1])
         values = ((e3, zero, zero), (zero,) * 3, (zero,) * 3)

@@ -242,6 +242,18 @@ class TestAxiomReportMatchesReference:
         assert report.weighted_failures == ((0, 1, 0), (0, 1, 1), (1, 0, 0), (1, 0, 1))
 
 
+class TestConstructors:
+    def test_from_rows_of_no_rows_is_the_map_on_the_zero_space(self):
+        assert LinearMap.from_rows([]) == LinearMap.from_columns([]) == LinearMap.zero(0)
+
+    def test_a_product_entry_that_is_not_a_scalar_is_refused(self):
+        # The constructor takes scalars; ``from_table`` coerces plain numbers.
+        base = LieAlgebra.abelian(1)
+        with pytest.raises(TypeError, match=r"^entry 1 is not a GaussianRational$"):
+            PostLieAlgebra(base, (((1,),),))
+        assert PostLieAlgebra.from_table(base, (((1,),),)).tc == (((ONE,),),)
+
+
 class TestSubAdjacent:
     def test_zero_product_returns_base(self, sl2):
         assert sub_adjacent(zero_product(sl2)).sc == sl2.sc

@@ -1137,9 +1137,9 @@ class TestHeldIntegerForm:
         same = [
             LinearMap.from_columns([matrix.column(j) for j in range(n)]),
             lie._held(LinearMap, _integer=lie._least_vectors(larger)),
+            LinearMap.from_rows(matrix.entries),
         ]
         if n:
-            same.append(LinearMap.from_rows(matrix.entries))
             text = render_rb_lie_document(LieAlgebra.abelian(n), first)
             same.append(parse_document(text).linear_maps["operator"])
         for other in same:
@@ -1156,9 +1156,10 @@ class TestHeldIntegerForm:
         assert (first + second).matrix == entrywise(vec_add(r, s) for r, s in pairs)
         assert (first - second).matrix == entrywise(vec_sub(r, s) for r, s in pairs)
         assert (-first).matrix == entrywise(tuple(-x for x in r) for r in matrix.entries)
-        assert first.plus_identity().matrix == entrywise(
-            vec_add(r, unit_vector(n, i)) for i, r in enumerate(matrix.entries)
-        )
+        shifted = entrywise(vec_add(r, unit_vector(n, i)) for i, r in enumerate(matrix.entries))
+        # Equal maps hold equal columns: the shift keeps the least scale.
+        assert first.plus_identity() == LinearMap(shifted)
+        assert first.plus_identity().matrix == shifted
         x = data.draw(_vectors(n))
         assert first.apply(x) == matrix_apply(matrix, x)
         assert [first.column(j) for j in range(n)] == [matrix.column(j) for j in range(n)]

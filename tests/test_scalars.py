@@ -697,12 +697,11 @@ ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__
 
 
 def test_decisions_do_no_scalar_arithmetic(monkeypatch, capsys):
-    # Scalars are an edge format: the checks, innerness, every group
-    # subcommand and the scan decide on integer data, so none of them adds,
-    # multiplies, divides or negates a scalar.  ``obstruction``, ``tower``
-    # and ``diff-cocycle`` on Lie operators are left out: the arithmetic of
-    # ``LinearMap`` (``+``, ``-``, negation, ``plus_identity``) still runs
-    # on scalars.
+    # Scalars are an edge format: the checks, innerness, the tower, every
+    # group subcommand and the scan decide on integer data, so none of them
+    # adds, multiplies, divides or negates a scalar.  ``obstruction`` and
+    # ``diff-cocycle`` on Lie operators are left out: the sum, difference
+    # and negation of ``LinearMap`` still run on scalars.
     from postrb.cli import main
     from postrb.search import default_catalog, scan_catalog
 
@@ -717,7 +716,7 @@ def test_decisions_do_no_scalar_arithmetic(monkeypatch, capsys):
         monkeypatch.setattr(GaussianRational, name, counted)
     monkeypatch.chdir(SAMPLES.parent)
     samples = sorted(p.name for p in SAMPLES.iterdir())
-    commands = ("check-lie", "check-postlie", "innerness", "check-group",
+    commands = ("check-lie", "check-postlie", "innerness", "tower", "check-group",
                 "check-postgroup", "group-obstruction", "group-tower", "enumerate-rb")
     for command, name, fmt in product(commands, samples, ("text", "machine")):
         main([command, "--input", f"samples/{name}", "--format", fmt])
