@@ -7,9 +7,11 @@ Parse errors carry the offending 1-based line number.
 
 A bracket or product line is read in one pass, one regex match per signed
 term (``_SIGNED_TERM_RE``), into an integer row (``_combination_row``), and
-the tables enter ``LieAlgebra`` and ``PostLieAlgebra`` as rows: no table
-of scalars is built.  A line that pass does not read is handed to
-``_refuse_combination``, which names its first fault.
+recorded in the entry builder of ``postrb.lie``, whose tables
+``LieAlgebra`` and ``PostLieAlgebra`` hold: no table of scalars is built.
+A line that pass does not read is handed to ``_refuse_combination``, which
+names its first fault.  The lines of a map or of a Cayley or triangle
+table are read by one block reader, ``_Lines.block``.
 """
 
 from __future__ import annotations
@@ -18,20 +20,11 @@ import re
 from dataclasses import dataclass, field
 from math import gcd, lcm
 from operator import index
-from typing import NoReturn, Sequence
+from typing import Callable, NoReturn, Sequence
 
 from .errors import ParseError
 from .groups import FiniteGroup, GroupMap, group_violations
-from .lie import (
-    LieAlgebra,
-    _alternating_rows,
-    _held,
-    _IntegerForm,
-    _lie_algebra,
-    _least_scale,
-    _sparse,
-    _times,
-)
+from .lie import LieAlgebra, _EntryBuilder, _held, _IntegerForm, _sparse
 from .postgroup import PostGroup
 from .postlie import LinearMap, PostLieAlgebra
 from .scalars import (
@@ -72,9 +65,6 @@ _INTEGERS_RE = re.compile(r"-?[0-9]+(?: -?[0-9]+)*")
 _MAX_DIGITS = 4300
 _LONG_NUMBER = re.compile(rf"[0-9]{{{_MAX_DIGITS + 1}}}")
 _MINUS_ONE = -ONE
-# Entry (i, j) of a table as read from a document: (D, row), D times the
-# entry as an integer row (``_combination_row``).
-_Entries = dict[tuple[int, int], tuple[int, IntegerRow]]
 
 
 def _check_length(text: str, line: int) -> None:
@@ -249,6 +239,17 @@ class _Lines:
     def last_line(self) -> int:
         return self.rows[-1][0] if self.rows else 0
 
+    def block(self, count: int, read: Callable[[int, str], object], message: str) -> list:
+        """``read(no, text)`` of each of the next ``count`` lines, in order,
+        so that a line's own fault is raised before a later one's; when the
+        document ends first, ``message`` is raised at its last line."""
+        start = self.pos
+        self.pos += count
+        block = [read(no, text) for no, text in self.rows[start : self.pos]]
+        if len(block) < count:
+            raise ParseError(self.last_line, message)
+        return block
+
 
 def _integers(tokens: Sequence[str], line: int) -> list[int] | None:
     """Whitespace-free tokens read as an optional '-' and ASCII digits each;
@@ -279,9 +280,7 @@ def _parse_lie_side(lines: _Lines, kind: str) -> AlgebraDocument:
     if dim <= 0:
         raise ParseError(no, "dimension must be positive")
 
-    # A bracket is kept at i < j, its mirror being its negation.
-    brackets: _Entries = {}
-    products: _Entries = {}
+    brackets, products = _EntryBuilder(dim), _EntryBuilder(dim, alternating=False)
     maps: dict[str, LinearMap] = {}
     while lines.peek() is not None:
         no, text = lines.take()
@@ -294,13 +293,8 @@ def _parse_lie_side(lines: _Lines, kind: str) -> AlgebraDocument:
                 raise ParseError(
                     no, f"bad bracket pair [{i},{j}]" if bracket else f"bad product pair {i}>{j}"
                 )
-            scale, row = _combination_row(m[3], dim, no)
-            key, table = (i - 1, j - 1), brackets if bracket else products
-            if bracket and i > j:
-                key, row = (j - 1, i - 1), _times(row, -1)
-            if key not in table:
-                table[key] = scale, row
-            elif _times(table[key][1], scale) != _times(row, table[key][0]):
+            table = brackets if bracket else products
+            if not table.add(i - 1, j - 1, _combination_row(m[3], dim, no)):
                 raise ParseError(no, f"conflicting bracket for pair [{i},{j}]" if bracket else (
                     f"conflicting product for pair {i}>{j}"
                 ))
@@ -312,14 +306,10 @@ def _parse_lie_side(lines: _Lines, kind: str) -> AlgebraDocument:
         else:
             raise ParseError(no, f"unexpected line {text!r}")
 
-    scale, upper = _one_scale(brackets)
-    algebra = _lie_algebra(_IntegerForm(scale, _alternating_rows(dim, upper)))
+    algebra = _held(LieAlgebra, _integer=brackets.form())
     doc = AlgebraDocument(kind=kind, lie_algebra=algebra, linear_maps=maps)
     if kind == "postlie":
-        scale, entries = _one_scale(products)
-        rows = tuple(tuple(entries.get((i, j), ()) for j in range(dim)) for i in range(dim))
-        form = _least_scale(_IntegerForm(scale, rows))
-        doc.post_lie = _held(PostLieAlgebra, base=algebra, _integer=form)
+        doc.post_lie = _held(PostLieAlgebra, base=algebra, _integer=products.form())
     if kind == "rb-lie" and OPERATOR_MAP not in maps:
         raise ParseError(lines.last_line, "rb-lie documents need a 'map operator'")
     return doc
@@ -329,18 +319,17 @@ def _parse_map(lines: _Lines, name: str, dim: int) -> LinearMap:
     """The ``dim`` 'row' lines of the map ``name``, read straight into its
     integer columns: entry (r, c) is (a + b*i)/d (``_scalar_triple``), and
     the columns are put on the lcm of the d, then on their least scale."""
-    rows = []
-    for _ in range(dim):
-        nxt = lines.peek()
-        if nxt is None or nxt[1].split()[0] != "row":
-            raise ParseError(
-                nxt[0] if nxt else lines.last_line, f"map {name!r} needs {dim} 'row' lines"
-            )
-        rno, rtext = lines.take()
-        tokens = rtext.split()[1:]
+    needs = f"map {name!r} needs {dim} 'row' lines"
+
+    def row(no: int, text: str) -> list[tuple[int, int, int]]:
+        keyword, *tokens = text.split()
+        if keyword != "row":
+            raise ParseError(no, needs)
         if len(tokens) != dim:
-            raise ParseError(rno, f"expected {dim} entries in map row")
-        rows.append([_scalar_triple(token, rno) for token in tokens])
+            raise ParseError(no, f"expected {dim} entries in map row")
+        return [_scalar_triple(token, no) for token in tokens]
+
+    rows = lines.block(dim, row, needs)
     scale = lcm(*(d for row in rows for _, _, d in row))
     columns = tuple(
         tuple((r, a * scale // d, b * scale // d) for r, (a, b, d) in enumerate(column) if a or b)
@@ -349,29 +338,40 @@ def _parse_map(lines: _Lines, name: str, dim: int) -> LinearMap:
     return _held(LinearMap, _integer=_least_vectors(_IntegerForm(scale, columns)))
 
 
-def _one_scale(entries: _Entries) -> tuple[int, dict[tuple[int, int], IntegerRow]]:
-    """The rows of the (D, row) ``entries`` on the lcm L of their D: (L, rows)."""
-    scale = lcm(*(d for d, _ in entries.values()))
-    return scale, {key: _times(row, scale // d) for key, (d, row) in entries.items()}
+def _parse_table_rows(lines: _Lines, size: int, what: str) -> list[list[int]]:
+    """The ``size`` rows of a Cayley or triangle table on ``size`` elements."""
 
-
-def _parse_table_rows(lines: _Lines, count: int, width: int, what: str) -> list[list[int]]:
-    rows = []
-    for _ in range(count):
-        nxt = lines.peek()
-        if nxt is None:
-            raise ParseError(lines.last_line, f"{what} needs {count} rows")
-        no, text = lines.take()
-        row = _integers(text.split(), no)
-        if row is None:
+    def row(no: int, text: str) -> list[int]:
+        entries = _integers(text.split(), no)
+        if entries is None:
             raise ParseError(no, f"non-integer entry in {what} row")
-        if len(row) != width:
-            raise ParseError(no, f"expected {width} entries in {what} row")
-        for x in row:
-            if not (0 <= x < width):
-                raise ParseError(no, f"{what} entry {x} out of range 0..{width - 1}")
-        rows.append(row)
-    return rows
+        if len(entries) != size:
+            raise ParseError(no, f"expected {size} entries in {what} row")
+        for x in entries:
+            if not (0 <= x < size):
+                raise ParseError(no, f"{what} entry {x} out of range 0..{size - 1}")
+        return entries
+
+    return lines.block(size, row, f"{what} needs {size} rows")
+
+
+def _parse_group_map(lines: _Lines, name: str, size: int) -> GroupMap:
+    """The ``size`` 'a -> b' lines of the group map ``name``."""
+    needs = f"map {name!r} needs {size} 'a -> b' lines"
+    arrows: dict[int, int] = {}  # sized by the lines read, not by ``size``
+
+    def arrow(no: int, text: str) -> None:
+        if not (m := _ARROW_RE.match(text)):
+            raise ParseError(no, needs)
+        src, dst = (_int(x, no) for x in m.groups())
+        if not (0 <= src < size and 0 <= dst < size):
+            raise ParseError(no, "map indices out of range")
+        if src in arrows:
+            raise ParseError(no, f"duplicate image for element {src}")
+        arrows[src] = dst
+
+    lines.block(size, arrow, needs)
+    return GroupMap(tuple(map(arrows.__getitem__, range(size))))
 
 
 def _parse_group_side(
@@ -422,7 +422,7 @@ def _parse_group_side(
                 raise ParseError(no, "'table' requires an 'order n' header")
             if table_rows is not None:
                 raise ParseError(no, "duplicate 'table' section")
-            table_rows = _parse_table_rows(lines, order, order, "Cayley table")
+            table_rows = _parse_table_rows(lines, order, "Cayley table")
             table_line = no
         elif text.startswith("gen "):
             if degree is None:
@@ -448,44 +448,25 @@ def _parse_group_side(
             if triangle_rows is not None:
                 raise ParseError(no, "duplicate 'triangle' section")
             size = order if order is not None else closure(no).order
-            triangle_rows = _parse_table_rows(lines, size, size, "triangle table")
+            triangle_rows = _parse_table_rows(lines, size, "triangle table")
         elif m := _MAP_RE.match(text):
             name = m.group(1)
             if name in group_maps:
                 raise ParseError(no, f"duplicate map {name!r}")
             size = order if order is not None else closure(no).order
-            arrows: dict[int, int] = {}  # sized by the lines read, not by ``size``
-            for _ in range(size):
-                nxt = lines.peek()
-                if nxt is None or not _ARROW_RE.match(nxt[1]):
-                    raise ParseError(
-                        nxt[0] if nxt else lines.last_line,
-                        f"map {name!r} needs {size} 'a -> b' lines",
-                    )
-                ano, atext = lines.take()
-                src, dst = (_int(x, ano) for x in _ARROW_RE.match(atext).groups())
-                if not (0 <= src < size and 0 <= dst < size):
-                    raise ParseError(ano, "map indices out of range")
-                if src in arrows:
-                    raise ParseError(ano, f"duplicate image for element {src}")
-                arrows[src] = dst
-            group_maps[name] = GroupMap(tuple(map(arrows.__getitem__, range(size))))
+            group_maps[name] = _parse_group_map(lines, name, size)
         else:
             raise ParseError(no, f"unexpected line {text!r}")
 
     if degree is not None:
         if not generators:
             raise ParseError(lines.last_line, "generator form needs 'gen' lines")
-        group = closure(lines.last_line)
-        if names is not None:
-            if len(names) != group.order:
-                raise ParseError(names_line, "names length does not match order")
-            group = FiniteGroup(group.table, group.identity, group.inverse, names)
-    else:
-        if table_rows is None:
-            raise ParseError(lines.last_line, "group documents need a 'table' section")
-        if names is not None and len(names) != order:
-            raise ParseError(names_line, "names length does not match order")
+        order = closure(lines.last_line).order
+    elif table_rows is None:
+        raise ParseError(lines.last_line, "group documents need a 'table' section")
+    if names is not None and len(names) != order:
+        raise ParseError(names_line, "names length does not match order")
+    if degree is None:
         try:
             group = FiniteGroup.from_table(
                 table_rows, names=names, strict=validate_group_axioms
@@ -496,6 +477,8 @@ def _parse_group_side(
             problems = group_violations(group, limit=1)
             if problems:
                 raise ParseError(table_line, problems[0])
+    elif names is not None:
+        group = FiniteGroup(group.table, group.identity, group.inverse, names)
 
     doc = AlgebraDocument(kind=kind, group=group, group_maps=group_maps)
     if kind == "postgroup":

@@ -5,11 +5,15 @@ c[i][j][k] e_k, as integer rows on its least scale L (``_IntegerForm``):
 per entry (i, j), the nonzero coefficients of L c[i][j] as Gaussian
 integers.  These rows are unique, so equality and hashing compare them.  A
 table of scalars enters once, at the constructor (``_integer_form``),
-which checks there that it is antisymmetric; a table built here, in a
-pipeline or by the document parser is alternating by construction and
-enters as rows (``_lie_algebra``).  The table of scalars ``sc`` is a view, built from the
-rows (``_scalar_table``) once, for a caller that asks.  Subspaces are kept
-in reduced row echelon form.
+which checks there that it is antisymmetric.  A table given entry by entry
+(the document reader, ``from_brackets``, ``PostLieAlgebra.from_products``,
+``LieTwoCochain.from_pairs``, the pullback) enters through the one entry
+builder, ``_EntryBuilder``, which refuses a second, different value for a
+pair and is alternating by construction; a table built here or in a
+pipeline enters as rows (``_lie_algebra``).  The table of scalars ``sc`` is
+a view, built from the rows (``_scalar_table``) once, for a caller that
+asks.  Subspaces are kept in reduced row echelon form; a membership test
+reads the pivot entries and one integer rank.
 
 Every product given by such a table (the bracket, a post-Lie product, the
 induced product [R(x), y]) is evaluated on rows: ``_accumulate`` adds
@@ -41,12 +45,10 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from .scalars import (
     ExactMatrix,
-    GaussianRational,
     IntegerRow,
     ScalarLike,
     Vector,
-    _integer_row,
-    _integer_rows,
+    _integer_vectors,
     _IntegerForm,
     _least_vectors,
     _rank,
@@ -54,7 +56,6 @@ from .scalars import (
     _scalar_row,
     _scalar_rows,
     _solve,
-    is_zero_vector,
     unit_vector,
     vector,
     zero_vector,
@@ -74,19 +75,9 @@ def _held(cls: type, **state: object):
     return held
 
 
-def _alternating(n: int, upper: Mapping[tuple[int, int], Vector]) -> StructureTable:
-    """The n x n table with ``upper[i, j]`` at (i, j) for the given pairs
-    i < j, its negation at (j, i) and the zero vector everywhere else."""
-    zero = zero_vector(n)
-    table = [[zero] * n for _ in range(n)]
-    for (i, j), value in upper.items():
-        table[i][j] = value
-        table[j][i] = tuple(-x for x in value)
-    return tuple(map(tuple, table))
-
-
 def _alternating_rows(n: int, upper: Mapping[tuple[int, int], IntegerRow]) -> IntegerTable:
-    """``_alternating`` for integer rows."""
+    """The n x n table with ``upper[i, j]`` at (i, j) for the given pairs
+    i < j, its negation at (j, i) and the zero row everywhere else."""
     table: list[list[IntegerRow]] = [[()] * n for _ in range(n)]
     for (i, j), row in upper.items():
         table[i][j] = row
@@ -97,18 +88,6 @@ def _alternating_rows(n: int, upper: Mapping[tuple[int, int], IntegerRow]) -> In
 def _times(row: IntegerRow, factor: int) -> IntegerRow:
     """``row`` times the integer ``factor``."""
     return row if factor == 1 else tuple((k, factor * a, factor * b) for k, a, b in row)
-
-
-def _integer_vectors(vectors: Sequence[Vector]) -> _IntegerForm:
-    """Vectors of scalars as integer rows on one scale, the lcm of the
-    denominators of their entries: the least scale they share.  An entry
-    that is not a ``GaussianRational`` is refused with ``TypeError``."""
-    try:
-        scale = lcm(*{x.d for v in vectors for x in v})
-        return _IntegerForm(scale, tuple(_integer_row(v, scale) for v in vectors))
-    except AttributeError:
-        bad = next(x for v in vectors for x in v if not isinstance(x, GaussianRational))
-        raise TypeError(f"entry {bad!r} is not a GaussianRational") from None
 
 
 def _table(entries: _IntegerForm, n: int) -> _IntegerForm:
@@ -130,6 +109,46 @@ def _least_scale(form: _IntegerForm) -> _IntegerForm:
     entries = _IntegerForm(form.scale, [v for row in form.rows for v in row])
     least = _least_vectors(entries)
     return form if least is entries else _table(least, len(form.rows))
+
+
+class _EntryBuilder:
+    """The one way a table of given entries enters the library: the
+    document reader and the coercing constructors (``from_brackets``,
+    ``from_products``, ``from_pairs``, the pullback) record each entry here
+    and hold the table it builds, with no scalar arithmetic.
+
+    An entry is (D, row): D times the given value as an integer row.  An
+    alternating table keeps the entry of a pair given as (j, i), j > i, at
+    (i, j), negated; its mirror is derived.
+    """
+
+    def __init__(self, n: int, alternating: bool = True) -> None:
+        self.n, self.alternating = n, alternating
+        self.entries: dict[tuple[int, int], tuple[int, IntegerRow]] = {}
+
+    def add(self, i: int, j: int, entry: tuple[int, IntegerRow]) -> bool:
+        """Record ``entry`` at (i, j); False when (i, j) holds another value
+        already.  Two entries (D, r) and (E, s) hold one value when
+        E r = D s, which only a second entry for a pair compares."""
+        if self.alternating and i > j:
+            i, j, entry = j, i, (entry[0], _times(entry[1], -1))
+        held = self.entries.setdefault((i, j), entry)
+        return held is entry or _times(held[1], entry[0]) == _times(entry[1], held[0])
+
+    def form(self) -> _IntegerForm:
+        """The table, every entry not given zero, on its least scale: the
+        given rows on the lcm of their D, then on the least scale they
+        share, which a mirror, their negation, does not change."""
+        n, entries = self.n, self.entries
+        scale = lcm(*(d for d, _ in entries.values()))
+        given = [_times(row, scale // d) for d, row in entries.values()]
+        scale, given = _least_vectors(_IntegerForm(scale, given))
+        rows = dict(zip(entries, given))
+        if self.alternating:
+            table = _alternating_rows(n, rows)
+        else:
+            table = tuple(tuple(rows.get((i, j), ()) for j in range(n)) for i in range(n))
+        return _IntegerForm(scale, table)
 
 
 def _scalar_table(form: _IntegerForm) -> StructureTable:
@@ -180,12 +199,24 @@ def _combine(
     return _sparse(re, im)
 
 
-def _vector_rows(n: int, *xs: Sequence[ScalarLike]) -> _IntegerForm:
-    """Vectors of n scalars as integer rows on one scale."""
+def _vector_rows(
+    n: int, *xs: Sequence[ScalarLike], refusal: str = "vector has wrong length"
+) -> _IntegerForm:
+    """Vectors of n scalars as integer rows on one scale; a vector of
+    another length is refused with the ValueError ``refusal``."""
     vectors = tuple(map(vector, xs))
     if any(len(v) != n for v in vectors):
-        raise ValueError("vector has wrong length")
+        raise ValueError(refusal)
     return _integer_vectors(vectors)
+
+
+def _entry(
+    n: int, value: Sequence[ScalarLike], refusal: str = "vector has wrong length"
+) -> tuple[int, IntegerRow]:
+    """The entry (D, row) of a value of n scalars for ``_EntryBuilder``;
+    a value of another length is refused with the ValueError ``refusal``."""
+    scale, (row,) = _vector_rows(n, value, refusal=refusal)
+    return scale, row
 
 
 def _product(form: _IntegerForm, x: Sequence[ScalarLike], y: Sequence[ScalarLike]) -> Vector:
@@ -247,26 +278,20 @@ class LieAlgebra:
         Keys are 0-based (i, j) with i != j; the (j, i) bracket is derived by
         antisymmetry, and giving both inconsistently is rejected.
         """
-        upper: dict[tuple[int, int], Vector] = {}
+        table = _EntryBuilder(dim)
         for (i, j), value in brackets.items():
             if not (0 <= i < dim and 0 <= j < dim):
                 raise ValueError(f"bracket index ({i},{j}) out of range")
             if i == j:
                 raise ValueError(f"bracket [e{i},e{i}] must be zero, not given")
-            v = vector(value)
-            if len(v) != dim:
-                raise ValueError(f"bracket value for ({i},{j}) has wrong length")
-            key, v = ((i, j), v) if i < j else ((j, i), tuple(-x for x in v))
-            if key in upper:
-                if upper[key] != v:
-                    raise ValueError(f"inconsistent brackets for pair ({i},{j})")
-                continue
-            upper[key] = v
-        return LieAlgebra(_alternating(dim, upper))
+            wrong = f"bracket value for ({i},{j}) has wrong length"
+            if not table.add(i, j, _entry(dim, value, wrong)):
+                raise ValueError(f"inconsistent brackets for pair ({i},{j})")
+        return _held(LieAlgebra, _integer=table.form())
 
     @staticmethod
     def abelian(dim: int) -> "LieAlgebra":
-        return LieAlgebra(_alternating(dim, {}))
+        return LieAlgebra.from_brackets(dim, {})
 
     def bracket(self, x: Sequence[ScalarLike], y: Sequence[ScalarLike]) -> Vector:
         return _product(self._integer, x, y)
@@ -294,7 +319,7 @@ class Subspace:
         for r in rows:
             if len(r) != ambient_dim:
                 raise ValueError("spanning vector has wrong length")
-        return _row_space(_integer_rows(rows), ambient_dim)
+        return _row_space(_integer_vectors(rows).rows, ambient_dim)
 
     @staticmethod
     def full(ambient_dim: int) -> "Subspace":
@@ -309,20 +334,20 @@ class Subspace:
         return self.coordinates_of(vec) is not None
 
     def coordinates_of(self, vec: Sequence[ScalarLike]) -> Vector | None:
-        """Coefficients against the canonical basis, or None if outside."""
-        v = list(vector(vec))
+        """Coefficients against the canonical basis, or None if outside.
+
+        The basis is in reduced row echelon form, so the coefficients of a
+        vector of the span are its entries at the pivots, and it is the
+        combination of the basis rows at whose pivots it is nonzero: it is
+        in the span when it adds nothing to the rank of those rows.
+        """
+        v = vector(vec)
         if len(v) != self.ambient_dim:
             raise ValueError("vector has wrong length")
-        coords = []
-        for row, p in zip(self.basis, self.pivots):
-            c = v[p]
-            coords.append(c)
-            if c:
-                for k in range(self.ambient_dim):
-                    v[k] = v[k] - c * row[k]
-        if not is_zero_vector(tuple(v)):
+        rows = [row for row, p in zip(self.basis, self.pivots) if v[p]]
+        if _rank(_integer_vectors((*rows, v)).rows) > len(rows):
             return None
-        return tuple(coords)
+        return tuple(v[p] for p in self.pivots)
 
 
 @dataclass(frozen=True)

@@ -23,10 +23,11 @@ from .lie import (
     LieAlgebra,
     StructureTable,
     Subspace,
-    _alternating,
     _alternating_rows,
     _coefficient_rows,
     _cyclic_failures,
+    _entry,
+    _EntryBuilder,
     _held,
     _integer_form,
     _IntegerForm,
@@ -103,8 +104,19 @@ class LieTwoCochain:
         for i, j in pairs:
             if not (0 <= i < j < ambient):
                 raise ValueError("cochain pairs must satisfy i < j")
-        upper = {key: vector(value) for key, value in pairs.items()}
-        return LieTwoCochain(ambient, center_basis, _alternating(ambient, upper))
+        # The refusals come in the order of the table constructor's: every
+        # scalar before any shape, every shape before any centrality.
+        values = {key: vector(value) for key, value in pairs.items()}
+        table = _EntryBuilder(ambient)
+        for (i, j), value in values.items():
+            table.add(i, j, _entry(ambient, value, "cochain table shape mismatch"))
+        if center_basis.ambient_dim != ambient:
+            raise ValueError("cochain table shape mismatch")
+        for (i, j), value in sorted(values.items()):
+            if not center_basis.contains(value):
+                raise ValueError(f"cochain value at ({i},{j}) lies outside the center")
+        form = table.form()
+        return _held(LieTwoCochain, ambient=ambient, center_basis=center_basis, _integer=form)
 
     def value(self, i: int, j: int) -> Vector:
         return self.values[i][j]
@@ -265,7 +277,7 @@ def pullback_algebra(p: PostLieAlgebra) -> LieAlgebra:
     sub = sub_adjacent(p)
     # [v_b, v_a] = -[v_a, v_b] and [v_a, v_a] = 0, so the pairs a < b
     # decide closure and give the whole table.
-    upper = {}
+    table = _EntryBuilder(basis.dim)
     for a in range(basis.dim):
         va = basis.basis[a]
         for b in range(a + 1, basis.dim):
@@ -274,8 +286,8 @@ def pullback_algebra(p: PostLieAlgebra) -> LieAlgebra:
             coords = basis.coordinates_of(product)
             if coords is None:
                 raise AssertionError("pullback is not closed under the bracket")
-            upper[(a, b)] = coords
-    return LieAlgebra(_alternating(basis.dim, upper))
+            table.add(a, b, _entry(basis.dim, coords))
+    return _held(LieAlgebra, _integer=table.form())
 
 
 def rb_difference_cocycle(

@@ -27,9 +27,10 @@ from .lie import (
     _alternating_rows,
     _coefficient_rows,
     _combine,
+    _entry,
+    _EntryBuilder,
     _held,
     _integer_form,
-    _integer_vectors,
     _IntegerForm,
     _lie_algebra,
     _least_scale,
@@ -44,11 +45,11 @@ from .scalars import (
     IntegerRow,
     ScalarLike,
     Vector,
+    _integer_vectors,
     _scalar_row,
     _scalar_rows,
     _solve,
     vector,
-    zero_vector,
 )
 
 
@@ -166,13 +167,18 @@ class PostLieAlgebra:
     def from_products(
         base: LieAlgebra, products: Mapping[tuple[int, int], Sequence[ScalarLike]]
     ) -> "PostLieAlgebra":
-        n = base.dim
-        table = [[zero_vector(n)] * n for _ in range(n)]
+        # The refusals come in the order of the table constructor's: every
+        # index and scalar is checked before any length.
+        n, values = base.dim, {}
         for (i, j), value in products.items():
             if not (0 <= i < n and 0 <= j < n):
                 raise ValueError(f"product index ({i},{j}) out of range")
-            table[i][j] = vector(value)
-        return PostLieAlgebra(base, tuple(map(tuple, table)))
+            values[i, j] = vector(value)
+        table = _EntryBuilder(n, alternating=False)
+        wrong = "triangle table shape does not match the base algebra"
+        for (i, j), value in values.items():
+            table.add(i, j, _entry(n, value, wrong))
+        return _held(PostLieAlgebra, base=base, _integer=table.form())
 
     def triangle(self, x: Sequence[ScalarLike], y: Sequence[ScalarLike]) -> Vector:
         return _product(self._integer, x, y)

@@ -38,7 +38,7 @@ from itertools import zip_longest
 from math import gcd, lcm
 from numbers import Rational
 from operator import index, mul
-from typing import Iterable, Iterator, NamedTuple, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 ScalarLike = Union["GaussianRational", Fraction, int]
 # A sparse Gaussian-integer row: the (k, a, b), k ascending, with entry
@@ -435,9 +435,17 @@ def _solve(
     )
 
 
-def _integer_rows(rows: Iterable[Vector]) -> Iterator[IntegerRow]:
-    """Each nonzero vector of ``rows`` scaled by the lcm of its denominators."""
-    return (_integer_row(row, lcm(*(x.d for x in row))) for row in rows if any(row))
+def _integer_vectors(vectors: Sequence[Vector]) -> _IntegerForm:
+    """Vectors of scalars as integer rows on one scale, the lcm of the
+    denominators of their entries: the least scale they share.  Every
+    vector of scalars that becomes integer rows is converted here.  An
+    entry that is not a ``GaussianRational`` is refused with ``TypeError``."""
+    try:
+        scale = lcm(*{x.d for v in vectors for x in v})
+        return _IntegerForm(scale, tuple(_integer_row(v, scale) for v in vectors))
+    except AttributeError:
+        bad = next(x for v in vectors for x in v if not isinstance(x, GaussianRational))
+        raise TypeError(f"entry {bad!r} is not a GaussianRational") from None
 
 
 @dataclass(frozen=True)
@@ -510,7 +518,7 @@ class ExactMatrix:
 
     def rank(self) -> int:
         """The ``_rank`` of the integer rows."""
-        return _rank(_integer_rows(self.entries))
+        return _rank(_integer_vectors(self.entries).rows)
 
     def inverse(self) -> "ExactMatrix":
         n = self.rows
@@ -518,8 +526,8 @@ class ExactMatrix:
             raise ValueError("only square matrices can be inverted")
         # One solve of [self | I]; a singular matrix leaves some column of
         # the identity unsolvable.
-        rows = _integer_rows(row + unit_vector(n, r) for r, row in enumerate(self.entries))
-        solutions = _solve(rows, n, 2 * n).solutions
+        rows = [row + unit_vector(n, r) for r, row in enumerate(self.entries)]
+        solutions = _solve(_integer_vectors(rows).rows, n, 2 * n).solutions
         if solutions is None:
             raise ValueError("matrix is singular")
         return ExactMatrix(tuple(zip(*_scalar_rows(solutions, n))), n)
@@ -532,7 +540,7 @@ def rref(matrix: ExactMatrix) -> tuple[ExactMatrix, tuple[int, ...]]:
     """Reduced row echelon form and the pivot column indices, zero rows
     last: ``_solve``'s reduced rows as scalars."""
     width = matrix.cols
-    solved = _solve(_integer_rows(matrix.entries), width, width)
+    solved = _solve(_integer_vectors(matrix.entries).rows, width, width)
     zero = (zero_vector(width),) * (matrix.rows - len(solved.pivots))
     return ExactMatrix(_scalar_rows(solved.reduced, width) + zero, width), solved.pivots
 
@@ -540,7 +548,8 @@ def rref(matrix: ExactMatrix) -> tuple[ExactMatrix, tuple[int, ...]]:
 def nullspace(matrix: ExactMatrix) -> tuple[Vector, ...]:
     """Canonical nullspace basis: one vector per free column, free entry 1."""
     width = matrix.cols
-    return _scalar_rows(_solve(_integer_rows(matrix.entries), width, width).kernel, width)
+    rows = _integer_vectors(matrix.entries).rows
+    return _scalar_rows(_solve(rows, width, width).kernel, width)
 
 
 class AffineSolution(NamedTuple):
@@ -560,7 +569,8 @@ def solve_affine(
     if len(b) != matrix.rows:
         raise ValueError("right-hand side length does not match row count")
     n = matrix.cols
-    solved = _solve(_integer_rows(r + (x,) for r, x in zip(matrix.entries, b)), n, n + 1)
+    rows = _integer_vectors([r + (x,) for r, x in zip(matrix.entries, b)]).rows
+    solved = _solve(rows, n, n + 1)
     if solved.solutions is None:
         return None
     return AffineSolution(
@@ -615,12 +625,6 @@ class IntMatrix:
             width = len(ents[0])
         return IntMatrix(ents, width)
 
-    @staticmethod
-    def identity(n: int) -> "IntMatrix":
-        return IntMatrix(
-            tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)), n
-        )
-
     @property
     def rows(self) -> int:
         return len(self.entries)
@@ -647,11 +651,6 @@ class IntMatrix:
             for j in range(self.cols)
         )
         return IntMatrix(rows, self.rows)
-
-    def diagonal(self) -> tuple[int, ...]:
-        return tuple(
-            self.entries[k][k] for k in range(min(self.rows, self.cols))
-        )
 
 
 class SmithDecomposition(NamedTuple):

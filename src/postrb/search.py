@@ -108,7 +108,6 @@ from .lie import (
     _accumulate,
     _coefficient_rows,
     _held,
-    _integer_vectors,
     _left_products,
     _null_basis,
     _sparse,
@@ -121,6 +120,7 @@ from .scalars import (
     ScalarLike,
     Vector,
     _integer_row,
+    _integer_vectors,
     _IntegerForm,
     _least_vectors,
     vector,

@@ -1,9 +1,10 @@
 """Shared constructions: the dense ``rref`` oracle, the vector and matrix
 arithmetic of scalars that the integer rows replaced, the scalar table
-evaluators that the integer rows replaced, the scalar reader of linear
-combinations that the one-pass parser replaced, the two worked Lie
-examples, desk-scale groups, and a seeded generator of random Rota-Baxter
-instances for property suites.
+evaluators, the alternating table of scalars and the subspace coordinates
+that the integer rows replaced, the scalar reader of linear combinations
+that the one-pass parser replaced, the identity and diagonal of integer
+matrices, the two worked Lie examples, desk-scale groups, and a seeded
+generator of random Rota-Baxter instances for property suites.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from postrb.scalars import (
     ZERO,
     ExactMatrix,
     GaussianRational,
+    IntMatrix,
     from_triple,
     gaussian,
     is_zero_vector,
@@ -135,6 +137,47 @@ def left_columns(table, x):
                         col[k] = col[k] + v[i] * row[k]
         cols.append(tuple(col))
     return tuple(cols)
+
+
+def alternating(n, upper):
+    """The n x n table of scalars with ``upper[i, j]`` at (i, j) for the
+    given pairs i < j, its negation at (j, i) and the zero vector everywhere
+    else: the table the coercing constructors built before they held rows."""
+    zero = (ZERO,) * n
+    table = [[zero] * n for _ in range(n)]
+    for (i, j), value in upper.items():
+        table[i][j] = tuple(value)
+        table[j][i] = tuple(-x for x in value)
+    return tuple(map(tuple, table))
+
+
+def reference_coordinates_of(subspace, vec):
+    """``Subspace.coordinates_of`` by elimination on scalars against the
+    canonical basis: the loop that the rank test replaced, kept as its
+    oracle."""
+    v = list(vector(vec))
+    if len(v) != subspace.ambient_dim:
+        raise ValueError("vector has wrong length")
+    coords = []
+    for row, p in zip(subspace.basis, subspace.pivots):
+        c = v[p]
+        coords.append(c)
+        if c:
+            for k in range(subspace.ambient_dim):
+                v[k] = v[k] - c * row[k]
+    if not is_zero_vector(tuple(v)):
+        return None
+    return tuple(coords)
+
+
+def int_identity(n):
+    """The n x n identity ``IntMatrix``."""
+    return IntMatrix(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), n)
+
+
+def int_diagonal(matrix):
+    """The entries (k, k) of an ``IntMatrix``, k < min(rows, cols)."""
+    return tuple(matrix.entries[k][k] for k in range(min(matrix.rows, matrix.cols)))
 
 
 def sub_adjacent_reference(sc, tc):

@@ -1163,6 +1163,30 @@ class TestCli:
         assert captured.out == ""
         assert captured.err == "error: base bracket fails the Jacobi identity\n"
 
+    @pytest.mark.parametrize("command", ["innerness", "obstruction"])
+    def test_postlie_commands_refuse_a_base_failing_jacobi(self, tmp_path, capsys, command):
+        # The Jacobi identity fails at (e1, e2, e3): the cyclic sum is e1.
+        path = tmp_path / "doc.post"
+        path.write_text("kind postlie\ndim 3\n[1,2] = e1\n[1,3] = e1\n[2,3] = e2\n")
+        code = main([command, "--input", str(path)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == "error: base bracket fails the Jacobi identity\n"
+
+    @pytest.mark.parametrize("command", ["innerness", "obstruction"])
+    def test_postlie_commands_refuse_failing_postlie_axioms(self, tmp_path, capsys, command):
+        # Without its product 1>2 = e3, the sl2 sample's e1 > [e1, e2] is
+        # -e2 but [e1 > e1, e2] + [e1, e1 > e2] is 0.
+        text = (SAMPLES / "sl2.post").read_text()
+        path = tmp_path / "doc.post"
+        path.write_text(text.replace("1>2 = e3\n", ""))
+        code = main([command, "--input", str(path)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == "error: post-Lie axioms fail; run check-postlie for details\n"
+
     def test_group_obstruction_refuses_failing_postgroup_axioms(self, tmp_path, capsys):
         # Every left multiplication of a constant triangle sends all to 0.
         text = (SAMPLES / "s3_conjugation.postgrp").read_text()

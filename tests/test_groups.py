@@ -23,6 +23,7 @@ from postrb.scalars import IntMatrix, smith_normal_form, solve_linear_congruence
 
 from conftest import (
     inner_postgroups,
+    int_diagonal,
     make_d4,
     make_q8,
     make_s3,
@@ -77,7 +78,7 @@ def full_presentation_factors(group):
         row[b] += 1
         row[group.mul(a, b)] -= 1
         relations.append(row)
-    d = smith_normal_form(IntMatrix.from_rows(relations, width=n)).d.diagonal()
+    d = int_diagonal(smith_normal_form(IntMatrix.from_rows(relations, width=n)).d)
     return tuple(x for x in d if x > 1)
 
 

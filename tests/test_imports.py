@@ -384,6 +384,31 @@ def test_lie_solves_maps_and_map_rows_run_on_integer_rows():
     assert users("_solve") == ["lie.py", "lie_obstruction.py", "postlie.py", "scalars.py"]
 
 
+def test_one_entry_builder_for_given_tables():
+    # The document reader, the coercing constructors and the pullback build
+    # their tables through the one entry builder on integer rows and hold
+    # them: none builds a table of scalars only to convert it back, nor
+    # rechecks an antisymmetry that holds by construction.  ``abelian`` is
+    # ``from_brackets`` with no brackets.
+    scalar = ("_integer_form", "_alternating", "zero_vector", "_one_scale")
+    pinned = {
+        "documents.py": ("_parse_lie_side",),
+        "lie.py": ("LieAlgebra.from_brackets",),
+        "postlie.py": ("PostLieAlgebra.from_products",),
+        "lie_obstruction.py": ("LieTwoCochain.from_pairs", "pullback_algebra"),
+    }
+    for module, names in pinned.items():
+        functions = _definitions(ast.parse((SRC / module).read_text(), filename=module))
+        for name in names:
+            uses = _name_uses(functions[name])
+            assert uses["_EntryBuilder"] and uses["_held"], f"{module}:{name}"
+            assert not [s for s in scalar if uses[s]], f"{module}:{name}"
+    lie = _definitions(ast.parse((SRC / "lie.py").read_text(), filename="lie.py"))
+    assert _name_uses(lie["LieAlgebra.abelian"])["from_brackets"]
+    uses = sum((_name_uses(ast.parse(p.read_text(), filename=str(p))) for p in MODULES), Counter())
+    assert not [name for name in ("_alternating", "_one_scale", "_integer_rows") if uses[name]]
+
+
 def test_no_dead_definitions():
     # A use inside the definition itself, such as a recursive call, does
     # not keep it alive.

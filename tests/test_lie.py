@@ -6,6 +6,7 @@ span{e3} and degenerate Killing form.
 """
 
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -13,7 +14,9 @@ import pytest
 from postrb.lie import (
     LieAlgebra,
     Subspace,
-    _alternating,
+    _EntryBuilder,
+    _integer_form,
+    _scalar_table,
     ad_matrix,
     center,
     change_basis,
@@ -28,6 +31,7 @@ from postrb.lie import (
 from postrb.scalars import I, ExactMatrix, gaussian, unit_vector, vector
 
 from conftest import (
+    alternating,
     bilinear,
     make_half_solvable,
     make_sl2,
@@ -91,16 +95,71 @@ class TestConstruction:
         with pytest.raises(ValueError, match="vector has wrong length"):
             make_sl2().bracket(x, y)
 
-    def test_alternating_mirrors_given_pairs(self):
+    def test_entry_builder_mirrors_given_pairs(self):
+        # a = e1 + i e2 at (0, 1); b = 1/2 e2 - 3 e3 given at (2, 1) as -b,
+        # twice on the scale 2.  The mirror of each pair is its negation.
         a, b = vector([1, I, 0]), vector([0, gaussian("1/2"), -3])
-        table = _alternating(3, {(0, 1): a, (1, 2): b})
-        assert table[0][1] == a and table[1][2] == b
-        assert table[1][0] == vector([-1, -I, 0])
-        assert table[2][1] == vector([0, gaussian("-1/2"), 3])
+        table = _EntryBuilder(3)
+        assert table.add(0, 1, (1, ((0, 1, 0), (1, 0, 1))))
+        assert table.add(2, 1, (2, ((1, -1, 0), (2, 6, 0))))
+        held = table.form()
+        assert held == _integer_form(alternating(3, {(0, 1): a, (1, 2): b}))
+        sc = _scalar_table(held)
+        assert sc[0][1] == a and sc[1][2] == b
+        assert sc[1][0] == vector([-1, -I, 0])
+        assert sc[2][1] == vector([0, gaussian("-1/2"), 3])
         zero = vector([0, 0, 0])
-        assert [table[i][i] for i in range(3)] == [zero] * 3
-        assert table[0][2] == table[2][0] == zero
-        assert _alternating(0, {}) == ()
+        assert [sc[i][i] for i in range(3)] == [zero] * 3
+        assert sc[0][2] == sc[2][0] == zero
+        assert _EntryBuilder(0).form() == (1, ())
+
+    def test_entry_builder_compares_a_second_entry_for_a_pair(self):
+        # (D, row) and (E, row') hold one value when E row = D row', so the
+        # same value on another scale is accepted; an alternating table
+        # compares a pair given both ways, a plain table keeps both entries.
+        table = _EntryBuilder(2)
+        assert table.add(0, 1, (2, ((0, 1, 0),)))
+        assert table.add(0, 1, (4, ((0, 2, 0),)))
+        assert table.add(1, 0, (6, ((0, -3, 0),)))
+        assert not table.add(1, 0, (2, ((0, 1, 0),)))
+        assert not table.add(0, 1, (1, ()))
+        assert table.form() == (2, (((), ((0, 1, 0),)), (((0, -1, 0),), ())))
+        plain = _EntryBuilder(2, alternating=False)
+        assert plain.add(0, 1, (1, ((0, 1, 0),))) and plain.add(1, 0, (1, ((0, 1, 0),)))
+        assert plain.form() == (1, (((), ((0, 1, 0),)), (((0, 1, 0),), ())))
+
+    @pytest.mark.parametrize(
+        "brackets",
+        [
+            {(0, 1): [0, 0, 1], (1, 0): [0, 0, -1]},
+            {(1, 0): [0, 0, -1], (0, 1): [0, 0, 1]},
+            {(0, 1): [0, 0, gaussian("1/2")], (1, 0): [0, 0, Fraction(-2, 4)]},
+        ],
+    )
+    def test_from_brackets_takes_a_pair_given_both_ways(self, brackets):
+        one = {key: value for key, value in brackets.items() if key == (0, 1)}
+        algebra = LieAlgebra.from_brackets(3, brackets)
+        assert algebra == LieAlgebra.from_brackets(3, one)
+        assert algebra.sc == LieAlgebra.from_brackets(3, one).sc
+
+    @pytest.mark.parametrize(
+        "brackets, message",
+        [
+            ({(0, 3): [0, 0, 1]}, r"bracket index \(0,3\) out of range"),
+            ({(-1, 0): [0, 0, 1]}, r"bracket index \(-1,0\) out of range"),
+            ({(1, 1): [0, 0, 0]}, r"bracket \[e1,e1\] must be zero, not given"),
+            ({(0, 1): [0, 1]}, r"bracket value for \(0,1\) has wrong length"),
+            ({(2, 0): [0, 0, 0, 1]}, r"bracket value for \(2,0\) has wrong length"),
+        ],
+    )
+    def test_from_brackets_refusals(self, brackets, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            LieAlgebra.from_brackets(3, brackets)
+
+    def test_from_brackets_refuses_a_pair_given_two_ways(self):
+        brackets = {(0, 1): [0, 0, 1], (1, 0): [0, 0, 1]}
+        with pytest.raises(ValueError, match=r"^inconsistent brackets for pair \(1,0\)$"):
+            LieAlgebra.from_brackets(3, brackets)
 
 
 class TestJacobi:

@@ -37,7 +37,7 @@ from postrb.postlie import (
     innerness_witness,
     sub_adjacent,
 )
-from postrb.scalars import gaussian, is_zero_vector, vec_add, vector
+from postrb.scalars import I, gaussian, is_zero_vector, vec_add, vector
 from postrb.search import default_catalog
 
 from conftest import (
@@ -263,6 +263,28 @@ class TestRefusals:
     def test_cochain_value_outside_the_center(self, solvable):
         with pytest.raises(ValueError, match=r"value at \(0,2\) lies outside the center"):
             LieTwoCochain.from_pairs(3, center(solvable), {(0, 2): [1, 0, 0]})
+
+    @pytest.mark.parametrize("value", [[0, 0, 1, 0], [0, 0, 0, 5], [0, 0], []])
+    def test_from_pairs_refuses_a_value_of_another_length(self, solvable, value):
+        # Longer by one, with a zero or a nonzero entry past n, or shorter.
+        with pytest.raises(ValueError, match="^cochain table shape mismatch$"):
+            LieTwoCochain.from_pairs(3, center(solvable), {(0, 1): value})
+
+    def test_from_pairs_refuses_a_center_of_another_ambient(self, solvable):
+        with pytest.raises(ValueError, match="^cochain table shape mismatch$"):
+            LieTwoCochain.from_pairs(2, center(solvable), {(0, 1): [0, 1]})
+
+    def test_from_pairs_is_the_table_constructor(self, heisenberg):
+        z = center(heisenberg)
+        pairs = {(0, 2): [0, 0, gaussian("1/2")], (0, 1): [0, 0, I]}
+        cochain = LieTwoCochain.from_pairs(3, z, pairs)
+        zero = vector([0, 0, 0])
+        values = [[zero] * 3 for _ in range(3)]
+        for (i, j), value in pairs.items():
+            values[i][j] = vector(value)
+            values[j][i] = vector([-x for x in values[i][j]])
+        assert cochain == LieTwoCochain(3, z, tuple(map(tuple, values)))
+        assert cochain.values == tuple(map(tuple, values))
 
     @pytest.mark.parametrize("pair", [(1, 0), (1, 1), (0, 3)])
     def test_from_pairs_needs_i_below_j(self, solvable, pair):

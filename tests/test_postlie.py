@@ -1,6 +1,7 @@
 """Post-Lie axioms, sub-adjacent bracket, Rota-Baxter constructions, witnesses."""
 
 import random
+from fractions import Fraction
 from itertools import product
 from pathlib import Path
 
@@ -26,6 +27,7 @@ from postrb.postlie import (
 )
 from postrb.scalars import (
     ExactMatrix,
+    I,
     ONE,
     ZERO,
     gaussian,
@@ -253,6 +255,27 @@ class TestConstructors:
             PostLieAlgebra(base, (((1,),),))
         assert PostLieAlgebra.from_table(base, (((1,),),)).tc == (((ONE,),),)
 
+    @pytest.mark.parametrize("value", [[0, 0, 0, 1], [0, 0, 0, 0], [1, 0], []])
+    def test_from_products_refuses_a_value_of_another_length(self, sl2, value):
+        with pytest.raises(
+            ValueError, match="^triangle table shape does not match the base algebra$"
+        ):
+            PostLieAlgebra.from_products(sl2, {(0, 1): [0, 0, 1], (1, 2): value})
+
+    @pytest.mark.parametrize("pair", [(3, 0), (0, -1)])
+    def test_from_products_refuses_an_index_out_of_range(self, sl2, pair):
+        with pytest.raises(ValueError, match=r"^product index \(%d,%d\) out of range$" % pair):
+            PostLieAlgebra.from_products(sl2, {pair: [0, 0, 1]})
+
+    def test_from_products_is_the_table_constructor(self, sl2):
+        products = {(1, 0): [0, gaussian("1/2"), 0], (2, 2): [I, 0, Fraction(-1, 3)]}
+        p = PostLieAlgebra.from_products(sl2, products)
+        table = [[vector([0, 0, 0])] * 3 for _ in range(3)]
+        for (i, j), value in products.items():
+            table[i][j] = vector(value)
+        assert p == PostLieAlgebra(sl2, tuple(map(tuple, table)))
+        assert p.tc == tuple(map(tuple, table))
+
 
 class TestSubAdjacent:
     def test_zero_product_returns_base(self, sl2):
@@ -348,13 +371,13 @@ class TestRotaBaxter:
         # The identity is decided on integer rows, so neither a failing nor
         # a passing operator builds an induced or sub-adjacent table of
         # scalars, nor evaluates a product into scalars.  Every table of
-        # scalars, a view included, comes from ``_scalar_table`` or
-        # ``_alternating``, and every product of vectors from ``_product``.
+        # scalars, a view included, comes from ``_scalar_table``, and every
+        # product of vectors from ``_product``.
         from postrb import lie, postlie
 
         built = []
         builders = {
-            lie: ("_scalar_table", "_alternating", "_product"),
+            lie: ("_scalar_table", "_product"),
             postlie: ("_scalar_table", "_product", "induced_table"),
         }
         for module, names in builders.items():

@@ -70,6 +70,7 @@ from postrb.search import default_catalog, scan_algebra
 from postrb.tower import build_tower, next_bracket, tower_report
 
 from conftest import (
+    alternating,
     bilinear,
     dense_rref,
     left_columns,
@@ -77,6 +78,7 @@ from conftest import (
     make_sl2_operator,
     matrix_apply,
     random_rb_instance,
+    reference_coordinates_of,
     sub_adjacent_reference,
     vec_scale,
     vec_sub,
@@ -515,8 +517,8 @@ def _reference_pullback(post):
         for b in range(a + 1, basis.dim):
             va, vb = basis.basis[a], basis.basis[b]
             product = bilinear(sub, va[:n], vb[:n]) + bilinear(post.base.sc, va[n:], vb[n:])
-            upper[a, b] = basis.coordinates_of(product)
-    return LieAlgebra(lie._alternating(basis.dim, upper))
+            upper[a, b] = reference_coordinates_of(basis, product)
+    return LieAlgebra(alternating(basis.dim, upper))
 
 
 def _reference_fingerprint(algebra):
@@ -1001,7 +1003,7 @@ def _antisymmetric_tables(draw, n=None):
         for i in range(n)
         for j in range(i + 1, n)
     }
-    return lie._alternating(n, upper)
+    return alternating(n, upper)
 
 
 @st.composite
@@ -1057,6 +1059,26 @@ class TestHeldIntegerForm:
         # An algebra built from rows builds its view from them.
         assert lie._lie_algebra(algebra._integer).sc == table
         assert lie._scalar_table(algebra._integer) == table
+
+    @HELD
+    @given(st.data())
+    def test_coordinates_match_the_elimination(self, data):
+        # ``coordinates_of`` reads the entries at the pivots and asks the
+        # rank whether the vector lies in the span; the oracle eliminates on
+        # scalars.  A vector in the span is a combination of the basis, for
+        # a spanned, the zero and the full subspace.
+        n = data.draw(st.integers(min_value=0, max_value=4))
+        spanning = data.draw(st.lists(_vectors(n), max_size=n))
+        for subspace in (
+            Subspace.from_spanning(n, spanning), Subspace.from_spanning(n, []), Subspace.full(n)
+        ):
+            terms = [vec_scale(data.draw(_scalars), b) for b in subspace.basis]
+            inside = reduce(vec_add, terms, zero_vector(n))
+            assert reference_coordinates_of(subspace, inside) is not None
+            for v in (inside, data.draw(_vectors(n))):
+                expected = reference_coordinates_of(subspace, v)
+                assert subspace.coordinates_of(v) == expected
+                assert subspace.contains(v) == (expected is not None)
 
     @HELD
     @given(st.data())

@@ -27,7 +27,7 @@ from postrb.scalars import (
     IntMatrix,
     _echelon,
     _integer_row,
-    _integer_rows,
+    _integer_vectors,
     _solve,
     gaussian,
     rref,
@@ -369,4 +369,4 @@ def test_solvability_read_off_the_echelon_pivots(n, k, data):
     # [A | B] is consistent exactly when no pivot lies in the B block.
     m = data.draw(matrices(n + k))
     solvable = all(p < n for p in echelon_pivots(m))
-    assert solvable == (_solve(_integer_rows(m.entries), n, n + k).solutions is not None)
+    assert solvable == (_solve(_integer_vectors(m.entries).rows, n, n + k).solutions is not None)

@@ -5,6 +5,8 @@ eliminations; the Smith normal form is checked against its defining
 properties (exact transform identity, unimodularity, divisibility chain).
 """
 
+import copy
+import pickle
 import random
 from collections import Counter
 from decimal import Decimal
@@ -27,6 +29,7 @@ from postrb.scalars import (
     _diagonalize,
     _smith,
     determinant,
+    from_triple,
     gaussian,
     rref,
     smith_normal_form,
@@ -35,7 +38,7 @@ from postrb.scalars import (
     vector,
 )
 
-from conftest import dense_rref, matrix_apply, zero_matrix
+from conftest import dense_rref, int_diagonal, int_identity, matrix_apply, zero_matrix
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
@@ -89,6 +92,31 @@ class TestGaussianRational:
         assert str(gaussian(0, Fraction(-1, 2))) == "-1/2*i"
         assert str(gaussian(Fraction(1, 2), Fraction(1, 2))) == "1/2+1/2*i"
         assert str(gaussian(Fraction(1, 2), Fraction(-3, 4))) == "1/2-3/4*i"
+
+    @pytest.mark.parametrize(
+        "value",
+        [ZERO, ONE, -I, gaussian(Fraction(-7, 3)), gaussian(Fraction(1, 2), Fraction(-3, 4)),
+         gaussian(10**40 + 1, Fraction(1, 10**30))],
+    )
+    def test_pickling_and_copying_rebuild_the_value(self, value):
+        copies = [pickle.loads(pickle.dumps(value, protocol))
+                  for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        copies += [copy.copy(value), copy.deepcopy(value)]
+        for twin in copies:
+            assert twin.__class__ is GaussianRational
+            assert twin == value and hash(twin) == hash(value) and str(twin) == str(value)
+            assert (twin.a, twin.b, twin.d) == (value.a, value.b, value.d)
+            with pytest.raises(AttributeError, match="cannot assign"):
+                twin.a = 0
+            with pytest.raises(AttributeError, match="cannot delete"):
+                del twin.d
+            assert twin == value
+
+    def test_a_negative_denominator_moves_its_sign_to_the_numerator(self):
+        assert from_triple(1, 2, -4) == from_triple(-1, -2, 4)
+        x = from_triple(1, 2, -4)
+        assert (x.a, x.b, x.d) == (-1, -2, 4)
+        assert from_triple(3, 0, -6) == gaussian(Fraction(-1, 2))
 
     def test_random_field_axioms(self):
         rng = random.Random(7)
@@ -371,7 +399,7 @@ def _check_smith(matrix: IntMatrix) -> IntMatrix:
     assert (u @ matrix @ v).entries == d.entries
     assert abs(_int_det(u)) == 1
     assert abs(_int_det(v)) == 1
-    diag = d.diagonal()
+    diag = int_diagonal(d)
     for r in range(d.rows):
         for c in range(d.cols):
             if r != c:
@@ -445,7 +473,7 @@ class TestSmithProperties:
         # Every congruence mod 1 holds, so the system is never refused.
         columns = [[row[c] for row in block] for c in range(k)]
         system = _diagonalize(matrix.entries, columns, (1,) * k, matrix.cols)
-        padded = d.diagonal() + (0,) * (matrix.cols - len(d.diagonal()))
+        padded = int_diagonal(d) + (0,) * (matrix.cols - len(int_diagonal(d)))
         assert system.diagonal == padded and system.transform == v
 
     @DETERMINISTIC
@@ -475,15 +503,15 @@ class TestSmithNormalForm:
     def test_diag_2_3(self):
         # gcd manipulation turns diag(2,3) into diag(1,6).
         d = _check_smith(IntMatrix.from_rows([[2, 0], [0, 3]]))
-        assert d.diagonal() == (1, 6)
+        assert int_diagonal(d) == (1, 6)
 
     def test_identity(self):
-        d = _check_smith(IntMatrix.identity(3))
-        assert d.diagonal() == (1, 1, 1)
+        d = _check_smith(int_identity(3))
+        assert int_diagonal(d) == (1, 1, 1)
 
     def test_zero(self):
         d = _check_smith(IntMatrix.from_rows([[0, 0], [0, 0]]))
-        assert d.diagonal() == (0, 0)
+        assert int_diagonal(d) == (0, 0)
 
     def test_rectangular_and_random(self):
         rng = random.Random(5)
@@ -517,7 +545,7 @@ class TestSmithNormalForm:
             divisors[2] // divisors[1],
         )
         d = _check_smith(m)
-        assert d.diagonal() == expected == (2, 2, 156)
+        assert int_diagonal(d) == expected == (2, 2, 156)
 
     def test_transforms_stay_small(self):
         # A second full diagonalization to restore the divisibility chain
@@ -535,7 +563,7 @@ class TestSmithNormalForm:
         )
         u, d, v = smith_normal_form(m)
         assert (u @ m @ v).entries == d.entries
-        assert d.diagonal() == (1, 1, 1, 1, 1, 2)
+        assert int_diagonal(d) == (1, 1, 1, 1, 1, 2)
         assert all(abs(x) < 2**64 for t in (u, v) for row in t.entries for x in row)
 
 
@@ -699,10 +727,17 @@ ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__
 def test_decisions_do_no_scalar_arithmetic(monkeypatch, capsys):
     # Scalars are an edge format: the checks, innerness, the tower, every
     # group subcommand and the scan decide on integer data, so none of them
-    # adds, multiplies, divides or negates a scalar.  ``obstruction`` and
+    # adds, multiplies, divides or negates a scalar.  Neither does a table
+    # that enters through the coercing constructors or the pullback (one
+    # entry builder on integer rows), nor a subspace membership test (the
+    # pivot entries and one integer rank).  ``obstruction`` and
     # ``diff-cocycle`` on Lie operators are left out: the sum, difference
     # and negation of ``LinearMap`` still run on scalars.
     from postrb.cli import main
+    from postrb.documents import parse_document
+    from postrb.lie import LieAlgebra, Subspace, center
+    from postrb.lie_obstruction import LieTwoCochain, pullback_algebra
+    from postrb.postlie import PostLieAlgebra
     from postrb.search import default_catalog, scan_catalog
 
     catalog = default_catalog()
@@ -726,5 +761,23 @@ def test_decisions_do_no_scalar_arithmetic(monkeypatch, capsys):
     scan_catalog(catalog)
     capsys.readouterr()
     assert calls == Counter()
+    half = gaussian(Fraction(1, 2))
+    sl2 = {(0, 1): [0, 0, 1], (2, 0): [0, 1, 0], (1, 2): [1, 0, 0], (1, 0): [0, 0, -1]}
+    sl2 = LieAlgebra.from_brackets(3, sl2)
+    assert LieAlgebra.abelian(4).dim == 4
+    PostLieAlgebra.from_products(sl2, {(0, 1): [0, 0, 1], (1, 0): [I, half, 0]})
+    z = center(LieAlgebra.from_brackets(3, {(0, 1): [0, 0, half]}))
+    LieTwoCochain.from_pairs(3, z, {(0, 1): [0, 0, half], (1, 2): [0, 0, I]})
+    assert calls == Counter()
+    span = Subspace.from_spanning(3, [[1, half, 0], [0, 0, I]])
+    assert span.contains([2, 1, 5]) and not span.contains([1, 0, 0])
+    assert z.contains([0, 0, half]) and not z.contains([half, 0, 0])
+    assert span.coordinates_of([2, 1, I]) == (gaussian(2), I)
+    assert span.coordinates_of([0, 1, 0]) is None
+    assert calls == Counter()
+    for name in samples:
+        if name.endswith(".post"):
+            pullback_algebra(parse_document((SAMPLES / name).read_text()).post_lie)
+            assert calls == Counter(), name
     assert -ONE == gaussian(-1)
     assert calls == Counter(__neg__=1)

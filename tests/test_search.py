@@ -35,7 +35,7 @@ from postrb.scalars import (
 )
 from postrb.search import ScanFinding, ScanSummary, default_catalog, scan_algebra
 
-from conftest import dense_rref, make_heisenberg
+from conftest import alternating, dense_rref, make_heisenberg
 
 
 def _grid(algebra: LieAlgebra, coefficients) -> list[list]:
@@ -612,7 +612,7 @@ class TestWalkTheorems:
                 pair: _scalars(bracket, n, 1)
                 for pair, bracket in zip(pairs, found.sub, strict=True)
             }
-            assert lie.check_jacobi(LieAlgebra(lie._alternating(n, upper)))
+            assert lie.check_jacobi(LieAlgebra(alternating(n, upper)))
             for value in found.kappa:
                 re, im = [0] * rows.width, [0] * rows.width
                 lie._accumulate(re, im, value, rows.phi)

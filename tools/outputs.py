@@ -14,7 +14,10 @@ mean byte-identical outputs.  The CLI runs on ``samples/`` need no digest:
 the tests compare them byte for byte with ``tests/data/cli_snapshots.json``.
 
 Run from the root of a checkout: ``python tools/outputs.py [SEED ...]``
-(seeds 1 to 3 by default).
+(seeds 1 to 3 by default).  ``tools/outputs.expected`` holds the digests of
+seeds 1 to 3, and CI diffs fresh output against it
+(``python tools/outputs.py 1 2 3 | diff tools/outputs.expected -``), so a
+change that alters an output on purpose updates that file in the same diff.
 """
 
 from __future__ import annotations
